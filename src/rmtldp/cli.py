@@ -26,11 +26,12 @@ from .montecarlo import sample_spectrum, write_samples_csv, write_spectra_sideca
 from .rate import approx_sweep, rate, rate_table, rate_variational
 from .wigner import (
     DeformedWignerModel,
+    _dw_rate_from_branches,
+    dw_branches,
     dw_edge,
     free_convolution_density,
     free_convolution_measure,
 )
-from .wigner import dw_branches
 
 __all__ = ["main", "run", "model_from_json", "model_to_json"]
 
@@ -245,20 +246,11 @@ def _cmd_wigner_edge(args) -> None:
 def _cmd_wigner_rate(args) -> None:
     model = _load_model(args.model, "deformed-wigner")
     edge = dw_edge(model)
-    xs = np.linspace(edge.r_edge, args.xmax, args.points)
     lines = ["x,G,Gbar,I"]
-    acc = 0.0
-    prev = edge.r_edge
-    from scipy import integrate as _integrate
-
-    gap = lambda u: dw_branches(model, u, edge)[1] - dw_branches(model, u, edge)[0]
-    for x in xs:
-        if x > prev:
-            seg, _ = _integrate.quad(gap, prev, x, epsabs=1e-11, epsrel=1e-11, limit=300)
-            acc += seg
-            prev = x
+    for x in np.linspace(edge.r_edge, args.xmax, args.points):
         g, gb = dw_branches(model, x, edge)
-        lines.append(f"{_fmt(x)},{_fmt(g)},{_fmt(gb)},{_fmt(0.5 * model.beta * acc)}")
+        i_val = _dw_rate_from_branches(model, x, g, gb)
+        lines.append(f"{_fmt(x)},{_fmt(g)},{_fmt(gb)},{_fmt(i_val)}")
     _emit("\n".join(lines) + "\n", args.out)
 
 

@@ -109,11 +109,10 @@ def h_rho(model: CovarianceModel, theta: float) -> float:
     tmax = theta_max(model)
     if not 0.0 < theta <= tmax:
         raise ValueError(f"theta={theta!r} outside (0, {tmax!r}]")
-    a = model.alpha
-    g = model.rho.stieltjes(a / theta)
-    if math.isinf(g):
+    h = _h_at(model, theta)
+    if math.isinf(h):
         raise ValueError(f"H diverges at theta={theta!r} (theta_max with infinite edge transform)")
-    return 1.0 / theta - a / theta + (a * a) / (theta * theta) * g
+    return h
 
 
 def f_rho(model: CovarianceModel, theta: float) -> float:
@@ -124,8 +123,8 @@ def f_rho(model: CovarianceModel, theta: float) -> float:
     return _f_at(model, theta)
 
 
-def _f_at(model: CovarianceModel, theta: float) -> float:
-    # valid for any theta with alpha/theta outside the support of rho
+def _f_at(model: CovarianceModel, theta):
+    # valid for any real or complex theta with alpha/theta off the support of rho
     a = model.alpha
     z = a / theta
     g = model.rho.stieltjes(z)
@@ -133,23 +132,10 @@ def _f_at(model: CovarianceModel, theta: float) -> float:
     return -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
 
 
-def _h_at(model: CovarianceModel, theta: float) -> float:
+def _h_at(model: CovarianceModel, theta):
+    # same domain as _f_at; H' = _f_at / theta^2
     a = model.alpha
     return 1.0 / theta - a / theta + (a * a) / (theta * theta) * model.rho.stieltjes(a / theta)
-
-
-def _h_complex(model: CovarianceModel, w: complex) -> complex:
-    a = model.alpha
-    return 1.0 / w - a / w + (a * a) / (w * w) * model.rho.stieltjes(a / w)
-
-
-def _h_prime_complex(model: CovarianceModel, w: complex) -> complex:
-    a = model.alpha
-    z = a / w
-    g = model.rho.stieltjes(z)
-    gp = model.rho.stieltjes_prime(z)
-    f = -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
-    return f / (w * w)
 
 
 def _h_direct(model: CovarianceModel, theta: float) -> float:
@@ -469,8 +455,8 @@ def sigma_density(model: CovarianceModel, x, eta: float, edge: EdgeData | None =
     span = max(window.right - window.left, 1.0)
     chain = _approach_chain(float(xs[order[0]]), window.right, span)
     zs = [c + 1j * eta for c in chain] + [xs[i] + 1j * eta for i in order]
-    h = lambda w: _h_complex(model, w)
-    hp = lambda w: _h_prime_complex(model, w)
+    h = lambda w: _h_at(model, w)
+    hp = lambda w: _f_at(model, w) / (w * w)
     roots = _track_along_grid(h, hp, zs)[len(chain):]
     dens = np.maximum(-roots.imag / math.pi, 0.0)
     out = np.empty_like(xs)
@@ -639,8 +625,8 @@ def sigma_measure(model: CovarianceModel, grid_points: int = 2000,
     eta_floor = 1e-9 * max(1.0, span)
     chain = _approach_chain(float(xs[0]), hi, span)
     zs = [c + 1j * eta_floor for c in chain] + [xv + 1j * eta_floor for xv in xs]
-    h = lambda w: _h_complex(model, w)
-    hp = lambda w: _h_prime_complex(model, w)
+    h = lambda w: _h_at(model, w)
+    hp = lambda w: _f_at(model, w) / (w * w)
     roots = _track_along_grid(h, hp, zs)[len(chain):]
     if window.zero_atom > 0.0:
         # the zero atom is attached exactly below; strip its Cauchy bump from

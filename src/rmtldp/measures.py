@@ -106,8 +106,6 @@ class DensityComponent:
     params: dict = field(default_factory=dict)
     evaluator: object = None
     edge_finite_g: bool | None = None
-    coarse_nodes: np.ndarray | None = None
-    coarse_weights: np.ndarray | None = None
 
     # -- transforms ---------------------------------------------------------
 
@@ -205,8 +203,6 @@ class DensityComponent:
             params=params,
             evaluator=evaluator,
             edge_finite_g=self.edge_finite_g,
-            coarse_nodes=None if self.coarse_nodes is None else self.coarse_nodes * factor,
-            coarse_weights=None if self.coarse_weights is None else self.coarse_weights * mass_factor,
         )
 
     def edge_g_is_finite(self) -> bool | None:
@@ -218,13 +214,11 @@ class DensityComponent:
 
 
 def _make_component(kind, a, b, mass, nodes, weights, params=None, evaluator=None,
-                    edge_finite_g=None, coarse=None):
+                    edge_finite_g=None):
     return DensityComponent(
         kind=kind, a=float(a), b=float(b), mass=float(mass),
         nodes=np.asarray(nodes, dtype=float), weights=np.asarray(weights, dtype=float),
         params=params or {}, evaluator=evaluator, edge_finite_g=edge_finite_g,
-        coarse_nodes=None if coarse is None else np.asarray(coarse[0], dtype=float),
-        coarse_weights=None if coarse is None else np.asarray(coarse[1], dtype=float),
     )
 
 
@@ -248,8 +242,7 @@ class SpectralMeasure:
             wts = wts / total
             components = tuple(
                 _make_component(c.kind, c.a, c.b, c.mass / total, c.nodes, c.weights / total,
-                                c.params, c.evaluator, c.edge_finite_g,
-                                None if c.coarse_nodes is None else (c.coarse_nodes, c.coarse_weights / total))
+                                c.params, c.evaluator, c.edge_finite_g)
                 for c in components
             )
         elif abs(total - 1.0) > _MASS_TOL:
@@ -340,13 +333,10 @@ class SpectralMeasure:
                 evaluator=Uniform(a, b), edge_finite_g=False,
             )
         else:
-            cnodes, cqw = sqrt_adapted_rule(a, b, max(n // 2, 8))
-            cweights = cqw * np.maximum(np.asarray(density(cnodes), dtype=float), 0.0)
             comp = _make_component(
                 "table", a, b, 1.0, nodes, weights / raw_mass,
                 params={"norm": 1.0 / raw_mass}, evaluator=density,
                 edge_finite_g=edge_finite_g,
-                coarse=(cnodes, cweights / cweights.sum()),
             )
         return cls(components=[comp], raw_mass_defect=abs(raw_mass - 1.0))
 
@@ -502,16 +492,6 @@ class SpectralMeasure:
         for c in self.components:
             total += float(np.sum(c.weights * np.asarray(f(c.nodes))))
         return total
-
-    def stieltjes_refinement_estimate(self, z) -> float:
-        """Error estimate for table quadrature at z from rule coarsening."""
-        est = 1e-15
-        for c in self.components:
-            if c.coarse_nodes is not None:
-                fine = np.sum(c.weights / (z - c.nodes))
-                coarse = c.mass * np.sum(c.coarse_weights / (z - c.coarse_nodes))
-                est += 2.0 * abs(fine - coarse)
-        return est
 
     # -- cdf / quantiles --------------------------------------------------------
 

@@ -7,7 +7,7 @@ import pytest
 from rmtldp.cli import model_from_json, model_to_json, run
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
-from rmtldp.wigner import DeformedWignerModel
+from rmtldp.wigner import DeformedWignerModel, dw_edge, dw_rate
 
 
 @pytest.fixture
@@ -144,6 +144,21 @@ class TestWignerCommands:
         s = math.sqrt(16.0 - 4.0)
         oracle = 0.5 * (2.0 * s - 2.0 * math.log(0.5 * (4.0 + s)))
         assert float(last[3]) == pytest.approx(oracle, abs=1e-8)
+
+    def test_rate_table_past_capped_threshold(self, tmp_path):
+        # semicircle deformation: the second branch is capped past x_c = 3
+        model = DeformedWignerModel(SpectralMeasure.semicircle(0.0, 1.0))
+        path = tmp_path / "dw-sc.json"
+        path.write_text(json.dumps(model_to_json(model)))
+        out = tmp_path / "wr.csv"
+        assert run(["wigner-rate", "--model", str(path), "--xmax", "5",
+                    "--points", "12", "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 12 and rows[-1][0] > 3.0
+        edge = dw_edge(model)
+        for x, _, _, i_val in rows:
+            assert i_val == dw_rate(model, x, edge)
 
     def test_density(self, wigner_point, tmp_path):
         out = tmp_path / "wd.csv"

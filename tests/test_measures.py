@@ -91,14 +91,6 @@ class TestFromDensity:
         with pytest.warns(UserWarning):
             SpectralMeasure.from_density(lambda u: np.full_like(np.asarray(u, float), 2.0), (0.0, 1.0), 32)
 
-    def test_refinement_estimate_bounds_change(self):
-        dens = lambda u: np.exp(-np.asarray(u)) / (1.0 - math.exp(-1.0))
-        m64 = SpectralMeasure.from_density(dens, (0.0, 1.0), 64)
-        m128 = SpectralMeasure.from_density(dens, (0.0, 1.0), 128)
-        for z in (1.2, 2.0, 5.0):
-            change = abs(m128.stieltjes(z) - m64.stieltjes(z))
-            assert change <= m64.stieltjes_refinement_estimate(z) + 1e-14
-
 
 class TestStieltjes:
     def test_point_mass(self):
