@@ -4,6 +4,7 @@ CSV/JSON artifacts with locale-independent formatting and atomic writes."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -13,25 +14,11 @@ import tempfile
 
 import numpy as np
 
-from .dyson import (
-    CovarianceModel,
-    DegenerateModelError,
-    SolverError,
-    edge_solve,
-    sigma_density,
-    support_window,
-)
+from .dyson import CovarianceModel, DegenerateModelError, SolverError, edge_solve
 from .measures import MeasureError, SpectralMeasure
-from .montecarlo import sample_spectrum, write_samples_csv, write_spectra_sidecar
-from .rate import approx_sweep, rate, rate_table, rate_variational
-from .wigner import (
-    DeformedWignerModel,
-    _dw_rate_from_branches,
-    dw_branches,
-    dw_edge,
-    free_convolution_density,
-    free_convolution_measure,
-)
+from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
+from .rate import approx_sweep, rate_table
+from .wigner import DeformedWignerModel
 
 __all__ = ["main", "run", "model_from_json", "model_to_json"]
 
@@ -89,7 +76,12 @@ def model_to_json(model) -> dict:
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def _load_model(path: str, expect: str):
+def _load_model(args, kinds=("covariance", "deformed-wigner")):
+    """The model of ``--model``, refused unless its kind is one of ``kinds``;
+    the wigner-* command names accept deformed-Wigner models only."""
+    if args.command.startswith("wigner-"):
+        kinds = ("deformed-wigner",)
+    path = args.model
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -98,8 +90,9 @@ def _load_model(path: str, expect: str):
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path!r}: {exc}") from exc
     kind = obj.get("kind", "covariance") if isinstance(obj, dict) else None
-    if kind != expect:
-        raise UsageError(f"subcommand needs a {expect!r} model, file has kind {kind!r}")
+    if kind not in kinds:
+        raise UsageError(f"{args.command} needs a {' or '.join(map(repr, kinds))} model, "
+                         f"file has kind {kind!r}")
     return model_from_json(obj)
 
 
@@ -140,24 +133,19 @@ def _float_list(text: str) -> list[float]:
 
 # -- subcommand handlers ---------------------------------------------------------
 
+# edge fields reported under a shorter key
+_REPORT_KEYS = {"x_c_dw": "x_c", "g_edge_mu_d": "g_edge"}
+
 
 def _cmd_edge(args) -> None:
-    model = _load_model(args.model, "covariance")
-    edge = edge_solve(model)
-    report = {
-        "theta_max": edge.theta_max,
-        "x_c": edge.x_c,
-        "theta_c": edge.theta_c,
-        "r_sigma": edge.r_sigma,
-        "degenerate": edge.degenerate,
-        "case_tag": edge.case_tag,
-    }
+    edge = _load_model(args).edge()
+    report = {_REPORT_KEYS.get(k, k): v for k, v in dataclasses.asdict(edge).items()}
     _emit(json.dumps(_json_ready(report), indent=2) + "\n", args.out)
 
 
 def _cmd_rate(args) -> None:
-    model = _load_model(args.model, "covariance")
-    edge = edge_solve(model)
+    model = _load_model(args)
+    edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError(
             "model is degenerate; `edge` reports degenerate=true and the rate "
@@ -170,38 +158,36 @@ def _cmd_rate(args) -> None:
 
 
 def _cmd_density(args) -> None:
-    model = _load_model(args.model, "covariance")
-    edge = edge_solve(model)
+    model = _load_model(args)
+    edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model has no continuous density")
-    window = support_window(model, edge)
+    window = model.window(edge)
     margin = 0.05 * (window.right - window.left)
     xmin = args.xmin if args.xmin is not None else window.left - margin
     xmax = args.xmax if args.xmax is not None else window.right + margin
     xs = np.linspace(xmin, xmax, args.points)
-    dens = sigma_density(model, xs, args.eta, edge)
+    dens = model.density(xs, args.eta, edge)
     lines = ["x,density"] + [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(xs, dens)]
     _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_variational(args) -> None:
-    model = _load_model(args.model, "covariance")
-    edge = edge_solve(model)
+    model = _load_model(args)
+    edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: the variational form does not apply")
-    from .dyson import sigma_measure
-
-    sigma = sigma_measure(model, 2000, edge)
+    sigma = model.limit_measure(2000, edge)
     lines = ["x,rate_primal,rate_variational,abs_diff"]
     for x in _float_list(args.x):
-        primal = rate(model, x, edge)
-        varia = rate_variational(model, x, edge, sigma)
+        primal = model.rate(x, edge)
+        varia = model.rate_variational(x, edge, sigma)
         lines.append(f"{_fmt(x)},{_fmt(primal)},{_fmt(varia)},{_fmt(abs(primal - varia))}")
     _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_approx(args) -> None:
-    model = _load_model(args.model, "covariance")
+    model = _load_model(args, ("covariance",))
     edge = edge_solve(model)
     if edge.degenerate:
         raise DegenerateModelError("degenerate model has no approximation sweep")
@@ -215,17 +201,8 @@ def _cmd_approx(args) -> None:
 
 
 def _cmd_mc(args) -> None:
-    model = _load_model(args.model, "covariance")
-    if args.threads and args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            samples = list(pool.map(
-                lambda rep: sample_spectrum(model, args.n, args.seed, rep),
-                range(args.replicas)))
-    else:
-        samples = [sample_spectrum(model, args.n, args.seed, rep)
-                   for rep in range(args.replicas)]
+    model = _load_model(args)
+    samples = _sample(model, args.n, args.seed, range(args.replicas), args.threads)
     buf = io.StringIO()
     write_samples_csv(samples, buf)
     _emit(buf.getvalue(), args.out)
@@ -233,42 +210,6 @@ def _cmd_mc(args) -> None:
         raw = io.BytesIO()
         write_spectra_sidecar(samples, raw)
         _emit(raw.getvalue(), args.spectra)
-
-
-def _cmd_wigner_edge(args) -> None:
-    model = _load_model(args.model, "deformed-wigner")
-    edge = dw_edge(model)
-    report = {"y_c": edge.y_c, "r_edge": edge.r_edge, "x_c": edge.x_c_dw,
-              "g_edge": edge.g_edge_mu_d}
-    _emit(json.dumps(_json_ready(report), indent=2) + "\n", args.out)
-
-
-def _cmd_wigner_rate(args) -> None:
-    model = _load_model(args.model, "deformed-wigner")
-    edge = dw_edge(model)
-    lines = ["x,G,Gbar,I"]
-    for x in np.linspace(edge.r_edge, args.xmax, args.points):
-        g, gb = dw_branches(model, x, edge)
-        i_val = _dw_rate_from_branches(model, x, g, gb)
-        lines.append(f"{_fmt(x)},{_fmt(g)},{_fmt(gb)},{_fmt(i_val)}")
-    _emit("\n".join(lines) + "\n", args.out)
-
-
-def _cmd_wigner_density(args) -> None:
-    model = _load_model(args.model, "deformed-wigner")
-    edge = dw_edge(model)
-    if args.xmin is None or args.xmax is None:
-        grid_measure = free_convolution_measure(model, 400, edge)
-        lo, hi = grid_measure.edges()
-        margin = 0.05 * (hi - lo)
-        xmin = args.xmin if args.xmin is not None else lo - margin
-        xmax = args.xmax if args.xmax is not None else hi + margin
-    else:
-        xmin, xmax = args.xmin, args.xmax
-    xs = np.linspace(xmin, xmax, args.points)
-    dens = free_convolution_density(model, xs, args.eta)
-    lines = ["x,density"] + [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(xs, dens)]
-    _emit("\n".join(lines) + "\n", args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,17 +224,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("edge", help="solve the spectral edge quantities")
+    # the wigner-* aliases run the same handlers on deformed-Wigner models only
+    p = sub.add_parser("edge", aliases=["wigner-edge"],
+                       help="solve the spectral edge quantities")
     common(p)
     p.set_defaults(fn=_cmd_edge)
 
-    p = sub.add_parser("rate", help="tabulate the rate function")
+    p = sub.add_parser("rate", aliases=["wigner-rate"], help="tabulate the rate function")
     common(p)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, default=200)
     p.set_defaults(fn=_cmd_rate)
 
-    p = sub.add_parser("density", help="limiting spectral density on a grid")
+    p = sub.add_parser("density", aliases=["wigner-density"],
+                       help="limiting spectral density on a grid")
     common(p)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
@@ -324,23 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectra", default=None, help="optional binary sidecar of full spectra")
     p.set_defaults(fn=_cmd_mc)
 
-    p = sub.add_parser("wigner-edge", help="deformed-Wigner edge quantities")
-    common(p)
-    p.set_defaults(fn=_cmd_wigner_edge)
-
-    p = sub.add_parser("wigner-rate", help="deformed-Wigner rate table")
-    common(p)
-    p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
-    p.set_defaults(fn=_cmd_wigner_rate)
-
-    p = sub.add_parser("wigner-density", help="free-convolution density on a grid")
-    common(p)
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=400)
-    p.add_argument("--eta", type=float, default=1e-4)
-    p.set_defaults(fn=_cmd_wigner_density)
     return parser
 
 

@@ -70,21 +70,72 @@ class CovarianceModel:
     def __post_init__(self):
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if self.beta not in (1, 2):
-            raise ValueError(f"beta must be 1 or 2, got {self.beta!r}")
-        if self.entry_law not in REAL_ENTRY_LAWS + COMPLEX_ENTRY_LAWS:
-            raise ValueError(f"unknown entry law {self.entry_law!r}")
-        is_complex = self.entry_law in COMPLEX_ENTRY_LAWS
-        if is_complex != (self.beta == 2):
-            raise ValueError(
-                f"beta={self.beta} requires a "
-                f"{'complex' if self.beta == 2 else 'real'} entry law, got {self.entry_law!r}"
-            )
+        _check_entry_law(self.beta, self.entry_law)
         if self.entry_law not in _GAUSSIAN_LAWS and self.rho.left_edge < 0.0:
             raise ValueError(
                 f"entry law {self.entry_law!r} requires rho supported in [0, inf); "
                 f"left edge is {self.rho.left_edge!r}"
             )
+
+    # The operations below are shared with DeformedWignerModel, so callers
+    # work with either model kind without asking which one they hold.
+
+    def edge(self) -> EdgeData:
+        return edge_solve(self)
+
+    def branches(self, x: float, edge: EdgeData) -> tuple[float, float]:
+        """(G, Gbar): the two solutions of H(y) = x."""
+        return g_sigma(edge, self, x), g_bar_sigma(edge, self, x)
+
+    def rate_from_branches(self, x: float, g: float, g_bar: float) -> float:
+        from .rate import _rate_from_branches
+        return _rate_from_branches(self, x, g, g_bar)
+
+    def window(self, edge: EdgeData) -> SupportWindow:
+        return support_window(self, edge)
+
+    def density(self, x, eta: float, edge: EdgeData | None = None):
+        return sigma_density(self, x, eta, edge)
+
+    def limit_measure(self, grid_points: int = 2000,
+                      edge: EdgeData | None = None) -> SpectralMeasure:
+        return sigma_measure(self, grid_points, edge)
+
+    def rate(self, x: float, edge: EdgeData | None = None) -> float:
+        from .rate import rate
+        return rate(self, x, edge)
+
+    def rate_variational(self, x: float, edge: EdgeData | None = None,
+                         sigma: SpectralMeasure | None = None) -> float:
+        from .rate import rate_variational
+        return rate_variational(self, x, edge, sigma)
+
+    @property
+    def diagonal_law(self) -> SpectralMeasure:
+        """Limiting law of the deterministic diagonal Gamma."""
+        return self.rho
+
+    def rows(self, n: int) -> int:
+        """Row count m of Z in an n x n sample."""
+        return int(round(self.alpha * n))
+
+    def draw(self, rng, n: int, d: np.ndarray) -> np.ndarray:
+        """One n x n sample (1/m) Z* diag(d) Z, d of length rows(n)."""
+        from .montecarlo import _covariance_matrix
+        return _covariance_matrix(self, n, rng, d)[0]
+
+
+def _check_entry_law(beta: int, entry_law: str) -> None:
+    """Dyson index and entry law checks shared by both model kinds."""
+    if beta not in (1, 2):
+        raise ValueError(f"beta must be 1 or 2, got {beta!r}")
+    if entry_law not in REAL_ENTRY_LAWS + COMPLEX_ENTRY_LAWS:
+        raise ValueError(f"unknown entry law {entry_law!r}")
+    if (entry_law in COMPLEX_ENTRY_LAWS) != (beta == 2):
+        raise ValueError(
+            f"beta={beta} requires a "
+            f"{'complex' if beta == 2 else 'real'} entry law, got {entry_law!r}"
+        )
 
 
 @dataclass(frozen=True)

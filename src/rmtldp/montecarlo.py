@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import CovarianceModel, sigma_measure
 from .measures import SpectralMeasure
-from .wigner import DeformedWignerModel, free_convolution_measure
 
 __all__ = [
     "SpectrumSample",
@@ -29,6 +27,7 @@ __all__ = [
 ]
 
 _MAX_ENTRIES = 4 * 10**7
+_BATCH_ENTRIES = 2 * 10**6  # matrix entries diagonalized per stacked batch
 _SQRT3 = math.sqrt(3.0)
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -112,94 +111,79 @@ def _draw_complex(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     raise ValueError(f"not a complex entry law: {law!r}")
 
 
-def _covariance_matrix(model: CovarianceModel, n: int, rng) -> tuple[np.ndarray, int]:
-    m = int(round(model.alpha * n))
+def _covariance_matrix(model, n: int, rng, d: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, int]:
+    m = model.rows(n)
+    if d is None:
+        d = build_gamma(model.rho, m)
+    draw = _draw_real if model.beta == 1 else _draw_complex
+    z = draw(rng, model.entry_law, (m, n))
+    # conj() returns a real array itself, so one expression serves both classes
+    h = z.conj().T @ (d[:, None] * z) / m
+    return 0.5 * (h + h.conj().T), m
+
+
+def _wigner_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:
+    iu = np.triu_indices(n, 1)
+    if model.beta == 1:
+        diag_law, draw_off = model.entry_law, _draw_real
+    else:
+        diag_law = "gaussian" if model.entry_law == "complex_gaussian" else "rademacher"
+        draw_off = _draw_complex
+    diag = _draw_real(rng, diag_law, n)
+    off = draw_off(rng, model.entry_law, len(iu[0]))
+    w = np.zeros((n, n), dtype=off.dtype)
+    w[iu] = off
+    w = w + w.conj().T
+    w[np.diag_indices(n)] = diag
+    return w / math.sqrt(n) + np.diag(d)
+
+
+def _sample(model, n: int, seed: int, reps: range,
+            threads: int | None = None) -> list[SpectrumSample]:
+    """Full spectra of the replicas in ``reps``, in order: the one sampling
+    path of every Monte Carlo function, for either model kind.
+
+    The diagonal is built once per call. Each replica draws from its own
+    counter-based stream, so results do not depend on how the replicas are
+    split into batches or on ``threads``; batches are sized so that each of
+    up to ``threads`` workers diagonalizes at least one stacked batch.
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n!r}")
+    m = model.rows(n)
     if m < 1:
         raise ValueError(f"alpha * n rounds to {m!r}; need at least one row")
     if n * m > _MAX_ENTRIES:
         raise ValueError(f"sample of {n * m} entries exceeds the {_MAX_ENTRIES} cap")
-    d = build_gamma(model.rho, m)
-    if model.beta == 1:
-        z = _draw_real(rng, model.entry_law, (m, n))
-        h = z.T @ (d[:, None] * z) / m
-        h = 0.5 * (h + h.T)
-    else:
-        z = _draw_complex(rng, model.entry_law, (m, n))
-        h = z.conj().T @ (d[:, None] * z) / m
-        h = 0.5 * (h + h.conj().T)
-    return h, m
+    d = build_gamma(model.diagonal_law, m)
+    workers = threads if threads and threads > 1 else 1
+    batch = max(1, min(_BATCH_ENTRIES // (n * n), -(-len(reps) // workers)))
+    spectra = np.empty((len(reps), n))
 
+    def run_batch(start: int) -> None:
+        stop = min(start + batch, len(reps))
+        mats = np.empty((stop - start, n, n), dtype=complex if model.beta == 2 else float)
+        for i, rep in enumerate(reps[start:stop]):
+            mats[i] = model.draw(_rng_for(seed, rep), n, d)
+        spectra[start:stop] = np.linalg.eigvalsh(mats)
 
-def _wigner_matrix(model: DeformedWignerModel, n: int, rng) -> np.ndarray:
-    if n * n > _MAX_ENTRIES:
-        raise ValueError(f"sample of {n * n} entries exceeds the {_MAX_ENTRIES} cap")
-    d = build_gamma(model.mu_d, n)
-    iu = np.triu_indices(n, 1)
-    if model.beta == 1:
-        diag = _draw_real(rng, model.entry_law, n)
-        off = _draw_real(rng, model.entry_law, len(iu[0]))
-        w = np.zeros((n, n))
-        w[iu] = off
-        w = w + w.T
-        w[np.diag_indices(n)] = diag
+    starts = range(0, len(reps), batch)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_batch, starts))
     else:
-        real_law = "gaussian" if model.entry_law == "complex_gaussian" else "rademacher"
-        diag = _draw_real(rng, real_law, n)
-        off = _draw_complex(rng, model.entry_law, len(iu[0]))
-        w = np.zeros((n, n), dtype=complex)
-        w[iu] = off
-        w = w + w.conj().T
-        w[np.diag_indices(n)] = diag
-    return w / math.sqrt(n) + np.diag(d)
+        for start in starts:
+            run_batch(start)
+    return [SpectrumSample(n=n, m=m, eigenvalues=eigs, lambda_max=float(eigs[-1]),
+                           seed=seed, replica_index=rep)
+            for rep, eigs in zip(reps, spectra)]
 
 
 def sample_spectrum(model, n: int, seed: int = 0, replica_index: int = 0) -> SpectrumSample:
     """Eigenvalues of one finite-size draw, a deterministic function of
     (seed, replica_index) through a counter-based generator."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n!r}")
-    rng = _rng_for(seed, replica_index)
-    if isinstance(model, CovarianceModel):
-        h, m = _covariance_matrix(model, n, rng)
-    elif isinstance(model, DeformedWignerModel):
-        h, m = _wigner_matrix(model, n, rng), n
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
-    eigs = np.linalg.eigvalsh(h)
-    return SpectrumSample(n=n, m=m, eigenvalues=eigs, lambda_max=float(eigs[-1]),
-                          seed=seed, replica_index=replica_index)
-
-
-def _lambda_max_many(model, n: int, seed: int, replicas: int,
-                     threads: int | None = None) -> np.ndarray:
-    """Largest eigenvalue per replica, in replica order.
-
-    Matrices are generated per replica (streams stay independent of
-    scheduling) and diagonalized in stacked batches.
-    """
-    batch = max(1, int(2 * 10**7 / max(n * n, 1)))
-    out = np.empty(replicas, dtype=float)
-
-    def run_batch(start: int) -> None:
-        stop = min(start + batch, replicas)
-        mats = []
-        for rep in range(start, stop):
-            rng = _rng_for(seed, rep)
-            if isinstance(model, CovarianceModel):
-                mats.append(_covariance_matrix(model, n, rng)[0])
-            else:
-                mats.append(_wigner_matrix(model, n, rng))
-        stacked = np.stack(mats)
-        out[start:stop] = np.linalg.eigvalsh(stacked)[:, -1]
-
-    starts = list(range(0, replicas, batch))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_batch, starts))
-    else:
-        for s in starts:
-            run_batch(s)
-    return out
+    return _sample(model, n, seed, range(replica_index, replica_index + 1))[0]
 
 
 def edge_stats(model, n: int, replicas: int, seed: int = 0,
@@ -207,20 +191,12 @@ def edge_stats(model, n: int, replicas: int, seed: int = 0,
     """Summary statistics of the largest eigenvalue over independent replicas."""
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas!r}")
-    values = _lambda_max_many(model, n, seed, replicas, threads)
+    samples = _sample(model, n, seed, range(replicas), threads)
+    values = np.array([s.lambda_max for s in samples])
     quantiles = {q: float(np.quantile(values, q)) for q in _QUANTILE_LEVELS}
     return EdgeStats(mean_lambda_max=float(values.mean()),
                      sd=float(values.std(ddof=1)) if replicas > 1 else 0.0,
                      quantiles=quantiles, values=values)
-
-
-def limiting_measure(model, grid_points: int = 2000) -> SpectralMeasure:
-    """Grid measure of the limiting spectral law for either model kind."""
-    if isinstance(model, CovarianceModel):
-        return sigma_measure(model, grid_points)
-    if isinstance(model, DeformedWignerModel):
-        return free_convolution_measure(model, grid_points)
-    raise TypeError(f"unsupported model type {type(model)!r}")
 
 
 def distance_stats(model, n: int, seed: int = 0, replica_index: int = 0,
@@ -228,7 +204,7 @@ def distance_stats(model, n: int, seed: int = 0, replica_index: int = 0,
     """Kolmogorov-Smirnov and Wasserstein-1 distances between one sampled
     empirical spectral measure and the limiting measure's grid CDF."""
     if sigma is None:
-        sigma = limiting_measure(model)
+        sigma = model.limit_measure()
     sample = sample_spectrum(model, n, seed, replica_index)
     eigs = sample.eigenvalues
     f_sigma = np.asarray(sigma.cdf(eigs))
@@ -259,7 +235,8 @@ def tail_curve(model, x: float, n_list, replicas: int, seed: int = 0,
     confidence intervals; sizes with zero hits report a lower bound."""
     points = []
     for n in n_list:
-        values = _lambda_max_many(model, int(n), seed, replicas, threads)
+        values = np.array([s.lambda_max
+                           for s in _sample(model, int(n), seed, range(replicas), threads)])
         hits = int(np.sum(values >= x))
         p_lo, p_hi = _wilson_interval(hits, replicas)
         if hits == 0:

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from ._quad import sqrt_adapted_rule
 from .dyson import (
+    _BRENTQ_KW,
     CovarianceModel,
     DegenerateModelError,
     EdgeData,
@@ -116,8 +117,7 @@ def _inverse_stieltjes(mu: SpectralMeasure, target: float) -> float:
             break
     else:
         raise SolverError(f"inverse Stieltjes transform: no upper bracket for {target!r}")
-    return brentq(lambda lam: mu.stieltjes(lam) - target, lo, hi,
-                  xtol=1e-14, rtol=8.9e-16, maxiter=300)
+    return brentq(lambda lam: mu.stieltjes(lam) - target, lo, hi, **_BRENTQ_KW)
 
 
 def j_shift(mu: SpectralMeasure, theta: float, lam: float) -> float:
@@ -297,20 +297,19 @@ class RateTable:
             stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _table_on_grid(model: CovarianceModel, edge: EdgeData, xs: np.ndarray) -> RateTable:
+def _table_on_grid(model, edge, xs: np.ndarray) -> RateTable:
     """Branch values at grid points plus the rate at each of them, each point
-    evaluated on its own by the closed form of :func:`rate`."""
+    evaluated on its own by the model's closed-form rate."""
     xs = np.asarray(xs, dtype=float)
-    g = np.array([g_sigma(edge, model, x) for x in xs])
-    gb = np.array([g_bar_sigma(edge, model, x) for x in xs])
-    i_vals = np.array([_rate_from_branches(model, *row) for row in zip(xs, g, gb)])
+    g, gb = np.array([model.branches(x, edge) for x in xs]).reshape(-1, 2).T
+    i_vals = np.array([model.rate_from_branches(*row) for row in zip(xs, g, gb)])
     return RateTable(xs, g, gb, i_vals, model.beta, edge)
 
 
-def rate_table(model: CovarianceModel, x_max: float, points: int,
-               edge: EdgeData | None = None) -> RateTable:
-    """RateTable on a uniform grid from r(sigma) to x_max."""
-    edge = edge or edge_solve(model)
+def rate_table(model, x_max: float, points: int, edge=None) -> RateTable:
+    """RateTable on a uniform grid from r(sigma) to x_max, for a covariance
+    or a deformed-Wigner model (sigma is then its free convolution)."""
+    edge = edge or model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     if x_max <= edge.r_sigma:

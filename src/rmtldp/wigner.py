@@ -12,10 +12,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dyson import (
-    COMPLEX_ENTRY_LAWS,
-    REAL_ENTRY_LAWS,
+    _BRENTQ_KW,
     SolverError,
+    SupportWindow,
     _approach_chain,
+    _check_entry_law,
     _newton_track,
     _track_along_grid,
     boundary_density_grid,
@@ -38,9 +39,6 @@ __all__ = [
     "dw_epsilon_cap",
 ]
 
-_BRENTQ_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=300)
-
-
 @dataclass(frozen=True)
 class DeformedWignerModel:
     """Wigner matrix plus a deterministic diagonal with limiting law mu_d."""
@@ -50,15 +48,51 @@ class DeformedWignerModel:
     entry_law: str = "gaussian"
 
     def __post_init__(self):
-        if self.beta not in (1, 2):
-            raise ValueError(f"beta must be 1 or 2, got {self.beta!r}")
-        if self.entry_law not in REAL_ENTRY_LAWS + COMPLEX_ENTRY_LAWS:
-            raise ValueError(f"unknown entry law {self.entry_law!r}")
-        if (self.entry_law in COMPLEX_ENTRY_LAWS) != (self.beta == 2):
-            raise ValueError(
-                f"beta={self.beta} requires a "
-                f"{'complex' if self.beta == 2 else 'real'} entry law, got {self.entry_law!r}"
-            )
+        _check_entry_law(self.beta, self.entry_law)
+
+    # The same operations as CovarianceModel's, for callers of either kind.
+
+    def edge(self) -> DWEdgeData:
+        return dw_edge(self)
+
+    def branches(self, x: float, edge: DWEdgeData) -> tuple[float, float]:
+        return dw_branches(self, x, edge)
+
+    def rate_from_branches(self, x: float, g: float, g_bar: float) -> float:
+        return _dw_rate_from_branches(self, x, g, g_bar)
+
+    def window(self, edge: DWEdgeData) -> SupportWindow:
+        """Support of the free convolution: its right edge, and the left edge
+        as minus the right edge for the reflected deformation."""
+        mirrored = dw_edge(DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law))
+        return SupportWindow(-mirrored.r_edge, edge.r_edge, 0.0)
+
+    def density(self, x, eta: float, edge: DWEdgeData | None = None):
+        return free_convolution_density(self, x, eta)
+
+    def limit_measure(self, grid_points: int = 2000,
+                      edge: DWEdgeData | None = None) -> SpectralMeasure:
+        return free_convolution_measure(self, grid_points, edge)
+
+    def rate(self, x: float, edge: DWEdgeData | None = None) -> float:
+        return dw_rate(self, x, edge)
+
+    def rate_variational(self, x: float, edge: DWEdgeData | None = None,
+                         sigma: SpectralMeasure | None = None) -> float:
+        return dw_rate_variational(self, x, edge, sigma)
+
+    @property
+    def diagonal_law(self) -> SpectralMeasure:
+        """Limiting law of the deterministic diagonal D."""
+        return self.mu_d
+
+    def rows(self, n: int) -> int:
+        return n
+
+    def draw(self, rng, n: int, d: np.ndarray) -> np.ndarray:
+        """One n x n sample W / sqrt(n) + diag(d)."""
+        from .montecarlo import _wigner_matrix
+        return _wigner_matrix(self, n, rng, d)
 
 
 @dataclass(frozen=True)
@@ -69,6 +103,14 @@ class DWEdgeData:
     r_edge: float
     x_c_dw: float
     g_edge_mu_d: float
+
+    # the deformed Wigner model has no degenerate phase
+    degenerate = False
+
+    @property
+    def r_sigma(self) -> float:
+        """The spectral edge r_edge, under the name EdgeData gives it."""
+        return self.r_edge
 
 
 def _g_edge(mu: SpectralMeasure) -> float:
@@ -270,8 +312,8 @@ def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000
     continuation of the subordination equation omega + G_mu(omega) = z.
     """
     edge = edge or dw_edge(model)
-    mirrored = dw_edge(DeformedWignerModel(model.mu_d.reflected(), model.beta, model.entry_law))
-    lo, hi = -mirrored.r_edge, edge.r_edge
+    window = model.window(edge)
+    lo, hi = window.left, window.right
     span = hi - lo
     if span <= 0.0:
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")

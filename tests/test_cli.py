@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from rmtldp import montecarlo
 from rmtldp.cli import model_from_json, model_to_json, run
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
-from rmtldp.wigner import DeformedWignerModel, dw_edge, dw_rate
+from rmtldp.montecarlo import edge_stats
+from rmtldp.wigner import DeformedWignerModel, dw_edge, dw_rate, dw_rate_variational
 
 
 @pytest.fixture
@@ -172,6 +174,83 @@ class TestWignerCommands:
 
     def test_kind_mismatch_is_usage_error(self, wishart1, tmp_path):
         assert run(["wigner-edge", "--model", wishart1]) == 2
+
+
+@pytest.fixture
+def wigner_two_atom(tmp_path):
+    path = tmp_path / "dw2.json"
+    path.write_text(json.dumps({
+        "kind": "deformed-wigner", "beta": 1, "entry_law": "gaussian",
+        "deformation": {"atoms": [[-1.0, 0.5], [1.0, 0.5]], "density": None},
+    }))
+    return str(path)
+
+
+class TestOneHandlerPerKind:
+    @pytest.mark.parametrize("command,extra", [
+        ("edge", []),
+        ("rate", ["--xmax", "4", "--points", "15"]),
+        ("density", ["--points", "41"]),
+    ])
+    def test_wigner_alias_emits_the_same_bytes(self, wigner_two_atom, tmp_path,
+                                               command, extra):
+        plain, alias = tmp_path / "plain", tmp_path / "alias"
+        argv = ["--model", wigner_two_atom] + extra
+        assert run([command] + argv + ["--out", str(plain)]) == 0
+        assert run([f"wigner-{command}"] + argv + ["--out", str(alias)]) == 0
+        assert plain.read_bytes() == alias.read_bytes()
+
+    def test_wigner_rate_at_or_below_the_edge_is_a_numeric_failure(self, wigner_point):
+        # the spectral edge of the pure Wigner matrix is 2
+        assert run(["wigner-rate", "--model", wigner_point, "--xmax", "2"]) == 1
+
+    def test_variational_on_wigner_model(self, wigner_two_atom, tmp_path):
+        out = tmp_path / "v.csv"
+        assert run(["variational", "--model", wigner_two_atom, "--x", "3,3.5",
+                    "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "x,rate_primal,rate_variational,abs_diff"
+        model = model_from_json(json.loads(open(wigner_two_atom).read()))
+        for line in lines[1:]:
+            x, primal, varia, _ = (float(v) for v in line.split(","))
+            assert primal == dw_rate(model, x)
+            assert varia == dw_rate_variational(model, x)
+
+    def test_approx_refuses_wigner_model(self, wigner_two_atom):
+        assert run(["approx", "--model", wigner_two_atom, "--eps", "0.1",
+                    "--xmax", "4"]) == 2
+
+    @pytest.mark.parametrize("fixture", ["wishart1", "wigner_two_atom"])
+    def test_mc_matches_edge_stats_bitwise(self, fixture, request, tmp_path):
+        path = request.getfixturevalue(fixture)
+        out = tmp_path / "mc.csv"
+        assert run(["mc", "--model", path, "--n", "24", "--replicas", "6", "--seed", "11",
+                    "--threads", "2", "--out", str(out)]) == 0
+        column = [float(line.split(",")[3])
+                  for line in out.read_text().strip().splitlines()[1:]]
+        model = model_from_json(json.loads(open(path).read()))
+        np.testing.assert_array_equal(column, edge_stats(model, 24, 6, 11).values)
+
+    def test_mc_builds_gamma_once(self, wishart1, tmp_path, monkeypatch):
+        calls = []
+        build = montecarlo.build_gamma
+        monkeypatch.setattr(montecarlo, "build_gamma",
+                            lambda rho, m: calls.append(m) or build(rho, m))
+        assert run(["mc", "--model", wishart1, "--n", "12", "--replicas", "5",
+                    "--out", str(tmp_path / "mc.csv")]) == 0
+        assert calls == [12]
+
+    def test_wigner_density_window_needs_no_grid_measure(self, wigner_two_atom, tmp_path,
+                                                         monkeypatch):
+        from rmtldp import cli, wigner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default window must not build a grid measure")
+
+        for module in (cli, wigner):
+            monkeypatch.setattr(module, "free_convolution_measure", refuse, raising=False)
+        assert run(["wigner-density", "--model", wigner_two_atom, "--points", "21",
+                    "--out", str(tmp_path / "wd.csv")]) == 0
 
 
 class TestVariationalAndApprox:

@@ -1,6 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from rmtldp import montecarlo
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
 from rmtldp.montecarlo import (
@@ -126,9 +130,49 @@ class TestEdgeStats:
         b = edge_stats(wishart(1.0), 60, 16, seed=3, threads=4)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_threads_share_the_eigensolves(self, monkeypatch):
+        workers = set()
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            workers.add(threading.get_ident())
+            time.sleep(0.01)  # keep the batch busy while the others are handed out
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        threaded = edge_stats(wishart(1.0), 60, 16, seed=3, threads=4)
+        assert len(workers) >= 2
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        serial = edge_stats(wishart(1.0), 60, 16, seed=3)
+        np.testing.assert_array_equal(threaded.values, serial.values)
+
+    def test_wigner_matches_sample_spectrum(self):
+        model = DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5]))
+        stats = edge_stats(model, 30, 5, seed=4, threads=2)
+        singles = [sample_spectrum(model, 30, 4, rep).lambda_max for rep in range(5)]
+        np.testing.assert_array_equal(stats.values, singles)
+
     def test_degenerate_model_trapped_at_zero(self):
         stats = edge_stats(wishart(0.5, sign=-1.0), 60, 20, seed=1)
         assert abs(stats.mean_lambda_max) <= 1e-10
+
+
+class TestGammaBuiltOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        build = montecarlo.build_gamma
+        monkeypatch.setattr(montecarlo, "build_gamma",
+                            lambda rho, m: calls.append(m) or build(rho, m))
+        return calls
+
+    def test_edge_stats(self, calls):
+        edge_stats(CovarianceModel(SpectralMeasure.uniform(0.0, 1.0), 0.5), 20, 30, seed=1)
+        assert calls == [10]
+
+    def test_tail_curve_once_per_size(self, calls):
+        tail_curve(wishart(1.0), 4.3, [10, 16], 40, seed=2, threads=2)
+        assert calls == [10, 16]
 
 
 class TestDistanceStats:

@@ -201,6 +201,15 @@ class TestFreeConvolutionMeasure:
             oracle, _ = integrate.quad(sc, -2.0, x)
             assert sigma.cdf(x) == pytest.approx(oracle, abs=2e-3)
 
+    @pytest.mark.parametrize("model", [
+        point_deformation(),
+        two_atom_deformation(),
+        DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)),
+    ])
+    def test_support_window_is_the_grid_measure_support(self, model):
+        window = model.window(dw_edge(model))
+        assert (window.left, window.right) == free_convolution_measure(model, 400).edges()
+
 
 class TestDisconnectedFreeConvolution:
     def test_two_separated_bands(self):
