@@ -417,101 +417,97 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
     return SupportWindow(left, edge.r_sigma, zero_atom)
 
 
-def _newton_track(h, h_prime, z, w0, tol=1e-12, max_iter=120):
-    """Damped Newton solve of h(w) = z from seed w0, staying off the real axis."""
-    w = complex(w0)
-    res = h(w) - z
-    for _ in range(max_iter):
-        if abs(res) <= tol * max(1.0, abs(z)):
-            return w
-        deriv = h_prime(w)
-        if deriv == 0.0:
-            deriv = 1e-30
-        step = res / deriv
-        lam = 1.0
-        for _ in range(40):
-            trial = w - lam * step
-            if trial.imag == 0.0:
-                trial += 1e-14j * max(1.0, abs(trial))
-            try:
-                trial_res = h(trial) - z
-            except (MeasureError, ZeroDivisionError):
-                lam *= 0.5
-                continue
-            if abs(trial_res) < abs(res):
-                w, res = trial, trial_res
-                break
-            lam *= 0.5
-        else:
-            raise SolverError(f"Newton stalled at z={z!r} with residual {abs(res)!r}")
-    raise SolverError(f"Newton did not converge at z={z!r}; residual {abs(res)!r}")
+# heights of the descent in units of max(1, largest |z|), and the Newton
+# steps a point may take on one level
+_DESCENT = np.append(np.geomspace(1.0, 1e-12, 25), 0.0)
+_LEVEL_STEPS = 120
 
 
-def _descend_imaginary(h, h_prime, z, scale):
-    """Recover the root at z by walking the imaginary part down from a
-    height where the equation is well conditioned (used when direct
-    continuation stalls, e.g. crossing a gap between spectral bands)."""
-    heights = scale * np.geomspace(1.0, 1e-12, 25)
-    z_top = complex(z.real, z.imag + heights[0])
-    w = _newton_track(h, h_prime, z_top, 1.0 / z_top)
-    for eta in heights[1:]:
-        w = _newton_track(h, h_prime, complex(z.real, z.imag + eta), w)
-    return _newton_track(h, h_prime, z, w)
+def _solve_on_grid(h, h_prime, zs, seed):
+    """Solve h(w) = z at every point of ``zs`` (Im z > 0) at once.
 
-
-def _track_along_grid(h, h_prime, zs, w0=None, im_sign=-1.0):
-    """Solve h(w) = z along a path of z values, each solution seeding the next.
-
-    The path must begin far to the right of the support (so the default seed
-    1/z lands on the physical branch) and move continuously. Roots are
-    reflected into the half-plane of sign ``im_sign``; for w = G_sigma(z)
-    that is Im w <= 0 when Im z > 0. Points where direct continuation stalls
-    are retried by descending in the imaginary direction.
+    Each point starts from ``seed(z + i scale)`` high above the real axis,
+    where the seed lies on the physical branch, and descends: the height
+    over z shrinks through ``scale * _DESCENT``, each level seeded by the
+    root of the level above. Damped Newton runs on the whole array, each
+    point with its own backtracking step and its own stopping test
+    ``|h(w) - z| <= 1e-12 max(1, |z|)``. Iterates never leave the open
+    half-plane of their seed, which holds exactly one root.
     """
-    w = 1.0 / zs[0] if w0 is None else complex(w0)
-    scale = max(1.0, max(abs(z) for z in zs))
-    out = np.empty(len(zs), dtype=complex)
-    for i, z in enumerate(zs):
-        try:
-            w = _newton_track(h, h_prime, z, w)
-        except SolverError:
-            w = _descend_imaginary(h, h_prime, z, scale)
-        if im_sign * w.imag < 0.0:
-            w = w.conjugate()
-        out[i] = w
-    return out
+    zs = np.asarray(zs, dtype=complex)
+    heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
+    w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
+    side = np.sign(w.imag)
+    hw = np.asarray(h(w), dtype=complex)
+    level = np.zeros(zs.size, dtype=int)
+    steps = np.zeros(zs.size, dtype=int)
+    live = np.arange(zs.size)
+
+    def stalled(i, why):
+        z, height = complex(zs[i]), float(heights[level[i]])
+        return SolverError(f"Newton {why} at z={z!r}, height {height!r} above it; "
+                           f"residual {float(abs(hw[i] - z - 1j * height))!r}")
+
+    while True:
+        # a root that already solves the next level moves down at once
+        while True:
+            target = zs[live] + 1j * heights[level[live]]
+            res = hw[live] - target
+            solved = np.abs(res) <= 1e-12 * np.maximum(1.0, np.abs(target))
+            down = solved & (level[live] < len(heights) - 1)
+            if not down.any():
+                break
+            level[live[down]] += 1
+            steps[live[down]] = 0
+        live, target, res = live[~solved], target[~solved], res[~solved]
+        if not live.size:
+            return w
+        if steps[live].max() >= _LEVEL_STEPS:
+            raise stalled(live[np.argmax(steps[live])], "did not converge")
+        steps[live] += 1
+        step = res / h_prime(w[live])
+        lam = np.ones(live.size)
+        todo = np.arange(live.size)
+        for _ in range(40):
+            trial = w[live[todo]] - lam[todo] * step[todo]
+            # a trial across the real axis is rejected like one that does not
+            # reduce the residual; so are NaNs
+            inside = np.sign(trial.imag) == side[live[todo]]
+            h_trial = np.full(todo.size, np.nan, dtype=complex)
+            if inside.any():
+                h_trial[inside] = h(trial[inside])
+            better = np.abs(h_trial - target[todo]) < np.abs(res[todo])
+            w[live[todo[better]]] = trial[better]
+            hw[live[todo[better]]] = h_trial[better]
+            todo = todo[~better]
+            if not todo.size:
+                break
+            lam[todo] *= 0.5
+        else:
+            raise stalled(live[todo[0]], "stalled")
 
 
-def _approach_chain(x_start: float, anchor: float, span: float):
-    """Real points walking from far right of the support down to x_start."""
-    far = anchor + 2.0 * span + 10.0
-    steps = np.geomspace(far - x_start, span * 1e-3, 40) if far > x_start else []
-    return [x_start + s for s in steps]
+def _solve_dyson(model: CovarianceModel, zs):
+    """G_sigma(z) at every z of the upper half-plane: the root of H(w) = z
+    with Im w < 0."""
+    return _solve_on_grid(lambda w: _h_at(model, w),
+                          lambda w: _f_at(model, w) / (w * w), zs, lambda z: 1.0 / z)
 
 
 def sigma_density(model: CovarianceModel, x, eta: float, edge: EdgeData | None = None):
     """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0.
 
-    The Dyson equation is continued into the upper half-plane by damped
-    Newton iteration seeded from the large-argument expansion and tracked
-    along the (descending) grid of evaluation points.
+    The Dyson equation H(w) = z is solved at every z = x + i eta at once,
+    each point by damped Newton descending from high above the real axis,
+    seeded there by the large-argument expansion w ~ 1/z.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     edge = edge or edge_solve(model)
     _require_nondegenerate(edge)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    order = np.argsort(xs)[::-1]
-    window = support_window(model, edge)
-    span = max(window.right - window.left, 1.0)
-    chain = _approach_chain(float(xs[order[0]]), window.right, span)
-    zs = [c + 1j * eta for c in chain] + [xs[i] + 1j * eta for i in order]
-    h = lambda w: _h_at(model, w)
-    hp = lambda w: _f_at(model, w) / (w * w)
-    roots = _track_along_grid(h, hp, zs)[len(chain):]
-    dens = np.maximum(-roots.imag / math.pi, 0.0)
-    out = np.empty_like(xs)
-    out[order] = dens
+    roots = _solve_dyson(model, xs + 1j * eta)
+    out = np.maximum(-roots.imag / math.pi, 0.0)
     return out[0] if np.asarray(x).ndim == 0 else out
 
 
@@ -674,11 +670,7 @@ def sigma_measure(model: CovarianceModel, grid_points: int = 2000,
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
     xs = boundary_density_grid(lo, hi, grid_points)
     eta_floor = 1e-9 * max(1.0, span)
-    chain = _approach_chain(float(xs[0]), hi, span)
-    zs = [c + 1j * eta_floor for c in chain] + [xv + 1j * eta_floor for xv in xs]
-    h = lambda w: _h_at(model, w)
-    hp = lambda w: _f_at(model, w) / (w * w)
-    roots = _track_along_grid(h, hp, zs)[len(chain):]
+    roots = _solve_dyson(model, xs + 1j * eta_floor)
     if window.zero_atom > 0.0:
         # the zero atom is attached exactly below; strip its Cauchy bump from
         # the recovered transform so only the continuous part is gridded

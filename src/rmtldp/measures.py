@@ -154,33 +154,36 @@ class DensityComponent:
             return self.mass * ((za * math.log(za) - term_b) / (self.b - self.a) - 1.0)
         return float(np.sum(self.weights * np.log(z - self.nodes)))
 
-    def cdf(self, x: float) -> float:
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return self.mass
+    def cdf(self, x):
+        """Mass of the component in (-inf, x], elementwise over an array x."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "semicircle":
             c, r = self.params["center"], self.params["radius"]
-            w = min(max(x - c, -r), r)
-            return self.mass * (
-                0.5 + (w * math.sqrt(max(r * r - w * w, 0.0)) + r * r * math.asin(w / r)) / (math.pi * r * r)
+            w = np.clip(x - c, -r, r)
+            val = self.mass * (
+                0.5 + (w * np.sqrt(np.maximum(r * r - w * w, 0.0)) + r * r * np.arcsin(w / r))
+                / (math.pi * r * r)
             )
-        if self.kind == "uniform":
-            return self.mass * (x - self.a) / (self.b - self.a)
-        if self.evaluator is not None:
-            val, _ = integrate.quad(self.evaluator, self.a, x, limit=200)
-            return min(val * self.params.get("norm", 1.0), self.mass)
-        below = self.nodes <= x
-        if not below.any():
-            return 0.0
-        # piecewise-linear in the cell containing x
-        csum = np.cumsum(self.weights)
-        i = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        left = csum[i] - 0.5 * self.weights[i]
-        nxt = self.nodes[i + 1] if i + 1 < len(self.nodes) else self.b
-        gap_mass = 0.5 * self.weights[i] + (0.5 * self.weights[i + 1] if i + 1 < len(self.weights) else 0.0)
-        frac = (x - self.nodes[i]) / max(nxt - self.nodes[i], 1e-300)
-        return float(min(left + frac * gap_mass, self.mass))
+        elif self.kind == "uniform":
+            val = self.mass * (x - self.a) / (self.b - self.a)
+        elif self.evaluator is not None:
+            flat = x.ravel()
+            val = np.zeros(flat.size)
+            for k in np.flatnonzero((flat > self.a) & (flat < self.b)):
+                val[k] = integrate.quad(self.evaluator, self.a, flat[k], limit=200)[0]
+            val = np.minimum(val.reshape(x.shape) * self.params.get("norm", 1.0), self.mass)
+        else:
+            # piecewise-linear in the cell [nodes[i], nodes[i + 1]] containing x,
+            # the last cell ending at b; zero below the first node
+            i = np.searchsorted(self.nodes, x, side="right") - 1
+            j = np.maximum(i, 0)
+            nodes = np.append(self.nodes, self.b)
+            weights = np.append(self.weights, 0.0)
+            left = np.cumsum(self.weights)[j] - 0.5 * weights[j]
+            gap_mass = 0.5 * weights[j] + 0.5 * weights[j + 1]
+            frac = (x - nodes[j]) / np.maximum(nodes[j + 1] - nodes[j], 1e-300)
+            val = np.where(i >= 0, np.minimum(left + frac * gap_mass, self.mass), 0.0)
+        return np.where(x <= self.a, 0.0, np.where(x >= self.b, self.mass, val))[()]
 
     def scaled(self, factor: float, mass_factor: float) -> "DensityComponent":
         """Pushforward by multiplication with ``factor`` (> 0), mass rescaled."""
@@ -496,45 +499,42 @@ class SpectralMeasure:
     # -- cdf / quantiles --------------------------------------------------------
 
     def cdf(self, x) -> float | np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        for i, xi in enumerate(xs):
-            v = float(self.atom_weights[self.atom_locations <= xi].sum()) if self.atom_locations.size else 0.0
-            for c in self.components:
-                v += c.cdf(xi)
-            out[i] = min(v, 1.0)
-        return out[0] if np.asarray(x).ndim == 0 else out
+        xs = np.asarray(x, dtype=float)
+        v = np.zeros(xs.shape)
+        if self.atom_locations.size:
+            csum = np.append(0.0, np.cumsum(self.atom_weights))
+            v = csum[np.searchsorted(self.atom_locations, xs, side="right")]
+        for c in self.components:
+            v = v + c.cdf(xs)
+        return np.minimum(v, 1.0)[()]
 
     def quantile(self, q) -> float | np.ndarray:
-        qs = np.atleast_1d(np.asarray(q, dtype=float))
+        """Smallest x with cdf(x) >= q, for every level of q at once."""
+        qs = np.asarray(q, dtype=float)
         if np.any((qs < 0.0) | (qs > 1.0)):
             raise MeasureError("quantile levels must lie in [0, 1]")
-        out = np.empty_like(qs)
-        for i, qi in enumerate(qs):
-            out[i] = self._quantile_scalar(qi)
-        return out[0] if np.asarray(q).ndim == 0 else out
-
-    def _quantile_scalar(self, q: float) -> float:
         if not self.components:
             csum = np.cumsum(self.atom_weights)
-            idx = int(np.searchsorted(csum, q * (1.0 - 1e-15), side="left"))
-            idx = min(idx, len(csum) - 1)
-            return float(self.atom_locations[idx])
-        lo, hi = self._left, self._right
+            idx = np.searchsorted(csum, qs * (1.0 - 1e-15), side="left")
+            return self.atom_locations[np.minimum(idx, len(csum) - 1)][()]
+        # bisection, each level stopping on its own once its bracket is tight
+        flat_q = qs.ravel()
+        lo = np.full(flat_q.size, self._left)
+        hi = np.full(flat_q.size, self._right)
+        live = np.arange(flat_q.size)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= q:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo[live] + hi[live])
+            up = self.cdf(mid) >= flat_q[live]
+            hi[live[up]] = mid[up]
+            lo[live[~up]] = mid[~up]
+            live = live[hi[live] - lo[live] > 1e-15 * np.maximum(1.0, np.abs(hi[live]))]
+            if not live.size:
                 break
         x = hi
         if self.atom_locations.size:
-            j = int(np.argmin(np.abs(self.atom_locations - x)))
-            if abs(self.atom_locations[j] - x) <= 1e-9 * max(1.0, abs(x)):
-                x = float(self.atom_locations[j])
-        return float(x)
+            near = self.atom_locations[np.argmin(np.abs(self.atom_locations - x[:, None]), axis=1)]
+            x = np.where(np.abs(near - x) <= 1e-9 * np.maximum(1.0, np.abs(x)), near, x)
+        return x.reshape(qs.shape)[()]
 
     # -- serialization ----------------------------------------------------------
 

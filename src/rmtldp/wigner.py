@@ -15,10 +15,8 @@ from .dyson import (
     _BRENTQ_KW,
     SolverError,
     SupportWindow,
-    _approach_chain,
     _check_entry_law,
-    _newton_track,
-    _track_along_grid,
+    _solve_on_grid,
     boundary_density_grid,
     grid_measure_from_density,
 )
@@ -263,44 +261,25 @@ def dw_rate(model: DeformedWignerModel, x: float, edge: DWEdgeData | None = None
     return _dw_rate_from_branches(model, x, *dw_branches(model, x, edge))
 
 
+def _free_convolution_stieltjes(model: DeformedWignerModel, zs):
+    """G(z) = z - omega at every z of the upper half-plane, omega the root
+    of the subordination equation omega + G_mu(omega) = z with Im omega > 0."""
+    mu = model.mu_d
+    omegas = _solve_on_grid(lambda om: om + mu.stieltjes(om),
+                            lambda om: 1.0 + mu.stieltjes_prime(om),
+                            zs, lambda z: z - 1.0 / z)
+    return zs - omegas
+
+
 def free_convolution_density(model: DeformedWignerModel, x, eta: float):
     """Density of the semicircle free convolution with mu_d at x + i eta,
-    via the damped fixed point G = G_mu(z - G) with continuation in x."""
+    from the subordination equation solved at every point at once."""
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    mu = model.mu_d
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    order = np.argsort(xs)[::-1]
-    span = max(mu.right_edge - mu.left_edge + 4.0, 1.0)
-    chain = _approach_chain(float(xs[order[0]]), mu.right_edge + 2.0, span)
-    path = [c + 1j * eta for c in chain] + [xs[i] + 1j * eta for i in order]
-    g = 1.0 / path[0]
-    out = np.empty(len(xs), dtype=float)
-    pos = 0
-    h_sub = lambda om: om + mu.stieltjes(om)
-    hp_sub = lambda om: 1.0 + mu.stieltjes_prime(om)
-    for k, z in enumerate(path):
-        converged = False
-        for _ in range(300):
-            g_new = 0.5 * g + 0.5 * mu.stieltjes(z - g)
-            if abs(g_new - g) <= 1e-13 * max(1.0, abs(g_new)):
-                g = g_new
-                converged = True
-                break
-            g = g_new
-        if not converged:
-            # near a spectral edge the fixed-point contraction degrades;
-            # polish with Newton on the subordination variable omega = z - g
-            omega = _newton_track(h_sub, hp_sub, z, z - g)
-            if omega.imag < 0.0:
-                omega = omega.conjugate()
-            g = z - omega
-        if k >= len(chain):
-            out[pos] = max(-g.imag / math.pi, 0.0)
-            pos += 1
-    result = np.empty_like(out)
-    result[order] = out
-    return result[0] if np.asarray(x).ndim == 0 else result
+    g = _free_convolution_stieltjes(model, xs + 1j * eta)
+    out = np.maximum(-g.imag / math.pi, 0.0)
+    return out[0] if np.asarray(x).ndim == 0 else out
 
 
 def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000,
@@ -308,8 +287,8 @@ def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000
     """Grid measure of the semicircle free convolution with mu_d.
 
     Support edges come from minimizing H on both sides (the left edge via the
-    reflected deformation); the boundary density is recovered by Newton
-    continuation of the subordination equation omega + G_mu(omega) = z.
+    reflected deformation); the boundary density is recovered from the
+    subordination equation omega + G_mu(omega) = z on the whole grid at once.
     """
     edge = edge or dw_edge(model)
     window = model.window(edge)
@@ -319,15 +298,7 @@ def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
     xs = boundary_density_grid(lo, hi, grid_points)
     eta_floor = 1e-9 * max(1.0, span)
-    chain = _approach_chain(float(xs[0]), hi, span)
-    zs = [c + 1j * eta_floor for c in chain] + [xv + 1j * eta_floor for xv in xs]
-    mu = model.mu_d
-    h = lambda om: om + mu.stieltjes(om)
-    hp = lambda om: 1.0 + mu.stieltjes_prime(om)
-    # omega = z - G lives in the upper half-plane; seed from G ~ 1/z
-    om0 = zs[0] - 1.0 / zs[0]
-    omegas = _track_along_grid(h, hp, zs, w0=om0, im_sign=+1.0)[len(chain):]
-    g_vals = np.asarray(zs[len(chain):]) - omegas
+    g_vals = _free_convolution_stieltjes(model, xs + 1j * eta_floor)
     dens = np.maximum(-g_vals.imag / math.pi, 0.0)
     return grid_measure_from_density(xs, dens, lo, hi, 0.0)
 

@@ -198,6 +198,99 @@ class TestQuantiles:
         assert m.quantile(0.5) == pytest.approx(2.0, abs=1e-9)
 
 
+def scalar_component_cdf(c, x):
+    """Point-by-point component cdf, the reference for the array version."""
+    if x <= c.a:
+        return 0.0
+    if x >= c.b:
+        return c.mass
+    if c.kind == "semicircle":
+        center, r = c.params["center"], c.params["radius"]
+        w = min(max(x - center, -r), r)
+        return c.mass * (
+            0.5 + (w * math.sqrt(max(r * r - w * w, 0.0)) + r * r * math.asin(w / r)) / (math.pi * r * r)
+        )
+    if c.kind == "uniform":
+        return c.mass * (x - c.a) / (c.b - c.a)
+    if c.evaluator is not None:
+        val, _ = integrate.quad(c.evaluator, c.a, x, limit=200)
+        return min(val * c.params.get("norm", 1.0), c.mass)
+    if not (c.nodes <= x).any():
+        return 0.0
+    csum = np.cumsum(c.weights)
+    i = int(np.searchsorted(c.nodes, x, side="right")) - 1
+    left = csum[i] - 0.5 * c.weights[i]
+    nxt = c.nodes[i + 1] if i + 1 < len(c.nodes) else c.b
+    gap_mass = 0.5 * c.weights[i] + (0.5 * c.weights[i + 1] if i + 1 < len(c.weights) else 0.0)
+    frac = (x - c.nodes[i]) / max(nxt - c.nodes[i], 1e-300)
+    return float(min(left + frac * gap_mass, c.mass))
+
+
+def scalar_cdf(m, x):
+    v = float(m.atom_weights[m.atom_locations <= x].sum()) if m.atom_locations.size else 0.0
+    for c in m.components:
+        v += scalar_component_cdf(c, x)
+    return min(v, 1.0)
+
+
+def scalar_quantile(m, q):
+    """Bisection on the reference cdf, one level at a time."""
+    lo, hi = m.left_edge, m.right_edge
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if scalar_cdf(m, mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    if m.atom_locations.size:
+        j = int(np.argmin(np.abs(m.atom_locations - hi)))
+        if abs(m.atom_locations[j] - hi) <= 1e-9 * max(1.0, abs(hi)):
+            return float(m.atom_locations[j])
+    return hi
+
+
+def _mixture():
+    sc = SpectralMeasure.semicircle(2.0, 1.0).components[0]
+    half = type(sc)(kind=sc.kind, a=sc.a, b=sc.b, mass=0.5, nodes=sc.nodes,
+                    weights=0.5 * sc.weights, params=sc.params, evaluator=sc.evaluator,
+                    edge_finite_g=sc.edge_finite_g)
+    return SpectralMeasure([-1.0, 2.0, 4.0], [0.2, 0.1, 0.2], [half])
+
+
+VECTOR_CDF_MEASURES = {
+    "atoms-and-semicircle": _mixture,
+    "uniform": lambda: SpectralMeasure.uniform(-1.0, 3.0),
+    "grid-table": lambda: SpectralMeasure.from_json(
+        SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(np.asarray(u)), (0.0, 1.0), 64,
+                                     edge_finite_g=True).to_json()),
+    "evaluator-table": lambda: SpectralMeasure.from_density(
+        lambda u: 1.5 * np.sqrt(np.asarray(u)), (0.0, 1.0), 64, edge_finite_g=True),
+}
+
+
+class TestArrayCdf:
+    @pytest.mark.parametrize("name", sorted(VECTOR_CDF_MEASURES))
+    def test_matches_scalar_formula(self, name):
+        m = VECTOR_CDF_MEASURES[name]()
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(m.left_edge - 0.5, m.right_edge + 0.5, 40 if "evaluator" in name else 400)
+        xs = np.concatenate([xs, m.atom_locations, [m.left_edge, m.right_edge]])
+        want = np.array([scalar_cdf(m, x) for x in xs])
+        np.testing.assert_allclose(m.cdf(xs), want, rtol=0.0, atol=1e-15)
+        assert np.ndim(m.cdf(float(xs[0]))) == 0
+        assert m.cdf(float(xs[0])) == pytest.approx(want[0], abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["atoms-and-semicircle", "uniform", "grid-table"])
+    def test_quantile_matches_scalar_bisection(self, name):
+        m = VECTOR_CDF_MEASURES[name]()
+        qs = (np.arange(50) + 0.5) / 50
+        want = np.array([scalar_quantile(m, q) for q in qs])
+        np.testing.assert_allclose(m.quantile(qs), want, rtol=0.0, atol=1e-14)
+        assert np.ndim(m.quantile(0.3)) == 0
+
+
 class TestRemoveZeroAtom:
     def test_half_zero_half_minus_one(self):
         rho = SpectralMeasure.from_atoms([0.0, -1.0], [0.5, 0.5])
