@@ -14,10 +14,11 @@ import tempfile
 
 import numpy as np
 
-from .dyson import CovarianceModel, DegenerateModelError, SolverError, edge_solve
+from .dyson import (CovarianceModel, DegenerateModelError, SolverError, edge_solve,
+                    sigma_density, sigma_measure)
 from .measures import MeasureError, SpectralMeasure
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
-from .rate import approx_sweep, rate_table
+from .rate import approx_sweep, rate, rate_table, rate_variational
 from .wigner import DeformedWignerModel
 
 __all__ = ["main", "run", "model_from_json", "model_to_json"]
@@ -167,7 +168,7 @@ def _cmd_density(args) -> None:
     xmin = args.xmin if args.xmin is not None else window.left - margin
     xmax = args.xmax if args.xmax is not None else window.right + margin
     xs = np.linspace(xmin, xmax, args.points)
-    dens = model.density(xs, args.eta, edge)
+    dens = sigma_density(model, xs, args.eta)
     lines = ["x,density"] + [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(xs, dens)]
     _emit("\n".join(lines) + "\n", args.out)
 
@@ -177,11 +178,11 @@ def _cmd_variational(args) -> None:
     edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: the variational form does not apply")
-    sigma = model.limit_measure(2000, edge)
+    sigma = sigma_measure(model, 2000, edge)
     lines = ["x,rate_primal,rate_variational,abs_diff"]
     for x in _float_list(args.x):
-        primal = model.rate(x, edge)
-        varia = model.rate_variational(x, edge, sigma)
+        primal = rate(model, x, edge)
+        varia = rate_variational(model, x, edge, sigma)
         lines.append(f"{_fmt(x)},{_fmt(primal)},{_fmt(varia)},{_fmt(abs(primal - varia))}")
     _emit("\n".join(lines) + "\n", args.out)
 

@@ -77,8 +77,9 @@ class CovarianceModel:
                 f"left edge is {self.rho.left_edge!r}"
             )
 
-    # The operations below are shared with DeformedWignerModel, so callers
-    # work with either model kind without asking which one they hold.
+    # The primitives below are what the two model kinds do differently;
+    # rate, rate_variational, sigma_density and sigma_measure are written
+    # once over them, for either kind (DeformedWignerModel has the same).
 
     def edge(self) -> EdgeData:
         return edge_solve(self)
@@ -88,27 +89,44 @@ class CovarianceModel:
         return g_sigma(edge, self, x), g_bar_sigma(edge, self, x)
 
     def rate_from_branches(self, x: float, g: float, g_bar: float) -> float:
-        from .rate import _rate_from_branches
-        return _rate_from_branches(self, x, g, g_bar)
+        """Rate at x from the two branch values G = G_sigma(x), Gbar = Gbar_sigma(x).
+
+        Integrating Gbar - G by parts with H(G) = H(Gbar) = x gives
+        I(x) = (beta/2) [x (Gbar - G) - (Phi(Gbar) - Phi(G))] for any primitive Phi
+        of H; Phi(t) = log t + 2 F(rho, t) = (1 - alpha) log t - alpha L(alpha/t)
+        up to a constant, L the logarithmic moment of rho. On the capped branch
+        Gbar = theta_max and alpha/Gbar = r(rho); the clamp below only absorbs
+        rounding there.
+        """
+        a = self.alpha
+        r = self.rho.right_edge
+        lm = lambda t: self.rho.log_moment(max(a / t, r))
+        bracket = x * (g_bar - g) - (1.0 - a) * math.log(g_bar / g) + a * (lm(g_bar) - lm(g))
+        # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
+        # edge rounding can leave it a few ulps below zero
+        return 0.5 * self.beta * max(0.0, bracket)
 
     def window(self, edge: EdgeData) -> SupportWindow:
         return support_window(self, edge)
 
-    def density(self, x, eta: float, edge: EdgeData | None = None):
-        return sigma_density(self, x, eta, edge)
+    def limit_stieltjes(self, zs: np.ndarray) -> np.ndarray:
+        """G_sigma(z) at every z of the upper half-plane: the root of H(w) = z
+        with Im w < 0, seeded far above the axis by w ~ 1/z."""
+        if detect_degenerate(self):
+            raise DegenerateModelError("model is degenerate; use the degenerate rate function")
+        return _solve_on_grid(lambda w: _h_at(self, w),
+                              lambda w: _f_at(self, w) / (w * w), zs, lambda z: 1.0 / z)
 
-    def limit_measure(self, grid_points: int = 2000,
-                      edge: EdgeData | None = None) -> SpectralMeasure:
-        return sigma_measure(self, grid_points, edge)
-
-    def rate(self, x: float, edge: EdgeData | None = None) -> float:
-        from .rate import rate
-        return rate(self, x, edge)
-
-    def rate_variational(self, x: float, edge: EdgeData | None = None,
-                         sigma: SpectralMeasure | None = None) -> float:
-        from .rate import rate_variational
-        return rate_variational(self, x, edge, sigma)
+    def variational(self, x: float, edge: EdgeData, sigma: SpectralMeasure):
+        """(optimizer, scan end, objective) of sup over theta of
+        J(sigma, theta/2, x) - F(rho, theta); the optimizer is Gbar_sigma(x)."""
+        from .rate import f_fn, j_fn
+        theta_x = g_bar_sigma(edge, self, x)
+        tmax = edge.theta_max
+        if math.isfinite(tmax) and theta_x >= tmax * (1.0 - 1e-12):
+            theta_x = tmax * (1.0 - 1e-8)  # capped branch: approach the open end
+        end = tmax * (1.0 - 1e-6) if math.isfinite(tmax) else 30.0 * theta_x
+        return theta_x, end, lambda theta: j_fn(sigma, 0.5 * theta, x) - f_fn(self, theta)
 
     @property
     def diagonal_law(self) -> SpectralMeasure:
@@ -148,6 +166,12 @@ class EdgeData:
     r_sigma: float | None
     degenerate: bool
     case_tag: str | None
+
+    @property
+    def x_end(self) -> float:
+        """Where the rate turns infinite again: 0 for nonpositive support,
+        where the largest eigenvalue cannot reach [0, inf), else +inf."""
+        return 0.0 if self.case_tag == "nonpos_edge" else math.inf
 
 
 def theta_max(model: CovarianceModel) -> float:
@@ -293,16 +317,25 @@ def _require_nondegenerate(edge: EdgeData):
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
 
 
+def _edge_side(r: float, x: float) -> int:
+    """-1 below the spectral edge r, 0 at it, 1 beyond: the snap rule of the
+    branches and the rate, which treat x within rounding of r as r itself."""
+    scale = max(1.0, abs(r))
+    if x < r - 1e-12 * scale:
+        return -1
+    return 0 if x <= r + 1e-13 * scale else 1
+
+
 def g_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
     """Stieltjes transform of sigma at real x >= r(sigma) (first branch).
 
     Unique root of H(y) = x in (0, theta_c]; strictly decreasing in x.
     """
     _require_nondegenerate(edge)
-    scale = max(1.0, abs(edge.r_sigma))
-    if x < edge.r_sigma - 1e-12 * scale:
+    side = _edge_side(edge.r_sigma, x)
+    if side < 0:
         raise ValueError(f"x={x!r} below r(sigma)={edge.r_sigma!r}: H(y) = x has no solution")
-    if x <= edge.r_sigma + 1e-13 * scale:
+    if side == 0:
         return edge.theta_c
     lo = 0.5 * edge.theta_c
     for _ in range(2000):
@@ -322,12 +355,12 @@ def g_bar_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
     equal to theta_c at x = r(sigma).
     """
     _require_nondegenerate(edge)
-    scale = max(1.0, abs(edge.r_sigma))
-    if x < edge.r_sigma - 1e-12 * scale:
+    side = _edge_side(edge.r_sigma, x)
+    if side < 0:
         raise ValueError(f"x={x!r} below r(sigma)={edge.r_sigma!r}")
-    if model.rho.right_edge <= 0.0 and x >= 0.0:
+    if x >= edge.x_end:
         raise ValueError(f"x={x!r} outside the domain [r(sigma), 0) of the second branch")
-    if x <= edge.r_sigma + 1e-13 * scale:
+    if side == 0:
         return edge.theta_c
     if math.isfinite(edge.x_c) and x >= edge.x_c - 1e-12 * max(1.0, abs(edge.x_c)):
         return edge.theta_max
@@ -465,7 +498,9 @@ def _solve_on_grid(h, h_prime, zs, seed):
         if steps[live].max() >= _LEVEL_STEPS:
             raise stalled(live[np.argmax(steps[live])], "did not converge")
         steps[live] += 1
-        step = res / h_prime(w[live])
+        # a NaN or infinite step only yields trials that are rejected below
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = res / h_prime(w[live])
         lam = np.ones(live.size)
         todo = np.arange(live.size)
         for _ in range(40):
@@ -487,27 +522,20 @@ def _solve_on_grid(h, h_prime, zs, seed):
             raise stalled(live[todo[0]], "stalled")
 
 
-def _solve_dyson(model: CovarianceModel, zs):
-    """G_sigma(z) at every z of the upper half-plane: the root of H(w) = z
-    with Im w < 0."""
-    return _solve_on_grid(lambda w: _h_at(model, w),
-                          lambda w: _f_at(model, w) / (w * w), zs, lambda z: 1.0 / z)
+def sigma_density(model, x, eta: float, edge=None):
+    """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0,
+    for either model kind (sigma is then the model's limiting measure).
 
-
-def sigma_density(model: CovarianceModel, x, eta: float, edge: EdgeData | None = None):
-    """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0.
-
-    The Dyson equation H(w) = z is solved at every z = x + i eta at once,
-    each point by damped Newton descending from high above the real axis,
-    seeded there by the large-argument expansion w ~ 1/z.
+    The model's equation for G_sigma(z) is solved at every z = x + i eta at
+    once, each point by damped Newton descending from high above the real
+    axis. ``edge`` is accepted for callers that hold one; the density does
+    not need it.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    edge = edge or edge_solve(model)
-    _require_nondegenerate(edge)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    roots = _solve_dyson(model, xs + 1j * eta)
-    out = np.maximum(-roots.imag / math.pi, 0.0)
+    g = model.limit_stieltjes(xs + 1j * eta)
+    out = np.maximum(-g.imag / math.pi, 0.0)
     return out[0] if np.asarray(x).ndim == 0 else out
 
 
@@ -653,27 +681,25 @@ def boundary_density_grid(lo: float, hi: float, n: int):
     return mid + half * np.cos(math.pi * (np.arange(int(n)) + 0.5) / int(n))
 
 
-def sigma_measure(model: CovarianceModel, grid_points: int = 2000,
-                  edge: EdgeData | None = None) -> SpectralMeasure:
-    """Grid discretization of sigma: boundary density on a Chebyshev-clustered
-    grid over the support window plus the exact zero atom when present.
+def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
+    """Grid discretization of the limiting measure sigma of either model
+    kind: boundary density on a Chebyshev-clustered grid over the model's
+    support window plus the exact zero atom when present.
 
     The grid density is renormalized to total mass 1; the raw mass defect is
     recorded on the returned measure as a quality metric.
     """
-    edge = edge or edge_solve(model)
-    _require_nondegenerate(edge)
-    window = support_window(model, edge)
+    window = model.window(edge or model.edge())
     lo, hi = window.left, window.right
     span = hi - lo
     if span <= 0.0:
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
     xs = boundary_density_grid(lo, hi, grid_points)
     eta_floor = 1e-9 * max(1.0, span)
-    roots = _solve_dyson(model, xs + 1j * eta_floor)
+    g = model.limit_stieltjes(xs + 1j * eta_floor)
     if window.zero_atom > 0.0:
         # the zero atom is attached exactly below; strip its Cauchy bump from
         # the recovered transform so only the continuous part is gridded
-        roots = roots - window.zero_atom / (xs + 1j * eta_floor)
-    dens = np.maximum(-roots.imag / math.pi, 0.0)
+        g = g - window.zero_atom / (xs + 1j * eta_floor)
+    dens = np.maximum(-g.imag / math.pi, 0.0)
     return grid_measure_from_density(xs, dens, lo, hi, window.zero_atom)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyson import sigma_measure
 from .measures import SpectralMeasure
 
 __all__ = [
@@ -204,7 +205,7 @@ def distance_stats(model, n: int, seed: int = 0, replica_index: int = 0,
     """Kolmogorov-Smirnov and Wasserstein-1 distances between one sampled
     empirical spectral measure and the limiting measure's grid CDF."""
     if sigma is None:
-        sigma = model.limit_measure()
+        sigma = sigma_measure(model)
     sample = sample_spectrum(model, n, seed, replica_index)
     eigs = sample.eigenvalues
     f_sigma = np.asarray(sigma.cdf(eigs))

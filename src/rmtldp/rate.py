@@ -1,7 +1,7 @@
-"""Rate function for the largest eigenvalue: the primal branch-gap integral
-in closed form, the variational form through the auxiliary functionals J and
-F, the degenerate rate, and the right-edge truncation scheme with its
-approximation sweep."""
+"""Rate function for the largest eigenvalue of either model kind: the primal
+branch-gap integral in closed form, the variational form through the
+auxiliary functionals J and F, the degenerate rate, and the right-edge
+truncation scheme with its approximation sweep."""
 
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from .dyson import (
     DegenerateModelError,
     EdgeData,
     SolverError,
+    _edge_side,
     edge_solve,
-    g_bar_sigma,
-    g_sigma,
     sigma_measure,
     theta_max,
 )
@@ -43,51 +42,31 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-
-def _rate_from_branches(model: CovarianceModel, x: float, g: float, g_bar: float) -> float:
-    """Rate at x from the two branch values G = G_sigma(x), Gbar = Gbar_sigma(x).
-
-    Integrating Gbar - G by parts with H(G) = H(Gbar) = x gives
-    I(x) = (beta/2) [x (Gbar - G) - (Phi(Gbar) - Phi(G))] for any primitive Phi
-    of H; Phi(t) = log t + 2 F(rho, t) = (1 - alpha) log t - alpha L(alpha/t)
-    up to a constant, L the logarithmic moment of rho. On the capped branch
-    Gbar = theta_max and alpha/Gbar = r(rho); the clamp below only absorbs
-    rounding there.
-    """
-    a = model.alpha
-    r = model.rho.right_edge
-    lm = lambda t: model.rho.log_moment(max(a / t, r))
-    bracket = x * (g_bar - g) - (1.0 - a) * math.log(g_bar / g) + a * (lm(g_bar) - lm(g))
-    # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
-    # edge rounding can leave it a few ulps below zero
-    return 0.5 * model.beta * max(0.0, bracket)
+# primal against variational acceptance tolerance: no scanned theta may beat
+# the optimizer's objective by more
+_SCAN_TOL = 2e-3
 
 
-def rate(model: CovarianceModel, x: float, edge: EdgeData | None = None) -> float:
-    """Large-deviation rate of the largest eigenvalue at x.
+def rate(model, x: float, edge=None) -> float:
+    """Large-deviation rate of the largest eigenvalue at x, for either model
+    kind.
 
     Equals (beta/2) times the integral of the branch gap Gbar - G from
-    r(sigma) to x, in closed form from the branch values at x alone:
-
-        (beta/2) [x (Gbar - G) - (1 - alpha) log(Gbar/G)
-                  + alpha (L(alpha/Gbar) - L(alpha/G))],
-
-    L the logarithmic moment of rho (see :func:`_rate_from_branches`). The
-    value is +inf below r(sigma) and, for models with nonpositive support, on
-    [0, inf) as well. Adaptive quadrature of the gap survives only as the
-    test oracle.
+    r(sigma) to x, in closed form from the two branch values at x alone (see
+    the models' ``rate_from_branches``). The value is +inf below r(sigma) and
+    from ``edge.x_end`` on: for covariance models with nonpositive support,
+    on [0, inf). Adaptive quadrature of the gap survives only as the test
+    oracle.
     """
-    edge = edge or edge_solve(model)
+    edge = edge or model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
-    if model.rho.right_edge <= 0.0 and x >= 0.0:
+    side = _edge_side(edge.r_sigma, x)
+    if side < 0 or x >= edge.x_end:
         return math.inf
-    scale = max(1.0, abs(edge.r_sigma))
-    if x < edge.r_sigma - 1e-12 * scale:
-        return math.inf
-    if x <= edge.r_sigma + 1e-13 * scale:
+    if side == 0:
         return 0.0
-    return _rate_from_branches(model, x, g_sigma(edge, model, x), g_bar_sigma(edge, model, x))
+    return model.rate_from_branches(x, *model.branches(x, edge))
 
 
 def rate_degenerate(x: float) -> float:
@@ -169,17 +148,18 @@ def f_fn(model: CovarianceModel, theta: float) -> float:
     return -0.5 * a * (model.rho.log_moment(a / theta) + math.log(theta / a))
 
 
-def rate_variational(model: CovarianceModel, x: float, edge: EdgeData | None = None,
-                     sigma: SpectralMeasure | None = None, verify: bool = True,
-                     scan_tol: float = 2e-3) -> float:
-    """Rate at x through the variational form sup over theta of
-    J(sigma, theta/2, x) - F(rho, theta).
+def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None = None,
+                     verify: bool = True) -> float:
+    """Rate at x through the variational form, for either model kind: the
+    supremum over theta of the model's objective (see its ``variational``),
+    J(sigma, theta/2, x) - F(rho, theta) for covariance models.
 
-    The supremum is attained at theta = Gbar_sigma(x); with ``verify`` the
-    value is checked against 50 log-spaced theta samples, none of which may
-    exceed it by more than ``scan_tol``. The result carries the beta factor.
+    The supremum is attained at the model's optimizer; with ``verify`` the
+    value is checked against 50 log-spaced theta samples up to the model's
+    scan end, none of which may exceed it by more than the primal-against-
+    variational tolerance. The result carries the beta factor.
     """
-    edge = edge or edge_solve(model)
+    edge = edge or model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     if sigma is None:
@@ -188,22 +168,14 @@ def rate_variational(model: CovarianceModel, x: float, edge: EdgeData | None = N
         raise SolverError(
             f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
         )
-    theta_x = g_bar_sigma(edge, model, x)
-    tmax = edge.theta_max
-    if math.isfinite(tmax) and theta_x >= tmax * (1.0 - 1e-12):
-        theta_x = tmax * (1.0 - 1e-8)  # capped branch: approach the open end
-
-    def objective(theta: float) -> float:
-        return j_fn(sigma, 0.5 * theta, x) - f_fn(model, theta)
-
+    theta_x, end, objective = model.variational(x, edge, sigma)
     value = objective(theta_x)
     if verify:
-        hi = tmax * (1.0 - 1e-6) if math.isfinite(tmax) else 30.0 * theta_x
-        for theta in np.geomspace(max(theta_x * 1e-3, 1e-12), hi, 50):
-            if objective(theta) > value + scan_tol:
+        for theta in np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50):
+            if objective(theta) > value + _SCAN_TOL:
                 raise SolverError(
                     f"variational scan found theta={theta!r} exceeding the "
-                    f"optimizer value by more than {scan_tol!r}"
+                    f"optimizer value by more than {_SCAN_TOL!r}"
                 )
     return model.beta * value
 

@@ -1,7 +1,8 @@
 """Additively deformed Wigner ensembles: the convex function H built from the
 inverse Stieltjes transform of the deformation, its two inverse branches, the
-rate function, the variational cross-check, the free-convolution density, and
-the right-edge capping approximation."""
+model's side of the shared rate, variational and limit-law functions (with
+entry points into them under their deformed-Wigner names), and the right-edge
+capping approximation."""
 
 from __future__ import annotations
 
@@ -16,12 +17,13 @@ from .dyson import (
     SolverError,
     SupportWindow,
     _check_entry_law,
+    _edge_side,
     _solve_on_grid,
-    boundary_density_grid,
-    grid_measure_from_density,
+    sigma_density,
+    sigma_measure,
 )
 from .measures import MeasureError, SpectralMeasure
-from .rate import _inverse_stieltjes, epsilon_truncate, j_fn
+from .rate import _inverse_stieltjes, epsilon_truncate, j_fn, rate, rate_variational
 
 __all__ = [
     "DeformedWignerModel",
@@ -48,7 +50,8 @@ class DeformedWignerModel:
     def __post_init__(self):
         _check_entry_law(self.beta, self.entry_law)
 
-    # The same operations as CovarianceModel's, for callers of either kind.
+    # The primitives of the shared rate, variational and limit-law functions,
+    # as CovarianceModel has them.
 
     def edge(self) -> DWEdgeData:
         return dw_edge(self)
@@ -57,7 +60,24 @@ class DeformedWignerModel:
         return dw_branches(self, x, edge)
 
     def rate_from_branches(self, x: float, g: float, g_bar: float) -> float:
-        return _dw_rate_from_branches(self, x, g, g_bar)
+        """Rate at x from the two branch values G <= Gbar of H(y) = x.
+
+        Integrating Gbar - G by parts gives (beta/2) [x (Gbar - G) - (Phi(Gbar)
+        - Phi(G))] for any primitive Phi of H. Take Phi(y) = y^2/2 + lam y - L(lam)
+        with lam = K(y) (lam = r(mu_d) on the capped piece) and L the logarithmic
+        moment of mu_d; since lam = x - y on both branches, the x terms cancel:
+
+            (beta/2) [(Gbar^2 - G^2)/2 + L(x - Gbar) - L(x - G)].
+
+        On the capped piece x - Gbar = r(mu_d); the clamp below only absorbs
+        rounding there.
+        """
+        mu = self.mu_d
+        lm = lambda y: mu.log_moment(max(x - y, mu.right_edge))
+        bracket = 0.5 * (g_bar - g) * (g_bar + g) + lm(g_bar) - lm(g)
+        # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
+        # edge rounding can leave it a few ulps below zero
+        return 0.5 * self.beta * max(0.0, bracket)
 
     def window(self, edge: DWEdgeData) -> SupportWindow:
         """Support of the free convolution: its right edge, and the left edge
@@ -65,19 +85,25 @@ class DeformedWignerModel:
         mirrored = dw_edge(DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law))
         return SupportWindow(-mirrored.r_edge, edge.r_edge, 0.0)
 
-    def density(self, x, eta: float, edge: DWEdgeData | None = None):
-        return free_convolution_density(self, x, eta)
+    def limit_stieltjes(self, zs: np.ndarray) -> np.ndarray:
+        """G(z) = z - omega at every z of the upper half-plane, omega the root
+        of the subordination equation omega + G_mu(omega) = z with
+        Im omega > 0, seeded far above the axis by omega ~ z - 1/z."""
+        mu = self.mu_d
+        omegas = _solve_on_grid(lambda om: om + mu.stieltjes(om),
+                                lambda om: 1.0 + mu.stieltjes_prime(om),
+                                zs, lambda z: z - 1.0 / z)
+        return zs - omegas
 
-    def limit_measure(self, grid_points: int = 2000,
-                      edge: DWEdgeData | None = None) -> SpectralMeasure:
-        return free_convolution_measure(self, grid_points, edge)
-
-    def rate(self, x: float, edge: DWEdgeData | None = None) -> float:
-        return dw_rate(self, x, edge)
-
-    def rate_variational(self, x: float, edge: DWEdgeData | None = None,
-                         sigma: SpectralMeasure | None = None) -> float:
-        return dw_rate_variational(self, x, edge, sigma)
+    def variational(self, x: float, edge: DWEdgeData, sigma: SpectralMeasure):
+        """(optimizer, scan end, objective) of sup over theta of
+        J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d));
+        the optimizer is Gbar(x)/2."""
+        _, g_bar = dw_branches(self, x, edge)
+        theta_x = 0.5 * g_bar
+        r_d = self.mu_d.right_edge
+        return theta_x, max(10.0 * theta_x, 5.0), (
+            lambda theta: j_fn(sigma, theta, x) - theta * theta - j_fn(self.mu_d, theta, r_d))
 
     @property
     def diagonal_law(self) -> SpectralMeasure:
@@ -102,8 +128,10 @@ class DWEdgeData:
     x_c_dw: float
     g_edge_mu_d: float
 
-    # the deformed Wigner model has no degenerate phase
+    # the deformed Wigner model has no degenerate phase, and its rate stays
+    # finite beyond the edge
     degenerate = False
+    x_end = math.inf
 
     @property
     def r_sigma(self) -> float:
@@ -189,10 +217,10 @@ def dw_branches(model: DeformedWignerModel, x: float,
     edge = edge or dw_edge(model)
     mu = model.mu_d
     r = mu.right_edge
-    scale = max(1.0, abs(edge.r_edge))
-    if x < edge.r_edge - 1e-12 * scale:
+    side = _edge_side(edge.r_edge, x)
+    if side < 0:
         raise ValueError(f"x={x!r} below the spectral edge {edge.r_edge!r}")
-    if x <= edge.r_edge + 1e-13 * scale:
+    if side == 0:
         return edge.y_c, edge.y_c
     psi = lambda lam: lam + mu.stieltjes(lam) - x
     lam_c = edge.r_edge - edge.y_c  # K(y_c), the minimizer of lam + G(lam)
@@ -222,117 +250,34 @@ def dw_branches(model: DeformedWignerModel, x: float,
     return g_small, g_bar
 
 
-def _dw_rate_from_branches(model: DeformedWignerModel, x: float, g: float,
-                          g_bar: float) -> float:
-    """Rate at x from the two branch values G <= Gbar of H(y) = x.
-
-    Integrating Gbar - G by parts gives (beta/2) [x (Gbar - G) - (Phi(Gbar)
-    - Phi(G))] for any primitive Phi of H. Take Phi(y) = y^2/2 + lam y - L(lam)
-    with lam = K(y) (lam = r(mu_d) on the capped piece) and L the logarithmic
-    moment of mu_d; since lam = x - y on both branches, the x terms cancel.
-    On the capped piece x - Gbar = r(mu_d); the clamp below only absorbs
-    rounding there.
-    """
-    mu = model.mu_d
-    lm = lambda y: mu.log_moment(max(x - y, mu.right_edge))
-    bracket = 0.5 * (g_bar - g) * (g_bar + g) + lm(g_bar) - lm(g)
-    # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
-    # edge rounding can leave it a few ulps below zero
-    return 0.5 * model.beta * max(0.0, bracket)
-
-
 def dw_rate(model: DeformedWignerModel, x: float, edge: DWEdgeData | None = None) -> float:
-    """Rate of the largest eigenvalue: beta/2 times the integral of the
-    branch gap from the spectral edge to x, in closed form from the branch
-    values at x alone:
-
-        (beta/2) [(Gbar^2 - G^2)/2 + L(x - Gbar) - L(x - G)],
-
-    L the logarithmic moment of mu_d (see :func:`_dw_rate_from_branches`);
-    +inf below the edge. Adaptive quadrature of the gap survives only as the
-    test oracle.
-    """
-    edge = edge or dw_edge(model)
-    scale = max(1.0, abs(edge.r_edge))
-    if x < edge.r_edge - 1e-12 * scale:
-        return math.inf
-    if x <= edge.r_edge + 1e-13 * scale:
-        return 0.0
-    return _dw_rate_from_branches(model, x, *dw_branches(model, x, edge))
-
-
-def _free_convolution_stieltjes(model: DeformedWignerModel, zs):
-    """G(z) = z - omega at every z of the upper half-plane, omega the root
-    of the subordination equation omega + G_mu(omega) = z with Im omega > 0."""
-    mu = model.mu_d
-    omegas = _solve_on_grid(lambda om: om + mu.stieltjes(om),
-                            lambda om: 1.0 + mu.stieltjes_prime(om),
-                            zs, lambda z: z - 1.0 / z)
-    return zs - omegas
+    """Rate of the largest eigenvalue, +inf below the spectral edge: the
+    shared :func:`rmtldp.rate.rate` on a deformed-Wigner model."""
+    return rate(model, x, edge)
 
 
 def free_convolution_density(model: DeformedWignerModel, x, eta: float):
-    """Density of the semicircle free convolution with mu_d at x + i eta,
-    from the subordination equation solved at every point at once."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    g = _free_convolution_stieltjes(model, xs + 1j * eta)
-    out = np.maximum(-g.imag / math.pi, 0.0)
-    return out[0] if np.asarray(x).ndim == 0 else out
+    """Density of the semicircle free convolution with mu_d at x + i eta: the
+    shared :func:`rmtldp.dyson.sigma_density` on a deformed-Wigner model."""
+    return sigma_density(model, x, eta)
 
 
 def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000,
                              edge: DWEdgeData | None = None) -> SpectralMeasure:
-    """Grid measure of the semicircle free convolution with mu_d.
-
-    Support edges come from minimizing H on both sides (the left edge via the
-    reflected deformation); the boundary density is recovered from the
-    subordination equation omega + G_mu(omega) = z on the whole grid at once.
-    """
-    edge = edge or dw_edge(model)
-    window = model.window(edge)
-    lo, hi = window.left, window.right
-    span = hi - lo
-    if span <= 0.0:
-        raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
-    xs = boundary_density_grid(lo, hi, grid_points)
-    eta_floor = 1e-9 * max(1.0, span)
-    g_vals = _free_convolution_stieltjes(model, xs + 1j * eta_floor)
-    dens = np.maximum(-g_vals.imag / math.pi, 0.0)
-    return grid_measure_from_density(xs, dens, lo, hi, 0.0)
+    """Grid measure of the semicircle free convolution with mu_d, over the
+    support from minimizing H on both sides: the shared
+    :func:`rmtldp.dyson.sigma_measure` on a deformed-Wigner model."""
+    return sigma_measure(model, grid_points, edge)
 
 
 def dw_rate_variational(model: DeformedWignerModel, x: float,
                         edge: DWEdgeData | None = None,
                         sigma: SpectralMeasure | None = None,
-                        verify: bool = True, scan_tol: float = 2e-3) -> float:
+                        verify: bool = True) -> float:
     """Rate at x through sup over theta of
-    J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d)),
-    evaluated at the optimizer theta = Gbar(x)/2 and scan-verified."""
-    edge = edge or dw_edge(model)
-    if sigma is None:
-        sigma = free_convolution_measure(model, 2000, edge)
-    if sigma.raw_mass_defect is not None and sigma.raw_mass_defect > 1e-3:
-        raise SolverError(
-            f"free convolution grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3"
-        )
-    r_d = model.mu_d.right_edge
-
-    def objective(theta: float) -> float:
-        return j_fn(sigma, theta, x) - theta * theta - j_fn(model.mu_d, theta, r_d)
-
-    _, g_bar = dw_branches(model, x, edge)
-    theta_x = 0.5 * g_bar
-    value = objective(theta_x)
-    if verify:
-        for theta in np.geomspace(max(theta_x * 1e-3, 1e-12), max(10.0 * theta_x, 5.0), 50):
-            if objective(theta) > value + scan_tol:
-                raise SolverError(
-                    f"variational scan found theta={theta!r} exceeding the "
-                    f"optimizer value by more than {scan_tol!r}"
-                )
-    return model.beta * value
+    J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d)): the
+    shared :func:`rmtldp.rate.rate_variational` on a deformed-Wigner model."""
+    return rate_variational(model, x, edge, sigma, verify)
 
 
 def dw_epsilon_cap(model: DeformedWignerModel, eps: float) -> DeformedWignerModel:

@@ -242,13 +242,16 @@ class TestOneHandlerPerKind:
 
     def test_wigner_density_window_needs_no_grid_measure(self, wigner_two_atom, tmp_path,
                                                          monkeypatch):
-        from rmtldp import cli, wigner
+        from rmtldp import cli, dyson, wigner
 
         def refuse(*args, **kwargs):
             raise AssertionError("the default window must not build a grid measure")
 
         for module in (cli, wigner):
             monkeypatch.setattr(module, "free_convolution_measure", refuse, raising=False)
+        # wigner-density runs the shared limit-law code of both model kinds
+        for module in (cli, dyson):
+            monkeypatch.setattr(module, "sigma_measure", refuse)
         assert run(["wigner-density", "--model", wigner_two_atom, "--points", "21",
                     "--out", str(tmp_path / "wd.csv")]) == 0
 
