@@ -14,8 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .dyson import (CovarianceModel, DegenerateModelError, SolverError, edge_solve,
-                    sigma_density, sigma_measure)
+from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density, sigma_measure
 from .measures import MeasureError, SpectralMeasure
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
 from .rate import approx_sweep, rate, rate_table, rate_variational
@@ -189,7 +188,7 @@ def _cmd_variational(args) -> None:
 
 def _cmd_approx(args) -> None:
     model = _load_model(args, ("covariance",))
-    edge = edge_solve(model)
+    edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model has no approximation sweep")
     eps_list = _float_list(args.eps)

@@ -465,7 +465,8 @@ def _solve_on_grid(h, h_prime, zs, seed):
     root of the level above. Damped Newton runs on the whole array, each
     point with its own backtracking step and its own stopping test
     ``|h(w) - z| <= 1e-12 max(1, |z|)``. Iterates never leave the open
-    half-plane of their seed, which holds exactly one root.
+    half-plane of their seed, which holds exactly one root. Once every point
+    has converged, one more Newton step on z itself polishes the roots.
     """
     zs = np.asarray(zs, dtype=complex)
     heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
@@ -494,6 +495,16 @@ def _solve_on_grid(h, h_prime, zs, seed):
             steps[live[down]] = 0
         live, target, res = live[~solved], target[~solved], res[~solved]
         if not live.size:
+            # the stopping test bounds the residual, not the error in w, and may
+            # accept the root of the level above z untouched; one full Newton
+            # step on z itself, kept where it stays in the seed's half-plane
+            # and does not raise the residual, removes that error
+            with np.errstate(invalid="ignore", divide="ignore"):
+                trial = w - (hw - zs) / h_prime(w)
+            keep = np.sign(trial.imag) == side
+            h_trial = h(trial[keep])
+            keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
+            w[keep] = trial[keep]
             return w
         if steps[live].max() >= _LEVEL_STEPS:
             raise stalled(live[np.argmax(steps[live])], "did not converge")

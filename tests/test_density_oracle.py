@@ -92,6 +92,20 @@ def test_free_convolution_density_matches_polynomial_roots(name, eta):
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("eta", [1e-4, 1e-7])
+def test_sigma_density_relative_error_where_the_density_is_small(eta):
+    """Outside the support the density is O(eta), and a residual of 1e-12
+    alone would leave a relative error of about 1e-12/eta there; x = -3e-4
+    sits beside sigma's atom at 0 (alpha < 1)."""
+    atoms, weights, alpha = [0.101], [1.0], 0.3
+    model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha)
+    edge, xs = default_grid(model)
+    xs = np.append(xs, -3e-4)
+    got = sigma_density(model, xs, eta, edge)
+    want = np.array([covariance_oracle(atoms, weights, alpha, x + 1j * eta) for x in xs])
+    assert np.max(np.abs(got - want) / want) <= 1e-9
+
+
 def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
     """A NaN derivative leaves Newton no acceptable step: SolverError names
     the point, the height it stalled at and the residual."""

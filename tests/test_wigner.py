@@ -241,6 +241,29 @@ class TestDwVariational:
                 dw_rate(model, x, edge), abs=2e-3)
 
 
+class TestSharedPath:
+    def test_deformed_wigner_names_are_the_shared_functions(self):
+        """rate, rate_variational, sigma_density and sigma_measure take a
+        deformed-Wigner model and give what the dw_*/free_convolution_*
+        names give, bit for bit."""
+        from rmtldp.dyson import sigma_density, sigma_measure
+        from rmtldp.rate import rate, rate_variational
+
+        model = two_atom_deformation()
+        edge = dw_edge(model)
+        sigma = sigma_measure(model, 400, edge)
+        assert np.array_equal(sigma.components[0].weights,
+                              free_convolution_measure(model, 400, edge).components[0].weights)
+        xs = np.linspace(-3.0, 3.0, 31)
+        assert np.array_equal(sigma_density(model, xs, 1e-4),
+                              free_convolution_density(model, xs, 1e-4))
+        for x in (edge.r_edge - 0.1, edge.r_edge, edge.r_edge + 0.7):
+            assert rate(model, x, edge) == dw_rate(model, x, edge)
+        x = edge.r_edge + 0.7
+        assert rate_variational(model, x, edge, sigma) == dw_rate_variational(
+            model, x, edge, sigma)
+
+
 class TestDwEpsilonCap:
     def test_cap_moves_tail_to_atom(self):
         model = semicircle_deformation()
