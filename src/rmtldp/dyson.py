@@ -119,7 +119,8 @@ class CovarianceModel:
 
     def variational(self, x: float, edge: EdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
-        J(sigma, theta/2, x) - F(rho, theta); the optimizer is Gbar_sigma(x)."""
+        J(sigma, theta/2, x) - F(rho, theta); the optimizer is Gbar_sigma(x).
+        The objective works elementwise on an array of theta."""
         from .rate import f_fn, j_fn
         theta_x = g_bar_sigma(edge, self, x)
         tmax = edge.theta_max
@@ -299,10 +300,15 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
         # stop 2^-40 short of theta_max: deeper probes land inside the ulp
         # snap window of the edge transforms
         probes = [tmax * (1.0 - 2.0**-k) for k in range(2, 41)]
-        flast = _f_at(model, probes[-1])
-        if flast <= 0.0:
-            # boundary case: H is decreasing up to theta_max, so r(sigma) = x_c
-            return EdgeData(tmax, x_c, tmax, x_c, False, case)
+        if math.isfinite(x_c):
+            if _f_at(model, probes[-1]) <= 0.0:
+                # boundary case: H is decreasing up to theta_max, so r(sigma) = x_c
+                return EdgeData(tmax, x_c, tmax, x_c, False, case)
+        else:
+            # G_rho diverges at r(rho), and within the snap window it is +inf
+            # at any distance from r(rho): keep alpha/theta outside the window
+            z_min = model.rho.past_right_snap()
+            probes = [t for t in probes if model.alpha / t >= z_min]
         lo2, hi = _bracket_increasing_root(lambda t: _f_at(model, t), lo, probes, "edge_solve")
     else:
         probes = [2.0**k for k in range(0, 60)]
@@ -450,10 +456,15 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
     return SupportWindow(left, edge.r_sigma, zero_atom)
 
 
-# heights of the descent in units of max(1, largest |z|), and the Newton
-# steps a point may take on one level
+# heights of the descent in units of max(1, largest |z|), the Newton steps a
+# point may take on one level, and the stopping tests relative to
+# max(1, |target|) on each level: loose above height 0, where a root only has
+# to seed the next level inside its basin, or tight throughout; both are
+# tight at height 0
 _DESCENT = np.append(np.geomspace(1.0, 1e-12, 25), 0.0)
 _LEVEL_STEPS = 120
+_LOOSE_TOL = np.append(np.full(len(_DESCENT) - 1, 1e-3), 1e-12)
+_TIGHT_TOL = np.full(len(_DESCENT), 1e-12)
 
 
 def _solve_on_grid(h, h_prime, zs, seed):
@@ -464,10 +475,26 @@ def _solve_on_grid(h, h_prime, zs, seed):
     over z shrinks through ``scale * _DESCENT``, each level seeded by the
     root of the level above. Damped Newton runs on the whole array, each
     point with its own backtracking step and its own stopping test
-    ``|h(w) - z| <= 1e-12 max(1, |z|)``. Iterates never leave the open
-    half-plane of their seed, which holds exactly one root. Once every point
-    has converged, one more Newton step on z itself polishes the roots.
+    ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3 above height 0,
+    where a root only seeds the next level, and 1e-12 at height 0. Iterates
+    never leave the open half-plane of their seed, which holds exactly one
+    root. Once every point has converged, one more Newton step on z itself
+    polishes the roots.
+
+    The loose levels assume structure of h on the scale of 1: for a model
+    whose spectrum spans 1e-3, a residual of 1e-3 can leave a seed from which
+    Newton stalls at height 0. A grid on which some point fails is therefore
+    solved again with the tight test on every level, which only then raises.
     """
+    try:
+        return _descend(h, h_prime, zs, seed, _LOOSE_TOL)
+    except SolverError:
+        return _descend(h, h_prime, zs, seed, _TIGHT_TOL)
+
+
+def _descend(h, h_prime, zs, seed, level_tol):
+    """The descent of :func:`_solve_on_grid` with the stopping test
+    ``level_tol[k] * max(1, |target|)`` on level k."""
     zs = np.asarray(zs, dtype=complex)
     heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
@@ -487,7 +514,7 @@ def _solve_on_grid(h, h_prime, zs, seed):
         while True:
             target = zs[live] + 1j * heights[level[live]]
             res = hw[live] - target
-            solved = np.abs(res) <= 1e-12 * np.maximum(1.0, np.abs(target))
+            solved = np.abs(res) <= level_tol[level[live]] * np.maximum(1.0, np.abs(target))
             down = solved & (level[live] < len(heights) - 1)
             if not down.any():
                 break

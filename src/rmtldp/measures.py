@@ -11,6 +11,7 @@ All measures are immutable after construction.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -80,11 +81,18 @@ def _maybe_real(values, z):
     return values
 
 
+def _pair_diffs(z, t):
+    """z - t for every pair of a float or array z and the 1-D array t."""
+    return z - t if isinstance(z, float) else z[..., None] - t
+
+
 def _log_moment_sc2(zeta):
     # integral of log(zeta - t) against the radius-2 centered semicircle,
-    # valid for real zeta >= 2; written cancellation-free for large zeta
-    s = math.sqrt(max(zeta * zeta - 4.0, 0.0))
-    return zeta / (zeta + s) + math.log((zeta + s) / 2.0) - 0.5
+    # valid for real zeta >= 2 (a float or an array); written cancellation-free
+    # for large zeta. (d + |d|) / 2 is max(d, 0) exactly, for floats and arrays.
+    d = zeta * zeta - 4.0
+    s = np.sqrt(0.5 * (d + abs(d)))
+    return zeta / (zeta + s) + np.log((zeta + s) / 2.0) - 0.5
 
 
 @dataclass(frozen=True)
@@ -143,16 +151,18 @@ class DensityComponent:
         return -np.sum(self.weights / (zc - self.nodes) ** 2, axis=-1)
 
     def log_moment(self, z):
-        """integral of log(z - t) against the component, real z >= b."""
+        """integral of log(z - t) against the component, real z >= b: a float
+        or an array, elementwise."""
         if self.kind == "semicircle":
             c, r = self.params["center"], self.params["radius"]
             zeta = 2.0 * (z - c) / r
-            return self.mass * (math.log(r / 2.0) + _log_moment_sc2(zeta))
+            return self.mass * (np.log(r / 2.0) + _log_moment_sc2(zeta))
         if self.kind == "uniform":
             za, zb = z - self.a, z - self.b
-            term_b = 0.0 if zb == 0.0 else zb * math.log(zb)
-            return self.mass * ((za * math.log(za) - term_b) / (self.b - self.a) - 1.0)
-        return float(np.sum(self.weights * np.log(z - self.nodes)))
+            # zb log zb, which is 0 at the edge zb = 0
+            term_b = zb * np.log(zb + (zb == 0.0))
+            return self.mass * ((za * np.log(za) - term_b) / (self.b - self.a) - 1.0)
+        return (self.weights * np.log(_pair_diffs(z, self.nodes))).sum(axis=-1)
 
     def cdf(self, x):
         """Mass of the component in (-inf, x], elementwise over an array x."""
@@ -257,6 +267,11 @@ class SpectralMeasure:
         edges = list(locs) + [e for c in components for e in (c.a, c.b)]
         self._left = float(min(edges))
         self._right = float(max(edges))
+        self._scale = max(1.0, abs(self._left), abs(self._right))
+        # snap window of a few ulps around each edge for the edge values of
+        # stieltjes: exact edge queries hit it, approach sequences from root
+        # finders must stay evaluable
+        self._snap = 1e-15 * self._scale
         self.atom_locations.setflags(write=False)
         self.atom_weights.setflags(write=False)
 
@@ -433,13 +448,20 @@ class SpectralMeasure:
         total = np.asarray(total)
         return total.item() if total.ndim == 0 else total
 
+    def past_right_snap(self) -> float:
+        """The first float above the right edge outside the snap window of
+        :meth:`stieltjes`: the point nearest the edge where G is evaluated by
+        its formulas, not returned as its one-sided edge limit."""
+        z = self._right + self._snap
+        while abs(z - self._right) <= self._snap:
+            z = math.nextafter(z, math.inf)
+        return z
+
     def _edge_value(self, z: float):
         """Divergent one-sided edge values of G, or None when regular."""
-        # snap window of a few ulps: exact edge queries hit it, approach
-        # sequences from root finders must stay evaluable
-        scale = max(1.0, abs(self._left), abs(self._right))
-        at_right = abs(z - self._right) <= 1e-15 * scale
-        at_left = abs(z - self._left) <= 1e-15 * scale
+        scale = self._scale
+        at_right = abs(z - self._right) <= self._snap
+        at_left = abs(z - self._left) <= self._snap
         if not (at_right or at_left):
             return None
         edge = self._right if at_right else self._left
@@ -472,20 +494,29 @@ class SpectralMeasure:
         total = np.asarray(total)
         return total.item() if total.ndim == 0 else total
 
-    def log_moment(self, z: float) -> float:
-        """integral of log(z - t) for real z at or beyond the right edge."""
-        z = float(z)
-        if z < self._right - 1e-12 * max(1.0, abs(self._right)):
+    def log_moment(self, z):
+        """integral of log(z - t) for real z at or beyond the right edge,
+        elementwise over an array z; a float for scalar z.
+
+        A scalar z stays a Python float through the closed forms, which keeps
+        a scalar call about as cheap as its few ufunc calls.
+        """
+        if isinstance(z, numbers.Real):
+            zs = low = float(z)
+        else:
+            zs = np.asarray(z, dtype=float)
+            low = zs.min(initial=math.inf)
+        if low < self._right - 1e-12 * max(1.0, abs(self._right)):
             raise MeasureError(f"log moment needs z >= right edge, got {z!r}")
         total = 0.0
         if self.atom_locations.size:
-            diffs = z - self.atom_locations
-            if np.any(diffs <= 0.0):
+            # the locations are sorted
+            if low <= self.atom_locations[-1]:
                 raise MeasureError("log moment diverges: atom at or beyond z")
-            total += float(np.sum(self.atom_weights * np.log(diffs)))
+            total = (self.atom_weights * np.log(_pair_diffs(zs, self.atom_locations))).sum(axis=-1)
         for c in self.components:
-            total += c.log_moment(z)
-        return total
+            total = total + c.log_moment(zs)
+        return float(total) if isinstance(zs, float) else total
 
     def integrate(self, f) -> float:
         """integral of f against the measure via atoms plus quadrature nodes."""

@@ -10,11 +10,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+
+# unused here; perfbench/tracing.py patches rate.brentq to count root-finder calls
+from scipy.optimize import brentq  # noqa: F401
+from scipy.optimize.elementwise import find_root
 
 from ._quad import sqrt_adapted_rule
 from .dyson import (
-    _BRENTQ_KW,
     CovarianceModel,
     DegenerateModelError,
     EdgeData,
@@ -74,78 +76,105 @@ def rate_degenerate(x: float) -> float:
     return 0.0 if x == 0.0 else math.inf
 
 
-def _inverse_stieltjes(mu: SpectralMeasure, target: float) -> float:
-    """Solve G_mu(lam) = target for lam > r(mu) by bracketed bisection."""
+# find_root stops once the bracket is within xatol + 4 |x| xrtol: the
+# tolerances of the brentq solves elsewhere
+_FIND_ROOT_TOL = dict(xatol=1e-14, xrtol=4.0 * np.finfo(float).eps)
+
+
+def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
+    """Solve G_mu(lam) = target for lam > r(mu), elementwise over an array of
+    positive targets; a float for a scalar target.
+
+    Every root is bracketed without a search. G_mu(lam) <= 1/(lam - r) puts
+    G below the target t at lam = r + 2/t, and the lower end is
+    max(lower, r), where the caller knows G to lie above every target
+    (``lower`` defaults to r). Where G diverges at r, the lower end is
+    instead the first point past the snap window of
+    :meth:`SpectralMeasure.stieltjes`, inside which G is +inf. A target that
+    G does not reach by the lower end gets the lower end as its root: there
+    G(lam) = t would put lam within a few ulps of a divergent edge.
+    """
+    t = np.asarray(target, dtype=float)
     r = mu.right_edge
-    scale = max(1.0, abs(r))
-    lo = None
-    delta = 1e-3 * scale
-    for _ in range(300):
-        cand = r + delta
-        g = mu.stieltjes(cand)
-        if g > target:
-            lo = cand
-            break
-        delta *= 0.5
-    if lo is None:
-        raise SolverError(f"inverse Stieltjes transform: no bracket above edge for {target!r}")
-    hi = lo
-    for _ in range(300):
-        hi = r + (hi - r) * 2.0
-        if mu.stieltjes(hi) < target:
-            break
-    else:
-        raise SolverError(f"inverse Stieltjes transform: no upper bracket for {target!r}")
-    return brentq(lambda lam: mu.stieltjes(lam) - target, lo, hi, **_BRENTQ_KW)
+    lo = max(lower, r)
+    past = mu.past_right_snap()
+    if lo < past and mu.edge_stieltjes_finite() is not True:
+        lo = past
+    roots = np.full(t.shape, lo)
+    solve = mu.stieltjes(lo) > t
+    if solve.any():
+        ts = t[solve]
+        found = find_root(lambda lam, ts: mu.stieltjes(lam) - ts, (lo, r + 2.0 / ts),
+                          args=(ts,), tolerances=_FIND_ROOT_TOL)
+        if not found.success.all():
+            bad = float(ts[np.argmin(found.success)])
+            raise SolverError(f"inverse Stieltjes transform failed for target {bad!r} "
+                              f"in [{lo!r}, {r + 2.0 / bad!r}]")
+        roots[solve] = found.x
+    return float(roots) if roots.ndim == 0 else roots
 
 
-def j_shift(mu: SpectralMeasure, theta: float, lam: float) -> float:
+def j_shift(mu: SpectralMeasure, theta, lam: float):
     """Optimal shift v in the J functional: lambda - 1/(2 theta) when
-    G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta)."""
-    if theta <= 0.0:
+    G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta).
+    Elementwise over an array theta; a float for scalar theta."""
+    th = np.asarray(theta, dtype=float)
+    if (th <= 0.0).any():
         raise ValueError(f"theta must be positive, got {theta!r}")
     r = mu.right_edge
     if lam < r - 1e-12 * max(1.0, abs(r)):
         raise ValueError(f"lambda={lam!r} below the right edge {r!r}")
-    g_lam = mu.stieltjes(lam)
-    if g_lam <= 2.0 * theta:
-        return float(lam) - 0.5 / theta
-    return _inverse_stieltjes(mu, 2.0 * theta) - 0.5 / theta
+    k = np.full(th.shape, float(lam))
+    solve = mu.stieltjes(lam) > 2.0 * th
+    if solve.any():
+        # G(lam) > 2 theta there: lam is a lower end of every root
+        k[solve] = _inverse_stieltjes(mu, 2.0 * th[solve], lam)
+    v = k - 0.5 / th
+    return float(v) if v.ndim == 0 else v
 
 
-def j_fn(mu: SpectralMeasure, theta: float, lam: float) -> float:
+def j_fn(mu: SpectralMeasure, theta, lam: float):
     """Spherical-integral limit J(mu, theta, lambda) for theta >= 0,
-    lambda >= r(mu).
+    lambda >= r(mu), elementwise over an array theta; a float for scalar
+    theta.
 
     J is theta*v minus half the logarithmic moment of 1 + 2 theta v
     - 2 theta y, with v the shift from :func:`j_shift`.
     """
-    if theta < 0.0:
+    th = np.asarray(theta, dtype=float)
+    if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
-    if theta == 0.0:
-        return 0.0
-    v = j_shift(mu, theta, lam)
-    k = v + 0.5 / theta
-    # log(1 + 2 theta v - 2 theta y) = log(2 theta) + log(k - y)
-    try:
-        log_part = math.log(2.0 * theta) + mu.log_moment(k)
-    except MeasureError as exc:
-        raise MeasureError(f"J: logarithmic moment diverges at k={k!r}: {exc}") from exc
-    return theta * v - 0.5 * log_part
+    out = np.zeros(th.shape)
+    pos = th > 0.0
+    if pos.any():
+        t = th[pos]
+        v = j_shift(mu, t, lam)
+        k = v + 0.5 / t
+        # log(1 + 2 theta v - 2 theta y) = log(2 theta) + log(k - y)
+        try:
+            log_part = np.log(2.0 * t) + mu.log_moment(k)
+        except MeasureError as exc:
+            raise MeasureError(f"J: logarithmic moment diverges at k={k!r}: {exc}") from exc
+        out[pos] = t * v - 0.5 * log_part
+    return float(out) if out.ndim == 0 else out
 
 
-def f_fn(model: CovarianceModel, theta: float) -> float:
+def f_fn(model: CovarianceModel, theta):
     """Annealed tilt limit F(rho, theta) = -(alpha/2) * integral of
-    log(1 - theta*t/alpha) d rho(t), defined for 0 <= theta < theta_max."""
-    if theta < 0.0:
+    log(1 - theta*t/alpha) d rho(t), defined for 0 <= theta < theta_max;
+    elementwise over an array theta, a float for scalar theta."""
+    th = np.asarray(theta, dtype=float)
+    if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
-    if theta == 0.0:
-        return 0.0
     tmax = theta_max(model)
-    if theta >= tmax:
+    if (th >= tmax).any():
         raise ValueError(f"theta={theta!r} is not below theta_max={tmax!r}")
-    a = model.alpha
-    return -0.5 * a * (model.rho.log_moment(a / theta) + math.log(theta / a))
+    out = np.zeros(th.shape)
+    pos = th > 0.0
+    if pos.any():
+        a, t = model.alpha, th[pos]
+        out[pos] = -0.5 * a * (model.rho.log_moment(a / t) + np.log(t / a))
+    return float(out) if out.ndim == 0 else out
 
 
 def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None = None,
@@ -169,14 +198,18 @@ def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None =
             f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
         )
     theta_x, end, objective = model.variational(x, edge, sigma)
-    value = objective(theta_x)
+    thetas = np.array([theta_x])
     if verify:
-        for theta in np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50):
-            if objective(theta) > value + _SCAN_TOL:
-                raise SolverError(
-                    f"variational scan found theta={theta!r} exceeding the "
-                    f"optimizer value by more than {_SCAN_TOL!r}"
-                )
+        thetas = np.append(thetas, np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50))
+    # the optimizer and the scan in one call of the objective
+    values = objective(thetas)
+    value = float(values[0])
+    above = np.flatnonzero(values[1:] > value + _SCAN_TOL)
+    if above.size:
+        raise SolverError(
+            f"variational scan found theta={float(thetas[1 + above[0]])!r} exceeding "
+            f"the optimizer value by more than {_SCAN_TOL!r}"
+        )
     return model.beta * value
 
 

@@ -98,7 +98,8 @@ class DeformedWignerModel:
     def variational(self, x: float, edge: DWEdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
         J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d));
-        the optimizer is Gbar(x)/2."""
+        the optimizer is Gbar(x)/2. The objective works elementwise on an
+        array of theta."""
         _, g_bar = dw_branches(self, x, edge)
         theta_x = 0.5 * g_bar
         r_d = self.mu_d.right_edge

@@ -8,22 +8,55 @@ and for mu_D = sum p_i delta_{u_i} the subordination equation reads
 omega + sum_i p_i / (omega - u_i) = z. Cleared of denominators both are
 polynomial equations of degree (number of atoms + 1). For Im z > 0 exactly
 one root lies in the physical half-plane (Im w < 0 for G_sigma, Im omega > 0),
-so the density at x + i eta follows from polynomial roots alone, with no
-Newton iteration and no continuation.
+so the density at x + i eta follows from polynomial roots, with no
+continuation: the root is picked from all roots of the polynomial, and three
+Newton steps on the equation only refine its digits.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
+from scipy.linalg import eigvals
 
-from rmtldp.dyson import CovarianceModel, SolverError, sigma_density
+from rmtldp.dyson import (
+    CovarianceModel,
+    DegenerateModelError,
+    SolverError,
+    detect_degenerate,
+    sigma_density,
+)
 from rmtldp.measures import SpectralMeasure
 from rmtldp.wigner import DeformedWignerModel, free_convolution_density
 
 
 def _physical_root(coeffs, side):
-    roots = P.polyroots(coeffs)
-    return roots[np.argmax(side * roots.imag)]
+    """The root in the physical half-plane of the polynomial with the given
+    coefficients (constant first). The roots are the finite eigenvalues of
+    the companion pencil, which stay accurate when the leading coefficient
+    is tiny: an atom u near 0 puts a root near alpha / u. That root carries
+    an imaginary part of rounding size relative to itself, of either sign,
+    so the physical root is the one deepest in the half-plane by argument."""
+    c = np.asarray(coeffs, dtype=complex)
+    n = len(c) - 1
+    a = np.zeros((n, n), dtype=complex)
+    a[1:, :-1] = np.eye(n - 1)
+    a[:, -1] = -c[:-1]
+    b = np.eye(n, dtype=complex)
+    b[-1, -1] = c[-1]
+    roots = eigvals(a, b)
+    roots = roots[np.isfinite(roots)]
+    return roots[np.argmax(side * roots.imag / np.abs(roots))]
+
+
+def _polish(w, residual, slope):
+    """Three Newton steps on the equation itself: the roots of a polynomial
+    whose coefficients span many magnitudes (atoms near 0) carry errors of
+    1e-9 relative, which the well-conditioned rational form removes."""
+    for _ in range(3):
+        w = w - residual(w) / slope(w)
+    return w
 
 
 def covariance_oracle(atoms, weights, alpha, z):
@@ -39,7 +72,11 @@ def covariance_oracle(atoms, weights, alpha, z):
             if j != i:
                 rest = P.polymul(rest, f)
         poly = P.polysub(poly, P.polymul(np.array([0.0, p * alpha * u]), rest))
-    return -_physical_root(poly, -1.0).imag / np.pi
+    u, p = np.asarray(atoms), np.asarray(weights)
+    w = _polish(_physical_root(poly, -1.0),
+                lambda w: 1.0 / w + np.sum(p * alpha * u / (alpha - w * u)) - z,
+                lambda w: -1.0 / w**2 + np.sum(p * alpha * u**2 / (alpha - w * u) ** 2))
+    return -w.imag / np.pi
 
 
 def wigner_oracle(atoms, weights, z):
@@ -48,7 +85,11 @@ def wigner_oracle(atoms, weights, z):
     poly = P.polymul(np.array([-z, 1.0]), prod)  # (omega - z) prod
     for i, p in enumerate(weights):
         poly = P.polyadd(poly, p * P.polyfromroots(np.delete(atoms, i)))
-    return -(z - _physical_root(poly, 1.0)).imag / np.pi
+    u, p = np.asarray(atoms), np.asarray(weights)
+    omega = _polish(_physical_root(poly, 1.0),
+                    lambda om: om + np.sum(p / (om - u)) - z,
+                    lambda om: 1.0 - np.sum(p / (om - u) ** 2))
+    return -(z - omega).imag / np.pi
 
 
 def default_grid(model):
@@ -121,3 +162,86 @@ def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
     monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", nan_off_axis)
     with pytest.raises(SolverError, match=r"z=.*height.*residual"):
         sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4, edge)
+
+
+# -- random atomic models --------------------------------------------------------
+
+# one to four atoms anywhere in [-3, 3], weights normalized from [0.1, 1]
+atomic_measures = st.lists(
+    st.tuples(st.floats(-3.0, 3.0, allow_subnormal=False), st.floats(0.1, 1.0)),
+    min_size=1, max_size=4,
+).map(lambda pairs: SpectralMeasure.from_atoms(
+    [u for u, _ in pairs], np.array([p for _, p in pairs]) / sum(p for _, p in pairs)))
+etas = st.sampled_from([1e-4, 1e-6])
+
+
+def covering_grid(lo, hi):
+    """150 points over [lo, hi] +- 5%: the density command's default window,
+    built around a bound on the support instead of the solved edges, at a
+    third of its points."""
+    margin = 0.05 * (hi - lo)
+    return np.linspace(lo - margin, hi + margin, 150)
+
+
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_random_atomic_sigma_density_matches_polynomial_roots(rho, alpha, eta):
+    """The spectrum of (1/m) Z^T Gamma Z lies within [min(0, l), max(0, r)]
+    times the largest Marchenko-Pastur eigenvalue (1 + 1/sqrt(alpha))^2."""
+    model = CovarianceModel(rho, alpha)
+    if detect_degenerate(model):
+        with pytest.raises(DegenerateModelError):
+            sigma_density(model, np.linspace(-1.0, 1.0, 5), eta)
+        return
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    got = sigma_density(model, xs, eta)
+    want = [covariance_oracle(rho.atom_locations, rho.atom_weights, alpha, x + 1j * eta)
+            for x in xs]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-10
+
+
+@given(mu=atomic_measures, eta=etas)
+def test_random_atomic_free_convolution_density_matches_polynomial_roots(mu, eta):
+    """The free convolution with the semicircle of radius 2 lies within the
+    support of mu_D widened by 2 on either side."""
+    model = DeformedWignerModel(mu)
+    xs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0)
+    got = free_convolution_density(model, xs, eta)
+    want = [wigner_oracle(mu.atom_locations, mu.atom_weights, x + 1j * eta) for x in xs]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
+def test_spectrum_on_the_scale_of_1e_3(alpha, eta):
+    """Atoms of size 1e-3: a loose level's residual of 1e-3 is the size of
+    the whole spectrum, and Newton from its root stalls at height 0 for some
+    points; the grid is then solved again with the tight test throughout."""
+    atoms = [-0.00012475062110026442, 7.391027752904462e-121, 0.001]
+    weights = [0.19692530787100634, 0.5510268725317563, 0.25204781959723727]
+    rho = SpectralMeasure.from_atoms(atoms, weights)
+    model = CovarianceModel(rho, alpha)
+    edge, xs = default_grid(model)
+    got = sigma_density(model, xs, eta, edge)
+    want = [covariance_oracle(rho.atom_locations, rho.atom_weights, alpha, x + 1j * eta)
+            for x in xs]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-10
+
+
+@pytest.mark.parametrize("atoms, weights, alpha", [
+    ([-2.5375, -1.723, -0.0693, 0.0021], [0.2853, 0.1877, 0.4143, 0.1127], 2.3757),
+    ([-3.0, 0.0, 5.96e-8], [0.4950, 0.3737, 0.1313], 2.0973),
+])
+def test_edge_with_the_top_atom_near_zero(atoms, weights, alpha):
+    """G_rho diverges at its top atom r(rho), and within the snap window of
+    the edge transforms it is +inf: edge_solve keeps its probes of f outside
+    it. Here r(rho) is so small against |l(rho)| that the window reaches
+    2^-40 r(rho), and r(sigma) came out +inf. It is negative: an atom of
+    mass alpha * p < 1 cannot push the top of the spectrum above 0."""
+    rho = SpectralMeasure.from_atoms(atoms, weights)
+    model = CovarianceModel(rho, alpha)
+    edge = model.edge()
+    assert edge.r_sigma < 0.0
+    step = 1e-2 * abs(edge.r_sigma)
+    inside, outside = [covariance_oracle(atoms, weights, alpha, x + 1e-12j)
+                       for x in (edge.r_sigma - step, edge.r_sigma + step)]
+    assert inside > 1e-2 and outside < 1e-5

@@ -1,0 +1,219 @@
+"""The batched variational objective against a per-theta scalar oracle, the
+scan's failure path, array/scalar parity of J, F and the logarithmic moment,
+and the divergent-edge rule of the inverse Stieltjes solve."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+from rmtldp.dyson import CovarianceModel, SolverError, sigma_measure, theta_max
+from rmtldp.measures import SpectralMeasure
+from rmtldp.rate import _inverse_stieltjes, f_fn, j_fn, rate_variational
+from rmtldp.wigner import DeformedWignerModel, dw_h, k_transform
+
+# -- the per-theta scalar oracle ------------------------------------------------
+#
+# J and F one theta at a time, with the inverse Stieltjes transform found by a
+# bracket search from the edge and brentq: the evaluation the batched
+# objective replaced.
+
+
+def scalar_inverse_stieltjes(mu, target):
+    r = mu.right_edge
+    delta = 1e-3 * max(1.0, abs(r))
+    for _ in range(300):
+        lo = r + delta
+        if mu.stieltjes(lo) > target:
+            break
+        delta *= 0.5
+    hi = lo
+    while mu.stieltjes(hi) >= target:
+        hi = r + 2.0 * (hi - r)
+    return brentq(lambda lam: mu.stieltjes(lam) - target, lo, hi,
+                  xtol=1e-14, rtol=8.9e-16, maxiter=300)
+
+
+def scalar_j(mu, theta, lam):
+    if mu.stieltjes(lam) <= 2.0 * theta:
+        k = lam
+    else:
+        k = scalar_inverse_stieltjes(mu, 2.0 * theta)
+    v = k - 0.5 / theta
+    return theta * v - 0.5 * (math.log(2.0 * theta) + mu.log_moment(v + 0.5 / theta))
+
+
+def scalar_objective(model, sigma, x, theta):
+    if isinstance(model, CovarianceModel):
+        a = model.alpha
+        f = -0.5 * a * (model.rho.log_moment(a / theta) + math.log(theta / a))
+        return scalar_j(sigma, 0.5 * theta, x) - f
+    mu = model.mu_d
+    return scalar_j(sigma, theta, x) - theta * theta - scalar_j(mu, theta, mu.right_edge)
+
+
+# the limit-law models of the benchmark, three points each across the ranges
+# their variational acceptance tests cover
+MODELS = {
+    "wishart1": (lambda: CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0),
+                 (4.5, 6.0, 8.5)),
+    "neg-wishart": (lambda: CovarianceModel(SpectralMeasure.point_mass(-1.0), 2.0),
+                    (-0.07, -0.04, -0.01)),
+    "two-atom": (lambda: CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0),
+                 (7.1, 7.5, 8.0)),
+    "semicircle-rho": (lambda: CovarianceModel(SpectralMeasure.semicircle(2.0, 1.0), 1.0),
+                       (9.5, 15.0, 24.0)),
+    "dw-point": (lambda: DeformedWignerModel(SpectralMeasure.point_mass(0.0)),
+                 (2.6, 3.2, 3.9)),
+    "dw-two-atom": (lambda: DeformedWignerModel(
+        SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])), (3.1, 3.5, 4.0)),
+    "dw-uniform": (lambda: DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)),
+                   (2.8, 3.5, 4.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_array_objective_matches_per_theta_scalar_loop(name):
+    build, xs = MODELS[name]
+    model = build()
+    edge = model.edge()
+    sigma = sigma_measure(model, 2000, edge)
+    for x in xs:
+        theta_x, end, objective = model.variational(x, edge, sigma)
+        thetas = np.append(theta_x, np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50))
+        got = objective(thetas)
+        want = np.array([scalar_objective(model, sigma, x, t) for t in thetas])
+        assert got.shape == thetas.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_scan_raises_when_a_theta_beats_the_optimizer(monkeypatch):
+    """An optimizer at 0.3 Gbar(x) leaves the supremum to the scan, which
+    must refuse the value and name the theta as a plain float."""
+    model = CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0)
+    edge = model.edge()
+    sigma = sigma_measure(model, 2000, edge)
+    real = CovarianceModel.variational
+
+    def misplaced(self, x, edge, sigma):
+        theta_x, end, objective = real(self, x, edge, sigma)
+        return 0.3 * theta_x, end, objective
+
+    assert rate_variational(model, 6.0, edge, sigma) > 0.0
+    monkeypatch.setattr(CovarianceModel, "variational", misplaced)
+    with pytest.raises(SolverError, match=r"theta=\d[^ ]* exceeding") as info:
+        rate_variational(model, 6.0, edge, sigma)
+    assert "np.float64" not in str(info.value)
+    # without the scan the misplaced optimizer goes unnoticed
+    assert rate_variational(model, 6.0, edge, sigma, verify=False) > 0.0
+
+
+# -- array/scalar parity -----------------------------------------------------------
+
+MEASURES = {
+    "atoms": SpectralMeasure.from_atoms([-0.5, 1.0, 2.0], [0.2, 0.3, 0.5]),
+    "semicircle": SpectralMeasure.semicircle(1.0, 2.0),
+    "uniform": SpectralMeasure.uniform(-1.0, 2.0),
+    "table": SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(u), (0.0, 1.0),
+                                          edge_finite_g=True),
+    "atom-and-semicircle": SpectralMeasure(
+        [3.0], [0.25], [SpectralMeasure.semicircle(0.0, 1.0).components[0].scaled(1.0, 0.75)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_log_moment_array_equals_scalar_calls(name):
+    mu = MEASURES[name]
+    r = mu.right_edge
+    zs = r + np.array([[0.0, 1e-9, 0.3], [1.0, 7.5, 250.0]])
+    if mu.atom_mass(r) > 0.0:
+        zs = zs[:, 1:]  # the log moment diverges at an atom
+    got = mu.log_moment(zs)
+    assert got.shape == zs.shape
+    want = np.array([[mu.log_moment(float(z)) for z in row] for row in zs])
+    assert np.array_equal(got, want)
+    assert type(mu.log_moment(float(zs[0, 0]))) is float
+    assert type(mu.log_moment(int(r) + 3)) is float
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_j_fn_array_equals_scalar_calls(name):
+    mu = MEASURES[name]
+    lam = mu.right_edge + 0.5
+    thetas = np.array([0.0, 1e-3, 0.2, 1.0, 4.0, 40.0])
+    got = j_fn(mu, thetas, lam)
+    assert got.shape == thetas.shape
+    assert np.array_equal(got, [j_fn(mu, float(t), lam) for t in thetas])
+    assert got[0] == 0.0 and j_fn(mu, 0.0, lam) == 0.0
+    assert type(j_fn(mu, 0.2, lam)) is float
+    assert type(j_fn(mu, 0.0, lam)) is float
+    with pytest.raises(ValueError):
+        j_fn(mu, -0.1, lam)
+    with pytest.raises(ValueError):
+        j_fn(mu, np.array([0.1, -0.1]), lam)
+
+
+@pytest.mark.parametrize("atoms", [([1.0], [1.0]), ([-1.0, 2.0], [0.4, 0.6])])
+def test_f_fn_array_equals_scalar_calls(atoms):
+    model = CovarianceModel(SpectralMeasure.from_atoms(*atoms), 2.0)
+    thetas = np.array([0.0, 1e-6, 0.3, 0.9])
+    got = f_fn(model, thetas)
+    assert got.shape == thetas.shape
+    assert np.array_equal(got, [f_fn(model, float(t)) for t in thetas])
+    assert got[0] == 0.0 and f_fn(model, 0.0) == 0.0
+    assert type(f_fn(model, 0.3)) is float
+    assert type(f_fn(model, 0.0)) is float
+    with pytest.raises(ValueError):
+        f_fn(model, -0.1)
+    with pytest.raises(ValueError):
+        f_fn(model, np.array([0.3, -0.1]))
+    with pytest.raises(ValueError):
+        f_fn(model, np.array([0.3, theta_max(model)]))
+
+
+# -- the inverse Stieltjes solve -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_inverse_stieltjes_array_solves_every_target(name):
+    mu = MEASURES[name]
+    finite = mu.edge_stieltjes_finite()
+    g_top = mu.stieltjes(mu.right_edge if finite else mu.past_right_snap())
+    targets = np.geomspace(1e-3, 0.99 * min(g_top, 1e3), 9)
+    roots = _inverse_stieltjes(mu, targets)
+    assert roots.shape == targets.shape
+    assert np.all(roots >= mu.right_edge)
+    want = np.array([scalar_inverse_stieltjes(mu, t) for t in targets])
+    assert np.all(np.abs(roots - want) <= 2e-14 + 8.0 * np.finfo(float).eps * np.abs(want))
+    assert np.array_equal(roots, [_inverse_stieltjes(mu, float(t)) for t in targets])
+    assert type(_inverse_stieltjes(mu, 0.5)) is float
+
+
+@pytest.mark.parametrize("mu", [SpectralMeasure.uniform(-1.0, 1.0),
+                                SpectralMeasure.from_atoms([0.0, 1.0], [0.5, 0.5]),
+                                SpectralMeasure.uniform(3.0, 5.0)])
+def test_divergent_edge_rule(mu):
+    """Where G diverges at the edge, the solve starts at the first point past
+    the snap window of stieltjes, and a target G cannot reach before that
+    point gets the point itself as its root."""
+    r, past = mu.right_edge, mu.past_right_snap()
+    assert past > r
+    assert mu.stieltjes(math.nextafter(past, -math.inf)) == math.inf
+    g_past = mu.stieltjes(past)
+    assert math.isfinite(g_past)
+    unreachable = np.array([g_past * 1.5, g_past + 10.0])
+    assert np.array_equal(_inverse_stieltjes(mu, unreachable), [past, past])
+    assert k_transform(mu, float(unreachable[1])) == past
+    # a target G reaches lies beyond the point, where the bracket search of
+    # the scalar oracle finds it too
+    reachable = min(0.9 * g_past, 1e3)
+    root = _inverse_stieltjes(mu, reachable)
+    assert root > past
+    assert abs(root - scalar_inverse_stieltjes(mu, reachable)) <= 2e-14 + 8e-16 * abs(root)
+    # the rule feeds J: for a large theta the shift sits at the point
+    theta = float(unreachable[1])
+    assert j_fn(mu, theta, r) == pytest.approx(
+        theta * (past - 0.5 / theta) - 0.5 * (math.log(2.0 * theta) + mu.log_moment(past)),
+        abs=1e-12 * theta)
+    assert dw_h(DeformedWignerModel(mu), reachable) == pytest.approx(reachable + root, abs=1e-15)
