@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from ._quad import sqrt_adapted_rule
 
@@ -177,6 +176,10 @@ class DensityComponent:
         elif self.kind == "uniform":
             val = self.mass * (x - self.a) / (self.b - self.a)
         elif self.evaluator is not None:
+            # the only use of scipy in the package; imported here, as the
+            # import costs more than most commands compute
+            from scipy import integrate
+
             flat = x.ravel()
             val = np.zeros(flat.size)
             for k in np.flatnonzero((flat > self.a) & (flat < self.b)):
@@ -267,7 +270,10 @@ class SpectralMeasure:
         edges = list(locs) + [e for c in components for e in (c.a, c.b)]
         self._left = float(min(edges))
         self._right = float(max(edges))
-        self._scale = max(1.0, abs(self._left), abs(self._right))
+        # the magnitude of the support's coordinates, the unit for a point
+        # mass at 0: a floor of 1 would let the snap window below swallow a
+        # support lying within 1e-15 of 0
+        self._scale = max(abs(self._left), abs(self._right)) or 1.0
         # snap window of a few ulps around each edge for the edge values of
         # stieltjes: exact edge queries hit it, approach sequences from root
         # finders must stay evaluable

@@ -11,10 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here; perfbench/tracing.py patches rate.brentq to count root-finder calls
-from scipy.optimize import brentq  # noqa: F401
-from scipy.optimize.elementwise import find_root
-
 from ._quad import sqrt_adapted_rule
 from .dyson import (
     CovarianceModel,
@@ -22,6 +18,7 @@ from .dyson import (
     EdgeData,
     SolverError,
     _edge_side,
+    brentq,  # noqa: F401  unused here; perfbench/tracing.py patches rate.brentq
     edge_solve,
     sigma_measure,
     theta_max,
@@ -76,9 +73,12 @@ def rate_degenerate(x: float) -> float:
     return 0.0 if x == 0.0 else math.inf
 
 
-# find_root stops once the bracket is within xatol + 4 |x| xrtol: the
-# tolerances of the brentq solves elsewhere
-_FIND_ROOT_TOL = dict(xatol=1e-14, xrtol=4.0 * np.finfo(float).eps)
+# the inverse Stieltjes solve stops once it has bracketed the root within
+# 1e-14 + 4 eps |lam|, the tolerances of the brentq solves elsewhere, or
+# raises after _INVERSE_STEPS steps
+_INVERSE_XTOL = 1e-14
+_INVERSE_RTOL = 4.0 * np.finfo(float).eps
+_INVERSE_STEPS = 100
 
 
 def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
@@ -93,6 +93,14 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
     :meth:`SpectralMeasure.stieltjes`, inside which G is +inf. A target that
     G does not reach by the lower end gets the lower end as its root: there
     G(lam) = t would put lam within a few ulps of a divergent edge.
+
+    All targets are solved at once by Newton's method on 1/G - 1/t from the
+    lower end. Past r, 1/G(z) = z - m - v G_nu(z) with m, v the mean and
+    variance of mu and nu a probability measure on the hull of its support,
+    so 1/G is increasing and concave there, and Newton's iterates from the
+    left stay left of the root. Each step is at least the tolerance: the
+    first trial point at which G is at most t brackets the root within the
+    tolerance, and the Newton point before it is returned.
     """
     t = np.asarray(target, dtype=float)
     r = mu.right_edge
@@ -100,17 +108,46 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
     past = mu.past_right_snap()
     if lo < past and mu.edge_stieltjes_finite() is not True:
         lo = past
+    g_lo = mu.stieltjes(lo)
+    if math.isnan(g_lo):
+        raise SolverError(f"inverse Stieltjes transform: G is NaN at the lower end {lo!r}")
     roots = np.full(t.shape, lo)
-    solve = mu.stieltjes(lo) > t
+    solve = g_lo > t
     if solve.any():
         ts = t[solve]
-        found = find_root(lambda lam, ts: mu.stieltjes(lam) - ts, (lo, r + 2.0 / ts),
-                          args=(ts,), tolerances=_FIND_ROOT_TOL)
-        if not found.success.all():
-            bad = float(ts[np.argmin(found.success)])
-            raise SolverError(f"inverse Stieltjes transform failed for target {bad!r} "
-                              f"in [{lo!r}, {r + 2.0 / bad!r}]")
-        roots[solve] = found.x
+        hi = r + 2.0 / ts
+        lam = np.full(ts.shape, lo)  # left of every root: G(lam) > t
+        g = np.full(ts.shape, g_lo)
+        # a finite edge of infinite slope (a square-root edge) has G' = -inf
+        # or NaN there; the first step is then 0 and the tolerance step moves on
+        gp_lo = mu.stieltjes_prime(lo)
+        gp = np.full(ts.shape, gp_lo if math.isfinite(gp_lo) else -math.inf)
+        found = np.empty(ts.shape)
+        live = np.arange(ts.size)
+        for _ in range(_INVERSE_STEPS):
+            x, tl, gl = lam[live], ts[live], g[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = np.minimum(x + gl / gp[live] * (1.0 - gl / tl), hi[live])
+            trial = np.maximum(newton, x + _INVERSE_XTOL + _INVERSE_RTOL * np.abs(x))
+            g_trial = mu.stieltjes(trial)
+            if np.isnan(g_trial).any():
+                i = int(np.argmax(np.isnan(g_trial)))
+                raise SolverError(f"inverse Stieltjes transform: G is NaN at {float(trial[i])!r} "
+                                  f"for target {float(tl[i])!r}")
+            bracketed = g_trial <= tl
+            found[live[bracketed]] = newton[bracketed]
+            left = ~bracketed
+            live = live[left]
+            if not live.size:
+                break
+            lam[live], g[live] = trial[left], g_trial[left]
+            gp[live] = mu.stieltjes_prime(trial[left])
+        else:
+            i = live[0]
+            raise SolverError(f"inverse Stieltjes transform did not converge in {_INVERSE_STEPS} "
+                              f"steps for target {float(ts[i])!r} in [{lo!r}, {float(hi[i])!r}]; "
+                              f"last iterate {float(lam[i])!r}")
+        roots[solve] = found
     return float(roots) if roots.ndim == 0 else roots
 
 

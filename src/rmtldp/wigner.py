@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dyson import (
     _BRENTQ_KW,
@@ -19,6 +18,7 @@ from .dyson import (
     _check_entry_law,
     _edge_side,
     _solve_on_grid,
+    brentq,
     sigma_density,
     sigma_measure,
 )

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,3 +325,51 @@ class TestModelRoundTrip:
         model = DeformedWignerModel(SpectralMeasure.point_mass(0.0))
         again = model_from_json(json.loads(json.dumps(model_to_json(model))))
         assert again.mu_d == model.mu_d
+
+
+class TestImportCost:
+    """Importing scipy takes most of a command's start-up, so neither the
+    package nor the commands on atom and closed-form models may load it."""
+
+    MODELS = {
+        "atoms": ({"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
+                   "rho": {"atoms": [[1.0, 1.0]], "density": None}}, 5.0),
+        "semicircle": ({"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
+                        "rho": {"atoms": [], "density": {
+                            "kind": "semicircle", "support": [1.0, 3.0],
+                            "params": {"center": 2.0, "radius": 1.0, "mass": 1.0}}}}, 10.0),
+        "uniform-deformation": ({"kind": "deformed-wigner", "beta": 1, "entry_law": "gaussian",
+                                 "deformation": {"atoms": [], "density": {
+                                     "kind": "uniform", "support": [-1.0, 1.0],
+                                     "params": {"mass": 1.0}}}}, 3.0),
+    }
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        commands = []
+        for name, (model, x) in self.MODELS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(model))
+            out = str(tmp_path / f"{name}.out")
+            commands += [
+                ["rate", "--model", str(path), "--xmax", str(x + 1.0), "--points", "5",
+                 "--out", out],
+                ["variational", "--model", str(path), "--x", str(x), "--out", out],
+                ["density", "--model", str(path), "--points", "20", "--out", out],
+                ["mc", "--model", str(path), "--n", "20", "--replicas", "4", "--out", out],
+            ]
+        script = textwrap.dedent(f"""
+            import sys
+            import rmtldp
+            from rmtldp.cli import run
+            for argv in {commands!r}:
+                assert run(argv) == 0, argv
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, loaded
+            """)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]

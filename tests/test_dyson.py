@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 from rmtldp.dyson import (
     CovarianceModel,
     DegenerateModelError,
+    SolverError,
     detect_degenerate,
     edge_solve,
     f_rho,
@@ -146,6 +147,24 @@ class TestEdgeSolve:
         assert edge.r_sigma == pytest.approx(res.fun, abs=1e-8)
         assert edge.theta_c == pytest.approx(res.x, abs=1e-6)
         assert edge.case_tag == "pos_edge_finite_xc"
+
+    @pytest.mark.parametrize("u", [
+        3.3e-17, 3.3e-100, 3.3e-150,
+        pytest.param(3.3e-167, marks=pytest.mark.xfail(
+            strict=True, raises=SolverError,
+            reason="the formulas of H and f square theta and alpha/theta: near "
+                   "theta_max = alpha/u, (alpha/theta)^2 underflows to 0 and G_rho' "
+                   "overflows, so f is NaN at every probe and bracketing fails")),
+    ])
+    def test_tiny_top_atom_scales_the_edge(self, u):
+        """sigma of delta_u is sigma of delta_1 scaled by u, so r(sigma)
+        scales with u. The snap window of stieltjes once had a floor of 1 on
+        its scale: it covered every support within 1e-15 of 0, G_rho was +inf
+        at every probe, and edge_solve raised "bracketing failed"."""
+        alpha = 2.64
+        r_one = edge_solve(CovarianceModel(SpectralMeasure.point_mass(1.0), alpha)).r_sigma
+        r_u = edge_solve(CovarianceModel(SpectralMeasure.point_mass(u), alpha)).r_sigma
+        assert abs(r_u - u * r_one) <= 1e-12 * u * r_one
 
     def test_degenerate_flagged(self):
         edge = edge_solve(wishart(0.5, sign=-1.0))

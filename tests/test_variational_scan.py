@@ -1,17 +1,21 @@
 """The batched variational objective against a per-theta scalar oracle, the
 scan's failure path, array/scalar parity of J, F and the logarithmic moment,
-and the divergent-edge rule of the inverse Stieltjes solve."""
+and the inverse Stieltjes solve: its divergent-edge rule, and the vectorized
+solve against a scalar brentq oracle with a cap on its steps."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from rmtldp.dyson import CovarianceModel, SolverError, sigma_measure, theta_max
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import _inverse_stieltjes, f_fn, j_fn, rate_variational
 from rmtldp.wigner import DeformedWignerModel, dw_h, k_transform
+from test_density_oracle import atomic_measures  # the random models of the density tests
 
 # -- the per-theta scalar oracle ------------------------------------------------
 #
@@ -217,3 +221,105 @@ def test_divergent_edge_rule(mu):
         theta * (past - 0.5 / theta) - 0.5 * (math.log(2.0 * theta) + mu.log_moment(past)),
         abs=1e-12 * theta)
     assert dw_h(DeformedWignerModel(mu), reachable) == pytest.approx(reachable + root, abs=1e-15)
+
+
+# -- the vectorized solve against a scalar brentq oracle -----------------------------
+#
+# Every root is checked against brentq on the solve's own bracket, to 1e-12
+# relative to max(1, |root|), and the solve must take at most _STEP_CAP array
+# evaluations of G (the most seen on these measures is 14, on the uniform
+# edge).
+
+_STEP_CAP = 16
+
+
+def solve_counting_steps(mu, targets, lower=-math.inf):
+    """_inverse_stieltjes on mu, with the number of its array evaluations of G."""
+    steps = 0
+    plain = mu.stieltjes
+
+    def counting(z):
+        nonlocal steps
+        steps += np.ndim(z) > 0
+        return plain(z)
+
+    mu.stieltjes = counting
+    try:
+        return _inverse_stieltjes(mu, targets, lower), steps
+    finally:
+        del mu.stieltjes
+
+
+def lower_end(mu, lower=-math.inf):
+    """The lower end of the solve's bracket, as its docstring gives it."""
+    lo = max(lower, mu.right_edge)
+    if mu.edge_stieltjes_finite() is not True:
+        lo = max(lo, mu.past_right_snap())
+    return lo
+
+
+def brentq_oracle(mu, targets, lower=-math.inf):
+    lo = lower_end(mu, lower)
+    g_lo = mu.stieltjes(lo)
+    return np.array([lo if g_lo <= t else
+                     brentq(lambda lam: mu.stieltjes(lam) - t, lo, mu.right_edge + 2.0 / t,
+                            xtol=1e-14, rtol=8.9e-16, maxiter=300)
+                     for t in targets])
+
+
+def check_against_oracle(mu, targets, lower=-math.inf):
+    roots, steps = solve_counting_steps(mu, targets, lower)
+    want = brentq_oracle(mu, targets, lower)
+    assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert steps <= _STEP_CAP
+    return roots
+
+
+def targets_below(mu, lo, count=25):
+    """Targets from 1e-3 to just below G at the lower end lo."""
+    return np.geomspace(1e-3, (1.0 - 1e-6) * min(mu.stieltjes(lo), 1e3), count)
+
+
+@given(mu=atomic_measures, shift=st.sampled_from([0.0, 1e-6, 0.3]))
+def test_inverse_stieltjes_on_random_atomic_measures(mu, shift):
+    lower = mu.right_edge + shift
+    lo = lower_end(mu, lower)
+    check_against_oracle(mu, np.append(targets_below(mu, lo), 2.0 * mu.stieltjes(lo)), lower)
+
+
+@pytest.mark.parametrize("name", ["wishart1", "dw-uniform"])
+def test_inverse_stieltjes_on_a_2000_node_grid_sigma(name):
+    """The grid measures J is evaluated on, from the edge and from the
+    evaluation points of the variational scan."""
+    build, xs = MODELS[name]
+    model = build()
+    sigma = sigma_measure(model, 2000, model.edge())
+    for lower in (-math.inf, *xs):
+        check_against_oracle(sigma, targets_below(sigma, lower_end(sigma, lower)), lower)
+
+
+def test_inverse_stieltjes_on_the_uniform_edge():
+    """The log-divergent edge of dw-uniform's deformation: targets up to G at
+    the first point past the snap window, and the scan's targets 20.6 and
+    24.9, which G does not reach there."""
+    mu = SpectralMeasure.uniform(-1.0, 1.0)
+    past = mu.past_right_snap()
+    targets = np.append(targets_below(mu, past, 40), [20.6, 24.9])
+    roots = check_against_oracle(mu, targets)
+    assert np.array_equal(roots[-2:], [past, past])
+
+
+@pytest.mark.parametrize("broken", ["array", "scalar", "prime"])
+def test_a_nan_transform_raises_instead_of_returning(broken):
+    mu = SpectralMeasure.from_atoms([-0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
+    name = "stieltjes_prime" if broken == "prime" else "stieltjes"
+    plain = getattr(mu, name)
+
+    def nan_transform(z):
+        if broken == "scalar" or np.ndim(z):
+            return np.full(np.shape(z), np.nan)[()]
+        return plain(z)
+
+    setattr(mu, name, nan_transform)
+    with pytest.raises(SolverError, match="NaN"):
+        _inverse_stieltjes(mu, np.array([0.1, 1.0, 10.0]))
