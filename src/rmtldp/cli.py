@@ -121,7 +121,10 @@ def _resolve_threads(value) -> int | None:
     if value is not None:
         return int(value)
     env = os.environ.get("RMTLDP_THREADS")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError as exc:
+        raise UsageError(f"RMTLDP_THREADS must be an integer, got {env!r}") from exc
 
 
 def _float_list(text: str) -> list[float]:
@@ -279,9 +282,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "threads"):
-        args.threads = _resolve_threads(args.threads)
     try:
+        if hasattr(args, "threads"):
+            args.threads = _resolve_threads(args.threads)
         args.fn(args)
     except UsageError as exc:
         print(f"rmtldp: {exc}", file=sys.stderr)

@@ -149,6 +149,43 @@ class DensityComponent:
         zc = np.asarray(z)[..., None]
         return -np.sum(self.weights / (zc - self.nodes) ** 2, axis=-1)
 
+    def real_transform(self, x: float, prime: bool):
+        """G (``prime`` false) or G' at a finite real float x off the open
+        support: a Python float equal bit for bit to :meth:`stieltjes` or
+        :meth:`stieltjes_prime` at x, or None where only those give it.
+
+        With every imaginary part 0, numpy's complex division a / b reduces to
+        a * (1 / b), so the closed forms below repeat the complex formulas'
+        rounding step by step. Points where that reduction does not hold are
+        left to the complex formulas: a semicircle end, or |x - center| just
+        below the radius when the end is hit within rounding; w + s beyond the
+        double range, where the complex product gives a NaN imaginary part.
+        A division by zero (a uniform end, (w + s)^2 underflowing) raises
+        ZeroDivisionError, which the caller handles the same way.
+        """
+        if self.kind == "semicircle":
+            c, r = self.params["center"], self.params["radius"]
+            w = x - c
+            if not abs(w) > r:
+                return None
+            if w > 0.0:
+                s = math.sqrt(w - r) * math.sqrt(w + r)
+            else:
+                s = -(math.sqrt(r - w) * math.sqrt(-w - r))
+            d = w + s
+            if math.isinf(d):
+                return None
+            if prime:
+                return -2.0 * self.mass * (1.0 + w * (1.0 / s)) * (1.0 / (d * d))
+            return 2.0 * self.mass * (1.0 / d)
+        if self.kind == "uniform":
+            if prime:
+                return -self.mass * (1.0 / ((x - self.a) * (x - self.b)))
+            # np.log1p, not math.log1p: the two differ in the last bit on some
+            # hosts (numpy may use its own SIMD log1p)
+            return self.mass * float(np.log1p((self.b - self.a) / (x - self.b))) / (self.b - self.a)
+        return float(self.stieltjes_prime(x) if prime else self.stieltjes(x))
+
     def log_moment(self, z):
         """integral of log(z - t) against the component, real z >= b: a float
         or an array, elementwise."""
@@ -278,6 +315,11 @@ class SpectralMeasure:
         # stieltjes: exact edge queries hit it, approach sequences from root
         # finders must stay evaluable
         self._snap = 1e-15 * self._scale
+        # (weight, location) pairs for the real-scalar path: numpy sums fewer
+        # than 8 terms one after another from 0.0, which a Python loop repeats
+        # bit for bit; from 8 terms on it sums pairwise, so larger atom lists
+        # keep np.sum
+        self._atom_pairs = tuple(zip(wts.tolist(), locs.tolist())) if locs.size < 8 else None
         self.atom_locations.setflags(write=False)
         self.atom_weights.setflags(write=False)
 
@@ -418,6 +460,12 @@ class SpectralMeasure:
 
     # -- transforms ------------------------------------------------------------
 
+    def _inside_error(self, shown) -> MeasureError:
+        return MeasureError(
+            f"real argument {shown!r} lies inside the support "
+            f"[{self._left}, {self._right}]; use a complex argument"
+        )
+
     def _check_real_argument(self, z) -> None:
         zr = np.asarray(z)
         if np.iscomplexobj(zr):
@@ -426,10 +474,50 @@ class SpectralMeasure:
             return
         inside = (zr > self._left) & (zr < self._right)
         if np.any(inside):
-            raise MeasureError(
-                f"real argument {zr[inside] if zr.ndim else z!r} lies inside the support "
-                f"[{self._left}, {self._right}]; use a complex argument"
-            )
+            raise self._inside_error(zr[inside] if zr.ndim else z)
+
+    def _real_transform(self, z, prime: bool):
+        """G or G' at a real scalar z as a Python float, bit for bit the
+        array path's value; None for any other z, and where only the array
+        path gives the value (non-finite z, a pole hit exactly, a component
+        end hit within rounding)."""
+        # float first: an isinstance check against the numbers.Real ABC
+        # alone costs about 1 us
+        if not (isinstance(z, float) or isinstance(z, numbers.Real)):
+            return None
+        x = float(z)
+        if self._left < x < self._right:
+            raise self._inside_error(z)
+        if not math.isfinite(x):
+            return None
+        if not prime:
+            edge_val = self._edge_value(x)
+            if edge_val is not None:
+                return edge_val
+        total = 0.0
+        try:
+            if self._atom_pairs is None:
+                with np.errstate(divide="ignore"):
+                    diffs = x - self.atom_locations
+                    total = (-np.sum(self.atom_weights / diffs**2) if prime
+                             else np.sum(self.atom_weights / diffs))
+            elif self._atom_pairs:
+                if prime:
+                    for w, loc in self._atom_pairs:
+                        d = x - loc
+                        total += w / (d * d)
+                    total = -total
+                else:
+                    for w, loc in self._atom_pairs:
+                        total += w / (x - loc)
+            for c in self.components:
+                val = c.real_transform(x, prime)
+                if val is None:
+                    return None
+                total = total + val
+        except ZeroDivisionError:
+            return None
+        return float(total)
 
     def stieltjes(self, z):
         """G(z) = integral of 1/(z - t); real z must lie outside the open support.
@@ -437,7 +525,13 @@ class SpectralMeasure:
         At the exact support edges the one-sided limit is returned, which is
         +inf (resp. -inf at the left edge) when the measure has an atom there
         or the edge density makes the integral diverge.
+
+        A real scalar z (``numbers.Real``, so also ``np.float64``) is
+        evaluated on Python floats, returning the same bits as the array path.
         """
+        val = self._real_transform(z, prime=False)
+        if val is not None:
+            return val
         self._check_real_argument(z)
         zr = np.asarray(z)
         if not np.iscomplexobj(zr) and zr.ndim == 0:
@@ -488,7 +582,10 @@ class SpectralMeasure:
         return None  # finite edge value; fall through to the regular formulas
 
     def stieltjes_prime(self, z):
-        """d/dz of the Stieltjes transform."""
+        """d/dz of the Stieltjes transform; real scalars as in :meth:`stieltjes`."""
+        val = self._real_transform(z, prime=True)
+        if val is not None:
+            return val
         self._check_real_argument(z)
         total = 0.0
         if self.atom_locations.size:

@@ -152,6 +152,8 @@ def _sample(model, n: int, seed: int, reps: range,
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n!r}")
+    if not reps:
+        raise ValueError(f"replicas must be at least 1, got {reps.stop - reps.start!r}")
     m = model.rows(n)
     if m < 1:
         raise ValueError(f"alpha * n rounds to {m!r}; need at least one row")
@@ -190,8 +192,6 @@ def sample_spectrum(model, n: int, seed: int = 0, replica_index: int = 0) -> Spe
 def edge_stats(model, n: int, replicas: int, seed: int = 0,
                threads: int | None = None) -> EdgeStats:
     """Summary statistics of the largest eigenvalue over independent replicas."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be at least 1, got {replicas!r}")
     samples = _sample(model, n, seed, range(replicas), threads)
     values = np.array([s.lambda_max for s in samples])
     quantiles = {q: float(np.quantile(values, q)) for q in _QUANTILE_LEVELS}

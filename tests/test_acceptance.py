@@ -191,6 +191,7 @@ def test_criterion_11_mc_edge_universality():
         assert stats.mean_lambda_max == pytest.approx(gaussian.mean_lambda_max, rel=0.02)
 
 
+@pytest.mark.slow
 @criterion(12, "Monte Carlo distribution distance", 600.0)
 def test_criterion_12_mc_distribution():
     model = wishart(1.0)

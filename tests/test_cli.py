@@ -123,6 +123,21 @@ class TestMcCommand:
         assert run(["mc", "--model", wishart1, "--n", "20", "--replicas", "2",
                     "--out", str(out)]) == 0
 
+    def test_bad_env_threads_is_a_usage_error(self, wishart1, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RMTLDP_THREADS", "abc")
+        assert run(["mc", "--model", wishart1, "--n", "20", "--replicas", "2",
+                    "--out", str(tmp_path / "mc.csv")]) == 2
+        assert "RMTLDP_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "mc.csv").exists()
+
+    @pytest.mark.parametrize("replicas", ["0", "-1"])
+    def test_empty_replica_range_fails(self, wishart1, tmp_path, capsys, replicas):
+        out = tmp_path / "mc.csv"
+        assert run(["mc", "--model", wishart1, "--n", "20", "--replicas", replicas,
+                    "--out", str(out)]) == 1
+        assert "replicas must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_do_not_change_results(self, wishart1, tmp_path):
         serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
         argv = ["mc", "--model", wishart1, "--n", "30", "--replicas", "8", "--seed", "5"]

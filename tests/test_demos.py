@@ -9,9 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SLOW_DEMOS = {"06_monte_carlo_universality"}
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+@pytest.mark.parametrize("demo", [
+    pytest.param(d, id=d.stem, marks=[pytest.mark.slow] if d.stem in SLOW_DEMOS else [])
+    for d in DEMOS
+])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from rmtldp.measures import (
+    DensityComponent,
     MeasureError,
     Semicircle,
     SpectralMeasure,
@@ -354,3 +357,144 @@ class TestReflection:
         m = SpectralMeasure.semicircle(2.0, 1.0)
         r = m.reflected()
         assert r.stieltjes(-0.5) == pytest.approx(-m.stieltjes(0.5), rel=1e-12)
+
+
+# -- the real-scalar transform path ---------------------------------------------
+#
+# A real scalar argument is evaluated on Python floats. Its reference is the
+# array path at the 0-d array of the same value, which applies the same edge
+# snap, and away from the edges the one element of a 1-element array.
+
+_INSIDE = "real argument {!r} lies inside the support [{}, {}]; use a complex argument"
+
+
+def _piece(draw, kind):
+    lo = draw(st.floats(-5.0, 5.0))
+    width = draw(st.floats(0.05, 4.0))
+    if kind == "semicircle":
+        return SpectralMeasure.semicircle(lo + 0.5 * width, 0.5 * width, nodes=32).components[0]
+    if kind == "uniform":
+        return SpectralMeasure.uniform(lo, lo + width, nodes=32).components[0]
+    n = draw(st.integers(1, 12))
+    nodes = np.sort(lo + width * np.asarray(
+        draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))))
+    weights = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    return DensityComponent(kind="table", a=lo, b=lo + width, mass=float(weights.sum()),
+                            nodes=nodes, weights=weights,
+                            edge_finite_g=draw(st.booleans()))
+
+
+@st.composite
+def real_axis_measures(draw):
+    """1 to 12 atoms plus up to two semicircle, uniform or table pieces, or
+    pieces alone; then possibly scaled, reflected or both."""
+    kinds = draw(st.lists(st.sampled_from(["semicircle", "uniform", "table"]), max_size=2))
+    atoms = draw(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.05, 1.0)),
+                          min_size=0 if kinds else 1, max_size=12))
+    pieces = [_piece(draw, kind) for kind in kinds]
+    masses = [draw(st.floats(0.05, 1.0)) for _ in pieces]
+    total = sum(w for _, w in atoms) + sum(masses)
+    comps = [c.scaled(1.0, m / (total * c.mass)) for c, m in zip(pieces, masses)]
+    m = SpectralMeasure([a for a, _ in atoms], [w / total for _, w in atoms], comps)
+    if draw(st.booleans()):
+        m = m.reflected()
+    if draw(st.booleans()):
+        m = m.scaled(draw(st.floats(0.1, 10.0)))
+    return m
+
+
+def _real_points(m, offsets):
+    """Edges, the floats next to them (inside the snap window and just past
+    it, on both sides), component ends as stored and as recomputed from a
+    semicircle's center and radius, a point inside, points so far out that
+    G' underflows to -0.0 or that w + s overflows, non-finite values, and
+    points ``offsets`` away from both edges."""
+    left, right = m.edges()
+    pts = [left, right, m.past_right_snap(), 0.5 * (left + right), 1e200, -1e300,
+           1.5e308, -1.5e308, math.inf, -math.inf, math.nan]
+    for edge in (left, right):
+        for direction in (math.inf, -math.inf):
+            z = edge
+            for _ in range(8):
+                z = math.nextafter(z, direction)
+                pts.append(z)
+    for c in m.components:
+        pts += [c.a, c.b]
+        if c.kind == "semicircle":
+            pts += [c.params["center"] - c.params["radius"], c.params["center"] + c.params["radius"]]
+    return pts + [right + d for d in offsets] + [left - d for d in offsets]
+
+
+def _assert_same_float(got, want):
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _check_real_parity(m, x, far):
+    left, right = m.edges()
+    for transform in (m.stieltjes, m.stieltjes_prime):
+        with np.errstate(all="ignore"):
+            try:
+                want = transform(np.asarray(x))
+            except MeasureError:
+                want = None
+            for z in (x, np.float64(x)):
+                if want is None:
+                    with pytest.raises(MeasureError) as info:
+                        transform(z)
+                    assert str(info.value) == _INSIDE.format(z, left, right)
+                else:
+                    _assert_same_float(transform(z), want)
+            if far:
+                _assert_same_float(float(transform(np.array([x]))[0]), want)
+
+
+@settings(max_examples=300)
+@given(m=real_axis_measures(),
+       offsets=st.lists(st.floats(1e-9, 50.0), min_size=1, max_size=4))
+def test_real_scalar_path_equals_array_path(m, offsets):
+    far = set(offsets)
+    left, right = m.edges()
+    for x in _real_points(m, offsets):
+        _check_real_parity(m, x, far=x - right in far or left - x in far)
+
+
+@pytest.mark.parametrize("z", [2.8, math.nextafter(2.8, math.inf), 3.0, 0.5, 0.4])
+def test_real_scalar_path_at_a_semicircle_end_hit_within_rounding(z):
+    # the population law of tests/test_dyson.py::TestMixedAtomAndDensity: at its
+    # right edge 2.8 the distance to the center rounds below the radius,
+    # 2.8 - 2.0 = 0.7999999999999998 < 0.8, so there the closed form on reals
+    # would take the square root of a negative number
+    rho = SpectralMeasure.from_json({
+        "atoms": [[0.5, 0.5]],
+        "density": {"kind": "semicircle", "params": {"center": 2.0, "radius": 0.8, "mass": 0.5},
+                    "support": [1.2, 2.8], "nodes": 128},
+    })
+    assert 2.8 - 2.0 < 0.8
+    _check_real_parity(rho, z, far=False)
+
+
+def test_scalar_path_sums_atoms_in_numpy_order():
+    # seven atoms: numpy adds them one after another; eight or more pairwise
+    rng = np.random.default_rng(3)
+    for n in (7, 8, 12):
+        locs = rng.uniform(-1.0, 1.0, n)
+        m = SpectralMeasure(locs, np.full(n, 1.0 / n))
+        for x in rng.uniform(1.0, 3.0, 200):
+            _check_real_parity(m, float(x), far=True)
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-160])
+def test_real_scalar_path_on_a_tiny_semicircle(radius):
+    # 1/s and 1/(w + s)^2 leave the double range next to the ends, where
+    # (w + s)^2 can underflow to 0
+    comp = DensityComponent(kind="semicircle", a=-radius, b=radius, mass=1.0,
+                            nodes=np.zeros(1), weights=np.ones(1),
+                            params={"center": 0.0, "radius": radius}, edge_finite_g=True)
+    m = SpectralMeasure(components=[comp])
+    for k in (1, 2, 3, 10, 1000, 10**6, 10**12):
+        for x in (radius * (1.0 + k * 2.0**-52), -radius * (1.0 + k * 2.0**-52), radius * k):
+            _check_real_parity(m, x, far=False)

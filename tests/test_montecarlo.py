@@ -206,11 +206,22 @@ class TestDistanceStats:
         assert large <= small
 
 
+@pytest.mark.parametrize("replicas", [0, -1])
+@pytest.mark.parametrize("entry", ["tail_curve", "edge_stats"])
+def test_empty_replica_range_rejected(entry, replicas):
+    with pytest.raises(ValueError, match=f"replicas must be at least 1, got {replicas}"):
+        if entry == "tail_curve":
+            tail_curve(wishart(1.0), 4.3, [20], replicas)
+        else:
+            edge_stats(wishart(1.0), 20, replicas)
+
+
 class TestTailCurve:
     def test_bulk_event_rate_near_zero(self):
         pts = tail_curve(wishart(1.0), 3.5, [30], 200, seed=2)
         assert pts[0].estimate == pytest.approx(0.0, abs=0.02)
 
+    @pytest.mark.slow
     def test_estimates_decrease_toward_rate(self):
         # frozen MC oracle values at seed 3, 20000 replicas; the asymptotic
         # rate at 4.3 is 0.026794 and the finite-size estimates approach it
@@ -223,6 +234,7 @@ class TestTailCurve:
         assert all(e > target for e in ests)
         assert ests[-1] == pytest.approx(0.0662, rel=0.15)
 
+    @pytest.mark.slow
     def test_complex_case_doubles_the_real_estimate(self):
         real_pts = tail_curve(wishart(1.0), 4.3, [40], 40000, seed=3)
         complex_model = wishart(1.0, beta=2, law="complex_gaussian")
