@@ -318,7 +318,7 @@ class SpectralMeasure:
         # (weight, location) pairs for the real-scalar path: numpy sums fewer
         # than 8 terms one after another from 0.0, which a Python loop repeats
         # bit for bit; from 8 terms on it sums pairwise, so larger atom lists
-        # keep np.sum
+        # take the array path
         self._atom_pairs = tuple(zip(wts.tolist(), locs.tolist())) if locs.size < 8 else None
         self.atom_locations.setflags(write=False)
         self.atom_weights.setflags(write=False)
@@ -477,13 +477,11 @@ class SpectralMeasure:
             raise self._inside_error(zr[inside] if zr.ndim else z)
 
     def _real_transform(self, z, prime: bool):
-        """G or G' at a real scalar z as a Python float, bit for bit the
-        array path's value; None for any other z, and where only the array
-        path gives the value (non-finite z, a pole hit exactly, a component
-        end hit within rounding)."""
-        # float first: an isinstance check against the numbers.Real ABC
-        # alone costs about 1 us
-        if not (isinstance(z, float) or isinstance(z, numbers.Real)):
+        """G or G' at a float z (``np.float64`` included) as a Python float,
+        bit for bit the array path's value; None for any other z, for 8 or
+        more atoms, and where only the array path gives the value (non-finite
+        z, a pole hit exactly, a component end hit within rounding)."""
+        if not isinstance(z, float) or self._atom_pairs is None:
             return None
         x = float(z)
         if self._left < x < self._right:
@@ -496,12 +494,7 @@ class SpectralMeasure:
                 return edge_val
         total = 0.0
         try:
-            if self._atom_pairs is None:
-                with np.errstate(divide="ignore"):
-                    diffs = x - self.atom_locations
-                    total = (-np.sum(self.atom_weights / diffs**2) if prime
-                             else np.sum(self.atom_weights / diffs))
-            elif self._atom_pairs:
+            if self._atom_pairs:
                 if prime:
                     for w, loc in self._atom_pairs:
                         d = x - loc
@@ -526,8 +519,9 @@ class SpectralMeasure:
         +inf (resp. -inf at the left edge) when the measure has an atom there
         or the edge density makes the integral diverge.
 
-        A real scalar z (``numbers.Real``, so also ``np.float64``) is
-        evaluated on Python floats, returning the same bits as the array path.
+        A float z (``np.float64`` included) is evaluated on Python floats,
+        returning the same bits as the array path; other scalars, and
+        measures with 8 or more atoms, take the array path.
         """
         val = self._real_transform(z, prime=False)
         if val is not None:
