@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MeasureError, SpectralMeasure
+from .measures import MeasureError, SpectralMeasure, _make_component
 
 __all__ = [
     "REAL_ENTRY_LAWS",
@@ -351,6 +351,14 @@ def detect_degenerate(model: CovarianceModel) -> bool:
     return model.alpha * (1.0 - model.rho.atom_mass(0.0)) <= 1.0
 
 
+def _probes_toward(end: float) -> list[float]:
+    """end * (1 - 2^-k) for k = 2, ..., 40: probes approaching an end of the
+    theta domain where alpha / theta reaches an edge of rho (theta_max, or
+    alpha / l(rho)). They stop 2^-40 short of it: deeper probes land inside
+    the ulp snap window of the edge transforms."""
+    return [end * (1.0 - 2.0**-k) for k in range(2, 41)]
+
+
 def _bracket_increasing_root(fn, lo, hi_candidates, what):
     """Bracket the root of an increasing function given probe points above lo."""
     flo = fn(lo)
@@ -398,9 +406,7 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
         if lo < 1e-280:
             raise SolverError("f has no negative values near zero; invalid model data")
     if math.isfinite(tmax):
-        # stop 2^-40 short of theta_max: deeper probes land inside the ulp
-        # snap window of the edge transforms
-        probes = [tmax * (1.0 - 2.0**-k) for k in range(2, 41)]
+        probes = _probes_toward(tmax)
         if math.isfinite(x_c):
             if _f_at(model, probes[-1]) <= 0.0:
                 # boundary case: H is decreasing up to theta_max, so r(sigma) = x_c
@@ -476,8 +482,7 @@ def g_bar_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
             hi = edge.theta_max
         else:
             hi = None
-            for k in range(2, 41):
-                cand = edge.theta_max * (1.0 - 2.0**-k)
+            for cand in _probes_toward(edge.theta_max):
                 if cand <= edge.theta_c:
                     continue
                 hv = _h_at(model, cand)
@@ -523,9 +528,8 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
     f = lambda t: _f_at(model, t)
     if l_rho < 0.0:
         bound = model.alpha / l_rho
-        probes = [bound * (1.0 - 2.0**-k) for k in range(2, 41)]
         lo = None
-        for cand in probes:
+        for cand in _probes_toward(bound):
             if f(cand) > 0.0:
                 lo = cand
                 break
@@ -803,13 +807,7 @@ def grid_measure_from_density(xs_desc, dens_desc, lo, hi, zero_atom=0.0) -> Spec
     if weights.sum() > 0.0:
         weights *= target / weights.sum()
     keep = weights > 0.0
-    from .measures import DensityComponent
-
-    comp = DensityComponent(
-        kind="table", a=float(lo), b=float(hi), mass=float(weights[keep].sum()),
-        nodes=xs_asc[keep], weights=weights[keep], params={},
-        evaluator=None, edge_finite_g=True,
-    )
+    comp = _make_component("table", lo, hi, None, xs_asc[keep], weights[keep], edge_finite_g=True)
     atoms = ([0.0], [zero_atom]) if zero_atom > 0.0 else ((), ())
     return SpectralMeasure(atoms[0], atoms[1], [comp], raw_mass_defect=defect)
 

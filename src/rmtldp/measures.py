@@ -3,9 +3,10 @@
 A measure is a finite list of atoms plus an optional absolutely continuous
 part held as one or more density components. Components are tagged by kind:
 ``semicircle`` and ``uniform`` evaluate their Stieltjes transform, its
-derivative, and the logarithmic moment in closed form, which keeps edge
-evaluations exact; ``table`` components fall back to fixed quadrature nodes.
-All measures are immutable after construction.
+derivative, the logarithmic moment and the cdf in closed form, which keeps
+edge evaluations exact; a ``table`` component is exactly its quadrature nodes
+and weights, and every quantity of it, the cdf included, is computed from
+them alone. All measures are immutable after construction.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ class DensityComponent:
     nodes: np.ndarray
     weights: np.ndarray
     params: dict = field(default_factory=dict)
-    evaluator: object = None
     edge_finite_g: bool | None = None
 
     # -- transforms ---------------------------------------------------------
@@ -135,16 +135,26 @@ class DensityComponent:
         return np.sum(self.weights / (zc - self.nodes), axis=-1)
 
     def stieltjes_prime(self, z):
+        """G' of the component. At either end of a closed-form component, on a
+        real argument, this is the one-sided limit -inf, where the formulas
+        divide by 0 (a semicircle end within rounding counts as its end)."""
         if self.kind == "semicircle":
             c, r = self.params["center"], self.params["radius"]
             w = np.asarray(z, dtype=complex) - c
             s = _branch_sqrt(w, r)
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = -2.0 * self.mass * (1.0 + w / s) / (w + s) ** 2
+            if not np.iscomplexobj(z):
+                val = np.where(np.abs(w.real) <= r, -np.inf, val)
             return _maybe_real(val, z)
         if self.kind == "uniform":
             zc = np.asarray(z, dtype=complex)
-            val = -self.mass / ((zc - self.a) * (zc - self.b))
+            if np.iscomplexobj(z):
+                val = -self.mass / ((zc - self.a) * (zc - self.b))
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    val = -self.mass / ((zc - self.a) * (zc - self.b))
+                val = np.where((zc.real == self.a) | (zc.real == self.b), -np.inf, val)
             return _maybe_real(val, z)
         zc = np.asarray(z)[..., None]
         return -np.sum(self.weights / (zc - self.nodes) ** 2, axis=-1)
@@ -212,16 +222,6 @@ class DensityComponent:
             )
         elif self.kind == "uniform":
             val = self.mass * (x - self.a) / (self.b - self.a)
-        elif self.evaluator is not None:
-            # the only use of scipy in the package; imported here, as the
-            # import costs more than most commands compute
-            from scipy import integrate
-
-            flat = x.ravel()
-            val = np.zeros(flat.size)
-            for k in np.flatnonzero((flat > self.a) & (flat < self.b)):
-                val[k] = integrate.quad(self.evaluator, self.a, flat[k], limit=200)[0]
-            val = np.minimum(val.reshape(x.shape) * self.params.get("norm", 1.0), self.mass)
         else:
             # piecewise-linear in the cell [nodes[i], nodes[i + 1]] containing x,
             # the last cell ending at b; zero below the first node
@@ -242,21 +242,8 @@ class DensityComponent:
         if self.kind == "semicircle":
             params["center"] *= factor
             params["radius"] *= factor
-        evaluator = None
-        if self.evaluator is not None:
-            inner = self.evaluator
-            evaluator = lambda u, _f=factor, _e=inner: np.asarray(_e(np.asarray(u) / _f)) / _f
-        return DensityComponent(
-            kind=self.kind,
-            a=lo,
-            b=hi,
-            mass=self.mass * mass_factor,
-            nodes=self.nodes * factor,
-            weights=self.weights * mass_factor,
-            params=params,
-            evaluator=evaluator,
-            edge_finite_g=self.edge_finite_g,
-        )
+        return _make_component(self.kind, lo, hi, self.mass * mass_factor, self.nodes * factor,
+                               self.weights * mass_factor, params, self.edge_finite_g)
 
     def edge_g_is_finite(self) -> bool | None:
         if self.kind == "semicircle":
@@ -266,12 +253,15 @@ class DensityComponent:
         return self.edge_finite_g
 
 
-def _make_component(kind, a, b, mass, nodes, weights, params=None, evaluator=None,
-                    edge_finite_g=None):
+def _make_component(kind, a, b, mass, nodes, weights, params=None, edge_finite_g=None):
+    """A component. ``mass`` is read for a closed form only: a table is its
+    nodes and weights, so its mass is the sum of its weights."""
+    weights = np.asarray(weights, dtype=float)
     return DensityComponent(
-        kind=kind, a=float(a), b=float(b), mass=float(mass),
-        nodes=np.asarray(nodes, dtype=float), weights=np.asarray(weights, dtype=float),
-        params=params or {}, evaluator=evaluator, edge_finite_g=edge_finite_g,
+        kind=kind, a=float(a), b=float(b),
+        mass=float(weights.sum()) if kind == "table" else float(mass),
+        nodes=np.asarray(nodes, dtype=float), weights=weights,
+        params=params or {}, edge_finite_g=edge_finite_g,
     )
 
 
@@ -279,7 +269,7 @@ class SpectralMeasure:
     """Immutable probability measure with atoms and density components."""
 
     def __init__(self, atom_locations=(), atom_weights=(), components=(), *,
-                 raw_mass_defect: float | None = None, _renormalize: bool = False):
+                 raw_mass_defect: float | None = None):
         locs = np.asarray(atom_locations, dtype=float).ravel()
         wts = np.asarray(atom_weights, dtype=float).ravel()
         if locs.size != wts.size:
@@ -291,14 +281,7 @@ class SpectralMeasure:
         total = wts.sum() + sum(c.mass for c in components)
         if total <= 0.0:
             raise MeasureError("measure has zero total mass")
-        if _renormalize:
-            wts = wts / total
-            components = tuple(
-                _make_component(c.kind, c.a, c.b, c.mass / total, c.nodes, c.weights / total,
-                                c.params, c.evaluator, c.edge_finite_g)
-                for c in components
-            )
-        elif abs(total - 1.0) > _MASS_TOL:
+        if abs(total - 1.0) > _MASS_TOL:
             raise MeasureError(f"total mass {total!r} is not 1 within {_MASS_TOL}")
         self.atom_locations = locs
         self.atom_weights = wts
@@ -361,10 +344,12 @@ class SpectralMeasure:
         """Discretize a density on one support interval into a measure.
 
         ``density`` may be a :class:`Semicircle` or :class:`Uniform` instance
-        (recognized kinds keep closed-form transforms) or any callable, which
-        is stored as a ``table`` component over fixed quadrature nodes. The
-        result is renormalized to mass 1; a renormalization warning is issued
-        when the raw quadrature mass deviates from 1 by more than 1e-6.
+        (recognized kinds keep closed-form transforms) or any callable. A
+        callable is sampled once, at fixed quadrature nodes, and not kept: the
+        result is a ``table`` component of those nodes and weights, equal to
+        what its JSON form loads back as. The result is renormalized to mass 1;
+        a renormalization warning is issued when the raw quadrature mass
+        deviates from 1 by more than 1e-6.
         """
         a, b = float(support[0]), float(support[1])
         if not b > a:
@@ -391,19 +376,14 @@ class SpectralMeasure:
             comp = _make_component(
                 "semicircle", a, b, 1.0, nodes, weights / raw_mass,
                 params={"center": density.center, "radius": density.radius},
-                evaluator=density, edge_finite_g=True,
+                edge_finite_g=True,
             )
         elif isinstance(density, Uniform) and a >= density.a - 1e-12 and b <= density.b + 1e-12:
-            comp = _make_component(
-                "uniform", a, b, 1.0, nodes, weights / raw_mass,
-                evaluator=Uniform(a, b), edge_finite_g=False,
-            )
+            comp = _make_component("uniform", a, b, 1.0, nodes, weights / raw_mass,
+                                   edge_finite_g=False)
         else:
-            comp = _make_component(
-                "table", a, b, 1.0, nodes, weights / raw_mass,
-                params={"norm": 1.0 / raw_mass}, evaluator=density,
-                edge_finite_g=edge_finite_g,
-            )
+            comp = _make_component("table", a, b, None, nodes, weights / raw_mass,
+                                   edge_finite_g=edge_finite_g)
         return cls(components=[comp], raw_mass_defect=abs(raw_mass - 1.0))
 
     @classmethod
@@ -714,16 +694,15 @@ class SpectralMeasure:
                 weights *= mass / weights.sum()
                 comps.append(_make_component("semicircle", a, b, mass, nodes, weights,
                                              params={"center": law.center, "radius": law.radius},
-                                             evaluator=law, edge_finite_g=True))
+                                             edge_finite_g=True))
             elif kind == "uniform":
-                law = Uniform(float(a), float(b))
                 nodes, qw = sqrt_adapted_rule(a, b, n)
                 comps.append(_make_component("uniform", a, b, mass, nodes, qw * mass / (b - a),
-                                             evaluator=law, edge_finite_g=False))
+                                             edge_finite_g=False))
             elif kind == "table":
                 nodes = np.asarray(params["x"], dtype=float)
                 weights = np.asarray(params["w"], dtype=float)
-                comps.append(_make_component("table", a, b, float(weights.sum()), nodes, weights,
+                comps.append(_make_component("table", a, b, None, nodes, weights,
                                              edge_finite_g=params.get("edge_finite_g")))
             else:
                 raise MeasureError(f"unknown density kind {kind!r}")
@@ -751,19 +730,11 @@ class SpectralMeasure:
         comps = []
         for c in self.components:
             params = dict(c.params)
-            evaluator = None
             if c.kind == "semicircle":
                 params["center"] = -params["center"]
-                evaluator = Semicircle(params["center"], params["radius"])
-            elif c.kind == "uniform":
-                evaluator = Uniform(-c.b, -c.a)
-            elif c.evaluator is not None:
-                inner = c.evaluator
-                evaluator = lambda u, _e=inner: np.asarray(_e(-np.asarray(u)))
             comps.append(_make_component(c.kind, -c.b, -c.a, c.mass,
                                          c.nodes[::-1] * -1.0, c.weights[::-1],
-                                         params=params, evaluator=evaluator,
-                                         edge_finite_g=c.edge_finite_g))
+                                         params=params, edge_finite_g=c.edge_finite_g))
         return SpectralMeasure(locs, wts, comps)
 
     def __eq__(self, other) -> bool:

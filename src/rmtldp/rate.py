@@ -119,9 +119,8 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
         lam = np.full(ts.shape, lo)  # left of every root: G(lam) > t
         g = np.full(ts.shape, g_lo)
         # a finite edge of infinite slope (a square-root edge) has G' = -inf
-        # or NaN there; the first step is then 0 and the tolerance step moves on
-        gp_lo = mu.stieltjes_prime(lo)
-        gp = np.full(ts.shape, gp_lo if math.isfinite(gp_lo) else -math.inf)
+        # there; the first step is then 0 and the tolerance step moves on
+        gp = np.full(ts.shape, mu.stieltjes_prime(lo))
         found = np.empty(ts.shape)
         live = np.arange(ts.size)
         for _ in range(_INVERSE_STEPS):
@@ -284,7 +283,10 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
         elif c.a >= cutoff:
             moved += c.mass
         else:
-            kept_mass = c.cdf(cutoff)
+            sel = c.nodes <= cutoff
+            # a table keeps exactly its selected weights; a closed form keeps
+            # its exact mass below the cut
+            kept_mass = float(c.weights[sel].sum()) if c.kind == "table" else c.cdf(cutoff)
             moved += c.mass - kept_mass
             if kept_mass <= 0.0:
                 continue
@@ -292,28 +294,22 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
                 nodes, qw = sqrt_adapted_rule(c.a, cutoff, max(len(c.nodes), 64))
                 comps.append(_make_component(
                     "uniform", c.a, cutoff, kept_mass, nodes,
-                    qw * kept_mass / (cutoff - c.a), evaluator=None, edge_finite_g=False,
+                    qw * kept_mass / (cutoff - c.a), edge_finite_g=False,
                 ))
-            elif c.kind == "table" and c.evaluator is None:
-                sel = c.nodes <= cutoff
+            elif c.kind == "table":
                 comps.append(_make_component(
-                    "table", c.a, cutoff, float(c.weights[sel].sum()),
-                    c.nodes[sel], c.weights[sel], edge_finite_g=c.edge_finite_g,
+                    "table", c.a, cutoff, None, c.nodes[sel], c.weights[sel],
+                    edge_finite_g=c.edge_finite_g,
                 ))
             else:
-                if c.kind == "semicircle":
-                    base = Semicircle(c.params["center"], c.params["radius"])
-                    dens = lambda u, _b=base, _m=c.mass: _m * np.asarray(_b(u))
-                else:
-                    norm = c.params.get("norm", 1.0)
-                    dens = lambda u, _e=c.evaluator, _n=norm: _n * np.asarray(_e(u))
+                # a semicircle, re-discretized on [a, cutoff] from its center
+                # and radius
+                law = Semicircle(c.params["center"], c.params["radius"])
                 nodes, qw = sqrt_adapted_rule(c.a, cutoff, max(len(c.nodes), 256))
-                weights = qw * dens(nodes)
+                weights = qw * (c.mass * law(nodes))
                 weights *= kept_mass / weights.sum()
                 comps.append(_make_component(
-                    "table", c.a, cutoff, kept_mass, nodes, weights,
-                    params={"norm": kept_mass / weights.sum()}, evaluator=dens,
-                    edge_finite_g=False,
+                    "table", c.a, cutoff, None, nodes, weights, edge_finite_g=False,
                 ))
     if moved <= 0.0:
         return rho

@@ -14,6 +14,7 @@ from rmtldp.cli import model_from_json, model_to_json, run
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
 from rmtldp.montecarlo import edge_stats
+from rmtldp.rate import epsilon_truncate
 from rmtldp.wigner import DeformedWignerModel, dw_edge, dw_rate, dw_rate_variational
 
 
@@ -301,6 +302,27 @@ class TestVariationalAndApprox:
         assert lines[0] == "eps,r_sigma_eps,sup_error"
         assert len(lines) == 3
 
+    def test_approx_on_a_table_model(self, tmp_path):
+        # a nodes-only table rho; approx_sweep itself enforces domination to
+        # 1e-9 and a nondecreasing r(sigma_eps)
+        rho = SpectralMeasure.from_density(
+            lambda u: 2.0 / math.pi * np.sqrt(np.maximum(1.0 - (np.asarray(u) - 2.0) ** 2, 0.0)),
+            (1.0, 3.0), 64, edge_finite_g=True)
+        model_path = tmp_path / "table.json"
+        model_path.write_text(json.dumps({
+            "kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
+            "rho": rho.to_json()}))
+        eps = [0.013, 0.1, 0.37]
+        loaded = model_from_json(json.loads(model_path.read_text())).rho
+        for e in eps:
+            assert abs(epsilon_truncate(loaded, e).total_mass() - 1.0) <= 1e-12
+        out = tmp_path / "ap.csv"
+        assert run(["approx", "--model", str(model_path), "--eps", ",".join(map(str, eps)),
+                    "--xmax", "16", "--points", "10", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (3, 3)
+        assert np.all(np.diff(rows[:, 1]) >= -1e-12)
+
 
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
@@ -343,8 +365,8 @@ class TestModelRoundTrip:
 
 
 class TestImportCost:
-    """Importing scipy takes most of a command's start-up, so neither the
-    package nor the commands on atom and closed-form models may load it."""
+    """Importing scipy takes most of a command's start-up, and the package
+    does not depend on it: no command and no measure may load it."""
 
     MODELS = {
         "atoms": ({"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
@@ -359,6 +381,23 @@ class TestImportCost:
                                      "params": {"mass": 1.0}}}}, 3.0),
     }
 
+    @staticmethod
+    def _run_without_scipy(body, tmp_path):
+        """Run ``body`` in a fresh interpreter, then require that no scipy
+        module was loaded."""
+        script = textwrap.dedent(body) + textwrap.dedent("""
+            import sys
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, loaded
+            """)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+
     def test_commands_run_without_scipy(self, tmp_path):
         commands = []
         for name, (model, x) in self.MODELS.items():
@@ -372,19 +411,28 @@ class TestImportCost:
                 ["density", "--model", str(path), "--points", "20", "--out", out],
                 ["mc", "--model", str(path), "--n", "20", "--replicas", "4", "--out", out],
             ]
-        script = textwrap.dedent(f"""
-            import sys
+        self._run_without_scipy(f"""
             import rmtldp
             from rmtldp.cli import run
             for argv in {commands!r}:
                 assert run(argv) == 0, argv
-            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-            assert not loaded, loaded
-            """)
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                                capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr[-2000:]
+            """, tmp_path)
+
+    def test_callable_table_runs_without_scipy(self, tmp_path):
+        self._run_without_scipy("""
+            import json
+            import numpy as np
+            from rmtldp import SpectralMeasure, build_gamma, epsilon_truncate
+            from rmtldp.cli import run
+            rho = SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(u), (0.0, 1.0), 64,
+                                               edge_finite_g=True)
+            rho.cdf(np.linspace(-0.5, 1.5, 50))
+            rho.quantile([0.1, 0.5, 0.9])
+            build_gamma(rho, 20)
+            epsilon_truncate(rho, 0.1).cdf(0.95)
+            with open("table.json", "w") as fh:
+                json.dump({"kind": "covariance", "alpha": 1.0, "beta": 1,
+                           "entry_law": "gaussian", "rho": rho.to_json()}, fh)
+            assert run(["approx", "--model", "table.json", "--eps", "0.1,0.3", "--xmax", "6",
+                        "--points", "5", "--out", "approx.csv"]) == 0
+            """, tmp_path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from rmtldp.measures import (
     SpectralMeasure,
     remove_zero_atom,
 )
+from rmtldp.rate import epsilon_truncate
 
 
 def semicircle_stieltjes_oracle(z, center=2.0, radius=1.0):
@@ -215,9 +217,6 @@ def scalar_component_cdf(c, x):
         )
     if c.kind == "uniform":
         return c.mass * (x - c.a) / (c.b - c.a)
-    if c.evaluator is not None:
-        val, _ = integrate.quad(c.evaluator, c.a, x, limit=200)
-        return min(val * c.params.get("norm", 1.0), c.mass)
     if not (c.nodes <= x).any():
         return 0.0
     csum = np.cumsum(c.weights)
@@ -257,19 +256,20 @@ def scalar_quantile(m, q):
 def _mixture():
     sc = SpectralMeasure.semicircle(2.0, 1.0).components[0]
     half = type(sc)(kind=sc.kind, a=sc.a, b=sc.b, mass=0.5, nodes=sc.nodes,
-                    weights=0.5 * sc.weights, params=sc.params, evaluator=sc.evaluator,
-                    edge_finite_g=sc.edge_finite_g)
+                    weights=0.5 * sc.weights, params=sc.params, edge_finite_g=sc.edge_finite_g)
     return SpectralMeasure([-1.0, 2.0, 4.0], [0.2, 0.1, 0.2], [half])
+
+
+def _sqrt_law_table(nodes=64):
+    return SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(np.asarray(u)), (0.0, 1.0), nodes,
+                                        edge_finite_g=True)
 
 
 VECTOR_CDF_MEASURES = {
     "atoms-and-semicircle": _mixture,
     "uniform": lambda: SpectralMeasure.uniform(-1.0, 3.0),
-    "grid-table": lambda: SpectralMeasure.from_json(
-        SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(np.asarray(u)), (0.0, 1.0), 64,
-                                     edge_finite_g=True).to_json()),
-    "evaluator-table": lambda: SpectralMeasure.from_density(
-        lambda u: 1.5 * np.sqrt(np.asarray(u)), (0.0, 1.0), 64, edge_finite_g=True),
+    "grid-table": lambda: SpectralMeasure.from_json(_sqrt_law_table().to_json()),
+    "callable-table": _sqrt_law_table,
 }
 
 
@@ -278,14 +278,14 @@ class TestArrayCdf:
     def test_matches_scalar_formula(self, name):
         m = VECTOR_CDF_MEASURES[name]()
         rng = np.random.default_rng(7)
-        xs = rng.uniform(m.left_edge - 0.5, m.right_edge + 0.5, 40 if "evaluator" in name else 400)
+        xs = rng.uniform(m.left_edge - 0.5, m.right_edge + 0.5, 400)
         xs = np.concatenate([xs, m.atom_locations, [m.left_edge, m.right_edge]])
         want = np.array([scalar_cdf(m, x) for x in xs])
         np.testing.assert_allclose(m.cdf(xs), want, rtol=0.0, atol=1e-15)
         assert np.ndim(m.cdf(float(xs[0]))) == 0
         assert m.cdf(float(xs[0])) == pytest.approx(want[0], abs=1e-15)
 
-    @pytest.mark.parametrize("name", ["atoms-and-semicircle", "uniform", "grid-table"])
+    @pytest.mark.parametrize("name", sorted(VECTOR_CDF_MEASURES))
     def test_quantile_matches_scalar_bisection(self, name):
         m = VECTOR_CDF_MEASURES[name]()
         qs = (np.arange(50) + 0.5) / 50
@@ -344,6 +344,77 @@ class TestSerialization:
         m = SpectralMeasure.from_density(dens, (0.0, 1.0), 64, edge_finite_g=True)
         m2 = SpectralMeasure.from_json(m.to_json())
         assert m2.stieltjes(2.0) == pytest.approx(m.stieltjes(2.0), rel=1e-12)
+
+
+# -- tables are their nodes and weights ---------------------------------------
+
+
+CALLABLE_TABLES = {
+    "plain": _sqrt_law_table,
+    # its weights sum to 0.9999999999999999: a table's mass is that sum, not 1
+    "linear-16": lambda: SpectralMeasure.from_density(lambda u: 2.0 * np.asarray(u), (0.0, 1.0), 16),
+    "scaled": lambda: _sqrt_law_table().scaled(2.5),
+    "reflected": lambda: _sqrt_law_table().reflected(),
+    "truncated": lambda: epsilon_truncate(_sqrt_law_table(), 0.1),
+    "scaled-reflected-truncated": lambda: epsilon_truncate(
+        _sqrt_law_table().scaled(0.3).reflected(), 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLABLE_TABLES))
+def test_callable_table_survives_a_json_round_trip_bit_for_bit(name):
+    m = CALLABLE_TABLES[name]()
+    m2 = SpectralMeasure.from_json(json.loads(json.dumps(m.to_json())))
+    left, right = m.edges()
+    xs = np.concatenate([np.linspace(left - 0.1, right + 0.1, 501), [left, right]])
+    qs = np.linspace(0.0, 1.0, 101)
+    outside = np.concatenate([right + np.geomspace(1e-6, 10.0, 40),
+                              left - np.geomspace(1e-6, 10.0, 40)])
+    plane = np.linspace(left - 1.0, right + 1.0, 40) + 1e-3j
+    beyond = right + np.geomspace(1e-6, 10.0, 40)
+    for f, args in [("cdf", xs), ("quantile", qs), ("stieltjes", outside),
+                    ("stieltjes", plane), ("stieltjes_prime", outside),
+                    ("stieltjes_prime", plane), ("log_moment", beyond)]:
+        assert np.array_equal(getattr(m, f)(args), getattr(m2, f)(args)), f
+        for a in args[::7]:
+            assert getattr(m, f)(a) == getattr(m2, f)(a), (f, a)
+
+
+@pytest.mark.parametrize("nodes, cdf_gap, quantile_gap", [(256, 4e-5, 6e-5), (64, 6e-4, 1e-3)])
+def test_node_cdf_is_close_to_the_sampled_law(nodes, cdf_gap, quantile_gap):
+    # the cdf of a table is the piecewise-linear cumulative of its weights; for
+    # the law 1.5 sqrt(u) on [0, 1] the largest gaps to u^1.5 and q^(2/3) are
+    # 2.7e-5 and 4.4e-5 with 256 nodes, 4.2e-4 and 6.9e-4 with 64
+    m = _sqrt_law_table(nodes)
+    xs = np.linspace(-0.1, 1.1, 2001)
+    assert np.max(np.abs(m.cdf(xs) - np.clip(xs, 0.0, 1.0) ** 1.5)) <= cdf_gap
+    qs = np.linspace(0.0, 1.0, 2001)
+    assert np.max(np.abs(m.quantile(qs) - qs ** (2.0 / 3.0))) <= quantile_gap
+
+
+def test_truncated_semicircle_cdf_is_close_to_the_closed_form():
+    # the kept part is a table: its cdf is within 3.1e-5 of the semicircle's
+    # below the cut, and the moved mass sits on the atom at the edge
+    m = epsilon_truncate(SpectralMeasure.semicircle(2.0, 1.0), 0.1)
+    xs = np.linspace(0.9, 3.1, 2001)
+    w = np.clip(np.minimum(xs, 2.9) - 2.0, -1.0, 1.0)
+    exact = 0.5 + (w * np.sqrt(1.0 - w * w) + np.arcsin(w)) / math.pi
+    exact = np.where(xs >= 3.0, 1.0, exact)
+    assert np.max(np.abs(m.cdf(xs) - exact)) <= 5e-5
+
+
+@pytest.mark.parametrize("make, ends", [
+    (lambda: SpectralMeasure.semicircle(0.0, 2.0), (-2.0, 2.0)),
+    (lambda: SpectralMeasure.uniform(0.0, 1.0), (0.0, 1.0)),
+], ids=["semicircle", "uniform"])
+def test_stieltjes_prime_is_minus_infinity_at_a_closed_form_end(make, ends):
+    # the suite turns RuntimeWarnings into errors, so a divide-by-zero fails here
+    m = make()
+    for end in ends:
+        for z in (end, np.float64(end)):
+            assert m.stieltjes_prime(z) == -math.inf
+    got = m.stieltjes_prime(np.array([ends[0], ends[1], ends[1] + 1.0]))
+    assert got[0] == got[1] == -math.inf and math.isfinite(got[2])
 
 
 class TestReflection:

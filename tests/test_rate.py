@@ -202,6 +202,21 @@ class TestEpsilonTruncate:
         with pytest.raises(Exception):
             epsilon_truncate(rho, 1.5)
 
+    @pytest.mark.parametrize("eps", [0.013, 0.1, 0.37])
+    def test_table_truncation_selects_nodes_and_conserves_mass(self, eps):
+        # a nodes-only table, as a model file holds it: the kept component is
+        # exactly the nodes up to the cut, and the rest of the weight moves to
+        # the edge atom
+        rho = SpectralMeasure.from_json(SpectralMeasure.from_density(
+            lambda u: 1.5 * np.sqrt(np.asarray(u)), (0.0, 1.0), 64).to_json())
+        out = epsilon_truncate(rho, eps)
+        assert abs(out.total_mass() - 1.0) <= 1e-12
+        comp, base = out.components[0], rho.components[0]
+        sel = base.nodes <= 1.0 - eps
+        assert np.array_equal(comp.nodes, base.nodes[sel])
+        assert np.array_equal(comp.weights, base.weights[sel])
+        assert out.atom_mass(1.0) == base.mass - comp.mass
+
     def test_truncated_semicircle_transform_accuracy(self):
         from scipy import integrate
         from rmtldp.measures import Semicircle

@@ -280,6 +280,26 @@ class TestDwEpsilonCap:
         for x in np.linspace(edge.r_edge + 0.3, edge.r_edge + 3.0, 6):
             assert dw_rate(capped, x, cap_edge) <= dw_rate(model, x, edge) + 1e-9
 
+    def test_cap_of_a_table_deformation(self):
+        # a nodes-only table: the cap keeps mass 1, every capped rate is
+        # dominated by the base rate and the capped edge rises with eps, at
+        # the tolerances of approx_sweep
+        mu_d = SpectralMeasure.from_json(SpectralMeasure.from_density(
+            lambda u: 2.0 / math.pi * np.sqrt(np.maximum(1.0 - np.asarray(u) ** 2, 0.0)),
+            (-1.0, 1.0), 128, edge_finite_g=True).to_json())
+        model = DeformedWignerModel(mu_d)
+        edge = dw_edge(model)
+        xs = np.linspace(edge.r_edge + 0.3, edge.r_edge + 3.0, 6)
+        r_values = []
+        for eps in (0.05, 0.1, 0.2, 0.4):
+            capped = dw_epsilon_cap(model, eps)
+            assert abs(capped.mu_d.total_mass() - 1.0) <= 1e-12
+            cap_edge = dw_edge(capped)
+            for x in xs:
+                assert dw_rate(capped, x, cap_edge) <= dw_rate(model, x, edge) + 1e-9
+            r_values.append(cap_edge.r_edge)
+        assert np.all(np.diff(r_values) >= -1e-12)
+
     def test_capped_edge_monotone_in_eps(self):
         model = semicircle_deformation()
         base = dw_edge(model).r_edge
