@@ -9,7 +9,7 @@ overlap.
 
 import numpy as np
 
-from rmtldp.dyson import CovarianceModel, edge_solve, sigma_density, sigma_measure
+from rmtldp.dyson import CovarianceModel, edge_solve, sigma_density, sigma_measure, support_window
 from rmtldp.measures import SpectralMeasure
 from rmtldp.montecarlo import sample_spectrum
 
@@ -20,7 +20,7 @@ edge = edge_solve(model)
 sigma = sigma_measure(model, 2000)
 print(f"top edge r(sigma) = {edge.r_sigma:.6f}, zero-atom mass = {sigma.atom_mass(0.0)}")
 for x in (8.0, 18.0, 40.0):
-    print(f"density({x}) = {sigma_density(model, x, 1e-6, edge):.6f}")
+    print(f"density({x}) = {sigma_density(model, x, 1e-6):.6f}")
 print(f"CDF at the gap midpoint 18: {sigma.cdf(18.0):.6f} "
       "(atom 0.9 plus half of the remaining 0.1)")
 
@@ -33,9 +33,9 @@ print(f"one draw at n=1200: {len(nonzero)} nonzero eigenvalues, {below} below 18
 print()
 print("== merged band: mixed-sign atoms at alpha = 4 ==")
 wide = CovarianceModel(SpectralMeasure.from_atoms([-6.0, 2.0], [0.5, 0.5]), 4.0)
-edge_w = edge_solve(wide)
-print(f"window edges: [{-7.86:.2f}, {edge_w.r_sigma:.4f}] and the density "
-      f"bridges the middle: density(-3) = {sigma_density(wide, -3.0, 1e-6, edge_w):.6f}")
+window = support_window(wide)
+print(f"window edges: [{window.left:.2f}, {window.right:.4f}] and the density "
+      f"bridges the middle: density(-3) = {sigma_density(wide, -3.0, 1e-6):.6f}")
 
 print()
 print("== the top edge can be negative while the population edge is +2 ==")

@@ -242,7 +242,7 @@ class CovarianceModel:
     def draw(self, rng, n: int, d: np.ndarray) -> np.ndarray:
         """One n x n sample (1/m) Z* diag(d) Z, d of length rows(n)."""
         from .montecarlo import _covariance_matrix
-        return _covariance_matrix(self, n, rng, d)[0]
+        return _covariance_matrix(self, n, rng, d)
 
 
 def _check_entry_law(beta: int, entry_law: str) -> None:
@@ -352,19 +352,16 @@ def detect_degenerate(model: CovarianceModel) -> bool:
 
 
 def _probes_toward(end: float) -> list[float]:
-    """end * (1 - 2^-k) for k = 2, ..., 40: probes approaching an end of the
-    theta domain where alpha / theta reaches an edge of rho (theta_max, or
-    alpha / l(rho)). They stop 2^-40 short of it: deeper probes land inside
-    the ulp snap window of the edge transforms."""
+    """end * (1 - 2^-k) for k = 2, ..., 40: probes approaching theta_max, where
+    alpha / theta reaches the right edge of rho. They stop 2^-40 short of it:
+    deeper probes land inside the ulp snap window of the edge transforms."""
     return [end * (1.0 - 2.0**-k) for k in range(2, 41)]
 
 
-def _bracket_increasing_root(fn, lo, hi_candidates, what):
-    """Bracket the root of an increasing function given probe points above lo."""
-    flo = fn(lo)
+def _bracket_increasing_root(fn, lo, flo, hi_candidates, what):
+    """Bracket the root of an increasing function, given f(lo) = flo < 0 and
+    probe points above lo."""
     tried = [(lo, flo)]
-    if flo >= 0.0:
-        raise SolverError(f"{what}: no sign change, f({lo!r}) = {flo!r} >= 0")
     for hi in hi_candidates:
         fhi = fn(hi)
         tried.append((hi, fhi))
@@ -400,15 +397,18 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
     else:
         case = "nonpos_edge"
 
+    f = lambda t: _f_at(model, t)
     lo = min(1.0, tmax) * 1e-9
-    while _f_at(model, lo) >= 0.0:
+    flo = f(lo)
+    while flo >= 0.0:
         lo *= 1e-3
         if lo < 1e-280:
             raise SolverError("f has no negative values near zero; invalid model data")
+        flo = f(lo)
     if math.isfinite(tmax):
         probes = _probes_toward(tmax)
         if math.isfinite(x_c):
-            if _f_at(model, probes[-1]) <= 0.0:
+            if f(probes[-1]) <= 0.0:
                 # boundary case: H is decreasing up to theta_max, so r(sigma) = x_c
                 return EdgeData(tmax, x_c, tmax, x_c, False, case)
         else:
@@ -416,11 +416,10 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
             # at any distance from r(rho): keep alpha/theta outside the window
             z_min = model.rho.past_right_snap()
             probes = [t for t in probes if model.alpha / t >= z_min]
-        lo2, hi = _bracket_increasing_root(lambda t: _f_at(model, t), lo, probes, "edge_solve")
     else:
         probes = [2.0**k for k in range(0, 60)]
-        lo2, hi = _bracket_increasing_root(lambda t: _f_at(model, t), lo, probes, "edge_solve")
-    theta_c = brentq(lambda t: _f_at(model, t), lo2, hi, **_BRENTQ_KW)
+    lo, hi = _bracket_increasing_root(f, lo, flo, probes, "edge_solve")
+    theta_c = brentq(f, lo, hi, **_BRENTQ_KW)
     r_sigma = _h_at(model, theta_c)
     return EdgeData(tmax, x_c, theta_c, r_sigma, False, case)
 
@@ -517,45 +516,22 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
     """Support window [l(sigma'), r(sigma)] of the continuous part of sigma,
     plus the exact zero-atom mass max(0, 1 - alpha(1 - rho({0}))).
 
-    The left edge is the maximum of H over negative arguments when the
-    (decreasing) f has a zero crossing there; otherwise the continuous part
-    is bounded below by 0 (hard edge or zero atom).
+    Replacing Gamma by -Gamma turns H into -H, so sigma of the reflected rho
+    is sigma reflected, and the left edge is minus r(sigma) of the reflected
+    model (the rule of the deformed-Wigner window). The reflected model is
+    solved with the Gaussian law: sigma does not depend on the entry law.
+    When it is degenerate, or within rounding of it, the continuous part is
+    bounded below by 0 (hard edge or zero atom).
     """
     edge = edge or edge_solve(model)
     _require_nondegenerate(edge)
-    zero_atom = max(0.0, 1.0 - model.alpha * (1.0 - model.rho.atom_mass(0.0)))
-    l_rho = model.rho.left_edge
-    f = lambda t: _f_at(model, t)
-    if l_rho < 0.0:
-        bound = model.alpha / l_rho
-        lo = None
-        for cand in _probes_toward(bound):
-            if f(cand) > 0.0:
-                lo = cand
-                break
-        if lo is None:
-            return SupportWindow(0.0, edge.r_sigma, zero_atom)
-        hi = -min(1.0, -bound) * 1e-9
-        while f(hi) >= 0.0:
-            hi *= 1e-3
-        theta_star = brentq(f, lo, hi, **_BRENTQ_KW)
+    rho = model.rho
+    nonzero = model.alpha * (1.0 - rho.atom_mass(0.0))
+    zero_atom = max(0.0, 1.0 - nonzero)
+    if rho.left_edge >= 0.0 and nonzero <= 1.0 + 1e-13:
+        left = 0.0
     else:
-        # domain (-inf, 0): f decreases from alpha(1 - rho({0})) - 1 to -1
-        if model.alpha * (1.0 - model.rho.atom_mass(0.0)) <= 1.0 + 1e-13:
-            return SupportWindow(0.0, edge.r_sigma, zero_atom)
-        lo = None
-        for k in range(0, 80):
-            cand = -(2.0**k)
-            if f(cand) > 0.0:
-                lo = cand
-                break
-        if lo is None:
-            return SupportWindow(0.0, edge.r_sigma, zero_atom)
-        hi = -1e-9
-        while f(hi) >= 0.0:
-            hi *= 1e-3
-        theta_star = brentq(f, lo, hi, **_BRENTQ_KW)
-    left = _h_at(model, theta_star)
+        left = -edge_solve(CovarianceModel(rho.reflected(), model.alpha)).r_sigma
     if zero_atom > 0.0:
         left = min(left, 0.0)
     return SupportWindow(left, edge.r_sigma, zero_atom)
@@ -665,14 +641,13 @@ def _descend(h, h_prime, zs, seed, level_tol):
             raise stalled(live[todo[0]], "stalled")
 
 
-def sigma_density(model, x, eta: float, edge=None):
+def sigma_density(model, x, eta: float):
     """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0,
     for either model kind (sigma is then the model's limiting measure).
 
     The model's equation for G_sigma(z) is solved at every z = x + i eta at
     once, each point by damped Newton descending from high above the real
-    axis. ``edge`` is accepted for callers that hold one; the density does
-    not need it.
+    axis.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")

@@ -102,7 +102,9 @@ class DensityComponent:
     ``nodes``/``weights`` integrate smooth functions against the component;
     closed-form kinds additionally bypass them for singular transforms.
     ``edge_finite_g`` declares whether the Stieltjes transform is finite at
-    the component's right endpoint (None means undeclared, table kind only).
+    both endpoints of the component. The kind sets it for a closed form
+    (finite for a semicircle, infinite for a uniform); for a table it is
+    declared, and None means undeclared.
     """
 
     kind: str
@@ -245,23 +247,21 @@ class DensityComponent:
         return _make_component(self.kind, lo, hi, self.mass * mass_factor, self.nodes * factor,
                                self.weights * mass_factor, params, self.edge_finite_g)
 
-    def edge_g_is_finite(self) -> bool | None:
-        if self.kind == "semicircle":
-            return True
-        if self.kind == "uniform":
-            return False
-        return self.edge_finite_g
+
+_CLOSED_FORM_EDGE_FINITE_G = {"semicircle": True, "uniform": False}
 
 
 def _make_component(kind, a, b, mass, nodes, weights, params=None, edge_finite_g=None):
     """A component. ``mass`` is read for a closed form only: a table is its
-    nodes and weights, so its mass is the sum of its weights."""
+    nodes and weights, so its mass is the sum of its weights. Likewise
+    ``edge_finite_g`` is read for a table only: a closed form's kind sets it."""
     weights = np.asarray(weights, dtype=float)
     return DensityComponent(
         kind=kind, a=float(a), b=float(b),
         mass=float(weights.sum()) if kind == "table" else float(mass),
         nodes=np.asarray(nodes, dtype=float), weights=weights,
-        params=params or {}, edge_finite_g=edge_finite_g,
+        params=params or {},
+        edge_finite_g=_CLOSED_FORM_EDGE_FINITE_G.get(kind, edge_finite_g),
     )
 
 
@@ -376,11 +376,9 @@ class SpectralMeasure:
             comp = _make_component(
                 "semicircle", a, b, 1.0, nodes, weights / raw_mass,
                 params={"center": density.center, "radius": density.radius},
-                edge_finite_g=True,
             )
         elif isinstance(density, Uniform) and a >= density.a - 1e-12 and b <= density.b + 1e-12:
-            comp = _make_component("uniform", a, b, 1.0, nodes, weights / raw_mass,
-                                   edge_finite_g=False)
+            comp = _make_component("uniform", a, b, 1.0, nodes, weights / raw_mass)
         else:
             comp = _make_component("table", a, b, None, nodes, weights / raw_mass,
                                    edge_finite_g=edge_finite_g)
@@ -418,13 +416,6 @@ class SpectralMeasure:
     def total_mass(self) -> float:
         return float(self.atom_weights.sum() + sum(c.mass for c in self.components))
 
-    def is_point_mass_at(self, x: float) -> bool:
-        return (
-            not self.components
-            and self.atom_locations.size == 1
-            and abs(self.atom_locations[0] - x) <= _MERGE_REL * max(1.0, abs(x))
-        )
-
     def edge_stieltjes_finite(self) -> bool | None:
         """Whether the Stieltjes transform stays finite at the right edge.
 
@@ -435,7 +426,7 @@ class SpectralMeasure:
             return False
         for c in self.components:
             if c.b >= self._right - 1e-12 * max(1.0, abs(self._right)):
-                return c.edge_g_is_finite()
+                return c.edge_finite_g
         return False  # isolated atom handled above; unreachable in practice
 
     # -- transforms ------------------------------------------------------------
@@ -545,7 +536,7 @@ class SpectralMeasure:
         for c in self.components:
             touches = (abs(c.b - edge) <= 1e-13 * scale) if at_right else (abs(c.a - edge) <= 1e-13 * scale)
             if touches:
-                finite = c.edge_g_is_finite()
+                finite = c.edge_finite_g
                 if finite is None:
                     raise MeasureError(
                         "cannot decide finiteness of the Stieltjes transform at the "
@@ -693,12 +684,10 @@ class SpectralMeasure:
                 weights = qw * law(nodes)
                 weights *= mass / weights.sum()
                 comps.append(_make_component("semicircle", a, b, mass, nodes, weights,
-                                             params={"center": law.center, "radius": law.radius},
-                                             edge_finite_g=True))
+                                             params={"center": law.center, "radius": law.radius}))
             elif kind == "uniform":
                 nodes, qw = sqrt_adapted_rule(a, b, n)
-                comps.append(_make_component("uniform", a, b, mass, nodes, qw * mass / (b - a),
-                                             edge_finite_g=False))
+                comps.append(_make_component("uniform", a, b, mass, nodes, qw * mass / (b - a)))
             elif kind == "table":
                 nodes = np.asarray(params["x"], dtype=float)
                 weights = np.asarray(params["w"], dtype=float)

@@ -112,16 +112,13 @@ def _draw_complex(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     raise ValueError(f"not a complex entry law: {law!r}")
 
 
-def _covariance_matrix(model, n: int, rng, d: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, int]:
+def _covariance_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:
     m = model.rows(n)
-    if d is None:
-        d = build_gamma(model.rho, m)
     draw = _draw_real if model.beta == 1 else _draw_complex
     z = draw(rng, model.entry_law, (m, n))
     # conj() returns a real array itself, so one expression serves both classes
     h = z.conj().T @ (d[:, None] * z) / m
-    return 0.5 * (h + h.conj().T), m
+    return 0.5 * (h + h.conj().T)
 
 
 def _wigner_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:

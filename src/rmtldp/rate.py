@@ -213,16 +213,15 @@ def f_fn(model: CovarianceModel, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None = None,
-                     verify: bool = True) -> float:
+def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None = None) -> float:
     """Rate at x through the variational form, for either model kind: the
     supremum over theta of the model's objective (see its ``variational``),
     J(sigma, theta/2, x) - F(rho, theta) for covariance models.
 
-    The supremum is attained at the model's optimizer; with ``verify`` the
-    value is checked against 50 log-spaced theta samples up to the model's
-    scan end, none of which may exceed it by more than the primal-against-
-    variational tolerance. The result carries the beta factor.
+    The supremum is attained at the model's optimizer; the value is checked
+    against 50 log-spaced theta samples up to the model's scan end, none of
+    which may exceed it by more than the primal-against-variational
+    tolerance. The result carries the beta factor.
     """
     edge = edge or model.edge()
     if edge.degenerate:
@@ -234,9 +233,7 @@ def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None =
             f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
         )
     theta_x, end, objective = model.variational(x, edge, sigma)
-    thetas = np.array([theta_x])
-    if verify:
-        thetas = np.append(thetas, np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50))
+    thetas = np.append(theta_x, np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50))
     # the optimizer and the scan in one call of the objective
     values = objective(thetas)
     value = float(values[0])
@@ -293,8 +290,7 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
             if c.kind == "uniform":
                 nodes, qw = sqrt_adapted_rule(c.a, cutoff, max(len(c.nodes), 64))
                 comps.append(_make_component(
-                    "uniform", c.a, cutoff, kept_mass, nodes,
-                    qw * kept_mass / (cutoff - c.a), edge_finite_g=False,
+                    "uniform", c.a, cutoff, kept_mass, nodes, qw * kept_mass / (cutoff - c.a),
                 ))
             elif c.kind == "table":
                 comps.append(_make_component(

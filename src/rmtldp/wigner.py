@@ -273,12 +273,11 @@ def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000
 
 def dw_rate_variational(model: DeformedWignerModel, x: float,
                         edge: DWEdgeData | None = None,
-                        sigma: SpectralMeasure | None = None,
-                        verify: bool = True) -> float:
+                        sigma: SpectralMeasure | None = None) -> float:
     """Rate at x through sup over theta of
     J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d)): the
     shared :func:`rmtldp.rate.rate_variational` on a deformed-Wigner model."""
-    return rate_variational(model, x, edge, sigma, verify)
+    return rate_variational(model, x, edge, sigma)
 
 
 def dw_epsilon_cap(model: DeformedWignerModel, eps: float) -> DeformedWignerModel:

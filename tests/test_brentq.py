@@ -63,8 +63,7 @@ def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
             model.branches(r + frac * span, edge)
 
     callers = {caller for caller, *_ in seen}
-    assert callers == {"edge_solve", "g_sigma", "g_bar_sigma", "support_window",
-                       "dw_edge", "dw_branches"}
+    assert callers == {"edge_solve", "g_sigma", "g_bar_sigma", "dw_edge", "dw_branches"}
     for caller, name, ours, ref, ours_points, ref_points in seen:
         assert ours == ref, (caller, name)
         assert ours_points == ref_points, (caller, name)

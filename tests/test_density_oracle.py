@@ -116,8 +116,8 @@ WIGNER = {
 def test_sigma_density_matches_polynomial_roots(name, eta):
     atoms, weights, alpha = COVARIANCE[name]
     model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha)
-    edge, xs = default_grid(model)
-    got = sigma_density(model, xs, eta, edge)
+    _, xs = default_grid(model)
+    got = sigma_density(model, xs, eta)
     want = np.array([covariance_oracle(atoms, weights, alpha, x + 1j * eta) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -140,9 +140,9 @@ def test_sigma_density_relative_error_where_the_density_is_small(eta):
     sits beside sigma's atom at 0 (alpha < 1)."""
     atoms, weights, alpha = [0.101], [1.0], 0.3
     model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha)
-    edge, xs = default_grid(model)
+    _, xs = default_grid(model)
     xs = np.append(xs, -3e-4)
-    got = sigma_density(model, xs, eta, edge)
+    got = sigma_density(model, xs, eta)
     want = np.array([covariance_oracle(atoms, weights, alpha, x + 1j * eta) for x in xs])
     assert np.max(np.abs(got - want) / want) <= 1e-9
 
@@ -151,7 +151,6 @@ def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
     """A NaN derivative leaves Newton no acceptable step: SolverError names
     the point, the height it stalled at and the residual."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
-    edge = model.edge()
     real_prime = SpectralMeasure.stieltjes_prime
 
     def nan_off_axis(self, z):
@@ -161,7 +160,7 @@ def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
 
     monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", nan_off_axis)
     with pytest.raises(SolverError, match=r"z=.*height.*residual"):
-        sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4, edge)
+        sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4)
 
 
 # -- random atomic models --------------------------------------------------------
@@ -220,8 +219,8 @@ def test_spectrum_on_the_scale_of_1e_3(alpha, eta):
     weights = [0.19692530787100634, 0.5510268725317563, 0.25204781959723727]
     rho = SpectralMeasure.from_atoms(atoms, weights)
     model = CovarianceModel(rho, alpha)
-    edge, xs = default_grid(model)
-    got = sigma_density(model, xs, eta, edge)
+    _, xs = default_grid(model)
+    got = sigma_density(model, xs, eta)
     want = [covariance_oracle(rho.atom_locations, rho.atom_weights, alpha, x + 1j * eta)
             for x in xs]
     assert np.max(np.abs(got - np.array(want))) <= 1e-10

@@ -166,6 +166,25 @@ class TestEdgeSolve:
         r_u = edge_solve(CovarianceModel(SpectralMeasure.point_mass(u), alpha)).r_sigma
         assert abs(r_u - u * r_one) <= 1e-12 * u * r_one
 
+    _SNAPPED = pytest.mark.xfail(
+        strict=True, raises=SolverError,
+        reason="the probes theta = 2^k reach z = alpha/theta inside the 1e-15 snap "
+               "window of the atom at r(rho) = 0, so f = -inf at every probe and "
+               "bracketing fails")
+
+    @pytest.mark.parametrize("alpha", [
+        pytest.param(2.0 + 1e-15, marks=_SNAPPED),
+        pytest.param(2.0 + 3e-15, marks=_SNAPPED),
+        2.0 + 1e-14,
+    ])
+    def test_zero_atom_just_above_the_degenerate_threshold(self, alpha):
+        """rho = (delta_-1 + delta_0)/2 is degenerate up to alpha = 2; just
+        above it r(sigma) is a tiny nonpositive number."""
+        rho = SpectralMeasure.from_atoms([-1.0, 0.0], [0.5, 0.5])
+        edge = CovarianceModel(rho, alpha).edge()
+        assert not edge.degenerate
+        assert -1e-12 < edge.r_sigma <= 0.0
+
     def test_degenerate_flagged(self):
         edge = edge_solve(wishart(0.5, sign=-1.0))
         assert edge.degenerate is True
@@ -295,6 +314,39 @@ class TestSupportWindow:
         assert win.zero_atom == pytest.approx(0.5, abs=1e-14)
         assert win.left == 0.0
 
+    def test_left_edge_where_g_rho_is_finite_at_l_rho(self):
+        """G_rho' is finite at l(rho) = -2, so f stays negative on
+        (alpha/l(rho), 0) and the left edge is H(alpha/l(rho)) = -2. A search
+        for a zero of f there once returned 0 and cut off part of sigma. The
+        left edge is -r(sigma) of the reflected model, so the grid measures of
+        rho and of rho reflected lose the same mass."""
+        dens = lambda u: 0.0096 * (u + 2.0) ** 2 * (3.0 - u) ** 2
+        rho = SpectralMeasure.from_density(dens, (-2.0, 3.0), edge_finite_g=True)
+        model = CovarianceModel(rho, 1.0)
+        mirror = CovarianceModel(rho.reflected(), 1.0)
+        assert support_window(model).left == pytest.approx(-2.0, abs=1e-9)
+        assert sigma_density(model, -1.0, 1e-4) > 0.05
+        defect = sigma_measure(model, 2000).raw_mass_defect
+        assert defect == pytest.approx(sigma_measure(mirror, 2000).raw_mass_defect, abs=1e-12)
+
+    def test_table_left_edge_needs_the_declaration(self):
+        """The left edge of a table rho below 0 needs the finiteness of G_rho
+        at l(rho), as its right edge does at r(rho)."""
+        dens = lambda u: np.sqrt((u + 3.0) * (-1.0 - u)) * 2.0 / math.pi
+        undeclared = SpectralMeasure.from_density(dens, (-3.0, -1.0))
+        with pytest.raises(SolverError, match="edge_finite_g"):
+            support_window(CovarianceModel(undeclared, 2.0))
+        declared = SpectralMeasure.from_density(dens, (-3.0, -1.0), edge_finite_g=True)
+        left = support_window(CovarianceModel(declared, 2.0)).left
+        assert left == pytest.approx(-6.066601576895905, abs=1e-12)
+
+    def test_left_edge_within_rounding_of_a_degenerate_mirror(self):
+        """For l(rho) >= 0 the reflected model is degenerate when
+        alpha (1 - rho({0})) <= 1; within 1e-13 of that the hard edge 0 is
+        kept, where edge_solve of the reflected model fails (TestEdgeSolve)."""
+        rho = SpectralMeasure.from_atoms([0.0, 1.0], [0.5, 0.5])
+        assert support_window(CovarianceModel(rho, 2.0 + 1e-15)).left == 0.0
+
 
 class TestMixedSignSpectrum:
     # two-atom population spectra (-2K and 2, equal weight) at alpha = 4:
@@ -341,10 +393,9 @@ class TestDisconnectedSupport:
 
     def test_gap_density_vanishes(self):
         model = self.make()
-        edge = edge_solve(model)
-        assert sigma_density(model, 18.0, 1e-6, edge) <= 1e-6
-        assert sigma_density(model, 10.0, 1e-6, edge) > 1e-3
-        assert sigma_density(model, 40.0, 1e-6, edge) > 1e-3
+        assert sigma_density(model, 18.0, 1e-6) <= 1e-6
+        assert sigma_density(model, 10.0, 1e-6) > 1e-3
+        assert sigma_density(model, 40.0, 1e-6) > 1e-3
 
     def test_band_masses_match_sampling_oracle(self):
         sm = sigma_measure(self.make(), 2000)

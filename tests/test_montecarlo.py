@@ -90,7 +90,8 @@ class TestSampleSpectrum:
         from rmtldp.montecarlo import _covariance_matrix, _rng_for
         for law in ("complex_gaussian", "complex_rademacher"):
             model = wishart(1.0, beta=2, law=law)
-            h, _ = _covariance_matrix(model, 40, _rng_for(5, 0))
+            d = build_gamma(model.rho, model.rows(40))
+            h = _covariance_matrix(model, 40, _rng_for(5, 0), d)
             assert np.max(np.abs(h - h.conj().T)) <= 1e-10
 
     def test_complex_rademacher_moments(self):

@@ -164,8 +164,8 @@ class TestRateVariational:
         m2 = CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0, 2, "complex_gaussian")
         edge = edge_solve(m1)
         sigma = sigma_measure(m1, 2000, edge)
-        v1 = rate_variational(m1, 5.0, edge, sigma, verify=False)
-        v2 = rate_variational(m2, 5.0, edge, sigma, verify=False)
+        v1 = rate_variational(m1, 5.0, edge, sigma)
+        v2 = rate_variational(m2, 5.0, edge, sigma)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
