@@ -161,6 +161,30 @@ class DensityComponent:
         zc = np.asarray(z)[..., None]
         return -np.sum(self.weights / (zc - self.nodes) ** 2, axis=-1)
 
+    def stieltjes_pair(self, z):
+        """(G, G') at a complex array z, equal bit for bit to :meth:`stieltjes`
+        and :meth:`stieltjes_prime` there, from one z - t array: a semicircle's
+        w and s, a uniform's z - a and z - b, a table's z - nodes."""
+        if self.kind == "semicircle":
+            c, r = self.params["center"], self.params["radius"]
+            w = z - c
+            s = _branch_sqrt(w, r)
+            d = w + s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gp = -2.0 * self.mass * (1.0 + w / s) / d ** 2
+            return 2.0 * self.mass / d, gp
+        if self.kind == "uniform":
+            za, zb = z - self.a, z - self.b
+            return (self.mass * (np.log(za) - np.log(zb)) / (self.b - self.a),
+                    -self.mass / (za * zb))
+        # the (points, nodes) array is reused in place: a table keeps the
+        # peak memory of one transform
+        d = z[..., None] - self.nodes
+        g = np.sum(self.weights / d, axis=-1)
+        np.square(d, out=d)
+        np.divide(self.weights, d, out=d)
+        return g, -np.sum(d, axis=-1)
+
     def real_transform(self, x: float, prime: bool):
         """G (``prime`` false) or G' at a finite real float x off the open
         support: a Python float equal bit for bit to :meth:`stieltjes` or
@@ -561,6 +585,35 @@ class SpectralMeasure:
             total = total + c.stieltjes_prime(z)
         total = np.asarray(total)
         return total.item() if total.ndim == 0 else total
+
+    def stieltjes_pair(self, z):
+        """(G(z), G'(z)) at a complex array z, equal bit for bit to
+        ``(stieltjes(z), stieltjes_prime(z))`` but from one z - t array per
+        atom and component: the grid solver's evaluation. A real point of z
+        must lie outside the open support.
+
+        Fewer than 4 atoms are summed one after another from 0.0, as numpy
+        sums fewer than 4 complex terms (it sums 4 or more pairwise).
+        """
+        self._check_real_argument(z)
+        z = np.asarray(z, dtype=complex)
+        g = gp = 0.0
+        with np.errstate(divide="ignore"):
+            if self.atom_locations.size >= 4:
+                d = z[..., None] - self.atom_locations
+                g = np.sum(self.atom_weights / d, axis=-1)
+                gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
+            elif self.atom_locations.size:
+                for w, loc in self._atom_pairs:
+                    d = z - loc
+                    g = g + w / d
+                    gp = gp + w / d ** 2
+                gp = -gp
+        for c in self.components:
+            cg, cgp = c.stieltjes_pair(z)
+            g = g + cg
+            gp = gp + cgp
+        return g, gp
 
     def log_moment(self, z):
         """integral of log(z - t) for real z at or beyond the right edge,

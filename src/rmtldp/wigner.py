@@ -89,11 +89,11 @@ class DeformedWignerModel:
         """G(z) = z - omega at every z of the upper half-plane, omega the root
         of the subordination equation omega + G_mu(omega) = z with
         Im omega > 0, seeded far above the axis by omega ~ z - 1/z."""
-        mu = self.mu_d
-        omegas = _solve_on_grid(lambda om: om + mu.stieltjes(om),
-                                lambda om: 1.0 + mu.stieltjes_prime(om),
-                                zs, lambda z: z - 1.0 / z)
-        return zs - omegas
+        def pair(om):
+            g, gp = self.mu_d.stieltjes_pair(om)
+            return om + g, 1.0 + gp
+
+        return zs - _solve_on_grid(pair, zs, lambda z: z - 1.0 / z)
 
     def variational(self, x: float, edge: DWEdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of

@@ -24,6 +24,7 @@ from rmtldp.dyson import (
     CovarianceModel,
     DegenerateModelError,
     SolverError,
+    boundary_density_grid,
     detect_degenerate,
     sigma_density,
 )
@@ -147,20 +148,62 @@ def test_sigma_density_relative_error_where_the_density_is_small(eta):
     assert np.max(np.abs(got - want) / want) <= 1e-9
 
 
-def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
-    """A NaN derivative leaves Newton no acceptable step: SolverError names
-    the point, the height it stalled at and the residual."""
+def _raises_on_nan_half(monkeypatch, half):
+    """sigma_density of a two-atom model with one half of the solver's
+    (G, G') evaluation replaced by NaN raises SolverError naming the point,
+    the height it stalled at and the residual."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
-    real_prime = SpectralMeasure.stieltjes_prime
+    real_pair = SpectralMeasure.stieltjes_pair
 
-    def nan_off_axis(self, z):
-        if np.iscomplexobj(z):
-            return np.full(np.shape(z), np.nan, dtype=complex)
-        return real_prime(self, z)
+    def nan_half(self, z):
+        pair = list(real_pair(self, z))
+        pair[half] = np.full(np.shape(z), np.nan, dtype=complex)
+        return tuple(pair)
 
-    monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", nan_off_axis)
+    monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
     with pytest.raises(SolverError, match=r"z=.*height.*residual"):
         sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4)
+
+
+def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
+    """A NaN derivative leaves Newton no acceptable step."""
+    _raises_on_nan_half(monkeypatch, 1)
+
+
+def test_nan_transform_raises_instead_of_returning(monkeypatch):
+    """A NaN transform fails every stopping test and rejects every trial."""
+    _raises_on_nan_half(monkeypatch, 0)
+
+
+@pytest.mark.parametrize("model, budget", [
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 24),
+    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 18),
+], ids=["wishart1", "dw-uniform"])
+def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
+    """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
+    the h' of an accepted trial serves the next step: on sigma_measure's
+    2000-point grid that is about 23 evaluations per point for covariance
+    and 16 for deformed Wigner. Three node passes per step would take about
+    twice as many."""
+    window = model.window(model.edge())
+    xs = boundary_density_grid(window.left, window.right, 2000)
+    zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
+    real_pair = SpectralMeasure.stieltjes_pair
+    evaluations = []
+
+    def counted(self, z):
+        evaluations.append(np.size(z))
+        return real_pair(self, z)
+
+    def refused(self, z):
+        raise AssertionError("the grid solver evaluates G and G' through stieltjes_pair only")
+
+    monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", counted)
+    monkeypatch.setattr(SpectralMeasure, "stieltjes", refused)
+    monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", refused)
+    g = model.limit_stieltjes(zs)
+    assert np.all(np.isfinite(g))
+    assert sum(evaluations) <= budget * zs.size
 
 
 # -- random atomic models --------------------------------------------------------

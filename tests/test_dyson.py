@@ -334,7 +334,8 @@ class TestSupportWindow:
         at l(rho), as its right edge does at r(rho)."""
         dens = lambda u: np.sqrt((u + 3.0) * (-1.0 - u)) * 2.0 / math.pi
         undeclared = SpectralMeasure.from_density(dens, (-3.0, -1.0))
-        with pytest.raises(SolverError, match="edge_finite_g"):
+        with pytest.raises(SolverError,
+                           match=r"^left edge of sigma, at l\(rho\) = -3\.0: .*edge_finite_g"):
             support_window(CovarianceModel(undeclared, 2.0))
         declared = SpectralMeasure.from_density(dens, (-3.0, -1.0), edge_finite_g=True)
         left = support_window(CovarianceModel(declared, 2.0)).left

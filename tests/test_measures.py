@@ -456,12 +456,12 @@ def _piece(draw, kind):
 
 
 @st.composite
-def real_axis_measures(draw):
-    """1 to 12 atoms plus up to two semicircle, uniform or table pieces, or
-    pieces alone; then possibly scaled, reflected or both."""
+def real_axis_measures(draw, max_atoms=12):
+    """1 to ``max_atoms`` atoms plus up to two semicircle, uniform or table
+    pieces, or pieces alone; then possibly scaled, reflected or both."""
     kinds = draw(st.lists(st.sampled_from(["semicircle", "uniform", "table"]), max_size=2))
     atoms = draw(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.05, 1.0)),
-                          min_size=0 if kinds else 1, max_size=12))
+                          min_size=0 if kinds else 1, max_size=max_atoms))
     pieces = [_piece(draw, kind) for kind in kinds]
     masses = [draw(st.floats(0.05, 1.0)) for _ in pieces]
     total = sum(w for _, w in atoms) + sum(masses)
@@ -569,3 +569,36 @@ def test_real_scalar_path_on_a_tiny_semicircle(radius):
     for k in (1, 2, 3, 10, 1000, 10**6, 10**12):
         for x in (radius * (1.0 + k * 2.0**-52), -radius * (1.0 + k * 2.0**-52), radius * k):
             _check_real_parity(m, x, far=False)
+
+
+# -- the (G, G') pair of the grid solver ----------------------------------------
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300)
+@given(m=real_axis_measures(max_atoms=7),
+       fractions=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6),
+       heights=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6]) | st.floats(1e-12, 30.0),
+                        min_size=1, max_size=4),
+       offsets=st.lists(st.floats(1e-9, 50.0), min_size=1, max_size=4))
+def test_stieltjes_pair_equals_the_two_transforms(m, fractions, heights, offsets):
+    """Bit for bit, off the axis on both sides (heights down to 1e-12) and at
+    Im z = 0 off the support; fewer than 4 atoms take the per-atom loop."""
+    left, right = m.edges()
+    xs = [left + f * (right - left) for f in fractions]
+    z = np.array([x + 1j * s * h for x in xs for h in heights for s in (1.0, -1.0)]
+                 + [right + d for d in offsets] + [left - d for d in offsets], dtype=complex)
+    with np.errstate(all="ignore"):
+        g, gp = m.stieltjes_pair(z)
+        assert _same_bits(g, m.stieltjes(z))
+        assert _same_bits(gp, m.stieltjes_prime(z))
+
+
+def test_stieltjes_pair_rejects_a_real_point_inside_the_support():
+    m = SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(MeasureError, match="inside the support"):
+        m.stieltjes_pair(np.array([3.0 + 1j, 0.5 + 0j]))
