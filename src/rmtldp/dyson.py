@@ -632,8 +632,8 @@ def _descend(h_pair, zs, seed, level_tol):
         test = live
         while test.size:
             target = zs[test] + 1j * heights[level[test]]
-            res = hw[test] - target
-            test = test[np.abs(res) <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
+            test = test[np.abs(hw[test] - target)
+                        <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
             at_last = level[test] == last
             done[test[at_last]] = True
             test = test[~at_last]
