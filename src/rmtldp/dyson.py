@@ -14,7 +14,9 @@ machine-precision edge quantities.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -185,12 +187,36 @@ class CovarianceModel:
     def edge(self) -> EdgeData:
         return edge_solve(self)
 
-    def branches(self, x: float, edge: EdgeData) -> tuple[float, float]:
-        """(G, Gbar): the two solutions of H(y) = x."""
-        return g_sigma(edge, self, x), g_bar_sigma(edge, self, x)
+    def branches(self, x, edge: EdgeData):
+        """(G, Gbar): the two solutions of H(y) = x, elementwise over an array
+        x; floats for a scalar x."""
+        return _branches(self, x, edge)
 
-    def rate_from_branches(self, x: float, g: float, g_bar: float) -> float:
-        """Rate at x from the two branch values G = G_sigma(x), Gbar = Gbar_sigma(x).
+    def level(self, edge: EdgeData) -> Level:
+        """H(y) = x in the variable lam = alpha/y: x(lam) = (1 - alpha) lam/alpha
+        + lam^2 G_rho(lam) on lam > max(r(rho), 0). Since lam^2/(lam - t) =
+        lam + t + t^2/(lam - t), x(lam) = lam/alpha + mean(rho) + integral of
+        t^2/(lam - t), so x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam =
+        alpha (x - mean(rho)) lies right of the right root."""
+        rho, a = self.rho, self.alpha
+        c = (1.0 - a) / a
+
+        def curve(lam):
+            g, gp = _on_points(rho.stieltjes, lam), _on_points(rho.stieltjes_prime, lam)
+            return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
+
+        floor = _evaluable_floor(rho, max(rho.right_edge, 0.0))
+        mean = rho.integrate(lambda u: u)
+        x_c = edge.x_c
+        x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
+        tmax = edge.theta_max
+        theta = lambda lam, x: a / lam
+        return Level(curve, max(a / edge.theta_c, floor), floor, lambda x: a * (x - mean),
+                     theta, theta, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax))
+
+    def rate_from_branches(self, x, g, g_bar):
+        """Rate at x from the two branch values G = G_sigma(x), Gbar = Gbar_sigma(x),
+        elementwise over arrays; floats for scalars.
 
         Integrating Gbar - G by parts with H(G) = H(Gbar) = x gives
         I(x) = (beta/2) [x (Gbar - G) - (Phi(Gbar) - Phi(G))] for any primitive Phi
@@ -201,11 +227,11 @@ class CovarianceModel:
         """
         a = self.alpha
         r = self.rho.right_edge
-        lm = lambda t: self.rho.log_moment(max(a / t, r))
-        bracket = x * (g_bar - g) - (1.0 - a) * math.log(g_bar / g) + a * (lm(g_bar) - lm(g))
+        lm = lambda t: self.rho.log_moment(np.maximum(a / t, r))
+        bracket = x * (g_bar - g) - (1.0 - a) * np.log(g_bar / g) + a * (lm(g_bar) - lm(g))
         # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
         # edge rounding can leave it a few ulps below zero
-        return 0.5 * self.beta * max(0.0, bracket)
+        return 0.5 * self.beta * np.maximum(0.0, bracket)
 
     def window(self, edge: EdgeData) -> SupportWindow:
         return support_window(self, edge)
@@ -443,13 +469,14 @@ def _require_nondegenerate(edge: EdgeData):
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
 
 
-def _edge_side(r: float, x: float) -> int:
+def _edge_side(r: float, x):
     """-1 below the spectral edge r, 0 at it, 1 beyond: the snap rule of the
-    branches and the rate, which treat x within rounding of r as r itself."""
+    branches and the rate, which treat x within rounding of r as r itself.
+    Elementwise over an array x; a NaN, on no side, raises ValueError."""
+    if np.isnan(x).any():
+        raise ValueError(f"x={x!r} holds a NaN")
     scale = max(1.0, abs(r))
-    if x < r - 1e-12 * scale:
-        return -1
-    return 0 if x <= r + 1e-13 * scale else 1
+    return np.where(x < r - 1e-12 * scale, -1, np.where(x <= r + 1e-13 * scale, 0, 1))
 
 
 def g_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
@@ -457,20 +484,7 @@ def g_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
 
     Unique root of H(y) = x in (0, theta_c]; strictly decreasing in x.
     """
-    _require_nondegenerate(edge)
-    side = _edge_side(edge.r_sigma, x)
-    if side < 0:
-        raise ValueError(f"x={x!r} below r(sigma)={edge.r_sigma!r}: H(y) = x has no solution")
-    if side == 0:
-        return edge.theta_c
-    lo = 0.5 * edge.theta_c
-    for _ in range(2000):
-        if _h_at(model, lo) > x:
-            break
-        lo *= 0.5
-    else:
-        raise SolverError(f"g_sigma bracketing failed at x={x!r}")
-    return brentq(lambda t: _h_at(model, t) - x, lo, edge.theta_c, **_BRENTQ_KW)
+    return _branches(model, x, edge, second=False)[0]
 
 
 def g_bar_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
@@ -480,40 +494,249 @@ def g_bar_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
     x >= x_c (finite case) it is capped at theta_max. Nondecreasing in x,
     equal to theta_c at x = r(sigma).
     """
+    return _branches(model, x, edge, first=False)[1]
+
+
+# -- the branch solve, shared by both model kinds -------------------------------
+
+# Newton solves in the spectral variable stop once they have bracketed a root
+# within 4 eps |lam|, plus 1e-14 for the inverse Stieltjes solve (the
+# tolerances of the brentq solves), or raise after _NEWTON_STEPS steps
+_NEWTON_XTOL = 1e-14
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
+_NEWTON_STEPS = 100
+
+
+@dataclass(frozen=True)
+class Level:
+    """The level-set equation x(lam) = x of a model, whose two roots give the
+    two branches. ``curve(lam)`` returns (x(lam), x'(lam)) at a float or on
+    an array; x is convex on (floor, inf) with its minimum r(sigma) at
+    ``lam_c``.
+    ``floor`` is the lowest point where x is evaluated, ``start(x)`` a point
+    right of each right root. ``first(lam, x)`` is the first branch at a
+    right root, ``second(lam, x)`` the second branch at a left root; from
+    ``x_cap`` on, the second branch is ``cap(x)`` instead. At r(sigma) both
+    branches are ``at_edge``."""
+
+    curve: Callable
+    lam_c: float
+    floor: float
+    start: Callable
+    first: Callable
+    second: Callable
+    at_edge: float
+    x_cap: float
+    cap: Callable
+
+
+# up to this many points, transforms are evaluated and roots solved one by
+# one on floats
+_FLOAT_POINTS = 2
+
+
+def _on_points(transform, lam):
+    """A transform of a measure (``stieltjes`` or ``stieltjes_prime``) at a
+    float lam, or at the points of an array lam, off the support. A float
+    and up to ``_FLOAT_POINTS`` points take the float path of the transform,
+    one call per point, which returns the array path's bits at a twentieth
+    of its cost on atoms and closed forms (about 1 against 20 us per call);
+    more points take one array call."""
+    if isinstance(lam, float):
+        return transform(lam)
+    if lam.size <= _FLOAT_POINTS:
+        return np.array([transform(v) for v in lam.tolist()])
+    return transform(lam)
+
+
+def _evaluable_floor(mu: SpectralMeasure, lo: float) -> float:
+    """lo, or the first point past the snap window of mu's right edge when
+    lo lies inside it and G_mu diverges at the edge: inside the window
+    :meth:`SpectralMeasure.stieltjes` is +inf at any distance from the edge."""
+    past = mu.past_right_snap()
+    return past if lo < past and mu.edge_stieltjes_finite() is not True else lo
+
+
+def _branches(model, x, edge, first: bool = True, second: bool = True):
+    """(G, Gbar) of either model kind at x, elementwise over an array x;
+    floats for a scalar x. A branch not asked for is NaN.
+
+    The roots of all points come from one Newton solve on the model's
+    :class:`Level`: the right root gives the first branch, the left root the
+    second, unless the second is capped there.
+    """
     _require_nondegenerate(edge)
-    side = _edge_side(edge.r_sigma, x)
-    if side < 0:
-        raise ValueError(f"x={x!r} below r(sigma)={edge.r_sigma!r}")
-    if x >= edge.x_end:
-        raise ValueError(f"x={x!r} outside the domain [r(sigma), 0) of the second branch")
-    if side == 0:
-        return edge.theta_c
-    if math.isfinite(edge.x_c) and x >= edge.x_c - 1e-12 * max(1.0, abs(edge.x_c)):
-        return edge.theta_max
-    if math.isfinite(edge.theta_max):
-        if math.isfinite(edge.x_c):
-            hi = edge.theta_max
-        else:
-            hi = None
-            for cand in _probes_toward(edge.theta_max):
-                if cand <= edge.theta_c:
-                    continue
-                hv = _h_at(model, cand)
-                if math.isfinite(hv) and hv > x:
-                    hi = cand
-                    break
-            if hi is None:
-                raise SolverError(f"g_bar_sigma bracketing failed at x={x!r}")
+    xs = np.asarray(x, dtype=float)
+    side = _edge_side(edge.r_sigma, xs)
+    if (side < 0).any():
+        below = float(np.min(xs[side < 0]))
+        raise ValueError(f"x={below!r} below r(sigma)={edge.r_sigma!r}: H(y) = x has no solution")
+    if second and (xs >= edge.x_end).any():
+        outside = float(np.max(xs))
+        raise ValueError(f"x={outside!r} outside the domain [r(sigma), {edge.x_end!r}) "
+                         f"of the second branch")
+    level = model.level(edge)
+    g = np.full(xs.shape, level.at_edge if first else math.nan)
+    g_bar = np.full(xs.shape, level.at_edge if second else math.nan)
+    beyond = side > 0
+    capped = beyond & (xs >= level.x_cap) & second
+    g_bar[capped] = level.cap(xs[capped])
+    right = beyond & first
+    left = beyond & ~capped & second
+    t_right, t_left = xs[right], xs[left]
+    if t_right.size or t_left.size:
+        lam = _level_roots(level, t_right, t_left)
+        if t_right.size:
+            g[right] = level.first(lam[:t_right.size], t_right)
+        if t_left.size:
+            g_bar[left] = level.second(lam[t_right.size:], t_left)
+    if xs.ndim == 0:
+        return float(g), float(g_bar)
+    return g, g_bar
+
+
+def _probe_starts(curve, t, probes, root: str):
+    """For each target t, the first of ``probes`` at which x > t, with
+    (x, x') there, from one evaluation of the curve."""
+    px, pxp = curve(probes)
+    above = px > t[:, None]
+    hit = above.any(axis=1)
+    if not hit.all():
+        i = int(np.argmin(hit))
+        raise SolverError(f"no probe brackets the {root} root of x(lam) = x at x={float(t[i])!r}")
+    j = above.argmax(axis=1)
+    return probes[j], px[j], pxp[j]
+
+
+def _first_probe_above(curve, t: float, probes, root: str):
+    """The first of ``probes`` at which x > t, with (x, x') there, from one
+    evaluation of the curve per probe tried: :func:`_probe_starts` on one
+    target, on floats."""
+    for probe in probes:
+        px, pxp = curve(probe)
+        if px > t:
+            return probe, px, pxp
+    raise SolverError(f"no probe brackets the {root} root of x(lam) = x at x={float(t)!r}")
+
+
+# a probe or trial next to a pole of G_mu may overflow it to +inf; an
+# infinite x gives a NaN Newton point, and the step is then the tolerance
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _level_root(level: Level, t: float, d: float) -> np.float64:
+    """The right root (d = -1) or the left root (d = +1) of x(lam) = t by the
+    steps of :func:`_level_roots` on numpy floats: the same starts, probes,
+    Newton points and stopping test, so the same bits. On one or two roots
+    the numpy calls of the array solve cost several times the solve."""
+    curve, lam_c, floor = level.curve, level.lam_c, level.floor
+    t = np.float64(t)
+    if d < 0:
+        lam = np.float64(max(level.start(t), lam_c))
+        xv, xp = curve(lam)
+        if not (lam > lam_c and xv >= t):
+            w = max(abs(lam_c), 1.0)
+            lam, xv, xp = _first_probe_above(
+                curve, t, (np.float64(lam_c + w * 2.0**k) for k in range(64)), "right")
     else:
-        # r(rho) <= 0: H tends to zero from below like (1 - alpha)/theta
-        hi = max(2.0 * edge.theta_c, (1.0 - model.alpha) / x if x < 0.0 else 1.0, 1.0)
-        for _ in range(2000):
-            if _h_at(model, hi) > x:
-                break
-            hi *= 2.0
+        probes = (np.float64(floor + (lam_c - floor) * 2.0**-k) for k in range(1, 65))
+        lam, xv, xp = _first_probe_above(
+            curve, t, chain(takewhile(lambda p: p > floor, probes), [np.float64(floor)]), "left")
+    xtol = _NEWTON_RTOL * 2.0**-64 * (lam_c - floor)
+    bound = d * lam_c
+    for _ in range(_NEWTON_STEPS):
+        q = (xv - t) / xp
+        newton = lam - q
+        # np.fmax and np.minimum of the array solve: a NaN step gives way to
+        # the tolerance, and a NaN point stays NaN
+        step, tol = -d * q, xtol + _NEWTON_RTOL * abs(lam)
+        u = d * lam + (step if step >= tol else tol)
+        lam = d * (bound if u > bound else u)
+        xv, xp = curve(lam)
+        if xv <= t:
+            if math.isnan(newton):
+                raise SolverError(f"branch Newton solve gave no root at x={float(t)!r}")
+            return newton
+    raise SolverError(f"branch Newton solve did not converge in {_NEWTON_STEPS} steps "
+                      f"at x={float(t)!r}; last iterate {float(lam)!r}")
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.ndarray:
+    """The right roots of x(lam) = t for the targets ``t_right`` followed by
+    the left roots for ``t_left``, every target above r(sigma).
+
+    Right roots start at ``level.start(t)``, or, where that point does not
+    lie right of the root, at the first doubling probe lam_c + w 2^k that
+    does. Left roots start at the nearest probe floor + (lam_c - floor) 2^-k,
+    k <= 64, or at the floor itself, at which x > t. The floor brackets every
+    left root the level can reach: there x is x_c, 0 (nonpositive support) or
+    its value just past the snap window. One array evaluation of the probes
+    serves every target.
+
+    All roots are then solved at once by Newton's method. x is convex, so
+    from a start right of a right root, or left of a left root, the
+    iterates move monotonically toward the root and never cross it. Each
+    step is at least the tolerance 4 eps |lam|, and no step passes lam_c:
+    the first trial point at which x <= t brackets the root within the
+    tolerance, and the Newton point before it is returned. The tolerance
+    has no absolute part of the scale of the model (the 1e-14 of the brentq
+    solves): a left root can lie 1e-12 from a pole at 1e-6 next to an atom
+    at -1, and such a part stops Newton before it has the root to 1e-16.
+    Only 4 eps 2^-64 (lam_c - floor), below the finest probe spacing, is
+    added, so that a start at a floor lam = 0, where x' is -inf, moves.
+
+    Up to ``_FLOAT_POINTS`` roots are solved one by one on floats by
+    :func:`_level_root`, with the same bits.
+    """
+    if t_right.size + t_left.size <= _FLOAT_POINTS:
+        return np.array([_level_root(level, t, -1.0) for t in t_right.tolist()]
+                        + [_level_root(level, t, 1.0) for t in t_left.tolist()])
+    curve, lam_c, floor = level.curve, level.lam_c, level.floor
+    n_right = t_right.size
+    if n_right:
+        lam = np.maximum(level.start(t_right), lam_c)
+        xv, xp = curve(lam)
+        bad = ~((lam > lam_c) & (xv >= t_right))
+        if bad.any():
+            doubling = lam_c + max(abs(lam_c), 1.0) * np.exp2(np.arange(64.0))
+            lam[bad], xv[bad], xp[bad] = _probe_starts(curve, t_right[bad], doubling, "right")
+    if t_left.size:
+        probes = floor + (lam_c - floor) * np.exp2(-np.arange(1.0, 65.0))
+        probes = np.append(probes[probes > floor], floor)
+        starts = _probe_starts(curve, t_left, probes, "left")
+        if n_right:
+            lam, xv, xp = (np.concatenate(pair) for pair in zip((lam, xv, xp), starts))
         else:
-            raise SolverError(f"g_bar_sigma bracketing failed at x={x!r}")
-    return brentq(lambda t: _h_at(model, t) - x, edge.theta_c, hi, **_BRENTQ_KW)
+            lam, xv, xp = starts
+    t = np.concatenate((t_right, t_left))
+    # in u = d lam, d = -1 for a right root and +1 for a left one, every
+    # root is approached from below, up to the bound d lam_c
+    d = np.repeat([-1.0, 1.0], [n_right, t_left.size])
+    bound = d * lam_c
+    xtol = _NEWTON_RTOL * 2.0**-64 * (lam_c - floor)
+    roots = np.empty(t.size)
+    live = np.arange(t.size)
+    tl = t
+    for _ in range(_NEWTON_STEPS):
+        q = (xv - tl) / xp
+        newton = lam - q
+        u = np.minimum(d * lam + np.fmax(-d * q, xtol + _NEWTON_RTOL * np.abs(lam)), bound)
+        lam = d * u
+        xv, xp = curve(lam)
+        crossed = xv <= tl
+        if crossed.any():
+            roots[live[crossed]] = newton[crossed]
+            keep = ~crossed
+            live = live[keep]
+            if not live.size:
+                break
+            lam, xv, xp, tl, d, bound = (v[keep] for v in (lam, xv, xp, tl, d, bound))
+    else:
+        raise SolverError(f"branch Newton solve did not converge in {_NEWTON_STEPS} steps "
+                          f"at x={float(tl[0])!r}; last iterate {float(lam[0])!r}")
+    bad = np.isnan(roots)
+    if bad.any():
+        raise SolverError(f"branch Newton solve gave no root at x={float(t[bad][0])!r}")
+    return roots
 
 
 # -- support window and density recovery ---------------------------------------
@@ -732,19 +955,9 @@ def _power_pair_mass(s_in, s_out, rho_in, rho_out):
 
 def _positive_runs(mask):
     """Maximal index ranges [i0, i1] where the mask is True."""
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    # a run starts and ends where the mask, padded with False, changes value
+    changes = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(changes[::2].tolist(), (changes[1::2] - 1).tolist()))
 
 
 def _soft_edge_estimate(x1, x2, rho1, rho2, bound):

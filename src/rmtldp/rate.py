@@ -13,11 +13,15 @@ import numpy as np
 
 from ._quad import sqrt_adapted_rule
 from .dyson import (
+    _NEWTON_RTOL,
+    _NEWTON_STEPS,
+    _NEWTON_XTOL,
     CovarianceModel,
     DegenerateModelError,
     EdgeData,
     SolverError,
     _edge_side,
+    _evaluable_floor,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches rate.brentq
     edge_solve,
     sigma_measure,
@@ -46,9 +50,9 @@ logger = logging.getLogger(__name__)
 _SCAN_TOL = 2e-3
 
 
-def rate(model, x: float, edge=None) -> float:
+def rate(model, x, edge=None):
     """Large-deviation rate of the largest eigenvalue at x, for either model
-    kind.
+    kind, elementwise over an array x; a float for a scalar x.
 
     Equals (beta/2) times the integral of the branch gap Gbar - G from
     r(sigma) to x, in closed form from the two branch values at x alone (see
@@ -60,25 +64,19 @@ def rate(model, x: float, edge=None) -> float:
     edge = edge or model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
-    side = _edge_side(edge.r_sigma, x)
-    if side < 0 or x >= edge.x_end:
-        return math.inf
-    if side == 0:
-        return 0.0
-    return model.rate_from_branches(x, *model.branches(x, edge))
+    xs = np.asarray(x, dtype=float)
+    side = _edge_side(edge.r_sigma, xs)
+    out = np.where((side < 0) | (xs >= edge.x_end), math.inf, 0.0)
+    inner = (side > 0) & (xs < edge.x_end)
+    if inner.any():
+        xi = xs[inner]
+        out[inner] = model.rate_from_branches(xi, *model.branches(xi, edge))
+    return float(out) if out.ndim == 0 else out
 
 
 def rate_degenerate(x: float) -> float:
     """Rate function of the degenerate phase: 0 at x = 0, +inf elsewhere."""
     return 0.0 if x == 0.0 else math.inf
-
-
-# the inverse Stieltjes solve stops once it has bracketed the root within
-# 1e-14 + 4 eps |lam|, the tolerances of the brentq solves elsewhere, or
-# raises after _INVERSE_STEPS steps
-_INVERSE_XTOL = 1e-14
-_INVERSE_RTOL = 4.0 * np.finfo(float).eps
-_INVERSE_STEPS = 100
 
 
 def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
@@ -104,10 +102,7 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
     """
     t = np.asarray(target, dtype=float)
     r = mu.right_edge
-    lo = max(lower, r)
-    past = mu.past_right_snap()
-    if lo < past and mu.edge_stieltjes_finite() is not True:
-        lo = past
+    lo = _evaluable_floor(mu, max(lower, r))
     g_lo = mu.stieltjes(lo)
     if math.isnan(g_lo):
         raise SolverError(f"inverse Stieltjes transform: G is NaN at the lower end {lo!r}")
@@ -123,11 +118,11 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
         gp = np.full(ts.shape, mu.stieltjes_prime(lo))
         found = np.empty(ts.shape)
         live = np.arange(ts.size)
-        for _ in range(_INVERSE_STEPS):
+        for _ in range(_NEWTON_STEPS):
             x, tl, gl = lam[live], ts[live], g[live]
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = np.minimum(x + gl / gp[live] * (1.0 - gl / tl), hi[live])
-            trial = np.maximum(newton, x + _INVERSE_XTOL + _INVERSE_RTOL * np.abs(x))
+            trial = np.maximum(newton, x + _NEWTON_XTOL + _NEWTON_RTOL * np.abs(x))
             g_trial = mu.stieltjes(trial)
             if np.isnan(g_trial).any():
                 i = int(np.argmax(np.isnan(g_trial)))
@@ -143,7 +138,7 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
             gp[live] = mu.stieltjes_prime(trial[left])
         else:
             i = live[0]
-            raise SolverError(f"inverse Stieltjes transform did not converge in {_INVERSE_STEPS} "
+            raise SolverError(f"inverse Stieltjes transform did not converge in {_NEWTON_STEPS} "
                               f"steps for target {float(ts[i])!r} in [{lo!r}, {float(hi[i])!r}]; "
                               f"last iterate {float(lam[i])!r}")
         roots[solve] = found
@@ -332,17 +327,20 @@ class RateTable:
 
 
 def _table_on_grid(model, edge, xs: np.ndarray) -> RateTable:
-    """Branch values at grid points plus the rate at each of them, each point
-    evaluated on its own by the model's closed-form rate."""
+    """Branch values at grid points plus the rate at each of them, by the
+    model's closed-form rate: the branches of all points come from one
+    batched Newton solve, and the rate from one array evaluation."""
     xs = np.asarray(xs, dtype=float)
-    g, gb = np.array([model.branches(x, edge) for x in xs]).reshape(-1, 2).T
-    i_vals = np.array([model.rate_from_branches(*row) for row in zip(xs, g, gb)])
-    return RateTable(xs, g, gb, i_vals, model.beta, edge)
+    g, gb = model.branches(xs, edge)
+    return RateTable(xs, g, gb, model.rate_from_branches(xs, g, gb), model.beta, edge)
 
 
 def rate_table(model, x_max: float, points: int, edge=None) -> RateTable:
     """RateTable on a uniform grid from r(sigma) to x_max, for a covariance
-    or a deformed-Wigner model (sigma is then its free convolution)."""
+    or a deformed-Wigner model (sigma is then its free convolution). Both
+    branches of every grid point come from one batched Newton solve (see
+    :func:`rmtldp.dyson._level_roots`), and row i equals ``rate`` at x_i bit
+    for bit."""
     edge = edge or model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")

@@ -13,10 +13,13 @@ import numpy as np
 
 from .dyson import (
     _BRENTQ_KW,
+    Level,
     SolverError,
     SupportWindow,
+    _branches,
     _check_entry_law,
-    _edge_side,
+    _evaluable_floor,
+    _on_points,
     _solve_on_grid,
     brentq,
     sigma_density,
@@ -56,11 +59,34 @@ class DeformedWignerModel:
     def edge(self) -> DWEdgeData:
         return dw_edge(self)
 
-    def branches(self, x: float, edge: DWEdgeData) -> tuple[float, float]:
-        return dw_branches(self, x, edge)
+    def branches(self, x, edge: DWEdgeData):
+        return _branches(self, x, edge)
 
-    def rate_from_branches(self, x: float, g: float, g_bar: float) -> float:
-        """Rate at x from the two branch values G <= Gbar of H(y) = x.
+    def level(self, edge: DWEdgeData) -> Level:
+        """H(y) = x in the variable lam = K(y), which avoids nested transform
+        inversions: x(lam) = lam + G_mu(lam) on lam > r(mu_d). x'' = 2
+        integral of (lam - t)^-3 > 0, and x(lam) > lam puts lam = x right of
+        the right root.
+
+        A root lam maps to y = G_mu(lam) = x - lam. The first branch takes
+        G_mu(lam), where |G_mu'| < 1; the second takes x - lam, since there
+        |G_mu'| > 1 (it reaches 1e11 near a log-divergent edge), and
+        G_mu(lam) would magnify the error of the root by as much."""
+        mu = self.mu_d
+
+        def curve(lam):
+            return lam + _on_points(mu.stieltjes, lam), 1.0 + _on_points(mu.stieltjes_prime, lam)
+
+        r = mu.right_edge
+        floor = _evaluable_floor(mu, r)
+        # lam_c = K(y_c), the minimizer of lam + G(lam)
+        return Level(curve, max(edge.r_edge - edge.y_c, floor), floor, lambda x: x,
+                     lambda lam, x: _on_points(mu.stieltjes, lam), lambda lam, x: x - lam,
+                     edge.y_c, edge.x_c_dw, lambda x: x - r)
+
+    def rate_from_branches(self, x, g, g_bar):
+        """Rate at x from the two branch values G <= Gbar of H(y) = x,
+        elementwise over arrays; floats for scalars.
 
         Integrating Gbar - G by parts gives (beta/2) [x (Gbar - G) - (Phi(Gbar)
         - Phi(G))] for any primitive Phi of H. Take Phi(y) = y^2/2 + lam y - L(lam)
@@ -73,11 +99,11 @@ class DeformedWignerModel:
         rounding there.
         """
         mu = self.mu_d
-        lm = lambda y: mu.log_moment(max(x - y, mu.right_edge))
+        lm = lambda y: mu.log_moment(np.maximum(x - y, mu.right_edge))
         bracket = 0.5 * (g_bar - g) * (g_bar + g) + lm(g_bar) - lm(g)
         # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
         # edge rounding can leave it a few ulps below zero
-        return 0.5 * self.beta * max(0.0, bracket)
+        return 0.5 * self.beta * np.maximum(0.0, bracket)
 
     def window(self, edge: DWEdgeData) -> SupportWindow:
         """Support of the free convolution: its right edge, and the left edge
@@ -100,8 +126,7 @@ class DeformedWignerModel:
         J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d));
         the optimizer is Gbar(x)/2. The objective works elementwise on an
         array of theta."""
-        _, g_bar = dw_branches(self, x, edge)
-        theta_x = 0.5 * g_bar
+        theta_x = 0.5 * _branches(self, x, edge, first=False)[1]
         r_d = self.mu_d.right_edge
         return theta_x, max(10.0 * theta_x, 5.0), (
             lambda theta: j_fn(sigma, theta, x) - theta * theta - j_fn(self.mu_d, theta, r_d))
@@ -210,45 +235,8 @@ def dw_branches(model: DeformedWignerModel, x: float,
                 edge: DWEdgeData | None = None) -> tuple[float, float]:
     """Both solutions of H(w) = x for x >= r_edge: the Stieltjes transform of
     the free convolution (smaller) and the increasing second branch (larger).
-    On the capped piece the second branch is exactly x - r(mu_d).
-
-    On the uncapped piece H(y) = x is solved in the variable lam = K(y):
-    there it reads lam + G(lam) = x, avoiding nested transform inversions.
-    """
-    edge = edge or dw_edge(model)
-    mu = model.mu_d
-    r = mu.right_edge
-    side = _edge_side(edge.r_edge, x)
-    if side < 0:
-        raise ValueError(f"x={x!r} below the spectral edge {edge.r_edge!r}")
-    if side == 0:
-        return edge.y_c, edge.y_c
-    psi = lambda lam: lam + mu.stieltjes(lam) - x
-    lam_c = edge.r_edge - edge.y_c  # K(y_c), the minimizer of lam + G(lam)
-    # first branch: the larger root of psi, beyond lam_c
-    hi = max(2.0 * abs(x) + 2.0, lam_c + 1.0)
-    for _ in range(200):
-        if psi(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"dw_branches: no upper bracket at x={x!r}")
-    g_small = mu.stieltjes(brentq(psi, lam_c, hi, **_BRENTQ_KW))
-    if math.isfinite(edge.x_c_dw) and x >= edge.x_c_dw:
-        g_bar = x - r
-    else:
-        # second branch: the smaller root of psi, between r(mu_d) and lam_c
-        lo = None
-        delta = 0.5 * (lam_c - r)
-        for _ in range(300):
-            if psi(r + delta) > 0.0:
-                lo = r + delta
-                break
-            delta *= 0.5
-        if lo is None:
-            raise SolverError(f"dw_branches: no lower bracket at x={x!r}")
-        g_bar = mu.stieltjes(brentq(psi, lo, lam_c, **_BRENTQ_KW))
-    return g_small, g_bar
+    On the capped piece the second branch is exactly x - r(mu_d)."""
+    return _branches(model, x, edge or dw_edge(model))
 
 
 def dw_rate(model: DeformedWignerModel, x: float, edge: DWEdgeData | None = None) -> float:

@@ -1,7 +1,8 @@
 """The in-house brentq against scipy.optimize.brentq, kept here as the oracle.
 
-On the functions every call site solves (the edge function f, H - x, and the
-deformed-Wigner phi and psi), over the benchmark's model files, both root
+On the functions every call site solves (the edge function f and the
+deformed-Wigner phi; the branches are solved by Newton's method, see
+tests/test_branch_solver.py), over the benchmark's model files, both root
 finders must return the same root bit for bit after the same sequence of
 evaluations. The end points that are roots, an exhausted step budget, a
 bracket without a sign change and a NaN value are checked on their own, and
@@ -63,7 +64,7 @@ def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
             model.branches(r + frac * span, edge)
 
     callers = {caller for caller, *_ in seen}
-    assert callers == {"edge_solve", "g_sigma", "g_bar_sigma", "dw_edge", "dw_branches"}
+    assert callers == {"edge_solve", "dw_edge"}
     for caller, name, ours, ref, ours_points, ref_points in seen:
         assert ours == ref, (caller, name)
         assert ours_points == ref_points, (caller, name)
@@ -109,7 +110,7 @@ def test_a_nan_value_raises_solver_error():
 
 
 def test_the_command_line_reports_a_failed_solve_with_exit_code_1(tmp_path, monkeypatch, capsys):
-    """A branch solve that runs out of steps is a SolverError, which the
+    """An edge solve that runs out of steps is a SolverError, which the
     command line reports as an error message and exit code 1."""
     path = tmp_path / "wishart1.json"
     path.write_text(json.dumps({

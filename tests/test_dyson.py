@@ -185,6 +185,19 @@ class TestEdgeSolve:
         assert not edge.degenerate
         assert -1e-12 < edge.r_sigma <= 0.0
 
+    @pytest.mark.xfail(
+        strict=True, raises=SolverError,
+        reason="r(rho) = 1.5e-22 lies inside the 1e-15 snap window of rho's scale 1, "
+               "so every probe toward theta_max reaches z = alpha/theta inside it and is "
+               "dropped, and bracketing fails")
+    def test_top_atom_inside_the_snap_window(self):
+        """A positive top atom far below the snap window of a measure whose
+        other atom sets its scale; found by the random models of
+        test_branch_solver.py."""
+        rho = SpectralMeasure.from_atoms([1.5067585918145452e-22, -1.0], [0.5, 0.5])
+        edge = CovarianceModel(rho, 1.0).edge()
+        assert edge.r_sigma > 0.0
+
     def test_degenerate_flagged(self):
         edge = edge_solve(wishart(0.5, sign=-1.0))
         assert edge.degenerate is True
