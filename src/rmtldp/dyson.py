@@ -198,6 +198,18 @@ class CovarianceModel:
         lam + t + t^2/(lam - t), x(lam) = lam/alpha + mean(rho) + integral of
         t^2/(lam - t), so x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam =
         alpha (x - mean(rho)) lies right of the right root."""
+        a = self.alpha
+        curve, floor = self._curve()
+        mean = self.rho.integrate(lambda u: u)
+        x_c = edge.x_c
+        x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
+        tmax = edge.theta_max
+        theta = lambda lam, x: a / lam
+        return Level(curve, max(a / edge.theta_c, floor), floor, lambda x: a * (x - mean),
+                     theta, theta, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax))
+
+    def _curve(self):
+        """(x, x') of the level at a float or on an array, and its floor."""
         rho, a = self.rho, self.alpha
         c = (1.0 - a) / a
 
@@ -205,14 +217,7 @@ class CovarianceModel:
             g, gp = _on_points(rho.stieltjes, lam), _on_points(rho.stieltjes_prime, lam)
             return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
 
-        floor = _evaluable_floor(rho, max(rho.right_edge, 0.0))
-        mean = rho.integrate(lambda u: u)
-        x_c = edge.x_c
-        x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
-        tmax = edge.theta_max
-        theta = lambda lam, x: a / lam
-        return Level(curve, max(a / edge.theta_c, floor), floor, lambda x: a * (x - mean),
-                     theta, theta, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax))
+        return curve, _evaluable_floor(rho, max(rho.right_edge, 0.0))
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G = G_sigma(x), Gbar = Gbar_sigma(x),
@@ -361,18 +366,23 @@ def _h_direct(model: CovarianceModel, theta: float) -> float:
     return 1.0 / theta + model.rho.integrate(lambda u: a * u / (a - theta * np.asarray(u)))
 
 
+def _g_at_right_edge(mu: SpectralMeasure) -> float:
+    """G_mu at the right edge r(mu), +inf where it diverges; SolverError where
+    its finiteness cannot be decided (an undeclared table at the edge)."""
+    r = mu.right_edge
+    try:
+        return mu.stieltjes(r)
+    except MeasureError as exc:
+        raise SolverError(f"cannot decide finiteness of G at the right edge {r!r}: {exc}") from exc
+
+
 def thresholds(model: CovarianceModel) -> tuple[float, float]:
     """(theta_max, x_c); x_c is cross-checked against the limit of H at theta_max."""
     tmax = theta_max(model)
     r = model.rho.right_edge
     if r <= 0.0:
         return tmax, math.inf
-    try:
-        g_edge = model.rho.stieltjes(r)
-    except MeasureError as exc:
-        raise SolverError(
-            f"cannot decide finiteness of G_rho at the right edge {r!r}: {exc}"
-        ) from exc
+    g_edge = _g_at_right_edge(model.rho)
     if math.isinf(g_edge):
         return tmax, math.inf
     x_c = r * r * g_edge + (1.0 / model.alpha - 1.0) * r
@@ -391,77 +401,26 @@ def detect_degenerate(model: CovarianceModel) -> bool:
     return model.alpha * (1.0 - model.rho.atom_mass(0.0)) <= 1.0
 
 
-def _probes_toward(end: float) -> list[float]:
-    """end * (1 - 2^-k) for k = 2, ..., 40: probes approaching theta_max, where
-    alpha / theta reaches the right edge of rho. They stop 2^-40 short of it:
-    deeper probes land inside the ulp snap window of the edge transforms."""
-    return [end * (1.0 - 2.0**-k) for k in range(2, 41)]
-
-
-def _bracket_increasing_root(fn, lo, flo, hi_candidates, what):
-    """Bracket the root of an increasing function, given f(lo) = flo < 0 and
-    probe points above lo."""
-    tried = [(lo, flo)]
-    for hi in hi_candidates:
-        fhi = fn(hi)
-        tried.append((hi, fhi))
-        if fhi > 0.0:
-            # brentq needs finite endpoint values
-            for _ in range(200):
-                if math.isfinite(fhi):
-                    return lo, hi
-                hi = 0.5 * (lo + hi)
-                fhi = fn(hi)
-                if fhi <= 0.0:
-                    lo, fhi = hi, math.inf
-            raise SolverError(f"{what}: could not find a finite positive bracket end")
-        lo = hi
-    raise SolverError(f"{what}: bracketing failed; sampled f values {tried[-6:]!r}")
-
-
 def edge_solve(model: CovarianceModel) -> EdgeData:
-    """Locate theta_c and the right edge r(sigma) = H(theta_c).
-
-    theta_c is the unique zero of the strictly increasing f(theta) in
-    (0, theta_max); in the finite-x_c boundary case where f stays negative,
-    theta_c = theta_max and r(sigma) = x_c.
-    """
-    tmax = theta_max(model)
+    """Locate theta_c and the right edge r(sigma) = H(theta_c): in lam =
+    alpha/theta, theta_c = alpha/lam_c and r(sigma) = x(lam_c) at the
+    minimiser lam_c of the level's curve (:func:`_level_edge`). In the
+    finite-x_c boundary case, lam_c = r(rho): theta_c = theta_max and
+    r(sigma) = x_c."""
     if detect_degenerate(model):
-        return EdgeData(theta_max=tmax, x_c=math.inf, theta_c=None, r_sigma=None,
+        return EdgeData(theta_max=theta_max(model), x_c=math.inf, theta_c=None, r_sigma=None,
                         degenerate=True, case_tag=None)
     tmax, x_c = thresholds(model)
-    r = model.rho.right_edge
-    if r > 0.0:
+    rho = model.rho
+    if rho.right_edge > 0.0:
         case = "pos_edge_finite_xc" if math.isfinite(x_c) else "pos_edge_infinite_xc"
     else:
         case = "nonpos_edge"
-
-    f = lambda t: _f_at(model, t)
-    lo = min(1.0, tmax) * 1e-9
-    flo = f(lo)
-    while flo >= 0.0:
-        lo *= 1e-3
-        if lo < 1e-280:
-            raise SolverError("f has no negative values near zero; invalid model data")
-        flo = f(lo)
-    if math.isfinite(tmax):
-        probes = _probes_toward(tmax)
-        if math.isfinite(x_c):
-            if f(probes[-1]) <= 0.0:
-                # boundary case: H is decreasing up to theta_max, so r(sigma) = x_c
-                return EdgeData(tmax, x_c, tmax, x_c, False, case)
-        else:
-            # G_rho diverges at r(rho), and within the snap window it is +inf
-            # at any distance from r(rho): keep alpha/theta outside the window
-            z_min = model.rho.past_right_snap()
-            probes = [t for t in probes if model.alpha / t >= z_min]
-    else:
-        probes = [2.0**k for k in range(0, 60)]
-    lo, hi = _bracket_increasing_root(f, lo, flo, probes, "edge_solve")
-    theta_c = brentq(f, lo, hi, **_BRENTQ_KW)
-    r_sigma = _h_at(model, theta_c)
-    return EdgeData(tmax, x_c, theta_c, r_sigma, False, case)
+    curve, floor = model._curve()
+    capped = math.isfinite(x_c)
+    lam_c = _level_edge(curve, floor, max(abs(rho.left_edge), abs(rho.right_edge)), capped)
+    r_sigma = x_c if capped and lam_c == floor else curve(lam_c)[0]
+    return EdgeData(tmax, x_c, model.alpha / lam_c, r_sigma, False, case)
 
 
 def _require_nondegenerate(edge: EdgeData):
@@ -555,6 +514,49 @@ def _evaluable_floor(mu: SpectralMeasure, lo: float) -> float:
     :meth:`SpectralMeasure.stieltjes` is +inf at any distance from the edge."""
     past = mu.past_right_snap()
     return past if lo < past and mu.edge_stieltjes_finite() is not True else lo
+
+
+def _level_edge(curve, floor: float, scale: float, capped: bool) -> float:
+    """lam_c, the minimiser of a level's convex x(lam) on [floor, inf): the
+    one root of the increasing x', or the floor where x' >= 0 there and x is
+    finite (``capped``, a finite x_c). The edge solve of both model kinds.
+
+    The root is bracketed on the ladder floor + scale 2^k, on floats: down
+    from k = 0 while x' > 0 (to k = -64, then the floor) or up while x' <= 0
+    (to k = 64). brentq solves it to 1e-16 (hi - floor) + 8.9e-16 |lam|, a relative
+    tolerance: lam_c can be 1e-15 at scale 1, or 1e-100 at scale 1e-100.
+    x' > 0 down to a floor that is no cap (the minimum lies inside the snap
+    window of the edge transforms) and a non-finite x' at a bracket end (G'
+    overflows next to a pole) raise SolverError.
+    """
+    slope = lambda lam: curve(lam)[1]
+    lo = hi = floor + scale
+    d_lo = d_hi = slope(lo)
+    if d_lo > 0.0:
+        probes = (floor + scale * 2.0**-k for k in range(1, 65))
+        for lo in chain(takewhile(lambda p: p > floor, probes), [floor]):
+            d_lo = slope(lo)
+            if not d_lo > 0.0:
+                break
+            hi, d_hi = lo, d_lo
+        else:
+            if capped:
+                return floor
+            raise SolverError(f"edge: x' > 0 down to the floor {floor!r}; the minimum of x(lam) "
+                              f"lies inside the snap window of the edge transforms")
+    else:
+        for k in range(1, 65):
+            hi = floor + scale * 2.0**k
+            d_hi = slope(hi)
+            if d_hi > 0.0:
+                break
+            lo, d_lo = hi, d_hi
+        else:
+            raise SolverError(f"edge: x' <= 0 on every probe up to {hi!r}")
+    if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
+        raise SolverError(f"edge: x' is {d_lo!r} and {d_hi!r} at the ends of the bracket "
+                          f"[{lo!r}, {hi!r}] of its root")
+    return brentq(slope, lo, hi, **dict(_BRENTQ_KW, xtol=1e-16 * (hi - floor)))
 
 
 def _branches(model, x, edge, first: bool = True, second: bool = True):

@@ -12,20 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyson import (
-    _BRENTQ_KW,
     Level,
-    SolverError,
     SupportWindow,
     _branches,
     _check_entry_law,
     _evaluable_floor,
+    _g_at_right_edge,
+    _level_edge,
     _on_points,
     _solve_on_grid,
-    brentq,
+    brentq,  # noqa: F401  unused here; perfbench/tracing.py patches wigner.brentq
     sigma_density,
     sigma_measure,
 )
-from .measures import MeasureError, SpectralMeasure
+from .measures import SpectralMeasure
 from .rate import _inverse_stieltjes, epsilon_truncate, j_fn, rate, rate_variational
 
 __all__ = [
@@ -73,16 +73,21 @@ class DeformedWignerModel:
         |G_mu'| > 1 (it reaches 1e11 near a log-divergent edge), and
         G_mu(lam) would magnify the error of the root by as much."""
         mu = self.mu_d
-
-        def curve(lam):
-            return lam + _on_points(mu.stieltjes, lam), 1.0 + _on_points(mu.stieltjes_prime, lam)
-
         r = mu.right_edge
-        floor = _evaluable_floor(mu, r)
+        curve, floor = self._curve()
         # lam_c = K(y_c), the minimizer of lam + G(lam)
         return Level(curve, max(edge.r_edge - edge.y_c, floor), floor, lambda x: x,
                      lambda lam, x: _on_points(mu.stieltjes, lam), lambda lam, x: x - lam,
                      edge.y_c, edge.x_c_dw, lambda x: x - r)
+
+    def _curve(self):
+        """(x, x') of the level at a float or on an array, and its floor."""
+        mu = self.mu_d
+
+        def curve(lam):
+            return lam + _on_points(mu.stieltjes, lam), 1.0 + _on_points(mu.stieltjes_prime, lam)
+
+        return curve, _evaluable_floor(mu, mu.right_edge)
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G <= Gbar of H(y) = x,
@@ -165,18 +170,9 @@ class DWEdgeData:
         return self.r_edge
 
 
-def _g_edge(mu: SpectralMeasure) -> float:
-    try:
-        return mu.stieltjes(mu.right_edge)
-    except MeasureError as exc:
-        raise SolverError(
-            f"cannot decide the Stieltjes transform at the deformation edge: {exc}"
-        ) from exc
-
-
 def k_transform(mu: SpectralMeasure, y: float) -> float:
     """Inverse K of the Stieltjes transform of mu on (0, G_mu(r(mu)))."""
-    g_edge = _g_edge(mu)
+    g_edge = _g_at_right_edge(mu)
     if not 0.0 < y < g_edge:
         raise ValueError(f"y={y!r} outside the range (0, {g_edge!r}) of the transform")
     return _inverse_stieltjes(mu, y)
@@ -187,7 +183,7 @@ def dw_h(model: DeformedWignerModel, y: float) -> float:
     passes the value of the Stieltjes transform at the deformation edge."""
     if y <= 0.0:
         raise ValueError(f"y must be positive, got {y!r}")
-    g_edge = _g_edge(model.mu_d)
+    g_edge = _g_at_right_edge(model.mu_d)
     if y >= g_edge:
         return y + model.mu_d.right_edge
     return y + _inverse_stieltjes(model.mu_d, y)
@@ -195,40 +191,20 @@ def dw_h(model: DeformedWignerModel, y: float) -> float:
 
 def dw_edge(model: DeformedWignerModel) -> DWEdgeData:
     """Minimize the convex H: the minimizer y_c, the spectral edge
-    r_edge = H(y_c), and the analyticity threshold r(mu_d) + G(r(mu_d))."""
+    r_edge = H(y_c), and the analyticity threshold r(mu_d) + G(r(mu_d)):
+    y_c = G(lam_c) and r_edge = lam_c + y_c at the minimiser lam_c of the
+    level's curve lam + G(lam) (:func:`rmtldp.dyson._level_edge`), which is
+    r(mu_d) where H has its minimum at the kink. The ladder's unit is at
+    least 1, since x' = 1 + G' > 0 past r(mu_d) + 1."""
     mu = model.mu_d
     r = mu.right_edge
-    g_edge = _g_edge(mu)
-    scale = max(1.0, abs(r), mu.right_edge - mu.left_edge)
-    # On the uncapped piece H'(y) = 1 + 1/G'(K(y)); its sign matches
-    # phi(lam) = -G'(lam) - 1 at lam = K(y), decreasing in lam.
-    phi = lambda lam: -mu.stieltjes_prime(lam) - 1.0
-    lo_lam = None
-    delta = scale
-    for _ in range(200):
-        if phi(r + delta) > 0.0:
-            lo_lam = r + delta
-            break
-        delta *= 0.5
-    if lo_lam is None:
-        # derivative of H stays negative up to the cap: minimum at the kink
-        if math.isinf(g_edge):
-            raise SolverError("H has no interior minimum yet G diverges at the edge")
-        y_c = g_edge
-        r_edge = y_c + r
-    else:
-        hi_lam = lo_lam
-        for _ in range(200):
-            hi_lam = r + (hi_lam - r) * 2.0
-            if phi(hi_lam) < 0.0:
-                break
-        else:
-            raise SolverError("dw_edge bracketing failed on the flat side")
-        lam_c = brentq(phi, lo_lam, hi_lam, **_BRENTQ_KW)
-        y_c = mu.stieltjes(lam_c)
-        r_edge = y_c + lam_c
-    x_c = r + g_edge if math.isfinite(g_edge) else math.inf
-    return DWEdgeData(y_c=float(y_c), r_edge=float(r_edge), x_c_dw=x_c, g_edge_mu_d=g_edge)
+    g_edge = _g_at_right_edge(mu)
+    curve, floor = model._curve()
+    scale = max(1.0, abs(mu.left_edge), abs(r))
+    lam_c = _level_edge(curve, floor, scale, math.isfinite(g_edge))
+    y_c = mu.stieltjes(lam_c)
+    return DWEdgeData(y_c=float(y_c), r_edge=float(y_c + lam_c), x_c_dw=r + g_edge,
+                      g_edge_mu_d=g_edge)
 
 
 def dw_branches(model: DeformedWignerModel, x: float,

@@ -1,11 +1,12 @@
-"""The batched branch solve of both model kinds.
+"""The edge and the batched branch solve of both model kinds.
 
 Each kind poses its two branches as the two roots of a convex curve x(lam)
 = x in the spectral variable lam (``model.level``): lam = alpha/y for
-covariance models, lam = K(y) for deformed Wigner ones. The roots are
-checked against 50-digit roots of the rational x(lam) of atomic models, the
-branch values and rates against the former scalar brentq solves kept here as
-the reference, and one-point calls against the rows of a rate table, bit for
+covariance models, lam = K(y) for deformed Wigner ones; its edge r(sigma) is
+the curve's minimum. The roots and the minimiser are checked against
+50-digit ones of the rational x(lam) of atomic models, the edges, branch
+values and rates against the former scalar brentq solves kept here as the
+reference, and one-point calls against the rows of a rate table, bit for
 bit.
 """
 
@@ -26,12 +27,13 @@ from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
     CovarianceModel,
     SolverError,
+    _f_at,
     _h_at,
     _level_roots,
-    _probes_toward,
     detect_degenerate,
     g_bar_sigma,
     g_sigma,
+    thresholds,
 )
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import rate, rate_table
@@ -64,15 +66,19 @@ def test_every_benchmark_model_has_a_rate_table_range():
 # -- roots against 50-digit roots -------------------------------------------------
 
 
-def exact_curve(model):
-    """x(lam) of an atomic model in mpmath arithmetic, a rational function."""
+def exact_curve(model, slope=False):
+    """x(lam) of an atomic model in mpmath arithmetic, a rational function,
+    or x'(lam) with ``slope``."""
     mu = model.diagonal_law
     atoms = [(mpmath.mpf(p), mpmath.mpf(u)) for u, p in zip(mu.atom_locations, mu.atom_weights)]
     g = lambda lam: mpmath.fsum(p / (lam - u) for p, u in atoms)
+    gp = lambda lam: -mpmath.fsum(p / (lam - u) ** 2 for p, u in atoms)
     if isinstance(model, CovarianceModel):
         a = mpmath.mpf(model.alpha)
+        if slope:
+            return lambda lam: (1 - a) / a + lam * (2 * g(lam) + lam * gp(lam))
         return lambda lam: (1 - a) * lam / a + lam * lam * g(lam)
-    return lambda lam: lam + g(lam)
+    return (lambda lam: 1 + gp(lam)) if slope else (lambda lam: lam + g(lam))
 
 
 def solvable_edge(model):
@@ -88,15 +94,18 @@ def solvable_edge(model):
 def check_roots_against_mpmath(model):
     """Both roots at 1%, 30% and 400% of max(1, |r(sigma)|) past the edge lie
     within the solve's tolerance 1e-14 + 4 eps |lam| of the 50-digit root
-    next to them (the secant method from two points 1e-20 |lam| apart). A left
-    root below the floor, where the exact x still lies below the target,
-    is out of reach inside the snap window of the edge transforms, and
-    raises instead."""
+    next to them (the secant method from two points 1e-20 |lam| apart),
+    plus eps max(1, |x|)/|x'|: the solve finds the root of the curve as it
+    is rounded, about eps |x| off, which moves a root where x' is small (a
+    near-double pair 1% past the edge; 0.5 of the term was the most seen
+    over 5400 models). A left root below the floor, where the exact x still
+    lies below the target, is out of reach inside the snap window of the
+    edge transforms, and raises instead."""
     edge = solvable_edge(model)
     level = model.level(edge)
     xs = edge.r_sigma + max(1.0, abs(edge.r_sigma)) * np.array([0.01, 0.3, 4.0])
     left = xs[xs < min(edge.x_end, level.x_cap)]
-    curve = exact_curve(model)
+    curve, slope = exact_curve(model), exact_curve(model, slope=True)
     with mpmath.workdps(50):
         reachable = np.array([curve(mpmath.mpf(level.floor)) > x for x in left], dtype=bool)
         for x in left[~reachable]:
@@ -108,7 +117,8 @@ def check_roots_against_mpmath(model):
             start = mpmath.mpf(lam)
             exact = mpmath.findroot(lambda v: curve(v) - mpmath.mpf(x),
                                     (start, start * (1 + mpmath.mpf(10) ** -20)))
-            assert abs(float(exact - start)) <= 1e-14 + 4.0 * EPS * abs(lam), (x, lam)
+            rounding = EPS * max(1.0, abs(x)) / abs(float(slope(exact)))
+            assert abs(float(exact - start)) <= 1e-14 + 4.0 * EPS * abs(lam) + rounding, (x, lam)
 
 
 @settings(max_examples=300)
@@ -125,6 +135,163 @@ def test_roots_match_50_digit_roots_on_random_atomic_models(mu, alpha):
 # -- the former scalar solves as the reference --------------------------------------
 
 KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=300)
+
+
+def _probes_toward(end):
+    """end * (1 - 2^-k) for k = 2, ..., 40: the former probes approaching
+    theta_max, which stop 2^-40 short of it."""
+    return [end * (1.0 - 2.0**-k) for k in range(2, 41)]
+
+
+def _bracket_increasing_root(fn, lo, flo, probes):
+    """The former bracket of the root of an increasing fn, given fn(lo) =
+    flo < 0, from the first probe where fn > 0, halved toward lo until fn
+    is finite there."""
+    for hi in probes:
+        fhi = fn(hi)
+        if fhi > 0.0:
+            for _ in range(200):
+                if math.isfinite(fhi):
+                    return lo, hi
+                hi = 0.5 * (lo + hi)
+                fhi = fn(hi)
+                if fhi <= 0.0:
+                    lo, fhi = hi, math.inf
+            raise RuntimeError("no finite positive bracket end")
+        lo = hi
+    raise RuntimeError("bracketing failed")
+
+
+def reference_edge(model):
+    """r(sigma) by the former edge solves: brentq on f(theta) = theta^2
+    H'(theta) in theta (covariance), from a shrinking lower end and the
+    probes toward theta_max or theta = 2^k, or on -G'(lam) - 1 in lam
+    (deformed Wigner), bracketed by halving and doubling from r(mu_d)."""
+    if isinstance(model, DeformedWignerModel):
+        mu = model.mu_d
+        r = mu.right_edge
+        g_edge = mu.stieltjes(r)
+        phi = lambda lam: -mu.stieltjes_prime(lam) - 1.0
+        delta = max(1.0, abs(r), r - mu.left_edge)
+        for _ in range(200):
+            if phi(r + delta) > 0.0:
+                break
+            delta *= 0.5
+        else:
+            if math.isinf(g_edge):
+                raise RuntimeError("no interior minimum, yet G diverges at the edge")
+            return g_edge + r
+        lo = hi = r + delta
+        for _ in range(200):
+            hi = r + (hi - r) * 2.0
+            if phi(hi) < 0.0:
+                break
+        else:
+            raise RuntimeError("bracketing failed on the flat side")
+        lam_c = optimize.brentq(phi, lo, hi, **KW)
+        return mu.stieltjes(lam_c) + lam_c
+    tmax, x_c = thresholds(model)
+    f = lambda t: _f_at(model, t)
+    lo = min(1.0, tmax) * 1e-9
+    flo = f(lo)
+    while flo >= 0.0:
+        lo *= 1e-3
+        if lo < 1e-280:
+            raise RuntimeError("f has no negative values near zero")
+        flo = f(lo)
+    if math.isfinite(tmax):
+        probes = _probes_toward(tmax)
+        if math.isfinite(x_c):
+            if f(probes[-1]) <= 0.0:
+                return x_c
+        else:
+            z_min = model.rho.past_right_snap()
+            probes = [t for t in probes if model.alpha / t >= z_min]
+    else:
+        probes = [2.0**k for k in range(0, 60)]
+    lo, hi = _bracket_increasing_root(f, lo, flo, probes)
+    return _h_at(model, optimize.brentq(f, lo, hi, **KW))
+
+
+@pytest.mark.parametrize("name", sorted(XMAX))
+def test_benchmark_edges_equal_the_former_solves_bit_for_bit(name):
+    model = load(name)
+    assert model.edge().r_sigma == reference_edge(model)
+
+
+def _thin_tail(support_end):
+    """A table on [0, b] whose density 5 (1 - u/b)^4 / b holds its mass near
+    0: G and G' are finite at b, and |G'(b)| is small."""
+    b = support_end
+    return SpectralMeasure.from_density(lambda u: 5.0 / b * (1.0 - u / b) ** 4, (0.0, b), 64,
+                                        edge_finite_g=True)
+
+
+@pytest.mark.parametrize("model", [
+    CovarianceModel(_thin_tail(1.0), 0.5), CovarianceModel(_thin_tail(1.0), 2.0),
+    DeformedWignerModel(_thin_tail(3.0)),
+], ids=["covariance-0.5", "covariance-2", "deformed-wigner"])
+def test_an_edge_at_the_cap(model):
+    """x' > 0 down to the floor lam = r(rho) with x_c finite: the minimum of
+    H is at the cap, theta_c = theta_max and r(sigma) = x_c (covariance),
+    y_c = G(r(mu_d)) and r_edge = x_c (deformed Wigner), as the former
+    solves found; past the edge the second branch is capped."""
+    edge = model.edge()
+    assert edge.r_sigma == reference_edge(model)
+    if isinstance(model, CovarianceModel):
+        assert (edge.theta_c, edge.r_sigma) == (edge.theta_max, edge.x_c)
+    else:
+        assert (edge.y_c, edge.r_edge) == (edge.g_edge_mu_d, edge.x_c_dw)
+    level = model.level(edge)
+    xs = edge.r_sigma + np.array([0.5, 2.0])
+    assert np.all(xs >= level.x_cap)
+    assert np.array_equal(model.branches(xs, edge)[1], level.cap(xs))
+
+
+@settings(max_examples=300)
+@given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
+def test_random_atomic_edges_match_the_former_solves(mu, alpha):
+    """r(sigma) within 1e-14 max(1, |r|) of the former solves. Where the
+    edge solve raises, the former solves failed too; where they failed (a
+    top atom near the snap window, a G' that overflows at their probes),
+    the 50-digit minimiser checks the edge."""
+    for model in (CovarianceModel(mu, alpha), DeformedWignerModel(mu)):
+        if isinstance(model, CovarianceModel) and detect_degenerate(model):
+            continue
+        try:
+            r = model.edge().r_sigma
+        except SolverError:
+            with pytest.raises((RuntimeError, ValueError)):
+                reference_edge(model)
+            continue
+        try:
+            ref = reference_edge(model)
+        except (RuntimeError, ValueError):
+            continue
+        assert abs(r - ref) <= 1e-14 * max(1.0, abs(ref)), (r, ref)
+
+
+@settings(max_examples=300)
+@given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
+def test_edge_minimiser_matches_the_50_digit_minimiser(mu, alpha):
+    """The level's lam_c lies within 1e-13 max(|lam_c|, lam_c - floor) of
+    the 50-digit root of x' next to it (the secant method from two points
+    1e-20 |lam| apart), and r(sigma) within 1e-15 max(1, |r|) of the exact
+    minimum there. Over 5530 models the largest gaps were 2.9e-14 and
+    6.7e-16."""
+    for model in (CovarianceModel(mu, alpha), DeformedWignerModel(mu)):
+        if isinstance(model, CovarianceModel) and detect_degenerate(model):
+            continue
+        edge = solvable_edge(model)
+        level = model.level(edge)
+        lam = level.lam_c
+        with mpmath.workdps(50):
+            start = mpmath.mpf(lam)
+            exact = mpmath.findroot(exact_curve(model, slope=True),
+                                    (start, start * (1 + mpmath.mpf(10) ** -20)))
+            r_exact = float(exact_curve(model)(exact))
+        assert float(abs(exact - start)) <= 1e-13 * max(abs(lam), lam - level.floor), lam
+        assert abs(edge.r_sigma - r_exact) <= 1e-15 * max(1.0, abs(r_exact)), edge.r_sigma
 
 
 def reference_branches(model, edge, x):

@@ -1,12 +1,13 @@
 """The in-house brentq against scipy.optimize.brentq, kept here as the oracle.
 
-On the functions every call site solves (the edge function f and the
-deformed-Wigner phi; the branches are solved by Newton's method, see
-tests/test_branch_solver.py), over the benchmark's model files, both root
-finders must return the same root bit for bit after the same sequence of
-evaluations. The end points that are roots, an exhausted step budget, a
-bracket without a sign change and a NaN value are checked on their own, and
-so is the exit code of the command line when a root finder fails.
+On the function its one call site solves (x'(lam), the slope of either
+model kind's level curve, in the edge solve; the branches are solved by
+Newton's method, see tests/test_branch_solver.py), over the benchmark's
+model files, both root finders must return the same root bit for bit after
+the same sequence of evaluations. The end points that are roots, an
+exhausted step budget, a bracket without a sign change and a NaN value are
+checked on their own, and so is the exit code of the command line when a
+root finder fails.
 """
 
 import json
@@ -37,7 +38,9 @@ def recorded(f):
 
 def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
     """Each brentq call of dyson and wigner is run by both root finders; the
-    in-house root is the one the library goes on with."""
+    in-house root is the one the library goes on with. Both model kinds
+    solve their edges in dyson; wigner keeps its binding of brentq for
+    the benchmark's tracer, and calls it nowhere."""
     seen = []
 
     def both(f, a, b, **kw):
@@ -64,7 +67,7 @@ def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
             model.branches(r + frac * span, edge)
 
     callers = {caller for caller, *_ in seen}
-    assert callers == {"edge_solve", "dw_edge"}
+    assert callers == {"_level_edge"}
     for caller, name, ours, ref, ours_points, ref_points in seen:
         assert ours == ref, (caller, name)
         assert ours_points == ref_points, (caller, name)

@@ -290,10 +290,12 @@ def test_spectrum_on_the_scale_of_1e_3(alpha, eta):
 ])
 def test_edge_with_the_top_atom_near_zero(atoms, weights, alpha):
     """G_rho diverges at its top atom r(rho), and within the snap window of
-    the edge transforms it is +inf: edge_solve keeps its probes of f outside
-    it. Here r(rho) is so small against |l(rho)| that the window reaches
-    2^-40 r(rho), and r(sigma) came out +inf. It is negative: an atom of
-    mass alpha * p < 1 cannot push the top of the spectrum above 0."""
+    the edge transforms it is +inf: the edge solve evaluates x'(lam) no
+    lower than the level's floor, the first point past the window. Here
+    r(rho) is so small against |l(rho)| that the window reaches 2^-40 r(rho),
+    and the former probes toward theta_max, which stopped 2^-40 short of it,
+    gave r(sigma) = +inf. It is negative: an atom of mass alpha * p < 1
+    cannot push the top of the spectrum above 0."""
     rho = SpectralMeasure.from_atoms(atoms, weights)
     model = CovarianceModel(rho, alpha)
     edge = model.edge()

@@ -152,9 +152,10 @@ class TestEdgeSolve:
         3.3e-17, 3.3e-100, 3.3e-150,
         pytest.param(3.3e-167, marks=pytest.mark.xfail(
             strict=True, raises=SolverError,
-            reason="the formulas of H and f square theta and alpha/theta: near "
-                   "theta_max = alpha/u, (alpha/theta)^2 underflows to 0 and G_rho' "
-                   "overflows, so f is NaN at every probe and bracketing fails")),
+            reason="G_rho'(lam) = -1/(lam - u)^2 overflows to -inf for lam - u below "
+                   "about 7.5e-155, so x'(lam) is -inf at the lower end of the bracket "
+                   "of the edge solve, far above lam_c (about 1e-166); the solve "
+                   "raises rather than return that end")),
     ])
     def test_tiny_top_atom_scales_the_edge(self, u):
         """sigma of delta_u is sigma of delta_1 scaled by u, so r(sigma)
@@ -168,9 +169,10 @@ class TestEdgeSolve:
 
     _SNAPPED = pytest.mark.xfail(
         strict=True, raises=SolverError,
-        reason="the probes theta = 2^k reach z = alpha/theta inside the 1e-15 snap "
-               "window of the atom at r(rho) = 0, so f = -inf at every probe and "
-               "bracketing fails")
+        reason="lam_c is about (alpha - 2)/4, at most 7.5e-16, below the floor of the level, "
+               "the first point past the 1e-15 snap window of the atom at r(rho) = 0: "
+               "x' > 0 down to the floor, which is no cap (x_c is infinite), so the "
+               "edge solve raises")
 
     @pytest.mark.parametrize("alpha", [
         pytest.param(2.0 + 1e-15, marks=_SNAPPED),
@@ -188,8 +190,8 @@ class TestEdgeSolve:
     @pytest.mark.xfail(
         strict=True, raises=SolverError,
         reason="r(rho) = 1.5e-22 lies inside the 1e-15 snap window of rho's scale 1, "
-               "so every probe toward theta_max reaches z = alpha/theta inside it and is "
-               "dropped, and bracketing fails")
+               "and so does lam_c: x' > 0 down to the floor of the level past the "
+               "window, which is no cap (x_c is infinite), so the edge solve raises")
     def test_top_atom_inside_the_snap_window(self):
         """A positive top atom far below the snap window of a measure whose
         other atom sets its scale; found by the random models of
