@@ -48,7 +48,7 @@ REAL_ENTRY_LAWS = ("gaussian", "rademacher", "uniform_sqrt3")
 COMPLEX_ENTRY_LAWS = ("complex_gaussian", "complex_rademacher")
 _GAUSSIAN_LAWS = ("gaussian", "complex_gaussian")
 
-_BRENTQ_KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=300)
+_BRENTQ_KW = dict(rtol=8.9e-16, maxiter=300)
 
 
 class SolverError(RuntimeError):
@@ -206,7 +206,33 @@ class CovarianceModel:
         tmax = edge.theta_max
         theta = lambda lam, x: a / lam
         return Level(curve, max(a / edge.theta_c, floor), floor, lambda x: a * (x - mean),
-                     theta, theta, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax))
+                     theta, theta, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax),
+                     None if self.rho.components else self._residual)
+
+    def _residual(self, lam, x):
+        """(x(lam) - x, x'(lam)) of an atomic rho, the first as lam/alpha -
+        lam + lam^2 G_rho(lam) - x in double-double arithmetic, on a float
+        or elementwise on an array. The curve rounds x to a few ulps, and
+        where x' is small (next to the edge) that moves its roots by more
+        than their tolerance."""
+        a = self.alpha
+        gh = gl = gp = 0.0
+        for u, p in zip(self.rho.atom_locations.tolist(), self.rho.atom_weights.tolist()):
+            dh, dl = _two_sum(lam, -u)
+            q = p / dh
+            m, ml = _two_prod(q, dh)
+            gh, e = _two_sum(gh, q)
+            gl = gl + (e + (((p - m) - ml) - q * dl) / dh)
+            gp = gp - q / dh
+        q = lam / a
+        m, ml = _two_prod(q, a)
+        sh, sl = _two_prod(lam, lam)
+        ph, pl = _two_prod(sh, gh)
+        s, e1 = _two_sum(q, -lam)
+        s, e2 = _two_sum(s, ph)
+        s, e3 = _two_sum(s, -x)
+        return (s + (e1 + e2 + e3 + ((lam - m) - ml) / a + pl + sh * gl + sl * gh),
+                (1.0 - a) / a + lam * (2.0 * gh + lam * gp))
 
     def _curve(self):
         """(x, x') of the level at a float or on an array, and its floor."""
@@ -418,7 +444,8 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
         case = "nonpos_edge"
     curve, floor = model._curve()
     capped = math.isfinite(x_c)
-    lam_c = _level_edge(curve, floor, max(abs(rho.left_edge), abs(rho.right_edge)), capped)
+    lam_c = _level_edge(lambda lam: curve(lam)[1], floor,
+                        max(abs(rho.left_edge), abs(rho.right_edge)), capped)
     r_sigma = x_c if capped and lam_c == floor else curve(lam_c)[0]
     return EdgeData(tmax, x_c, model.alpha / lam_c, r_sigma, False, case)
 
@@ -458,6 +485,37 @@ def g_bar_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
 
 # -- the branch solve, shared by both model kinds -------------------------------
 
+
+def _two_sum(a, b):
+    """(s, e) with s = a + b rounded and a + b = s + e exactly (Knuth), on
+    floats or elementwise on arrays."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = a b rounded and a b = p + e exactly (Dekker, on
+    Veltkamp's halves), on floats or elementwise on arrays."""
+    p = a * b
+    c, d = 134217729.0 * a, 134217729.0 * b
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _refined(level: Level, lam, t, d):
+    """The roots lam of x = t after one Newton step on ``level.residual``,
+    kept on their side (d = -1 right, +1 left) of lam_c and above the floor;
+    lam where the level has no residual or the step is not finite."""
+    if level.residual is None:
+        return lam
+    r, slope = level.residual(lam, t)
+    step = r / slope
+    new = d * np.minimum(d * (lam - step), d * level.lam_c)
+    return np.where(np.isfinite(step), np.maximum(new, level.floor), lam)
+
+
 # Newton solves in the spectral variable stop once they have bracketed a root
 # within 4 eps |lam|, plus 1e-14 for the inverse Stieltjes solve (the
 # tolerances of the brentq solves), or raise after _NEWTON_STEPS steps
@@ -476,7 +534,9 @@ class Level:
     right of each right root. ``first(lam, x)`` is the first branch at a
     right root, ``second(lam, x)`` the second branch at a left root; from
     ``x_cap`` on, the second branch is ``cap(x)`` instead. At r(sigma) both
-    branches are ``at_edge``."""
+    branches are ``at_edge``. ``residual(lam, x)``, where given, is (x(lam)
+    - x to about eps^2 of its terms, x'(lam)), and each root takes one
+    Newton step on it."""
 
     curve: Callable
     lam_c: float
@@ -487,6 +547,7 @@ class Level:
     at_edge: float
     x_cap: float
     cap: Callable
+    residual: Callable | None = None
 
 
 # up to this many points, transforms are evaluated and roots solved one by
@@ -516,20 +577,24 @@ def _evaluable_floor(mu: SpectralMeasure, lo: float) -> float:
     return past if lo < past and mu.edge_stieltjes_finite() is not True else lo
 
 
-def _level_edge(curve, floor: float, scale: float, capped: bool) -> float:
+def _level_edge(slope, floor: float, scale: float, capped: bool) -> float:
     """lam_c, the minimiser of a level's convex x(lam) on [floor, inf): the
-    one root of the increasing x', or the floor where x' >= 0 there and x is
-    finite (``capped``, a finite x_c). The edge solve of both model kinds.
+    one root of the increasing slope x', or the floor where x' >= 0 there
+    and x is finite (``capped``, a finite x_c). The edge solve of both model
+    kinds.
 
     The root is bracketed on the ladder floor + scale 2^k, on floats: down
     from k = 0 while x' > 0 (to k = -64, then the floor) or up while x' <= 0
-    (to k = 64). brentq solves it to 1e-16 (hi - floor) + 8.9e-16 |lam|, a relative
-    tolerance: lam_c can be 1e-15 at scale 1, or 1e-100 at scale 1e-100.
-    x' > 0 down to a floor that is no cap (the minimum lies inside the snap
-    window of the edge transforms) and a non-finite x' at a bracket end (G'
-    overflows next to a pole) raise SolverError.
+    (to k = 64). Where x' is not finite at an end of the bracket (it is -inf
+    where G' overflows next to a pole, or diverges at a capped floor), the
+    bracket is halved until it is finite at both; a capped floor with no
+    float between it and the upper end is the edge. brentq solves the root
+    to 1e-16 (hi - floor) + 8.9e-16 |lam|, a relative tolerance: lam_c can
+    be 1e-15 at scale 1, or 1e-100 at scale 1e-100. x' > 0 down to a floor
+    that is no cap (the minimum lies inside the snap window of the edge
+    transforms) and a bracket that cannot be halved to finite ends raise
+    SolverError.
     """
-    slope = lambda lam: curve(lam)[1]
     lo = hi = floor + scale
     d_lo = d_hi = slope(lo)
     if d_lo > 0.0:
@@ -553,10 +618,19 @@ def _level_edge(curve, floor: float, scale: float, capped: bool) -> float:
             lo, d_lo = hi, d_hi
         else:
             raise SolverError(f"edge: x' <= 0 on every probe up to {hi!r}")
-    if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-        raise SolverError(f"edge: x' is {d_lo!r} and {d_hi!r} at the ends of the bracket "
-                          f"[{lo!r}, {hi!r}] of its root")
-    return brentq(slope, lo, hi, **dict(_BRENTQ_KW, xtol=1e-16 * (hi - floor)))
+    while not (math.isfinite(d_lo) and math.isfinite(d_hi)):
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            if capped and lo == floor:
+                return floor
+            raise SolverError(f"edge: x' is {d_lo!r} and {d_hi!r} at the ends of the bracket "
+                              f"[{lo!r}, {hi!r}] of its root, with no float between them")
+        d_mid = slope(mid)
+        if d_mid > 0.0:
+            hi, d_hi = mid, d_mid
+        else:
+            lo, d_lo = mid, d_mid
+    return brentq(slope, lo, hi, xtol=1e-16 * (hi - floor), **_BRENTQ_KW)
 
 
 def _branches(model, x, edge, first: bool = True, second: bool = True):
@@ -656,7 +730,7 @@ def _level_root(level: Level, t: float, d: float) -> np.float64:
         if xv <= t:
             if math.isnan(newton):
                 raise SolverError(f"branch Newton solve gave no root at x={float(t)!r}")
-            return newton
+            return np.float64(_refined(level, newton, t, d))
     raise SolverError(f"branch Newton solve did not converge in {_NEWTON_STEPS} steps "
                       f"at x={float(t)!r}; last iterate {float(lam)!r}")
 
@@ -685,6 +759,8 @@ def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.nd
     at -1, and such a part stops Newton before it has the root to 1e-16.
     Only 4 eps 2^-64 (lam_c - floor), below the finest probe spacing, is
     added, so that a start at a floor lam = 0, where x' is -inf, moves.
+    Where the level has a residual, each root then takes one Newton step on
+    it (:func:`_refined`): the curve's rounding no longer limits the root.
 
     Up to ``_FLOAT_POINTS`` roots are solved one by one on floats by
     :func:`_level_root`, with the same bits.
@@ -712,7 +788,7 @@ def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.nd
     t = np.concatenate((t_right, t_left))
     # in u = d lam, d = -1 for a right root and +1 for a left one, every
     # root is approached from below, up to the bound d lam_c
-    d = np.repeat([-1.0, 1.0], [n_right, t_left.size])
+    d = sides = np.repeat([-1.0, 1.0], [n_right, t_left.size])
     bound = d * lam_c
     xtol = _NEWTON_RTOL * 2.0**-64 * (lam_c - floor)
     roots = np.empty(t.size)
@@ -738,7 +814,7 @@ def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.nd
     bad = np.isnan(roots)
     if bad.any():
         raise SolverError(f"branch Newton solve gave no root at x={float(t[bad][0])!r}")
-    return roots
+    return _refined(level, roots, t, sides)
 
 
 # -- support window and density recovery ---------------------------------------

@@ -73,21 +73,16 @@ class DeformedWignerModel:
         |G_mu'| > 1 (it reaches 1e11 near a log-divergent edge), and
         G_mu(lam) would magnify the error of the root by as much."""
         mu = self.mu_d
-        r = mu.right_edge
-        curve, floor = self._curve()
-        # lam_c = K(y_c), the minimizer of lam + G(lam)
-        return Level(curve, max(edge.r_edge - edge.y_c, floor), floor, lambda x: x,
-                     lambda lam, x: _on_points(mu.stieltjes, lam), lambda lam, x: x - lam,
-                     edge.y_c, edge.x_c_dw, lambda x: x - r)
-
-    def _curve(self):
-        """(x, x') of the level at a float or on an array, and its floor."""
-        mu = self.mu_d
 
         def curve(lam):
             return lam + _on_points(mu.stieltjes, lam), 1.0 + _on_points(mu.stieltjes_prime, lam)
 
-        return curve, _evaluable_floor(mu, mu.right_edge)
+        r = mu.right_edge
+        floor = _evaluable_floor(mu, r)
+        # lam_c = K(y_c), the minimizer of lam + G(lam)
+        return Level(curve, max(edge.r_edge - edge.y_c, floor), floor, lambda x: x,
+                     lambda lam, x: _on_points(mu.stieltjes, lam), lambda lam, x: x - lam,
+                     edge.y_c, edge.x_c_dw, lambda x: x - r)
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G <= Gbar of H(y) = x,
@@ -199,9 +194,9 @@ def dw_edge(model: DeformedWignerModel) -> DWEdgeData:
     mu = model.mu_d
     r = mu.right_edge
     g_edge = _g_at_right_edge(mu)
-    curve, floor = model._curve()
     scale = max(1.0, abs(mu.left_edge), abs(r))
-    lam_c = _level_edge(curve, floor, scale, math.isfinite(g_edge))
+    lam_c = _level_edge(lambda lam: 1.0 + mu.stieltjes_prime(lam), _evaluable_floor(mu, r),
+                        scale, math.isfinite(g_edge))
     y_c = mu.stieltjes(lam_c)
     return DWEdgeData(y_c=float(y_c), r_edge=float(y_c + lam_c), x_c_dw=r + g_edge,
                       g_edge_mu_d=g_edge)

@@ -73,7 +73,7 @@ def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
         assert ours_points == ref_points, (caller, name)
 
 
-KW = dict(_BRENTQ_KW)
+KW = dict(_BRENTQ_KW, xtol=1e-14)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0)])

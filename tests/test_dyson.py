@@ -150,12 +150,17 @@ class TestEdgeSolve:
 
     @pytest.mark.parametrize("u", [
         3.3e-17, 3.3e-100, 3.3e-150,
+        # G_rho' overflows to -inf below lam - u = 7.5e-155, just short of
+        # lam_c - u = 8.1e-155: the edge solve halves its bracket from an
+        # end where x' is -inf to finite ends
+        5e-155,
         pytest.param(3.3e-167, marks=pytest.mark.xfail(
             strict=True, raises=SolverError,
             reason="G_rho'(lam) = -1/(lam - u)^2 overflows to -inf for lam - u below "
-                   "about 7.5e-155, so x'(lam) is -inf at the lower end of the bracket "
-                   "of the edge solve, far above lam_c (about 1e-166); the solve "
-                   "raises rather than return that end")),
+                   "about 7.5e-155, far above lam_c (about 1e-166), and x'(lam) > 0 above "
+                   "that: the edge solve halves its bracket down to two adjacent floats "
+                   "with x' = -inf and x' > 0, finds no finite x' <= 0, and raises "
+                   "rather than return an end")),
     ])
     def test_tiny_top_atom_scales_the_edge(self, u):
         """sigma of delta_u is sigma of delta_1 scaled by u, so r(sigma)
