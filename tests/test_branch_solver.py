@@ -119,6 +119,10 @@ def check_roots_against_mpmath(model):
 
 @settings(max_examples=300)
 @given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
+# in these two the rounding of the float curve alone puts the right root 1%
+# past the edge, where x' is 0.12, 2.1e-14 and 1.9e-14 off, against
+# tolerances of 1.8e-14 and 1.7e-14; the level's double-double residual
+# brings it within
 @example(mu=SpectralMeasure.point_mass(3.0), alpha=2.7740356765882197)
 @example(mu=SpectralMeasure.from_atoms([-0.5732896913859555, 2.949077904886293],
                                        [0.22951676425214596 / 0.7412647878191481,
@@ -126,11 +130,7 @@ def check_roots_against_mpmath(model):
          alpha=2.7740356765882197)
 def test_roots_match_50_digit_roots_on_random_atomic_models(mu, alpha):
     """Atoms of both signs, r(rho) <= 0, an atom at r(rho) and at 0; both
-    model kinds on every measure. In the two examples the float curve's
-    rounding at the right root 1% past the edge, where x' is 0.12, moved it
-    by 2.1e-14 and 1.9e-14 against tolerances of 1.8e-14 and 1.7e-14,
-    before the roots of a covariance model of atoms took a Newton step on
-    the double-double residual."""
+    model kinds on every measure."""
     model = CovarianceModel(mu, alpha)
     if not detect_degenerate(model):
         check_roots_against_mpmath(model)
