@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -216,7 +217,11 @@ def _cmd_mc(args) -> None:
         _emit(raw.getvalue(), args.spectra)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parsing only reads it, and each handler looks up the library's
+    functions when it runs."""
     parser = argparse.ArgumentParser(
         prog="rmtldp",
         description="Rate functions and spectra for generalized sample covariance "
@@ -277,7 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Entry point returning an exit code: 0 success, 1 numeric failure,
-    2 usage error."""
+    2 usage error.
+
+    This is also the in-process entry point, ``run(["rate", "--model", ...])``
+    as on the command line. The argument parser is built on the first call
+    and reused by every later call in the process.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -130,11 +130,16 @@ def _wigner_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:
         draw_off = _draw_complex
     diag = _draw_real(rng, diag_law, n)
     off = draw_off(rng, model.entry_law, len(iu[0]))
-    w = np.zeros((n, n), dtype=off.dtype)
+    # every entry is written once: no zero fill, sum with the transpose or
+    # dense diag(d)
+    w = np.empty((n, n), dtype=off.dtype)
     w[iu] = off
-    w = w + w.conj().T
-    w[np.diag_indices(n)] = diag
-    return w / math.sqrt(n) + np.diag(d)
+    w[iu[1], iu[0]] = off.conj()
+    dg = np.diag_indices(n)
+    w[dg] = diag
+    w /= math.sqrt(n)
+    w[dg] += d
+    return w
 
 
 def _sample(model, n: int, seed: int, reps: range,

@@ -14,12 +14,13 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -81,14 +82,33 @@ def exact_curve(model, slope=False):
     return (lambda lam: 1 + gp(lam)) if slope else (lambda lam: lam + g(lam))
 
 
+# below this distance from an atom, G' = -sum p/(lam - u)^2 overflows
+G_PRIME_OVERFLOW = sys.float_info.max ** -0.5
+
+
+def in_snap_family(model):
+    """Whether the model is of the one family the edge solve fails on (the
+    strict xfails of test_dyson.py): lam_c lies within the 1e-15 snap window
+    of the measure's scale above r(mu), as it does for a top atom inside
+    that window, or where G' of an atom at r(mu) leaves the double range.
+    Decided on the 50-digit slope of the curve alone, which increases on the
+    curve's domain (max(r, 0), inf) for covariance models, (r, inf) for
+    deformed Wigner: lam_c lies below a point t of it where x'(t) >= 0."""
+    mu = model.diagonal_law
+    r = mu.right_edge
+    reach = max(1e-15 * max(abs(mu.left_edge), abs(r)), G_PRIME_OVERFLOW)
+    low = max(r, 0.0) if isinstance(model, CovarianceModel) else r
+    with mpmath.workdps(50):
+        t = mpmath.mpf(r) + mpmath.mpf(reach)
+        return low < t and exact_curve(model, slope=True)(t) >= 0
+
+
 def solvable_edge(model):
-    """The model's edge; the example is rejected where edge_solve fails, as
-    it does for a top atom inside the snap window of the measure's scale (a
-    defect of the edge solve, kept as a strict xfail in test_dyson.py)."""
-    try:
-        return model.edge()
-    except SolverError:
-        reject()
+    """The model's edge, where the model is not of the edge solve's failure
+    family; such an example is dropped by a test of the model alone, so the
+    examples drawn do not move with the edge code."""
+    assume(not in_snap_family(model))
+    return model.edge()
 
 
 def check_roots_against_mpmath(model):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmtldp import montecarlo
+from rmtldp import cli, montecarlo
 from rmtldp.cli import model_from_json, model_to_json, run
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
@@ -342,6 +343,71 @@ class TestErrorPaths:
         assert run(["edge", "--model", wishart1, "--out", str(out)]) == 0
         leftovers = [p for p in out.parent.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process and parses every later
+    argv with the same one."""
+
+    def test_the_parser_is_built_once(self, wishart1, tmp_path, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                            lambda self, **kw: builds.append(1) or add_subparsers(self, **kw))
+        cli._build_parser.cache_clear()
+        out = str(tmp_path / "out")
+        for argv in (["edge", "--model", wishart1],
+                     ["rate", "--model", wishart1, "--xmax", "6", "--points", "5"],
+                     ["density", "--model", wishart1, "--points", "5"],
+                     ["mc", "--model", wishart1, "--n", "8", "--replicas", "2"],
+                     ["frobnicate"]):
+            run(argv + ["--out", out])
+        assert builds == [1]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_options_of_one_call_do_not_reach_the_next(self, wishart1, tmp_path):
+        first, reused, fresh = (tmp_path / name for name in ("first", "reused", "fresh"))
+        plain = ["density", "--model", wishart1]
+        assert run(plain + ["--xmin", "0.5", "--xmax", "3", "--points", "7",
+                            "--out", str(first)]) == 0
+        assert run(plain + ["--out", str(reused)]) == 0
+        cli._build_parser.cache_clear()
+        assert run(plain + ["--out", str(fresh)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert len(reused.read_text().splitlines()) == 401
+        assert reused.read_bytes() != first.read_bytes()
+
+    def test_usage_error_and_help_leave_the_next_run_unchanged(self, wishart1, tmp_path,
+                                                                capsys):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        argv = ["rate", "--model", wishart1, "--xmax", "6", "--points", "9"]
+        assert run(argv + ["--out", str(before)]) == 0
+        assert run(["rate", "--model", wishart1, "--points", "x"]) == 2
+        assert "--xmax" in capsys.readouterr().err
+        for _ in range(2):
+            assert run(["rate", "--help"]) == 0
+            assert "usage: rmtldp rate" in capsys.readouterr().out
+        assert run(argv + ["--out", str(after)]) == 0
+        assert before.read_bytes() == after.read_bytes()
+
+    def test_the_thread_variable_is_read_on_every_call(self, wishart1, tmp_path,
+                                                       monkeypatch):
+        threads = []
+        sample = cli._sample
+        monkeypatch.setattr(cli, "_sample", lambda model, n, seed, reps, t:
+                            threads.append(t) or sample(model, n, seed, reps, t))
+        argv = ["mc", "--model", wishart1, "--n", "8", "--replicas", "2",
+                "--out", str(tmp_path / "mc.csv")]
+        monkeypatch.delenv("RMTLDP_THREADS", raising=False)
+        assert run(argv) == 0
+        monkeypatch.setenv("RMTLDP_THREADS", "3")
+        assert run(argv) == 0
+        assert run(argv + ["--threads", "2"]) == 0
+        monkeypatch.setenv("RMTLDP_THREADS", "abc")
+        assert run(argv) == 2
+        monkeypatch.delenv("RMTLDP_THREADS")
+        assert run(argv) == 0
+        assert threads == [None, 3, 2, None]
 
 
 class TestModelRoundTrip:

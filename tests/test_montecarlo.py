@@ -118,6 +118,39 @@ class TestSampleSpectrum:
         s = sample_spectrum(model, 150, seed=9)
         assert abs(np.mean(s.eigenvalues) - 5.0) < 0.2
 
+    @staticmethod
+    def _former_wigner_matrix(model, n, rng, d):
+        """The former build: a zero-filled upper triangle summed with its
+        conjugate transpose, scaled, plus a dense diag(d)."""
+        iu = np.triu_indices(n, 1)
+        if model.beta == 1:
+            diag_law, draw_off = model.entry_law, montecarlo._draw_real
+        else:
+            diag_law = "gaussian" if model.entry_law == "complex_gaussian" else "rademacher"
+            draw_off = montecarlo._draw_complex
+        diag = montecarlo._draw_real(rng, diag_law, n)
+        off = draw_off(rng, model.entry_law, len(iu[0]))
+        w = np.zeros((n, n), dtype=off.dtype)
+        w[iu] = off
+        w = w + w.conj().T
+        w[np.diag_indices(n)] = diag
+        return w / np.sqrt(n) + np.diag(d)
+
+    @pytest.mark.parametrize("beta,law", [
+        (1, "gaussian"), (1, "rademacher"), (1, "uniform_sqrt3"),
+        (2, "complex_gaussian"), (2, "complex_rademacher"),
+    ])
+    def test_wigner_matrix_equals_the_former_build_bit_for_bit(self, beta, law):
+        model = DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5]),
+                                    beta, law)
+        for n in (2, 3, 17):
+            d = build_gamma(model.diagonal_law, n)
+            for rep in range(10):
+                got = model.draw(montecarlo._rng_for(5, rep), n, d)
+                want = self._former_wigner_matrix(model, n, montecarlo._rng_for(5, rep), d)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
 
 class TestEdgeStats:
     def test_mp_edge_location(self):
