@@ -130,8 +130,6 @@ def _wigner_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:
         draw_off = _draw_complex
     diag = _draw_real(rng, diag_law, n)
     off = draw_off(rng, model.entry_law, len(iu[0]))
-    # one array filled in place: the upper triangle, its conjugate below,
-    # then the diagonal; no zero fill, transposed sum or dense diag(d)
     w = np.empty((n, n), dtype=off.dtype)
     w[iu] = off
     w[iu[1], iu[0]] = off.conj()
