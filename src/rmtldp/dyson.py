@@ -2,13 +2,15 @@
 
 The limiting spectral measure sigma of H = (1/M) Z^T Gamma Z is characterized
 by inverting y -> H(y) = 1/y + integral of alpha*u/(alpha - y*u) d rho(u).
-Everything here reduces to Stieltjes-transform evaluations of rho through
+In the spectral variable lam = alpha/y, H(y) = x(lam) on the level curve
 
-    H(y)   = 1/y - alpha/y + (alpha^2/y^2) * G_rho(alpha/y),
-    f(y)   = y^2 H'(y) = -1 + alpha*(z^2*(-G_rho'(z)) - 2*z*G_rho(z) + 1),
+    x(lam)  = lam (c + lam G_rho(lam)),                  c = (1 - alpha)/alpha,
+    x'(lam) = c + lam (2 G_rho(lam) + lam G_rho'(lam)),
 
-with z = alpha/y, so tagged measures with closed-form transforms give
-machine-precision edge quantities.
+so y^2 H'(y) = -alpha x'(alpha/y). The edge, the two branches and the limit
+law are all solved on this curve, from Stieltjes-transform evaluations of rho,
+so tagged measures with closed-form transforms give machine-precision edge
+quantities.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ __all__ = [
     "DegenerateModelError",
     "theta_max",
     "h_rho",
-    "f_rho",
     "thresholds",
     "detect_degenerate",
     "edge_solve",
+    "limit_stieltjes",
     "g_sigma",
     "g_bar_sigma",
     "support_window",
@@ -192,21 +194,39 @@ class CovarianceModel:
         x; floats for a scalar x."""
         return _branches(self, x, edge)
 
-    def level(self, edge: EdgeData) -> Level:
+    @property
+    def degenerate(self) -> bool:
+        """:func:`detect_degenerate`; the limit law of such a model is not solved."""
+        return detect_degenerate(self)
+
+    def curve(self) -> Curve:
         """H(y) = x in the variable lam = alpha/y: x(lam) = (1 - alpha) lam/alpha
-        + lam^2 G_rho(lam) on lam > max(r(rho), 0). Since lam^2/(lam - t) =
-        lam + t + t^2/(lam - t), x(lam) = lam/alpha + mean(rho) + integral of
-        t^2/(lam - t), so x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam =
-        alpha (x - mean(rho)) lies right of the right root."""
+        + lam^2 G_rho(lam) on lam > max(r(rho), 0), and y = alpha/lam. Far
+        from the real axis x(lam) ~ lam/alpha, so the root of x(lam) = z is
+        about alpha z there."""
+        rho, a = self.rho, self.alpha
+        return Curve(rho, self._point, _evaluable_floor(rho, max(rho.right_edge, 0.0)),
+                     lambda z: a * z, lambda lam, x: a / lam)
+
+    def _point(self, lam, g, gp):
+        """(x, x') at lam from G = G_rho(lam) and G' = G_rho'(lam)."""
+        c = (1.0 - self.alpha) / self.alpha
+        return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
+
+    def level(self, edge: EdgeData) -> Level:
+        """The curve with its edge. Since lam^2/(lam - t) = lam + t + t^2/(lam
+        - t), x(lam) = lam/alpha + mean(rho) + integral of t^2/(lam - t), so
+        x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam = alpha (x -
+        mean(rho)) lies right of the right root."""
         a = self.alpha
-        curve, floor = self._curve()
+        curve = self.curve()
         mean = self.rho.integrate(lambda u: u)
         x_c = edge.x_c
         x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
         tmax = edge.theta_max
-        theta = lambda lam, x: a / lam
-        return Level(curve, max(a / edge.theta_c, floor), floor, lambda x: a * (x - mean),
-                     theta, theta, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax),
+        return Level(curve, max(a / edge.theta_c, curve.floor), curve.floor,
+                     lambda x: a * (x - mean), curve.y, curve.y, edge.theta_c, x_cap,
+                     lambda x: np.full(x.shape, tmax),
                      None if self.rho.components else self._residual)
 
     def _residual(self, lam, x):
@@ -232,18 +252,7 @@ class CovarianceModel:
         s, e2 = _two_sum(s, ph)
         s, e3 = _two_sum(s, -x)
         return (s + (e1 + e2 + e3 + ((lam - m) - ml) / a + pl + sh * gl + sl * gh),
-                (1.0 - a) / a + lam * (2.0 * gh + lam * gp))
-
-    def _curve(self):
-        """(x, x') of the level at a float or on an array, and its floor."""
-        rho, a = self.rho, self.alpha
-        c = (1.0 - a) / a
-
-        def curve(lam):
-            g, gp = _on_points(rho.stieltjes, lam), _on_points(rho.stieltjes_prime, lam)
-            return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
-
-        return curve, _evaluable_floor(rho, max(rho.right_edge, 0.0))
+                self._point(lam, gh, gp)[1])
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G = G_sigma(x), Gbar = Gbar_sigma(x),
@@ -266,13 +275,6 @@ class CovarianceModel:
 
     def window(self, edge: EdgeData) -> SupportWindow:
         return support_window(self, edge)
-
-    def limit_stieltjes(self, zs: np.ndarray) -> np.ndarray:
-        """G_sigma(z) at every z of the upper half-plane: the root of H(w) = z
-        with Im w < 0, seeded far above the axis by w ~ 1/z."""
-        if detect_degenerate(self):
-            raise DegenerateModelError("model is degenerate; use the degenerate rate function")
-        return _solve_on_grid(lambda w: _h_pair(self, w), zs, lambda z: 1.0 / z)
 
     def variational(self, x: float, edge: EdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
@@ -338,52 +340,15 @@ def theta_max(model: CovarianceModel) -> float:
 
 
 def h_rho(model: CovarianceModel, theta: float) -> float:
-    """H(theta) on (0, theta_max]; theta_max itself only when x_c is finite."""
+    """H(theta) = x(alpha/theta) on (0, theta_max]; theta_max itself only
+    when x_c is finite."""
     tmax = theta_max(model)
     if not 0.0 < theta <= tmax:
         raise ValueError(f"theta={theta!r} outside (0, {tmax!r}]")
-    h = _h_at(model, theta)
+    h = model.curve()(model.alpha / theta)[0]
     if math.isinf(h):
         raise ValueError(f"H diverges at theta={theta!r} (theta_max with infinite edge transform)")
     return h
-
-
-def f_rho(model: CovarianceModel, theta: float) -> float:
-    """f(theta) = theta^2 H'(theta), strictly increasing on (0, theta_max)."""
-    tmax = theta_max(model)
-    if not 0.0 < theta < tmax:
-        raise ValueError(f"theta={theta!r} outside (0, {tmax!r})")
-    return _f_at(model, theta)
-
-
-# H and f from G = G_rho(z) and G' = G_rho'(z) at z = alpha/theta: the one
-# formula of each, valid for any real or complex theta with z off the support
-# of rho; H' = f / theta^2
-
-
-def _h_from(a, theta, g):
-    return 1.0 / theta - a / theta + (a * a) / (theta * theta) * g
-
-
-def _f_from(a, z, g, gp):
-    return -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
-
-
-def _f_at(model: CovarianceModel, theta):
-    z = model.alpha / theta
-    return _f_from(model.alpha, z, model.rho.stieltjes(z), model.rho.stieltjes_prime(z))
-
-
-def _h_at(model: CovarianceModel, theta):
-    return _h_from(model.alpha, theta, model.rho.stieltjes(model.alpha / theta))
-
-
-def _h_pair(model: CovarianceModel, theta):
-    """(H, H') at a complex array theta from one evaluation of G_rho and G_rho'."""
-    a = model.alpha
-    z = a / theta
-    g, gp = model.rho.stieltjes_pair(z)
-    return _h_from(a, theta, g), _f_from(a, z, g, gp) / (theta * theta)
 
 
 def _h_direct(model: CovarianceModel, theta: float) -> float:
@@ -442,11 +407,11 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
         case = "pos_edge_finite_xc" if math.isfinite(x_c) else "pos_edge_infinite_xc"
     else:
         case = "nonpos_edge"
-    curve, floor = model._curve()
+    curve = model.curve()
     capped = math.isfinite(x_c)
-    lam_c = _level_edge(lambda lam: curve(lam)[1], floor,
+    lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor,
                         max(abs(rho.left_edge), abs(rho.right_edge)), capped)
-    r_sigma = x_c if capped and lam_c == floor else curve(lam_c)[0]
+    r_sigma = x_c if capped and lam_c == curve.floor else curve(lam_c)[0]
     return EdgeData(tmax, x_c, model.alpha / lam_c, r_sigma, False, case)
 
 
@@ -525,18 +490,40 @@ _NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
+class Curve:
+    """The level curve x(lam) of a model kind, on which H(y) = x reads x(lam)
+    = x; it needs no edge. ``point(lam, g, gp)`` is the kind's one formula
+    for (x(lam), x'(lam)) from G = G_mu(lam) and G' = G_mu'(lam), mu the
+    ``measure``, on floats, real arrays and complex arrays. ``floor`` is the
+    lowest real point where x is evaluated. ``y(lam, x)`` maps a root of
+    x(lam) = x to its y; off the real axis that is G_sigma(z) for the root
+    of x(lam) = z in the upper half-plane, which ``seed(z)`` approximates
+    far above the axis. Called on a real float or array lam, the curve
+    returns (x, x') from the transforms of the measure at lam."""
+
+    measure: SpectralMeasure
+    point: Callable
+    floor: float
+    seed: Callable
+    y: Callable
+
+    def __call__(self, lam):
+        mu = self.measure
+        return self.point(lam, _on_points(mu.stieltjes, lam), _on_points(mu.stieltjes_prime, lam))
+
+
+@dataclass(frozen=True)
 class Level:
-    """The level-set equation x(lam) = x of a model, whose two roots give the
-    two branches. ``curve(lam)`` returns (x(lam), x'(lam)) at a float or on
-    an array; x is convex on (floor, inf) with its minimum r(sigma) at
-    ``lam_c``.
-    ``floor`` is the lowest point where x is evaluated, ``start(x)`` a point
-    right of each right root. ``first(lam, x)`` is the first branch at a
-    right root, ``second(lam, x)`` the second branch at a left root; from
-    ``x_cap`` on, the second branch is ``cap(x)`` instead. At r(sigma) both
-    branches are ``at_edge``. ``residual(lam, x)``, where given, is (x(lam)
-    - x to about eps^2 of its terms, x'(lam)), and each root takes one
-    Newton step on it."""
+    """A model's :class:`Curve` with its edge: the level-set equation x(lam)
+    = x, whose two roots give the two branches. ``curve(lam)`` returns
+    (x(lam), x'(lam)) at a float or on an array; x is convex on (floor, inf)
+    with its minimum r(sigma) at ``lam_c``.
+    ``floor`` is the curve's floor, ``start(x)`` a point right of each right
+    root. ``first(lam, x)`` is the first branch at a right root,
+    ``second(lam, x)`` the second branch at a left root; from ``x_cap`` on,
+    the second branch is ``cap(x)`` instead. At r(sigma) both branches are
+    ``at_edge``. ``residual(lam, x)``, where given, is (x(lam) - x to about
+    eps^2 of its terms, x'(lam)), and each root takes one Newton step on it."""
 
     curve: Callable
     lam_c: float
@@ -886,9 +873,9 @@ def _solve_on_grid(h_pair, zs, seed):
     polishes the roots.
 
     Every trial point costs one ``h_pair`` evaluation, and the h' of the
-    accepted trial serves the next step and the polish step: about 23
-    evaluations per point for a covariance model and 16 for a deformed
-    Wigner one on a 2000-point grid.
+    accepted trial serves the next step and the polish step: on the level
+    curves, about 19 evaluations per point for a covariance model and 16
+    for a deformed Wigner one on a 2000-point grid.
 
     The loose levels assume structure of h on the scale of 1: for a model
     whose spectrum spans 1e-3, a residual of 1e-3 can leave a seed from which
@@ -990,6 +977,20 @@ def _descend(h_pair, zs, seed, level_tol):
             raise stalled(todo[0], "stalled")
 
 
+def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
+    """G_sigma(z) at every z of the upper half-plane, for either model kind:
+    the root lam of x(lam) = z on the model's curve, seeded far above the
+    axis by the curve's seed and solved by :func:`_solve_on_grid` on the
+    curve's formula, mapped to G_sigma by the curve's y. A degenerate
+    covariance model is refused."""
+    if model.degenerate:
+        raise DegenerateModelError("model is degenerate; use the degenerate rate function")
+    curve = model.curve()
+    mu = curve.measure
+    lam = _solve_on_grid(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
+    return curve.y(lam, zs)
+
+
 def sigma_density(model, x, eta: float):
     """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0,
     for either model kind (sigma is then the model's limiting measure).
@@ -1001,7 +1002,7 @@ def sigma_density(model, x, eta: float):
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    g = model.limit_stieltjes(xs + 1j * eta)
+    g = limit_stieltjes(model, xs + 1j * eta)
     out = np.maximum(-g.imag / math.pi, 0.0)
     return out[0] if np.asarray(x).ndim == 0 else out
 
@@ -1147,7 +1148,7 @@ def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
     xs = boundary_density_grid(lo, hi, grid_points)
     eta_floor = 1e-9 * max(1.0, span)
-    g = model.limit_stieltjes(xs + 1j * eta_floor)
+    g = limit_stieltjes(model, xs + 1j * eta_floor)
     if window.zero_atom > 0.0:
         # the zero atom is attached exactly below; strip its Cauchy bump from
         # the recovered transform so only the continuous part is gridded

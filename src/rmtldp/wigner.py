@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyson import (
+    Curve,
     Level,
     SupportWindow,
     _branches,
@@ -20,7 +21,6 @@ from .dyson import (
     _g_at_right_edge,
     _level_edge,
     _on_points,
-    _solve_on_grid,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches wigner.brentq
     sigma_density,
     sigma_measure,
@@ -50,6 +50,9 @@ class DeformedWignerModel:
     beta: int = 1
     entry_law: str = "gaussian"
 
+    # no degenerate phase: the limit law is solved for every deformation
+    degenerate = False
+
     def __post_init__(self):
         _check_entry_law(self.beta, self.entry_law)
 
@@ -62,26 +65,31 @@ class DeformedWignerModel:
     def branches(self, x, edge: DWEdgeData):
         return _branches(self, x, edge)
 
-    def level(self, edge: DWEdgeData) -> Level:
+    def curve(self) -> Curve:
         """H(y) = x in the variable lam = K(y), which avoids nested transform
-        inversions: x(lam) = lam + G_mu(lam) on lam > r(mu_d). x'' = 2
-        integral of (lam - t)^-3 > 0, and x(lam) > lam puts lam = x right of
-        the right root.
-
-        A root lam maps to y = G_mu(lam) = x - lam. The first branch takes
-        G_mu(lam), where |G_mu'| < 1; the second takes x - lam, since there
-        |G_mu'| > 1 (it reaches 1e11 near a log-divergent edge), and
-        G_mu(lam) would magnify the error of the root by as much."""
+        inversions: x(lam) = lam + G_mu(lam) on lam > r(mu_d), and y =
+        G_mu(lam) = x - lam. Off the real axis x(lam) = z is the
+        subordination equation omega + G_mu(omega) = z, whose root is about
+        z - 1/z far above the axis."""
         mu = self.mu_d
+        return Curve(mu, lambda lam, g, gp: (lam + g, 1.0 + gp),
+                     _evaluable_floor(mu, mu.right_edge), lambda z: z - 1.0 / z,
+                     lambda lam, x: x - lam)
 
-        def curve(lam):
-            return lam + _on_points(mu.stieltjes, lam), 1.0 + _on_points(mu.stieltjes_prime, lam)
+    def level(self, edge: DWEdgeData) -> Level:
+        """The curve with its edge. x'' = 2 integral of (lam - t)^-3 > 0, and
+        x(lam) > lam puts lam = x right of the right root.
 
+        The first branch takes G_mu(lam), where |G_mu'| < 1; the second takes
+        x - lam, since there |G_mu'| > 1 (it reaches 1e11 near a
+        log-divergent edge), and G_mu(lam) would magnify the error of the
+        root by as much."""
+        mu = self.mu_d
+        curve = self.curve()
         r = mu.right_edge
-        floor = _evaluable_floor(mu, r)
         # lam_c = K(y_c), the minimizer of lam + G(lam)
-        return Level(curve, max(edge.r_edge - edge.y_c, floor), floor, lambda x: x,
-                     lambda lam, x: _on_points(mu.stieltjes, lam), lambda lam, x: x - lam,
+        return Level(curve, max(edge.r_edge - edge.y_c, curve.floor), curve.floor, lambda x: x,
+                     lambda lam, x: _on_points(mu.stieltjes, lam), curve.y,
                      edge.y_c, edge.x_c_dw, lambda x: x - r)
 
     def rate_from_branches(self, x, g, g_bar):
@@ -110,16 +118,6 @@ class DeformedWignerModel:
         as minus the right edge for the reflected deformation."""
         mirrored = dw_edge(DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law))
         return SupportWindow(-mirrored.r_edge, edge.r_edge, 0.0)
-
-    def limit_stieltjes(self, zs: np.ndarray) -> np.ndarray:
-        """G(z) = z - omega at every z of the upper half-plane, omega the root
-        of the subordination equation omega + G_mu(omega) = z with
-        Im omega > 0, seeded far above the axis by omega ~ z - 1/z."""
-        def pair(om):
-            g, gp = self.mu_d.stieltjes_pair(om)
-            return om + g, 1.0 + gp
-
-        return zs - _solve_on_grid(pair, zs, lambda z: z - 1.0 / z)
 
     def variational(self, x: float, edge: DWEdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
@@ -195,10 +193,10 @@ def dw_edge(model: DeformedWignerModel) -> DWEdgeData:
     r = mu.right_edge
     g_edge = _g_at_right_edge(mu)
     scale = max(1.0, abs(mu.left_edge), abs(r))
-    lam_c = _level_edge(lambda lam: 1.0 + mu.stieltjes_prime(lam), _evaluable_floor(mu, r),
-                        scale, math.isfinite(g_edge))
+    curve = model.curve()
+    lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor, scale, math.isfinite(g_edge))
     y_c = mu.stieltjes(lam_c)
-    return DWEdgeData(y_c=float(y_c), r_edge=float(y_c + lam_c), x_c_dw=r + g_edge,
+    return DWEdgeData(y_c=float(y_c), r_edge=float(curve(lam_c)[0]), x_c_dw=r + g_edge,
                       g_edge_mu_d=g_edge)
 
 

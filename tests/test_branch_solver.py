@@ -28,8 +28,6 @@ from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
     CovarianceModel,
     SolverError,
-    _f_at,
-    _h_at,
     _level_roots,
     detect_degenerate,
     g_bar_sigma,
@@ -184,6 +182,23 @@ def test_roots_match_50_digit_roots_on_random_atomic_models(mu, alpha):
 # -- the former scalar solves as the reference --------------------------------------
 
 KW = dict(xtol=1e-14, rtol=8.9e-16, maxiter=300)
+
+
+def _h_at(model, theta):
+    """The former H(theta) = 1/theta - alpha/theta + (alpha/theta)^2
+    G_rho(alpha/theta), in the same expression, so the same bits."""
+    a = model.alpha
+    g = model.rho.stieltjes(a / theta)
+    return 1.0 / theta - a / theta + (a * a) / (theta * theta) * g
+
+
+def _f_at(model, theta):
+    """The former f(theta) = theta^2 H'(theta) = -1 + alpha (z^2 (-G_rho'(z))
+    - 2 z G_rho(z) + 1) at z = alpha/theta, in the same expression."""
+    a = model.alpha
+    z = a / theta
+    g, gp = model.rho.stieltjes(z), model.rho.stieltjes_prime(z)
+    return -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
 
 
 def _probes_toward(end):
@@ -541,6 +556,22 @@ def test_a_root_beyond_every_probe_raises_naming_x(model, x):
         model.branches(np.array([edge.r_sigma + 1.0, x]), edge)
     with pytest.raises(SolverError, match=message):
         rate(model, x, edge)
+
+
+def test_a_left_root_next_to_a_tiny_top_atom_raises_naming_x():
+    """Next to a top atom u = 8.5e-10 of mass p, tiny against the atom at
+    -2, the left root of x = 0.1 lies about p u^2 / x = 2e-18 above u,
+    inside the snap window 2e-15 of the measure's scale 2, where no probe
+    can go; the rate invariants of test_rate.py met such models. Closer to
+    the edge, at x = 1e-8, the root lies 2e-11 above u and solves."""
+    rho = SpectralMeasure.from_atoms([-2.00001, 8.517098578306765e-10],
+                                     [0.6909838401195151, 0.3090161598804849])
+    model = CovarianceModel(rho, 0.3)
+    edge = model.edge()
+    message = re.escape("no probe brackets the left root of x(lam) = x at x=0.1")
+    with pytest.raises(SolverError, match=message):
+        rate(model, 0.1, edge)
+    assert rate(model, 1e-8, edge) > 0.0
 
 
 def test_a_nan_x_raises():

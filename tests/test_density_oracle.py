@@ -13,6 +13,9 @@ continuation: the root is picked from all roots of the polynomial, and three
 Newton steps on the equation only refine its digits.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -20,12 +23,15 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.linalg import eigvals
 
+from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
     CovarianceModel,
     DegenerateModelError,
     SolverError,
+    _solve_on_grid,
     boundary_density_grid,
     detect_degenerate,
+    limit_stieltjes,
     sigma_density,
 )
 from rmtldp.measures import SpectralMeasure
@@ -181,15 +187,16 @@ def test_nan_transform_raises_instead_of_returning(monkeypatch):
 
 
 @pytest.mark.parametrize("model, budget", [
-    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 24),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 20),
     (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 18),
 ], ids=["wishart1", "dw-uniform"])
 def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
     """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
-    the h' of an accepted trial serves the next step: on sigma_measure's
-    2000-point grid that is about 23 evaluations per point for covariance
-    and 16 for deformed Wigner. Three node passes per step would take about
-    twice as many."""
+    the x' of an accepted trial serves the next step: on sigma_measure's
+    2000-point grid that is about 19 evaluations per point for covariance
+    and 16 for deformed Wigner, both solved on their level curves. Three
+    node passes per step would take about twice as many, and the former
+    covariance solve of H(w) = z in theta took about 23."""
     window = model.window(model.edge())
     xs = boundary_density_grid(window.left, window.right, 2000)
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
@@ -206,7 +213,7 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", counted)
     monkeypatch.setattr(SpectralMeasure, "stieltjes", refused)
     monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", refused)
-    g = model.limit_stieltjes(zs)
+    g = limit_stieltjes(model, zs)
     assert np.all(np.isfinite(g))
     assert sum(evaluations) <= budget * zs.size
 
@@ -304,3 +311,94 @@ def test_edge_with_the_top_atom_near_zero(atoms, weights, alpha):
     inside, outside = [covariance_oracle(atoms, weights, alpha, x + 1e-12j)
                        for x in (edge.r_sigma - step, edge.r_sigma + step)]
     assert inside > 1e-2 and outside < 1e-5
+
+
+# -- the former solves of the limit law as the reference ---------------------------
+
+
+def theta_space_stieltjes(model, zs):
+    """G_sigma(z) by the former covariance solve: the root of H(w) = z with
+    Im w < 0, seeded far above the axis by w ~ 1/z, with (H, H') in theta
+    from one evaluation of G_rho and G_rho' at alpha/w, in the expressions
+    of that solve."""
+    a = model.alpha
+
+    def h_pair(w):
+        z = a / w
+        g, gp = model.rho.stieltjes_pair(z)
+        h = 1.0 / w - a / w + (a * a) / (w * w) * g
+        f = -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
+        return h, f / (w * w)
+
+    return _solve_on_grid(h_pair, zs, lambda z: 1.0 / z)
+
+
+def subordination_stieltjes(model, zs):
+    """G(z) = z - omega by the former deformed-Wigner solve of omega +
+    G_mu(omega) = z, seeded by omega ~ z - 1/z."""
+
+    def pair(om):
+        g, gp = model.mu_d.stieltjes_pair(om)
+        return om + g, 1.0 + gp
+
+    return zs - _solve_on_grid(pair, zs, lambda z: z - 1.0 / z)
+
+
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+BENCHMARK_MODELS = {p.stem: model_from_json(json.loads(p.read_text()))
+                    for p in sorted(MODELS.glob("*.json"))}
+
+
+def measure_grids(model):
+    """sigma_measure's 2000-point grid over the support window at the
+    heights 1e-2, 1e-6 and 1e-9 max(1, span), the last sigma_measure's."""
+    window = model.window(model.edge())
+    xs = boundary_density_grid(window.left, window.right, 2000)
+    span = max(1.0, window.right - window.left)
+    return [xs + 1j * eta for eta in (1e-2, 1e-6, 1e-9 * span)]
+
+
+def assert_near_theta_space_solve(model, zs):
+    """G_sigma within 1e-12 max(1, |G|) of the former solve's. The two
+    Newton solves, in lam and in theta = alpha/lam, each stop at a residual
+    of 1e-12 max(1, |z|) and then take one polish step; on the benchmark
+    models and 300 random atomic ones they differed by at most 3.0e-13."""
+    got = limit_stieltjes(model, zs)
+    want = theta_space_stieltjes(model, zs)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, m in BENCHMARK_MODELS.items()
+                                        if isinstance(m, CovarianceModel)
+                                        and not detect_degenerate(m)))
+def test_covariance_limit_law_matches_the_theta_space_solve(name):
+    model = BENCHMARK_MODELS[name]
+    for zs in measure_grids(model):
+        assert_near_theta_space_solve(model, zs)
+
+
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_random_atomic_limit_law_matches_the_theta_space_solve(rho, alpha, eta):
+    model = CovarianceModel(rho, alpha)
+    if detect_degenerate(model):
+        return
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    assert_near_theta_space_solve(model, xs + 1j * eta)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, m in BENCHMARK_MODELS.items()
+                                        if isinstance(m, DeformedWignerModel)))
+def test_deformed_wigner_limit_law_equals_the_subordination_solve_bit_for_bit(name):
+    """The deformed-Wigner curve lam + G_mu(lam) is the subordination
+    equation at lam = omega, with the same seed and map to G."""
+    model = BENCHMARK_MODELS[name]
+    for zs in measure_grids(model):
+        assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))
+
+
+@given(mu=atomic_measures, eta=etas)
+def test_random_atomic_deformed_wigner_limit_law_equals_the_subordination_solve(mu, eta):
+    model = DeformedWignerModel(mu)
+    zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
+    assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))

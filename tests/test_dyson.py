@@ -10,7 +10,6 @@ from rmtldp.dyson import (
     SolverError,
     detect_degenerate,
     edge_solve,
-    f_rho,
     g_bar_sigma,
     g_sigma,
     h_rho,
@@ -284,14 +283,17 @@ class TestBranchInvariants:
         lambda: semicircle_model(),
         lambda: wishart(2.0, sign=-1.0),
     ])
-    def test_f_rho_increasing_with_limit_minus_one(self, make_model):
+    def test_curve_slope_increasing_with_limit_one_over_alpha(self, make_model):
+        """f(theta) = theta^2 H'(theta) = -alpha x'(alpha/theta) increases on
+        (0, theta_max) from -1: x' increases in lam = alpha/theta and tends
+        to 1/alpha as lam -> inf."""
         model = make_model()
         tmax = theta_max(model)
         hi = 0.999 * tmax if math.isfinite(tmax) else 50.0
-        thetas = np.linspace(1e-6, hi, 100)
-        vals = np.array([f_rho(model, t) for t in thetas])
-        assert np.all(np.diff(vals) > 0)
-        assert vals[0] == pytest.approx(-1.0, abs=1e-4)
+        lams = model.alpha / np.linspace(hi, 1e-6, 100)
+        slopes = model.curve()(lams)[1]
+        assert np.all(np.diff(slopes) > 0)
+        assert slopes[-1] == pytest.approx(1.0 / model.alpha, abs=1e-4 / model.alpha)
 
 
 class TestRemoveZeroAtomIdentity:
