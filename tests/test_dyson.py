@@ -283,17 +283,16 @@ class TestBranchInvariants:
         lambda: semicircle_model(),
         lambda: wishart(2.0, sign=-1.0),
     ])
-    def test_curve_slope_increasing_with_limit_one_over_alpha(self, make_model):
-        """f(theta) = theta^2 H'(theta) = -alpha x'(alpha/theta) increases on
-        (0, theta_max) from -1: x' increases in lam = alpha/theta and tends
-        to 1/alpha as lam -> inf."""
+    def test_f_rho_increasing_with_limit_minus_one(self, make_model):
+        """f(theta) = theta^2 H'(theta) = -alpha x'(alpha/theta), read off the
+        level curve, increases on (0, theta_max) from -1."""
         model = make_model()
         tmax = theta_max(model)
         hi = 0.999 * tmax if math.isfinite(tmax) else 50.0
-        lams = model.alpha / np.linspace(hi, 1e-6, 100)
-        slopes = model.curve()(lams)[1]
-        assert np.all(np.diff(slopes) > 0)
-        assert slopes[-1] == pytest.approx(1.0 / model.alpha, abs=1e-4 / model.alpha)
+        thetas = np.linspace(1e-6, hi, 100)
+        vals = -model.alpha * model.curve()(model.alpha / thetas)[1]
+        assert np.all(np.diff(vals) > 0)
+        assert vals[0] == pytest.approx(-1.0, abs=1e-4)
 
 
 class TestRemoveZeroAtomIdentity:
