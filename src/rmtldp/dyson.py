@@ -499,7 +499,9 @@ class Curve:
     x(lam) = x to its y; off the real axis that is G_sigma(z) for the root
     of x(lam) = z in the upper half-plane, which ``seed(z)`` approximates
     far above the axis. Called on a real float or array lam, the curve
-    returns (x, x') from the transforms of the measure at lam."""
+    returns (x, x') from the transforms of the measure at lam: on the float
+    path up to ``_FLOAT_POINTS`` points, else from one ``stieltjes_pair``
+    call."""
 
     measure: SpectralMeasure
     point: Callable
@@ -509,7 +511,10 @@ class Curve:
 
     def __call__(self, lam):
         mu = self.measure
-        return self.point(lam, _on_points(mu.stieltjes, lam), _on_points(mu.stieltjes_prime, lam))
+        if isinstance(lam, float) or lam.size <= _FLOAT_POINTS:
+            return self.point(lam, _on_points(mu.stieltjes, lam),
+                              _on_points(mu.stieltjes_prime, lam))
+        return self.point(lam, *mu.stieltjes_pair(lam))
 
 
 @dataclass(frozen=True)
@@ -856,12 +861,156 @@ _LEVEL_STEPS = 120
 _LOOSE_TOL = np.append(np.full(len(_DESCENT) - 1, 1e-3), 1e-12)
 _TIGHT_TOL = np.full(len(_DESCENT), 1e-12)
 
+# continuation along a grid of at least _GRID_MIN points at one height: every
+# _GRID_STRIDE-th point by Re z, and the last, is solved by the descent, and
+# every other point by at most _GRID_STEPS Newton steps on z from a seed
+# interpolated between the two solved points around it
+_GRID_MIN = 64
+_GRID_STRIDE = 16
+_GRID_STEPS = 8
+
 
 def _solve_on_grid(h_pair, zs, seed):
-    """Solve h(w) = z at every point of ``zs`` (Im z > 0) at once;
-    ``h_pair(w)`` returns (h(w), h'(w)) on an array w.
+    """Solve h(w) = z at every point of the 1-D array ``zs`` (Im z > 0) at
+    once; ``h_pair(w)`` returns (h(w), h'(w)) on an array w, and
+    ``seed(z)`` approximates the root far above the real axis.
 
-    Each point starts from ``seed(z + i scale)`` high above the real axis,
+    A grid of at least ``_GRID_MIN`` points that all have the same
+    imaginary part (the grids of :func:`sigma_density` and
+    :func:`sigma_measure`) is solved along its real parts: every
+    ``_GRID_STRIDE``-th point in the order of Re z, and the last, by
+    :func:`_descend`. Every other point is seeded by the cubic Hermite
+    interpolant of the roots of the two solved points around it, with the
+    slopes dw/dz = 1/h'(w) there, and takes at most ``_GRID_STEPS`` damped
+    Newton steps on z itself, with the descent's half-plane rule, its
+    stopping test ``|h(w) - z| <= 1e-12 max(1, |z|)`` and its polish step. A
+    point whose seed leaves the half-plane of its neighbours' roots, or
+    that has not converged within those steps, is solved by
+    :func:`_descend` instead. A root differs from the descent's by the
+    rounding the stopping test and the polish step leave, not by the
+    seed.
+
+    Every trial point costs one ``h_pair`` evaluation. On sigma_measure's
+    2000-point grids the descent takes about 19 evaluations per point for a
+    covariance model and 16 for a deformed-Wigner one; the continued grid
+    takes 4.2 and 4.1 (the slopes cost one evaluation per solved point).
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if zs.size >= _GRID_MIN and np.all(zs.imag == zs.imag[0]):
+        return _continue(h_pair, zs, seed)
+    return _descend(h_pair, zs, seed)
+
+
+# here and in the descent a NaN or infinite value of h or h' only yields a
+# trial that is rejected, or a step to one
+@np.errstate(divide="ignore", invalid="ignore")
+def _continue(h_pair, zs, seed):
+    """The continuation of :func:`_solve_on_grid` along the real parts of
+    ``zs``."""
+    order = np.argsort(zs.real, kind="stable")
+    x = zs.real[order]
+    n = zs.size
+    solved = np.append(np.arange(0, n - 1, _GRID_STRIDE), n - 1)
+    w = np.empty(n, dtype=complex)
+    w[solved] = _descend(h_pair, zs[order[solved]], seed)
+    slope = 1.0 / np.asarray(h_pair(w[solved])[1], dtype=complex)
+    between = np.ones(n, dtype=bool)
+    between[solved] = False
+    rest = np.flatnonzero(between)
+    # the solved points around each other point, by their places in solved
+    left = rest // _GRID_STRIDE
+    right = left + 1
+    w0, w1 = w[solved[left]], w[solved[right]]
+    x0 = x[solved[left]]
+    dx = x[solved[right]] - x0
+    t = (x[rest] - x0) / dx
+    u = 1.0 - t
+    seeds = (u * u * ((1.0 + 2.0 * t) * w0 + t * dx * slope[left])
+             + t * t * ((3.0 - 2.0 * t) * w1 - u * dx * slope[right]))
+    z = zs[order[rest]]
+    ok = _newton_on_z(h_pair, z, seeds, np.sign(w0.imag))
+    if not ok.all():
+        seeds[~ok] = _descend(h_pair, z[~ok], seed)
+    w[rest] = seeds
+    out = np.empty(n, dtype=complex)
+    out[order] = w
+    return out
+
+
+def _newton_on_z(h_pair, z, w, side):
+    """At most ``_GRID_STEPS`` damped Newton steps on h(w) = z from the seeds
+    w, then the polish step, in place; True where the root converged, False
+    where its seed lies off the half-plane ``side`` or it did not converge."""
+    hw = np.full(w.size, np.nan, dtype=complex)
+    hp = hw.copy()
+    live = np.flatnonzero(np.sign(w.imag) == side)
+    hw[live], hp[live] = h_pair(w[live])
+    tol = _TIGHT_TOL[-1] * np.maximum(1.0, np.abs(z))
+    for _ in range(_GRID_STEPS):
+        live = live[~(np.abs(hw[live] - z[live]) <= tol[live])]
+        if not live.size:
+            break
+        stuck = _damped_step(h_pair, w, hw, hp, live, z[live], side)
+        live = live[~np.isin(live, stuck)]
+    ok = np.abs(hw - z) <= tol
+    w[ok] = _polish(h_pair, w[ok], hw[ok], hp[ok], z[ok], side[ok])
+    return ok
+
+
+def _damped_step(h_pair, w, hw, hp, live, target, side):
+    """One damped Newton step on h(w) = target at the points ``live``, in
+    place: the full step, halved until the trial stays in the half-plane
+    ``side`` of its point and lowers the residual, at most 40 times. The
+    points with no such trial are returned."""
+    res = hw[live] - target
+    step = res / hp[live]
+    # backtrack on the points still without an accepted trial, compacted
+    # after every halving
+    todo, start, limit = live, w[live], np.abs(res)
+    lam = 1.0
+    for _ in range(40):
+        trial = start - lam * step
+        # a trial across the real axis is rejected like one that does not
+        # reduce the residual; so are NaNs
+        inside = np.sign(trial.imag) == side[todo]
+        if inside.all():
+            h_trial, hp_trial = h_pair(trial)
+        else:
+            h_trial = np.full(todo.size, np.nan, dtype=complex)
+            hp_trial = h_trial.copy()
+            h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
+        better = np.abs(h_trial - target) < limit
+        accepted = todo[better]
+        w[accepted] = trial[better]
+        hw[accepted] = h_trial[better]
+        hp[accepted] = hp_trial[better]
+        if better.all():
+            return todo[:0]
+        rest = ~better
+        todo, start, step = todo[rest], start[rest], step[rest]
+        target, limit = target[rest], limit[rest]
+        lam *= 0.5
+    return todo
+
+
+def _polish(h_pair, w, hw, hp, zs, side):
+    """w after one full Newton step on z, kept where it stays in the
+    half-plane ``side`` and does not raise the residual. The stopping test
+    bounds the residual, not the error in w, and the descent may accept the
+    root of the level above z untouched; this step removes that error."""
+    trial = w - (hw - zs) / hp
+    keep = np.sign(trial.imag) == side
+    h_trial = h_pair(trial[keep])[0]
+    keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
+    w[keep] = trial[keep]
+    return w
+
+
+def _descend(h_pair, zs, seed):
+    """Solve h(w) = z at every point of ``zs`` by descending from high above
+    the real axis.
+
+    Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
     over z shrinks through ``scale * _DESCENT``, each level seeded by the
     root of the level above. Damped Newton runs on the whole array, each
@@ -869,8 +1018,8 @@ def _solve_on_grid(h_pair, zs, seed):
     ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3 above height 0,
     where a root only seeds the next level, and 1e-12 at height 0. Iterates
     never leave the open half-plane of their seed, which holds exactly one
-    root. Once every point has converged, one more Newton step on z itself
-    polishes the roots.
+    root. Once every point has converged, the polish step (one more Newton
+    step on z itself) removes the error the stopping test leaves in w.
 
     Every trial point costs one ``h_pair`` evaluation, and the h' of the
     accepted trial serves the next step and the polish step: on the level
@@ -883,27 +1032,52 @@ def _solve_on_grid(h_pair, zs, seed):
     solved again with the tight test on every level, which only then raises.
     """
     try:
-        return _descend(h_pair, zs, seed, _LOOSE_TOL)
+        return _descend_with(h_pair, zs, seed, _LOOSE_TOL)
     except SolverError:
-        return _descend(h_pair, zs, seed, _TIGHT_TOL)
+        return _descend_with(h_pair, zs, seed, _TIGHT_TOL)
 
 
-def _descend(h_pair, zs, seed, level_tol):
-    """The descent of :func:`_solve_on_grid` with the stopping test
+def _move_down(test, zs, heights, level_tol, hw, level, steps, done):
+    """Move each point of ``test`` down every level whose stopping test its
+    root ``hw`` already passes, in place: to the first level whose test
+    fails, with no steps taken there, or ``done`` past the last level.
+
+    Two passes test one level each, and the second only the points the
+    first moved. A point that moved twice is close to z, and is tested on
+    every lower level at once, in one (points x levels) array of the same
+    comparisons; most points stop after one level, and the array would cost
+    more for them."""
+    last = len(heights) - 1
+    for _ in range(2):
+        target = zs[test] + 1j * heights[level[test]]
+        test = test[np.abs(hw[test] - target)
+                    <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
+        at_last = level[test] == last
+        done[test[at_last]] = True
+        test = test[~at_last]
+        level[test] += 1
+        steps[test] = 0
+        if not test.size:
+            return
+    ks = np.arange(level[test].min(), last + 1)
+    target = zs[test, None] + 1j * heights[ks]
+    passes = np.abs(hw[test, None] - target) <= level_tol[ks] * np.maximum(1.0, np.abs(target))
+    fails = ~passes & (ks >= level[test, None])
+    through = ~fails.any(axis=1)
+    done[test[through]] = True
+    level[test[through]] = last
+    level[test[~through]] = ks[np.argmax(fails[~through], axis=1)]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _descend_with(h_pair, zs, seed, level_tol):
+    """One descent of :func:`_descend`, with the stopping test
     ``level_tol[k] * max(1, |target|)`` on level k."""
-
-    def evaluate(w):
-        # a NaN or infinite value only yields a trial that is rejected, or a
-        # step to one
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return h_pair(w)
-
     zs = np.asarray(zs, dtype=complex)
     heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
-    last = len(heights) - 1
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
     side = np.sign(w.imag)
-    hw, hp = (np.asarray(v, dtype=complex) for v in evaluate(w))
+    hw, hp = (np.asarray(v, dtype=complex) for v in h_pair(w))
     level = np.zeros(zs.size, dtype=int)
     steps = np.zeros(zs.size, dtype=int)
     done = np.zeros(zs.size, dtype=bool)
@@ -915,66 +1089,16 @@ def _descend(h_pair, zs, seed, level_tol):
                            f"residual {float(abs(hw[i] - z - 1j * height))!r}")
 
     while True:
-        # a root that already solves the next level moves down at once; only
-        # the points that just moved need the test again
-        test = live
-        while test.size:
-            target = zs[test] + 1j * heights[level[test]]
-            test = test[np.abs(hw[test] - target)
-                        <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
-            at_last = level[test] == last
-            done[test[at_last]] = True
-            test = test[~at_last]
-            level[test] += 1
-            steps[test] = 0
+        _move_down(live, zs, heights, level_tol, hw, level, steps, done)
         live = live[~done[live]]
         if not live.size:
-            # the stopping test bounds the residual, not the error in w, and may
-            # accept the root of the level above z untouched; one full Newton
-            # step on z itself, kept where it stays in the seed's half-plane
-            # and does not raise the residual, removes that error
-            with np.errstate(invalid="ignore", divide="ignore"):
-                trial = w - (hw - zs) / hp
-            keep = np.sign(trial.imag) == side
-            h_trial = evaluate(trial[keep])[0]
-            keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
-            w[keep] = trial[keep]
-            return w
+            return _polish(h_pair, w, hw, hp, zs, side)
         if steps[live].max() >= _LEVEL_STEPS:
             raise stalled(live[np.argmax(steps[live])], "did not converge")
         steps[live] += 1
-        target = zs[live] + 1j * heights[level[live]]
-        res = hw[live] - target
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = res / hp[live]
-        # backtrack on the points still without an accepted trial, compacted
-        # after every halving
-        todo, start, limit = live, w[live], np.abs(res)
-        lam = 1.0
-        for _ in range(40):
-            trial = start - lam * step
-            # a trial across the real axis is rejected like one that does not
-            # reduce the residual; so are NaNs
-            inside = np.sign(trial.imag) == side[todo]
-            if inside.all():
-                h_trial, hp_trial = evaluate(trial)
-            else:
-                h_trial = np.full(todo.size, np.nan, dtype=complex)
-                hp_trial = h_trial.copy()
-                h_trial[inside], hp_trial[inside] = evaluate(trial[inside])
-            better = np.abs(h_trial - target) < limit
-            accepted = todo[better]
-            w[accepted] = trial[better]
-            hw[accepted] = h_trial[better]
-            hp[accepted] = hp_trial[better]
-            if better.all():
-                break
-            rest = ~better
-            todo, start, step = todo[rest], start[rest], step[rest]
-            target, limit = target[rest], limit[rest]
-            lam *= 0.5
-        else:
-            raise stalled(todo[0], "stalled")
+        stuck = _damped_step(h_pair, w, hw, hp, live, zs[live] + 1j * heights[level[live]], side)
+        if stuck.size:
+            raise stalled(stuck[0], "stalled")
 
 
 def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:

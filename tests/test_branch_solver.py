@@ -159,6 +159,7 @@ def check_roots_against_mpmath(model):
             assert abs(float(exact - start)) <= 1e-14 + 4.0 * EPS * abs(lam), (x, lam)
 
 
+@pytest.mark.slow
 @settings(max_examples=300)
 @given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
 # in these two the rounding of the float curve alone puts the right root 1%
@@ -442,6 +443,7 @@ def test_benchmark_tables_match_the_former_solves(name):
         check_against_reference(model, edge, *row)
 
 
+@pytest.mark.slow
 @settings(max_examples=300)
 @given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
 def test_random_atomic_models_match_the_former_solves(mu, alpha):

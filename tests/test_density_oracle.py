@@ -18,16 +18,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.linalg import eigvals
 
+from rmtldp import dyson
 from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
+    _DESCENT,
+    _LOOSE_TOL,
+    _TIGHT_TOL,
     CovarianceModel,
     DegenerateModelError,
     SolverError,
+    _descend,
+    _descend_with,
+    _move_down,
     _solve_on_grid,
     boundary_density_grid,
     detect_degenerate,
@@ -187,15 +194,15 @@ def test_nan_transform_raises_instead_of_returning(monkeypatch):
 
 
 @pytest.mark.parametrize("model, budget", [
-    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 20),
-    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 18),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 4.5),
+    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 4.25),
 ], ids=["wishart1", "dw-uniform"])
 def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
     """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
-    the x' of an accepted trial serves the next step: on sigma_measure's
-    2000-point grid that is about 19 evaluations per point for covariance
-    and 16 for deformed Wigner, both solved on their level curves. Three
-    node passes per step would take about twice as many, and the former
+    the x' of an accepted trial serves the next step. On sigma_measure's
+    2000-point grid, continued along the grid, that is 4.24 evaluations per
+    point for covariance and 4.05 for deformed Wigner, both solved on their
+    level curves; the descent alone takes about 19 and 16, and the former
     covariance solve of H(w) = z in theta took about 23."""
     window = model.window(model.edge())
     xs = boundary_density_grid(window.left, window.right, 2000)
@@ -402,3 +409,157 @@ def test_random_atomic_deformed_wigner_limit_law_equals_the_subordination_solve(
     model = DeformedWignerModel(mu)
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
     assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))
+
+
+# -- continuation along the grid against the plain descent -------------------------
+#
+# _solve_on_grid solves every 16th point of a grid at one height by the
+# descent and the others by Newton's method from interpolated seeds; its roots
+# must be the descent's up to rounding. On the grids below they differed by at
+# most 7.0e-14 max(1, |G|).
+
+CONTINUATION_TOL = 5e-13
+
+
+def descent_stieltjes(model, zs):
+    """limit_stieltjes with every point solved by the plain descent."""
+    curve = model.curve()
+    mu = curve.measure
+    lam = _descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
+    return curve.y(lam, zs)
+
+
+def assert_near_the_descent(model, zs):
+    got = limit_stieltjes(model, zs)
+    want = descent_stieltjes(model, zs)
+    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, m in BENCHMARK_MODELS.items()
+                                        if not (isinstance(m, CovarianceModel)
+                                                and detect_degenerate(m))))
+def test_continuation_matches_the_descent_on_the_benchmark_models(name):
+    """Every benchmark model but the degenerate one, which has no limit law
+    to solve."""
+    model = BENCHMARK_MODELS[name]
+    for zs in measure_grids(model):
+        assert_near_the_descent(model, zs)
+
+
+@pytest.mark.slow
+@settings(max_examples=300)
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_continuation_matches_the_descent_on_random_covariance_models(rho, alpha, eta):
+    model = CovarianceModel(rho, alpha)
+    assume(not detect_degenerate(model))
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    assert_near_the_descent(model, xs + 1j * eta)
+
+
+@pytest.mark.slow
+@settings(max_examples=300)
+@given(mu=atomic_measures, eta=etas)
+def test_continuation_matches_the_descent_on_random_deformed_wigner_models(mu, eta):
+    model = DeformedWignerModel(mu)
+    assert_near_the_descent(model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
+
+
+def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
+    """On 64 points over the two bands of dw-two-atom, the solved points are
+    5 (every 16th and the last); around the gap at 0 four interpolated seeds
+    leave the upper half-plane and one more does not converge, and the
+    descent solves those five."""
+    atoms, weights = [-1.0, 1.0], [0.5, 0.5]
+    model = DeformedWignerModel(SpectralMeasure.from_atoms(atoms, weights))
+    zs = np.linspace(-3.5, 3.5, 64) + 1e-6j
+    descents = []
+    plain = dyson._descend
+
+    def counted(h_pair, zs, seed):
+        descents.append(np.size(zs))
+        return plain(h_pair, zs, seed)
+
+    monkeypatch.setattr(dyson, "_descend", counted)
+    got = limit_stieltjes(model, zs)
+    assert descents == [5, 5]
+    want = descent_stieltjes(model, zs)
+    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+    assert_matches_oracle(-got.imag / np.pi,
+                          [wigner_oracle(np.array(atoms), weights, z) for z in zs])
+
+
+def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
+    """Fewer than 64 points, or points at different heights."""
+    model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
+    calls = []
+    monkeypatch.setattr(dyson, "_continue", lambda *args: calls.append(args))
+    xs = np.linspace(0.0, 8.0, 64)
+    for zs in (xs[:63] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
+        assert np.array_equal(limit_stieltjes(model, zs), descent_stieltjes(model, zs))
+    assert not calls
+
+
+# -- the move-down of the descent against one level per pass -----------------------
+
+
+def move_down_one_level_per_pass(test, zs, heights, level_tol, hw, level, steps, done):
+    """The former move-down: one level per pass, each pass testing only the
+    points the one before moved."""
+    last = len(heights) - 1
+    while test.size:
+        target = zs[test] + 1j * heights[level[test]]
+        test = test[np.abs(hw[test] - target)
+                    <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
+        at_last = level[test] == last
+        done[test[at_last]] = True
+        test = test[~at_last]
+        level[test] += 1
+        steps[test] = 0
+
+
+@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
+def test_move_down_equals_one_level_per_pass_on_random_states(level_tol):
+    """Roots placed on a level at or below each point's own, with a residual
+    around the tolerance, so that points stop on every level, move through
+    the last, or fail at once."""
+    rng = np.random.default_rng(17)
+    n = 5000
+    zs = rng.uniform(-5.0, 5.0, n) + 1j * rng.choice([1e-9, 1e-4, 0.5], n)
+    heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
+    last = len(heights) - 1
+    level = rng.integers(0, last + 1, n)
+    on = np.minimum(level + rng.integers(0, last + 1, n), last)
+    target = zs + 1j * heights[on]
+    noise = level_tol[on] * np.maximum(1.0, np.abs(target)) * rng.uniform(0.0, 2.0, n)
+    hw = target + noise * np.exp(2j * np.pi * rng.uniform(size=n))
+    test = np.flatnonzero(rng.uniform(size=n) < 0.9)
+    steps = rng.integers(0, 5, n)
+    states = [(level.copy(), steps.copy(), np.zeros(n, dtype=bool)) for _ in range(2)]
+    _move_down(test, zs, heights, level_tol, hw, *states[0])
+    move_down_one_level_per_pass(test, zs, heights, level_tol, hw, *states[1])
+    for new, old in zip(*states):
+        assert np.array_equal(new, old)
+    # the loose test lets points move three levels and more, into the
+    # (points x levels) test; the tight one only the last step or two
+    moved = states[0][0] - level + states[0][2]
+    assert np.count_nonzero(moved >= 3) > 100 if level_tol is _LOOSE_TOL else moved.max() >= 1
+
+
+@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
+@pytest.mark.parametrize("name", ["wishart1", "two-atom", "semicircle-rho", "dw-two-atom",
+                                  "dw-uniform"])
+def test_move_down_keeps_the_descent_bit_for_bit(monkeypatch, name, level_tol):
+    model = BENCHMARK_MODELS[name]
+    curve = model.curve()
+    mu = curve.measure
+
+    def h_pair(v):
+        return curve.point(v, *mu.stieltjes_pair(v))
+
+    for zs in measure_grids(model):
+        got = _descend_with(h_pair, zs, curve.seed, level_tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(dyson, "_move_down", move_down_one_level_per_pass)
+            want = _descend_with(h_pair, zs, curve.seed, level_tol)
+        assert np.array_equal(got, want)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from rmtldp import measures
 from rmtldp.measures import (
     DensityComponent,
     MeasureError,
@@ -523,6 +524,7 @@ def _check_real_parity(m, x, far):
                 _assert_same_float(float(transform(np.array([x]))[0]), want)
 
 
+@pytest.mark.slow
 @settings(max_examples=300)
 @given(m=real_axis_measures(),
        offsets=st.lists(st.floats(1e-9, 50.0), min_size=1, max_size=4))
@@ -602,3 +604,82 @@ def test_stieltjes_pair_rejects_a_real_point_inside_the_support():
     m = SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5])
     with pytest.raises(MeasureError, match="inside the support"):
         m.stieltjes_pair(np.array([3.0 + 1j, 0.5 + 0j]))
+
+
+# -- the real-array pair of the inverse Stieltjes solve and the level curves ------
+
+
+def _check_real_pair(m, points):
+    """On the points off the open support as one real array, stieltjes_pair
+    equals the two transforms bit for bit; a point inside the support
+    raises, as in the transforms."""
+    left, right = m.edges()
+    outside = np.array([x for x in points if not left < x < right])
+    with np.errstate(all="ignore"):
+        g, gp = m.stieltjes_pair(outside)
+        assert _same_bits(g, m.stieltjes(outside))
+        assert _same_bits(gp, m.stieltjes_prime(outside))
+    for x in points:
+        if left < x < right:
+            with pytest.raises(MeasureError) as info:
+                m.stieltjes_pair(np.array([right + 1.0, x]))
+            assert str(info.value) == _INSIDE.format(np.array([x]), left, right)
+
+
+def _atoms(locations):
+    return SpectralMeasure.from_atoms(locations, np.full(len(locations), 1.0 / len(locations)))
+
+
+REAL_PAIR_MEASURES = {
+    # fewer than 4 atoms (the complex pair's per-atom loop), 4 to 7 (numpy
+    # sums them one after another) and 8 or more (pairwise)
+    "3-atoms": _atoms([-0.5, 1.0, 2.0]),
+    "5-atoms-with-zero": _atoms([0.0, 0.3, 1.0, 1.7, 2.5]),
+    "9-atoms": _atoms(np.linspace(-1.3, 2.9, 9)),
+    "zero-atom-at-the-edge": SpectralMeasure.from_atoms([-2.0, 0.0], [0.6, 0.4]),
+    "semicircle": SpectralMeasure.semicircle(1.0, 2.0),
+    "uniform": SpectralMeasure.uniform(-1.0, 2.0),
+    "table": SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(u), (0.0, 1.0),
+                                          edge_finite_g=True),
+    "atoms-and-semicircle": SpectralMeasure(
+        [-2.0, 0.0, 3.0], [0.1, 0.15, 0.25],
+        [SpectralMeasure.semicircle(0.0, 1.0).components[0].scaled(1.0, 0.5)]),
+    "atom-and-uniform": SpectralMeasure(
+        [4.0], [0.3], [SpectralMeasure.uniform(-1.0, 1.0).components[0].scaled(1.0, 0.7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_PAIR_MEASURES))
+def test_real_array_pair_equals_the_two_transforms(name):
+    """At the exact edges (an atom's +-inf), inside the snap window and just
+    past it, at component ends, far out, and inside the support."""
+    m = REAL_PAIR_MEASURES[name]
+    _check_real_pair(m, _real_points(m, [1e-9, 0.3, 7.5, 250.0]))
+
+
+@settings(max_examples=100)
+@given(m=real_axis_measures(),
+       offsets=st.lists(st.floats(1e-9, 50.0), min_size=1, max_size=4))
+def test_real_array_pair_equals_the_two_transforms_on_random_measures(m, offsets):
+    _check_real_pair(m, _real_points(m, offsets))
+
+
+@pytest.mark.parametrize("shape", [(51,), (3, 17), ()])
+def test_table_sums_in_row_chunks_equal_one_array(monkeypatch, shape):
+    """A table of 4000 nodes is summed 8 points at a time: the pair on real
+    and complex arrays and the logarithmic moment equal those of one
+    (points, nodes) array bit for bit."""
+    m = SpectralMeasure.from_density(lambda u: 1.5 * np.sqrt(u), (0.0, 1.0),
+                                     nodes_per_interval=4000, edge_finite_g=True)
+    assert measures._TABLE_ENTRIES // m.components[0].nodes.size == 8
+    n = math.prod(shape)
+    x = (1.0 + np.geomspace(1e-9, 100.0, n)).reshape(shape)
+    z = (np.linspace(-1.0, 2.0, n) + 1j * np.geomspace(1e-12, 10.0, n)).reshape(shape)
+
+    def evaluations():
+        return (*m.stieltjes_pair(x), *m.stieltjes_pair(z), m.log_moment(x))
+
+    chunked = evaluations()
+    monkeypatch.setattr(measures, "_TABLE_ENTRIES", 10**9)
+    for got, want in zip(chunked, evaluations()):
+        assert _same_bits(got, want)

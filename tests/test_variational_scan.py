@@ -225,27 +225,36 @@ def test_divergent_edge_rule(mu):
 #
 # Every root is checked against brentq on the solve's own bracket, to 1e-12
 # relative to max(1, |root|), and the solve must take at most _STEP_CAP array
-# evaluations of G (the most seen on these measures is 14, on the uniform
-# edge).
+# evaluations of (G, G') (the most seen on these measures is 14, on the
+# uniform edge).
 
 _STEP_CAP = 16
 
 
 def solve_counting_steps(mu, targets, lower=-math.inf):
-    """_inverse_stieltjes on mu, with the number of its array evaluations of G."""
+    """_inverse_stieltjes on mu, with the number of its array evaluations of
+    (G, G'): each trial evaluates both through stieltjes_pair, and an array
+    evaluation of either transform alone counts as one as well."""
     steps = 0
-    plain = mu.stieltjes
 
-    def counting(z):
-        nonlocal steps
-        steps += np.ndim(z) > 0
-        return plain(z)
+    def counting(name):
+        plain = getattr(mu, name)
 
-    mu.stieltjes = counting
+        def counted(z):
+            nonlocal steps
+            steps += np.ndim(z) > 0
+            return plain(z)
+
+        return counted
+
+    names = ("stieltjes", "stieltjes_prime", "stieltjes_pair")
+    for name in names:
+        setattr(mu, name, counting(name))
     try:
         return _inverse_stieltjes(mu, targets, lower), steps
     finally:
-        del mu.stieltjes
+        for name in names:
+            delattr(mu, name)
 
 
 def lower_end(mu, lower=-math.inf):
@@ -269,7 +278,8 @@ def check_against_oracle(mu, targets, lower=-math.inf):
     roots, steps = solve_counting_steps(mu, targets, lower)
     want = brentq_oracle(mu, targets, lower)
     assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-    assert steps <= _STEP_CAP
+    # every call solves some target, so a count of 0 would count nothing
+    assert 1 <= steps <= _STEP_CAP
     return roots
 
 
@@ -309,15 +319,20 @@ def test_inverse_stieltjes_on_the_uniform_edge():
 
 @pytest.mark.parametrize("broken", ["array", "scalar", "prime"])
 def test_a_nan_transform_raises_instead_of_returning(broken):
+    """G NaN at the lower end (``scalar``), or G or G' NaN at every trial
+    point, which the solve evaluates as one (G, G') pair."""
     mu = SpectralMeasure.from_atoms([-0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
-    name = "stieltjes_prime" if broken == "prime" else "stieltjes"
-    plain = getattr(mu, name)
+    if broken == "scalar":
+        mu.stieltjes = lambda z: math.nan
+    else:
+        plain = mu.stieltjes_pair
+        half = 1 if broken == "prime" else 0
 
-    def nan_transform(z):
-        if broken == "scalar" or np.ndim(z):
-            return np.full(np.shape(z), np.nan)[()]
-        return plain(z)
+        def nan_half(z):
+            pair = list(plain(z))
+            pair[half] = np.full(np.shape(z), np.nan)
+            return tuple(pair)
 
-    setattr(mu, name, nan_transform)
+        mu.stieltjes_pair = nan_half
     with pytest.raises(SolverError, match="NaN"):
         _inverse_stieltjes(mu, np.array([0.1, 1.0, 10.0]))
