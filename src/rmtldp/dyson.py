@@ -499,9 +499,9 @@ class Curve:
     x(lam) = x to its y; off the real axis that is G_sigma(z) for the root
     of x(lam) = z in the upper half-plane, which ``seed(z)`` approximates
     far above the axis. Called on a real float or array lam, the curve
-    returns (x, x') from the transforms of the measure at lam: on the float
-    path up to ``_FLOAT_POINTS`` points, else from one ``stieltjes_pair``
-    call."""
+    returns (x, x') from the transforms of the measure at lam by
+    :func:`_on_points`: one ``stieltjes_pair`` call on more than
+    ``_FLOAT_POINTS`` points."""
 
     measure: SpectralMeasure
     point: Callable
@@ -511,10 +511,8 @@ class Curve:
 
     def __call__(self, lam):
         mu = self.measure
-        if isinstance(lam, float) or lam.size <= _FLOAT_POINTS:
-            return self.point(lam, _on_points(mu.stieltjes, lam),
-                              _on_points(mu.stieltjes_prime, lam))
-        return self.point(lam, *mu.stieltjes_pair(lam))
+        return self.point(lam, *_on_points(lambda v: (mu.stieltjes(v), mu.stieltjes_prime(v)),
+                                           lam, mu.stieltjes_pair))
 
 
 @dataclass(frozen=True)
@@ -547,18 +545,20 @@ class Level:
 _FLOAT_POINTS = 2
 
 
-def _on_points(transform, lam):
-    """A transform of a measure (``stieltjes`` or ``stieltjes_prime``) at a
-    float lam, or at the points of an array lam, off the support. A float
-    and up to ``_FLOAT_POINTS`` points take the float path of the transform,
-    one call per point, which returns the array path's bits at a twentieth
-    of its cost on atoms and closed forms (about 1 against 20 us per call);
-    more points take one array call."""
+def _on_points(transform, lam, on_array=None):
+    """A transform of a measure (``stieltjes``, ``stieltjes_prime`` or a
+    function returning both as a pair) at a float lam, or at the points of
+    an array lam, off the support. A float and up to ``_FLOAT_POINTS``
+    points take the float path of the transform, one call per point, which
+    returns the array path's bits at a twentieth of its cost on atoms and
+    closed forms (about 1 against 20 us per call); more points take one
+    call of ``on_array`` (by default the transform itself), which must give
+    the same bits. On points, a pair comes back as a pair of arrays."""
     if isinstance(lam, float):
         return transform(lam)
     if lam.size <= _FLOAT_POINTS:
-        return np.array([transform(v) for v in lam.tolist()])
-    return transform(lam)
+        return np.array([transform(v) for v in lam.tolist()]).T
+    return (on_array or transform)(lam)
 
 
 def _evaluable_floor(mu: SpectralMeasure, lo: float) -> float:
@@ -864,7 +864,16 @@ _TIGHT_TOL = np.full(len(_DESCENT), 1e-12)
 # continuation along a grid of at least _GRID_MIN points at one height: every
 # _GRID_STRIDE-th point by Re z, and the last, is solved by the descent, and
 # every other point by at most _GRID_STEPS Newton steps on z from a seed
-# interpolated between the two solved points around it
+# interpolated between the two solved points around it. _GRID_MIN is where the
+# two break even in sum over the 12 non-degenerate benchmark models, on the
+# one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and of
+# the density command (linspace with 5% margins, eta 1e-4): continuation
+# took 1.07-1.17 times the descent's time on 4-32 measure points and 2.5-3.2
+# times on 4-16 density points (one interval of 16 leaves poor seeds), 0.84-
+# 1.03 times at 48 and 64, 0.76-0.82 at 96 and 0.43 at 400 (2-core host,
+# median of 9). The sum is led by the table measure, which gains from 32
+# points on; an atomic or closed-form measure alone loses about 10% at 64-128
+# points, where the descent's fixed cost dominates, and gains at 400
 _GRID_MIN = 64
 _GRID_STRIDE = 16
 _GRID_STEPS = 8
@@ -888,7 +897,10 @@ def _solve_on_grid(h_pair, zs, seed):
     that has not converged within those steps, is solved by
     :func:`_descend` instead. A root differs from the descent's by the
     rounding the stopping test and the polish step leave, not by the
-    seed.
+    seed. A shorter grid, or one at several heights, is solved by
+    :func:`_descend` alone: below ``_GRID_MIN`` points the continuation's
+    own descent and Newton rounds cost more than they save (the measured
+    crossover is in the comment above).
 
     Every trial point costs one ``h_pair`` evaluation. On sigma_measure's
     2000-point grids the descent takes about 19 evaluations per point for a

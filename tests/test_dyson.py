@@ -294,6 +294,26 @@ class TestBranchInvariants:
         assert np.all(np.diff(vals) > 0)
         assert vals[0] == pytest.approx(-1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("make_model", [
+        lambda: wishart(1.0),
+        lambda: semicircle_model(),
+        lambda: wishart(2.0, sign=-1.0),
+    ])
+    def test_curve_has_the_same_bits_on_floats_and_arrays(self, make_model):
+        """The curve takes the float transforms on a float and on up to two
+        points, and one stieltjes_pair call on more: (x, x') at a point has
+        the same bits on every path."""
+        curve = make_model().curve()
+        lams = curve.floor + np.array([1e-3, 0.5, 2.0, 7.0])
+        x, xp = curve(lams)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(xp))
+        for i, lam in enumerate(lams.tolist()):
+            assert curve(lam) == (x[i], xp[i])
+        for few in (lams[:1], lams[1:3]):
+            x_few, xp_few = curve(few)
+            assert np.array_equal(x_few, x[np.isin(lams, few)])
+            assert np.array_equal(xp_few, xp[np.isin(lams, few)])
+
 
 class TestRemoveZeroAtomIdentity:
     def test_h_invariance(self):
