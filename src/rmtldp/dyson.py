@@ -297,10 +297,11 @@ class CovarianceModel:
         """Row count m of Z in an n x n sample."""
         return int(round(self.alpha * n))
 
-    def draw(self, rng, n: int, d: np.ndarray) -> np.ndarray:
-        """One n x n sample (1/m) Z* diag(d) Z, d of length rows(n)."""
+    def draw(self, rng, n: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One n x n sample (1/m) Z* diag(d) Z, d of length rows(n), written
+        into ``out`` when given."""
         from .montecarlo import _covariance_matrix
-        return _covariance_matrix(self, n, rng, d)
+        return _covariance_matrix(self, n, rng, d, out)
 
 
 def _check_entry_law(beta: int, entry_law: str) -> None:

@@ -28,7 +28,9 @@ __all__ = [
 ]
 
 _MAX_ENTRIES = 4 * 10**7
-_BATCH_ENTRIES = 2 * 10**6  # matrix entries diagonalized per stacked batch
+# bytes of matrices one worker holds for a stacked eigvalsh call: 4 MiB is
+# 13 real or 6 complex matrices at n = 200, and one real matrix from n = 513
+_BATCH_BYTES = 4 * 2**20
 _SQRT3 = math.sqrt(3.0)
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -99,38 +101,72 @@ def _draw_real(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     raise ValueError(f"not a real entry law: {law!r}")
 
 
+# the real law of each part of a complex entry law
+_COMPLEX_PARTS = {"complex_gaussian": "gaussian", "complex_rademacher": "rademacher"}
+
+
 def _draw_complex(rng: np.random.Generator, law: str, shape) -> np.ndarray:
-    # real and imaginary parts each of variance 1/2, uncorrelated
-    if law == "complex_gaussian":
-        re = rng.standard_normal(shape)
-        im = rng.standard_normal(shape)
-        return (re + 1j * im) / math.sqrt(2.0)
-    if law == "complex_rademacher":
-        re = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        im = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        return (re + 1j * im) / math.sqrt(2.0)
-    raise ValueError(f"not a complex entry law: {law!r}")
+    # real and imaginary parts each of variance 1/2, uncorrelated, written into
+    # one array: the bits of (re + 1j * im) / sqrt(2) without its temporaries
+    if law not in _COMPLEX_PARTS:
+        raise ValueError(f"not a complex entry law: {law!r}")
+    z = np.empty(shape, dtype=complex)
+    z.real = _draw_real(rng, _COMPLEX_PARTS[law], shape)
+    z.imag = _draw_real(rng, _COMPLEX_PARTS[law], shape)
+    z /= math.sqrt(2.0)
+    return z
 
 
-def _covariance_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:
+def _dtype(model) -> np.dtype:
+    return np.dtype(complex if model.beta == 2 else float)
+
+
+def _covariance_matrix(model, n: int, rng, d: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """(1/m) Z* diag(d) Z, written into ``out`` (a new array if None).
+
+    Real entries: the rows of Z scaled by sqrt(|d|/m) give one symmetric
+    rank-k product (BLAS syrk, exactly symmetric) per sign block of the
+    sorted d. Complex entries keep the general product and its Hermitian
+    average, with the bits of 0.5 (h + h*) for h = Z* (d Z) / m.
+    """
     m = model.rows(n)
-    draw = _draw_real if model.beta == 1 else _draw_complex
-    z = draw(rng, model.entry_law, (m, n))
-    # conj() returns a real array itself, so one expression serves both classes
-    h = z.conj().T @ (d[:, None] * z) / m
-    return 0.5 * (h + h.conj().T)
+    out = np.empty((n, n), _dtype(model)) if out is None else out
+    if model.beta == 2:
+        z = _draw_complex(rng, model.entry_law, (m, n))
+        zh = z.conj().T
+        z *= d[:, None]
+        np.matmul(zh, z, out=out)
+        del z, zh  # freed before the average's conjugate copy
+        out /= m
+        np.add(out, out.conj().T, out=out)
+        out *= 0.5
+        return out
+    z = _draw_real(rng, model.entry_law, (m, n))
+    z *= np.sqrt(np.abs(d) / m)[:, None]
+    neg, pos = z[:np.searchsorted(d, 0.0)], z[np.searchsorted(d, 0.0, "right"):]
+    if len(pos):
+        np.matmul(pos.T, pos, out=out)
+        if len(neg):
+            out -= neg.T @ neg
+    elif len(neg):
+        np.negative(np.matmul(neg.T, neg, out=out), out=out)
+    else:
+        out.fill(0.0)
+    return out
 
 
-def _wigner_matrix(model, n: int, rng, d: np.ndarray) -> np.ndarray:
+def _wigner_matrix(model, n: int, rng, d: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """W / sqrt(n) + diag(d), written into ``out`` (a new array if None)."""
     iu = np.triu_indices(n, 1)
     if model.beta == 1:
         diag_law, draw_off = model.entry_law, _draw_real
     else:
-        diag_law = "gaussian" if model.entry_law == "complex_gaussian" else "rademacher"
-        draw_off = _draw_complex
+        diag_law, draw_off = _COMPLEX_PARTS[model.entry_law], _draw_complex
     diag = _draw_real(rng, diag_law, n)
     off = draw_off(rng, model.entry_law, len(iu[0]))
-    w = np.empty((n, n), dtype=off.dtype)
+    w = np.empty((n, n), _dtype(model)) if out is None else out
     w[iu] = off
     w[iu[1], iu[0]] = off.conj()
     dg = np.diag_indices(n)
@@ -146,9 +182,11 @@ def _sample(model, n: int, seed: int, reps: range,
     path of every Monte Carlo function, for either model kind.
 
     The diagonal is built once per call. Each replica draws from its own
-    counter-based stream, so results do not depend on how the replicas are
-    split into batches or on ``threads``; batches are sized so that each of
-    up to ``threads`` workers diagonalizes at least one stacked batch.
+    counter-based stream and is written straight into its slot of a stacked
+    batch, so results do not depend on how the replicas are split into
+    batches or on ``threads``. A batch holds at most ``_BATCH_BYTES`` of
+    matrices (at least one matrix), and up to ``threads`` workers each
+    diagonalize at least one batch.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n!r}")
@@ -161,14 +199,15 @@ def _sample(model, n: int, seed: int, reps: range,
         raise ValueError(f"sample of {n * m} entries exceeds the {_MAX_ENTRIES} cap")
     d = build_gamma(model.diagonal_law, m)
     workers = threads if threads and threads > 1 else 1
-    batch = max(1, min(_BATCH_ENTRIES // (n * n), -(-len(reps) // workers)))
+    dtype = _dtype(model)
+    batch = max(1, min(_BATCH_BYTES // (n * n * dtype.itemsize), -(-len(reps) // workers)))
     spectra = np.empty((len(reps), n))
 
     def run_batch(start: int) -> None:
         stop = min(start + batch, len(reps))
-        mats = np.empty((stop - start, n, n), dtype=complex if model.beta == 2 else float)
-        for i, rep in enumerate(reps[start:stop]):
-            mats[i] = model.draw(_rng_for(seed, rep), n, d)
+        mats = np.empty((stop - start, n, n), dtype=dtype)
+        for slot, rep in zip(mats, reps[start:stop]):
+            model.draw(_rng_for(seed, rep), n, d, out=slot)
         spectra[start:stop] = np.linalg.eigvalsh(mats)
 
     starts = range(0, len(reps), batch)

@@ -137,10 +137,11 @@ class DeformedWignerModel:
     def rows(self, n: int) -> int:
         return n
 
-    def draw(self, rng, n: int, d: np.ndarray) -> np.ndarray:
-        """One n x n sample W / sqrt(n) + diag(d)."""
+    def draw(self, rng, n: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One n x n sample W / sqrt(n) + diag(d), written into ``out`` when
+        given."""
         from .montecarlo import _wigner_matrix
-        return _wigner_matrix(self, n, rng, d)
+        return _wigner_matrix(self, n, rng, d, out)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +152,121 @@ class TestSampleSpectrum:
                 want = self._former_wigner_matrix(model, n, montecarlo._rng_for(5, rep), d)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+class TestCovarianceBuild:
+    @staticmethod
+    def _former_draw_complex(rng, law, shape):
+        """The former complex draw: two real arrays combined, then scaled."""
+        if law == "complex_gaussian":
+            re = rng.standard_normal(shape)
+            im = rng.standard_normal(shape)
+        else:
+            re = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+            im = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        return (re + 1j * im) / math.sqrt(2.0)
+
+    @staticmethod
+    def _former_covariance_matrix(model, n, rng, d):
+        """The former build: one general product z* (d z) / m, symmetrised."""
+        m = model.rows(n)
+        draw = montecarlo._draw_real if model.beta == 1 else montecarlo._draw_complex
+        z = draw(rng, model.entry_law, (m, n))
+        h = z.conj().T @ (d[:, None] * z) / m
+        return 0.5 * (h + h.conj().T)
+
+    @pytest.mark.parametrize("law", ["complex_gaussian", "complex_rademacher"])
+    def test_complex_entries_equal_the_former_draw_bit_for_bit(self, law):
+        for shape in (1, 7, (30, 17), (200, 200)):
+            for rep in range(3):
+                got = montecarlo._draw_complex(montecarlo._rng_for(2, rep), law, shape)
+                want = self._former_draw_complex(montecarlo._rng_for(2, rep), law, shape)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("atoms,weights,alpha,law", [
+        ([1.0], [1.0], 1.0, "complex_gaussian"),
+        ([-1.0, 2.0], [0.5, 0.5], 0.5, "complex_gaussian"),
+        ([-1.0, 0.0, 1.0], [0.3, 0.2, 0.5], 2.0, "complex_gaussian"),
+        ([0.0, 1.0], [0.5, 0.5], 1.5, "complex_rademacher"),
+    ])
+    def test_complex_matrix_equals_the_former_build_bit_for_bit(self, atoms, weights,
+                                                                alpha, law):
+        model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha, 2, law)
+        for n in (2, 17, 120):
+            d = build_gamma(model.rho, model.rows(n))
+            for rep in range(3):
+                got = model.draw(montecarlo._rng_for(5, rep), n, d)
+                want = self._former_covariance_matrix(model, n, montecarlo._rng_for(5, rep), d)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("atoms,weights,alpha,law", [
+        ([-1.0, 2.0], [0.5, 0.5], 1.0, "gaussian"),           # both signs
+        ([-1.0, 2.0], [0.5, 0.5], 2.5, "gaussian"),
+        ([-1.0, 0.0, 1.0], [0.3, 0.2, 0.5], 2.0, "gaussian"),  # rows of d = 0
+        ([0.0, 1.0], [0.5, 0.5], 0.5, "rademacher"),
+        ([-1.0], [1.0], 0.5, "gaussian"),                      # all negative, m < n
+        ([-2.0, -0.5], [0.5, 0.5], 0.7, "gaussian"),
+        ([1.0], [1.0], 0.5, "rademacher"),
+        ([1.0], [1.0], 2.0, "gaussian"),
+        ([0.5, 3.0], [0.7, 0.3], 1.0, "uniform_sqrt3"),
+    ])
+    def test_rank_k_build_matches_the_former_build(self, atoms, weights, alpha, law):
+        # the rank-k products round differently from the general product; the
+        # spectra agree within the stated 1e-14 max|lambda|
+        model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha, 1, law)
+        for n in (2, 17, 200):
+            d = build_gamma(model.rho, model.rows(n))
+            for rep in range(3):
+                h = model.draw(montecarlo._rng_for(5, rep), n, d)
+                assert np.array_equal(h, h.T)
+                got = np.linalg.eigvalsh(h)
+                want = np.linalg.eigvalsh(
+                    self._former_covariance_matrix(model, n, montecarlo._rng_for(5, rep), d))
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_zero_diagonal_gives_the_zero_matrix(self):
+        model = CovarianceModel(SpectralMeasure.point_mass(0.0), 1.0)
+        out = np.full((6, 6), np.nan)
+        assert model.draw(montecarlo._rng_for(0, 0), 6, np.zeros(6), out=out) is out
+        np.testing.assert_array_equal(out, 0.0)
+
+
+_BATCH_MODELS = {
+    "real": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0),
+    "complex": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0, 2, "complex_gaussian"),
+    "mixed-sign": CovarianceModel(SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5]), 1.0),
+    "deformed-wigner": DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])),
+}
+
+
+class TestBatches:
+    @pytest.mark.parametrize("threads", [None, 4])
+    @pytest.mark.parametrize("name", list(_BATCH_MODELS))
+    def test_one_matrix_budget_gives_the_same_bits(self, monkeypatch, name, threads):
+        model, n = _BATCH_MODELS[name], 40
+        default = edge_stats(model, n, 30, seed=6, threads=threads)
+        itemsize = 16 if model.beta == 2 else 8
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTES", n * n * itemsize)
+        single = edge_stats(model, n, 30, seed=6, threads=threads)
+        assert single.values.tobytes() == default.values.tobytes()
+
+    @pytest.mark.parametrize("name,n", [
+        ("real", 300), ("complex", 200), ("mixed-sign", 200), ("deformed-wigner", 200),
+    ])
+    def test_traced_peak_stays_within_the_byte_budget(self, name, n):
+        # one batch of matrices plus the draw and product temporaries of one
+        # replica, at most 3 matrices' worth (measured: 0.4 to 1.8)
+        model = _BATCH_MODELS[name]
+        itemsize = 16 if model.beta == 2 else 8
+        tracemalloc.start()
+        try:
+            edge_stats(model, n, 40, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo._BATCH_BYTES + 3 * n * n * itemsize
 
 
 class TestEdgeStats:
