@@ -247,7 +247,7 @@ class TestBatches:
     def test_one_matrix_budget_gives_the_same_bits(self, monkeypatch, name, threads):
         model, n = _BATCH_MODELS[name], 40
         default = edge_stats(model, n, 30, seed=6, threads=threads)
-        itemsize = 16 if model.beta == 2 else 8
+        itemsize = montecarlo._dtype(model).itemsize
         monkeypatch.setattr(montecarlo, "_BATCH_BYTES", n * n * itemsize)
         single = edge_stats(model, n, 30, seed=6, threads=threads)
         assert single.values.tobytes() == default.values.tobytes()
@@ -256,10 +256,11 @@ class TestBatches:
         ("real", 300), ("complex", 200), ("mixed-sign", 200), ("deformed-wigner", 200),
     ])
     def test_traced_peak_stays_within_the_byte_budget(self, name, n):
-        # one batch of matrices plus the draw and product temporaries of one
-        # replica, at most 3 matrices' worth (measured: 0.4 to 1.8)
+        # one serial batch of at most _BATCH_BYTES, plus the draw and product
+        # temporaries of one replica: at most 3 n x n matrices beyond the
+        # budget (measured 0.4 to 1.8; the former build held 19 to 38)
         model = _BATCH_MODELS[name]
-        itemsize = 16 if model.beta == 2 else 8
+        itemsize = montecarlo._dtype(model).itemsize
         tracemalloc.start()
         try:
             edge_stats(model, n, 40, seed=1)
