@@ -18,7 +18,7 @@ import numpy as np
 from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density, sigma_measure
 from .measures import MeasureError, SpectralMeasure
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
-from .rate import approx_sweep, rate, rate_table, rate_variational
+from .rate import approx_sweep, csv_text, rate, rate_table, rate_variational
 from .wigner import DeformedWignerModel
 
 __all__ = ["main", "run", "model_from_json", "model_to_json"]
@@ -26,13 +26,6 @@ __all__ = ["main", "run", "model_from_json", "model_to_json"]
 
 class UsageError(Exception):
     """Bad input data: malformed model files, wrong model kind, bad flags."""
-
-
-def _fmt(v) -> str:
-    v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.17g}"
 
 
 def _json_ready(v):
@@ -171,9 +164,7 @@ def _cmd_density(args) -> None:
     xmin = args.xmin if args.xmin is not None else window.left - margin
     xmax = args.xmax if args.xmax is not None else window.right + margin
     xs = np.linspace(xmin, xmax, args.points)
-    dens = sigma_density(model, xs, args.eta)
-    lines = ["x,density"] + [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(xs, dens)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text("x,density", (xs, sigma_density(model, xs, args.eta))), args.out)
 
 
 def _cmd_variational(args) -> None:
@@ -182,13 +173,12 @@ def _cmd_variational(args) -> None:
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: the variational form does not apply")
     sigma = sigma_measure(model, 2000, edge)
-    xs = _float_list(args.x)
-    lines = ["x,rate_primal,rate_variational,abs_diff"]
+    xs = np.array(_float_list(args.x))
     # the primal rates of all points come from one batched branch solve
-    for x, primal in zip(xs, rate(model, np.array(xs), edge)):
-        varia = rate_variational(model, x, edge, sigma)
-        lines.append(f"{_fmt(x)},{_fmt(primal)},{_fmt(varia)},{_fmt(abs(primal - varia))}")
-    _emit("\n".join(lines) + "\n", args.out)
+    primal = rate(model, xs, edge)
+    varia = np.array([rate_variational(model, x, edge, sigma) for x in xs.tolist()])
+    _emit(csv_text("x,rate_primal,rate_variational,abs_diff",
+                   (xs, primal, varia, np.abs(primal - varia))), args.out)
 
 
 def _cmd_approx(args) -> None:

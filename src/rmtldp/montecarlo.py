@@ -4,6 +4,7 @@ distances against the limiting measure, and tail-probability curves."""
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -156,10 +157,21 @@ def _covariance_matrix(model, n: int, rng, d: np.ndarray,
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) indices of the strict upper triangle of an n x n
+    matrix, read-only. Only the last size is kept: the replicas of one
+    ``_sample`` call share n, so the call builds them once."""
+    iu = np.triu_indices(n, 1)
+    for index in iu:
+        index.setflags(write=False)
+    return iu
+
+
 def _wigner_matrix(model, n: int, rng, d: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """W / sqrt(n) + diag(d), written into ``out`` (a new array if None)."""
-    iu = np.triu_indices(n, 1)
+    iu = _upper_triangle(n)
     if model.beta == 1:
         diag_law, draw_off = model.entry_law, _draw_real
     else:

@@ -315,6 +315,15 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
     return SpectralMeasure(locs, wts, comps)
 
 
+def csv_text(header: str, columns) -> str:
+    """The CSV table of equal-length float columns under ``header``: one line
+    per row, every value as %.17g (which writes inf, -inf and nan as such),
+    each line ending in a newline."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return header + "\n" + "".join(line % row for row in rows)
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Tabulated branches and cumulative rate on an x grid."""
@@ -327,9 +336,8 @@ class RateTable:
     edge: EdgeData
 
     def write_csv(self, stream) -> None:
-        stream.write("x,G,Gbar,I\n")
-        for row in zip(self.x_grid, self.g_values, self.gbar_values, self.i_values):
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write(csv_text("x,G,Gbar,I",
+                              (self.x_grid, self.g_values, self.gbar_values, self.i_values)))
 
 
 def _table_on_grid(model, edge, xs: np.ndarray) -> RateTable:
@@ -367,9 +375,8 @@ class ApproxSweep:
     tables: tuple[RateTable, ...]
 
     def write_csv(self, stream) -> None:
-        stream.write("eps,r_sigma_eps,sup_error\n")
-        for row in zip(self.eps, self.r_sigma_eps, self.sup_error):
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write(csv_text("eps,r_sigma_eps,sup_error",
+                              (self.eps, self.r_sigma_eps, self.sup_error)))
 
 
 def approx_sweep(model: CovarianceModel, eps_list, x_grid,

@@ -410,6 +410,37 @@ class TestParserReuse:
         assert threads == [None, 3, 2, None]
 
 
+class TestCsvText:
+    SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0, -2.5]
+
+    @staticmethod
+    def _former_fmt(v) -> str:
+        """The former per-value formatter of the density and variational
+        tables."""
+        v = float(v)
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.17g}"
+
+    def test_the_bytes_of_the_former_formatters(self):
+        rng = np.random.default_rng(7)
+        a = np.concatenate([self.SPECIAL, rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)])
+        b = np.roll(a, 5)
+        c = np.roll(a, 11).tolist()  # a list column, as the variational rates were
+        got = cli.csv_text("a,b,c", (a, b, c))
+        former_cli = "\n".join(["a,b,c"] + [",".join(self._former_fmt(v) for v in row)
+                                              for row in zip(a, b, c)]) + "\n"
+        former_tables = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                             for row in zip(a, b, c))
+        assert got == former_cli == former_tables
+        assert [line.split(",")[0] for line in got.splitlines()[1:7]] == [
+            "inf", "-inf", "nan", "-0", "0", "4.9406564584124654e-324"]
+
+    def test_an_empty_table_is_its_header(self):
+        assert cli.csv_text("x,density", (np.array([]), [])) == "x,density\n"
+
+
 class TestModelRoundTrip:
     def test_covariance_round_trip(self):
         model = CovarianceModel(SpectralMeasure.from_atoms([-6.0, 2.0], [0.5, 0.5]), 4.0)
