@@ -369,7 +369,8 @@ def _g_at_right_edge(mu: SpectralMeasure) -> float:
 
 
 def thresholds(model: CovarianceModel) -> tuple[float, float]:
-    """(theta_max, x_c); x_c is cross-checked against the limit of H at theta_max."""
+    """(theta_max, x_c): x_c = x(r(rho)) on the level curve, cross-checked
+    against H(theta_max) summed directly over atoms and nodes."""
     tmax = theta_max(model)
     r = model.rho.right_edge
     if r <= 0.0:
@@ -377,7 +378,7 @@ def thresholds(model: CovarianceModel) -> tuple[float, float]:
     g_edge = _g_at_right_edge(model.rho)
     if math.isinf(g_edge):
         return tmax, math.inf
-    x_c = r * r * g_edge + (1.0 / model.alpha - 1.0) * r
+    x_c = model.curve()(r)[0]
     x_c_direct = _h_direct(model, tmax)
     if abs(x_c_direct - x_c) > 1e-4 * max(1.0, abs(x_c)):
         raise SolverError(
@@ -500,9 +501,9 @@ class Curve:
     x(lam) = x to its y; off the real axis that is G_sigma(z) for the root
     of x(lam) = z in the upper half-plane, which ``seed(z)`` approximates
     far above the axis. Called on a real float or array lam, the curve
-    returns (x, x') from the transforms of the measure at lam by
-    :func:`_on_points`: one ``stieltjes_pair`` call on more than
-    ``_FLOAT_POINTS`` points."""
+    returns (x, x') from the measure's ``stieltjes_pair`` at lam by
+    :func:`_on_points`: on its float path at a float and at up to
+    ``_FLOAT_POINTS`` points, in one array call on more."""
 
     measure: SpectralMeasure
     point: Callable
@@ -511,9 +512,7 @@ class Curve:
     y: Callable
 
     def __call__(self, lam):
-        mu = self.measure
-        return self.point(lam, *_on_points(lambda v: (mu.stieltjes(v), mu.stieltjes_prime(v)),
-                                           lam, mu.stieltjes_pair))
+        return self.point(lam, *_on_points(self.measure.stieltjes_pair, lam))
 
 
 @dataclass(frozen=True)
@@ -546,20 +545,19 @@ class Level:
 _FLOAT_POINTS = 2
 
 
-def _on_points(transform, lam, on_array=None):
-    """A transform of a measure (``stieltjes``, ``stieltjes_prime`` or a
-    function returning both as a pair) at a float lam, or at the points of
-    an array lam, off the support. A float and up to ``_FLOAT_POINTS``
-    points take the float path of the transform, one call per point, which
-    returns the array path's bits at a twentieth of its cost on atoms and
-    closed forms (about 1 against 20 us per call); more points take one
-    call of ``on_array`` (by default the transform itself), which must give
-    the same bits. On points, a pair comes back as a pair of arrays."""
+def _on_points(transform, lam):
+    """A transform of a measure (``stieltjes``, ``stieltjes_prime`` or
+    ``stieltjes_pair``) at a float lam, or at the points of an array lam,
+    off the support. A float and up to ``_FLOAT_POINTS`` points take the
+    float path of the transform, one call per point, which returns the
+    array path's bits at a twentieth of its cost on atoms and closed forms
+    (about 1 against 20 us per call); more points take one array call. On
+    points, a pair comes back as a pair of arrays."""
     if isinstance(lam, float):
         return transform(lam)
     if lam.size <= _FLOAT_POINTS:
         return np.array([transform(v) for v in lam.tolist()]).T
-    return (on_array or transform)(lam)
+    return transform(lam)
 
 
 def _evaluable_floor(mu: SpectralMeasure, lo: float) -> float:

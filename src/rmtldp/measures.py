@@ -77,13 +77,9 @@ def _branch_sqrt(w, radius):
     return np.sqrt(w - radius) * np.sqrt(w + radius)
 
 
-def _maybe_real(values, z):
-    values = np.asarray(values)
-    if not np.iscomplexobj(np.asarray(z)) and np.iscomplexobj(values):
-        values = values.real
-    if values.ndim == 0:
-        return values.item()
-    return values
+def _item(values):
+    """A Python scalar for a 0-d array, else the array."""
+    return values.item() if values.ndim == 0 else values
 
 
 def _pair_diffs(z, t):
@@ -123,80 +119,56 @@ class DensityComponent:
 
     # -- transforms ---------------------------------------------------------
 
-    def stieltjes(self, z):
+    def stieltjes_pair(self, z, prime=True):
+        """(G, G') of the component at z, a real or complex scalar or array,
+        or (G,) when ``prime`` is false: its one body of both transforms, from
+        one z - t array (a semicircle's w and s, a uniform's z - a and z - b,
+        a table's z - nodes). A real z gives real values: a uniform's G is
+        then its real ``log1p`` form, and G' of a closed form is its complex
+        formula's real part, at either end the one-sided limit -inf, where
+        the formulas divide by 0 (a semicircle end within rounding counts as
+        its end). Divisions by 0 are left to the caller's ``np.errstate``."""
+        z = np.asarray(z)
+        real = z.dtype.kind != "c"
+        if self.kind == "table":
+            return self._by_rows(z, self._table_pair, prime)
         if self.kind == "semicircle":
             # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|
             c, r = self.params["center"], self.params["radius"]
             w = np.asarray(z, dtype=complex) - c
-            val = 2.0 * self.mass / (w + _branch_sqrt(w, r))
-            return _maybe_real(val, z)
-        if self.kind == "uniform":
-            zr = np.asarray(z)
-            if not np.iscomplexobj(zr):
-                val = self.mass * np.log1p((self.b - self.a) / (zr - self.b)) / (self.b - self.a)
-            else:
-                zc = np.asarray(z, dtype=complex)
-                val = self.mass * (np.log(zc - self.a) - np.log(zc - self.b)) / (self.b - self.a)
-            return _maybe_real(val, z)
-        return self._by_rows(np.asarray(z), self._table_pair, False)[0]
-
-    def stieltjes_prime(self, z):
-        """G' of the component. At either end of a closed-form component, on a
-        real argument, this is the one-sided limit -inf, where the formulas
-        divide by 0 (a semicircle end within rounding counts as its end)."""
-        if self.kind == "semicircle":
-            c, r = self.params["center"], self.params["radius"]
-            w = np.asarray(z, dtype=complex) - c
-            s = _branch_sqrt(w, r)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = -2.0 * self.mass * (1.0 + w / s) / (w + s) ** 2
-            if not np.iscomplexobj(z):
-                val = np.where(np.abs(w.real) <= r, -np.inf, val)
-            return _maybe_real(val, z)
-        if self.kind == "uniform":
-            zc = np.asarray(z, dtype=complex)
-            if np.iscomplexobj(z):
-                val = -self.mass / ((zc - self.a) * (zc - self.b))
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    val = -self.mass / ((zc - self.a) * (zc - self.b))
-                val = np.where((zc.real == self.a) | (zc.real == self.b), -np.inf, val)
-            return _maybe_real(val, z)
-        return self._by_rows(np.asarray(z), self._table_pair)[1]
-
-    def stieltjes_pair(self, z):
-        """(G, G') at a complex or real array z, equal bit for bit to
-        :meth:`stieltjes` and :meth:`stieltjes_prime` there, from one z - t
-        array: a semicircle's w and s, a uniform's z - a and z - b, a table's
-        z - nodes. On a real array a closed form, whose real formulas differ
-        from its complex ones, takes the two transforms."""
-        if self.kind != "table" and not np.iscomplexobj(z):
-            return self.stieltjes(z), self.stieltjes_prime(z)
-        if self.kind == "semicircle":
-            c, r = self.params["center"], self.params["radius"]
-            w = z - c
             s = _branch_sqrt(w, r)
             d = w + s
-            with np.errstate(divide="ignore", invalid="ignore"):
+            g = 2.0 * self.mass / d
+            if prime:
                 gp = -2.0 * self.mass * (1.0 + w / s) / d ** 2
-            return 2.0 * self.mass / d, gp
-        if self.kind == "uniform":
-            za, zb = z - self.a, z - self.b
-            return (self.mass * (np.log(za) - np.log(zb)) / (self.b - self.a),
-                    -self.mass / (za * zb))
-        return self._by_rows(z, self._table_pair)
+                ends = real and np.abs(w.real) <= r
+        else:
+            if prime or not real:
+                zc = np.asarray(z, dtype=complex)
+                za, zb = zc - self.a, zc - self.b
+            if real:
+                g = self.mass * np.log1p((self.b - self.a) / (z - self.b)) / (self.b - self.a)
+            else:
+                g = self.mass * (np.log(za) - np.log(zb)) / (self.b - self.a)
+            if prime:
+                gp = -self.mass / (za * zb)
+                ends = real and (z == self.a) | (z == self.b)
+        if real:
+            g = g.real
+            if prime:
+                gp = np.where(ends, -np.inf, gp.real)
+        return (g, gp) if prime else (g,)
 
     def _table_pair(self, z, prime=True):
         """(G, G') of a table at the points of z, or (G,) when ``prime`` is
-        false: the one kernel of its three transforms. The (points, nodes)
-        array q = z - nodes is reused in place, 1/q and then 1/q^2, and
-        each point's sum is one dot of its row with the weights, so a point
-        gets the same bits alone, in any chunk and on the float path
-        (``np.vecdot`` dots row by row; a matrix-vector product would not).
-        A node hit exactly gives an infinite term, as an atom does."""
+        false: its one kernel. The (points, nodes) array q = z - nodes is
+        reused in place, 1/q and then 1/q^2, and each point's sum is one dot
+        of its row with the weights, so a point gets the same bits alone, in
+        any chunk and on the float path (``np.vecdot`` dots row by row; a
+        matrix-vector product would not). A node hit exactly gives an
+        infinite term, as an atom does."""
         q = z[..., None] - self.nodes
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.reciprocal(q, out=q)
+        np.reciprocal(q, out=q)
         g = np.vecdot(self.weights, q)
         if not prime:
             return (g,)
@@ -222,8 +194,9 @@ class DensityComponent:
 
     def real_transform(self, x: float, prime: bool):
         """G (``prime`` false) or G' at a finite real float x off the open
-        support: a Python float equal bit for bit to :meth:`stieltjes` or
-        :meth:`stieltjes_prime` at x, or None where only those give it.
+        support: a Python float equal bit for bit to the array body's G or G'
+        at x (:meth:`SpectralMeasure.stieltjes`), or None where only that
+        body gives it. A table takes its kernel on the one point.
 
         With every imaginary part 0, numpy's complex division a / b reduces to
         a * (1 / b), so the closed forms below repeat the complex formulas'
@@ -255,7 +228,9 @@ class DensityComponent:
             # np.log1p, not math.log1p: the two differ in the last bit on some
             # hosts (numpy may use its own SIMD log1p)
             return self.mass * float(np.log1p((self.b - self.a) / (x - self.b))) / (self.b - self.a)
-        return float(self.stieltjes_prime(x) if prime else self.stieltjes(x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the last of (G,) or (G, G')
+            return float(self._table_pair(np.array([x]), prime)[-1][0])
 
     def log_moment(self, z):
         """integral of log(z - t) against the component, real z >= b: a float
@@ -574,15 +549,7 @@ class SpectralMeasure:
             edge_val = self._edge_value(float(zr))
             if edge_val is not None:
                 return edge_val
-        za = np.asarray(z)[..., None] if self.atom_locations.size else None
-        total = 0.0
-        if za is not None:
-            with np.errstate(divide="ignore"):
-                total = np.sum(self.atom_weights / (za - self.atom_locations), axis=-1)
-        for c in self.components:
-            total = total + c.stieltjes(z)
-        total = np.asarray(total)
-        return total.item() if total.ndim == 0 else total
+        return _item(self._transforms(zr, prime=False)[0])
 
     def past_right_snap(self) -> float:
         """The first float above the right edge outside the snap window of
@@ -623,46 +590,56 @@ class SpectralMeasure:
         if val is not None:
             return val
         self._check_real_argument(z)
-        total = 0.0
-        if self.atom_locations.size:
-            za = np.asarray(z)[..., None]
-            with np.errstate(divide="ignore"):
-                total = -np.sum(self.atom_weights / (za - self.atom_locations) ** 2, axis=-1)
-        for c in self.components:
-            total = total + c.stieltjes_prime(z)
-        total = np.asarray(total)
-        return total.item() if total.ndim == 0 else total
+        return _item(self._transforms(z)[1])
 
     def stieltjes_pair(self, z):
-        """(G(z), G'(z)) at a complex or real array z, equal bit for bit to
-        ``(stieltjes(z), stieltjes_prime(z))`` but from one z - t array per
-        atom and component: the evaluation of the grid solver, the inverse
-        Stieltjes solve and the level curves. A real point of z must lie
-        outside the open support.
+        """(G(z), G'(z)), equal bit for bit to ``(stieltjes(z),
+        stieltjes_prime(z))``: the evaluation of the grid solver, the inverse
+        Stieltjes solve and the level curves. A float z (``np.float64``
+        included) takes the two transforms' float path; at a complex or real
+        array z both come from one z - t array per atom and component. A
+        real point of z must lie outside the open support."""
+        if isinstance(z, float):
+            return self.stieltjes(z), self.stieltjes_prime(z)
+        self._check_real_argument(z)
+        return self._transforms(z)
+
+    def _transforms(self, z, prime=True):
+        """(G, G') at the points of a real or complex z, or (G,) when
+        ``prime`` is false: arrays of z's shape, the one array body of the
+        three transforms, under one ``np.errstate`` (a pole hit exactly
+        gives an infinite term).
 
         Fewer than 4 atoms are summed one after another from 0.0, as numpy
         sums fewer than 4 complex terms (it sums 4 or more pairwise) and
-        fewer than 8 real ones.
+        fewer than 8 real ones. The sums run on at least one dimension: on a
+        0-d z the terms would be numpy scalars, whose square takes other
+        bits than an array's.
         """
-        self._check_real_argument(z)
-        z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+        z = np.asarray(z)
+        z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
+        zs = z if z.ndim else z.reshape(1)
         g = gp = 0.0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             if self.atom_locations.size >= 4:
-                d = z[..., None] - self.atom_locations
+                d = zs[..., None] - self.atom_locations
                 g = np.sum(self.atom_weights / d, axis=-1)
-                gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
+                if prime:
+                    gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
             elif self.atom_locations.size:
                 for w, loc in self._atom_pairs:
-                    d = z - loc
+                    d = zs - loc
                     g = g + w / d
-                    gp = gp + w / d ** 2
+                    if prime:
+                        gp = gp + w / d ** 2
                 gp = -gp
-        for c in self.components:
-            cg, cgp = c.stieltjes_pair(z)
-            g = g + cg
-            gp = gp + cgp
-        return g, gp
+            for c in self.components:
+                parts = c.stieltjes_pair(zs, prime)
+                g = g + parts[0]
+                if prime:
+                    gp = gp + parts[1]
+        out = (g, gp) if prime else (g,)
+        return out if z.ndim else tuple(v.reshape(()) for v in out)
 
     def log_moment(self, z):
         """integral of log(z - t) for real z at or beyond the right edge,

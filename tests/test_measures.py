@@ -574,12 +574,194 @@ def test_real_scalar_path_on_a_tiny_semicircle(radius):
             _check_real_parity(m, x, far=False)
 
 
-# -- the (G, G') pair of the grid solver ----------------------------------------
+# -- the former transform bodies: the reference of the one (G, G') body ---------
+#
+# Before each layer had one body for G and G', a component and a measure wrote
+# them three times each, in ``stieltjes``, ``stieltjes_prime`` and
+# ``stieltjes_pair``. Those bodies, copied as they were with ``self`` the
+# component or measure and their calls of one another made direct, are the
+# bit-for-bit reference of the transforms. Call them under an ``np.errstate``
+# that ignores divisions by 0: a table's kernel no longer sets one.
+
+
+def _maybe_real(values, z):
+    values = np.asarray(values)
+    if not np.iscomplexobj(np.asarray(z)) and np.iscomplexobj(values):
+        values = values.real
+    if values.ndim == 0:
+        return values.item()
+    return values
+
+
+def former_component_stieltjes(self, z):
+    if self.kind == "semicircle":
+        # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|
+        c, r = self.params["center"], self.params["radius"]
+        w = np.asarray(z, dtype=complex) - c
+        val = 2.0 * self.mass / (w + measures._branch_sqrt(w, r))
+        return _maybe_real(val, z)
+    if self.kind == "uniform":
+        zr = np.asarray(z)
+        if not np.iscomplexobj(zr):
+            val = self.mass * np.log1p((self.b - self.a) / (zr - self.b)) / (self.b - self.a)
+        else:
+            zc = np.asarray(z, dtype=complex)
+            val = self.mass * (np.log(zc - self.a) - np.log(zc - self.b)) / (self.b - self.a)
+        return _maybe_real(val, z)
+    return self._by_rows(np.asarray(z), self._table_pair, False)[0]
+
+
+def former_component_stieltjes_prime(self, z):
+    """G' of the component. At either end of a closed-form component, on a
+    real argument, this is the one-sided limit -inf, where the formulas
+    divide by 0 (a semicircle end within rounding counts as its end)."""
+    if self.kind == "semicircle":
+        c, r = self.params["center"], self.params["radius"]
+        w = np.asarray(z, dtype=complex) - c
+        s = measures._branch_sqrt(w, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = -2.0 * self.mass * (1.0 + w / s) / (w + s) ** 2
+        if not np.iscomplexobj(z):
+            val = np.where(np.abs(w.real) <= r, -np.inf, val)
+        return _maybe_real(val, z)
+    if self.kind == "uniform":
+        zc = np.asarray(z, dtype=complex)
+        if np.iscomplexobj(z):
+            val = -self.mass / ((zc - self.a) * (zc - self.b))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = -self.mass / ((zc - self.a) * (zc - self.b))
+            val = np.where((zc.real == self.a) | (zc.real == self.b), -np.inf, val)
+        return _maybe_real(val, z)
+    return self._by_rows(np.asarray(z), self._table_pair)[1]
+
+
+def former_component_stieltjes_pair(self, z):
+    """(G, G') at a complex or real array z, equal bit for bit to
+    :meth:`stieltjes` and :meth:`stieltjes_prime` there, from one z - t
+    array: a semicircle's w and s, a uniform's z - a and z - b, a table's
+    z - nodes. On a real array a closed form, whose real formulas differ
+    from its complex ones, takes the two transforms."""
+    if self.kind != "table" and not np.iscomplexobj(z):
+        return former_component_stieltjes(self, z), former_component_stieltjes_prime(self, z)
+    if self.kind == "semicircle":
+        c, r = self.params["center"], self.params["radius"]
+        w = z - c
+        s = measures._branch_sqrt(w, r)
+        d = w + s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gp = -2.0 * self.mass * (1.0 + w / s) / d ** 2
+        return 2.0 * self.mass / d, gp
+    if self.kind == "uniform":
+        za, zb = z - self.a, z - self.b
+        return (self.mass * (np.log(za) - np.log(zb)) / (self.b - self.a),
+                -self.mass / (za * zb))
+    return self._by_rows(z, self._table_pair)
+
+
+def former_stieltjes(self, z):
+    """G(z) = integral of 1/(z - t); real z must lie outside the open support.
+
+    At the exact support edges the one-sided limit is returned, which is
+    +inf (resp. -inf at the left edge) when the measure has an atom there
+    or the edge density makes the integral diverge.
+
+    A float z (``np.float64`` included) is evaluated on Python floats,
+    returning the same bits as the array path; other scalars, and
+    measures with 8 or more atoms, take the array path.
+    """
+    val = self._real_transform(z, prime=False)
+    if val is not None:
+        return val
+    self._check_real_argument(z)
+    zr = np.asarray(z)
+    if not np.iscomplexobj(zr) and zr.ndim == 0:
+        edge_val = self._edge_value(float(zr))
+        if edge_val is not None:
+            return edge_val
+    za = np.asarray(z)[..., None] if self.atom_locations.size else None
+    total = 0.0
+    if za is not None:
+        with np.errstate(divide="ignore"):
+            total = np.sum(self.atom_weights / (za - self.atom_locations), axis=-1)
+    for c in self.components:
+        total = total + former_component_stieltjes(c, z)
+    total = np.asarray(total)
+    return total.item() if total.ndim == 0 else total
+
+
+def former_stieltjes_prime(self, z):
+    """d/dz of the Stieltjes transform; real scalars as in :meth:`stieltjes`."""
+    val = self._real_transform(z, prime=True)
+    if val is not None:
+        return val
+    self._check_real_argument(z)
+    total = 0.0
+    if self.atom_locations.size:
+        za = np.asarray(z)[..., None]
+        with np.errstate(divide="ignore"):
+            total = -np.sum(self.atom_weights / (za - self.atom_locations) ** 2, axis=-1)
+    for c in self.components:
+        total = total + former_component_stieltjes_prime(c, z)
+    total = np.asarray(total)
+    return total.item() if total.ndim == 0 else total
+
+
+def former_stieltjes_pair(self, z):
+    """(G(z), G'(z)) at a complex or real array z, equal bit for bit to
+    ``(stieltjes(z), stieltjes_prime(z))`` but from one z - t array per
+    atom and component: the evaluation of the grid solver, the inverse
+    Stieltjes solve and the level curves. A real point of z must lie
+    outside the open support.
+
+    Fewer than 4 atoms are summed one after another from 0.0, as numpy
+    sums fewer than 4 complex terms (it sums 4 or more pairwise) and
+    fewer than 8 real ones.
+    """
+    self._check_real_argument(z)
+    z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+    g = gp = 0.0
+    with np.errstate(divide="ignore"):
+        if self.atom_locations.size >= 4:
+            d = z[..., None] - self.atom_locations
+            g = np.sum(self.atom_weights / d, axis=-1)
+            gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
+        elif self.atom_locations.size:
+            for w, loc in self._atom_pairs:
+                d = z - loc
+                g = g + w / d
+                gp = gp + w / d ** 2
+            gp = -gp
+    for c in self.components:
+        cg, cgp = former_component_stieltjes_pair(c, z)
+        g = g + cg
+        gp = gp + cgp
+    return g, gp
 
 
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _check_against_the_former_bodies(m, z):
+    """At the points of an array z off the open support, each transform of
+    the measure and the (G, G') and (G,) of each component equal their
+    former bodies bit for bit."""
+    with np.errstate(all="ignore"):
+        pairs = [(m.stieltjes(z), former_stieltjes(m, z)),
+                 (m.stieltjes_prime(z), former_stieltjes_prime(m, z))]
+        pairs += zip(m.stieltjes_pair(z), former_stieltjes_pair(m, z))
+        for c in m.components:
+            want = former_component_stieltjes(c, z), former_component_stieltjes_prime(c, z)
+            pairs += zip(c.stieltjes_pair(z), want)
+            pairs += zip(c.stieltjes_pair(z, prime=False), want[:1])
+            pairs += zip(c.stieltjes_pair(z), former_component_stieltjes_pair(c, z))
+    for got, want in pairs:
+        assert _same_bits(got, want)
+
+
+# -- the (G, G') pair of the grid solver ----------------------------------------
 
 
 @settings(max_examples=300)
@@ -590,7 +772,8 @@ def _same_bits(got, want):
        offsets=st.lists(st.floats(1e-9, 50.0), min_size=1, max_size=4))
 def test_stieltjes_pair_equals_the_two_transforms(m, fractions, heights, offsets):
     """Bit for bit, off the axis on both sides (heights down to 1e-12) and at
-    Im z = 0 off the support; fewer than 4 atoms take the per-atom loop."""
+    Im z = 0 off the support; fewer than 4 atoms take the per-atom loop. All
+    three transforms equal their former bodies."""
     left, right = m.edges()
     xs = [left + f * (right - left) for f in fractions]
     z = np.array([x + 1j * s * h for x in xs for h in heights for s in (1.0, -1.0)]
@@ -599,6 +782,29 @@ def test_stieltjes_pair_equals_the_two_transforms(m, fractions, heights, offsets
         g, gp = m.stieltjes_pair(z)
         assert _same_bits(g, m.stieltjes(z))
         assert _same_bits(gp, m.stieltjes_prime(z))
+    _check_against_the_former_bodies(m, z)
+
+
+@settings(max_examples=100)
+@given(m=real_axis_measures(max_atoms=7),
+       fractions=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6),
+       heights=st.lists(st.sampled_from([1e-12, 1e-9, 1e-6]) | st.floats(1e-12, 30.0),
+                        min_size=1, max_size=4))
+def test_a_complex_scalar_gets_the_bits_of_its_point_in_an_array(m, fractions, heights):
+    """The transforms sum on at least one dimension, so a complex scalar or
+    0-d array gets the bits of its point in an array. The former bodies
+    evaluated a closed form at a scalar on numpy scalars, whose complex
+    arithmetic can round otherwise in the last bit."""
+    left, right = m.edges()
+    z = np.array([left + f * (right - left) + 1j * s * h
+                  for f in fractions for h in heights for s in (1.0, -1.0)])
+    with np.errstate(all="ignore"):
+        g, gp = m.stieltjes_pair(z)
+        for i, v in enumerate(z.tolist()):
+            assert _same_bits(m.stieltjes(v), g[i])
+            assert _same_bits(m.stieltjes_prime(v), gp[i])
+            assert all(_same_bits(got, want[i])
+                       for got, want in zip(m.stieltjes_pair(np.asarray(v)), (g, gp)))
 
 
 def test_stieltjes_pair_rejects_a_real_point_inside_the_support():
@@ -620,6 +826,7 @@ def _check_real_pair(m, points):
         g, gp = m.stieltjes_pair(outside)
         assert _same_bits(g, m.stieltjes(outside))
         assert _same_bits(gp, m.stieltjes_prime(outside))
+    _check_against_the_former_bodies(m, outside)
     for x in points:
         if left < x < right:
             with pytest.raises(MeasureError) as info:
@@ -663,6 +870,26 @@ def test_real_array_pair_equals_the_two_transforms(name):
        offsets=st.lists(st.floats(1e-9, 50.0), min_size=1, max_size=4))
 def test_real_array_pair_equals_the_two_transforms_on_random_measures(m, offsets):
     _check_real_pair(m, _real_points(m, offsets))
+
+
+@pytest.mark.parametrize("name", sorted(REAL_PAIR_MEASURES))
+def test_stieltjes_pair_at_a_float_is_the_two_float_transforms(name):
+    """At a float and an ``np.float64``, (G, G') are the two transforms'
+    Python floats, edge limits included; a point inside the support raises
+    as they do."""
+    m = REAL_PAIR_MEASURES[name]
+    left, right = m.edges()
+    for x in _real_points(m, [1e-9, 0.3, 7.5, 250.0]):
+        for v in (x, np.float64(x)):
+            if left < x < right:
+                with pytest.raises(MeasureError) as info:
+                    m.stieltjes_pair(v)
+                assert str(info.value) == _INSIDE.format(v, left, right)
+                continue
+            with np.errstate(all="ignore"):
+                g, gp = m.stieltjes_pair(v)
+                _assert_same_float(g, m.stieltjes(v))
+                _assert_same_float(gp, m.stieltjes_prime(v))
 
 
 @pytest.mark.parametrize("shape", [(51,), (3, 17), ()])
@@ -716,24 +943,32 @@ def table_layouts(draw):
     return tables, x, z
 
 
-def _kernel_evaluations(m, x, z, rows):
+_TRANSFORMS = (SpectralMeasure.stieltjes, SpectralMeasure.stieltjes_prime,
+               SpectralMeasure.stieltjes_pair)
+_FORMER_TRANSFORMS = (former_stieltjes, former_stieltjes_prime, former_stieltjes_pair)
+
+
+def _kernel_evaluations(m, x, z, rows, transforms=_TRANSFORMS):
     """Every table transform on the points x and z, summed ``rows`` points
     at a time."""
     n = m.components[0].nodes.size
+    g, gp, pair = transforms
     with mock.patch.object(measures, "_TABLE_ENTRIES", rows * n):
-        return (m.stieltjes(x), m.stieltjes_prime(x), *m.stieltjes_pair(x),
-                m.stieltjes(z), m.stieltjes_prime(z), *m.stieltjes_pair(z))
+        return (g(m, x), gp(m, x), *pair(m, x), g(m, z), gp(m, z), *pair(m, z))
 
 
 @settings(max_examples=40)
 @given(case=table_layouts())
 def test_table_kernel_gives_one_set_of_bits(case):
-    """The three layouts, the three transforms, chunks of 1, 3 and 8 points
-    against the whole array, a real point on the float path and a complex
-    point alone: all the same bits."""
+    """The three layouts, the three transforms and their former bodies,
+    chunks of 1, 3 and 8 points against the whole array, a real point on the
+    float path and a complex point alone: all the same bits."""
     tables, x, z = case
     want = _kernel_evaluations(tables["contiguous"], x, z, 10**6)
     assert all(_same_bits(got, w) for got, w in zip(want[2:4] + want[6:8], want[:2] + want[4:6]))
+    with np.errstate(all="ignore"):
+        former = _kernel_evaluations(tables["contiguous"], x, z, 10**6, _FORMER_TRANSFORMS)
+    assert all(_same_bits(got, w) for got, w in zip(want, former))
     for name, m in tables.items():
         for rows in (1, 3, 8):
             assert all(_same_bits(got, w) for got, w in zip(_kernel_evaluations(m, x, z, rows), want))
