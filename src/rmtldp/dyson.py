@@ -865,15 +865,14 @@ _TIGHT_TOL = np.full(len(_DESCENT), 1e-12)
 # every other point by at most _GRID_STEPS Newton steps on z from a seed
 # interpolated between the two solved points around it. _GRID_MIN is where the
 # two break even in sum over the 12 non-degenerate benchmark models, on the
-# one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and of
-# the density command (linspace with 5% margins, eta 1e-4): continuation
-# took 1.07-1.17 times the descent's time on 4-32 measure points and 2.5-3.2
-# times on 4-16 density points (one interval of 16 leaves poor seeds), 0.84-
-# 1.03 times at 48 and 64, 0.76-0.82 at 96 and 0.43 at 400 (2-core host,
-# median of 9). The sum is led by the table measure, which gains from 32
-# points on; an atomic or closed-form measure alone loses about 10% at 64-128
-# points, where the descent's fixed cost dominates, and gains at 400
-_GRID_MIN = 64
+# one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and of the
+# density command (linspace, 5% margins, eta 1e-4): continuation took 1.06-1.34
+# times the descent's time on 4-48 measure points and 1.07-3.8 on 4-48 density
+# points (an interval of 16 leaves poor seeds), 1.11-1.16 at 64, 0.88-1.02 at 80
+# and 96, 0.80-0.90 at 112 and 128 and 0.51-0.53 at 400 (2-core host, median of
+# 9, two runs). The table measure gains from 32 points on; dw-two-atom loses 2-3
+# times at 64, 96 and 128 points, where seeds around its gap take a descent
+_GRID_MIN = 80
 _GRID_STRIDE = 16
 _GRID_STEPS = 8
 
@@ -890,21 +889,20 @@ def _solve_on_grid(h_pair, zs, seed):
     :func:`_descend`. Every other point is seeded by the cubic Hermite
     interpolant of the roots of the two solved points around it, with the
     slopes dw/dz = 1/h'(w) there, and takes at most ``_GRID_STEPS`` damped
-    Newton steps on z itself, with the descent's half-plane rule, its
-    stopping test ``|h(w) - z| <= 1e-12 max(1, |z|)`` and its polish step. A
-    point whose seed leaves the half-plane of its neighbours' roots, or
-    that has not converged within those steps, is solved by
-    :func:`_descend` instead. A root differs from the descent's by the
-    rounding the stopping test and the polish step leave, not by the
-    seed. A shorter grid, or one at several heights, is solved by
-    :func:`_descend` alone: below ``_GRID_MIN`` points the continuation's
-    own descent and Newton rounds cost more than they save (the measured
-    crossover is in the comment above).
+    Newton steps on z itself in the descent's kernel :func:`_newton`, on
+    one level at height 0: the same half-plane rule, the stopping test
+    ``|h(w) - z| <= 1e-12 max(1, |z|)`` and the polish step. A point whose
+    seed leaves the half-plane of its neighbours' roots, or that has not
+    converged within those steps, is solved by :func:`_descend` instead. A
+    root differs from the descent's by the rounding the stopping test and
+    the polish step leave, not by the seed. A shorter grid, or one at
+    several heights, is solved by :func:`_descend` alone: below
+    ``_GRID_MIN`` points the continuation's own descent and Newton rounds
+    cost more than they save (measured in the comment above).
 
-    Every trial point costs one ``h_pair`` evaluation. On sigma_measure's
-    2000-point grids the descent takes about 19 evaluations per point for a
-    covariance model and 16 for a deformed-Wigner one; the continued grid
-    takes 4.2 and 4.1 (the slopes cost one evaluation per solved point).
+    On sigma_measure's 2000-point grids that is 4.2 ``h_pair`` evaluations
+    per point for a covariance model and 4.1 for a deformed-Wigner one (the
+    slopes cost one per solved point), against 19 and 16 by the descent.
     """
     zs = np.asarray(zs, dtype=complex)
     if zs.size >= _GRID_MIN and np.all(zs.imag == zs.imag[0]):
@@ -939,82 +937,19 @@ def _continue(h_pair, zs, seed):
     seeds = (u * u * ((1.0 + 2.0 * t) * w0 + t * dx * slope[left])
              + t * t * ((3.0 - 2.0 * t) * w1 - u * dx * slope[right]))
     z = zs[order[rest]]
-    ok = _newton_on_z(h_pair, z, seeds, np.sign(w0.imag))
-    if not ok.all():
-        seeds[~ok] = _descend(h_pair, z[~ok], seed)
-    w[rest] = seeds
+    side = np.sign(w0.imag)
+    # one level at height 0, from the seeds on the side of their neighbours
+    inside = np.sign(seeds.imag) == side
+    roots = np.full(rest.size, np.nan, dtype=complex)
+    roots[inside] = _newton(h_pair, z[inside], np.zeros(1), _TIGHT_TOL[-1:], seeds[inside],
+                            *h_pair(seeds[inside]), side[inside], _GRID_STEPS, strict=False)
+    failed = np.isnan(roots)
+    if failed.any():
+        roots[failed] = _descend(h_pair, z[failed], seed)
+    w[rest] = roots
     out = np.empty(n, dtype=complex)
     out[order] = w
     return out
-
-
-def _newton_on_z(h_pair, z, w, side):
-    """At most ``_GRID_STEPS`` damped Newton steps on h(w) = z from the seeds
-    w, then the polish step, in place; True where the root converged, False
-    where its seed lies off the half-plane ``side`` or it did not converge."""
-    hw = np.full(w.size, np.nan, dtype=complex)
-    hp = hw.copy()
-    live = np.flatnonzero(np.sign(w.imag) == side)
-    hw[live], hp[live] = h_pair(w[live])
-    tol = _TIGHT_TOL[-1] * np.maximum(1.0, np.abs(z))
-    for _ in range(_GRID_STEPS):
-        live = live[~(np.abs(hw[live] - z[live]) <= tol[live])]
-        if not live.size:
-            break
-        stuck = _damped_step(h_pair, w, hw, hp, live, z[live], side)
-        live = live[~np.isin(live, stuck)]
-    ok = np.abs(hw - z) <= tol
-    w[ok] = _polish(h_pair, w[ok], hw[ok], hp[ok], z[ok], side[ok])
-    return ok
-
-
-def _damped_step(h_pair, w, hw, hp, live, target, side):
-    """One damped Newton step on h(w) = target at the points ``live``, in
-    place: the full step, halved until the trial stays in the half-plane
-    ``side`` of its point and lowers the residual, at most 40 times. The
-    points with no such trial are returned."""
-    res = hw[live] - target
-    step = res / hp[live]
-    # backtrack on the points still without an accepted trial, compacted
-    # after every halving
-    todo, start, limit = live, w[live], np.abs(res)
-    lam = 1.0
-    for _ in range(40):
-        trial = start - lam * step
-        # a trial across the real axis is rejected like one that does not
-        # reduce the residual; so are NaNs
-        inside = np.sign(trial.imag) == side[todo]
-        if inside.all():
-            h_trial, hp_trial = h_pair(trial)
-        else:
-            h_trial = np.full(todo.size, np.nan, dtype=complex)
-            hp_trial = h_trial.copy()
-            h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
-        better = np.abs(h_trial - target) < limit
-        accepted = todo[better]
-        w[accepted] = trial[better]
-        hw[accepted] = h_trial[better]
-        hp[accepted] = hp_trial[better]
-        if better.all():
-            return todo[:0]
-        rest = ~better
-        todo, start, step = todo[rest], start[rest], step[rest]
-        target, limit = target[rest], limit[rest]
-        lam *= 0.5
-    return todo
-
-
-def _polish(h_pair, w, hw, hp, zs, side):
-    """w after one full Newton step on z, kept where it stays in the
-    half-plane ``side`` and does not raise the residual. The stopping test
-    bounds the residual, not the error in w, and the descent may accept the
-    root of the level above z untouched; this step removes that error."""
-    trial = w - (hw - zs) / hp
-    keep = np.sign(trial.imag) == side
-    h_trial = h_pair(trial[keep])[0]
-    keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
-    w[keep] = trial[keep]
-    return w
 
 
 def _descend(h_pair, zs, seed):
@@ -1024,18 +959,14 @@ def _descend(h_pair, zs, seed):
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
     over z shrinks through ``scale * _DESCENT``, each level seeded by the
-    root of the level above. Damped Newton runs on the whole array, each
-    point with its own backtracking step and its own stopping test
-    ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3 above height 0,
-    where a root only seeds the next level, and 1e-12 at height 0. Iterates
-    never leave the open half-plane of their seed, which holds exactly one
-    root. Once every point has converged, the polish step (one more Newton
-    step on z itself) removes the error the stopping test leaves in w.
-
-    Every trial point costs one ``h_pair`` evaluation, and the h' of the
-    accepted trial serves the next step and the polish step: on the level
-    curves, about 19 evaluations per point for a covariance model and 16
-    for a deformed Wigner one on a 2000-point grid.
+    root of the level above. The points descend together in :func:`_newton`,
+    each on its own level with its own stopping test ``|h(w) - target| <=
+    tol max(1, |target|)``: tol is 1e-3 above height 0, where a root only
+    seeds the next level, and 1e-12 at height 0. Iterates never leave the
+    open half-plane of their seed, which holds exactly one root. That is about
+    19 ``h_pair`` evaluations per point for a covariance model and 16 for a
+    deformed-Wigner one, in 14-29 Newton rounds on the benchmark models
+    whatever the number of points.
 
     The loose levels assume structure of h on the scale of 1: for a model
     whose spectrum spans 1e-3, a residual of 1e-3 can leave a seed from which
@@ -1048,76 +979,145 @@ def _descend(h_pair, zs, seed):
         return _descend_with(h_pair, zs, seed, _TIGHT_TOL)
 
 
-def _move_down(test, zs, heights, level_tol, hw, level, steps, done):
-    """Move each point of ``test`` down every level whose stopping test its
-    root ``hw`` already passes, in place: to the first level whose test
-    fails, with no steps taken there, or ``done`` past the last level.
-
-    Two passes test one level each, and the second only the points the
-    first moved. A point that moved twice is close to z, and is tested on
-    every lower level at once, in one (points x levels) array of the same
-    comparisons; most points stop after one level, and the array would cost
-    more for them."""
-    last = len(heights) - 1
-    for _ in range(2):
-        target = zs[test] + 1j * heights[level[test]]
-        test = test[np.abs(hw[test] - target)
-                    <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
-        at_last = level[test] == last
-        done[test[at_last]] = True
-        test = test[~at_last]
-        level[test] += 1
-        steps[test] = 0
-        if not test.size:
-            return
-    ks = np.arange(level[test].min(), last + 1)
-    target = zs[test, None] + 1j * heights[ks]
-    passes = np.abs(hw[test, None] - target) <= level_tol[ks] * np.maximum(1.0, np.abs(target))
-    fails = ~passes & (ks >= level[test, None])
-    through = ~fails.any(axis=1)
-    done[test[through]] = True
-    level[test[through]] = last
-    level[test[~through]] = ks[np.argmax(fails[~through], axis=1)]
-
-
-@np.errstate(divide="ignore", invalid="ignore")
 def _descend_with(h_pair, zs, seed, level_tol):
     """One descent of :func:`_descend`, with the stopping test
     ``level_tol[k] * max(1, |target|)`` on level k."""
     zs = np.asarray(zs, dtype=complex)
     heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
-    side = np.sign(w.imag)
-    hw, hp = (np.asarray(v, dtype=complex) for v in h_pair(w))
-    level = np.zeros(zs.size, dtype=int)
-    steps = np.zeros(zs.size, dtype=int)
-    done = np.zeros(zs.size, dtype=bool)
-    live = np.arange(zs.size)
+    return _newton(h_pair, zs, heights, level_tol, w, *h_pair(w), np.sign(w.imag), _LEVEL_STEPS)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=True):
+    """Damped Newton on h(w) = z + i heights[k] at every point of ``zs``, down
+    the levels k from w, where (h(w), h'(w)) = (hw, hp): the kernel of the
+    descent and of the continuation (one level, at height 0). It may
+    overwrite w, hw and hp, and returns the roots, NaN where failed.
+
+    Each round, a point that passes its level's stopping test ``|h(w) -
+    target| <= level_tol[k] max(1, |target|)`` moves to the first lower level
+    whose test it fails, with its step count reset, and past the last one it
+    has converged. Every other point takes the Newton step, halved at most 40
+    times until the trial stays in the half-plane ``side`` of its point and
+    lowers the residual. A point out of steps (``max_steps`` on one level) or
+    of halvings has failed: with ``strict`` the first one raises SolverError
+    naming z, the height and the residual, else it is dropped. The stopping
+    test bounds the residual, not the error in w, so a converged point takes
+    one more full step on z, kept where it stays in the half-plane and does
+    not raise the residual.
+
+    The points in play live in compact arrays, beside their targets and
+    tolerances on every level, built once. A round tests every level in one
+    (points x levels) array, shrinks the arrays only where points converge
+    or fail, and takes the trials as the state when all are accepted: about
+    25 numpy calls besides ``h_pair``, which sees the same points, in the
+    same order, as a solve on full-size arrays."""
+    targets = zs[:, None] + 1j * heights
+    tols = level_tol * np.maximum(1.0, np.abs(targets))
+    roots, conv_hw, conv_hp = np.full((3, zs.size), np.nan, dtype=complex)
+    sides, ks = side, np.arange(heights.size)
+    ahead = ks >= ks[:, None]  # row l: the levels at or below level l
+    at = np.arange(zs.size)
+    base = at * ks.size  # each point's first place in a (points x levels) array
+    # each point's level, and the steps taken in all when it got there
+    level, entered = np.zeros((2, zs.size), dtype=np.intp)
+    taken, failed = 0, None
 
     def stalled(i, why):
-        z, height = complex(zs[i]), float(heights[level[i]])
+        z, height = complex(zs[at[i]]), float(heights[level[i]])
         return SolverError(f"Newton {why} at z={z!r}, height {height!r} above it; "
                            f"residual {float(abs(hw[i] - z - 1j * height))!r}")
 
     while True:
-        _move_down(live, zs, heights, level_tol, hw, level, steps, done)
-        live = live[~done[live]]
-        if not live.size:
-            return _polish(h_pair, w, hw, hp, zs, side)
-        if steps[live].max() >= _LEVEL_STEPS:
-            raise stalled(live[np.argmax(steps[live])], "did not converge")
-        steps[live] += 1
-        stuck = _damped_step(h_pair, w, hw, hp, live, zs[live] + 1j * heights[level[live]], side)
-        if stuck.size:
-            raise stalled(stuck[0], "stalled")
+        passes = np.abs(hw[:, None] - targets) <= tols
+        if ks.size > 1:
+            # to the first level at or below its own whose test it fails
+            fails = np.less(passes, ahead.take(level, axis=0))
+            new = fails.argmax(axis=1)
+            np.putmask(entered, new != level, taken)
+            level = new
+            here = base + level
+            stays = fails.take(here)
+        else:
+            here, stays = base, ~passes.ravel()
+        dropped = np.count_nonzero(stays) < at.size
+        if dropped:
+            gone = (~stays).nonzero()[0]
+            done = at.take(gone)
+            roots[done], conv_hw[done], conv_hp[done] = w.take(gone), hw.take(gone), hp.take(gone)
+        if taken >= max_steps:
+            over = (taken - entered >= max_steps) & stays
+            if over.any():
+                if strict:
+                    raise stalled(over.argmax(), "did not converge")
+                stays, dropped = stays & ~over, True
+        if failed is not None:
+            stays[failed] = False
+            dropped, failed = True, None
+        if dropped:
+            keep = stays.nonzero()[0]
+            if not keep.size:
+                break
+            at, w, hw, hp, side, level, entered, targets, tols = (
+                a.take(keep, axis=0) for a in (at, w, hw, hp, side, level, entered, targets, tols))
+            base = np.arange(keep.size) * ks.size
+            here = base + level
+        taken += 1
+        target = targets.take(here)
+        res = hw - target
+        step, limit = res / hp, np.abs(res)
+        # backtrack on the points without an accepted trial, by their places
+        todo, start, todo_side, lam = None, w, side, 1.0
+        for _ in range(40):
+            trial = start - lam * step
+            # a trial across the real axis is rejected like one that does not
+            # reduce the residual; so are NaNs
+            inside = np.sign(trial.imag) == todo_side
+            if np.count_nonzero(inside) == inside.size:
+                h_trial, hp_trial = h_pair(trial)
+            else:
+                h_trial = np.full(trial.size, np.nan, dtype=complex)
+                hp_trial = h_trial.copy()
+                h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
+            better = np.abs(h_trial - target) < limit
+            accepted = np.count_nonzero(better) == better.size
+            if todo is None:
+                if accepted:
+                    w, hw, hp = trial, h_trial, hp_trial
+                    break
+                todo = np.arange(at.size)
+            took = todo[better]
+            w[took], hw[took], hp[took] = trial[better], h_trial[better], hp_trial[better]
+            if accepted:
+                break
+            rest = ~better
+            todo, start, step = todo[rest], start[rest], step[rest]
+            target, limit, todo_side = target[rest], limit[rest], todo_side[rest]
+            lam *= 0.5
+        else:
+            if strict:
+                raise stalled(todo[0], "stalled")
+            # dropped in the next round, whose test they fail
+            failed = todo
+    # a converged root is finite, since h(w) is
+    ok = ~np.isnan(roots)
+    trial = roots[ok] - (conv_hw[ok] - zs[ok]) / conv_hp[ok]
+    z = zs[ok]
+    keep = np.sign(trial.imag) == sides[ok]
+    h_trial = h_pair(trial[keep])[0]
+    keep[keep] = np.abs(h_trial - z[keep]) <= np.abs(conv_hw[ok][keep] - z[keep])
+    roots[np.flatnonzero(ok)[keep]] = trial[keep]
+    return roots
 
 
 def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
     """G_sigma(z) at every z of the upper half-plane, for either model kind:
     the root lam of x(lam) = z on the model's curve, seeded far above the
     axis by the curve's seed and solved by :func:`_solve_on_grid` on the
-    curve's formula, mapped to G_sigma by the curve's y. A degenerate
-    covariance model is refused."""
+    curve's formula (damped Newton in :func:`_newton`, one ``stieltjes_pair``
+    per trial), mapped to G_sigma by the curve's y. A degenerate covariance
+    model is refused."""
     if model.degenerate:
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
     curve = model.curve()

@@ -483,8 +483,8 @@ class SpectralMeasure:
         # the points of a complex z with Im z = 0 are checked as real ones;
         # a real z wholly on one side of the support needs no elementwise test
         zr = np.asarray(z)
-        if np.iscomplexobj(zr):
-            if not zr.imag.all():
+        if zr.dtype.kind == "c":
+            if np.count_nonzero(zr.imag) < zr.size:
                 self._check_real_argument(zr.real[np.asarray(zr.imag == 0.0)])
             return
         if not zr.size or zr.min() >= self._right or zr.max() <= self._left:
@@ -604,6 +604,8 @@ class SpectralMeasure:
         self._check_real_argument(z)
         return self._transforms(z)
 
+    # the errstate as a decorator costs about half of a with-block
+    @np.errstate(divide="ignore", invalid="ignore")
     def _transforms(self, z, prime=True):
         """(G, G') at the points of a real or complex z, or (G,) when
         ``prime`` is false: arrays of z's shape, the one array body of the
@@ -620,24 +622,23 @@ class SpectralMeasure:
         z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
         zs = z if z.ndim else z.reshape(1)
         g = gp = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.atom_locations.size >= 4:
-                d = zs[..., None] - self.atom_locations
-                g = np.sum(self.atom_weights / d, axis=-1)
+        if self.atom_locations.size >= 4:
+            d = zs[..., None] - self.atom_locations
+            g = np.sum(self.atom_weights / d, axis=-1)
+            if prime:
+                gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
+        elif self.atom_locations.size:
+            for w, loc in self._atom_pairs:
+                d = zs - loc
+                g = g + w / d
                 if prime:
-                    gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
-            elif self.atom_locations.size:
-                for w, loc in self._atom_pairs:
-                    d = zs - loc
-                    g = g + w / d
-                    if prime:
-                        gp = gp + w / d ** 2
-                gp = -gp
-            for c in self.components:
-                parts = c.stieltjes_pair(zs, prime)
-                g = g + parts[0]
-                if prime:
-                    gp = gp + parts[1]
+                    gp = gp + w / d ** 2
+            gp = -gp
+        for c in self.components:
+            parts = c.stieltjes_pair(zs, prime)
+            g = g + parts[0]
+            if prime:
+                gp = gp + parts[1]
         out = (g, gp) if prime else (g,)
         return out if z.ndim else tuple(v.reshape(()) for v in out)
 

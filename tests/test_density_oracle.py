@@ -27,15 +27,15 @@ from rmtldp import dyson
 from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
     _DESCENT,
+    _GRID_MIN,
+    _GRID_STEPS,
+    _GRID_STRIDE,
+    _LEVEL_STEPS,
     _LOOSE_TOL,
     _TIGHT_TOL,
     CovarianceModel,
     DegenerateModelError,
     SolverError,
-    _descend,
-    _descend_with,
-    _move_down,
-    _solve_on_grid,
     boundary_density_grid,
     detect_degenerate,
     limit_stieltjes,
@@ -337,7 +337,7 @@ def theta_space_stieltjes(model, zs):
         f = -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
         return h, f / (w * w)
 
-    return _solve_on_grid(h_pair, zs, lambda z: 1.0 / z)
+    return dyson._solve_on_grid(h_pair, zs, lambda z: 1.0 / z)
 
 
 def subordination_stieltjes(model, zs):
@@ -348,7 +348,7 @@ def subordination_stieltjes(model, zs):
         g, gp = model.mu_d.stieltjes_pair(om)
         return om + g, 1.0 + gp
 
-    return zs - _solve_on_grid(pair, zs, lambda z: z - 1.0 / z)
+    return zs - dyson._solve_on_grid(pair, zs, lambda z: z - 1.0 / z)
 
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -425,7 +425,7 @@ def descent_stieltjes(model, zs):
     """limit_stieltjes with every point solved by the plain descent."""
     curve = model.curve()
     mu = curve.measure
-    lam = _descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
+    lam = dyson._descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
     return curve.y(lam, zs)
 
 
@@ -466,13 +466,13 @@ def test_continuation_matches_the_descent_on_random_deformed_wigner_models(mu, e
 
 
 def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
-    """On 64 points over the two bands of dw-two-atom, the solved points are
-    5 (every 16th and the last); around the gap at 0 four interpolated seeds
-    leave the upper half-plane and one more does not converge, and the
-    descent solves those five."""
+    """On 96 points over the two bands of dw-two-atom, the solved points are
+    7 (every 16th and the last); around the gap at 0 four interpolated seeds
+    leave the upper half-plane and seven more do not converge, and the
+    descent solves those eleven."""
     atoms, weights = [-1.0, 1.0], [0.5, 0.5]
     model = DeformedWignerModel(SpectralMeasure.from_atoms(atoms, weights))
-    zs = np.linspace(-3.5, 3.5, 64) + 1e-6j
+    zs = np.linspace(-3.5, 3.5, 96) + 1e-6j
     descents = []
     plain = dyson._descend
 
@@ -482,7 +482,7 @@ def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
 
     monkeypatch.setattr(dyson, "_descend", counted)
     got = limit_stieltjes(model, zs)
-    assert descents == [5, 5]
+    assert descents == [7, 11]
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
     assert_matches_oracle(-got.imag / np.pi,
@@ -490,24 +490,138 @@ def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
 
 
 def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
-    """Fewer than 64 points, or points at different heights."""
+    """Fewer than 80 points, or points at different heights; 80 points at
+    one height are continued."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
     calls = []
     monkeypatch.setattr(dyson, "_continue", lambda *args: calls.append(args))
-    xs = np.linspace(0.0, 8.0, 64)
-    for zs in (xs[:63] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
+    xs = np.linspace(0.0, 8.0, 80)
+    for zs in (xs[:79] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
         assert np.array_equal(limit_stieltjes(model, zs), descent_stieltjes(model, zs))
     assert not calls
+    dyson._solve_on_grid(None, xs + 1e-6j, None)
+    assert len(calls) == 1
 
 
-# -- the move-down of the descent against one level per pass -----------------------
+# -- the former grid solver as the reference of the Newton kernel --------------------
+#
+# The grid solve before dyson._newton, verbatim but for the docstrings and the
+# names, which start with former_ in place of _: the dispatch of
+# _solve_on_grid, _continue, _newton_on_z, _damped_step, _polish, _descend,
+# _move_down and _descend_with. It kept full-size arrays and gathered and
+# scattered through index vectors of the live points. The kernel must give
+# its roots bit for bit, evaluate (G, G') on the same points in the same
+# calls, and raise the same SolverError. The tests below call the new solver
+# as dyson._solve_on_grid and dyson._descend_with.
 
 
-def move_down_one_level_per_pass(test, zs, heights, level_tol, hw, level, steps, done):
-    """The former move-down: one level per pass, each pass testing only the
-    points the one before moved."""
+def former_solve_on_grid(h_pair, zs, seed):
+    zs = np.asarray(zs, dtype=complex)
+    if zs.size >= _GRID_MIN and np.all(zs.imag == zs.imag[0]):
+        return former_continue(h_pair, zs, seed)
+    return former_descend(h_pair, zs, seed)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def former_continue(h_pair, zs, seed):
+    order = np.argsort(zs.real, kind="stable")
+    x = zs.real[order]
+    n = zs.size
+    solved = np.append(np.arange(0, n - 1, _GRID_STRIDE), n - 1)
+    w = np.empty(n, dtype=complex)
+    w[solved] = former_descend(h_pair, zs[order[solved]], seed)
+    slope = 1.0 / np.asarray(h_pair(w[solved])[1], dtype=complex)
+    between = np.ones(n, dtype=bool)
+    between[solved] = False
+    rest = np.flatnonzero(between)
+    # the solved points around each other point, by their places in solved
+    left = rest // _GRID_STRIDE
+    right = left + 1
+    w0, w1 = w[solved[left]], w[solved[right]]
+    x0 = x[solved[left]]
+    dx = x[solved[right]] - x0
+    t = (x[rest] - x0) / dx
+    u = 1.0 - t
+    seeds = (u * u * ((1.0 + 2.0 * t) * w0 + t * dx * slope[left])
+             + t * t * ((3.0 - 2.0 * t) * w1 - u * dx * slope[right]))
+    z = zs[order[rest]]
+    ok = former_newton_on_z(h_pair, z, seeds, np.sign(w0.imag))
+    if not ok.all():
+        seeds[~ok] = former_descend(h_pair, z[~ok], seed)
+    w[rest] = seeds
+    out = np.empty(n, dtype=complex)
+    out[order] = w
+    return out
+
+
+def former_newton_on_z(h_pair, z, w, side):
+    hw = np.full(w.size, np.nan, dtype=complex)
+    hp = hw.copy()
+    live = np.flatnonzero(np.sign(w.imag) == side)
+    hw[live], hp[live] = h_pair(w[live])
+    tol = _TIGHT_TOL[-1] * np.maximum(1.0, np.abs(z))
+    for _ in range(_GRID_STEPS):
+        live = live[~(np.abs(hw[live] - z[live]) <= tol[live])]
+        if not live.size:
+            break
+        stuck = former_damped_step(h_pair, w, hw, hp, live, z[live], side)
+        live = live[~np.isin(live, stuck)]
+    ok = np.abs(hw - z) <= tol
+    w[ok] = former_polish(h_pair, w[ok], hw[ok], hp[ok], z[ok], side[ok])
+    return ok
+
+
+def former_damped_step(h_pair, w, hw, hp, live, target, side):
+    res = hw[live] - target
+    step = res / hp[live]
+    # backtrack on the points still without an accepted trial, compacted
+    # after every halving
+    todo, start, limit = live, w[live], np.abs(res)
+    lam = 1.0
+    for _ in range(40):
+        trial = start - lam * step
+        # a trial across the real axis is rejected like one that does not
+        # reduce the residual; so are NaNs
+        inside = np.sign(trial.imag) == side[todo]
+        if inside.all():
+            h_trial, hp_trial = h_pair(trial)
+        else:
+            h_trial = np.full(todo.size, np.nan, dtype=complex)
+            hp_trial = h_trial.copy()
+            h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
+        better = np.abs(h_trial - target) < limit
+        accepted = todo[better]
+        w[accepted] = trial[better]
+        hw[accepted] = h_trial[better]
+        hp[accepted] = hp_trial[better]
+        if better.all():
+            return todo[:0]
+        rest = ~better
+        todo, start, step = todo[rest], start[rest], step[rest]
+        target, limit = target[rest], limit[rest]
+        lam *= 0.5
+    return todo
+
+
+def former_polish(h_pair, w, hw, hp, zs, side):
+    trial = w - (hw - zs) / hp
+    keep = np.sign(trial.imag) == side
+    h_trial = h_pair(trial[keep])[0]
+    keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
+    w[keep] = trial[keep]
+    return w
+
+
+def former_descend(h_pair, zs, seed):
+    try:
+        return former_descend_with(h_pair, zs, seed, _LOOSE_TOL)
+    except SolverError:
+        return former_descend_with(h_pair, zs, seed, _TIGHT_TOL)
+
+
+def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
     last = len(heights) - 1
-    while test.size:
+    for _ in range(2):
         target = zs[test] + 1j * heights[level[test]]
         test = test[np.abs(hw[test] - target)
                     <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
@@ -516,50 +630,163 @@ def move_down_one_level_per_pass(test, zs, heights, level_tol, hw, level, steps,
         test = test[~at_last]
         level[test] += 1
         steps[test] = 0
+        if not test.size:
+            return
+    ks = np.arange(level[test].min(), last + 1)
+    target = zs[test, None] + 1j * heights[ks]
+    passes = np.abs(hw[test, None] - target) <= level_tol[ks] * np.maximum(1.0, np.abs(target))
+    fails = ~passes & (ks >= level[test, None])
+    through = ~fails.any(axis=1)
+    done[test[through]] = True
+    level[test[through]] = last
+    level[test[~through]] = ks[np.argmax(fails[~through], axis=1)]
 
 
-@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
-def test_move_down_equals_one_level_per_pass_on_random_states(level_tol):
-    """Roots placed on a level at or below each point's own, with a residual
-    around the tolerance, so that points stop on every level, move through
-    the last, or fail at once."""
-    rng = np.random.default_rng(17)
-    n = 5000
-    zs = rng.uniform(-5.0, 5.0, n) + 1j * rng.choice([1e-9, 1e-4, 0.5], n)
+@np.errstate(divide="ignore", invalid="ignore")
+def former_descend_with(h_pair, zs, seed, level_tol):
+    zs = np.asarray(zs, dtype=complex)
     heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
-    last = len(heights) - 1
-    level = rng.integers(0, last + 1, n)
-    on = np.minimum(level + rng.integers(0, last + 1, n), last)
-    target = zs + 1j * heights[on]
-    noise = level_tol[on] * np.maximum(1.0, np.abs(target)) * rng.uniform(0.0, 2.0, n)
-    hw = target + noise * np.exp(2j * np.pi * rng.uniform(size=n))
-    test = np.flatnonzero(rng.uniform(size=n) < 0.9)
-    steps = rng.integers(0, 5, n)
-    states = [(level.copy(), steps.copy(), np.zeros(n, dtype=bool)) for _ in range(2)]
-    _move_down(test, zs, heights, level_tol, hw, *states[0])
-    move_down_one_level_per_pass(test, zs, heights, level_tol, hw, *states[1])
-    for new, old in zip(*states):
-        assert np.array_equal(new, old)
-    # the loose test lets points move three levels and more, into the
-    # (points x levels) test; the tight one only the last step or two
-    moved = states[0][0] - level + states[0][2]
-    assert np.count_nonzero(moved >= 3) > 100 if level_tol is _LOOSE_TOL else moved.max() >= 1
+    w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
+    side = np.sign(w.imag)
+    hw, hp = (np.asarray(v, dtype=complex) for v in h_pair(w))
+    level = np.zeros(zs.size, dtype=int)
+    steps = np.zeros(zs.size, dtype=int)
+    done = np.zeros(zs.size, dtype=bool)
+    live = np.arange(zs.size)
+
+    def stalled(i, why):
+        z, height = complex(zs[i]), float(heights[level[i]])
+        return SolverError(f"Newton {why} at z={z!r}, height {height!r} above it; "
+                           f"residual {float(abs(hw[i] - z - 1j * height))!r}")
+
+    while True:
+        former_move_down(live, zs, heights, level_tol, hw, level, steps, done)
+        live = live[~done[live]]
+        if not live.size:
+            return former_polish(h_pair, w, hw, hp, zs, side)
+        if steps[live].max() >= _LEVEL_STEPS:
+            raise stalled(live[np.argmax(steps[live])], "did not converge")
+        steps[live] += 1
+        stuck = former_damped_step(h_pair, w, hw, hp, live, zs[live] + 1j * heights[level[live]], side)
+        if stuck.size:
+            raise stalled(stuck[0], "stalled")
 
 
-@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
-@pytest.mark.parametrize("name", ["wishart1", "two-atom", "semicircle-rho", "dw-two-atom",
-                                  "dw-uniform"])
-def test_move_down_keeps_the_descent_bit_for_bit(monkeypatch, name, level_tol):
-    model = BENCHMARK_MODELS[name]
+
+def counted_pair(model):
+    """h_pair of the model's curve, and the list of the sizes of its calls."""
     curve = model.curve()
     mu = curve.measure
+    sizes = []
 
     def h_pair(v):
+        sizes.append(np.size(v))
         return curve.point(v, *mu.stieltjes_pair(v))
 
-    for zs in measure_grids(model):
-        got = _descend_with(h_pair, zs, curve.seed, level_tol)
-        with monkeypatch.context() as patch:
-            patch.setattr(dyson, "_move_down", move_down_one_level_per_pass)
-            want = _descend_with(h_pair, zs, curve.seed, level_tol)
-        assert np.array_equal(got, want)
+    return h_pair, curve.seed, sizes
+
+
+def outcome(solve, model, zs, *args):
+    """The roots, or the message of the SolverError raised, and the sizes of
+    the (G, G') calls made on the way."""
+    h_pair, seed, sizes = counted_pair(model)
+    try:
+        got = solve(h_pair, zs, seed, *args)
+    except SolverError as exc:
+        got = str(exc)
+    return got, sizes
+
+
+def assert_as_the_former(solve, former, model, zs, *args):
+    """The same roots bit for bit (or the same error), from the same points
+    in the same (G, G') calls, so the same total number of points."""
+    got, sizes = outcome(solve, model, zs, *args)
+    want, former_sizes = outcome(former, model, zs, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.tobytes() == want.tobytes()
+    assert sizes == former_sizes
+    assert sum(sizes) == sum(former_sizes)
+
+
+def benchmark_grids(model):
+    """measure_grids and the density command's default 400-point grid at its
+    default eta."""
+    return measure_grids(model) + [default_grid(model)[1] + 1e-4j]
+
+
+SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
+                       if not (isinstance(m, CovarianceModel) and detect_degenerate(m)))
+DESCENT_MODELS = ["wishart1", "two-atom", "semicircle-rho", "dw-two-atom", "dw-uniform"]
+
+
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_grid_solve_equals_the_former_solve_bit_for_bit(name):
+    """Every non-degenerate benchmark model: the continued grids, whose
+    descents take the loose levels."""
+    model = BENCHMARK_MODELS[name]
+    for zs in benchmark_grids(model):
+        assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
+
+
+@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
+@pytest.mark.parametrize("name", DESCENT_MODELS)
+def test_descent_equals_the_former_descent_bit_for_bit(name, level_tol):
+    """Every point of each grid descends, with either stopping test."""
+    model = BENCHMARK_MODELS[name]
+    for zs in benchmark_grids(model):
+        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, level_tol)
+
+
+@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
+@pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
+def test_a_stalled_descent_raises_as_the_former(alpha, eta, level_tol):
+    """The model of test_spectrum_on_the_scale_of_1e_3, where the loose
+    descent stalls at height 0 and the tight one converges."""
+    rho = SpectralMeasure.from_atoms(
+        [-0.00012475062110026442, 7.391027752904462e-121, 0.001],
+        [0.19692530787100634, 0.5510268725317563, 0.25204781959723727])
+    model = CovarianceModel(rho, alpha)
+    zs = default_grid(model)[1] + 1j * eta
+    assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, level_tol)
+    assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["g", "g-prime"])
+def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
+    """The grids of the NaN tests above, where every descent stalls."""
+    model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
+    real_pair = SpectralMeasure.stieltjes_pair
+
+    def nan_half(self, z):
+        pair = list(real_pair(self, z))
+        pair[half] = np.full(np.shape(z), np.nan, dtype=complex)
+        return tuple(pair)
+
+    monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
+    for n in (50, 200):
+        assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
+
+
+def assert_grid_solves_as_the_former(model, zs):
+    assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
+    for level_tol in (_LOOSE_TOL, _TIGHT_TOL):
+        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, level_tol)
+
+
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_random_covariance_grid_solves_equal_the_former_solve(rho, alpha, eta):
+    model = CovarianceModel(rho, alpha)
+    assume(not detect_degenerate(model))
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    assert_grid_solves_as_the_former(model, xs + 1j * eta)
+
+
+@given(mu=atomic_measures, eta=etas)
+def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
+    model = DeformedWignerModel(mu)
+    assert_grid_solves_as_the_former(
+        model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
