@@ -1039,7 +1039,7 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
             level = new
             here = base + level
             stays = fails.take(here)
-        else:
+        else:  # one level, so no point moves: argmax over rows of one is slow
             here, stays = base, ~passes.ravel()
         dropped = np.count_nonzero(stays) < at.size
         if dropped:
