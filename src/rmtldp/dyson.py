@@ -1029,7 +1029,7 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
         return SolverError(f"Newton {why} at z={z!r}, height {height!r} above it; "
                            f"residual {float(abs(hw[i] - z - 1j * height))!r}")
 
-    while True:
+    while at.size:
         passes = np.abs(hw[:, None] - targets) <= tols
         if ks.size > 1:
             # to the first level at or below its own whose test it fails

@@ -770,6 +770,31 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
         assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
 
 
+def test_a_continuation_with_every_seed_off_its_half_plane_ends():
+    """No seed in the half-plane of its neighbours' roots leaves the kernel no
+    point: it ends at once, with the empty evaluations of the former Newton
+    steps on z."""
+    model = BENCHMARK_MODELS["dw-two-atom"]
+    h_pair, seed, sizes = counted_pair(model)
+    z = np.linspace(-3.5, 3.5, 5) + 1e-6j
+    seeds = dyson._descend(h_pair, z, seed)
+    off = -np.sign(seeds.imag)
+    sizes.clear()
+    assert not former_newton_on_z(h_pair, z, seeds.copy(), off).any()
+    former_sizes = sizes[:]
+    sizes.clear()
+
+    def bounded(v):
+        assert len(sizes) < 2, "the kernel kept evaluating with no point in play"
+        return h_pair(v)
+
+    inside = np.sign(seeds.imag) == off
+    got = dyson._newton(bounded, z[inside], np.zeros(1), _TIGHT_TOL[-1:], seeds[inside],
+                        *bounded(seeds[inside]), off[inside], _GRID_STEPS, strict=False)
+    assert got.size == 0
+    assert sizes == former_sizes == [0, 0]
+
+
 def assert_grid_solves_as_the_former(model, zs):
     assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
     for level_tol in (_LOOSE_TOL, _TIGHT_TOL):
