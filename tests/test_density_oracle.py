@@ -719,7 +719,9 @@ def benchmark_grids(model):
 
 SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
                        if not (isinstance(m, CovarianceModel) and detect_degenerate(m)))
-DESCENT_MODELS = ["wishart1", "two-atom", "semicircle-rho", "dw-two-atom", "dw-uniform"]
+# the table's tight descents take about 3 s
+DESCENT_MODELS = [pytest.param(n, marks=pytest.mark.slow) if n == "table-rho" else n
+                  for n in SOLVED_MODELS]
 
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
