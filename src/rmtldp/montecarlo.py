@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -96,7 +97,9 @@ def _draw_real(rng: np.random.Generator, law: str, shape) -> np.ndarray:
     if law == "gaussian":
         return rng.standard_normal(shape)
     if law == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        signs = np.multiply(rng.integers(0, 2, size=shape), 2.0)
+        signs -= 1.0
+        return signs
     if law == "uniform_sqrt3":
         return rng.uniform(-_SQRT3, _SQRT3, size=shape)
     raise ValueError(f"not a real entry law: {law!r}")
@@ -180,7 +183,7 @@ def _wigner_matrix(model, n: int, rng, d: np.ndarray,
     off = draw_off(rng, model.entry_law, len(iu[0]))
     w = np.empty((n, n), _dtype(model)) if out is None else out
     w[iu] = off
-    w[iu[1], iu[0]] = off.conj()
+    w[iu[1], iu[0]] = np.conjugate(off, out=off)
     dg = np.diag_indices(n)
     w[dg] = diag
     w /= math.sqrt(n)
@@ -199,6 +202,12 @@ def _sample(model, n: int, seed: int, reps: range,
     batches or on ``threads``. A batch holds at most ``_BATCH_BYTES`` of
     matrices (at least one matrix), and up to ``threads`` workers each
     diagonalize at least one batch.
+
+    The calling thread allocates the batch buffers once per call, one per
+    worker (no more than there are batches), before any worker starts; a
+    batch takes a free buffer from a queue and puts it back when its
+    spectra are stored. No worker thread allocates a batch, so no freed
+    batch stays resident in a worker's malloc arena after the call.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n!r}")
@@ -213,16 +222,22 @@ def _sample(model, n: int, seed: int, reps: range,
     workers = threads if threads and threads > 1 else 1
     dtype = _dtype(model)
     batch = max(1, min(_BATCH_BYTES // (n * n * dtype.itemsize), -(-len(reps) // workers)))
+    starts = range(0, len(reps), batch)
     spectra = np.empty((len(reps), n))
+    buffers = queue.SimpleQueue()
+    for _ in range(min(workers, len(starts))):
+        buffers.put(np.empty((batch, n, n), dtype=dtype))
 
     def run_batch(start: int) -> None:
         stop = min(start + batch, len(reps))
-        mats = np.empty((stop - start, n, n), dtype=dtype)
-        for slot, rep in zip(mats, reps[start:stop]):
-            model.draw(_rng_for(seed, rep), n, d, out=slot)
-        spectra[start:stop] = np.linalg.eigvalsh(mats)
+        mats = buffers.get()
+        try:
+            for slot, rep in zip(mats, reps[start:stop]):
+                model.draw(_rng_for(seed, rep), n, d, out=slot)
+            spectra[start:stop] = np.linalg.eigvalsh(mats[:stop - start])
+        finally:
+            buffers.put(mats)
 
-    starts = range(0, len(reps), batch)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_batch, starts))

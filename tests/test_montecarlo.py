@@ -240,6 +240,8 @@ _BATCH_MODELS = {
     "deformed-wigner": DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])),
 }
 
+_TRACED_SIZES = [("real", 300), ("complex", 200), ("mixed-sign", 200), ("deformed-wigner", 200)]
+
 
 class TestBatches:
     @pytest.mark.parametrize("threads", [None, 4])
@@ -252,22 +254,47 @@ class TestBatches:
         single = edge_stats(model, n, 30, seed=6, threads=threads)
         assert single.values.tobytes() == default.values.tobytes()
 
-    @pytest.mark.parametrize("name,n", [
-        ("real", 300), ("complex", 200), ("mixed-sign", 200), ("deformed-wigner", 200),
+    @pytest.mark.parametrize("name,n,threads", [
+        *(pytest.param(name, n, None, id=f"{name}-{n}") for name, n in _TRACED_SIZES),
+        *(pytest.param(name, n, 2, id=f"{name}-{n}-threads2") for name, n in _TRACED_SIZES),
     ])
-    def test_traced_peak_stays_within_the_byte_budget(self, name, n):
-        # one serial batch of at most _BATCH_BYTES, plus the draw and product
-        # temporaries of one replica: at most 3 n x n matrices beyond the
-        # budget (measured 0.4 to 1.8; the former build held 19 to 38)
+    def test_traced_peak_stays_within_the_byte_budget(self, name, n, threads):
+        # per worker, one batch buffer of at most _BATCH_BYTES, plus the draw
+        # and product temporaries of one replica: at most 3 n x n matrices
+        # beyond the budget (peaks measured 0.70 to 0.95 of this bound; the
+        # former build held 19 to 38 matrices beyond it)
         model = _BATCH_MODELS[name]
         itemsize = montecarlo._dtype(model).itemsize
+        workers = threads or 1
         tracemalloc.start()
         try:
-            edge_stats(model, n, 40, seed=1)
+            edge_stats(model, n, 40, seed=1, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= montecarlo._BATCH_BYTES + 3 * n * n * itemsize
+        assert peak <= workers * (montecarlo._BATCH_BYTES + 3 * n * n * itemsize)
+
+    @pytest.mark.parametrize("threads", [None, 4])
+    def test_batches_reuse_the_callers_buffers(self, monkeypatch, threads):
+        model, n, replicas, per_batch = wishart(1.0), 40, 30, 3
+        serial = edge_stats(model, n, replicas, seed=6)
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTES", per_batch * n * n * 8)
+        received = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            # every batch is held, so a batch allocated afresh gets a new address
+            received.append(a)
+            time.sleep(0.005)  # keep the batch busy while the others are handed out
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        got = edge_stats(model, n, replicas, seed=6, threads=threads)
+        batches = -(-replicas // per_batch)
+        assert len(received) == batches
+        buffers = {a.ctypes.data for a in received}
+        assert len(buffers) <= (1 if threads is None else min(threads, batches))
+        assert got.values.tobytes() == serial.values.tobytes()
 
 
 class TestEdgeStats:
