@@ -128,6 +128,22 @@ def _float_list(text: str) -> list[float]:
         raise UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 # -- subcommand handlers ---------------------------------------------------------
 
 # edge fields reported under a shorter key
@@ -232,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", aliases=["wigner-rate"], help="tabulate the rate function")
     common(p)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     p.set_defaults(fn=_cmd_rate)
 
     p = sub.add_parser("density", aliases=["wigner-density"],
@@ -240,8 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=400)
-    p.add_argument("--eta", type=float, default=1e-4)
+    p.add_argument("--points", type=_positive_int, default=400)
+    p.add_argument("--eta", type=_positive_float, default=1e-4)
     p.set_defaults(fn=_cmd_density)
 
     p = sub.add_parser("variational", help="compare primal and variational rates")
@@ -254,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="comma-separated, conventionally descending")
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=_positive_int, default=40)
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("mc", help="Monte Carlo spectra of the finite-size ensemble")

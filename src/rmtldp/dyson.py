@@ -850,15 +850,16 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
     return SupportWindow(left, edge.r_sigma, zero_atom)
 
 
-# heights of the descent in units of max(1, largest |z|), the Newton steps a
-# point may take on one level, and the stopping tests relative to
-# max(1, |target|) on each level: loose above height 0, where a root only has
-# to seed the next level inside its basin, or tight throughout; both are
-# tight at height 0
+# the ladders of heights of a descent in units of max(1, largest |z|): by
+# decades, and by half-decades where that stalls; the Newton steps a point may
+# take on one level; and the stopping tests relative to max(1, |target|) above
+# height 0: loose, where a root only has to seed the next level inside its
+# basin, or tight. Every ladder is tight at height 0.
+_DECADES = np.append(np.geomspace(1.0, 1e-12, 13), 0.0)
 _DESCENT = np.append(np.geomspace(1.0, 1e-12, 25), 0.0)
 _LEVEL_STEPS = 120
-_LOOSE_TOL = np.append(np.full(len(_DESCENT) - 1, 1e-3), 1e-12)
-_TIGHT_TOL = np.full(len(_DESCENT), 1e-12)
+_LOOSE_TOL = 1e-3
+_TIGHT_TOL = 1e-12
 
 # continuation along a grid of at least _GRID_MIN points at one height: every
 # _GRID_STRIDE-th point by Re z, and the last, is solved by the descent, and
@@ -866,13 +867,14 @@ _TIGHT_TOL = np.full(len(_DESCENT), 1e-12)
 # interpolated between the two solved points around it. _GRID_MIN is where the
 # two break even in sum over the 12 non-degenerate benchmark models, on the
 # one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and of the
-# density command (linspace, 5% margins, eta 1e-4): continuation took 1.06-1.34
-# times the descent's time on 4-48 measure points and 1.07-3.8 on 4-48 density
-# points (an interval of 16 leaves poor seeds), 1.11-1.16 at 64, 0.88-1.02 at 80
-# and 96, 0.80-0.90 at 112 and 128 and 0.51-0.53 at 400 (2-core host, median of
-# 9, two runs). The table measure gains from 32 points on; dw-two-atom loses 2-3
-# times at 64, 96 and 128 points, where seeds around its gap take a descent
-_GRID_MIN = 80
+# density command (linspace, 5% margins, eta 1e-4): continuation took 1.18-1.53
+# times the descent's time on 4-48 measure points and 1.25-5.1 on 4-48 density
+# points (an interval of 16 leaves poor seeds), 1.24-1.38 at 64, 1.02-1.21 at 80
+# and 96, 0.86-0.94 at 112, 0.91-1.11 at 128 and 0.61-0.66 at 400 (2-core host,
+# median of 9, three runs). The table measure gains from 64 points on;
+# dw-two-atom loses 2.7-5 times at 64, 96 and 128 points, where seeds around
+# its gap take a descent
+_GRID_MIN = 112
 _GRID_STRIDE = 16
 _GRID_STEPS = 8
 
@@ -900,9 +902,9 @@ def _solve_on_grid(h_pair, zs, seed):
     ``_GRID_MIN`` points the continuation's own descent and Newton rounds
     cost more than they save (measured in the comment above).
 
-    On sigma_measure's 2000-point grids that is 4.2 ``h_pair`` evaluations
-    per point for a covariance model and 4.1 for a deformed-Wigner one (the
-    slopes cost one per solved point), against 19 and 16 by the descent.
+    On sigma_measure's 2000-point grids that is 3.9 ``h_pair`` evaluations
+    per point for a covariance model and 3.8 for a deformed-Wigner one (the
+    slopes cost one per solved point), against 14.5 and 12.5 by the descent.
     """
     zs = np.asarray(zs, dtype=complex)
     if zs.size >= _GRID_MIN and np.all(zs.imag == zs.imag[0]):
@@ -941,7 +943,7 @@ def _continue(h_pair, zs, seed):
     # one level at height 0, from the seeds on the side of their neighbours
     inside = np.sign(seeds.imag) == side
     roots = np.full(rest.size, np.nan, dtype=complex)
-    roots[inside] = _newton(h_pair, z[inside], np.zeros(1), _TIGHT_TOL[-1:], seeds[inside],
+    roots[inside] = _newton(h_pair, z[inside], np.zeros(1), np.full(1, _TIGHT_TOL), seeds[inside],
                             *h_pair(seeds[inside]), side[inside], _GRID_STEPS, strict=False)
     failed = np.isnan(roots)
     if failed.any():
@@ -958,32 +960,42 @@ def _descend(h_pair, zs, seed):
 
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
-    over z shrinks through ``scale * _DESCENT``, each level seeded by the
-    root of the level above. The points descend together in :func:`_newton`,
-    each on its own level with its own stopping test ``|h(w) - target| <=
-    tol max(1, |target|)``: tol is 1e-3 above height 0, where a root only
-    seeds the next level, and 1e-12 at height 0. Iterates never leave the
-    open half-plane of their seed, which holds exactly one root. That is about
-    19 ``h_pair`` evaluations per point for a covariance model and 16 for a
-    deformed-Wigner one, in 14-29 Newton rounds on the benchmark models
-    whatever the number of points.
+    over z shrinks through ``scale * _DECADES`` (1, 1e-1, ..., 1e-12, 0), each
+    level seeded by the root of the level above. The points descend together
+    in :func:`_newton`, each on its own level with its own stopping test
+    ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3 above height 0,
+    where a root only seeds the next level, and 1e-12 at height 0. Iterates
+    never leave the open half-plane of their seed, which holds exactly one
+    root, so a coarser ladder cannot reach a wrong root; it can only stall.
+    That is about 14.5 ``h_pair`` evaluations per point for a covariance
+    model and 12.5 for a deformed-Wigner one, in 12-22 Newton rounds on the
+    benchmark models whatever the number of points (19 and 16 in 14-29
+    rounds by the half-decades alone).
 
-    The loose levels assume structure of h on the scale of 1: for a model
-    whose spectrum spans 1e-3, a residual of 1e-3 can leave a seed from which
-    Newton stalls at height 0. A grid on which some point fails is therefore
-    solved again with the tight test on every level, which only then raises.
+    A grid on which some point fails descends again through the half-decades
+    ``scale * _DESCENT``, with the loose test and then with the tight test on
+    every level, which only then raises. The loose levels assume structure of
+    h on the scale of 1: for a model whose spectrum spans 1e-3, a residual of
+    1e-3 can leave a seed from which Newton stalls at height 0.
     """
-    try:
-        return _descend_with(h_pair, zs, seed, _LOOSE_TOL)
-    except SolverError:
-        return _descend_with(h_pair, zs, seed, _TIGHT_TOL)
-
-
-def _descend_with(h_pair, zs, seed, level_tol):
-    """One descent of :func:`_descend`, with the stopping test
-    ``level_tol[k] * max(1, |target|)`` on level k."""
     zs = np.asarray(zs, dtype=complex)
-    heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
+    if not zs.size:
+        return zs.copy()
+    for ladder, tol in ((_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL)):
+        try:
+            return _descend_with(h_pair, zs, seed, ladder, tol)
+        except SolverError:
+            pass
+    return _descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
+
+
+def _descend_with(h_pair, zs, seed, ladder, tol):
+    """One descent of :func:`_descend` through ``scale * ladder``, with the
+    stopping test ``tol * max(1, |target|)`` above height 0 and the tight
+    test at height 0."""
+    zs = np.asarray(zs, dtype=complex)
+    heights = max(1.0, float(np.max(np.abs(zs)))) * ladder
+    level_tol = np.append(np.full(ladder.size - 1, tol), _TIGHT_TOL)
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
     return _newton(h_pair, zs, heights, level_tol, w, *h_pair(w), np.sign(w.imag), _LEVEL_STEPS)
 

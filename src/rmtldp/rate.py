@@ -315,13 +315,23 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
     return SpectralMeasure(locs, wts, comps)
 
 
+# rows formatted by one % in csv_text: bounds the tuple of values, and its
+# floats, that a long table holds beside its text
+_CSV_BLOCK_ROWS = 4096
+
+
 def csv_text(header: str, columns) -> str:
     """The CSV table of equal-length float columns under ``header``: one line
     per row, every value as %.17g (which writes inf, -inf and nan as such),
-    each line ending in a newline."""
+    each line ending in a newline. Each block of rows is formatted by one
+    ``%`` on the format of its lines."""
+    table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return header + "\n" + "".join(line % row for row in rows)
+    parts = [header + "\n"]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

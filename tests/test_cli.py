@@ -103,6 +103,36 @@ class TestDensityCommand:
         assert run(["density", "--model", degenerate_model]) == 1
 
 
+class TestFlagRanges:
+    """Out-of-range flags are usage errors that name the flag, and leave no
+    output file."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rate", "--xmax", "6", "--points", "0"], "--points"),
+        (["rate", "--xmax", "6", "--points", "-3"], "--points"),
+        (["density", "--points", "0"], "--points"),
+        (["density", "--points", "-3"], "--points"),
+        (["approx", "--eps", "0.1", "--xmax", "6", "--points", "0"], "--points"),
+        (["density", "--eta", "0"], "--eta"),
+        (["density", "--eta", "-1e-4"], "--eta"),
+        (["density", "--eta", "nan"], "--eta"),
+        (["density", "--eta", "inf"], "--eta"),
+    ])
+    def test_out_of_range_flags_exit_2(self, wishart1, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--model", wishart1, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "zero-size" not in err and "linspace" not in err
+        assert not out.exists()
+
+    def test_one_point_is_in_range(self, wishart1, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["density", "--model", wishart1, "--points", "1", "--xmin", "2",
+                    "--eta", "1e-4", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+
 class TestMcCommand:
     def test_byte_identical_reruns(self, wishart1, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -439,6 +469,21 @@ class TestCsvText:
 
     def test_an_empty_table_is_its_header(self):
         assert cli.csv_text("x,density", (np.array([]), [])) == "x,density\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 4095, 4096, 4097, 9000])
+    def test_the_bytes_of_the_per_row_formatter(self, rows):
+        """Tables of 0 and 1 rows, and tables on either side of the blocks
+        that one format string covers, with every special value."""
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        special = (self.SPECIAL + [1e308, -1e308])[:rows]
+        a[:len(special)] = special
+        columns = (a, np.roll(a, 3), np.roll(a, 7).tolist())
+        former = "x,y,z\n" + "".join("%.17g,%.17g,%.17g\n" % row
+                                      for row in zip(*(np.asarray(c, dtype=float).tolist()
+                                                       for c in columns)))
+        assert cli.csv_text("x,y,z", columns) == former
+        assert cli.csv_text("x", (a,)) == "x\n" + "".join(f"{v:.17g}\n" for v in a.tolist())
 
 
 class TestModelRoundTrip:

@@ -26,6 +26,7 @@ from scipy.linalg import eigvals
 from rmtldp import dyson
 from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
+    _DECADES,
     _DESCENT,
     _GRID_MIN,
     _GRID_STEPS,
@@ -166,6 +167,19 @@ def test_sigma_density_relative_error_where_the_density_is_small(eta):
     assert np.max(np.abs(got - want) / want) <= 1e-9
 
 
+@pytest.mark.parametrize("model", [
+    CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0),
+    DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])),
+], ids=["covariance", "deformed-wigner"])
+def test_an_empty_grid_gives_empty_arrays(model):
+    """As rate and the branches do on no points."""
+    g = limit_stieltjes(model, np.array([], dtype=complex))
+    assert g.shape == (0,) and g.dtype == complex
+    for xs in (np.array([]), []):
+        density = sigma_density(model, xs, 1e-4)
+        assert density.shape == (0,) and density.dtype == float
+
+
 def _raises_on_nan_half(monkeypatch, half):
     """sigma_density of a two-atom model with one half of the solver's
     (G, G') evaluation replaced by NaN raises SolverError naming the point,
@@ -200,10 +214,11 @@ def test_nan_transform_raises_instead_of_returning(monkeypatch):
 def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
     """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
     the x' of an accepted trial serves the next step. On sigma_measure's
-    2000-point grid, continued along the grid, that is 4.24 evaluations per
-    point for covariance and 4.05 for deformed Wigner, both solved on their
-    level curves; the descent alone takes about 19 and 16, and the former
-    covariance solve of H(w) = z in theta took about 23."""
+    2000-point grid, continued along the grid, that is 3.94 evaluations per
+    point for covariance and 3.81 for deformed Wigner, both solved on their
+    level curves (4.24 and 4.05 when the descent went by half-decades alone);
+    the descent alone takes about 14.5 and 12.5, and the former covariance
+    solve of H(w) = z in theta took about 23."""
     window = model.window(model.edge())
     xs = boundary_density_grid(window.left, window.right, 2000)
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
@@ -416,16 +431,18 @@ def test_random_atomic_deformed_wigner_limit_law_equals_the_subordination_solve(
 # _solve_on_grid solves every 16th point of a grid at one height by the
 # descent and the others by Newton's method from interpolated seeds; its roots
 # must be the descent's up to rounding. On the grids below they differed by at
-# most 7.0e-14 max(1, |G|).
+# most 9.5e-14 max(1, |G|).
 
 CONTINUATION_TOL = 5e-13
 
 
-def descent_stieltjes(model, zs):
-    """limit_stieltjes with every point solved by the plain descent."""
+def descent_stieltjes(model, zs, descend=None):
+    """limit_stieltjes with every point solved by the plain descent, or by
+    ``descend``."""
     curve = model.curve()
     mu = curve.measure
-    lam = dyson._descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
+    descend = descend or dyson._descend
+    lam = descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
     return curve.y(lam, zs)
 
 
@@ -466,13 +483,13 @@ def test_continuation_matches_the_descent_on_random_deformed_wigner_models(mu, e
 
 
 def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
-    """On 96 points over the two bands of dw-two-atom, the solved points are
-    7 (every 16th and the last); around the gap at 0 four interpolated seeds
-    leave the upper half-plane and seven more do not converge, and the
-    descent solves those eleven."""
+    """On 112 points over the two bands of dw-two-atom, the solved points are
+    8 (every 16th and the last); around the gap at 0, 22 interpolated seeds
+    leave the upper half-plane and one more does not converge, and the
+    descent solves those 23."""
     atoms, weights = [-1.0, 1.0], [0.5, 0.5]
     model = DeformedWignerModel(SpectralMeasure.from_atoms(atoms, weights))
-    zs = np.linspace(-3.5, 3.5, 96) + 1e-6j
+    zs = np.linspace(-3.5, 3.5, 112) + 1e-6j
     descents = []
     plain = dyson._descend
 
@@ -482,7 +499,7 @@ def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
 
     monkeypatch.setattr(dyson, "_descend", counted)
     got = limit_stieltjes(model, zs)
-    assert descents == [7, 11]
+    assert descents == [8, 23]
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
     assert_matches_oracle(-got.imag / np.pi,
@@ -490,13 +507,13 @@ def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
 
 
 def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
-    """Fewer than 80 points, or points at different heights; 80 points at
+    """Fewer than 112 points, or points at different heights; 112 points at
     one height are continued."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
     calls = []
     monkeypatch.setattr(dyson, "_continue", lambda *args: calls.append(args))
-    xs = np.linspace(0.0, 8.0, 80)
-    for zs in (xs[:79] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
+    xs = np.linspace(0.0, 8.0, 112)
+    for zs in (xs[:111] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
         assert np.array_equal(limit_stieltjes(model, zs), descent_stieltjes(model, zs))
     assert not calls
     dyson._solve_on_grid(None, xs + 1e-6j, None)
@@ -509,7 +526,10 @@ def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
 # names, which start with former_ in place of _: the dispatch of
 # _solve_on_grid, _continue, _newton_on_z, _damped_step, _polish, _descend,
 # _move_down and _descend_with. It kept full-size arrays and gathered and
-# scattered through index vectors of the live points. The kernel must give
+# scattered through index vectors of the live points. Its descent takes the
+# ladder of heights as an argument and tries the ladders in the order of
+# dyson._descend; with the half-decades alone it is the descent that came
+# before the decade ladder (half_decade_descent). The kernel must give
 # its roots bit for bit, evaluate (G, G') on the same points in the same
 # calls, and raise the same SolverError. The tests below call the new solver
 # as dyson._solve_on_grid and dyson._descend_with.
@@ -559,7 +579,7 @@ def former_newton_on_z(h_pair, z, w, side):
     hp = hw.copy()
     live = np.flatnonzero(np.sign(w.imag) == side)
     hw[live], hp[live] = h_pair(w[live])
-    tol = _TIGHT_TOL[-1] * np.maximum(1.0, np.abs(z))
+    tol = _TIGHT_TOL * np.maximum(1.0, np.abs(z))
     for _ in range(_GRID_STEPS):
         live = live[~(np.abs(hw[live] - z[live]) <= tol[live])]
         if not live.size:
@@ -613,10 +633,12 @@ def former_polish(h_pair, w, hw, hp, zs, side):
 
 
 def former_descend(h_pair, zs, seed):
-    try:
-        return former_descend_with(h_pair, zs, seed, _LOOSE_TOL)
-    except SolverError:
-        return former_descend_with(h_pair, zs, seed, _TIGHT_TOL)
+    for ladder, tol in ((_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL)):
+        try:
+            return former_descend_with(h_pair, zs, seed, ladder, tol)
+        except SolverError:
+            pass
+    return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
 
 
 def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
@@ -643,9 +665,10 @@ def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def former_descend_with(h_pair, zs, seed, level_tol):
+def former_descend_with(h_pair, zs, seed, ladder, tol):
     zs = np.asarray(zs, dtype=complex)
-    heights = max(1.0, float(np.max(np.abs(zs)))) * _DESCENT
+    heights = max(1.0, float(np.max(np.abs(zs)))) * ladder
+    level_tol = np.append(np.full(ladder.size - 1, tol), _TIGHT_TOL)
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
     side = np.sign(w.imag)
     hw, hp = (np.asarray(v, dtype=complex) for v in h_pair(w))
@@ -717,6 +740,9 @@ def benchmark_grids(model):
     return measure_grids(model) + [default_grid(model)[1] + 1e-4j]
 
 
+# the three descents of _descend, in their order
+LADDERS = [(_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL), (_DESCENT, _TIGHT_TOL)]
+LADDER_IDS = ["decades", "loose", "tight"]
 SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
                        if not (isinstance(m, CovarianceModel) and detect_degenerate(m)))
 # the table's tight descents take about 3 s
@@ -733,18 +759,18 @@ def test_grid_solve_equals_the_former_solve_bit_for_bit(name):
         assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
 
 
-@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
+@pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
 @pytest.mark.parametrize("name", DESCENT_MODELS)
-def test_descent_equals_the_former_descent_bit_for_bit(name, level_tol):
-    """Every point of each grid descends, with either stopping test."""
+def test_descent_equals_the_former_descent_bit_for_bit(name, ladder, tol):
+    """Every point of each grid descends, by each ladder of _descend."""
     model = BENCHMARK_MODELS[name]
     for zs in benchmark_grids(model):
-        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, level_tol)
+        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
 
 
-@pytest.mark.parametrize("level_tol", [_LOOSE_TOL, _TIGHT_TOL], ids=["loose", "tight"])
+@pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
 @pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
-def test_a_stalled_descent_raises_as_the_former(alpha, eta, level_tol):
+def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
     """The model of test_spectrum_on_the_scale_of_1e_3, where the loose
     descent stalls at height 0 and the tight one converges."""
     rho = SpectralMeasure.from_atoms(
@@ -752,7 +778,7 @@ def test_a_stalled_descent_raises_as_the_former(alpha, eta, level_tol):
         [0.19692530787100634, 0.5510268725317563, 0.25204781959723727])
     model = CovarianceModel(rho, alpha)
     zs = default_grid(model)[1] + 1j * eta
-    assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, level_tol)
+    assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
     assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
 
 
@@ -791,7 +817,7 @@ def test_a_continuation_with_every_seed_off_its_half_plane_ends():
         return h_pair(v)
 
     inside = np.sign(seeds.imag) == off
-    got = dyson._newton(bounded, z[inside], np.zeros(1), _TIGHT_TOL[-1:], seeds[inside],
+    got = dyson._newton(bounded, z[inside], np.zeros(1), np.full(1, _TIGHT_TOL), seeds[inside],
                         *bounded(seeds[inside]), off[inside], _GRID_STEPS, strict=False)
     assert got.size == 0
     assert sizes == former_sizes == [0, 0]
@@ -799,8 +825,8 @@ def test_a_continuation_with_every_seed_off_its_half_plane_ends():
 
 def assert_grid_solves_as_the_former(model, zs):
     assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
-    for level_tol in (_LOOSE_TOL, _TIGHT_TOL):
-        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, level_tol)
+    for ladder, tol in LADDERS:
+        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
 
 
 @given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
@@ -817,3 +843,80 @@ def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
     model = DeformedWignerModel(mu)
     assert_grid_solves_as_the_former(
         model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
+
+
+# -- the decade ladder against the half-decade descent -----------------------------
+#
+# dyson._descend descends by decades first and falls back to the half-decade
+# descent that came before it, which the former solver above keeps as the
+# reference. Both stay in the half-plane of the seed, which holds one root, so
+# their roots differ by rounding: within CONTINUATION_TOL max(1, |G|). On the
+# grids of the benchmark models they differed by at most 3.9e-13 max(1, |G|)
+# (neg-wishart at sigma_measure's height, near the soft edge, where x' is
+# small) and on the 600 random models of each kind below by at most 4.7e-14.
+
+
+def half_decade_descent(h_pair, zs, seed):
+    """The descent before the decade ladder, in the former kernel: the
+    half-decades with the loose test, and where that fails with the tight
+    test."""
+    try:
+        return former_descend_with(h_pair, zs, seed, _DESCENT, _LOOSE_TOL)
+    except SolverError:
+        return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
+
+
+def assert_near_the_half_decade_descent(model, zs):
+    got = descent_stieltjes(model, zs)
+    want = descent_stieltjes(model, zs, half_decade_descent)
+    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_decade_descent_matches_the_half_decade_descent_on_the_benchmark_models(name):
+    model = BENCHMARK_MODELS[name]
+    for zs in benchmark_grids(model):
+        assert_near_the_half_decade_descent(model, zs)
+
+
+@pytest.mark.slow
+@settings(max_examples=600)
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_decade_descent_matches_the_half_decade_descent_on_random_covariance_models(
+        rho, alpha, eta):
+    model = CovarianceModel(rho, alpha)
+    assume(not detect_degenerate(model))
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    assert_near_the_half_decade_descent(model, xs + 1j * eta)
+
+
+@pytest.mark.slow
+@settings(max_examples=600)
+@given(mu=atomic_measures, eta=etas)
+def test_decade_descent_matches_the_half_decade_descent_on_random_deformed_wigner_models(
+        mu, eta):
+    model = DeformedWignerModel(mu)
+    assert_near_the_half_decade_descent(
+        model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
+
+
+@pytest.mark.parametrize("eta", [1e-4, 1e-6])
+def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta):
+    """Descending by factors of 100, both the loose and the tight descent
+    stall at height 0.042 on this model; the descent then is the half-decade
+    descent, bit for bit, from the same (G, G') calls after those of the
+    failed attempt."""
+    rho = SpectralMeasure.from_atoms([0.0, 1.0, 0.5], np.array([1.0, 0.25, 1.0]) / 2.25)
+    model = CovarianceModel(rho, 1.0)
+    zs = covering_grid(0.0, 4.0) + 1j * eta
+    hundreds = np.append(np.geomspace(1.0, 1e-12, 7), 0.0)
+    monkeypatch.setattr(dyson, "_DECADES", hundreds)
+    for tol in (_LOOSE_TOL, _TIGHT_TOL):
+        got, _ = outcome(dyson._descend_with, model, zs, hundreds, tol)
+        assert "stalled" in got and "height 0.042" in got
+    failed, failed_sizes = outcome(dyson._descend_with, model, zs, hundreds, _LOOSE_TOL)
+    got, sizes = outcome(dyson._descend, model, zs)
+    want, want_sizes = outcome(half_decade_descent, model, zs)
+    assert got.tobytes() == want.tobytes()
+    assert sizes == failed_sizes + want_sizes
