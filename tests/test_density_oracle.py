@@ -527,9 +527,9 @@ def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
 # _solve_on_grid, _continue, _newton_on_z, _damped_step, _polish, _descend,
 # _move_down and _descend_with. It kept full-size arrays and gathered and
 # scattered through index vectors of the live points. Its descent takes the
-# ladder of heights as an argument and tries the ladders in the order of
-# dyson._descend; with the half-decades alone it is the descent that came
-# before the decade ladder (half_decade_descent). The kernel must give
+# ladder of heights as an argument and, as dyson._descend, tries the decades
+# before half_decade_descent, which is the whole descent that came before the
+# decade ladder. The kernel must give
 # its roots bit for bit, evaluate (G, G') on the same points in the same
 # calls, and raise the same SolverError. The tests below call the new solver
 # as dyson._solve_on_grid and dyson._descend_with.
@@ -633,12 +633,17 @@ def former_polish(h_pair, w, hw, hp, zs, side):
 
 
 def former_descend(h_pair, zs, seed):
-    for ladder, tol in ((_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL)):
-        try:
-            return former_descend_with(h_pair, zs, seed, ladder, tol)
-        except SolverError:
-            pass
-    return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
+    try:
+        return former_descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
+    except SolverError:
+        return half_decade_descent(h_pair, zs, seed)
+
+
+def half_decade_descent(h_pair, zs, seed):
+    try:
+        return former_descend_with(h_pair, zs, seed, _DESCENT, _LOOSE_TOL)
+    except SolverError:
+        return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
 
 
 def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
@@ -856,16 +861,6 @@ def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
 # small) and on the 600 random models of each kind below by at most 4.7e-14.
 
 
-def half_decade_descent(h_pair, zs, seed):
-    """The descent before the decade ladder, in the former kernel: the
-    half-decades with the loose test, and where that fails with the tight
-    test."""
-    try:
-        return former_descend_with(h_pair, zs, seed, _DESCENT, _LOOSE_TOL)
-    except SolverError:
-        return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
-
-
 def assert_near_the_half_decade_descent(model, zs):
     got = descent_stieltjes(model, zs)
     want = descent_stieltjes(model, zs, half_decade_descent)
@@ -912,11 +907,11 @@ def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta
     zs = covering_grid(0.0, 4.0) + 1j * eta
     hundreds = np.append(np.geomspace(1.0, 1e-12, 7), 0.0)
     monkeypatch.setattr(dyson, "_DECADES", hundreds)
-    for tol in (_LOOSE_TOL, _TIGHT_TOL):
-        got, _ = outcome(dyson._descend_with, model, zs, hundreds, tol)
-        assert "stalled" in got and "height 0.042" in got
-    failed, failed_sizes = outcome(dyson._descend_with, model, zs, hundreds, _LOOSE_TOL)
+    stalls = {tol: outcome(dyson._descend_with, model, zs, hundreds, tol)
+              for tol in (_LOOSE_TOL, _TIGHT_TOL)}
+    for message, _ in stalls.values():
+        assert "stalled" in message and "height 0.042" in message
     got, sizes = outcome(dyson._descend, model, zs)
     want, want_sizes = outcome(half_decade_descent, model, zs)
     assert got.tobytes() == want.tobytes()
-    assert sizes == failed_sizes + want_sizes
+    assert sizes == stalls[_LOOSE_TOL][1] + want_sizes
