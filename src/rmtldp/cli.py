@@ -130,7 +130,10 @@ def _float_list(text: str) -> list[float]:
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer of at least 1."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -138,7 +141,10 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     """An argparse type: a finite number above 0."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value

@@ -126,6 +126,19 @@ class TestFlagRanges:
         assert "zero-size" not in err and "linspace" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["density", "--points", "abc"], "argument --points: expected an integer, got 'abc'"),
+        (["rate", "--xmax", "6", "--points", "2.5"],
+         "argument --points: expected an integer, got '2.5'"),
+        (["density", "--eta", "abc"], "argument --eta: expected a number, got 'abc'"),
+    ])
+    def test_non_numeric_flags_exit_2(self, wishart1, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--model", wishart1, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "_positive" not in err
+        assert not out.exists()
+
     def test_one_point_is_in_range(self, wishart1, tmp_path):
         out = tmp_path / "d.csv"
         assert run(["density", "--model", wishart1, "--points", "1", "--xmin", "2",

@@ -300,8 +300,8 @@ def test_random_atomic_free_convolution_density_matches_polynomial_roots(mu, eta
 @pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
 def test_spectrum_on_the_scale_of_1e_3(alpha, eta):
     """Atoms of size 1e-3: a loose level's residual of 1e-3 is the size of
-    the whole spectrum, and Newton from its root stalls at height 0 for some
-    points; the grid is then solved again with the tight test throughout."""
+    the whole spectrum. The loose descents, by decades and by half-decades,
+    converge on these grids all the same."""
     atoms = [-0.00012475062110026442, 7.391027752904462e-121, 0.001]
     weights = [0.19692530787100634, 0.5510268725317563, 0.25204781959723727]
     rho = SpectralMeasure.from_atoms(atoms, weights)
@@ -528,8 +528,9 @@ def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
 # _move_down and _descend_with. It kept full-size arrays and gathered and
 # scattered through index vectors of the live points. Its descent takes the
 # ladder of heights as an argument and, as dyson._descend, tries the decades
-# before half_decade_descent, which is the whole descent that came before the
-# decade ladder. The kernel must give
+# with the loose test before the half-decades with the tight test;
+# half_decade_descent is the whole descent that came before the decade
+# ladder, the loose half-decades before the tight ones. The kernel must give
 # its roots bit for bit, evaluate (G, G') on the same points in the same
 # calls, and raise the same SolverError. The tests below call the new solver
 # as dyson._solve_on_grid and dyson._descend_with.
@@ -636,7 +637,7 @@ def former_descend(h_pair, zs, seed):
     try:
         return former_descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
     except SolverError:
-        return half_decade_descent(h_pair, zs, seed)
+        return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
 
 
 def half_decade_descent(h_pair, zs, seed):
@@ -745,7 +746,8 @@ def benchmark_grids(model):
     return measure_grids(model) + [default_grid(model)[1] + 1e-4j]
 
 
-# the three descents of _descend, in their order
+# the two descents of _descend, and the loose half-decade descent that
+# half_decade_descent, the reference below, tries first
 LADDERS = [(_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL), (_DESCENT, _TIGHT_TOL)]
 LADDER_IDS = ["decades", "loose", "tight"]
 SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
@@ -776,8 +778,8 @@ def test_descent_equals_the_former_descent_bit_for_bit(name, ladder, tol):
 @pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
 @pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
 def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
-    """The model of test_spectrum_on_the_scale_of_1e_3, where the loose
-    descent stalls at height 0 and the tight one converges."""
+    """The model of test_spectrum_on_the_scale_of_1e_3, whose spectrum spans
+    1e-3, the loose test's residual."""
     rho = SpectralMeasure.from_atoms(
         [-0.00012475062110026442, 7.391027752904462e-121, 0.001],
         [0.19692530787100634, 0.5510268725317563, 0.25204781959723727])
@@ -852,9 +854,9 @@ def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
 
 # -- the decade ladder against the half-decade descent -----------------------------
 #
-# dyson._descend descends by decades first and falls back to the half-decade
-# descent that came before it, which the former solver above keeps as the
-# reference. Both stay in the half-plane of the seed, which holds one root, so
+# dyson._descend descends by decades first and falls back to the tight
+# half-decade descent; the half-decade descent that came before it, which the
+# former solver above keeps, is the reference. Both stay in the half-plane of the seed, which holds one root, so
 # their roots differ by rounding: within CONTINUATION_TOL max(1, |G|). On the
 # grids of the benchmark models they differed by at most 3.9e-13 max(1, |G|)
 # (neg-wishart at sigma_measure's height, near the soft edge, where x' is
@@ -899,9 +901,9 @@ def test_decade_descent_matches_the_half_decade_descent_on_random_deformed_wigne
 @pytest.mark.parametrize("eta", [1e-4, 1e-6])
 def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta):
     """Descending by factors of 100, both the loose and the tight descent
-    stall at height 0.042 on this model; the descent then is the half-decade
-    descent, bit for bit, from the same (G, G') calls after those of the
-    failed attempt."""
+    stall at height 0.042 on this model; the descent then is the tight
+    half-decade descent, bit for bit, from the same (G, G') calls after those
+    of the failed attempt, within CONTINUATION_TOL of the former descent."""
     rho = SpectralMeasure.from_atoms([0.0, 1.0, 0.5], np.array([1.0, 0.25, 1.0]) / 2.25)
     model = CovarianceModel(rho, 1.0)
     zs = covering_grid(0.0, 4.0) + 1j * eta
@@ -912,6 +914,7 @@ def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta
     for message, _ in stalls.values():
         assert "stalled" in message and "height 0.042" in message
     got, sizes = outcome(dyson._descend, model, zs)
-    want, want_sizes = outcome(half_decade_descent, model, zs)
+    want, want_sizes = outcome(former_descend_with, model, zs, _DESCENT, _TIGHT_TOL)
     assert got.tobytes() == want.tobytes()
     assert sizes == stalls[_LOOSE_TOL][1] + want_sizes
+    assert_near_the_half_decade_descent(model, zs)
