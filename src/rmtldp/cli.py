@@ -122,10 +122,15 @@ def _resolve_threads(value) -> int | None:
 
 
 def _float_list(text: str) -> list[float]:
+    """An argparse type: a comma-separated list of at least one number."""
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -195,7 +200,7 @@ def _cmd_variational(args) -> None:
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: the variational form does not apply")
     sigma = sigma_measure(model, 2000, edge)
-    xs = np.array(_float_list(args.x))
+    xs = np.array(args.x)
     # the primal rates of all points come from one batched branch solve
     primal = rate(model, xs, edge)
     varia = np.array([rate_variational(model, x, edge, sigma) for x in xs.tolist()])
@@ -208,10 +213,9 @@ def _cmd_approx(args) -> None:
     edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model has no approximation sweep")
-    eps_list = _float_list(args.eps)
     xmin = args.xmin if args.xmin is not None else edge.r_sigma + 0.5
     xs = np.linspace(xmin, args.xmax, args.points)
-    sweep = approx_sweep(model, eps_list, xs, edge)
+    sweep = approx_sweep(model, args.eps, xs, edge)
     buf = io.StringIO()
     sweep.write_csv(buf)
     _emit(buf.getvalue(), args.out)
@@ -268,12 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variational", help="compare primal and variational rates")
     common(p)
-    p.add_argument("--x", required=True, help="comma-separated evaluation points")
+    p.add_argument("--x", type=_float_list, required=True,
+                   help="comma-separated evaluation points")
     p.set_defaults(fn=_cmd_variational)
 
     p = sub.add_parser("approx", help="right-edge truncation sweep")
     common(p)
-    p.add_argument("--eps", required=True, help="comma-separated, conventionally descending")
+    p.add_argument("--eps", type=_float_list, required=True,
+                   help="comma-separated, conventionally descending")
     p.add_argument("--xmin", type=float, default=None)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=_positive_int, default=40)

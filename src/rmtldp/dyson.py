@@ -16,6 +16,7 @@ quantities.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, takewhile
@@ -1284,8 +1285,12 @@ def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
     support window plus the exact zero atom when present.
 
     The grid density is renormalized to total mass 1; the raw mass defect is
-    recorded on the returned measure as a quality metric.
+    recorded on the returned measure as a quality metric. ``grid_points``
+    must be an integer of at least 3: a band of fewer grid points carries
+    no mass.
     """
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 3:
+        raise ValueError(f"grid_points must be an integer of at least 3, got {grid_points!r}")
     window = model.window(edge or model.edge())
     lo, hi = window.left, window.right
     span = hi - lo

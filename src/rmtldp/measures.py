@@ -15,6 +15,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,32 @@ _MERGE_REL = 1e-14
 # points. It bounds the memory of a transform; for its time the size hardly
 # matters (see DensityComponent._by_rows)
 _TABLE_ENTRIES = 32768
+# The Gauss rule of a table (DensityComponent.gauss_rule): its node count K,
+# and the least number of distinct nodes of positive weight that builds one.
+# On the 2000-node sigma grids of the benchmark models (2-core host, one BLAS
+# thread), J at the 51 theta of one variational point took 1.3-1.6 ms on the
+# nodes and 0.3-0.4 ms on a rule of 32 to 64 nodes, and a rule took 0.7, 1.1
+# and 1.5 ms to build at K = 32, 48 and 64: it repays its build by the second
+# point. K sets where the rule serves, its reach (below): 0.243, 0.113 and
+# 0.066 half-widths past the support. At K = 32 the nodes would keep the first
+# 35% of two-atom's variational range and 21% of dw-two-atom's; K = 64 would
+# add only wishart1's first 0.03 for 0.4 ms more per grid.
+_RULE_NODES = 48
+_RULE_MIN_TABLE = 8 * _RULE_NODES
+# The rule's reach: it replaces the nodes at real points lam with
+# lam - b >= _RULE_REACH h, for a table on [a, b] of centre c, half-width h and
+# mass m. With u = (lam - c) / h and rho = u + sqrt(u^2 - 1), the K-point rule
+# errs against the nodes by at most
+#   1/(lam - t):    4 m rho^(1-2K) / (h sqrt(u^2 - 1) (rho - 1)),
+#   1/(lam - t)^2:  4 m rho^(1-2K) (2K + 1/(rho - 1) + u/sqrt(u^2 - 1))
+#                   / (h^2 (u^2 - 1) (rho - 1)),
+#   log(lam - t):   2 m rho^(1-2K) / (K (rho - 1)):
+# both integrate the kernel's Chebyshev expansion on [a, b] exactly up to
+# degree 2K - 1, and each errs on the rest by at most m times the sum of its
+# coefficients. Each bound falls with u; at K = 48 the largest of them, in
+# units of m/h, m/h^2 and m, is 1e-16 at lam - b = 0.11312 h (the first alone
+# at 0.0887 h, the third at 0.0666 h). Rounding adds O(K eps) of each sum.
+_RULE_REACH = 0.1132
 
 
 class MeasureError(ValueError):
@@ -158,6 +185,32 @@ class DensityComponent:
             if prime:
                 gp = np.where(ends, -np.inf, gp.real)
         return (g, gp) if prime else (g,)
+
+    @cached_property
+    def gauss_rule(self) -> "DensityComponent | None":
+        """The table read through its ``_RULE_NODES``-point Gauss rule: a
+        table of the same support, mass to rounding and ``edge_finite_g``,
+        built on first use and kept. None for a closed form, and for a table
+        with a negative weight, a node outside [a, b] or fewer than
+        ``_RULE_MIN_TABLE`` distinct nodes of positive weight."""
+        if self.kind != "table" or self.nodes.size < _RULE_MIN_TABLE or self.weights.min() < 0.0:
+            return None
+        support = np.unique(self.nodes[self.weights > 0.0])
+        if support.size < _RULE_MIN_TABLE or support[0] < self.a or support[-1] > self.b:
+            return None
+        nodes, weights = _gauss_rule(self.nodes, self.weights, self.a, self.b, _RULE_NODES)
+        return _make_component("table", self.a, self.b, None, nodes, weights,
+                               edge_finite_g=self.edge_finite_g)
+
+    def read_from(self, lam: float) -> "DensityComponent":
+        """The component as read at real points from ``lam`` on: its Gauss
+        rule where that reproduces the node sums of G, G' and the log moment
+        to rounding (``lam`` at least ``_RULE_REACH`` half-widths past b),
+        else the component itself."""
+        if self.kind == "table" and lam - self.b >= _RULE_REACH * 0.5 * (self.b - self.a):
+            rule = self.gauss_rule
+            return self if rule is None else rule
+        return self
 
     def _table_pair(self, z, prime=True):
         """(G, G') of a table at the points of z, or (G,) when ``prime`` is
@@ -286,6 +339,30 @@ class DensityComponent:
             params["radius"] *= factor
         return _make_component(self.kind, lo, hi, self.mass * mass_factor, self.nodes * factor,
                                self.weights * mass_factor, params, self.edge_finite_g)
+
+
+def _gauss_rule(nodes, weights, a, b, k):
+    """Nodes and weights of the k-point Gauss rule of the discrete measure
+    of ``weights`` at ``nodes`` in [a, b] (Golub & Welsch, Math. Comp. 23,
+    1969). The normalised discretized Stieltjes (Lanczos) recurrence, on the
+    nodes mapped to [-1, 1], gives the Jacobi matrix of the measure; its
+    eigenvalues are the rule's nodes, and the mass times the squares of the
+    first components of its eigenvectors the weights."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    s = (nodes - c) / h
+    mass = float(weights.sum())
+    # q holds the weighted values sqrt(w) p_j of the j-th orthonormal polynomial
+    q, q_prev = np.sqrt(weights / mass), np.zeros(nodes.size)
+    diag, off = np.empty(k), np.zeros(k)
+    for j in range(k):
+        sq = s * q
+        diag[j] = q @ sq
+        if j + 1 < k:
+            r = sq - diag[j] * q - off[j] * q_prev
+            off[j + 1] = math.sqrt(r @ r)
+            q_prev, q = q, r / off[j + 1]
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
+    return c + h * values, mass * vectors[0] ** 2
 
 
 _CLOSED_FORM_EDGE_FINITE_G = {"semicircle": True, "uniform": False}
@@ -583,6 +660,17 @@ class SpectralMeasure:
                 if not finite:
                     return sign * math.inf
         return None  # finite edge value; fall through to the regular formulas
+
+    def read_from(self, lam: float) -> "SpectralMeasure":
+        """The measure as read at real points from ``lam`` on, where each
+        table component reads through its Gauss rule if ``lam`` lies far
+        enough past it (:meth:`DensityComponent.read_from`); the measure
+        itself where no component changes. Atoms and closed forms are kept."""
+        comps = tuple(c.read_from(lam) for c in self.components)
+        if all(r is c for r, c in zip(comps, self.components)):
+            return self
+        return SpectralMeasure(self.atom_locations, self.atom_weights, comps,
+                               raw_mass_defect=self.raw_mass_defect)
 
     def stieltjes_prime(self, z):
         """d/dz of the Stieltjes transform; real scalars as in :meth:`stieltjes`."""

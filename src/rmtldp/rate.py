@@ -154,13 +154,17 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
 def j_shift(mu: SpectralMeasure, theta, lam: float):
     """Optimal shift v in the J functional: lambda - 1/(2 theta) when
     G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta).
-    Elementwise over an array theta; a float for scalar theta."""
+    Elementwise over an array theta; a float for scalar theta.
+
+    Every point the solve visits lies at or beyond lam, so mu is read there
+    as :meth:`SpectralMeasure.read_from` reads it from lam on."""
     th = np.asarray(theta, dtype=float)
     if (th <= 0.0).any():
         raise ValueError(f"theta must be positive, got {theta!r}")
     r = mu.right_edge
     if lam < r - 1e-12 * max(1.0, abs(r)):
         raise ValueError(f"lambda={lam!r} below the right edge {r!r}")
+    mu = mu.read_from(lam)
     k = np.full(th.shape, float(lam))
     solve = mu.stieltjes(lam) > 2.0 * th
     if solve.any():
@@ -176,11 +180,16 @@ def j_fn(mu: SpectralMeasure, theta, lam: float):
     theta.
 
     J is theta*v minus half the logarithmic moment of 1 + 2 theta v
-    - 2 theta y, with v the shift from :func:`j_shift`.
+    - 2 theta y, with v the shift from :func:`j_shift`. J visits no point
+    below lam, so a table component of mu that lam lies far enough past is
+    read through its Gauss rule (:meth:`SpectralMeasure.read_from`), which
+    gives its G, G' and log moment to rounding; nearer the support J sums
+    over the table's nodes.
     """
     th = np.asarray(theta, dtype=float)
     if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
+    mu = mu.read_from(lam)
     out = np.zeros(th.shape)
     pos = th > 0.0
     if pos.any():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmtldp import cli, montecarlo
+from rmtldp import cli, measures, montecarlo
 from rmtldp.cli import model_from_json, model_to_json, run
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
@@ -117,6 +117,10 @@ class TestFlagRanges:
         (["density", "--eta", "-1e-4"], "--eta"),
         (["density", "--eta", "nan"], "--eta"),
         (["density", "--eta", "inf"], "--eta"),
+        (["variational", "--x="], "--x"),
+        (["variational", "--x=,"], "--x"),
+        (["approx", "--eps=", "--xmax", "6"], "--eps"),
+        (["approx", "--eps=,", "--xmax", "6"], "--eps"),
     ])
     def test_out_of_range_flags_exit_2(self, wishart1, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"
@@ -137,6 +141,19 @@ class TestFlagRanges:
         assert run(argv + ["--model", wishart1, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err and "_positive" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["", ",", "4.5,abc"])
+    def test_a_bad_point_list_fails_before_the_sigma_solve(self, wishart1, tmp_path,
+                                                           monkeypatch, capsys, points):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad --x must fail before sigma is solved")
+
+        monkeypatch.setattr(cli, "sigma_measure", refuse)
+        out = tmp_path / "v.csv"
+        assert run(["variational", "--model", wishart1, f"--x={points}",
+                    "--out", str(out)]) == 2
+        assert "argument --x:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_point_is_in_range(self, wishart1, tmp_path):
@@ -330,6 +347,16 @@ class TestVariationalAndApprox:
         assert lines[0] == "x,rate_primal,rate_variational,abs_diff"
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 2e-3
+
+    def test_a_3_point_variational_call_builds_the_rule_once(self, wishart1, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        build = measures._gauss_rule
+        monkeypatch.setattr(measures, "_gauss_rule",
+                            lambda *args: calls.append(args[-1]) or build(*args))
+        assert run(["variational", "--model", wishart1, "--x=4.5,6,8",
+                    "--out", str(tmp_path / "v.csv")]) == 0
+        assert calls == [measures._RULE_NODES]
 
     def test_approx_csv(self, tmp_path):
         model_path = tmp_path / "sc.json"

@@ -546,3 +546,12 @@ class TestSigmaMeasure:
         lo, hi = sm.edges()
         assert lo == pytest.approx(-((1.0 + 1.0 / math.sqrt(2.0)) ** 2), abs=1e-8)
         assert hi == pytest.approx(-((1.0 - 1.0 / math.sqrt(2.0)) ** 2), abs=1e-8)
+
+    @pytest.mark.parametrize("grid_points", [0, -5, 1, 2, 2.5])
+    def test_a_grid_of_fewer_than_3_points_is_refused(self, grid_points):
+        with pytest.raises(ValueError, match="grid_points"):
+            sigma_measure(wishart(1.0), grid_points)
+
+    def test_a_grid_of_3_points_gives_a_measure(self):
+        sm = sigma_measure(wishart(1.0), 3)
+        assert abs(sm.total_mass() - 1.0) < 1e-12

@@ -1018,3 +1018,135 @@ def test_a_one_node_table_gives_a_complex_point_alone_its_bits():
     for i in range(z.size):
         assert m.stieltjes_prime(complex(z[i])) == gp[i]
         assert m.stieltjes_pair(z[i:i + 1])[1][0] == gp[i]
+
+
+# -- the Gauss rule of a table ---------------------------------------------------
+
+K = measures._RULE_NODES
+EPS = np.finfo(float).eps
+
+
+def rule_bounds(u):
+    """The a-priori bounds on the K-point rule's error for 1/(lam - t),
+    1/(lam - t)^2 and log(lam - t) at u = (lam - c)/h, per unit mass and in
+    units of 1/h, 1/h^2 and 1 (see ``measures._RULE_REACH``): twice the tail
+    past degree 2K - 1 of each kernel's Chebyshev expansion on [-1, 1],
+    2/sqrt(u^2 - 1) rho^-j, its u-derivative and 2 rho^-j / j."""
+    root = math.sqrt(u * u - 1.0)
+    rho = u + root
+    tail = 4.0 * rho ** (1 - 2 * K) / (rho - 1.0)
+    return (tail / root, tail * (2 * K + 1.0 / (rho - 1.0) + u / root) / (root * root),
+            tail / (2 * K))
+
+
+def test_the_rule_reach_is_where_every_bound_falls_to_1e_16():
+    assert max(rule_bounds(1.0 + measures._RULE_REACH)) <= 1e-16
+    assert max(rule_bounds(1.0 + 0.99 * measures._RULE_REACH)) > 1e-16
+
+
+@st.composite
+def random_tables(draw):
+    """(measure, table, band hulls): a positive table of 8K to 4000 nodes in
+    one to three bands with gaps between them, on positive support of width
+    1e-2 to 10, alone or beside a zero atom. Each band's nodes are jittered
+    uniform or Chebyshev-clustered, and its density a power 1/2, -1/2 or 3/2
+    of the distance to either end times a random factor in [0.5, 1.5]."""
+    n = draw(st.integers(8 * K, 4000))
+    bands = draw(st.integers(1, 3))
+    zero_atom = draw(st.sampled_from([0.0, 0.2, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, width = rng.uniform(0.05, 3.0), 10.0 ** rng.uniform(-2.0, 1.0)
+    pieces = rng.uniform(0.2, 1.0, 2 * bands - 1)
+    ends = a + width * np.concatenate(([0.0], np.cumsum(pieces))) / pieces.sum()
+    lengths = pieces[::2]
+    counts = np.diff(np.round(n * np.concatenate(([0.0], np.cumsum(lengths))) / lengths.sum()))
+    nodes, weights, hulls = [], [], []
+    for i, count in enumerate(counts.astype(int)):
+        lo, hi = ends[2 * i], ends[2 * i + 1]
+        j = np.arange(count)
+        if rng.integers(2):
+            t = (j + rng.uniform(0.1, 0.9, count)) / count
+        else:
+            t = 0.5 - 0.5 * np.cos(math.pi * (j + 0.5) / count)
+        x = lo + (hi - lo) * t
+        e_lo, e_hi = rng.choice([-0.5, 0.5, 1.5], 2)
+        weights.append(t ** e_lo * (1.0 - t) ** e_hi * rng.uniform(0.5, 1.5, count)
+                       * np.gradient(x))
+        nodes.append(x)
+        hulls.append((x[0], x[-1]))
+    weights = np.concatenate(weights)
+    weights *= (1.0 - zero_atom) / weights.sum()
+    table = measures._make_component("table", ends[0], ends[-1], None, np.concatenate(nodes),
+                                     weights, edge_finite_g=True)
+    atoms = ([0.0], [zero_atom]) if zero_atom else ((), ())
+    return SpectralMeasure(*atoms, [table]), table, hulls
+
+
+def chebyshev_sums(table, c, h):
+    """sum_i w_i T_j((t_i - c)/h) for j < 2K, and what rounding each t_i to
+    a double can move it by: sum_i w_i |T_j'(s_i)| ulp(t_i)/h, up to
+    (2K - 1)^2 ulp/h at the ends, which exceeds 1e-13 on a table far from 0
+    for its width."""
+    s = (table.nodes - c) / h
+    t, u = np.empty((2 * K, s.size)), np.empty((2 * K, s.size))
+    t[0], t[1], u[0], u[1] = 1.0, s, 1.0, 2.0 * s
+    for j in range(2, 2 * K):
+        t[j] = 2.0 * s * t[j - 1] - t[j - 2]
+        u[j] = 2.0 * s * u[j - 1] - u[j - 2]
+    slopes = np.arange(1, 2 * K)[:, None] * np.abs(u[:-1])
+    moved = np.concatenate(([0.0], slopes @ (table.weights * np.spacing(table.nodes)) / h))
+    return t @ table.weights, moved
+
+
+@settings(max_examples=60)
+@given(case=random_tables())
+def test_a_table_gets_the_k_point_gauss_rule_of_its_nodes(case):
+    """The rule has K nodes strictly inside [a, b]; its weights are positive
+    but where a node lies in a gap between bands (its weight can then fall
+    below the rounding of the eigenvectors, and at most one node lies in each
+    gap); they sum to the mass within K eps; and the rule integrates T_0 ...
+    T_{2K-1} on [a, b] as the nodes do within 1e-13 times the mass, plus what
+    rounding the nodes of both to doubles moves the sums by."""
+    mu, table, hulls = case
+    rule = table.gauss_rule
+    assert rule is table.gauss_rule and rule.kind == "table" and rule.nodes.size == K
+    assert np.all((rule.nodes > table.a) & (rule.nodes < table.b))
+    assert rule.weights.min() >= 0.0
+    in_gap = [not any(lo <= x <= hi for lo, hi in hulls) for x in rule.nodes[rule.weights == 0.0]]
+    assert all(in_gap) and len(in_gap) < len(hulls)
+    assert abs(rule.weights.sum() - table.mass) <= K * EPS * table.mass
+    c, h = 0.5 * (table.a + table.b), 0.5 * (table.b - table.a)
+    (want, moved), (got, moved_rule) = chebyshev_sums(table, c, h), chebyshev_sums(rule, c, h)
+    assert np.all(np.abs(got - want) <= 1e-13 * table.mass + moved + moved_rule)
+
+
+@settings(max_examples=60)
+@given(case=random_tables())
+def test_the_rule_gives_g_g_prime_and_the_log_moment_within_their_bounds(case):
+    """From the reach out to u = 100 the measure read through the rule gives
+    G, G' and the log moment of the node sums within the a-priori bound
+    (``rule_bounds``), plus 2K eps times the sum of |terms| (the rule comes
+    from an eigensolve of a K x K matrix) and what rounding its nodes to
+    doubles moves the sum by. Nearer than the reach the measure reads its
+    nodes."""
+    mu, table, _ = case
+    rule = table.gauss_rule
+    m, h = table.mass, 0.5 * (table.b - table.a)
+    assert mu.read_from(table.b + 0.999 * measures._RULE_REACH * h) is mu
+    for d in np.geomspace(measures._RULE_REACH * (1.0 + 1e-12), 99.0, 8):
+        lam = table.b + d * h
+        ruled = mu.read_from(lam)
+        assert ruled.components == (rule,)
+        np.testing.assert_array_equal(ruled.atom_weights, mu.atom_weights)
+        g_bound, gp_bound, log_bound = rule_bounds(1.0 + d)
+        for read, term, slope, bound in (
+            (SpectralMeasure.stieltjes, lambda t: 1.0 / (lam - t),
+             lambda t: 1.0 / (lam - t) ** 2, g_bound * m / h),
+            (SpectralMeasure.stieltjes_prime, lambda t: 1.0 / (lam - t) ** 2,
+             lambda t: 2.0 / (lam - t) ** 3, gp_bound * m / h ** 2),
+            (SpectralMeasure.log_moment, lambda t: np.abs(np.log(lam - t)),
+             lambda t: 1.0 / (lam - t), log_bound * m),
+        ):
+            size = table.weights @ term(table.nodes)
+            moved = rule.weights @ (slope(rule.nodes) * np.spacing(rule.nodes))
+            assert abs(read(ruled, lam) - read(mu, lam)) <= bound + 2 * K * EPS * size + moved

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from rmtldp import measures
 from rmtldp.dyson import CovarianceModel, SolverError, sigma_measure, theta_max
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import _inverse_stieltjes, f_fn, j_fn, rate_variational
@@ -92,6 +93,33 @@ def test_array_objective_matches_per_theta_scalar_loop(name):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+# the variational ranges of the benchmark's limit-law jobs (perfbench/workloads.py)
+BENCHMARK_RANGES = {
+    "wishart1": (4.2, 9.0), "neg-wishart": (-0.08, -0.008), "two-atom": (7.0, 8.1),
+    "semicircle-rho": (8.95, 25.0), "dw-point": (2.5, 4.0), "dw-two-atom": (3.0, 4.1),
+    "dw-uniform": (2.7, 4.3),
+}
+
+
+def test_the_rule_keeps_variational_rates_within_1e_13_of_the_node_sums(monkeypatch):
+    """Read through its Gauss rule, sigma gives every rate on the benchmark's
+    limit-law models within 1e-13 relative of the rate from its nodes."""
+    served = 0
+    for name, (lo, hi) in BENCHMARK_RANGES.items():
+        model = MODELS[name][0]()
+        edge = model.edge()
+        sigma = sigma_measure(model, 2000, edge)
+        xs = np.linspace(lo, hi, 6)
+        ruled = [rate_variational(model, x, edge, sigma) for x in xs]
+        served += sum(sigma.read_from(x) is not sigma for x in xs)
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_RULE_REACH", math.inf)
+            summed = [rate_variational(model, x, edge, sigma) for x in xs]
+        np.testing.assert_allclose(ruled, summed, rtol=1e-13, atol=0.0)
+    # of 42: neg-wishart's range and wishart1's 4.2 lie within the reach
+    assert served == 35
+
+
 def test_scan_raises_when_a_theta_beats_the_optimizer(monkeypatch):
     """An optimizer at 0.3 Gbar(x) leaves the supremum to the scan, which
     must refuse the value and name the theta as a plain float."""
@@ -139,10 +167,28 @@ def test_log_moment_array_equals_scalar_calls(name):
     assert type(mu.log_moment(int(r) + 3)) is float
 
 
-@pytest.mark.parametrize("name", sorted(MEASURES))
+def _sigma_with_lambdas():
+    """The 2000-node sigma grid of wishart1, with one lambda past the reach
+    of its Gauss rule and one inside it."""
+    sigma = sigma_measure(CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 2000)
+    table = sigma.components[0]
+    reach = table.b + measures._RULE_REACH * 0.5 * (table.b - table.a)
+    return {"sigma-past-the-rule-reach": (sigma, reach + 0.3),
+            "sigma-inside-the-rule-reach": (sigma, 0.5 * (table.b + reach))}
+
+
+# each measure at 0.5 past its right edge, and the sigma grid on both sides
+# of its rule's reach
+J_CASES = {**{name: (mu, mu.right_edge + 0.5) for name, mu in MEASURES.items()},
+           **_sigma_with_lambdas()}
+
+
+@pytest.mark.parametrize("name", sorted(J_CASES))
 def test_j_fn_array_equals_scalar_calls(name):
-    mu = MEASURES[name]
-    lam = mu.right_edge + 0.5
+    """Array and scalar calls give the same bits, on the rule past its reach
+    and on the nodes elsewhere (a table of fewer than 8K nodes has no rule)."""
+    mu, lam = J_CASES[name]
+    assert (mu.read_from(lam) is mu) == (name != "sigma-past-the-rule-reach")
     thetas = np.array([0.0, 1e-3, 0.2, 1.0, 4.0, 40.0])
     got = j_fn(mu, thetas, lam)
     assert got.shape == thetas.shape

@@ -194,6 +194,11 @@ class TestFreeConvolutionMeasure:
         assert abs(sigma.total_mass() - 1.0) < 1e-12
         assert sigma.raw_mass_defect < 1e-3
 
+    @pytest.mark.parametrize("grid_points", [0, 2, 2.5])
+    def test_a_grid_of_fewer_than_3_points_is_refused(self, grid_points):
+        with pytest.raises(ValueError, match="grid_points"):
+            free_convolution_measure(point_deformation(), grid_points)
+
     def test_semicircle_cdf(self):
         sigma = free_convolution_measure(point_deformation(), 1200)
         sc = Semicircle(0.0, 2.0)
