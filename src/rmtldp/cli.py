@@ -186,10 +186,14 @@ def _cmd_density(args) -> None:
     edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model has no continuous density")
-    window = model.window(edge)
-    margin = 0.05 * (window.right - window.left)
-    xmin = args.xmin if args.xmin is not None else window.left - margin
-    xmax = args.xmax if args.xmax is not None else window.right + margin
+    xmin, xmax = args.xmin, args.xmax
+    # the window is solved only for a missing bound: its left edge can fail
+    # to solve on models whose density at the given points solves
+    if xmin is None or xmax is None:
+        window = model.window(edge)
+        margin = 0.05 * (window.right - window.left)
+        xmin = window.left - margin if xmin is None else xmin
+        xmax = window.right + margin if xmax is None else xmax
     xs = np.linspace(xmin, xmax, args.points)
     _emit(csv_text("x,density", (xs, sigma_density(model, xs, args.eta))), args.out)
 

@@ -31,10 +31,9 @@ __all__ = [
 
 _MASS_TOL = 1e-12
 _MERGE_REL = 1e-14
-# entries of a table's (points, nodes) arrays per pass: 256 KB of doubles on
-# a real z, 512 KB of complex128 on a complex one, whatever the number of
-# points. It bounds the memory of a transform; for its time the size hardly
-# matters (see DensityComponent._by_rows)
+# entries of a (points, nodes) array per pass of the table kernel: 256 KB of
+# doubles on a real z, 512 KB of complex128 on a complex one. It bounds the
+# memory of a transform; for its time the size hardly matters (see _by_rows)
 _TABLE_ENTRIES = 32768
 # The Gauss rule of a table (DensityComponent.gauss_rule): its node count K,
 # and the least number of distinct nodes of positive weight that builds one.
@@ -109,9 +108,51 @@ def _item(values):
     return values.item() if values.ndim == 0 else values
 
 
-def _pair_diffs(z, t):
-    """z - t for every pair of a float or array z and the 1-D array t."""
-    return z - t if isinstance(z, float) else z[..., None] - t
+def _table_pair(z, nodes, weights, prime=True):
+    """(G, G') of the discrete measure of ``weights`` at ``nodes`` (a table,
+    or 8 or more atoms) at the points of z, or (G,) when ``prime`` is false:
+    its one kernel. The (points, nodes) array q = z - nodes is reused in
+    place, 1/q and then 1/q^2, and each point's sum is one dot of its row
+    with the weights, so a point gets the same bits alone, in any chunk and
+    on the float path (``np.vecdot`` dots row by row; a matrix-vector
+    product would not). A node hit exactly gives an infinite term."""
+    q = z[..., None] - nodes
+    np.reciprocal(q, out=q)
+    g = np.vecdot(weights, q)
+    if not prime:
+        return (g,)
+    # numpy squares a lone complex entry in place with other bits than
+    # it squares it in a longer array; out of place the two agree
+    q = np.square(q, out=q if q.size > 1 else None)
+    return g, -np.vecdot(weights, q)
+
+
+def _table_log_moment(z, nodes, weights):
+    d = z[..., None] - nodes
+    np.log(d, out=d)
+    np.multiply(weights, d, out=d)
+    return (d.sum(axis=-1),)
+
+
+def _by_rows(z, nodes, weights, sums, *args):
+    """``sums(z, nodes, weights, *args)``, a tuple of arrays of z's shape
+    from (points, nodes) arrays, on at most ``_TABLE_ENTRIES`` entries at a
+    time, with each point's sums those of the whole array bit for bit: on 51
+    real points of a 1968-node table, 426 us for the pair in chunks of 16
+    points against 398 us at once (caches flushed, 2-core host)."""
+    flat = z.reshape(-1)
+    rows = max(1, _TABLE_ENTRIES // nodes.size)
+    if flat.size <= rows:
+        return sums(z, nodes, weights, *args)
+    parts = [sums(flat[i:i + rows], nodes, weights, *args) for i in range(0, flat.size, rows)]
+    return tuple(np.concatenate(p).reshape(z.shape) for p in zip(*parts))
+
+
+def _real_pair_sum(x, nodes, weights, prime):
+    """G (``prime`` false) or G' at the float x as a Python float: the last
+    of the kernel's sums on the one point, so the array path's bits."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_table_pair(np.array([x]), nodes, weights, prime)[-1][0])
 
 
 def _log_moment_sc2(zeta):
@@ -158,7 +199,7 @@ class DensityComponent:
         z = np.asarray(z)
         real = z.dtype.kind != "c"
         if self.kind == "table":
-            return self._by_rows(z, self._table_pair, prime)
+            return _by_rows(z, self.nodes, self.weights, _table_pair, prime)
         if self.kind == "semicircle":
             # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|
             c, r = self.params["center"], self.params["radius"]
@@ -212,39 +253,6 @@ class DensityComponent:
             return self if rule is None else rule
         return self
 
-    def _table_pair(self, z, prime=True):
-        """(G, G') of a table at the points of z, or (G,) when ``prime`` is
-        false: its one kernel. The (points, nodes) array q = z - nodes is
-        reused in place, 1/q and then 1/q^2, and each point's sum is one dot
-        of its row with the weights, so a point gets the same bits alone, in
-        any chunk and on the float path (``np.vecdot`` dots row by row; a
-        matrix-vector product would not). A node hit exactly gives an
-        infinite term, as an atom does."""
-        q = z[..., None] - self.nodes
-        np.reciprocal(q, out=q)
-        g = np.vecdot(self.weights, q)
-        if not prime:
-            return (g,)
-        # numpy squares a lone complex entry in place with other bits than
-        # it squares it in a longer array; out of place the two agree
-        q = np.square(q, out=q if q.size > 1 else None)
-        return g, -np.vecdot(self.weights, q)
-
-    def _by_rows(self, z, sums, *args):
-        """``sums(z, *args)``, a tuple of arrays of z's shape from (points,
-        nodes) arrays of a table, on at most ``_TABLE_ENTRIES`` entries at a
-        time, with each point's sums those of the whole array bit for bit.
-        With the reciprocal-and-dot kernel, the pair on 51 real points of a
-        1968-node table took 426 us in chunks of 16 points against 398 us at
-        once, with the caches flushed between calls (2-core host); the former
-        divide-and-sum took 1.05 ms at once against 0.48 ms in chunks."""
-        flat = z.reshape(-1)
-        rows = max(1, _TABLE_ENTRIES // self.nodes.size)
-        if flat.size <= rows:
-            return sums(z, *args)
-        parts = [sums(flat[i:i + rows], *args) for i in range(0, flat.size, rows)]
-        return tuple(np.concatenate(p).reshape(z.shape) for p in zip(*parts))
-
     def real_transform(self, x: float, prime: bool):
         """G (``prime`` false) or G' at a finite real float x off the open
         support: a Python float equal bit for bit to the array body's G or G'
@@ -281,9 +289,7 @@ class DensityComponent:
             # np.log1p, not math.log1p: the two differ in the last bit on some
             # hosts (numpy may use its own SIMD log1p)
             return self.mass * float(np.log1p((self.b - self.a) / (x - self.b))) / (self.b - self.a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the last of (G,) or (G, G')
-            return float(self._table_pair(np.array([x]), prime)[-1][0])
+        return _real_pair_sum(x, self.nodes, self.weights, prime)
 
     def log_moment(self, z):
         """integral of log(z - t) against the component, real z >= b: a float
@@ -297,13 +303,7 @@ class DensityComponent:
             # zb log zb, which is 0 at the edge zb = 0
             term_b = zb * np.log(zb + (zb == 0.0))
             return self.mass * ((za * np.log(za) - term_b) / (self.b - self.a) - 1.0)
-        return self._by_rows(np.asarray(z), self._table_log_moment)[0]
-
-    def _table_log_moment(self, z):
-        d = z[..., None] - self.nodes
-        np.log(d, out=d)
-        np.multiply(self.weights, d, out=d)
-        return (d.sum(axis=-1),)
+        return _by_rows(np.asarray(z), self.nodes, self.weights, _table_log_moment)[0]
 
     def cdf(self, x):
         """Mass of the component in (-inf, x], elementwise over an array x."""
@@ -417,10 +417,9 @@ class SpectralMeasure:
         # stieltjes: exact edge queries hit it, approach sequences from root
         # finders must stay evaluable
         self._snap = 1e-15 * self._scale
-        # (weight, location) pairs for the real-scalar path: numpy sums fewer
-        # than 8 terms one after another from 0.0, which a Python loop repeats
-        # bit for bit; from 8 terms on it sums pairwise, so larger atom lists
-        # take the array path
+        # the one atom-count rule: fewer than 8 atoms are summed one after
+        # another from 0.0 over these pairs, on floats and arrays alike; 8 or
+        # more (None) by the table kernel, by rows on arrays
         self._atom_pairs = tuple(zip(wts.tolist(), locs.tolist())) if locs.size < 8 else None
         self.atom_locations.setflags(write=False)
         self.atom_weights.setflags(write=False)
@@ -572,10 +571,10 @@ class SpectralMeasure:
 
     def _real_transform(self, z, prime: bool):
         """G or G' at a float z (``np.float64`` included) as a Python float,
-        bit for bit the array path's value; None for any other z, for 8 or
-        more atoms, and where only the array path gives the value (non-finite
-        z, a pole hit exactly, a component end hit within rounding)."""
-        if not isinstance(z, float) or self._atom_pairs is None:
+        bit for bit the array path's value; None for any other z, and where
+        only the array path gives the value (non-finite z, a pole of fewer
+        than 8 atoms hit exactly, a component end hit within rounding)."""
+        if not isinstance(z, float):
             return None
         x = float(z)
         if self._left < x < self._right:
@@ -588,7 +587,9 @@ class SpectralMeasure:
                 return edge_val
         total = 0.0
         try:
-            if self._atom_pairs:
+            if self._atom_pairs is None:
+                total = _real_pair_sum(x, self.atom_locations, self.atom_weights, prime)
+            elif self._atom_pairs:
                 if prime:
                     for w, loc in self._atom_pairs:
                         d = x - loc
@@ -614,8 +615,9 @@ class SpectralMeasure:
         or the edge density makes the integral diverge.
 
         A float z (``np.float64`` included) is evaluated on Python floats,
-        returning the same bits as the array path; other scalars, and
-        measures with 8 or more atoms, take the array path.
+        returning the same bits as the array path. The edge snap holds at a
+        float or 0-d z, not at the points of an array: for atoms at 0 and 1,
+        1 + 2.3e-16 gives inf as a float and 2.25e15 in a 1-element array.
         """
         val = self._real_transform(z, prime=False)
         if val is not None:
@@ -684,10 +686,11 @@ class SpectralMeasure:
         """(G(z), G'(z)), equal bit for bit to ``(stieltjes(z),
         stieltjes_prime(z))``: the evaluation of the grid solver, the inverse
         Stieltjes solve and the level curves. A float z (``np.float64``
-        included) takes the two transforms' float path; at a complex or real
-        array z both come from one z - t array per atom and component. A
-        real point of z must lie outside the open support."""
-        if isinstance(z, float):
+        included) or a real 0-d array takes the two transforms, the edge snap
+        of ``stieltjes`` included; at a complex z or a real array of points
+        both come from one z - t array per atom list and component. A real
+        point of z must lie outside the open support."""
+        if isinstance(z, float) or np.ndim(z) == 0 and not np.iscomplexobj(z):
             return self.stieltjes(z), self.stieltjes_prime(z)
         self._check_real_argument(z)
         return self._transforms(z)
@@ -698,24 +701,18 @@ class SpectralMeasure:
         """(G, G') at the points of a real or complex z, or (G,) when
         ``prime`` is false: arrays of z's shape, the one array body of the
         three transforms, under one ``np.errstate`` (a pole hit exactly
-        gives an infinite term).
-
-        Fewer than 4 atoms are summed one after another from 0.0, as numpy
-        sums fewer than 4 complex terms (it sums 4 or more pairwise) and
-        fewer than 8 real ones. The sums run on at least one dimension: on a
+        gives an infinite term). Fewer than 8 atoms are summed one after
+        another from 0.0, as the float path sums them; 8 or more by the
+        table kernel, by rows. The sums run on at least one dimension: on a
         0-d z the terms would be numpy scalars, whose square takes other
-        bits than an array's.
-        """
-        z = np.asarray(z)
-        z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
+        bits than an array's."""
+        z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         zs = z if z.ndim else z.reshape(1)
         g = gp = 0.0
-        if self.atom_locations.size >= 4:
-            d = zs[..., None] - self.atom_locations
-            g = np.sum(self.atom_weights / d, axis=-1)
-            if prime:
-                gp = -np.sum(self.atom_weights / d ** 2, axis=-1)
-        elif self.atom_locations.size:
+        if self._atom_pairs is None:
+            sums = _by_rows(zs, self.atom_locations, self.atom_weights, _table_pair, prime)
+            g, gp = sums[0], sums[-1]
+        elif self._atom_pairs:
             for w, loc in self._atom_pairs:
                 d = zs - loc
                 g = g + w / d
@@ -749,7 +746,10 @@ class SpectralMeasure:
             # the locations are sorted
             if low <= self.atom_locations[-1]:
                 raise MeasureError("log moment diverges: atom at or beyond z")
-            total = (self.atom_weights * np.log(_pair_diffs(zs, self.atom_locations))).sum(axis=-1)
+            # fewer than 8 atoms skip _by_rows, which costs a scalar call ~2 us
+            args = np.asarray(zs), self.atom_locations, self.atom_weights
+            total = (_by_rows(*args, _table_log_moment) if self._atom_pairs is None
+                     else _table_log_moment(*args))[0]
         for c in self.components:
             total = total + c.log_moment(zs)
         return float(total) if isinstance(zs, float) else total

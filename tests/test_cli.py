@@ -102,6 +102,24 @@ class TestDensityCommand:
     def test_degenerate_density_fails(self, degenerate_model):
         assert run(["density", "--model", degenerate_model]) == 1
 
+    def test_both_bounds_given_solve_no_support_window(self, tmp_path, capsys):
+        # the left edge of sigma of this model is not solvable (a tiny
+        # negative atom puts the reflected model's edge inside the snap
+        # window); with both bounds given the window is not needed
+        path = tmp_path / "tiny-left-atom.json"
+        rho = {"atoms": [[-1.5067585918145452e-22, 0.5], [1.0, 0.5]], "density": None}
+        path.write_text(json.dumps({"kind": "covariance", "alpha": 1.0, "rho": rho}))
+        out = tmp_path / "d.csv"
+        argv = ["density", "--model", str(path), "--xmin", "0.5", "--points", "5"]
+        assert run(argv + ["--xmax", "4", "--out", str(out)]) == 0
+        from rmtldp.dyson import sigma_density
+        model = CovarianceModel(SpectralMeasure.from_json(rho), 1.0)
+        xs = np.linspace(0.5, 4.0, 5)
+        assert out.read_text() == cli.csv_text("x,density", (xs, sigma_density(model, xs, 1e-4)))
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert "left edge of sigma" in capsys.readouterr().err
+
 
 class TestFlagRanges:
     """Out-of-range flags are usage errors that name the flag, and leave no
