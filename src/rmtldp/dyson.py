@@ -15,6 +15,7 @@ quantities.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -43,6 +44,7 @@ __all__ = [
     "support_window",
     "sigma_density",
     "sigma_measure",
+    "sigma_rule",
     "grid_measure_from_density",
     "boundary_density_grid",
 ]
@@ -277,6 +279,11 @@ class CovarianceModel:
     def window(self, edge: EdgeData) -> SupportWindow:
         return support_window(self, edge)
 
+    def reflected(self) -> CovarianceModel:
+        """The model of -Gamma, whose sigma is sigma reflected, with the
+        Gaussian law: sigma does not depend on the entry law."""
+        return CovarianceModel(self.rho.reflected(), self.alpha)
+
     def variational(self, x: float, edge: EdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
         J(sigma, theta/2, x) - F(rho, theta); the optimizer is Gbar_sigma(x).
@@ -285,7 +292,9 @@ class CovarianceModel:
         theta_x = g_bar_sigma(edge, self, x)
         tmax = edge.theta_max
         if math.isfinite(tmax) and theta_x >= tmax * (1.0 - 1e-12):
-            theta_x = tmax * (1.0 - 1e-8)  # capped branch: approach the open end
+            # capped branch: with x_c finite, F is finite at theta_max itself,
+            # where the supremum is attained; else approach the open end
+            theta_x = tmax if math.isfinite(edge.x_c) else tmax * (1.0 - 1e-8)
         end = tmax * (1.0 - 1e-6) if math.isfinite(tmax) else 30.0 * theta_x
         return theta_x, end, lambda theta: j_fn(sigma, 0.5 * theta, x) - f_fn(self, theta)
 
@@ -825,10 +834,9 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
 
     Replacing Gamma by -Gamma turns H into -H, so sigma of the reflected rho
     is sigma reflected, and the left edge is minus r(sigma) of the reflected
-    model (the rule of the deformed-Wigner window). The reflected model is
-    solved with the Gaussian law: sigma does not depend on the entry law.
-    When it is degenerate, or within rounding of it, the continuous part is
-    bounded below by 0 (hard edge or zero atom).
+    model (the rule of the deformed-Wigner window). When it is degenerate,
+    or within rounding of it, the continuous part is bounded below by 0
+    (hard edge or zero atom).
     """
     edge = edge or edge_solve(model)
     _require_nondegenerate(edge)
@@ -839,7 +847,7 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
         left = 0.0
     else:
         try:
-            left = -edge_solve(CovarianceModel(rho.reflected(), model.alpha)).r_sigma
+            left = -edge_solve(model.reflected()).r_sigma
         except SolverError as exc:
             # the reflected model's message speaks of its own right edge
             raise SolverError(
@@ -1215,8 +1223,11 @@ def grid_measure_from_density(xs_desc, dens_desc, lo, hi, zero_atom=0.0) -> Spec
     if dmax <= 0.0:
         raise SolverError("recovered density vanishes on the whole grid")
     # the evaluation height leaks a tiny spurious density into spectral gaps;
-    # threshold it away and ignore zero runs too short to be a real gap
-    mask = dens_asc > 1e-5 * dmax
+    # threshold it away and ignore zero runs too short to be a real gap. The
+    # threshold is 1e-5 of the continuous part's mean density over the
+    # window, not of the largest sample: at a hard edge that sample grows
+    # with the grid, and the mask then cut more of the soft edges' mass
+    mask = dens_asc > 1e-5 * (1.0 - zero_atom) / (hi - lo)
     for g0, g1 in _positive_runs(~mask):
         if g1 - g0 + 1 < 5 and g0 > 0 and g1 < n - 1:
             mask[g0:g1 + 1] = True
@@ -1291,7 +1302,11 @@ def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer of at least 3, got {grid_points!r}")
-    window = model.window(edge or model.edge())
+    return _grid_sigma(model, model.window(edge or model.edge()), grid_points)
+
+
+def _grid_sigma(model, window: SupportWindow, grid_points: int) -> SpectralMeasure:
+    """The grid sigma of :func:`sigma_measure` over a solved window."""
     lo, hi = window.left, window.right
     span = hi - lo
     if span <= 0.0:
@@ -1305,3 +1320,249 @@ def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
         g = g - window.zero_atom / (xs + 1j * eta_floor)
     dens = np.maximum(-g.imag / math.pi, 0.0)
     return grid_measure_from_density(xs, dens, lo, hi, window.zero_atom)
+
+
+# -- sigma as a Gauss-Jacobi rule per band ------------------------------------
+#
+# Each band [a, b] of sigma's continuous part maps to u in [-1, 1], where the
+# density f behaves like (1 - u)^p (1 + u)^q at the ends: p or q is 1/2 at a
+# soft (square-root) edge and -1/2 at the hard edge at 0 (alpha (1 - rho({0}))
+# = 1). The K-node Gauss-Jacobi rule of that weight gives the band's masses
+# h w_k f(t_k) / omega(u_k), f from the limit-law solve at height
+# _RULE_ETA h. On wishart1, semicircle-rho, neg-wishart, two-atom,
+# uniform-rho, table-rho, dw-point and dw-uniform at K = 64 the raw mass
+# defect was at most 3.2e-14 and the rule took 0.7-1.9 ms to build (3.8 on
+# the 400-node table-rho), against 3.3-5.5 ms (28) for the 2000-point grid
+# and its Gauss rule (2-core host, one BLAS thread). At K = 128 and 256 the
+# nodes of a band are solved by continuation (_GRID_MIN) and took 1.0-2.0
+# ms, but J sums K nodes at each of its 51 theta. A rule whose raw mass
+# defect exceeds _RULE_DEFECT, 30 times the largest seen, gives way to the
+# grid.
+_BAND_NODES = 64
+_RULE_ETA = 1e-14
+_RULE_DEFECT = 1e-12
+# the largest x' on a gap of the curve's measure within this of 0 is a cusp
+# (x' = x'' = 0), whose density goes like |t - t0|^(1/3): no band edge
+_CUSP_SLOPE = 1e-9
+# golden-section steps for the largest x' on a gap: they bracket it within
+# 0.618^40 = 4e-9 of the gap, where x' errs by that squared times x''
+_GOLDEN_STEPS = 40
+_GRID_FALLBACK = 2000
+
+
+@functools.cache
+def _jacobi_rule(p: float, q: float):
+    """Nodes (ascending) and weights of the ``_BAND_NODES``-point Gauss rule
+    of the weight (1 - u)^p (1 + u)^q on [-1, 1], built on first use (Golub &
+    Welsch, Math. Comp. 23, 1969): the eigenvalues of the Jacobi matrix of
+    the monic Jacobi recurrence, and the weight's mass times the squares of
+    the first components of its eigenvectors. The n = 0 and n = 1
+    coefficients are written with their removable zeros cancelled, so that
+    p + q = 0 and p = q = -1/2 need no special case."""
+    k = _BAND_NODES
+    s = p + q
+    n = np.arange(1.0, k)
+    m = 2.0 * n + s
+    diag = np.empty(k)
+    diag[0] = (q - p) / (s + 2.0)
+    diag[1:] = (q * q - p * p) / (m * (m + 2.0))
+    off = np.empty(k - 1)
+    off[0] = 4.0 * (1.0 + p) * (1.0 + q) / ((2.0 + s) ** 2 * (3.0 + s))
+    n, m = n[1:], m[1:]
+    off[1:] = 4.0 * n * (n + p) * (n + q) * (n + s) / (m * m * (m + 1.0) * (m - 1.0))
+    off = np.sqrt(off)
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = 2.0 ** (s + 1.0) * math.gamma(p + 1.0) * math.gamma(q + 1.0) / math.gamma(s + 2.0)
+    values.setflags(write=False)
+    weights = mass * vectors[0] ** 2
+    weights.setflags(write=False)
+    return values, weights
+
+
+def _gap_curve(curve: Curve, lam):
+    """(x, x') of the curve at real points lam in a gap of its measure's
+    support, which the measure's own transforms refuse between its hull's
+    ends: its array body, on at least one point."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return curve.point(lam, *curve.measure._transforms(lam))
+
+
+def _gap_slope(curve: Curve):
+    """x' of :func:`_gap_curve` at a float, as a float."""
+    return lambda lam: float(_gap_curve(curve, lam)[1][0])
+
+
+def _slope_root(slope, inner: float, end: float):
+    """The root of x' between ``inner``, where x' > 0, and ``end``, a pole
+    or an edge of the curve's measure, on whose side x' falls: brentq from
+    the first probe end + (inner - end) 2^-k, k <= 52, at which x' < 0. None
+    where x' stays nonnegative up to the end (an edge at the measure's own
+    edge, not a square-root edge)."""
+    prev = inner
+    for k in range(1, 53):
+        probe = end + (inner - end) * 2.0**-k
+        if slope(probe) < 0.0:
+            return brentq(slope, prev, probe, xtol=1e-16 * abs(inner - end), **_BRENTQ_KW)
+        prev = probe
+    return None
+
+
+def _concave_bound(lo, c, d, hi, f_lo, fc, fd, f_hi):
+    """An upper bound on a concave function over [lo, hi] from its values
+    at lo < c < d < hi (NaN where not known): a chord extended past its
+    ends lies above the function. On [lo, c] and [d, hi] the chord (c, d)
+    bounds it, on [c, d] the chords (lo, c) and (d, hi); with neither known
+    the bound is +inf."""
+    s_cd = (fd - fc) / (d - c)
+    with np.errstate(invalid="ignore"):
+        inner = np.fmin(fc + np.maximum(0.0, (fc - f_lo) / (c - lo)) * (d - c),
+                        fd + np.maximum(0.0, (fd - f_hi) / (hi - d)) * (d - c))
+    return np.maximum(np.maximum(fc + np.maximum(0.0, -s_cd) * (c - lo),
+                                 fd + np.maximum(0.0, s_cd) * (hi - d)),
+                      np.where(np.isnan(inner), np.inf, inner))
+
+
+def _interior_gaps(curve: Curve, pieces):
+    """The gaps (x(lam1), x(lam2)) of sigma that lie over the gaps between
+    ``pieces``, the sorted disjoint intervals of the curve's measure. On
+    such a gap x' is concave (x' = 1/alpha or 1 minus a convex integral), so
+    x' > 0 on one interval (lam1, lam2) or nowhere, and x rises from x(lam1)
+    to x(lam2) (Silverstein & Choi, J. Multivariate Anal. 54, 1995). The
+    largest x' of every gap comes from one golden-section search on arrays,
+    which stops once each gap has a point of x' > 0 or a concave bound of
+    x' below 0 (:func:`_concave_bound`). None where a gap holds a cusp or an
+    edge that is no root of x'."""
+    ends = np.array([(b0, a1) for (_, b0), (a1, _) in zip(pieces, pieces[1:])]).reshape(-1, 2)
+    if not ends.size:
+        return []
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fd = _gap_curve(curve, c)[1], _gap_curve(curve, d)[1]
+    f_lo = f_hi = np.full(lo.size, np.nan)  # x' at lo and hi, once evaluated
+    for _ in range(_GOLDEN_STEPS):
+        if np.all((np.maximum(fc, fd) > _CUSP_SLOPE) | (_concave_bound(
+                lo, c, d, hi, f_lo, fc, fd, f_hi) < -_CUSP_SLOPE)):
+            break  # each gap holds a point of x' > 0, or x' < 0 throughout
+        left = fc > fd  # the maximum lies in [lo, d]
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        f_hi, f_lo = np.where(left, fd, f_hi), np.where(left, f_lo, fc)
+        new = np.where(left, hi - inv * (hi - lo), lo + inv * (hi - lo))
+        f_new = _gap_curve(curve, new)[1]
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    top = np.where(fc > fd, c, d)
+    top_slope = np.maximum(fc, fd)
+    if np.any(np.abs(top_slope) <= _CUSP_SLOPE) or np.isnan(top_slope).any():
+        return None
+    gaps, slope = [], _gap_slope(curve)
+    for (g0, g1), lam_top in zip(ends[top_slope > 0.0].tolist(), top[top_slope > 0.0].tolist()):
+        roots = _slope_root(slope, lam_top, g0), _slope_root(slope, lam_top, g1)
+        if None in roots:
+            return None
+        gaps.append(tuple(_gap_curve(curve, np.array(roots))[0].tolist()))
+    return gaps
+
+
+def _measure_pieces(mu: SpectralMeasure, skip_zero: bool):
+    """The sorted disjoint intervals covering mu's support: atoms as points,
+    components as their intervals, overlapping ones merged; the atom at 0
+    left out with ``skip_zero``."""
+    pieces = sorted([(u, u) for u in mu.atom_locations.tolist() if not (skip_zero and u == 0.0)]
+                    + [(c.a, c.b) for c in mu.components])
+    merged = [list(pieces[0])] if pieces else []
+    for a, b in pieces[1:]:
+        if a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [tuple(p) for p in merged]
+
+
+def _sigma_bands(model, window: SupportWindow):
+    """The bands (a, b, q, p) of sigma's continuous part, with the exponents
+    of the weight at a and b, or None where an edge cannot be classified.
+
+    The right edge r(sigma) is a square-root edge unless the level's minimum
+    lies at the curve's floor (x' > 0 there: a finite x_c at its cap). The
+    left edge is the window's, minus the right edge of the reflected model,
+    classified on that model's curve the same way. Where the reflected
+    model is degenerate (a covariance model with rho >= 0 and alpha (1 -
+    rho({0})) <= 1), the left edge is the hard edge at 0 when sigma has no
+    zero atom, and else the one root of x' between 0 and the least nonzero
+    point of rho, left of which x' is nonincreasing. Interior gaps come from
+    :func:`_interior_gaps`."""
+    curve = model.curve()
+    if curve(curve.floor)[1] > 0.0:
+        return None
+    reflected = model.reflected()
+    pieces = _measure_pieces(curve.measure, reflected.degenerate)
+    if reflected.degenerate:
+        if window.zero_atom == 0.0:
+            left, q = 0.0, -0.5
+        else:
+            least = pieces[0][0]
+            lam = _slope_root(_gap_slope(curve), least * 2.0**-60, least) if least > 0.0 else None
+            if lam is None:
+                return None
+            left, q = float(_gap_curve(curve, lam)[0][0]), 0.5
+    else:
+        mirror = reflected.curve()
+        # a left edge at 0 without a degenerate reflection lies in the slack
+        # window of support_window
+        if window.left == 0.0 or mirror(mirror.floor)[1] > 0.0:
+            return None
+        left, q = window.left, 0.5
+    gaps = _interior_gaps(curve, pieces)
+    if gaps is None:
+        return None
+    edges = [left, *chain.from_iterable(sorted(gaps)), window.right]
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        return None
+    exps = [q] + [0.5] * (len(edges) - 1)
+    return [(edges[i], edges[i + 1], exps[i], exps[i + 1]) for i in range(0, len(edges), 2)]
+
+
+def sigma_rule(model, edge=None) -> SpectralMeasure:
+    """The limiting measure sigma of either model kind as a Gauss-Jacobi
+    rule of ``_BAND_NODES`` nodes on each band of its continuous part, plus
+    the exact zero atom when present: the sigma of the variational form.
+
+    The bands come from the level curve (:func:`_sigma_bands`); a node t_k
+    of a band [a, b] of half-width h carries the mass h w_k f(t_k) /
+    omega(u_k), with (u_k, w_k) the rule of the band's weight omega
+    (:func:`_jacobi_rule`) and f the density from the limit-law solve at
+    height ``_RULE_ETA`` h, the zero atom's Cauchy term removed. Each band
+    is a table component. The masses are renormalized to 1 minus the zero
+    atom, and the raw mass defect is recorded as on the grid.
+
+    Where an edge cannot be classified (a cusp, an edge at the measure's own
+    edge) or the rule's raw mass defect exceeds ``_RULE_DEFECT``, this is
+    the 2000-point grid of :func:`sigma_measure` instead.
+    """
+    edge = edge or model.edge()
+    window = model.window(edge)
+    bands = _sigma_bands(model, window)
+    if bands is None:
+        return _grid_sigma(model, window, _GRID_FALLBACK)
+    rules = [_jacobi_rule(p, q) for _, _, q, p in bands]
+    half = np.repeat([0.5 * (b - a) for a, b, _, _ in bands], _BAND_NODES)
+    u = np.concatenate([nodes for nodes, _ in rules])
+    ts = np.repeat([0.5 * (a + b) for a, b, _, _ in bands], _BAND_NODES) + half * u
+    zs = ts + 1j * (_RULE_ETA * half)
+    g = limit_stieltjes(model, zs)
+    if window.zero_atom > 0.0:
+        g = g - window.zero_atom / zs
+    omega = np.concatenate([(1.0 - nodes) ** p * (1.0 + nodes) ** q
+                            for (nodes, _), (_, _, q, p) in zip(rules, bands)])
+    masses = half * np.concatenate([w for _, w in rules]) * np.maximum(-g.imag / math.pi, 0.0) / omega
+    raw = window.zero_atom + float(masses.sum())
+    defect = abs(1.0 - raw)
+    if not defect <= _RULE_DEFECT:
+        return _grid_sigma(model, window, _GRID_FALLBACK)
+    masses *= (1.0 - window.zero_atom) / masses.sum()
+    comps = [_make_component("table", a, b, None, ts[i * _BAND_NODES:(i + 1) * _BAND_NODES],
+                             masses[i * _BAND_NODES:(i + 1) * _BAND_NODES], edge_finite_g=True)
+             for i, (a, b, _, _) in enumerate(bands)]
+    atoms = ([0.0], [window.zero_atom]) if window.zero_atom > 0.0 else ((), ())
+    return SpectralMeasure(atoms[0], atoms[1], comps, raw_mass_defect=defect)

@@ -116,8 +116,11 @@ class DeformedWignerModel:
     def window(self, edge: DWEdgeData) -> SupportWindow:
         """Support of the free convolution: its right edge, and the left edge
         as minus the right edge for the reflected deformation."""
-        mirrored = dw_edge(DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law))
-        return SupportWindow(-mirrored.r_edge, edge.r_edge, 0.0)
+        return SupportWindow(-dw_edge(self.reflected()).r_edge, edge.r_edge, 0.0)
+
+    def reflected(self) -> DeformedWignerModel:
+        """The model of the deformation -D, whose sigma is sigma reflected."""
+        return DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law)
 
     def variational(self, x: float, edge: DWEdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of

@@ -167,7 +167,7 @@ class TestFlagRanges:
         def refuse(*args, **kwargs):
             raise AssertionError("a bad --x must fail before sigma is solved")
 
-        monkeypatch.setattr(cli, "sigma_measure", refuse)
+        monkeypatch.setattr(cli, "sigma_rule", refuse)
         out = tmp_path / "v.csv"
         assert run(["variational", "--model", wishart1, f"--x={points}",
                     "--out", str(out)]) == 2
@@ -350,8 +350,9 @@ class TestOneHandlerPerKind:
         for module in (cli, wigner):
             monkeypatch.setattr(module, "free_convolution_measure", refuse, raising=False)
         # wigner-density runs the shared limit-law code of both model kinds
-        for module in (cli, dyson):
-            monkeypatch.setattr(module, "sigma_measure", refuse)
+        for module, name in ((cli, "sigma_rule"), (dyson, "sigma_rule"),
+                             (dyson, "sigma_measure"), (dyson, "_grid_sigma")):
+            monkeypatch.setattr(module, name, refuse)
         assert run(["wigner-density", "--model", wigner_two_atom, "--points", "21",
                     "--out", str(tmp_path / "wd.csv")]) == 0
 
@@ -368,13 +369,17 @@ class TestVariationalAndApprox:
 
     def test_a_3_point_variational_call_builds_the_rule_once(self, wishart1, tmp_path,
                                                              monkeypatch):
-        calls = []
-        build = measures._gauss_rule
+        """One rule sigma per command, read at its 64 nodes: no table Gauss
+        rule is built."""
+        builds, rules = [], []
+        build, rule = cli.sigma_rule, measures._gauss_rule
+        monkeypatch.setattr(cli, "sigma_rule",
+                            lambda *args: builds.append(args) or build(*args))
         monkeypatch.setattr(measures, "_gauss_rule",
-                            lambda *args: calls.append(args[-1]) or build(*args))
+                            lambda *args: rules.append(args[-1]) or rule(*args))
         assert run(["variational", "--model", wishart1, "--x=4.5,6,8",
                     "--out", str(tmp_path / "v.csv")]) == 0
-        assert calls == [measures._RULE_NODES]
+        assert len(builds) == 1 and rules == []
 
     def test_approx_csv(self, tmp_path):
         model_path = tmp_path / "sc.json"
