@@ -24,7 +24,7 @@ from itertools import chain, takewhile
 
 import numpy as np
 
-from .measures import MeasureError, SpectralMeasure, _make_component
+from .measures import MeasureError, SpectralMeasure, _golub_welsch, _make_component
 
 __all__ = [
     "REAL_ENTRY_LAWS",
@@ -536,7 +536,8 @@ class Level:
     ``second(lam, x)`` the second branch at a left root; from ``x_cap`` on,
     the second branch is ``cap(x)`` instead. At r(sigma) both branches are
     ``at_edge``. ``residual(lam, x)``, where given, is (x(lam) - x to about
-    eps^2 of its terms, x'(lam)), and each root takes one Newton step on it."""
+    eps^2 of its terms, x'(lam)), and each root takes one Newton step on it
+    after :func:`_monotone_newton`, the kernel that also inverts G_mu for J."""
 
     curve: Callable
     lam_c: float
@@ -701,8 +702,9 @@ def _first_probe_above(curve, t: float, probes, root: str):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _level_root(level: Level, t: float, d: float) -> np.float64:
     """The right root (d = -1) or the left root (d = +1) of x(lam) = t by the
-    steps of :func:`_level_roots` on numpy floats: the same starts, probes,
-    Newton points and stopping test, so the same bits. On one or two roots
+    steps of :func:`_level_roots` and :func:`_monotone_newton` on numpy
+    floats: the same starts, probes, Newton points and stopping test, so the
+    same bits. On one or two roots
     the numpy calls of the array solve cost several times the solve."""
     curve, lam_c, floor = level.curve, level.lam_c, level.floor
     t = np.float64(t)
@@ -730,10 +732,10 @@ def _level_root(level: Level, t: float, d: float) -> np.float64:
         xv, xp = curve(lam)
         if xv <= t:
             if math.isnan(newton):
-                raise SolverError(f"branch Newton solve gave no root at x={float(t)!r}")
+                raise SolverError(f"branch solve at x={float(t)!r}: the Newton point is NaN")
             return np.float64(_refined(level, newton, t, d))
-    raise SolverError(f"branch Newton solve did not converge in {_NEWTON_STEPS} steps "
-                      f"at x={float(t)!r}; last iterate {float(lam)!r}")
+    raise SolverError(f"branch solve at x={float(t)!r}: no convergence in {_NEWTON_STEPS} "
+                      f"Newton steps; last iterate {float(lam)!r}")
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -749,12 +751,8 @@ def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.nd
     its value just past the snap window. One array evaluation of the probes
     serves every target.
 
-    All roots are then solved at once by Newton's method. x is convex, so
-    from a start right of a right root, or left of a left root, the
-    iterates move monotonically toward the root and never cross it. Each
-    step is at least the tolerance 4 eps |lam|, and no step passes lam_c:
-    the first trial point at which x <= t brackets the root within the
-    tolerance, and the Newton point before it is returned. The tolerance
+    All roots are then solved at once by :func:`_monotone_newton`, no step
+    past lam_c, to the tolerance 4 eps |lam|. The tolerance
     has no absolute part of the scale of the model (the 1e-14 of the brentq
     solves): a left root can lie 1e-12 from a pole at 1e-6 next to an atom
     at -1, and such a part stops Newton before it has the root to 1e-16.
@@ -787,35 +785,47 @@ def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.nd
         else:
             lam, xv, xp = starts
     t = np.concatenate((t_right, t_left))
-    # in u = d lam, d = -1 for a right root and +1 for a left one, every
-    # root is approached from below, up to the bound d lam_c
-    d = sides = np.repeat([-1.0, 1.0], [n_right, t_left.size])
-    bound = d * lam_c
+    d = np.repeat([-1.0, 1.0], [n_right, t_left.size])
     xtol = _NEWTON_RTOL * 2.0**-64 * (lam_c - floor)
+    roots = _monotone_newton(curve, t, d, d * lam_c, xtol, lam, xv, xp,
+                             lambda i: f"branch solve at x={float(t[i])!r}")
+    return _refined(level, roots, t, d)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _monotone_newton(curve, t, d, bound, xtol: float, lam, xv, xp, name) -> np.ndarray:
+    """The roots of x(lam) = t on a convex curve, elementwise over the
+    targets t, by Newton's method from one side: each start lam, where x =
+    xv > t and x' = xp, lies right of its root (d = -1) or left of it (d =
+    +1). In u = d lam the iterates rise monotonically to the root, each
+    step is at least xtol + 4 eps |lam|, and none passes ``bound`` in u. The
+    Newton point before the first trial at which x <= t, which brackets the
+    root within the tolerance, is returned; a NaN step gives way to the
+    tolerance. SolverError names target i by ``name(i)`` after
+    ``_NEWTON_STEPS`` steps, or where its root is NaN."""
     roots = np.empty(t.size)
     live = np.arange(t.size)
-    tl = t
     for _ in range(_NEWTON_STEPS):
-        q = (xv - tl) / xp
+        q = (xv - t) / xp
         newton = lam - q
         u = np.minimum(d * lam + np.fmax(-d * q, xtol + _NEWTON_RTOL * np.abs(lam)), bound)
         lam = d * u
         xv, xp = curve(lam)
-        crossed = xv <= tl
+        crossed = xv <= t
         if crossed.any():
             roots[live[crossed]] = newton[crossed]
             keep = ~crossed
             live = live[keep]
             if not live.size:
                 break
-            lam, xv, xp, tl, d, bound = (v[keep] for v in (lam, xv, xp, tl, d, bound))
+            lam, xv, xp, t, d, bound = (v[keep] for v in (lam, xv, xp, t, d, bound))
     else:
-        raise SolverError(f"branch Newton solve did not converge in {_NEWTON_STEPS} steps "
-                          f"at x={float(tl[0])!r}; last iterate {float(lam[0])!r}")
+        raise SolverError(f"{name(live[0])}: no convergence in {_NEWTON_STEPS} Newton steps; "
+                          f"last iterate {float(lam[0])!r}")
     bad = np.isnan(roots)
     if bad.any():
-        raise SolverError(f"branch Newton solve gave no root at x={float(t[bad][0])!r}")
-    return _refined(level, roots, t, sides)
+        raise SolverError(f"{name(int(np.argmax(bad)))}: the Newton point is NaN")
+    return roots
 
 
 # -- support window and density recovery ---------------------------------------
@@ -1353,12 +1363,10 @@ _GRID_FALLBACK = 2000
 @functools.cache
 def _jacobi_rule(p: float, q: float):
     """Nodes (ascending) and weights of the ``_BAND_NODES``-point Gauss rule
-    of the weight (1 - u)^p (1 + u)^q on [-1, 1], built on first use (Golub &
-    Welsch, Math. Comp. 23, 1969): the eigenvalues of the Jacobi matrix of
-    the monic Jacobi recurrence, and the weight's mass times the squares of
-    the first components of its eigenvectors. The n = 0 and n = 1
-    coefficients are written with their removable zeros cancelled, so that
-    p + q = 0 and p = q = -1/2 need no special case."""
+    of the weight (1 - u)^p (1 + u)^q on [-1, 1], built on first use from
+    the Jacobi matrix of the monic Jacobi recurrence (:func:`_golub_welsch`).
+    The n = 0 and n = 1 coefficients are written with their removable zeros
+    cancelled, so that p + q = 0 and p = q = -1/2 need no special case."""
     k = _BAND_NODES
     s = p + q
     n = np.arange(1.0, k)
@@ -1370,11 +1378,9 @@ def _jacobi_rule(p: float, q: float):
     off[0] = 4.0 * (1.0 + p) * (1.0 + q) / ((2.0 + s) ** 2 * (3.0 + s))
     n, m = n[1:], m[1:]
     off[1:] = 4.0 * n * (n + p) * (n + q) * (n + s) / (m * m * (m + 1.0) * (m - 1.0))
-    off = np.sqrt(off)
-    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     mass = 2.0 ** (s + 1.0) * math.gamma(p + 1.0) * math.gamma(q + 1.0) / math.gamma(s + 2.0)
+    values, weights = _golub_welsch(diag, np.sqrt(off), mass)
     values.setflags(write=False)
-    weights = mass * vectors[0] ** 2
     weights.setflags(write=False)
     return values, weights
 

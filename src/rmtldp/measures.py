@@ -341,13 +341,21 @@ class DensityComponent:
                                self.weights * mass_factor, params, self.edge_finite_g)
 
 
+def _golub_welsch(diag, off, mass):
+    """Nodes and weights of the Gauss rule of a measure of total ``mass``
+    whose Jacobi matrix has diagonal ``diag`` and off-diagonal ``off`` (Golub
+    & Welsch, Math. Comp. 23, 1969): the matrix's eigenvalues (ascending),
+    and the mass times the squares of the first components of its
+    eigenvectors."""
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return values, mass * vectors[0] ** 2
+
+
 def _gauss_rule(nodes, weights, a, b, k):
     """Nodes and weights of the k-point Gauss rule of the discrete measure
-    of ``weights`` at ``nodes`` in [a, b] (Golub & Welsch, Math. Comp. 23,
-    1969). The normalised discretized Stieltjes (Lanczos) recurrence, on the
-    nodes mapped to [-1, 1], gives the Jacobi matrix of the measure; its
-    eigenvalues are the rule's nodes, and the mass times the squares of the
-    first components of its eigenvectors the weights."""
+    of ``weights`` at ``nodes`` in [a, b] (:func:`_golub_welsch`). The
+    normalised discretized Stieltjes (Lanczos) recurrence, on the nodes
+    mapped to [-1, 1], gives the Jacobi matrix of the measure."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     s = (nodes - c) / h
     mass = float(weights.sum())
@@ -361,8 +369,8 @@ def _gauss_rule(nodes, weights, a, b, k):
             r = sq - diag[j] * q - off[j] * q_prev
             off[j + 1] = math.sqrt(r @ r)
             q_prev, q = q, r / off[j + 1]
-    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1))
-    return c + h * values, mass * vectors[0] ** 2
+    values, weights = _golub_welsch(diag, off[1:], mass)
+    return c + h * values, weights
 
 
 _CLOSED_FORM_EDGE_FINITE_G = {"semicircle": True, "uniform": False}

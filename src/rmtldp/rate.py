@@ -13,8 +13,6 @@ import numpy as np
 
 from ._quad import sqrt_adapted_rule
 from .dyson import (
-    _NEWTON_RTOL,
-    _NEWTON_STEPS,
     _NEWTON_XTOL,
     CovarianceModel,
     DegenerateModelError,
@@ -22,6 +20,7 @@ from .dyson import (
     SolverError,
     _edge_side,
     _evaluable_floor,
+    _monotone_newton,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches rate.brentq
     edge_solve,
     sigma_rule,
@@ -83,29 +82,23 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
     """Solve G_mu(lam) = target for lam > r(mu), elementwise over an array of
     positive targets; a float for a scalar target.
 
-    Every root is bracketed without a search. G_mu(lam) <= 1/(lam - r) puts
-    G below the target t at lam = r + 2/t, and the lower end is
-    max(lower, r), where the caller knows G to lie above every target
-    (``lower`` defaults to r). Where G diverges at r, the lower end is
-    instead the first point past the snap window of
-    :meth:`SpectralMeasure.stieltjes`, inside which G is +inf. A target that
-    G does not reach by the lower end gets the lower end as its root: there
-    G(lam) = t would put lam within a few ulps of a divergent edge.
+    The roots are the left roots of x(lam) = -1/t on the curve x = -1/G_mu,
+    x' = G'/G^2, solved at once by :func:`rmtldp.dyson._monotone_newton` to
+    1e-14 + 4 eps |lam|. Past r, 1/G(z) = z - m - v G_nu(z), with m, v the
+    mean and variance of mu and nu a probability measure on the hull of its
+    support, so x is decreasing and convex. G_mu(lam) <= 1/(lam - r) bounds
+    each root by r + 2/t, and the solve starts at the lower end max(lower,
+    r), where the caller knows G to lie above every target (``lower``
+    defaults to r). Where G diverges at r, the lower end is instead the
+    first point past the snap window of :meth:`SpectralMeasure.stieltjes`,
+    inside which G is +inf. A target that G does not reach by the lower end
+    gets the lower end as its root: there G(lam) = t would put lam within a
+    few ulps of a divergent edge.
 
-    All targets are solved at once by Newton's method on 1/G - 1/t from the
-    lower end. Past r, 1/G(z) = z - m - v G_nu(z) with m, v the mean and
-    variance of mu and nu a probability measure on the hull of its support,
-    so 1/G is increasing and concave there, and Newton's iterates from the
-    left stay left of the root. Each step is at least the tolerance: the
-    first trial point at which G is at most t brackets the root within the
-    tolerance, and the Newton point before it is returned.
-
-    Every step evaluates G and G' at the trial points of all unsolved
-    targets in one :meth:`SpectralMeasure.stieltjes_pair` call, whose G' at
-    the points that stay left of their root serves the next step: 4 to 8
-    such calls on 2000-node sigma grids and on random atomic measures, 14
-    on the log-divergent uniform edge. The lower end costs one float
-    evaluation of each transform.
+    Each step evaluates (G, G') at the trial points of all unsolved targets
+    in one :meth:`SpectralMeasure.stieltjes_pair` call: 4 to 8 such calls on
+    2000-node sigma grids and on random atomic measures, 14 on the
+    log-divergent uniform edge. A NaN G or G' raises SolverError at once.
     """
     t = np.asarray(target, dtype=float)
     r = mu.right_edge
@@ -118,37 +111,22 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
     solve = g_lo > t
     if solve.any():
         ts = t[solve]
-        hi = r + 2.0 / ts
-        lam = np.full(ts.shape, lo)  # left of every root: G(lam) > t
-        g = np.full(ts.shape, g_lo)
+
+        def curve(lam):
+            g, gp = mu.stieltjes_pair(lam)
+            nan = np.isnan(g) | np.isnan(gp)
+            if nan.any():
+                raise SolverError(f"inverse Stieltjes transform: G or G' is NaN at "
+                                  f"{float(lam[np.argmax(nan)])!r}")
+            return -1.0 / g, gp / (g * g)
+
         # a finite edge of infinite slope (a square-root edge) has G' = -inf
         # there; the first step is then 0 and the tolerance step moves on
-        gp = np.full(ts.shape, mu.stieltjes_prime(lo))
-        found = np.empty(ts.shape)
-        live = np.arange(ts.size)
-        for _ in range(_NEWTON_STEPS):
-            x, tl, gl = lam[live], ts[live], g[live]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = np.minimum(x + gl / gp[live] * (1.0 - gl / tl), hi[live])
-            trial = np.maximum(newton, x + _NEWTON_XTOL + _NEWTON_RTOL * np.abs(x))
-            g_trial, gp_trial = mu.stieltjes_pair(trial)
-            if np.isnan(g_trial).any():
-                i = int(np.argmax(np.isnan(g_trial)))
-                raise SolverError(f"inverse Stieltjes transform: G is NaN at {float(trial[i])!r} "
-                                  f"for target {float(tl[i])!r}")
-            bracketed = g_trial <= tl
-            found[live[bracketed]] = newton[bracketed]
-            left = ~bracketed
-            live = live[left]
-            if not live.size:
-                break
-            lam[live], g[live], gp[live] = trial[left], g_trial[left], gp_trial[left]
-        else:
-            i = live[0]
-            raise SolverError(f"inverse Stieltjes transform did not converge in {_NEWTON_STEPS} "
-                              f"steps for target {float(ts[i])!r} in [{lo!r}, {float(hi[i])!r}]; "
-                              f"last iterate {float(lam[i])!r}")
-        roots[solve] = found
+        x_lo, xp_lo = -1.0 / g_lo, mu.stieltjes_prime(lo) / (g_lo * g_lo)
+        lam, xv, xp = (np.full(ts.shape, v) for v in (lo, x_lo, xp_lo))
+        roots[solve] = _monotone_newton(
+            curve, -1.0 / ts, np.ones(ts.shape), r + 2.0 / ts, _NEWTON_XTOL, lam, xv, xp,
+            lambda i: f"inverse Stieltjes transform at the G target {float(ts[i])!r}")
     return float(roots) if roots.ndim == 0 else roots
 
 
@@ -166,6 +144,8 @@ def j_shift(mu: SpectralMeasure, theta, lam: float):
     r = mu.right_edge
     if lam < r - 1e-12 * max(1.0, abs(r)):
         raise ValueError(f"lambda={lam!r} below the right edge {r!r}")
+    # a lambda the guard admits below r is read as r, where rate snaps too
+    lam = max(lam, r)
     mu = mu.read_from(lam)
     k = np.full(th.shape, float(lam))
     solve = mu.stieltjes(lam) > 2.0 * th

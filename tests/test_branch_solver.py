@@ -231,7 +231,17 @@ def reference_edge(model):
     """r(sigma) by the former edge solves: brentq on f(theta) = theta^2
     H'(theta) in theta (covariance), from a shrinking lower end and the
     probes toward theta_max or theta = 2^k, or on -G'(lam) - 1 in lam
-    (deformed Wigner), bracketed by halving and doubling from r(mu_d)."""
+    (deformed Wigner), bracketed by halving and doubling from r(mu_d). An
+    overflow in them (G_rho of rho = delta(1e-300) at alpha/theta) is their
+    failure, a RuntimeError."""
+    try:
+        with np.errstate(over="raise"):
+            return _former_edge_solves(model)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"the former edge solves overflowed: {exc}") from exc
+
+
+def _former_edge_solves(model):
     if isinstance(model, DeformedWignerModel):
         mu = model.mu_d
         r = mu.right_edge
@@ -319,6 +329,8 @@ def test_an_edge_at_the_cap(model):
 
 @settings(max_examples=300)
 @given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
+# the covariance edge raises SolverError here, and the former solves overflow
+@example(mu=SpectralMeasure.point_mass(1e-300), alpha=1.0)
 def test_random_atomic_edges_match_the_former_solves(mu, alpha):
     """r(sigma) within 1e-14 max(1, |r|) of the former solves. Where the
     edge solve raises, the former solves failed too; where they failed (a
@@ -351,16 +363,35 @@ def test_edge_minimiser_matches_the_50_digit_minimiser(mu, alpha):
     for model in (CovarianceModel(mu, alpha), DeformedWignerModel(mu)):
         if isinstance(model, CovarianceModel) and detect_degenerate(model):
             continue
-        edge = solvable_edge(model)
-        level = model.level(edge)
-        lam = level.lam_c
-        with mpmath.workdps(50):
-            start = mpmath.mpf(lam)
-            exact = mpmath.findroot(exact_curve(model, slope=True),
-                                    (start, start * (1 + mpmath.mpf(10) ** -20)))
-            r_exact = float(exact_curve(model)(exact))
-        assert float(abs(exact - start)) <= 1e-13 * max(abs(lam), lam - level.floor), lam
-        assert abs(edge.r_sigma - r_exact) <= 1e-15 * max(1.0, abs(r_exact)), edge.r_sigma
+        check_edge_minimiser(model, solvable_edge(model))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the zero-atom family of ROADMAP item 3: lam_c = 4.3e-4 lies 1.3e-16 "
+                          "off the 50-digit root, 3 times its tolerance 1e-13 |lam_c|")
+def test_edge_minimiser_next_to_a_zero_atom():
+    """rho = 0.555 delta_0 + 0.445 delta_-1 at alpha = 2.25, as the
+    strategy draws it: the example Hypothesis falls on once the literals of
+    the package include 1e-10."""
+    pairs = [(0.0, 0.75), (0.0, 0.498046875), (-1.0, 0.890625), (-1.0, 0.109375)]
+    total = sum(p for _, p in pairs)
+    mu = SpectralMeasure.from_atoms([u for u, _ in pairs], np.array([p for _, p in pairs]) / total)
+    model = CovarianceModel(mu, 2.25)
+    if in_snap_family(model):
+        pytest.fail("the model lies in the edge solve's failure family")
+    check_edge_minimiser(model, model.edge())
+
+
+def check_edge_minimiser(model, edge):
+    level = model.level(edge)
+    lam = level.lam_c
+    with mpmath.workdps(50):
+        start = mpmath.mpf(lam)
+        exact = mpmath.findroot(exact_curve(model, slope=True),
+                                (start, start * (1 + mpmath.mpf(10) ** -20)))
+        r_exact = float(exact_curve(model)(exact))
+    assert float(abs(exact - start)) <= 1e-13 * max(abs(lam), lam - level.floor), lam
+    assert abs(edge.r_sigma - r_exact) <= 1e-15 * max(1.0, abs(r_exact)), edge.r_sigma
 
 
 def reference_branches(model, edge, x):

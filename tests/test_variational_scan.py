@@ -1,7 +1,9 @@
 """The batched variational objective against a per-theta scalar oracle, the
 scan's failure path, array/scalar parity of J, F and the logarithmic moment,
-and the inverse Stieltjes solve: its divergent-edge rule, and the vectorized
-solve against a scalar brentq oracle with a cap on its steps."""
+J at the edge's snap window, and the inverse Stieltjes solve: its
+divergent-edge rule, the vectorized solve against a scalar brentq oracle with
+a cap on its steps, and the shared Newton kernel against the solve's former
+loop."""
 
 import math
 
@@ -12,9 +14,18 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from rmtldp import measures
-from rmtldp.dyson import CovarianceModel, SolverError, sigma_measure, theta_max
+from rmtldp.dyson import (
+    _NEWTON_RTOL,
+    _NEWTON_STEPS,
+    _NEWTON_XTOL,
+    CovarianceModel,
+    SolverError,
+    _evaluable_floor,
+    sigma_measure,
+    theta_max,
+)
 from rmtldp.measures import SpectralMeasure
-from rmtldp.rate import _inverse_stieltjes, f_fn, j_fn, rate_variational
+from rmtldp.rate import _inverse_stieltjes, f_fn, j_fn, rate, rate_variational
 from rmtldp.wigner import DeformedWignerModel, dw_h, k_transform
 from test_density_oracle import atomic_measures  # the random models of the density tests
 
@@ -382,3 +393,110 @@ def test_a_nan_transform_raises_instead_of_returning(broken):
         mu.stieltjes_pair = nan_half
     with pytest.raises(SolverError, match="NaN"):
         _inverse_stieltjes(mu, np.array([0.1, 1.0, 10.0]))
+
+
+# -- J at the edge's snap window ------------------------------------------------------
+
+
+def test_j_reads_a_lambda_in_the_snap_window_below_the_edge_as_the_edge():
+    """j_fn admits lambda down to r - 1e-12 max(1, |r|) and reads it as r;
+    below that it refuses lambda."""
+    mu = SpectralMeasure.uniform(0.0, 1.0)
+    assert j_fn(mu, 0.5, 1.0 - 1e-13) == j_fn(mu, 0.5, 1.0)
+    with pytest.raises(ValueError, match="below the right edge"):
+        j_fn(mu, 0.5, 1.0 - 2e-12)
+
+
+@pytest.mark.parametrize("name", ["wishart1", "dw-point"])
+def test_the_variational_rate_reads_x_in_the_snap_window_below_r_as_r(name):
+    """Where rate snaps x just below r(sigma) to r and gives 0, the
+    variational form gives its value at r."""
+    model = MODELS[name][0]()
+    edge = model.edge()
+    r = edge.r_sigma
+    x = r - 1e-13 * max(1.0, abs(r))
+    assert rate(model, x, edge) == 0.0
+    assert rate_variational(model, x, edge) == rate_variational(model, r, edge)
+
+
+# -- the shared Newton kernel against the former loop ----------------------------------
+#
+# The inverse Stieltjes solve's own Newton loop on 1/G - 1/t, which the
+# shared kernel on x = -1/G replaced: the reference for the kernel's roots.
+
+
+def former_inverse_stieltjes(mu, target, lower=-math.inf):
+    t = np.asarray(target, dtype=float)
+    r = mu.right_edge
+    # an int lower end would make the iterates below ints
+    lo = _evaluable_floor(mu, max(float(lower), r))
+    g_lo = mu.stieltjes(lo)
+    if math.isnan(g_lo):
+        raise SolverError(f"inverse Stieltjes transform: G is NaN at the lower end {lo!r}")
+    roots = np.full(t.shape, lo)
+    solve = g_lo > t
+    if solve.any():
+        ts = t[solve]
+        hi = r + 2.0 / ts
+        lam = np.full(ts.shape, lo)  # left of every root: G(lam) > t
+        g = np.full(ts.shape, g_lo)
+        # a finite edge of infinite slope (a square-root edge) has G' = -inf
+        # there; the first step is then 0 and the tolerance step moves on
+        gp = np.full(ts.shape, mu.stieltjes_prime(lo))
+        found = np.empty(ts.shape)
+        live = np.arange(ts.size)
+        for _ in range(_NEWTON_STEPS):
+            x, tl, gl = lam[live], ts[live], g[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = np.minimum(x + gl / gp[live] * (1.0 - gl / tl), hi[live])
+            trial = np.maximum(newton, x + _NEWTON_XTOL + _NEWTON_RTOL * np.abs(x))
+            g_trial, gp_trial = mu.stieltjes_pair(trial)
+            if np.isnan(g_trial).any():
+                i = int(np.argmax(np.isnan(g_trial)))
+                raise SolverError(f"inverse Stieltjes transform: G is NaN at {float(trial[i])!r} "
+                                  f"for target {float(tl[i])!r}")
+            bracketed = g_trial <= tl
+            found[live[bracketed]] = newton[bracketed]
+            left = ~bracketed
+            live = live[left]
+            if not live.size:
+                break
+            lam[live], g[live], gp[live] = trial[left], g_trial[left], gp_trial[left]
+        else:
+            i = live[0]
+            raise SolverError(f"inverse Stieltjes transform did not converge in {_NEWTON_STEPS} "
+                              f"steps for target {float(ts[i])!r} in [{lo!r}, {float(hi[i])!r}]; "
+                              f"last iterate {float(lam[i])!r}")
+        roots[solve] = found
+    return float(roots) if roots.ndim == 0 else roots
+
+
+def check_against_former(mu, lower=-math.inf):
+    """At 1, 2, 20 and 2000 targets below G at the lower end, every root
+    lies within the solve's tolerance 1e-14 + 4 eps |lam| of the former
+    loop's root."""
+    lo = lower_end(mu, lower)
+    for count in (1, 2, 20, 2000):
+        targets = targets_below(mu, lo, count)
+        got = _inverse_stieltjes(mu, targets, lower)
+        want = former_inverse_stieltjes(mu, targets, lower)
+        assert np.all(np.abs(got - want) <= _NEWTON_XTOL + _NEWTON_RTOL * np.abs(want)), count
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_the_kernel_matches_the_former_loop_on_closed_forms_atoms_and_tables(name):
+    check_against_former(MEASURES[name])
+
+
+@given(mu=atomic_measures, shift=st.sampled_from([0.0, 1e-6, 0.3]))
+def test_the_kernel_matches_the_former_loop_on_random_atomic_measures(mu, shift):
+    check_against_former(mu, mu.right_edge + shift)
+
+
+@pytest.mark.parametrize("name", ["wishart1", "dw-uniform"])
+def test_the_kernel_matches_the_former_loop_on_a_2000_node_grid_sigma(name):
+    build, xs = MODELS[name]
+    model = build()
+    sigma = sigma_measure(model, 2000, model.edge())
+    for lower in (-math.inf, *xs):
+        check_against_former(sigma, lower)
