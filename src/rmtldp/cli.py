@@ -18,7 +18,7 @@ import numpy as np
 from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density, sigma_rule
 from .measures import MeasureError, SpectralMeasure
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
-from .rate import approx_sweep, csv_text, rate, rate_table, rate_variational
+from .rate import _rates_both_ways, approx_sweep, csv_text, rate_table
 from .wigner import DeformedWignerModel
 
 __all__ = ["main", "run", "model_from_json", "model_to_json"]
@@ -183,14 +183,14 @@ def _cmd_rate(args) -> None:
 
 def _cmd_density(args) -> None:
     model = _load_model(args)
-    edge = model.edge()
-    if edge.degenerate:
+    if model.degenerate:
         raise DegenerateModelError("degenerate model has no continuous density")
     xmin, xmax = args.xmin, args.xmax
-    # the window is solved only for a missing bound: its left edge can fail
-    # to solve on models whose density at the given points solves
+    # the edge and the window are solved only for a missing bound: the left
+    # edge can fail to solve on models whose density at the given points
+    # solves
     if xmin is None or xmax is None:
-        window = model.window(edge)
+        window = model.window(model.edge())
         margin = 0.05 * (window.right - window.left)
         xmin = window.left - margin if xmin is None else xmin
         xmax = window.right + margin if xmax is None else xmax
@@ -203,11 +203,10 @@ def _cmd_variational(args) -> None:
     edge = model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: the variational form does not apply")
-    sigma = sigma_rule(model, edge)
     xs = np.array(args.x)
-    # the primal rates of all points come from one batched branch solve
-    primal = rate(model, xs, edge)
-    varia = np.array([rate_variational(model, x, edge, sigma) for x in xs.tolist()])
+    # both columns from one solve of both branches at all points, and one
+    # evaluation of the variational objective on all their theta
+    primal, varia = _rates_both_ways(model, xs, edge, sigma_rule(model, edge))
     _emit(csv_text("x,rate_primal,rate_variational,abs_diff",
                    (xs, primal, varia, np.abs(primal - varia))), args.out)
 

@@ -284,19 +284,31 @@ class CovarianceModel:
         Gaussian law: sigma does not depend on the entry law."""
         return CovarianceModel(self.rho.reflected(), self.alpha)
 
-    def variational(self, x: float, edge: EdgeData, sigma: SpectralMeasure):
+    def variational(self, x, edge: EdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
-        J(sigma, theta/2, x) - F(rho, theta); the optimizer is Gbar_sigma(x).
-        The objective works elementwise on an array of theta."""
+        J(sigma, theta/2, x) - F(rho, theta), elementwise over an array x;
+        the optimizer is Gbar_sigma(x), of all points from one branch solve
+        (:meth:`_variational_from`)."""
+        return self._variational_from(x, _branches(self, x, edge, first=False)[1], edge, sigma)
+
+    def _variational_from(self, x, g_bar, edge: EdgeData, sigma: SpectralMeasure):
+        """:meth:`variational` from the second branch g_bar = Gbar_sigma(x),
+        solved by the caller: optimizers of x's shape, scan ends that
+        broadcast to it, and the objective on an array of theta of shape
+        x.shape + (k,), row i at x_i. On the capped branch, with x_c
+        finite, F is finite at theta_max itself, where the supremum is
+        attained; with x_c infinite the optimizer approaches the open end."""
         from .rate import f_fn, j_fn
-        theta_x = g_bar_sigma(edge, self, x)
+        xs, theta_x = np.asarray(x, dtype=float), np.asarray(g_bar, dtype=float)
         tmax = edge.theta_max
-        if math.isfinite(tmax) and theta_x >= tmax * (1.0 - 1e-12):
-            # capped branch: with x_c finite, F is finite at theta_max itself,
-            # where the supremum is attained; else approach the open end
-            theta_x = tmax if math.isfinite(edge.x_c) else tmax * (1.0 - 1e-8)
-        end = tmax * (1.0 - 1e-6) if math.isfinite(tmax) else 30.0 * theta_x
-        return theta_x, end, lambda theta: j_fn(sigma, 0.5 * theta, x) - f_fn(self, theta)
+        if math.isfinite(tmax):
+            cap = tmax if math.isfinite(edge.x_c) else tmax * (1.0 - 1e-8)
+            theta_x = np.where(theta_x >= tmax * (1.0 - 1e-12), cap, theta_x)
+            end = tmax * (1.0 - 1e-6)
+        else:
+            end = 30.0 * theta_x
+        return theta_x, end, lambda theta: (j_fn(sigma, 0.5 * theta, xs[..., None])
+                                            - f_fn(self, theta))
 
     @property
     def diagonal_law(self) -> SpectralMeasure:

@@ -47,6 +47,9 @@ logger = logging.getLogger(__name__)
 # primal against variational acceptance tolerance: no scanned theta may beat
 # the optimizer's objective by more
 _SCAN_TOL = 2e-3
+# the scan's 50 theta, as fractions of the way from its start to its end on a
+# log scale: theta_start (theta_end / theta_start)^f
+_SCAN_FRACTIONS = np.linspace(0.0, 1.0, 50)
 
 
 def rate(model, x, edge=None):
@@ -78,22 +81,26 @@ def rate_degenerate(x: float) -> float:
     return 0.0 if x == 0.0 else math.inf
 
 
-def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
+def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf):
     """Solve G_mu(lam) = target for lam > r(mu), elementwise over an array of
-    positive targets; a float for a scalar target.
+    positive targets, each with its own lower end when ``lower`` is an array
+    of the targets' shape; a float for a scalar target.
 
     The roots are the left roots of x(lam) = -1/t on the curve x = -1/G_mu,
-    x' = G'/G^2, solved at once by :func:`rmtldp.dyson._monotone_newton` to
-    1e-14 + 4 eps |lam|. Past r, 1/G(z) = z - m - v G_nu(z), with m, v the
-    mean and variance of mu and nu a probability measure on the hull of its
-    support, so x is decreasing and convex. G_mu(lam) <= 1/(lam - r) bounds
-    each root by r + 2/t, and the solve starts at the lower end max(lower,
-    r), where the caller knows G to lie above every target (``lower``
-    defaults to r). Where G diverges at r, the lower end is instead the
-    first point past the snap window of :meth:`SpectralMeasure.stieltjes`,
-    inside which G is +inf. A target that G does not reach by the lower end
-    gets the lower end as its root: there G(lam) = t would put lam within a
-    few ulps of a divergent edge.
+    x' = G'/G^2, all solved by one call of
+    :func:`rmtldp.dyson._monotone_newton` to 1e-14 + 4 eps |lam|. Past r,
+    1/G(z) = z - m - v G_nu(z), with m, v the mean and variance of mu and nu
+    a probability measure on the hull of its support, so x is decreasing
+    and convex. G_mu(lam) <= 1/(lam - r) bounds each root by r + 2/t, and
+    the solve of a target starts at its lower end max(lower, r), where the
+    caller knows G to lie above the target (``lower`` defaults to r). Where
+    G diverges at r, a lower end inside the snap window of
+    :meth:`SpectralMeasure.stieltjes`, where G is +inf, is instead the first
+    point past it. A target that G does not reach by its lower end gets the
+    lower end as its root: there G(lam) = t would put lam within a few ulps
+    of a divergent edge. G and (x, x') at each distinct lower end are taken
+    on floats, as for a scalar lower end, so a target's iteration, and its
+    root, do not depend on the other targets.
 
     Each step evaluates (G, G') at the trial points of all unsolved targets
     in one :meth:`SpectralMeasure.stieltjes_pair` call: 4 to 8 such calls on
@@ -102,15 +109,17 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
     """
     t = np.asarray(target, dtype=float)
     r = mu.right_edge
-    # an int lower end would make the iterates below ints
-    lo = _evaluable_floor(mu, max(float(lower), r))
-    g_lo = mu.stieltjes(lo)
-    if math.isnan(g_lo):
-        raise SolverError(f"inverse Stieltjes transform: G is NaN at the lower end {lo!r}")
-    roots = np.full(t.shape, lo)
-    solve = g_lo > t
+    ends, which = _distinct(lower)
+    lows = [_evaluable_floor(mu, max(v, r)) for v in ends]
+    g_lows = [mu.stieltjes(lo) for lo in lows]
+    for lo, g_lo in zip(lows, g_lows):
+        if math.isnan(g_lo):
+            raise SolverError(f"inverse Stieltjes transform: G is NaN at the lower end {lo!r}")
+    roots = _spread(lows, which, t.shape)
+    solve = _spread(g_lows, which) > t
     if solve.any():
         ts = t[solve]
+        at = None if which is None else which[solve]
 
         def curve(lam):
             g, gp = mu.stieltjes_pair(lam)
@@ -120,70 +129,158 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower: float = -math.inf):
                                   f"{float(lam[np.argmax(nan)])!r}")
             return -1.0 / g, gp / (g * g)
 
-        # a finite edge of infinite slope (a square-root edge) has G' = -inf
-        # there; the first step is then 0 and the tolerance step moves on
-        x_lo, xp_lo = -1.0 / g_lo, mu.stieltjes_prime(lo) / (g_lo * g_lo)
-        lam, xv, xp = (np.full(ts.shape, v) for v in (lo, x_lo, xp_lo))
+        # (x, x') at the lower ends that start a solve; a finite edge of
+        # infinite slope (a square-root edge) has G' = -inf there, the first
+        # step is then 0 and the tolerance step moves on
+        x_lo, xp_lo = [math.nan] * len(lows), [math.nan] * len(lows)
+        for i in [0] if at is None else set(at.tolist()):
+            g_lo = g_lows[i]
+            x_lo[i], xp_lo[i] = -1.0 / g_lo, mu.stieltjes_prime(lows[i]) / (g_lo * g_lo)
         roots[solve] = _monotone_newton(
-            curve, -1.0 / ts, np.ones(ts.shape), r + 2.0 / ts, _NEWTON_XTOL, lam, xv, xp,
+            curve, -1.0 / ts, np.ones(ts.shape), r + 2.0 / ts, _NEWTON_XTOL, roots[solve],
+            _spread(x_lo, at, ts.shape), _spread(xp_lo, at, ts.shape),
             lambda i: f"inverse Stieltjes transform at the G target {float(ts[i])!r}")
     return float(roots) if roots.ndim == 0 else roots
 
 
-def j_shift(mu: SpectralMeasure, theta, lam: float):
+def _distinct(values):
+    """The distinct values of a float or an array as Python floats, and
+    each point's index among them, an array of the shape of ``values``:
+    None where every point holds one value, the usual case, which skips
+    the sort."""
+    if isinstance(values, float):
+        return [values], None
+    values = np.asarray(values, dtype=float)
+    flat = values.reshape(-1)
+    if flat.size and (flat == flat[0]).all():
+        return [flat[0].item()], None
+    ends, which = np.unique(flat, return_inverse=True)
+    return ends.tolist(), which.reshape(values.shape)
+
+
+def _spread(per_value, which, shape=None):
+    """Each point's entry of ``per_value``, a list with one entry per
+    distinct value, by the index ``which`` of :func:`_distinct`. Where
+    every point holds one value, that value as an array of ``shape``, or
+    as itself without a shape."""
+    if which is None:
+        return per_value[0] if shape is None else np.full(shape, per_value[0])
+    return np.array(per_value)[which]
+
+
+def _j_lambda(mu: SpectralMeasure, lam, shape):
+    """lam checked against the right edge r of mu: a lam below
+    r - 1e-12 max(1, |r|) raises ValueError, and a lam the guard admits
+    below r is read as r, where rate snaps too. A float for a scalar lam or
+    a lam of one point (the one point of a variational batch), else an
+    array of ``shape``, the shape of theta."""
+    r = mu.right_edge
+    floor = r - 1e-12 * max(1.0, abs(r))
+    if isinstance(lam, float) or np.size(lam) == 1:
+        lam = float(np.asarray(lam).item())
+        if lam < floor:
+            raise ValueError(f"lambda={lam!r} below the right edge {r!r}")
+        return max(lam, r)
+    lam = np.asarray(lam, dtype=float)
+    if (lam < floor).any():
+        raise ValueError(f"lambda={float(lam.min())!r} below the right edge {r!r}")
+    return np.broadcast_to(np.maximum(lam, r), shape)
+
+
+def _readings(mu: SpectralMeasure, lam):
+    """Triples (reading, selection, lam there) that split the points of lam
+    (a float, or a 1-d array) by how mu reads from each
+    (:meth:`SpectralMeasure.read_from`): a table component reads through
+    its Gauss rule at a point far enough past it. One triple per distinct
+    reading; a lone reading selects all points."""
+    if isinstance(lam, float):
+        return [(mu.read_from(lam), slice(None), lam)]
+    ends, which = _distinct(lam)
+    groups = {}
+    for i, v in enumerate(ends):
+        groups.setdefault(tuple(c.read_from(v) is c for c in mu.components), []).append(i)
+    if len(groups) == 1:
+        return [(mu.read_from(ends[0]), slice(None), lam)]
+    triples = []
+    for ids in groups.values():
+        sel = np.isin(which, ids)
+        triples.append((mu.read_from(ends[ids[0]]), sel, lam[sel]))
+    return triples
+
+
+def _shift(mu: SpectralMeasure, th, lam):
+    """The shift v of :func:`j_shift` at a 1-d array theta > 0, with lam >=
+    r(mu) a float or an array like theta and mu already read from every
+    lam: G_mu at each distinct lam on floats, and every inverse in one
+    solve from its lower end lam."""
+    ends, which = _distinct(lam)
+    k = _spread(ends, which, th.shape)
+    solve = _spread([mu.stieltjes(v) for v in ends], which) > 2.0 * th
+    if solve.any():
+        # G(lam) > 2 theta there: lam is a lower end of the root
+        k[solve] = _inverse_stieltjes(mu, 2.0 * th[solve],
+                                      ends[0] if which is None else k[solve])
+    return k - 0.5 / th
+
+
+def j_shift(mu: SpectralMeasure, theta, lam):
     """Optimal shift v in the J functional: lambda - 1/(2 theta) when
     G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta).
-    Elementwise over an array theta; a float for scalar theta.
+    Elementwise over an array theta, with lambda a scalar or an array that
+    broadcasts to theta's shape; a float for scalar theta.
 
-    Every point the solve visits lies at or beyond lam, so mu is read there
-    as :meth:`SpectralMeasure.read_from` reads it from lam on."""
+    Every point the solve visits lies at or beyond lambda, so mu is read
+    there as :meth:`SpectralMeasure.read_from` reads it from lambda on; the
+    inverses of all points that read mu alike come from one solve. A
+    lambda in the snap window just below r(mu) is read as r."""
     th = np.asarray(theta, dtype=float)
     if (th <= 0.0).any():
         raise ValueError(f"theta must be positive, got {theta!r}")
-    lam = float(lam)
-    r = mu.right_edge
-    if lam < r - 1e-12 * max(1.0, abs(r)):
-        raise ValueError(f"lambda={lam!r} below the right edge {r!r}")
-    # a lambda the guard admits below r is read as r, where rate snaps too
-    lam = max(lam, r)
-    mu = mu.read_from(lam)
-    k = np.full(th.shape, float(lam))
-    solve = mu.stieltjes(lam) > 2.0 * th
-    if solve.any():
-        # G(lam) > 2 theta there: lam is a lower end of every root
-        k[solve] = _inverse_stieltjes(mu, 2.0 * th[solve], lam)
-    v = k - 0.5 / th
-    return float(v) if v.ndim == 0 else v
+    lam = _j_lambda(mu, lam, th.shape)
+    ths = th.reshape(-1)
+    v = np.empty(ths.shape)
+    for reading, sel, at in _readings(mu, lam if isinstance(lam, float) else lam.reshape(-1)):
+        v[sel] = _shift(reading, ths[sel], at)
+    return float(v[0]) if th.ndim == 0 else v.reshape(th.shape)
 
 
-def j_fn(mu: SpectralMeasure, theta, lam: float):
+def j_fn(mu: SpectralMeasure, theta, lam):
     """Spherical-integral limit J(mu, theta, lambda) for theta >= 0,
-    lambda >= r(mu), elementwise over an array theta; a float for scalar
-    theta.
+    lambda >= r(mu), elementwise over an array theta, with lambda a scalar
+    or an array that broadcasts to theta's shape (one lambda per point of a
+    variational batch); a float for scalar theta.
 
     J is theta*v minus half the logarithmic moment of 1 + 2 theta v
     - 2 theta y, with v the shift from :func:`j_shift`. J visits no point
-    below lam, so a table component of mu that lam lies far enough past is
-    read through its Gauss rule (:meth:`SpectralMeasure.read_from`), which
-    gives its G, G' and log moment to rounding; nearer the support J sums
-    over the table's nodes.
+    below lambda, so a table component of mu that lambda lies far enough
+    past is read through its Gauss rule (:meth:`SpectralMeasure.read_from`),
+    which gives its G, G' and log moment to rounding; nearer the support J
+    sums over the table's nodes. The points are grouped by that reading,
+    and each group takes one shift solve and one log moment: a sigma whose
+    tables are too small to carry a rule (the 64-node bands of
+    :func:`rmtldp.dyson.sigma_rule`) is read as itself at every lambda, in
+    one group.
     """
     th = np.asarray(theta, dtype=float)
     if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
-    mu = mu.read_from(lam)
+    lam = _j_lambda(mu, lam, th.shape)
     out = np.zeros(th.shape)
     pos = th > 0.0
     if pos.any():
         t = th[pos]
-        v = j_shift(mu, t, lam)
-        k = v + 0.5 / t
-        # log(1 + 2 theta v - 2 theta y) = log(2 theta) + log(k - y)
-        try:
-            log_part = np.log(2.0 * t) + mu.log_moment(k)
-        except MeasureError as exc:
-            raise MeasureError(f"J: logarithmic moment diverges at k={k!r}: {exc}") from exc
-        out[pos] = t * v - 0.5 * log_part
+        vals = np.empty(t.shape)
+        for reading, sel, at in _readings(mu, lam if isinstance(lam, float) else lam[pos]):
+            ts = t[sel]
+            v = _shift(reading, ts, at)
+            k = v + 0.5 / ts
+            # log(1 + 2 theta v - 2 theta y) = log(2 theta) + log(k - y)
+            try:
+                log_part = np.log(2.0 * ts) + reading.log_moment(k)
+            except MeasureError as exc:
+                raise MeasureError(f"J: logarithmic moment diverges at k={k!r}: {exc}") from exc
+            vals[sel] = ts * v - 0.5 * log_part
+        out[pos] = vals
     return float(out) if out.ndim == 0 else out
 
 
@@ -207,23 +304,10 @@ def f_fn(model: CovarianceModel, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None = None) -> float:
-    """Rate at x through the variational form, for either model kind: the
-    supremum over theta of the model's objective (see its ``variational``),
-    J(sigma, theta/2, x) - F(rho, theta) for covariance models.
-
-    Without ``sigma``, sigma is :func:`rmtldp.dyson.sigma_rule`: a 64-node
-    Gauss-Jacobi rule on each band of sigma, which gives the rate to about
-    1e-14 max(1, I) from 0.05 max(1, |r(sigma)|) past the edge on. It falls
-    back to the 2000-point grid of ``sigma_measure`` where an edge of sigma
-    cannot be classified (a cusp, as where two bands meet) or the rule's
-    mass defect exceeds 1e-12. A ``sigma`` passed in is used as it is.
-
-    The supremum is attained at the model's optimizer; the value is checked
-    against 50 log-spaced theta samples up to the model's scan end, none of
-    which may exceed it by more than the primal-against-variational
-    tolerance. The result carries the beta factor.
-    """
+def _variational_setup(model, edge, sigma):
+    """The edge and sigma of a variational evaluation: the model's edge and
+    :func:`rmtldp.dyson.sigma_rule` where not given. A degenerate model and
+    a grid sigma of mass defect above 1e-3 are refused."""
     edge = edge or model.edge()
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
@@ -233,18 +317,73 @@ def rate_variational(model, x: float, edge=None, sigma: SpectralMeasure | None =
         raise SolverError(
             f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
         )
-    theta_x, end, objective = model.variational(x, edge, sigma)
-    thetas = np.append(theta_x, np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50))
-    # the optimizer and the scan in one call of the objective
+    return edge, sigma
+
+
+def _supremum(model, xs, theta_x, end, objective):
+    """beta times the variational rate at the points of xs from the model's
+    (optimizer, scan end, objective) there: the objective at each point's
+    optimizer and at 50 log-spaced theta up to its scan end, all in one
+    call, floored at 0, the objective's exact value at theta = 0. No scanned
+    theta may beat its point's optimizer by more than the tolerance."""
+    theta_x = np.asarray(theta_x)
+    start = np.maximum(theta_x * 1e-3, 1e-12)[..., None]
+    scan = start * (np.asarray(end)[..., None] / start) ** _SCAN_FRACTIONS
+    thetas = np.concatenate((theta_x[..., None], scan), axis=-1)
     values = objective(thetas)
-    value = float(values[0])
-    above = np.flatnonzero(values[1:] > value + _SCAN_TOL)
-    if above.size:
+    value = values[..., 0]
+    above = values[..., 1:] > value[..., None] + _SCAN_TOL
+    if above.any():
+        i = np.unravel_index(np.argmax(above), above.shape)
         raise SolverError(
-            f"variational scan found theta={float(thetas[1 + above[0]])!r} exceeding "
-            f"the optimizer value by more than {_SCAN_TOL!r}"
+            f"variational scan at x={float(xs[i[:-1]])!r} found "
+            f"theta={float(scan[i])!r} exceeding the optimizer value by more than "
+            f"{_SCAN_TOL!r}"
         )
-    return model.beta * value
+    out = model.beta * np.maximum(value, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
+    """Rate at x through the variational form, for either model kind,
+    elementwise over an array x; a float for a scalar x. It is the supremum
+    over theta of the model's objective (see its ``variational``),
+    J(sigma, theta/2, x) - F(rho, theta) for covariance models.
+
+    Without ``sigma``, sigma is :func:`rmtldp.dyson.sigma_rule`: a 64-node
+    Gauss-Jacobi rule on each band of sigma, which gives the rate to about
+    1e-14 max(1, I) from 0.05 max(1, |r(sigma)|) past the edge on. It falls
+    back to the 2000-point grid of ``sigma_measure`` where an edge of sigma
+    cannot be classified (a cusp, as where two bands meet) or the rule's
+    mass defect exceeds 1e-12. A ``sigma`` passed in is used as it is.
+
+    The supremum is attained at the model's optimizer. The optimizers of all
+    points come from one solve of the second branch, and the objective is
+    evaluated once, on every point's optimizer and 50 log-spaced theta up to
+    its scan end; no scanned theta may exceed its point's optimizer value by
+    more than the primal-against-variational tolerance, or SolverError names
+    the point and the theta. theta = 0 is admissible, with objective exactly
+    0, so the value is the larger of the optimizer's and 0: at r(sigma) the
+    optimizer's value is a rounding-sized negative, and the rate is 0 there.
+    The result carries the beta factor.
+    """
+    edge, sigma = _variational_setup(model, edge, sigma)
+    xs = np.asarray(x, dtype=float)
+    return _supremum(model, xs, *model.variational(xs, edge, sigma))
+
+
+def _rates_both_ways(model, xs, edge, sigma):
+    """(primal, variational) rates at the points of the array xs, both from
+    one solve of both branches: the primal rate as :func:`rate` gives it,
+    and the variational rate as :func:`rate_variational` gives it, bit for
+    bit. A point below r(sigma) or from ``edge.x_end`` on raises
+    ValueError."""
+    edge, sigma = _variational_setup(model, edge, sigma)
+    g, g_bar = model.branches(xs, edge)
+    primal = np.zeros(xs.shape)
+    inner = _edge_side(edge.r_sigma, xs) > 0
+    primal[inner] = model.rate_from_branches(xs[inner], g[inner], g_bar[inner])
+    return primal, _supremum(model, xs, *model._variational_from(xs, g_bar, edge, sigma))
 
 
 def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:

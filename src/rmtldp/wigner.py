@@ -122,15 +122,23 @@ class DeformedWignerModel:
         """The model of the deformation -D, whose sigma is sigma reflected."""
         return DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law)
 
-    def variational(self, x: float, edge: DWEdgeData, sigma: SpectralMeasure):
+    def variational(self, x, edge: DWEdgeData, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
-        J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d));
-        the optimizer is Gbar(x)/2. The objective works elementwise on an
-        array of theta."""
-        theta_x = 0.5 * _branches(self, x, edge, first=False)[1]
+        J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d)),
+        elementwise over an array x; the optimizer is Gbar(x)/2, of all
+        points from one branch solve (:meth:`_variational_from`)."""
+        return self._variational_from(x, _branches(self, x, edge, first=False)[1], edge, sigma)
+
+    def _variational_from(self, x, g_bar, edge: DWEdgeData, sigma: SpectralMeasure):
+        """:meth:`variational` from the second branch g_bar = Gbar(x),
+        solved by the caller: optimizers and scan ends of x's shape, and the
+        objective on an array of theta of shape x.shape + (k,), row i at
+        x_i."""
+        xs, theta_x = np.asarray(x, dtype=float), 0.5 * np.asarray(g_bar, dtype=float)
         r_d = self.mu_d.right_edge
-        return theta_x, max(10.0 * theta_x, 5.0), (
-            lambda theta: j_fn(sigma, theta, x) - theta * theta - j_fn(self.mu_d, theta, r_d))
+        return theta_x, np.maximum(10.0 * theta_x, 5.0), (
+            lambda theta: j_fn(sigma, theta, xs[..., None]) - theta * theta
+            - j_fn(self.mu_d, theta, r_d))
 
     @property
     def diagonal_law(self) -> SpectralMeasure:
