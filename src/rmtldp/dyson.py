@@ -289,7 +289,7 @@ class CovarianceModel:
         J(sigma, theta/2, x) - F(rho, theta), elementwise over an array x;
         the optimizer is Gbar_sigma(x), of all points from one branch solve
         (:meth:`_variational_from`)."""
-        return self._variational_from(x, _branches(self, x, edge, first=False)[1], edge, sigma)
+        return self._variational_from(x, g_bar_sigma(edge, self, x), edge, sigma)
 
     def _variational_from(self, x, g_bar, edge: EdgeData, sigma: SpectralMeasure):
         """:meth:`variational` from the second branch g_bar = Gbar_sigma(x),

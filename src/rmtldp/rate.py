@@ -67,13 +67,21 @@ def rate(model, x, edge=None):
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     xs = np.asarray(x, dtype=float)
-    side = _edge_side(edge.r_sigma, xs)
-    out = np.where((side < 0) | (xs >= edge.x_end), math.inf, 0.0)
-    inner = (side > 0) & (xs < edge.x_end)
+    out, inner = _off_branches(edge, xs)
     if inner.any():
         xi = xs[inner]
         out[inner] = model.rate_from_branches(xi, *model.branches(xi, edge))
     return float(out) if out.ndim == 0 else out
+
+
+def _off_branches(edge, xs):
+    """The rate's rule at the edges of its domain, for the points of the
+    array xs: the rate where the branches do not give it, +inf below
+    r(sigma) and from ``edge.x_end`` on and 0 at r(sigma) and in its snap
+    window (0 elsewhere), and the points where they do."""
+    side = _edge_side(edge.r_sigma, xs)
+    return (np.where((side < 0) | (xs >= edge.x_end), math.inf, 0.0),
+            (side > 0) & (xs < edge.x_end))
 
 
 def rate_degenerate(x: float) -> float:
@@ -81,10 +89,11 @@ def rate_degenerate(x: float) -> float:
     return 0.0 if x == 0.0 else math.inf
 
 
-def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf):
+def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf, at=0):
     """Solve G_mu(lam) = target for lam > r(mu), elementwise over an array of
-    positive targets, each with its own lower end when ``lower`` is an array
-    of the targets' shape; a float for a scalar target.
+    positive targets; a float for a scalar target. ``lower`` is a lower end
+    or a 1-d array of them, and ``at`` holds each target's index in it, an
+    int or an array that broadcasts to the targets' shape.
 
     The roots are the left roots of x(lam) = -1/t on the curve x = -1/G_mu,
     x' = G'/G^2, all solved by one call of
@@ -98,9 +107,9 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf):
     :meth:`SpectralMeasure.stieltjes`, where G is +inf, is instead the first
     point past it. A target that G does not reach by its lower end gets the
     lower end as its root: there G(lam) = t would put lam within a few ulps
-    of a divergent edge. G and (x, x') at each distinct lower end are taken
-    on floats, as for a scalar lower end, so a target's iteration, and its
-    root, do not depend on the other targets.
+    of a divergent edge. G and (x, x') at each lower end are taken on
+    floats, so a target's iteration, and its root, do not depend on the
+    other targets.
 
     Each step evaluates (G, G') at the trial points of all unsolved targets
     in one :meth:`SpectralMeasure.stieltjes_pair` call: 4 to 8 such calls on
@@ -109,17 +118,20 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf):
     """
     t = np.asarray(target, dtype=float)
     r = mu.right_edge
-    ends, which = _distinct(lower)
+    index = np.empty(t.shape, dtype=np.intp)
+    index[...] = at
+    at = index.reshape(-1)
+    # an int lower end would make the iterates below ints
+    ends = np.atleast_1d(np.asarray(lower, dtype=float)).tolist()
     lows = [_evaluable_floor(mu, max(v, r)) for v in ends]
     g_lows = [mu.stieltjes(lo) for lo in lows]
     for lo, g_lo in zip(lows, g_lows):
         if math.isnan(g_lo):
             raise SolverError(f"inverse Stieltjes transform: G is NaN at the lower end {lo!r}")
-    roots = _spread(lows, which, t.shape)
-    solve = _spread(g_lows, which) > t
+    roots = np.array(lows)[at]
+    solve = np.array(g_lows)[at] > t.reshape(-1)
     if solve.any():
-        ts = t[solve]
-        at = None if which is None else which[solve]
+        ts, at = t.reshape(-1)[solve], at[solve]
 
         def curve(lam):
             g, gp = mu.stieltjes_pair(lam)
@@ -133,93 +145,64 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf):
         # infinite slope (a square-root edge) has G' = -inf there, the first
         # step is then 0 and the tolerance step moves on
         x_lo, xp_lo = [math.nan] * len(lows), [math.nan] * len(lows)
-        for i in [0] if at is None else set(at.tolist()):
+        for i in set(at.tolist()):
             g_lo = g_lows[i]
             x_lo[i], xp_lo[i] = -1.0 / g_lo, mu.stieltjes_prime(lows[i]) / (g_lo * g_lo)
         roots[solve] = _monotone_newton(
             curve, -1.0 / ts, np.ones(ts.shape), r + 2.0 / ts, _NEWTON_XTOL, roots[solve],
-            _spread(x_lo, at, ts.shape), _spread(xp_lo, at, ts.shape),
+            np.array(x_lo)[at], np.array(xp_lo)[at],
             lambda i: f"inverse Stieltjes transform at the G target {float(ts[i])!r}")
-    return float(roots) if roots.ndim == 0 else roots
+    return float(roots[0]) if t.ndim == 0 else roots.reshape(t.shape)
 
 
-def _distinct(values):
-    """The distinct values of a float or an array as Python floats, and
-    each point's index among them, an array of the shape of ``values``:
-    None where every point holds one value, the usual case, which skips
-    the sort."""
-    if isinstance(values, float):
-        return [values], None
-    values = np.asarray(values, dtype=float)
-    flat = values.reshape(-1)
-    if flat.size and (flat == flat[0]).all():
-        return [flat[0].item()], None
-    ends, which = np.unique(flat, return_inverse=True)
-    return ends.tolist(), which.reshape(values.shape)
-
-
-def _spread(per_value, which, shape=None):
-    """Each point's entry of ``per_value``, a list with one entry per
-    distinct value, by the index ``which`` of :func:`_distinct`. Where
-    every point holds one value, that value as an array of ``shape``, or
-    as itself without a shape."""
-    if which is None:
-        return per_value[0] if shape is None else np.full(shape, per_value[0])
-    return np.array(per_value)[which]
-
-
-def _j_lambda(mu: SpectralMeasure, lam, shape):
-    """lam checked against the right edge r of mu: a lam below
-    r - 1e-12 max(1, |r|) raises ValueError, and a lam the guard admits
-    below r is read as r, where rate snaps too. A float for a scalar lam or
-    a lam of one point (the one point of a variational batch), else an
-    array of ``shape``, the shape of theta."""
+def _lambdas(mu: SpectralMeasure, lam, shape):
+    """The entries of lam as floats, and each theta's index among them, an
+    array of ``shape``, theta's shape, that lam broadcasts to. A lam below
+    r - 1e-12 max(1, |r|), with r the right edge of mu, raises ValueError,
+    and a lam the guard admits below r is read as r, where rate snaps
+    too."""
     r = mu.right_edge
-    floor = r - 1e-12 * max(1.0, abs(r))
-    if isinstance(lam, float) or np.size(lam) == 1:
-        lam = float(np.asarray(lam).item())
-        if lam < floor:
-            raise ValueError(f"lambda={lam!r} below the right edge {r!r}")
-        return max(lam, r)
     lam = np.asarray(lam, dtype=float)
-    if (lam < floor).any():
+    if (lam < r - 1e-12 * max(1.0, abs(r))).any():
         raise ValueError(f"lambda={float(lam.min())!r} below the right edge {r!r}")
-    return np.broadcast_to(np.maximum(lam, r), shape)
+    lam = np.maximum(lam, r)
+    at = np.empty(shape, dtype=np.intp)
+    at[...] = np.arange(lam.size).reshape(lam.shape)
+    return lam.reshape(-1).tolist(), at
 
 
-def _readings(mu: SpectralMeasure, lam):
-    """Triples (reading, selection, lam there) that split the points of lam
-    (a float, or a 1-d array) by how mu reads from each
+def _readings(mu: SpectralMeasure, lams, at):
+    """Split the points by how mu reads from their lambda
     (:meth:`SpectralMeasure.read_from`): a table component reads through
-    its Gauss rule at a point far enough past it. One triple per distinct
-    reading; a lone reading selects all points."""
-    if isinstance(lam, float):
-        return [(mu.read_from(lam), slice(None), lam)]
-    ends, which = _distinct(lam)
+    its Gauss rule at a point far enough past it. ``lams`` are the lambda
+    and ``at`` each point's index among them, a 1-d array. One
+    (reading, its lambda, selection, each selected point's index among
+    them) per reading that a point takes."""
     groups = {}
-    for i, v in enumerate(ends):
+    for i, v in enumerate(lams):
         groups.setdefault(tuple(c.read_from(v) is c for c in mu.components), []).append(i)
-    if len(groups) == 1:
-        return [(mu.read_from(ends[0]), slice(None), lam)]
-    triples = []
-    for ids in groups.values():
-        sel = np.isin(which, ids)
-        triples.append((mu.read_from(ends[ids[0]]), sel, lam[sel]))
-    return triples
+    group, index = np.empty(len(lams), dtype=np.intp), np.empty(len(lams), dtype=np.intp)
+    for g, ids in enumerate(groups.values()):
+        group[ids], index[ids] = g, np.arange(len(ids))
+    group, index = group[at], index[at]
+    out = []
+    for g, ids in enumerate(groups.values()):
+        sel = group == g
+        if sel.any():
+            out.append((mu.read_from(lams[ids[0]]), [lams[i] for i in ids], sel, index[sel]))
+    return out
 
 
-def _shift(mu: SpectralMeasure, th, lam):
-    """The shift v of :func:`j_shift` at a 1-d array theta > 0, with lam >=
-    r(mu) a float or an array like theta and mu already read from every
-    lam: G_mu at each distinct lam on floats, and every inverse in one
-    solve from its lower end lam."""
-    ends, which = _distinct(lam)
-    k = _spread(ends, which, th.shape)
-    solve = _spread([mu.stieltjes(v) for v in ends], which) > 2.0 * th
+def _shift(mu: SpectralMeasure, th, lams, at):
+    """The shift v of :func:`j_shift` at a 1-d array theta > 0, with
+    ``lams`` the lambda >= r(mu), ``at`` each theta's index among them and
+    mu already read from every lambda: G_mu at each lambda on floats, and
+    every inverse in one solve from its lower end lambda."""
+    k = np.array(lams)[at]
+    solve = np.array([mu.stieltjes(v) for v in lams])[at] > 2.0 * th
     if solve.any():
         # G(lam) > 2 theta there: lam is a lower end of the root
-        k[solve] = _inverse_stieltjes(mu, 2.0 * th[solve],
-                                      ends[0] if which is None else k[solve])
+        k[solve] = _inverse_stieltjes(mu, 2.0 * th[solve], lams, at[solve])
     return k - 0.5 / th
 
 
@@ -236,11 +219,11 @@ def j_shift(mu: SpectralMeasure, theta, lam):
     th = np.asarray(theta, dtype=float)
     if (th <= 0.0).any():
         raise ValueError(f"theta must be positive, got {theta!r}")
-    lam = _j_lambda(mu, lam, th.shape)
+    lams, at = _lambdas(mu, lam, th.shape)
     ths = th.reshape(-1)
     v = np.empty(ths.shape)
-    for reading, sel, at in _readings(mu, lam if isinstance(lam, float) else lam.reshape(-1)):
-        v[sel] = _shift(reading, ths[sel], at)
+    for reading, ends, sel, index in _readings(mu, lams, at.reshape(-1)):
+        v[sel] = _shift(reading, ths[sel], ends, index)
     return float(v[0]) if th.ndim == 0 else v.reshape(th.shape)
 
 
@@ -259,20 +242,22 @@ def j_fn(mu: SpectralMeasure, theta, lam):
     and each group takes one shift solve and one log moment: a sigma whose
     tables are too small to carry a rule (the 64-node bands of
     :func:`rmtldp.dyson.sigma_rule`) is read as itself at every lambda, in
-    one group.
+    one group. Each entry of lambda is read once, on floats, so an array
+    lambda should have one entry per point (shape (n, 1) for theta of
+    shape (n, k)), not be broadcast out to theta's shape.
     """
     th = np.asarray(theta, dtype=float)
     if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
-    lam = _j_lambda(mu, lam, th.shape)
+    lams, at = _lambdas(mu, lam, th.shape)
     out = np.zeros(th.shape)
     pos = th > 0.0
     if pos.any():
         t = th[pos]
         vals = np.empty(t.shape)
-        for reading, sel, at in _readings(mu, lam if isinstance(lam, float) else lam[pos]):
+        for reading, ends, sel, index in _readings(mu, lams, at[pos]):
             ts = t[sel]
-            v = _shift(reading, ts, at)
+            v = _shift(reading, ts, ends, index)
             k = v + 0.5 / ts
             # log(1 + 2 theta v - 2 theta y) = log(2 theta) + log(k - y)
             try:
@@ -304,46 +289,6 @@ def f_fn(model: CovarianceModel, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def _variational_setup(model, edge, sigma):
-    """The edge and sigma of a variational evaluation: the model's edge and
-    :func:`rmtldp.dyson.sigma_rule` where not given. A degenerate model and
-    a grid sigma of mass defect above 1e-3 are refused."""
-    edge = edge or model.edge()
-    if edge.degenerate:
-        raise DegenerateModelError("degenerate model: use rate_degenerate")
-    if sigma is None:
-        sigma = sigma_rule(model, edge)
-    if sigma.raw_mass_defect is not None and sigma.raw_mass_defect > 1e-3:
-        raise SolverError(
-            f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
-        )
-    return edge, sigma
-
-
-def _supremum(model, xs, theta_x, end, objective):
-    """beta times the variational rate at the points of xs from the model's
-    (optimizer, scan end, objective) there: the objective at each point's
-    optimizer and at 50 log-spaced theta up to its scan end, all in one
-    call, floored at 0, the objective's exact value at theta = 0. No scanned
-    theta may beat its point's optimizer by more than the tolerance."""
-    theta_x = np.asarray(theta_x)
-    start = np.maximum(theta_x * 1e-3, 1e-12)[..., None]
-    scan = start * (np.asarray(end)[..., None] / start) ** _SCAN_FRACTIONS
-    thetas = np.concatenate((theta_x[..., None], scan), axis=-1)
-    values = objective(thetas)
-    value = values[..., 0]
-    above = values[..., 1:] > value[..., None] + _SCAN_TOL
-    if above.any():
-        i = np.unravel_index(np.argmax(above), above.shape)
-        raise SolverError(
-            f"variational scan at x={float(xs[i[:-1]])!r} found "
-            f"theta={float(scan[i])!r} exceeding the optimizer value by more than "
-            f"{_SCAN_TOL!r}"
-        )
-    out = model.beta * np.maximum(value, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
     """Rate at x through the variational form, for either model kind,
     elementwise over an array x; a float for a scalar x. It is the supremum
@@ -369,19 +314,55 @@ def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
     """
     edge, sigma = _variational_setup(model, edge, sigma)
     xs = np.asarray(x, dtype=float)
-    return _supremum(model, xs, *model.variational(xs, edge, sigma))
+    out = _supremum(model, xs, *model.variational(xs, edge, sigma))
+    return float(out) if out.ndim == 0 else out
+
+
+def _variational_setup(model, edge, sigma):
+    """The edge and sigma of a variational evaluation: the model's edge and
+    :func:`rmtldp.dyson.sigma_rule` where not given. A degenerate model and
+    a grid sigma of mass defect above 1e-3 are refused."""
+    edge = edge or model.edge()
+    if edge.degenerate:
+        raise DegenerateModelError("degenerate model: use rate_degenerate")
+    if sigma is None:
+        sigma = sigma_rule(model, edge)
+    if sigma.raw_mass_defect is not None and sigma.raw_mass_defect > 1e-3:
+        raise SolverError(
+            f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
+        )
+    return edge, sigma
+
+
+def _supremum(model, xs, theta_x, end, objective):
+    """beta times the variational rate at the points of the array xs from
+    the model's (optimizer, scan end, objective) there; see
+    :func:`rate_variational`."""
+    start = np.maximum(theta_x * 1e-3, 1e-12)[..., None]
+    scan = start * (np.asarray(end)[..., None] / start) ** _SCAN_FRACTIONS
+    # each point's optimizer and its scan in one call of the objective
+    values = objective(np.concatenate((theta_x[..., None], scan), axis=-1))
+    value = values[..., 0]
+    above = values[..., 1:] > value[..., None] + _SCAN_TOL
+    if above.any():
+        i = np.unravel_index(np.argmax(above), above.shape)
+        raise SolverError(
+            f"variational scan at x={float(xs[i[:-1]])!r} found "
+            f"theta={float(scan[i])!r} exceeding the optimizer value by more than "
+            f"{_SCAN_TOL!r}"
+        )
+    return model.beta * np.maximum(value, 0.0)
 
 
 def _rates_both_ways(model, xs, edge, sigma):
-    """(primal, variational) rates at the points of the array xs, both from
-    one solve of both branches: the primal rate as :func:`rate` gives it,
-    and the variational rate as :func:`rate_variational` gives it, bit for
-    bit. A point below r(sigma) or from ``edge.x_end`` on raises
-    ValueError."""
+    """(primal, variational) rates at the points of the array xs, as
+    :func:`rate` and :func:`rate_variational` give them, bit for bit, from
+    one solve of both branches: the variational command's two columns. A
+    point below r(sigma) or from ``edge.x_end`` on raises ValueError, as
+    rate_variational does there."""
     edge, sigma = _variational_setup(model, edge, sigma)
     g, g_bar = model.branches(xs, edge)
-    primal = np.zeros(xs.shape)
-    inner = _edge_side(edge.r_sigma, xs) > 0
+    primal, inner = _off_branches(edge, xs)
     primal[inner] = model.rate_from_branches(xs[inner], g[inner], g_bar[inner])
     return primal, _supremum(model, xs, *model._variational_from(xs, g_bar, edge, sigma))
 
