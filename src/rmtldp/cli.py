@@ -186,16 +186,21 @@ def _cmd_density(args) -> None:
     if model.degenerate:
         raise DegenerateModelError("degenerate model has no continuous density")
     xmin, xmax = args.xmin, args.xmax
-    # the edge and the window are solved only for a missing bound: the left
-    # edge can fail to solve on models whose density at the given points
-    # solves
-    if xmin is None or xmax is None:
+    # the window seeds the solve at every point; the left edge can fail to
+    # solve on models whose density at given bounds solves, and these
+    # points then descend
+    try:
         window = model.window(model.edge())
+    except SolverError:
+        if xmin is None or xmax is None:
+            raise
+        window = None
+    if xmin is None or xmax is None:
         margin = 0.05 * (window.right - window.left)
         xmin = window.left - margin if xmin is None else xmin
         xmax = window.right + margin if xmax is None else xmax
     xs = np.linspace(xmin, xmax, args.points)
-    _emit(csv_text("x,density", (xs, sigma_density(model, xs, args.eta))), args.out)
+    _emit(csv_text("x,density", (xs, sigma_density(model, xs, args.eta, window))), args.out)
 
 
 def _cmd_variational(args) -> None:

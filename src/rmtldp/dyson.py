@@ -845,40 +845,67 @@ def _monotone_newton(curve, t, d, bound, xtol: float, lam, xv, xp, name) -> np.n
 
 @dataclass(frozen=True)
 class SupportWindow:
+    """The window [left, right] of the support of sigma's continuous part,
+    the mass of sigma's atom at 0, and the points lam_left < lam_right of
+    the level curve at the window's ends: lam_right is the level's lam_c,
+    where x(lam) = right, and lam_left is minus the reflected model's lam_c
+    (0 where that model is degenerate). Both come from the edge solves that
+    give the window."""
+
     left: float
     right: float
     zero_atom: float
+    lam_left: float
+    lam_right: float
+
+    def seed(self, z):
+        """A start for the root lam of x(lam) = z at every z of an array
+        above the real axis: the inverse Joukowski map of the window,
+
+            lam_0 = (lam_l + lam_r)/2 + (lam_r - lam_l)/2 (u + sqrt(u - 1) sqrt(u + 1)),
+
+        u = (z - (l + r)/2) / ((r - l)/2), which takes the upper half-plane
+        onto the outside of the disc on [lam_l, lam_r], and z over the
+        window onto its upper half-circle. For a point mass rho or mu_D the
+        roots over the band lie on that circle (Marchenko-Pastur; the
+        semicircle's omega), and lam_0 is the root itself or near it."""
+        mid, half = 0.5 * (self.left + self.right), 0.5 * (self.right - self.left)
+        u = (z - mid) / half
+        w = u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0)
+        return 0.5 * (self.lam_left + self.lam_right) + 0.5 * (self.lam_right - self.lam_left) * w
 
 
 def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> SupportWindow:
     """Support window [l(sigma'), r(sigma)] of the continuous part of sigma,
-    plus the exact zero-atom mass max(0, 1 - alpha(1 - rho({0}))).
+    plus the exact zero-atom mass max(0, 1 - alpha(1 - rho({0}))), and the
+    points lam = alpha/theta_c of the level curves at the window's ends.
 
     Replacing Gamma by -Gamma turns H into -H, so sigma of the reflected rho
     is sigma reflected, and the left edge is minus r(sigma) of the reflected
-    model (the rule of the deformed-Wigner window). When it is degenerate,
-    or within rounding of it, the continuous part is bounded below by 0
-    (hard edge or zero atom).
+    model (the rule of the deformed-Wigner window), at minus that model's
+    lam_c. When it is degenerate, or within rounding of it, the continuous
+    part is bounded below by 0 (hard edge or zero atom), at lam = 0.
     """
     edge = edge or edge_solve(model)
     _require_nondegenerate(edge)
-    rho = model.rho
-    nonzero = model.alpha * (1.0 - rho.atom_mass(0.0))
+    rho, a = model.rho, model.alpha
+    nonzero = a * (1.0 - rho.atom_mass(0.0))
     zero_atom = max(0.0, 1.0 - nonzero)
     if rho.left_edge >= 0.0 and nonzero <= 1.0 + 1e-13:
-        left = 0.0
+        left = lam_left = 0.0
     else:
         try:
-            left = -edge_solve(model.reflected()).r_sigma
+            reflected = edge_solve(model.reflected())
         except SolverError as exc:
             # the reflected model's message speaks of its own right edge
             raise SolverError(
                 f"left edge of sigma, at l(rho) = {rho.left_edge!r}: solving the reflected "
                 f"model, whose right edge is -l(rho), failed: {exc}"
             ) from exc
+        left, lam_left = -reflected.r_sigma, -a / reflected.theta_c
     if zero_atom > 0.0:
         left = min(left, 0.0)
-    return SupportWindow(left, edge.r_sigma, zero_atom)
+    return SupportWindow(left, edge.r_sigma, zero_atom, lam_left, a / edge.theta_c)
 
 
 # the ladders of heights of a descent in units of max(1, largest |z|): by
@@ -892,69 +919,119 @@ _LEVEL_STEPS = 120
 _LOOSE_TOL = 1e-3
 _TIGHT_TOL = 1e-12
 
-# continuation along a grid of at least _GRID_MIN points at one height: every
-# _GRID_STRIDE-th point by Re z, and the last, is solved by the descent, and
-# every other point by at most _GRID_STEPS Newton steps on z from a seed
-# interpolated between the two solved points around it. _GRID_MIN is where the
-# two break even in sum over the 12 non-degenerate benchmark models, on the
-# one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and of the
-# density command (linspace, 5% margins, eta 1e-4): continuation took 1.18-1.53
-# times the descent's time on 4-48 measure points and 1.25-5.1 on 4-48 density
-# points (an interval of 16 leaves poor seeds), 1.24-1.38 at 64, 1.02-1.21 at 80
-# and 96, 0.86-0.94 at 112, 0.91-1.11 at 128 and 0.61-0.66 at 400 (2-core host,
-# median of 9, three runs). The table measure gains from 64 points on;
-# dw-two-atom loses 2.7-5 times at 64, 96 and 128 points, where seeds around
-# its gap take a descent
+# continuation along a grid of at least _GRID_MIN points at one height (at
+# least _SEEDED_GRID_MIN points where the window seeds it): every
+# _GRID_STRIDE-th point by Re z, and the last, is solved alone, by the descent
+# or from the window's seed, and every other point by at most _GRID_STEPS
+# Newton steps on z from a seed interpolated between the two solved points
+# around it. A point solved from the window's seed takes at most _GRID_STEPS
+# Newton steps on z too.
+#
+# _GRID_MIN is where continuation from descended points breaks even with the
+# descent of every point, in sum over the 12 non-degenerate benchmark models,
+# on the one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and
+# of the density command (linspace, 5% margins, eta 1e-4): continuation took
+# 1.18-1.53 times the descent's time on 4-48 measure points and 1.25-5.1 on
+# 4-48 density points (an interval of 16 leaves poor seeds), 1.24-1.38 at 64,
+# 1.02-1.21 at 80 and 96, 0.86-0.94 at 112, 0.91-1.11 at 128 and 0.61-0.66 at
+# 400 (2-core host, median of 9, three runs). The table measure gains from 64
+# points on; dw-two-atom loses 2.7-5 times at 64, 96 and 128 points, where
+# seeds around its gap take a descent.
+#
+# _SEEDED_GRID_MIN is where continuation from seeded points breaks even with
+# seeding every point, measured the same way and also at the height of the
+# rule's nodes (boundary grid, eta 1e-14 half-span): seeding every point took
+# 0.53-0.62 times continuation's time at 112 and 200 points, 0.74-0.83 at 400,
+# 0.81-1.0 at 560-880 and 0.88-1.15 at 1040-1200, and continuation gains from
+# 1040 measure and rule points and 1200 density points on (1.07-1.34 times at
+# 1600 and 2000; 2-core host, median of 9). The sum is table-rho's: seeding
+# every point takes 5.9 pair evaluations per point there, each summing 400
+# nodes, and it took 1.4-1.7 times continuation's time from 400 points on,
+# while the other 11 models together gain by seeding every point at every size
 _GRID_MIN = 112
+_SEEDED_GRID_MIN = 1000
 _GRID_STRIDE = 16
 _GRID_STEPS = 8
 
 
-def _solve_on_grid(h_pair, zs, seed):
+def _solve_on_grid(h_pair, zs, seed, start=None):
     """Solve h(w) = z at every point of the 1-D array ``zs`` (Im z > 0) at
-    once; ``h_pair(w)`` returns (h(w), h'(w)) on an array w, and
-    ``seed(z)`` approximates the root far above the real axis.
+    once; ``h_pair(w)`` returns (h(w), h'(w)) on an array w, ``seed(z)``
+    approximates the root far above the real axis, and ``start(z)``, where
+    given, approximates it at z itself.
 
-    A grid of at least ``_GRID_MIN`` points that all have the same
-    imaginary part (the grids of :func:`sigma_density` and
-    :func:`sigma_measure`) is solved along its real parts: every
-    ``_GRID_STRIDE``-th point in the order of Re z, and the last, by
-    :func:`_descend`. Every other point is seeded by the cubic Hermite
+    Without ``start`` a point is solved alone by :func:`_descend`; with it
+    by :func:`_seeded`, which falls back to the descent where the start
+    fails. A grid of at least ``_GRID_MIN`` points, or ``_SEEDED_GRID_MIN``
+    with a start, that all have the same imaginary part (the grids of
+    :func:`sigma_density` and :func:`sigma_measure`) is solved along its
+    real parts: every ``_GRID_STRIDE``-th point in the order of Re z, and
+    the last, alone. Every other point is seeded by the cubic Hermite
     interpolant of the roots of the two solved points around it, with the
     slopes dw/dz = 1/h'(w) there, and takes at most ``_GRID_STEPS`` damped
     Newton steps on z itself in the descent's kernel :func:`_newton`, on
     one level at height 0: the same half-plane rule, the stopping test
     ``|h(w) - z| <= 1e-12 max(1, |z|)`` and the polish step. A point whose
     seed leaves the half-plane of its neighbours' roots, or that has not
-    converged within those steps, is solved by :func:`_descend` instead. A
-    root differs from the descent's by the rounding the stopping test and
-    the polish step leave, not by the seed. A shorter grid, or one at
-    several heights, is solved by :func:`_descend` alone: below
-    ``_GRID_MIN`` points the continuation's own descent and Newton rounds
-    cost more than they save (measured in the comment above).
+    converged within those steps, is solved alone instead. A root differs
+    from the descent's by the rounding the stopping test and the polish
+    step leave, not by the seed. A shorter grid, or one at several heights,
+    is solved point by point: below those sizes continuation costs more
+    than it saves (measured in the comment above).
 
-    On sigma_measure's 2000-point grids that is 3.9 ``h_pair`` evaluations
-    per point for a covariance model and 3.8 for a deformed-Wigner one (the
-    slopes cost one per solved point), against 14.5 and 12.5 by the descent.
+    On sigma_measure's 2000-point grids, continued from descended points,
+    that is 3.9 ``h_pair`` evaluations per point for a covariance model and
+    3.8 for a deformed-Wigner one (the slopes cost one per solved point),
+    against 14.5 and 12.5 by the descent.
     """
     zs = np.asarray(zs, dtype=complex)
-    if zs.size >= _GRID_MIN and np.all(zs.imag == zs.imag[0]):
-        return _continue(h_pair, zs, seed)
-    return _descend(h_pair, zs, seed)
+    if start is None:
+        solve, least = _descend, _GRID_MIN
+    else:
+        solve, least = functools.partial(_seeded, start=start), _SEEDED_GRID_MIN
+    if zs.size >= least and np.all(zs.imag == zs.imag[0]):
+        return _continue(h_pair, zs, seed, solve)
+    return solve(h_pair, zs, seed)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _seeded(h_pair, zs, seed, start):
+    """Solve h(w) = z at every point of ``zs`` from ``start(z)``: one level
+    at height 0 in :func:`_newton`, the points at their own heights, with
+    at most ``_GRID_STEPS`` steps, the tight test, the half-plane rule and
+    the polish step. The half-plane is the descent's, that of ``seed(z + i
+    scale)``, which holds exactly one root, so a converged point has the
+    descent's root up to rounding. A point whose start lies outside it, or
+    that does not converge, is solved by :func:`_descend`, with the other
+    such points alone."""
+    zs = np.asarray(zs, dtype=complex)
+    if not zs.size:
+        return zs.copy()
+    w = np.asarray(start(zs), dtype=complex)
+    far = seed(zs + 1j * max(1.0, float(np.max(np.abs(zs)))))
+    side = np.sign(np.asarray(far, dtype=complex).imag)
+    inside = np.sign(w.imag) == side
+    roots = np.full(zs.size, np.nan, dtype=complex)
+    roots[inside] = _newton(h_pair, zs[inside], np.zeros(1), np.full(1, _TIGHT_TOL), w[inside],
+                            *h_pair(w[inside]), side[inside], _GRID_STEPS, strict=False)
+    failed = np.isnan(roots)
+    if failed.any():
+        roots[failed] = _descend(h_pair, zs[failed], seed)
+    return roots
 
 
 # here and in the descent a NaN or infinite value of h or h' only yields a
 # trial that is rejected, or a step to one
 @np.errstate(divide="ignore", invalid="ignore")
-def _continue(h_pair, zs, seed):
+def _continue(h_pair, zs, seed, solve):
     """The continuation of :func:`_solve_on_grid` along the real parts of
-    ``zs``."""
+    ``zs``; ``solve(h_pair, zs, seed)`` solves points alone."""
     order = np.argsort(zs.real, kind="stable")
     x = zs.real[order]
     n = zs.size
     solved = np.append(np.arange(0, n - 1, _GRID_STRIDE), n - 1)
     w = np.empty(n, dtype=complex)
-    w[solved] = _descend(h_pair, zs[order[solved]], seed)
+    w[solved] = solve(h_pair, zs[order[solved]], seed)
     slope = 1.0 / np.asarray(h_pair(w[solved])[1], dtype=complex)
     between = np.ones(n, dtype=bool)
     between[solved] = False
@@ -978,7 +1055,7 @@ def _continue(h_pair, zs, seed):
                             *h_pair(seeds[inside]), side[inside], _GRID_STEPS, strict=False)
     failed = np.isnan(roots)
     if failed.any():
-        roots[failed] = _descend(h_pair, z[failed], seed)
+        roots[failed] = solve(h_pair, z[failed], seed)
     w[rest] = roots
     out = np.empty(n, dtype=complex)
     out[order] = w
@@ -987,7 +1064,8 @@ def _continue(h_pair, zs, seed):
 
 def _descend(h_pair, zs, seed):
     """Solve h(w) = z at every point of ``zs`` by descending from high above
-    the real axis.
+    the real axis: the solve of a grid without the support window's seed,
+    and of the points whose seeded level fails (:func:`_seeded`).
 
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
@@ -1152,33 +1230,39 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
     return roots
 
 
-def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
+def limit_stieltjes(model, zs: np.ndarray, window=None) -> np.ndarray:
     """G_sigma(z) at every z of the upper half-plane, for either model kind:
-    the root lam of x(lam) = z on the model's curve, seeded far above the
-    axis by the curve's seed and solved by :func:`_solve_on_grid` on the
-    curve's formula (damped Newton in :func:`_newton`, one ``stieltjes_pair``
-    per trial), mapped to G_sigma by the curve's y. A degenerate covariance
-    model is refused."""
+    the root lam of x(lam) = z on the model's curve, solved by
+    :func:`_solve_on_grid` on the curve's formula (damped Newton in
+    :func:`_newton`, one ``stieltjes_pair`` per trial) and mapped to G_sigma
+    by the curve's y. With the model's solved support ``window`` each point
+    starts at its own height from the window's seed
+    (:meth:`SupportWindow.seed`), and only the points that fail to converge
+    from it descend; without it every point descends from the curve's seed
+    far above the axis. A degenerate covariance model is refused."""
     if model.degenerate:
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
     curve = model.curve()
     mu = curve.measure
-    lam = _solve_on_grid(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
+    start = None if window is None else window.seed
+    lam = _solve_on_grid(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed, start)
     return curve.y(lam, zs)
 
 
-def sigma_density(model, x, eta: float):
+def sigma_density(model, x, eta: float, window=None):
     """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0,
     for either model kind (sigma is then the model's limiting measure).
 
     The model's equation for G_sigma(z) is solved at every z = x + i eta at
-    once, each point by damped Newton descending from high above the real
-    axis.
+    once by :func:`limit_stieltjes`: with the model's solved support
+    ``window`` each point takes damped Newton steps at its own height from
+    the window's seed, and descends from high above the real axis only
+    where that fails; without it every point descends.
     """
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    g = limit_stieltjes(model, xs + 1j * eta)
+    g = limit_stieltjes(model, xs + 1j * eta, window)
     out = np.maximum(-g.imag / math.pi, 0.0)
     return out[0] if np.asarray(x).ndim == 0 else out
 
@@ -1335,7 +1419,7 @@ def _grid_sigma(model, window: SupportWindow, grid_points: int) -> SpectralMeasu
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
     xs = boundary_density_grid(lo, hi, grid_points)
     eta_floor = 1e-9 * max(1.0, span)
-    g = limit_stieltjes(model, xs + 1j * eta_floor)
+    g = limit_stieltjes(model, xs + 1j * eta_floor, window)
     if window.zero_atom > 0.0:
         # the zero atom is attached exactly below; strip its Cauchy bump from
         # the recovered transform so only the continuous part is gridded
@@ -1568,7 +1652,7 @@ def sigma_rule(model, edge=None) -> SpectralMeasure:
     u = np.concatenate([nodes for nodes, _ in rules])
     ts = np.repeat([0.5 * (a + b) for a, b, _, _ in bands], _BAND_NODES) + half * u
     zs = ts + 1j * (_RULE_ETA * half)
-    g = limit_stieltjes(model, zs)
+    g = limit_stieltjes(model, zs, window)
     if window.zero_atom > 0.0:
         g = g - window.zero_atom / zs
     omega = np.concatenate([(1.0 - nodes) ** p * (1.0 + nodes) ** q

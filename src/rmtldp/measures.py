@@ -429,6 +429,9 @@ class SpectralMeasure:
         # another from 0.0 over these pairs, on floats and arrays alike; 8 or
         # more (None) by the table kernel, by rows on arrays
         self._atom_pairs = tuple(zip(wts.tolist(), locs.tolist())) if locs.size < 8 else None
+        # the measures read_from has built, by which components read
+        # through their rule
+        self._readings = {}
         self.atom_locations.setflags(write=False)
         self.atom_weights.setflags(write=False)
 
@@ -675,12 +678,18 @@ class SpectralMeasure:
         """The measure as read at real points from ``lam`` on, where each
         table component reads through its Gauss rule if ``lam`` lies far
         enough past it (:meth:`DensityComponent.read_from`); the measure
-        itself where no component changes. Atoms and closed forms are kept."""
+        itself where no component changes. Atoms and closed forms are kept.
+        The measure of each reading is built once and kept, so every lam
+        that reads the components alike gets the same object."""
         comps = tuple(c.read_from(lam) for c in self.components)
-        if all(r is c for r, c in zip(comps, self.components)):
+        key = tuple(r is not c for r, c in zip(comps, self.components))
+        if not any(key):
             return self
-        return SpectralMeasure(self.atom_locations, self.atom_weights, comps,
-                               raw_mass_defect=self.raw_mass_defect)
+        read = self._readings.get(key)
+        if read is None:
+            read = self._readings[key] = SpectralMeasure(
+                self.atom_locations, self.atom_weights, comps, raw_mass_defect=self.raw_mass_defect)
+        return read
 
     def stieltjes_prime(self, z):
         """d/dz of the Stieltjes transform; real scalars as in :meth:`stieltjes`."""

@@ -309,12 +309,21 @@ def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
     more than the primal-against-variational tolerance, or SolverError names
     the point and the theta. theta = 0 is admissible, with objective exactly
     0, so the value is the larger of the optimizer's and 0: at r(sigma) the
-    optimizer's value is a rounding-sized negative, and the rate is 0 there.
+    optimizer's value is a rounding-sized negative. At r(sigma) and in its
+    snap window the rate is 0 by :func:`rate`'s rule (:func:`_off_branches`)
+    for any sigma: a grid sigma's own error would leave up to 2.8e-7 there.
+    A point below the window or from ``edge.x_end`` on raises ValueError.
     The result carries the beta factor.
     """
     edge, sigma = _variational_setup(model, edge, sigma)
     xs = np.asarray(x, dtype=float)
-    out = _supremum(model, xs, *model.variational(xs, edge, sigma))
+    out, inner = _off_branches(edge, xs)
+    # every point but those at r(sigma) goes to the branch solve, which
+    # refuses the points outside the domain
+    solve = inner | (out != 0.0)
+    if solve.any():
+        xi = xs[solve]
+        out[solve] = _supremum(model, xi, *model.variational(xi, edge, sigma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -363,8 +372,12 @@ def _rates_both_ways(model, xs, edge, sigma):
     edge, sigma = _variational_setup(model, edge, sigma)
     g, g_bar = model.branches(xs, edge)
     primal, inner = _off_branches(edge, xs)
-    primal[inner] = model.rate_from_branches(xs[inner], g[inner], g_bar[inner])
-    return primal, _supremum(model, xs, *model._variational_from(xs, g_bar, edge, sigma))
+    variational = primal.copy()
+    if inner.any():
+        xi, g_bar = xs[inner], g_bar[inner]
+        primal[inner] = model.rate_from_branches(xi, g[inner], g_bar)
+        variational[inner] = _supremum(model, xi, *model._variational_from(xi, g_bar, edge, sigma))
+    return primal, variational
 
 
 def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:

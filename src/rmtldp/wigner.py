@@ -115,8 +115,11 @@ class DeformedWignerModel:
 
     def window(self, edge: DWEdgeData) -> SupportWindow:
         """Support of the free convolution: its right edge, and the left edge
-        as minus the right edge for the reflected deformation."""
-        return SupportWindow(-dw_edge(self.reflected()).r_edge, edge.r_edge, 0.0)
+        as minus the right edge for the reflected deformation, at the
+        level's lam_c = r_edge - y_c and at minus the reflected one's."""
+        reflected = dw_edge(self.reflected())
+        return SupportWindow(-reflected.r_edge, edge.r_edge, 0.0,
+                             reflected.y_c - reflected.r_edge, edge.r_edge - edge.y_c)
 
     def reflected(self) -> DeformedWignerModel:
         """The model of the deformation -D, whose sigma is sigma reflected."""

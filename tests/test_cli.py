@@ -105,7 +105,8 @@ class TestDensityCommand:
     def test_both_bounds_given_solve_no_support_window(self, tmp_path, capsys):
         # the left edge of sigma of this model is not solvable (a tiny
         # negative atom puts the reflected model's edge inside the snap
-        # window); with both bounds given the window is not needed
+        # window); with both bounds given the window is not needed, and
+        # without the window's seed every point descends
         path = tmp_path / "tiny-left-atom.json"
         rho = {"atoms": [[-1.5067585918145452e-22, 0.5], [1.0, 0.5]], "density": None}
         path.write_text(json.dumps({"kind": "covariance", "alpha": 1.0, "rho": rho}))

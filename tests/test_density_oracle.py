@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.linalg import eigvals
@@ -33,10 +33,12 @@ from rmtldp.dyson import (
     _GRID_STRIDE,
     _LEVEL_STEPS,
     _LOOSE_TOL,
+    _SEEDED_GRID_MIN,
     _TIGHT_TOL,
     CovarianceModel,
     DegenerateModelError,
     SolverError,
+    SupportWindow,
     boundary_density_grid,
     detect_degenerate,
     limit_stieltjes,
@@ -183,8 +185,10 @@ def test_an_empty_grid_gives_empty_arrays(model):
 def _raises_on_nan_half(monkeypatch, half):
     """sigma_density of a two-atom model with one half of the solver's
     (G, G') evaluation replaced by NaN raises SolverError naming the point,
-    the height it stalled at and the residual."""
+    the height it stalled at and the residual, with the window's seed as
+    without it: every seeded point fails and descends."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
+    window = model.window(model.edge())
     real_pair = SpectralMeasure.stieltjes_pair
 
     def nan_half(self, z):
@@ -193,8 +197,9 @@ def _raises_on_nan_half(monkeypatch, half):
         return tuple(pair)
 
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
-    with pytest.raises(SolverError, match=r"z=.*height.*residual"):
-        sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4)
+    for seed in (None, window):
+        with pytest.raises(SolverError, match=r"z=.*height.*residual"):
+            sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4, seed)
 
 
 def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
@@ -207,18 +212,22 @@ def test_nan_transform_raises_instead_of_returning(monkeypatch):
     _raises_on_nan_half(monkeypatch, 0)
 
 
-@pytest.mark.parametrize("model, budget", [
-    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 4.5),
-    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 4.25),
-], ids=["wishart1", "dw-uniform"])
-def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
+@pytest.mark.parametrize("model, budget, seeded", [
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 3.25, True),
+    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 3.5, True),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 4.5, False),
+    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 4.25, False),
+], ids=["wishart1", "dw-uniform", "wishart1-descended", "dw-uniform-descended"])
+def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
     the x' of an accepted trial serves the next step. On sigma_measure's
-    2000-point grid, continued along the grid, that is 3.94 evaluations per
-    point for covariance and 3.81 for deformed Wigner, both solved on their
-    level curves (4.24 and 4.05 when the descent went by half-decades alone);
-    the descent alone takes about 14.5 and 12.5, and the former covariance
-    solve of H(w) = z in theta took about 23."""
+    2000-point grid, continued along the grid from points seeded by the
+    window, that is 3.15 evaluations per point for covariance and 3.41 for
+    deformed Wigner, both solved on their level curves. Continued from
+    descended points, without the window, it is 3.94 and 3.81 (4.24 and
+    4.05 when the descent went by half-decades alone); the descent alone
+    takes about 14.5 and 12.5, and the former covariance solve of H(w) = z
+    in theta took about 23."""
     window = model.window(model.edge())
     xs = boundary_density_grid(window.left, window.right, 2000)
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
@@ -235,7 +244,7 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget):
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", counted)
     monkeypatch.setattr(SpectralMeasure, "stieltjes", refused)
     monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", refused)
-    g = limit_stieltjes(model, zs)
+    g = limit_stieltjes(model, zs, window if seeded else None)
     assert np.all(np.isfinite(g))
     assert sum(evaluations) <= budget * zs.size
 
@@ -355,15 +364,24 @@ def theta_space_stieltjes(model, zs):
     return dyson._solve_on_grid(h_pair, zs, lambda z: 1.0 / z)
 
 
-def subordination_stieltjes(model, zs):
+def subordination_stieltjes(model, zs, start=None):
     """G(z) = z - omega by the former deformed-Wigner solve of omega +
-    G_mu(omega) = z, seeded by omega ~ z - 1/z."""
+    G_mu(omega) = z, seeded by omega ~ z - 1/z far above the axis, and by
+    ``start(z)`` at z where given."""
 
     def pair(om):
         g, gp = model.mu_d.stieltjes_pair(om)
         return om + g, 1.0 + gp
 
-    return zs - dyson._solve_on_grid(pair, zs, lambda z: z - 1.0 / z)
+    return zs - dyson._solve_on_grid(pair, zs, lambda z: z - 1.0 / z, start)
+
+
+def solved_window(model):
+    """The model's support window, or None where its edges do not solve."""
+    try:
+        return model.window(model.edge())
+    except SolverError:
+        return None
 
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -413,10 +431,14 @@ def test_random_atomic_limit_law_matches_the_theta_space_solve(rho, alpha, eta):
                                         if isinstance(m, DeformedWignerModel)))
 def test_deformed_wigner_limit_law_equals_the_subordination_solve_bit_for_bit(name):
     """The deformed-Wigner curve lam + G_mu(lam) is the subordination
-    equation at lam = omega, with the same seed and map to G."""
+    equation at lam = omega, with the same seeds and map to G: far above
+    the axis, and at z from the support window."""
     model = BENCHMARK_MODELS[name]
+    window = model.window(model.edge())
     for zs in measure_grids(model):
         assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))
+        assert np.array_equal(limit_stieltjes(model, zs, window),
+                              subordination_stieltjes(model, zs, window.seed))
 
 
 @given(mu=atomic_measures, eta=etas)
@@ -424,6 +446,10 @@ def test_random_atomic_deformed_wigner_limit_law_equals_the_subordination_solve(
     model = DeformedWignerModel(mu)
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
     assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))
+    window = solved_window(model)
+    if window is not None:
+        assert np.array_equal(limit_stieltjes(model, zs, window),
+                              subordination_stieltjes(model, zs, window.seed))
 
 
 # -- continuation along the grid against the plain descent -------------------------
@@ -446,8 +472,8 @@ def descent_stieltjes(model, zs, descend=None):
     return curve.y(lam, zs)
 
 
-def assert_near_the_descent(model, zs):
-    got = limit_stieltjes(model, zs)
+def assert_near_the_descent(model, zs, window=None):
+    got = limit_stieltjes(model, zs, window)
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
 
@@ -457,10 +483,13 @@ def assert_near_the_descent(model, zs):
                                                 and detect_degenerate(m))))
 def test_continuation_matches_the_descent_on_the_benchmark_models(name):
     """Every benchmark model but the degenerate one, which has no limit law
-    to solve."""
+    to solve: continued from descended points, and from points seeded by
+    the window."""
     model = BENCHMARK_MODELS[name]
+    window = model.window(model.edge())
     for zs in measure_grids(model):
         assert_near_the_descent(model, zs)
+        assert_near_the_descent(model, zs, window)
 
 
 @pytest.mark.slow
@@ -482,42 +511,194 @@ def test_continuation_matches_the_descent_on_random_deformed_wigner_models(mu, e
     assert_near_the_descent(model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
 
 
-def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch):
-    """On 112 points over the two bands of dw-two-atom, the solved points are
-    8 (every 16th and the last); around the gap at 0, 22 interpolated seeds
-    leave the upper half-plane and one more does not converge, and the
-    descent solves those 23."""
-    atoms, weights = [-1.0, 1.0], [0.5, 0.5]
-    model = DeformedWignerModel(SpectralMeasure.from_atoms(atoms, weights))
-    zs = np.linspace(-3.5, 3.5, 112) + 1e-6j
-    descents = []
+DW_TWO_ATOM = DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5]))
+ZERO_ATOM = CovarianceModel(SpectralMeasure.point_mass(1.0), 0.5)
+
+
+@pytest.mark.parametrize("model, zs, seeded, descents", [
+    (DW_TWO_ATOM, np.linspace(-3.5, 3.5, 112) + 1e-6j, False, [8, 23]),
+    (ZERO_ATOM, np.linspace(-0.3, 6.1, 112) + 1e-6j, True, [1]),
+], ids=["descended", "seeded"])
+def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch, model, zs, seeded, descents):
+    """Continued from descended points: on 112 points over the two bands of
+    dw-two-atom, the solved points are 8 (every 16th and the last); around
+    the gap at 0, 22 interpolated seeds leave the upper half-plane and one
+    more does not converge, and the descent solves those 23. Seeded by the
+    window: on 112 points over sigma of rho = delta_1, alpha = 1/2, the
+    point x = 0.161, in the gap between sigma's atom at 0 and its band from
+    3 - 2 sqrt(2) = 0.172 on, does not converge from the window's seed
+    within the steps, and descends."""
+    window = model.window(model.edge()) if seeded else None
+    descended = []
     plain = dyson._descend
 
     def counted(h_pair, zs, seed):
-        descents.append(np.size(zs))
+        descended.append(np.size(zs))
         return plain(h_pair, zs, seed)
 
     monkeypatch.setattr(dyson, "_descend", counted)
-    got = limit_stieltjes(model, zs)
-    assert descents == [8, 23]
+    got = limit_stieltjes(model, zs, window)
+    assert descended == descents
+    monkeypatch.undo()
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
-    assert_matches_oracle(-got.imag / np.pi,
-                          [wigner_oracle(np.array(atoms), weights, z) for z in zs])
+    if isinstance(model, DeformedWignerModel):
+        oracle = [wigner_oracle(model.mu_d.atom_locations, model.mu_d.atom_weights, z) for z in zs]
+    else:
+        rho = model.rho
+        oracle = [covariance_oracle(rho.atom_locations, rho.atom_weights, model.alpha, z)
+                  for z in zs]
+    assert_matches_oracle(-got.imag / np.pi, oracle)
 
 
-def test_a_short_or_uneven_grid_is_solved_by_the_descent_alone(monkeypatch):
-    """Fewer than 112 points, or points at different heights; 112 points at
-    one height are continued."""
+@pytest.mark.parametrize("seeded", [False, True], ids=["descended", "seeded"])
+def test_a_short_or_uneven_grid_is_solved_point_by_point(monkeypatch, seeded):
+    """Fewer than 112 points (1000 seeded by the window), or points at
+    different heights, are solved one by one, by the descent or from the
+    window's seed; that many points at one height are continued."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
+    window = model.window(model.edge()) if seeded else None
+    least = _SEEDED_GRID_MIN if seeded else _GRID_MIN
     calls = []
     monkeypatch.setattr(dyson, "_continue", lambda *args: calls.append(args))
-    xs = np.linspace(0.0, 8.0, 112)
-    for zs in (xs[:111] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
-        assert np.array_equal(limit_stieltjes(model, zs), descent_stieltjes(model, zs))
+    xs = np.linspace(0.0, 8.0, least)
+    for zs in (xs[:-1] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
+        want = seeded_stieltjes(model, zs, window) if seeded else descent_stieltjes(model, zs)
+        assert np.array_equal(limit_stieltjes(model, zs, window), want)
     assert not calls
-    dyson._solve_on_grid(None, xs + 1e-6j, None)
+    dyson._solve_on_grid(None, xs + 1e-6j, None, window.seed if seeded else None)
     assert len(calls) == 1
+
+
+# -- the window's seed against the descent ------------------------------------------
+#
+# With the model's support window every point first takes one Newton level at
+# its own height from the window's inverse Joukowski map, in the half-plane of
+# the descent's seed, which holds one root; only the points that fail there
+# descend. Its roots must be the descent's up to rounding.
+
+
+def seeded_stieltjes(model, zs, window):
+    """limit_stieltjes with every point solved from the window's seed, and
+    the number of points that descend from there."""
+    curve = model.curve()
+    mu = curve.measure
+    return curve.y(dyson._seeded(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs,
+                                 curve.seed, window.seed), zs)
+
+
+def fallbacks(solve):
+    """The result of ``solve()`` and the number of points that descended
+    on the way."""
+    descended = []
+    plain = dyson._descend
+
+    def counted(h_pair, zs, seed):
+        descended.append(np.size(zs))
+        return plain(h_pair, zs, seed)
+
+    dyson._descend = counted
+    try:
+        return solve(), sum(descended)
+    finally:
+        dyson._descend = plain
+
+
+def assert_seeded_near_the_descent(model, zs, window):
+    got = seeded_stieltjes(model, zs, window)
+    want = descent_stieltjes(model, zs)
+    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+    return got
+
+
+@pytest.mark.slow
+@settings(max_examples=100)
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_seeded_roots_match_the_descent_on_random_covariance_models(rho, alpha, eta):
+    model = CovarianceModel(rho, alpha)
+    assume(not detect_degenerate(model))
+    window = solved_window(model)
+    if window is None:
+        event("window not solved")
+        return
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    _, fell = fallbacks(lambda: assert_seeded_near_the_descent(model, xs + 1j * eta, window))
+    event(f"points that descended: {fell}")
+
+
+@pytest.mark.slow
+@settings(max_examples=100)
+@given(mu=atomic_measures, eta=etas)
+def test_seeded_roots_match_the_descent_on_random_deformed_wigner_models(mu, eta):
+    model = DeformedWignerModel(mu)
+    window = solved_window(model)
+    if window is None:
+        event("window not solved")
+        return
+    zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
+    _, fell = fallbacks(lambda: assert_seeded_near_the_descent(model, zs, window))
+    event(f"points that descended: {fell}")
+
+
+SEEDED_CASES = {
+    # two bands
+    "two-bands": CovarianceModel(SpectralMeasure.from_atoms([1.0, 10.0], [0.5, 0.5]), 0.1),
+    # an atom of sigma at 0
+    "zero-atom": ZERO_ATOM,
+    # rho on both sides of 0
+    "mixed-sign": CovarianceModel(SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5]), 0.3),
+    "three-bands": DeformedWignerModel(SpectralMeasure.from_atoms([-5.0, 0.0, 5.0],
+                                                                  np.full(3, 1.0 / 3.0))),
+    # two bands that meet in a cusp at 0
+    "cusp": BENCHMARK_MODELS["dw-two-atom"],
+}
+
+
+def oracle_density(model, zs):
+    if isinstance(model, DeformedWignerModel):
+        mu = model.mu_d
+        return [wigner_oracle(mu.atom_locations, mu.atom_weights, z) for z in zs]
+    rho = model.rho
+    return [covariance_oracle(rho.atom_locations, rho.atom_weights, model.alpha, z) for z in zs]
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CASES))
+def test_seeded_roots_match_the_descent_and_the_polynomial_roots(name):
+    """The three heights of measure_grids and the density command's grid:
+    every point seeded (on 400 and 2000 points alike), and the limit law as
+    the library solves it, continued on the 2000-point grids; on the density
+    grid the density is the polynomial oracle's."""
+    model = SEEDED_CASES[name]
+    window = model.window(model.edge())
+    density_grid = default_grid(model)[1] + 1e-4j
+    for zs in measure_grids(model) + [density_grid]:
+        assert_seeded_near_the_descent(model, zs, window)
+        assert_near_the_descent(model, zs, window)
+    got = sigma_density(model, density_grid.real, 1e-4, window)
+    assert_matches_oracle(got, oracle_density(model, density_grid))
+
+
+def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
+    """Seeds put in the lower half-plane, at every point or at every other
+    one, are not solved from: those points get the descent's roots bit for
+    bit, the descent of them alone, and the others the seeded roots."""
+    model = BENCHMARK_MODELS["two-atom"]
+    window = model.window(model.edge())
+    zs = default_grid(model)[1] + 1e-4j
+    seeded = seeded_stieltjes(model, zs, window)
+    real_seed = SupportWindow.seed
+    wrong = np.arange(zs.size) % 2 == 0
+    for flip in (np.ones(zs.size, dtype=bool), wrong):
+        def mirrored(self, z, flip=flip):
+            w = real_seed(self, z)
+            return np.where(flip, w.conj(), w)
+
+        monkeypatch.setattr(SupportWindow, "seed", mirrored)
+        got, fell = fallbacks(lambda: limit_stieltjes(model, zs, window))
+        assert fell == np.count_nonzero(flip)
+        assert got[flip].tobytes() == descent_stieltjes(model, zs[flip]).tobytes()
+        assert got[~flip].tobytes() == seeded[~flip].tobytes()
 
 
 # -- the former grid solver as the reference of the Newton kernel --------------------

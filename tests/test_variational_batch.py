@@ -1,7 +1,8 @@
 """The variational rate on an array of points: one branch solve, one J per
 reading of sigma and one F for all of them, bit for bit the rates of the
 points one at a time; the scan's failure at one point of many; the floor at
-theta = 0's objective; and the variational command's one solve."""
+theta = 0's objective and the rate's rule at r(sigma); the variational
+command's one solve; and the density command's window."""
 
 import importlib
 
@@ -10,8 +11,9 @@ import pytest
 
 from rmtldp import dyson, wigner
 from rmtldp.cli import run
-from rmtldp.dyson import CovarianceModel, SolverError, sigma_measure, sigma_rule
-from rmtldp.rate import rate, rate_variational
+from rmtldp.dyson import CovarianceModel, SolverError, sigma_density, sigma_measure, sigma_rule
+from rmtldp.rate import csv_text, rate, rate_variational
+from rmtldp.measures import SpectralMeasure
 from rmtldp.wigner import DeformedWignerModel
 from test_sigma_rule import MODELS as MODEL_FILES
 from test_sigma_rule import load
@@ -64,6 +66,25 @@ def test_the_batch_gives_the_one_point_rates_on_the_grid_sigma(name, n, monkeypa
     assert len(shifts) == len(readings) + 1
     monkeypatch.undo()
     assert batch.tobytes() == one_at_a_time(model, xs, edge, sigma).tobytes()
+
+
+def test_a_reading_past_the_reach_is_built_once():
+    """Every lambda past the Gauss rule's reach of the grid sigma reads it
+    as the same measure, built on the first call and kept, and J from it has
+    the bits of J on a measure of the same components built afresh."""
+    model = MODELS["dw-point"][0]()
+    edge = model.edge()
+    sigma = sigma_measure(model, 2000, edge)
+    read = sigma.read_from(3.2)
+    assert read is not sigma
+    assert sigma.read_from(3.2) is read and sigma.read_from(5.0) is read
+    fresh = SpectralMeasure(sigma.atom_locations, sigma.atom_weights,
+                            [c.read_from(3.2) for c in sigma.components])
+    theta = np.linspace(0.05, 2.0, 7)
+    want = rate_module.j_fn(fresh, theta, 3.2)
+    for _ in range(2):
+        assert rate_module.j_fn(sigma, theta, 3.2).tobytes() == want.tobytes()
+    assert sigma.read_from(edge.r_sigma) is sigma
 
 
 def test_the_scan_names_the_point_where_a_theta_beats_its_optimizer(monkeypatch):
@@ -122,21 +143,30 @@ def test_the_variational_rate_is_0_at_the_edge_and_not_negative_past_it(name):
 
 
 @pytest.mark.parametrize("name", FLOORED)
-def test_the_floor_on_the_grid_sigma(name):
+def test_the_variational_rate_is_0_at_the_edge_on_the_grid_sigma(name):
     """On the 2000-point grid sigma the optimizer's objective at r(sigma) is
-    -1.6e-6 to -1.7e-8 on wishart1, two-atom and semicircle-rho, where the
-    rate is then 0, and +2.4e-8 to +2.8e-7 on the other three, the grid's
-    own error, which the floor keeps."""
+    -1.6e-6 to -1.7e-8 on wishart1, two-atom and semicircle-rho, and +2.4e-8
+    to +2.8e-7 on neg-wishart, dw-point and dw-uniform, the grid's own
+    error. The rate is 0 at r(sigma) and in its snap window on either side
+    all the same, by rate's rule, in rate_variational and in the command's
+    solve; past the window each point keeps the bits of the floored
+    supremum, alone and in a batch with the edge."""
     model = load(name)
     edge = model.edge()
     sigma = sigma_measure(model, 2000, edge)
     r = edge.r_sigma
-    at_r = rate_variational(model, r, edge, sigma)
-    if name in ("wishart1", "two-atom", "semicircle-rho"):
-        assert at_r == 0.0
-    else:
-        assert 0.0 < at_r <= 1e-6
-    assert 0.0 <= rate_variational(model, r + 1e-9 * max(1.0, abs(r)), edge, sigma) <= 1e-6
+    scale = max(1.0, abs(r))
+    assert rate_variational(model, r, edge, sigma) == 0.0
+    past = np.array([r + 1e-9 * scale, r + 0.05 * scale])
+    xs = np.concatenate(([r - 1e-13 * scale, r, r + 5e-14 * scale], past))
+    want = rate_module._supremum(model, past, *model.variational(past, edge, sigma))
+    assert 0.0 <= want[0] <= 1e-6
+    batch = rate_variational(model, xs, edge, sigma)
+    assert batch[:3].tolist() == [0.0] * 3
+    assert batch[3:].tobytes() == want.tobytes() == one_at_a_time(model, past, edge, sigma).tobytes()
+    primal, varia = rate_module._rates_both_ways(model, xs, edge, sigma)
+    assert varia.tobytes() == batch.tobytes()
+    assert primal[:3].tolist() == [0.0] * 3
 
 
 def test_the_floor_replaces_a_negative_optimizer_value():
@@ -219,20 +249,27 @@ def test_the_command_at_and_below_the_edge(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, bounds", [("wishart1", ("0.2", "3.8")),
                                           ("dw-point", ("-1.8", "1.8"))])
-def test_density_with_both_bounds_solves_no_edge(name, bounds, tmp_path, monkeypatch):
+def test_density_with_both_bounds_seeds_from_the_window(name, bounds, tmp_path, monkeypatch):
+    """With both bounds given the command still solves the window, whose
+    seed starts every point: it prints sigma_density with the window. Where
+    the window does not solve (the edge solve patched to raise SolverError)
+    the points descend, and it prints sigma_density without it."""
     argv = ["density", "--model", model_file(name), "--xmin", bounds[0], "--xmax", bounds[1],
             "--points", "40"]
-    plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
-    assert run(argv + ["--out", str(plain)]) == 0
+    seeded, descended = tmp_path / "seeded.csv", tmp_path / "descended.csv"
+    assert run(argv + ["--out", str(seeded)]) == 0
+    model = load(name)
+    window = model.window(model.edge())
+    xs = np.linspace(float(bounds[0]), float(bounds[1]), 40)
+    assert seeded.read_text() == csv_text("x,density", (xs, sigma_density(model, xs, 1e-4, window)))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("density with both bounds must not solve the edge")
+        raise SolverError("edge refused")
 
     for kind in (CovarianceModel, DeformedWignerModel):
         monkeypatch.setattr(kind, "edge", refuse)
-    monkeypatch.setattr(dyson, "edge_solve", refuse)
-    assert run(argv + ["--out", str(patched)]) == 0
-    assert patched.read_bytes() == plain.read_bytes()
+    assert run(argv + ["--out", str(descended)]) == 0
+    assert descended.read_text() == csv_text("x,density", (xs, sigma_density(model, xs, 1e-4)))
 
 
 def test_degenerate_density_with_both_bounds_fails(tmp_path, capsys):
