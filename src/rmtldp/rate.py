@@ -321,9 +321,8 @@ def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
     # every point but those at r(sigma) goes to the branch solve, which
     # refuses the points outside the domain
     solve = inner | (out != 0.0)
-    if solve.any():
-        xi = xs[solve]
-        out[solve] = _supremum(model, xi, *model.variational(xi, edge, sigma))
+    xi = xs[solve]
+    out[solve] = _supremum(model, xi, *model.variational(xi, edge, sigma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -373,10 +372,9 @@ def _rates_both_ways(model, xs, edge, sigma):
     g, g_bar = model.branches(xs, edge)
     primal, inner = _off_branches(edge, xs)
     variational = primal.copy()
-    if inner.any():
-        xi, g_bar = xs[inner], g_bar[inner]
-        primal[inner] = model.rate_from_branches(xi, g[inner], g_bar)
-        variational[inner] = _supremum(model, xi, *model._variational_from(xi, g_bar, edge, sigma))
+    xi, g_bar = xs[inner], g_bar[inner]
+    primal[inner] = model.rate_from_branches(xi, g[inner], g_bar)
+    variational[inner] = _supremum(model, xi, *model._variational_from(xi, g_bar, edge, sigma))
     return primal, variational
 
 

@@ -511,15 +511,38 @@ def test_continuation_matches_the_descent_on_random_deformed_wigner_models(mu, e
     assert_near_the_descent(model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
 
 
-DW_TWO_ATOM = DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5]))
+def fallbacks(solve):
+    """The result of ``solve()`` and the sizes of the descents it made."""
+    descended = []
+    plain = dyson._descend
+
+    def counted(h_pair, zs, seed):
+        descended.append(np.size(zs))
+        return plain(h_pair, zs, seed)
+
+    dyson._descend = counted
+    try:
+        return solve(), descended
+    finally:
+        dyson._descend = plain
+
+
+def oracle_density(model, zs):
+    if isinstance(model, DeformedWignerModel):
+        mu = model.mu_d
+        return [wigner_oracle(mu.atom_locations, mu.atom_weights, z) for z in zs]
+    rho = model.rho
+    return [covariance_oracle(rho.atom_locations, rho.atom_weights, model.alpha, z) for z in zs]
+
+
 ZERO_ATOM = CovarianceModel(SpectralMeasure.point_mass(1.0), 0.5)
 
 
 @pytest.mark.parametrize("model, zs, seeded, descents", [
-    (DW_TWO_ATOM, np.linspace(-3.5, 3.5, 112) + 1e-6j, False, [8, 23]),
+    (BENCHMARK_MODELS["dw-two-atom"], np.linspace(-3.5, 3.5, 112) + 1e-6j, False, [8, 23]),
     (ZERO_ATOM, np.linspace(-0.3, 6.1, 112) + 1e-6j, True, [1]),
 ], ids=["descended", "seeded"])
-def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch, model, zs, seeded, descents):
+def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, seeded, descents):
     """Continued from descended points: on 112 points over the two bands of
     dw-two-atom, the solved points are 8 (every 16th and the last); around
     the gap at 0, 22 interpolated seeds leave the upper half-plane and one
@@ -529,26 +552,11 @@ def test_a_seed_that_fails_is_solved_by_the_descent(monkeypatch, model, zs, seed
     3 - 2 sqrt(2) = 0.172 on, does not converge from the window's seed
     within the steps, and descends."""
     window = model.window(model.edge()) if seeded else None
-    descended = []
-    plain = dyson._descend
-
-    def counted(h_pair, zs, seed):
-        descended.append(np.size(zs))
-        return plain(h_pair, zs, seed)
-
-    monkeypatch.setattr(dyson, "_descend", counted)
-    got = limit_stieltjes(model, zs, window)
+    got, descended = fallbacks(lambda: limit_stieltjes(model, zs, window))
     assert descended == descents
-    monkeypatch.undo()
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
-    if isinstance(model, DeformedWignerModel):
-        oracle = [wigner_oracle(model.mu_d.atom_locations, model.mu_d.atom_weights, z) for z in zs]
-    else:
-        rho = model.rho
-        oracle = [covariance_oracle(rho.atom_locations, rho.atom_weights, model.alpha, z)
-                  for z in zs]
-    assert_matches_oracle(-got.imag / np.pi, oracle)
+    assert_matches_oracle(-got.imag / np.pi, oracle_density(model, zs))
 
 
 @pytest.mark.parametrize("seeded", [False, True], ids=["descended", "seeded"])
@@ -579,39 +587,22 @@ def test_a_short_or_uneven_grid_is_solved_point_by_point(monkeypatch, seeded):
 
 
 def seeded_stieltjes(model, zs, window):
-    """limit_stieltjes with every point solved from the window's seed, and
-    the number of points that descend from there."""
+    """limit_stieltjes with every point solved from the window's seed."""
     curve = model.curve()
     mu = curve.measure
     return curve.y(dyson._seeded(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs,
                                  curve.seed, window.seed), zs)
 
 
-def fallbacks(solve):
-    """The result of ``solve()`` and the number of points that descended
-    on the way."""
-    descended = []
-    plain = dyson._descend
-
-    def counted(h_pair, zs, seed):
-        descended.append(np.size(zs))
-        return plain(h_pair, zs, seed)
-
-    dyson._descend = counted
-    try:
-        return solve(), sum(descended)
-    finally:
-        dyson._descend = plain
-
-
 def assert_seeded_near_the_descent(model, zs, window):
-    got = seeded_stieltjes(model, zs, window)
+    """Every point solved from the window's seed: within CONTINUATION_TOL
+    of the descent; returns the number of points that descended."""
+    got, descended = fallbacks(lambda: seeded_stieltjes(model, zs, window))
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
-    return got
+    return sum(descended)
 
 
-@pytest.mark.slow
 @settings(max_examples=100)
 @given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
 def test_seeded_roots_match_the_descent_on_random_covariance_models(rho, alpha, eta):
@@ -623,11 +614,9 @@ def test_seeded_roots_match_the_descent_on_random_covariance_models(rho, alpha, 
         return
     mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
     xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
-    _, fell = fallbacks(lambda: assert_seeded_near_the_descent(model, xs + 1j * eta, window))
-    event(f"points that descended: {fell}")
+    event(f"points that descended: {assert_seeded_near_the_descent(model, xs + 1j * eta, window)}")
 
 
-@pytest.mark.slow
 @settings(max_examples=100)
 @given(mu=atomic_measures, eta=etas)
 def test_seeded_roots_match_the_descent_on_random_deformed_wigner_models(mu, eta):
@@ -637,8 +626,7 @@ def test_seeded_roots_match_the_descent_on_random_deformed_wigner_models(mu, eta
         event("window not solved")
         return
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
-    _, fell = fallbacks(lambda: assert_seeded_near_the_descent(model, zs, window))
-    event(f"points that descended: {fell}")
+    event(f"points that descended: {assert_seeded_near_the_descent(model, zs, window)}")
 
 
 SEEDED_CASES = {
@@ -653,14 +641,6 @@ SEEDED_CASES = {
     # two bands that meet in a cusp at 0
     "cusp": BENCHMARK_MODELS["dw-two-atom"],
 }
-
-
-def oracle_density(model, zs):
-    if isinstance(model, DeformedWignerModel):
-        mu = model.mu_d
-        return [wigner_oracle(mu.atom_locations, mu.atom_weights, z) for z in zs]
-    rho = model.rho
-    return [covariance_oracle(rho.atom_locations, rho.atom_weights, model.alpha, z) for z in zs]
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_CASES))
@@ -696,7 +676,7 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
 
         monkeypatch.setattr(SupportWindow, "seed", mirrored)
         got, fell = fallbacks(lambda: limit_stieltjes(model, zs, window))
-        assert fell == np.count_nonzero(flip)
+        assert sum(fell) == np.count_nonzero(flip)
         assert got[flip].tobytes() == descent_stieltjes(model, zs[flip]).tobytes()
         assert got[~flip].tobytes() == seeded[~flip].tobytes()
 
