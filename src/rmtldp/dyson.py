@@ -939,15 +939,15 @@ _TIGHT_TOL = 1e-12
 # seeds around its gap take a descent.
 #
 # _SEEDED_GRID_MIN is where continuation from seeded points breaks even with
-# seeding every point, measured the same way and also at the height of the
-# rule's nodes (boundary grid, eta 1e-14 half-span): seeding every point took
-# 0.53-0.62 times continuation's time at 112 and 200 points, 0.74-0.83 at 400,
-# 0.81-1.0 at 560-880 and 0.88-1.15 at 1040-1200, and continuation gains from
-# 1040 measure and rule points and 1200 density points on (1.07-1.34 times at
-# 1600 and 2000; 2-core host, median of 9). The sum is table-rho's: seeding
-# every point takes 5.9 pair evaluations per point there, each summing 400
-# nodes, and it took 1.4-1.7 times continuation's time from 400 points on,
-# while the other 11 models together gain by seeding every point at every size
+# seeding every point, in sum over the same models and grids and at the height
+# of the rule's nodes (boundary grid, eta 1e-14 half-span): seeding every
+# point took 0.53-0.62 times continuation's time at 112 and 200 points,
+# 0.73-0.79 at 400, 0.81-0.99 at 560 and 720, 0.88-1.10 at 880-1040 and
+# 1.04-1.34 at 1200-2000 (2-core host, median of 9, two runs). The sum is
+# table-rho's, where each of seeding's 5.9 pair evaluations per point sums 400
+# nodes: seeding every point took 1.14-1.29 times continuation's time there at
+# 400 points and 1.5-1.7 at 1200-2000, and 0.49-0.87 times on the other 11
+# models together
 _GRID_MIN = 112
 _SEEDED_GRID_MIN = 1000
 _GRID_STRIDE = 16
@@ -979,10 +979,10 @@ def _solve_on_grid(h_pair, zs, seed, start=None):
     is solved point by point: below those sizes continuation costs more
     than it saves (measured in the comment above).
 
-    On sigma_measure's 2000-point grids, continued from descended points,
-    that is 3.9 ``h_pair`` evaluations per point for a covariance model and
-    3.8 for a deformed-Wigner one (the slopes cost one per solved point),
-    against 14.5 and 12.5 by the descent.
+    On sigma_measure's 2000-point grids that is 3.15 ``h_pair`` evaluations
+    per point on wishart1 and 3.41 on dw-uniform continued from seeded
+    points, and 3.9 and 3.8 from descended points (the slopes cost one per
+    solved point), against 14.5 and 12.5 by the descent.
     """
     zs = np.asarray(zs, dtype=complex)
     if start is None:

@@ -13,6 +13,7 @@ continuation: the root is picked from all roots of the polynomial, and three
 Newton steps on the equation only refine its digits.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -588,10 +589,7 @@ def test_a_short_or_uneven_grid_is_solved_point_by_point(monkeypatch, seeded):
 
 def seeded_stieltjes(model, zs, window):
     """limit_stieltjes with every point solved from the window's seed."""
-    curve = model.curve()
-    mu = curve.measure
-    return curve.y(dyson._seeded(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs,
-                                 curve.seed, window.seed), zs)
+    return descent_stieltjes(model, zs, functools.partial(dyson._seeded, start=window.seed))
 
 
 def assert_seeded_near_the_descent(model, zs, window):
