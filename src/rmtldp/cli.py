@@ -186,16 +186,9 @@ def _cmd_density(args) -> None:
     if model.degenerate:
         raise DegenerateModelError("degenerate model has no continuous density")
     xmin, xmax = args.xmin, args.xmax
-    # the window seeds the solve at every point; the left edge can fail to
-    # solve on models whose density at given bounds solves, and these
-    # points then descend
-    try:
-        window = model.window(model.edge())
-    except SolverError:
-        if xmin is None or xmax is None:
-            raise
-        window = None
+    window = None
     if xmin is None or xmax is None:
+        window = model.window(model.edge())
         margin = 0.05 * (window.right - window.left)
         xmin = window.left - margin if xmin is None else xmin
         xmax = window.right + margin if xmax is None else xmax

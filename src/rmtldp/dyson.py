@@ -850,7 +850,8 @@ class SupportWindow:
     the level curve at the window's ends: lam_right is the level's lam_c,
     where x(lam) = right, and lam_left is minus the reflected model's lam_c
     (0 where that model is degenerate). Both come from the edge solves that
-    give the window."""
+    give the window. Its :meth:`seed` starts every point of the limit-law
+    solve (:func:`limit_stieltjes`)."""
 
     left: float
     right: float
@@ -919,91 +920,28 @@ _LEVEL_STEPS = 120
 _LOOSE_TOL = 1e-3
 _TIGHT_TOL = 1e-12
 
-# continuation along a grid of at least _GRID_MIN points at one height (at
-# least _SEEDED_GRID_MIN points where the window seeds it): every
-# _GRID_STRIDE-th point by Re z, and the last, is solved alone, by the descent
-# or from the window's seed, and every other point by at most _GRID_STEPS
-# Newton steps on z from a seed interpolated between the two solved points
-# around it. A point solved from the window's seed takes at most _GRID_STEPS
-# Newton steps on z too.
-#
-# _GRID_MIN is where continuation from descended points breaks even with the
-# descent of every point, in sum over the 12 non-degenerate benchmark models,
-# on the one-height grids of sigma_measure (boundary grid, eta 1e-9 span) and
-# of the density command (linspace, 5% margins, eta 1e-4): continuation took
-# 1.18-1.53 times the descent's time on 4-48 measure points and 1.25-5.1 on
-# 4-48 density points (an interval of 16 leaves poor seeds), 1.24-1.38 at 64,
-# 1.02-1.21 at 80 and 96, 0.86-0.94 at 112, 0.91-1.11 at 128 and 0.61-0.66 at
-# 400 (2-core host, median of 9, three runs). The table measure gains from 64
-# points on; dw-two-atom loses 2.7-5 times at 64, 96 and 128 points, where
-# seeds around its gap take a descent.
-#
-# _SEEDED_GRID_MIN is where continuation from seeded points breaks even with
-# seeding every point, in sum over the same models and grids and at the height
-# of the rule's nodes (boundary grid, eta 1e-14 half-span): seeding every
-# point took 0.53-0.62 times continuation's time at 112 and 200 points,
-# 0.73-0.79 at 400, 0.81-0.99 at 560 and 720, 0.88-1.10 at 880-1040 and
-# 1.04-1.34 at 1200-2000 (2-core host, median of 9, two runs). The sum is
-# table-rho's, where each of seeding's 5.9 pair evaluations per point sums 400
-# nodes: seeding every point took 1.14-1.29 times continuation's time there at
-# 400 points and 1.5-1.7 at 1200-2000, and 0.49-0.87 times on the other 11
-# models together
-_GRID_MIN = 112
-_SEEDED_GRID_MIN = 1000
-_GRID_STRIDE = 16
-_GRID_STEPS = 8
+# the Newton steps a point may take at its own height from the window's seed
+_SEEDED_STEPS = 8
 
 
-def _solve_on_grid(h_pair, zs, seed, start=None):
-    """Solve h(w) = z at every point of the 1-D array ``zs`` (Im z > 0) at
-    once; ``h_pair(w)`` returns (h(w), h'(w)) on an array w, ``seed(z)``
-    approximates the root far above the real axis, and ``start(z)``, where
-    given, approximates it at z itself.
-
-    Without ``start`` a point is solved alone by :func:`_descend`; with it
-    by :func:`_seeded`, which falls back to the descent where the start
-    fails. A grid of at least ``_GRID_MIN`` points, or ``_SEEDED_GRID_MIN``
-    with a start, that all have the same imaginary part (the grids of
-    :func:`sigma_density` and :func:`sigma_measure`) is solved along its
-    real parts: every ``_GRID_STRIDE``-th point in the order of Re z, and
-    the last, alone. Every other point is seeded by the cubic Hermite
-    interpolant of the roots of the two solved points around it, with the
-    slopes dw/dz = 1/h'(w) there, and takes at most ``_GRID_STEPS`` damped
-    Newton steps on z itself in the descent's kernel :func:`_newton`, on
-    one level at height 0: the same half-plane rule, the stopping test
-    ``|h(w) - z| <= 1e-12 max(1, |z|)`` and the polish step. A point whose
-    seed leaves the half-plane of its neighbours' roots, or that has not
-    converged within those steps, is solved alone instead. A root differs
-    from the descent's by the rounding the stopping test and the polish
-    step leave, not by the seed. A shorter grid, or one at several heights,
-    is solved point by point: below those sizes continuation costs more
-    than it saves (measured in the comment above).
-
-    On sigma_measure's 2000-point grids that is 3.15 ``h_pair`` evaluations
-    per point on wishart1 and 3.41 on dw-uniform continued from seeded
-    points, and 3.9 and 3.8 from descended points (the slopes cost one per
-    solved point), against 14.5 and 12.5 by the descent.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    if start is None:
-        solve, least = _descend, _GRID_MIN
-    else:
-        solve, least = functools.partial(_seeded, start=start), _SEEDED_GRID_MIN
-    if zs.size >= least and np.all(zs.imag == zs.imag[0]):
-        return _continue(h_pair, zs, seed, solve)
-    return solve(h_pair, zs, seed)
-
-
+# here and in the descent a NaN or infinite value of h or h' only yields a
+# trial that is rejected, or a step to one
 @np.errstate(divide="ignore", invalid="ignore")
 def _seeded(h_pair, zs, seed, start):
-    """Solve h(w) = z at every point of ``zs`` from ``start(z)``: one level
-    at height 0 in :func:`_newton`, the points at their own heights, with
-    at most ``_GRID_STEPS`` steps, the tight test, the half-plane rule and
-    the polish step. The half-plane is the descent's, that of ``seed(z + i
-    scale)``, which holds exactly one root, so a converged point has the
-    descent's root up to rounding. A point whose start lies outside it, or
-    that does not converge, is solved by :func:`_descend`, with the other
-    such points alone."""
+    """Solve h(w) = z at every point of the 1-D array ``zs`` (Im z >= 0) at
+    once: the solve of every limit-law point. ``h_pair(w)`` returns (h(w),
+    h'(w)) on an array w, ``seed(z)`` approximates the root far above the
+    real axis, and ``start(z)`` approximates it at z itself.
+
+    Each point takes one level at its own height in :func:`_newton` from
+    ``start(z)``, with at most ``_SEEDED_STEPS`` steps, the tight test, the
+    half-plane rule and the polish step. The half-plane is the descent's,
+    that of ``seed(z + i scale)``, which holds exactly one root, so a
+    converged point has the descent's root up to rounding. A point whose
+    start lies outside it, or that does not converge, is solved by
+    :func:`_descend`, with the other such points alone; only through the
+    scale of that descent does a root depend on the other points of ``zs``.
+    """
     zs = np.asarray(zs, dtype=complex)
     if not zs.size:
         return zs.copy()
@@ -1013,59 +951,18 @@ def _seeded(h_pair, zs, seed, start):
     inside = np.sign(w.imag) == side
     roots = np.full(zs.size, np.nan, dtype=complex)
     roots[inside] = _newton(h_pair, zs[inside], np.zeros(1), np.full(1, _TIGHT_TOL), w[inside],
-                            *h_pair(w[inside]), side[inside], _GRID_STEPS, strict=False)
+                            *h_pair(w[inside]), side[inside], _SEEDED_STEPS, strict=False)
     failed = np.isnan(roots)
     if failed.any():
         roots[failed] = _descend(h_pair, zs[failed], seed)
     return roots
 
 
-# here and in the descent a NaN or infinite value of h or h' only yields a
-# trial that is rejected, or a step to one
-@np.errstate(divide="ignore", invalid="ignore")
-def _continue(h_pair, zs, seed, solve):
-    """The continuation of :func:`_solve_on_grid` along the real parts of
-    ``zs``; ``solve(h_pair, zs, seed)`` solves points alone."""
-    order = np.argsort(zs.real, kind="stable")
-    x = zs.real[order]
-    n = zs.size
-    solved = np.append(np.arange(0, n - 1, _GRID_STRIDE), n - 1)
-    w = np.empty(n, dtype=complex)
-    w[solved] = solve(h_pair, zs[order[solved]], seed)
-    slope = 1.0 / np.asarray(h_pair(w[solved])[1], dtype=complex)
-    between = np.ones(n, dtype=bool)
-    between[solved] = False
-    rest = np.flatnonzero(between)
-    # the solved points around each other point, by their places in solved
-    left = rest // _GRID_STRIDE
-    right = left + 1
-    w0, w1 = w[solved[left]], w[solved[right]]
-    x0 = x[solved[left]]
-    dx = x[solved[right]] - x0
-    t = (x[rest] - x0) / dx
-    u = 1.0 - t
-    seeds = (u * u * ((1.0 + 2.0 * t) * w0 + t * dx * slope[left])
-             + t * t * ((3.0 - 2.0 * t) * w1 - u * dx * slope[right]))
-    z = zs[order[rest]]
-    side = np.sign(w0.imag)
-    # one level at height 0, from the seeds on the side of their neighbours
-    inside = np.sign(seeds.imag) == side
-    roots = np.full(rest.size, np.nan, dtype=complex)
-    roots[inside] = _newton(h_pair, z[inside], np.zeros(1), np.full(1, _TIGHT_TOL), seeds[inside],
-                            *h_pair(seeds[inside]), side[inside], _GRID_STEPS, strict=False)
-    failed = np.isnan(roots)
-    if failed.any():
-        roots[failed] = solve(h_pair, z[failed], seed)
-    w[rest] = roots
-    out = np.empty(n, dtype=complex)
-    out[order] = w
-    return out
-
-
 def _descend(h_pair, zs, seed):
     """Solve h(w) = z at every point of ``zs`` by descending from high above
-    the real axis: the solve of a grid without the support window's seed,
-    and of the points whose seeded level fails (:func:`_seeded`).
+    the real axis: the solve of the points whose seeded level fails
+    (:func:`_seeded`), and of every point where the model's support window
+    cannot be solved (:func:`limit_stieltjes`).
 
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
@@ -1111,7 +1008,7 @@ def _descend_with(h_pair, zs, seed, ladder, tol):
 def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=True):
     """Damped Newton on h(w) = z + i heights[k] at every point of ``zs``, down
     the levels k from w, where (h(w), h'(w)) = (hw, hp): the kernel of the
-    descent and of the continuation (one level, at height 0). It may
+    descent and of the seeded solve (one level, at height 0). It may
     overwrite w, hw and hp, and returns the roots, NaN where failed.
 
     Each round, a point that passes its level's stopping test ``|h(w) -
@@ -1231,36 +1128,49 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
 
 
 def limit_stieltjes(model, zs: np.ndarray, window=None) -> np.ndarray:
-    """G_sigma(z) at every z of the upper half-plane, for either model kind:
-    the root lam of x(lam) = z on the model's curve, solved by
-    :func:`_solve_on_grid` on the curve's formula (damped Newton in
+    """G_sigma(z) at every z of an array on or above the real axis, for
+    either model kind: the root lam of x(lam) = z on the model's curve,
+    solved by :func:`_seeded` on the curve's formula (damped Newton in
     :func:`_newton`, one ``stieltjes_pair`` per trial) and mapped to G_sigma
-    by the curve's y. With the model's solved support ``window`` each point
-    starts at its own height from the window's seed
-    (:meth:`SupportWindow.seed`), and only the points that fail to converge
-    from it descend; without it every point descends from the curve's seed
-    far above the axis. A degenerate covariance model is refused."""
+    by the curve's y.
+
+    Every point starts at its own height from the seed of the model's
+    support window (:meth:`SupportWindow.seed`), and only the points that
+    fail to converge from it descend from the curve's seed far above the
+    axis. ``window`` is the model's solved window where the caller holds
+    it; else it is solved here, and where that raises SolverError every
+    point descends. A degenerate covariance model is refused, and so is a
+    z that is not finite or lies below the real axis (ValueError)."""
     if model.degenerate:
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
+    zs = np.asarray(zs, dtype=complex)
+    bad = ~np.isfinite(zs) | (zs.imag < 0.0)
+    if bad.any():
+        raise ValueError(f"z must be finite with Im z >= 0, got {complex(zs[bad][0])!r}")
     curve = model.curve()
     mu = curve.measure
-    start = None if window is None else window.seed
-    lam = _solve_on_grid(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed, start)
+
+    def h_pair(v):
+        return curve.point(v, *mu.stieltjes_pair(v))
+
+    try:
+        window = window or model.window(model.edge())
+    except SolverError:
+        lam = _descend(h_pair, zs, curve.seed)
+    else:
+        lam = _seeded(h_pair, zs, curve.seed, window.seed)
     return curve.y(lam, zs)
 
 
 def sigma_density(model, x, eta: float, window=None):
-    """Density approximation -Im G_sigma(x + i eta) / pi at real x, eta > 0,
-    for either model kind (sigma is then the model's limiting measure).
-
-    The model's equation for G_sigma(z) is solved at every z = x + i eta at
-    once by :func:`limit_stieltjes`: with the model's solved support
-    ``window`` each point takes damped Newton steps at its own height from
-    the window's seed, and descends from high above the real axis only
-    where that fails; without it every point descends.
+    """Density approximation -Im G_sigma(x + i eta) / pi at real x, for a
+    finite eta > 0 and either model kind (sigma is then the model's
+    limiting measure), by :func:`limit_stieltjes` at every z = x + i eta
+    at once; ``window`` is the model's solved support window, where the
+    caller holds it.
     """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    if not (eta > 0.0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be finite and positive, got {eta!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     g = limit_stieltjes(model, xs + 1j * eta, window)
     out = np.maximum(-g.imag / math.pi, 0.0)
@@ -1439,11 +1349,10 @@ def _grid_sigma(model, window: SupportWindow, grid_points: int) -> SpectralMeasu
 # uniform-rho, table-rho, dw-point and dw-uniform at K = 64 the raw mass
 # defect was at most 3.2e-14 and the rule took 0.7-1.9 ms to build (3.8 on
 # the 400-node table-rho), against 3.3-5.5 ms (28) for the 2000-point grid
-# and its Gauss rule (2-core host, one BLAS thread). At K = 128 and 256 the
-# nodes of a band are solved by continuation (_GRID_MIN) and took 1.0-2.0
-# ms, but J sums K nodes at each of its 51 theta. A rule whose raw mass
-# defect exceeds _RULE_DEFECT, 30 times the largest seen, gives way to the
-# grid.
+# and its Gauss rule (2-core host, one BLAS thread). At K = 128 and 256 it
+# took 0.4-1.3 ms (3.4 and 6.0 on table-rho), but J sums K nodes at each of
+# its 51 theta. A rule whose raw mass defect exceeds _RULE_DEFECT, 30 times
+# the largest seen, gives way to the grid.
 _BAND_NODES = 64
 _RULE_ETA = 1e-14
 _RULE_DEFECT = 1e-12

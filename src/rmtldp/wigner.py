@@ -230,8 +230,10 @@ def dw_rate(model: DeformedWignerModel, x: float, edge: DWEdgeData | None = None
 
 
 def free_convolution_density(model: DeformedWignerModel, x, eta: float):
-    """Density of the semicircle free convolution with mu_d at x + i eta: the
-    shared :func:`rmtldp.dyson.sigma_density` on a deformed-Wigner model."""
+    """Density of the semicircle free convolution with mu_d at x + i eta
+    (finite eta > 0): the shared :func:`rmtldp.dyson.sigma_density` on a
+    deformed-Wigner model, every point started from the seed of the
+    model's support window, which it solves."""
     return sigma_density(model, x, eta)
 
 

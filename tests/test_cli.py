@@ -102,11 +102,12 @@ class TestDensityCommand:
     def test_degenerate_density_fails(self, degenerate_model):
         assert run(["density", "--model", degenerate_model]) == 1
 
-    def test_both_bounds_given_solve_no_support_window(self, tmp_path, capsys):
+    def test_both_bounds_given_and_no_left_edge_every_point_descends(self, tmp_path, capsys):
         # the left edge of sigma of this model is not solvable (a tiny
         # negative atom puts the reflected model's edge inside the snap
-        # window); with both bounds given the window is not needed, and
-        # without the window's seed every point descends
+        # window); with both bounds given the command does not need the
+        # window, and sigma_density, which cannot solve it, descends at
+        # every point; without a bound the command fails on the left edge
         path = tmp_path / "tiny-left-atom.json"
         rho = {"atoms": [[-1.5067585918145452e-22, 0.5], [1.0, 0.5]], "density": None}
         path.write_text(json.dumps({"kind": "covariance", "alpha": 1.0, "rho": rho}))

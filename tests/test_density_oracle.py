@@ -13,7 +13,6 @@ continuation: the root is picked from all roots of the polynomial, and three
 Newton steps on the equation only refine its digits.
 """
 
-import functools
 import json
 from pathlib import Path
 
@@ -29,12 +28,9 @@ from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
     _DECADES,
     _DESCENT,
-    _GRID_MIN,
-    _GRID_STEPS,
-    _GRID_STRIDE,
     _LEVEL_STEPS,
     _LOOSE_TOL,
-    _SEEDED_GRID_MIN,
+    _SEEDED_STEPS,
     _TIGHT_TOL,
     CovarianceModel,
     DegenerateModelError,
@@ -186,8 +182,9 @@ def test_an_empty_grid_gives_empty_arrays(model):
 def _raises_on_nan_half(monkeypatch, half):
     """sigma_density of a two-atom model with one half of the solver's
     (G, G') evaluation replaced by NaN raises SolverError naming the point,
-    the height it stalled at and the residual, with the window's seed as
-    without it: every seeded point fails and descends."""
+    the height it stalled at and the residual, given the window solved
+    before as with the window solved under NaN: every seeded point fails
+    and descends."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
     window = model.window(model.edge())
     real_pair = SpectralMeasure.stieltjes_pair
@@ -214,21 +211,21 @@ def test_nan_transform_raises_instead_of_returning(monkeypatch):
 
 
 @pytest.mark.parametrize("model, budget, seeded", [
-    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 3.25, True),
-    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 3.5, True),
-    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 4.5, False),
-    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 4.25, False),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 2.0, True),
+    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 6.25, True),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 14.75, False),
+    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 12.75, False),
 ], ids=["wishart1", "dw-uniform", "wishart1-descended", "dw-uniform-descended"])
 def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
     the x' of an accepted trial serves the next step. On sigma_measure's
-    2000-point grid, continued along the grid from points seeded by the
-    window, that is 3.15 evaluations per point for covariance and 3.41 for
-    deformed Wigner, both solved on their level curves. Continued from
-    descended points, without the window, it is 3.94 and 3.81 (4.24 and
-    4.05 when the descent went by half-decades alone); the descent alone
-    takes about 14.5 and 12.5, and the former covariance solve of H(w) = z
-    in theta took about 23."""
+    2000-point grid, every point started from the window's seed, that is
+    2.0 evaluations per point for covariance (the start and the polish
+    step: on a point-mass rho the seed is the root) and 6.19 for deformed
+    Wigner, both solved on their level curves. Every point descended, as
+    where the window cannot be solved, it is 14.46 and 12.48 (19.2 and 16.2
+    when the descent went by half-decades alone), and the former covariance
+    solve of H(w) = z in theta took about 23."""
     window = model.window(model.edge())
     xs = boundary_density_grid(window.left, window.right, 2000)
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
@@ -245,7 +242,7 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", counted)
     monkeypatch.setattr(SpectralMeasure, "stieltjes", refused)
     monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", refused)
-    g = limit_stieltjes(model, zs, window if seeded else None)
+    g = limit_stieltjes(model, zs, window) if seeded else descent_stieltjes(model, zs)
     assert np.all(np.isfinite(g))
     assert sum(evaluations) <= budget * zs.size
 
@@ -350,9 +347,9 @@ def test_edge_with_the_top_atom_near_zero(atoms, weights, alpha):
 
 def theta_space_stieltjes(model, zs):
     """G_sigma(z) by the former covariance solve: the root of H(w) = z with
-    Im w < 0, seeded far above the axis by w ~ 1/z, with (H, H') in theta
-    from one evaluation of G_rho and G_rho' at alpha/w, in the expressions
-    of that solve."""
+    Im w < 0, descended from far above the axis, seeded there by w ~ 1/z,
+    with (H, H') in theta from one evaluation of G_rho and G_rho' at
+    alpha/w, in the expressions of that solve."""
     a = model.alpha
 
     def h_pair(w):
@@ -362,19 +359,25 @@ def theta_space_stieltjes(model, zs):
         f = -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
         return h, f / (w * w)
 
-    return dyson._solve_on_grid(h_pair, zs, lambda z: 1.0 / z)
+    return dyson._descend(h_pair, zs, lambda z: 1.0 / z)
 
 
-def subordination_stieltjes(model, zs, start=None):
+def subordination_stieltjes(model, zs, window):
     """G(z) = z - omega by the former deformed-Wigner solve of omega +
-    G_mu(omega) = z, seeded by omega ~ z - 1/z far above the axis, and by
-    ``start(z)`` at z where given."""
+    G_mu(omega) = z, seeded by omega ~ z - 1/z far above the axis, and
+    started at z from the window's seed; every point descends where the
+    window is None."""
 
     def pair(om):
         g, gp = model.mu_d.stieltjes_pair(om)
         return om + g, 1.0 + gp
 
-    return zs - dyson._solve_on_grid(pair, zs, lambda z: z - 1.0 / z, start)
+    def far(z):
+        return z - 1.0 / z
+
+    if window is None:
+        return zs - dyson._descend(pair, zs, far)
+    return zs - dyson._seeded(pair, zs, far, window.seed)
 
 
 def solved_window(model):
@@ -388,6 +391,9 @@ def solved_window(model):
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 BENCHMARK_MODELS = {p.stem: model_from_json(json.loads(p.read_text()))
                     for p in sorted(MODELS.glob("*.json"))}
+# every benchmark model but the degenerate one, which has no limit law to solve
+SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
+                       if not (isinstance(m, CovarianceModel) and detect_degenerate(m)))
 
 
 def measure_grids(model):
@@ -432,33 +438,30 @@ def test_random_atomic_limit_law_matches_the_theta_space_solve(rho, alpha, eta):
                                         if isinstance(m, DeformedWignerModel)))
 def test_deformed_wigner_limit_law_equals_the_subordination_solve_bit_for_bit(name):
     """The deformed-Wigner curve lam + G_mu(lam) is the subordination
-    equation at lam = omega, with the same seeds and map to G: far above
-    the axis, and at z from the support window."""
+    equation at lam = omega, with the same seeds and map to G: at z from
+    the support window, solved by limit_stieltjes or given to it, and far
+    above the axis."""
     model = BENCHMARK_MODELS[name]
     window = model.window(model.edge())
     for zs in measure_grids(model):
-        assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))
-        assert np.array_equal(limit_stieltjes(model, zs, window),
-                              subordination_stieltjes(model, zs, window.seed))
+        want = subordination_stieltjes(model, zs, window)
+        assert np.array_equal(limit_stieltjes(model, zs), want)
+        assert np.array_equal(limit_stieltjes(model, zs, window), want)
 
 
 @given(mu=atomic_measures, eta=etas)
 def test_random_atomic_deformed_wigner_limit_law_equals_the_subordination_solve(mu, eta):
     model = DeformedWignerModel(mu)
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
-    assert np.array_equal(limit_stieltjes(model, zs), subordination_stieltjes(model, zs))
-    window = solved_window(model)
-    if window is not None:
-        assert np.array_equal(limit_stieltjes(model, zs, window),
-                              subordination_stieltjes(model, zs, window.seed))
+    assert np.array_equal(limit_stieltjes(model, zs),
+                          subordination_stieltjes(model, zs, solved_window(model)))
 
 
-# -- continuation along the grid against the plain descent -------------------------
+# -- the limit law against the plain descent -----------------------------------------
 #
-# _solve_on_grid solves every 16th point of a grid at one height by the
-# descent and the others by Newton's method from interpolated seeds; its roots
-# must be the descent's up to rounding. On the grids below they differed by at
-# most 9.5e-14 max(1, |G|).
+# limit_stieltjes starts every point from the window's seed, and descends
+# only where that fails or the window cannot be solved; its roots must be the
+# descent's up to rounding.
 
 CONTINUATION_TOL = 5e-13
 
@@ -471,45 +474,6 @@ def descent_stieltjes(model, zs, descend=None):
     descend = descend or dyson._descend
     lam = descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
     return curve.y(lam, zs)
-
-
-def assert_near_the_descent(model, zs, window=None):
-    got = limit_stieltjes(model, zs, window)
-    want = descent_stieltjes(model, zs)
-    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
-
-
-@pytest.mark.parametrize("name", sorted(n for n, m in BENCHMARK_MODELS.items()
-                                        if not (isinstance(m, CovarianceModel)
-                                                and detect_degenerate(m))))
-def test_continuation_matches_the_descent_on_the_benchmark_models(name):
-    """Every benchmark model but the degenerate one, which has no limit law
-    to solve: continued from descended points, and from points seeded by
-    the window."""
-    model = BENCHMARK_MODELS[name]
-    window = model.window(model.edge())
-    for zs in measure_grids(model):
-        assert_near_the_descent(model, zs)
-        assert_near_the_descent(model, zs, window)
-
-
-@pytest.mark.slow
-@settings(max_examples=300)
-@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
-def test_continuation_matches_the_descent_on_random_covariance_models(rho, alpha, eta):
-    model = CovarianceModel(rho, alpha)
-    assume(not detect_degenerate(model))
-    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
-    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
-    assert_near_the_descent(model, xs + 1j * eta)
-
-
-@pytest.mark.slow
-@settings(max_examples=300)
-@given(mu=atomic_measures, eta=etas)
-def test_continuation_matches_the_descent_on_random_deformed_wigner_models(mu, eta):
-    model = DeformedWignerModel(mu)
-    assert_near_the_descent(model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
 
 
 def fallbacks(solve):
@@ -539,20 +503,19 @@ def oracle_density(model, zs):
 ZERO_ATOM = CovarianceModel(SpectralMeasure.point_mass(1.0), 0.5)
 
 
-@pytest.mark.parametrize("model, zs, seeded, descents", [
-    (BENCHMARK_MODELS["dw-two-atom"], np.linspace(-3.5, 3.5, 112) + 1e-6j, False, [8, 23]),
+@pytest.mark.parametrize("model, zs, given, descents", [
+    (BENCHMARK_MODELS["dw-two-atom"], np.linspace(-3.5, 3.5, 2000) + 1e-6j, False, [2]),
     (ZERO_ATOM, np.linspace(-0.3, 6.1, 112) + 1e-6j, True, [1]),
-], ids=["descended", "seeded"])
-def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, seeded, descents):
-    """Continued from descended points: on 112 points over the two bands of
-    dw-two-atom, the solved points are 8 (every 16th and the last); around
-    the gap at 0, 22 interpolated seeds leave the upper half-plane and one
-    more does not converge, and the descent solves those 23. Seeded by the
-    window: on 112 points over sigma of rho = delta_1, alpha = 1/2, the
-    point x = 0.161, in the gap between sigma's atom at 0 and its band from
-    3 - 2 sqrt(2) = 0.172 on, does not converge from the window's seed
-    within the steps, and descends."""
-    window = model.window(model.edge()) if seeded else None
+], ids=["cusp", "zero-atom"])
+def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, given, descents):
+    """With the window solved by limit_stieltjes: on 2000 points over the
+    two bands of dw-two-atom, the points x = -0.00175 and 0.00175 next to
+    the cusp at 0 do not converge from the window's seed within the steps,
+    and descend together. With the window given: on 112 points over sigma
+    of rho = delta_1, alpha = 1/2, the point x = 0.161, in the gap between
+    sigma's atom at 0 and its band from 3 - 2 sqrt(2) = 0.172 on, does not
+    converge from the window's seed within the steps, and descends."""
+    window = model.window(model.edge()) if given else None
     got, descended = fallbacks(lambda: limit_stieltjes(model, zs, window))
     assert descended == descents
     want = descent_stieltjes(model, zs)
@@ -560,71 +523,136 @@ def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, seeded, descents)
     assert_matches_oracle(-got.imag / np.pi, oracle_density(model, zs))
 
 
-@pytest.mark.parametrize("seeded", [False, True], ids=["descended", "seeded"])
-def test_a_short_or_uneven_grid_is_solved_point_by_point(monkeypatch, seeded):
-    """Fewer than 112 points (1000 seeded by the window), or points at
-    different heights, are solved one by one, by the descent or from the
-    window's seed; that many points at one height are continued."""
-    model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
-    window = model.window(model.edge()) if seeded else None
-    least = _SEEDED_GRID_MIN if seeded else _GRID_MIN
-    calls = []
-    monkeypatch.setattr(dyson, "_continue", lambda *args: calls.append(args))
-    xs = np.linspace(0.0, 8.0, least)
-    for zs in (xs[:-1] + 1e-6j, xs + 1j * np.where(xs < 4.0, 1e-6, 2e-6)):
-        want = seeded_stieltjes(model, zs, window) if seeded else descent_stieltjes(model, zs)
-        assert np.array_equal(limit_stieltjes(model, zs, window), want)
-    assert not calls
-    dyson._solve_on_grid(None, xs + 1e-6j, None, window.seed if seeded else None)
-    assert len(calls) == 1
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_a_root_does_not_depend_on_the_rest_of_its_grid(name):
+    """sigma_measure's 2000-point grid solved whole and in chunks of 7
+    points: a point that descends takes the scale of its chunk's descent,
+    so the roots agree up to rounding, not bit for bit."""
+    model = BENCHMARK_MODELS[name]
+    zs = measure_grids(model)[-1]
+    whole = limit_stieltjes(model, zs)
+    chunks = np.concatenate([limit_stieltjes(model, zs[i:i + 7]) for i in range(0, zs.size, 7)])
+    assert np.all(np.abs(chunks - whole) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(whole)))
+
+
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_the_window_solved_here_is_the_window_given(name):
+    """limit_stieltjes solves the model's window where none is given: the
+    same roots, bit for bit, as with the window given."""
+    model = BENCHMARK_MODELS[name]
+    window = model.window(model.edge())
+    for zs in benchmark_grids(model):
+        assert limit_stieltjes(model, zs).tobytes() == limit_stieltjes(model, zs, window).tobytes()
+
+
+def test_every_point_descends_where_the_window_cannot_be_solved():
+    """The model of tests/test_cli.py whose left edge does not solve (a tiny
+    negative atom puts the reflected model's edge inside the snap window):
+    every point descends, bit for bit."""
+    rho = SpectralMeasure.from_atoms([-1.5067585918145452e-22, 1.0], [0.5, 0.5])
+    model = CovarianceModel(rho, 1.0)
+    with pytest.raises(SolverError, match="left edge of sigma"):
+        model.window(model.edge())
+    xs = np.linspace(0.5, 4.0, 50)
+    zs = xs + 1e-4j
+    want = descent_stieltjes(model, zs)
+    got, descended = fallbacks(lambda: limit_stieltjes(model, zs))
+    assert got.tobytes() == want.tobytes()
+    assert descended == [zs.size]
+    density = np.maximum(-want.imag / np.pi, 0.0)
+    assert sigma_density(model, xs, 1e-4).tobytes() == density.tobytes()
+
+
+@pytest.mark.parametrize("model, z", [
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), 1.0 - 1e-3j),
+    (DeformedWignerModel(SpectralMeasure.point_mass(0.0)), 0.5 - 1e-3j),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), complex(np.nan, 1e-3)),
+    (DeformedWignerModel(SpectralMeasure.point_mass(0.0)), complex(0.5, np.inf)),
+    (CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0), complex(-np.inf, 0.0)),
+], ids=["covariance-below", "deformed-wigner-below", "nan", "inf", "real-inf"])
+def test_a_point_below_the_axis_or_not_finite_is_refused(model, z):
+    """Below the real axis the solve would give the wrong branch (on
+    wishart1 at 1 - 1e-3i 0.50058 - 0.86603i, where G = conj G(conj z) =
+    0.49942 + 0.86603i), and a NaN z would stall with a RuntimeWarning: the
+    first such z is named."""
+    zs = np.array([2.0 + 1e-3j, z, -1.0 - 1.0j])
+    with pytest.raises(ValueError) as refused:
+        limit_stieltjes(model, zs)
+    assert str(refused.value) == f"z must be finite with Im z >= 0, got {z!r}"
+
+
+def test_a_point_on_the_axis_is_solved():
+    """Im z = 0 is not refused: outside the support G_sigma is real, here
+    Marchenko-Pastur's (z - sqrt(z^2 - 4z)) / 2z at z = 5 and -1."""
+    model = CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0)
+    zs = np.array([5.0, -1.0 + -0.0j])
+    want = (zs - np.sign(zs.real) * np.sqrt(zs * zs - 4.0 * zs)) / (2.0 * zs)
+    assert np.all(np.abs(limit_stieltjes(model, zs) - want) <= 1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1e-4, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("model", [
+    CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0),
+    DeformedWignerModel(SpectralMeasure.point_mass(0.0)),
+], ids=["covariance", "deformed-wigner"])
+def test_an_eta_that_is_not_finite_and_positive_is_refused(model, eta):
+    with pytest.raises(ValueError, match="eta must be finite and positive, got " + repr(eta)):
+        sigma_density(model, np.linspace(-1.0, 3.0, 5), eta)
 
 
 # -- the window's seed against the descent ------------------------------------------
 #
-# With the model's support window every point first takes one Newton level at
-# its own height from the window's inverse Joukowski map, in the half-plane of
-# the descent's seed, which holds one root; only the points that fail there
-# descend. Its roots must be the descent's up to rounding.
+# Every point first takes one Newton level at its own height from the
+# window's inverse Joukowski map, in the half-plane of the descent's seed,
+# which holds one root; only the points that fail there descend.
 
 
-def seeded_stieltjes(model, zs, window):
-    """limit_stieltjes with every point solved from the window's seed."""
-    return descent_stieltjes(model, zs, functools.partial(dyson._seeded, start=window.seed))
-
-
-def assert_seeded_near_the_descent(model, zs, window):
-    """Every point solved from the window's seed: within CONTINUATION_TOL
-    of the descent; returns the number of points that descended."""
-    got, descended = fallbacks(lambda: seeded_stieltjes(model, zs, window))
+def assert_near_the_descent(model, zs, window=None):
+    """limit_stieltjes, given the window or solving it: within
+    CONTINUATION_TOL of the descent; returns the number of points that
+    descended."""
+    got, descended = fallbacks(lambda: limit_stieltjes(model, zs, window))
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
     return sum(descended)
 
 
-@settings(max_examples=100)
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_seeded_roots_match_the_descent_on_the_benchmark_models(name):
+    """The three heights of measure_grids and the density command's grid,
+    the window solved by limit_stieltjes (the same roots as given, by
+    test_the_window_solved_here_is_the_window_given)."""
+    for zs in benchmark_grids(BENCHMARK_MODELS[name]):
+        assert_near_the_descent(BENCHMARK_MODELS[name], zs)
+
+
+def descended_on_random_model(model, zs):
+    """assert_near_the_descent where the window solves, as a hypothesis
+    event: the number of points that descended, or that the window did
+    not solve and every point descended."""
+    if solved_window(model) is None:
+        event("window not solved")
+        assert limit_stieltjes(model, zs).tobytes() == descent_stieltjes(model, zs).tobytes()
+    else:
+        event(f"points that descended: {assert_near_the_descent(model, zs)}")
+
+
+@settings(max_examples=300)
 @given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
 def test_seeded_roots_match_the_descent_on_random_covariance_models(rho, alpha, eta):
     model = CovarianceModel(rho, alpha)
     assume(not detect_degenerate(model))
-    window = solved_window(model)
-    if window is None:
-        event("window not solved")
-        return
     mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
     xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
-    event(f"points that descended: {assert_seeded_near_the_descent(model, xs + 1j * eta, window)}")
+    descended_on_random_model(model, xs + 1j * eta)
 
 
-@settings(max_examples=100)
+@settings(max_examples=300)
 @given(mu=atomic_measures, eta=etas)
 def test_seeded_roots_match_the_descent_on_random_deformed_wigner_models(mu, eta):
     model = DeformedWignerModel(mu)
-    window = solved_window(model)
-    if window is None:
-        event("window not solved")
-        return
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
-    event(f"points that descended: {assert_seeded_near_the_descent(model, zs, window)}")
+    descended_on_random_model(model, zs)
 
 
 SEEDED_CASES = {
@@ -643,15 +671,13 @@ SEEDED_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SEEDED_CASES))
 def test_seeded_roots_match_the_descent_and_the_polynomial_roots(name):
-    """The three heights of measure_grids and the density command's grid:
-    every point seeded (on 400 and 2000 points alike), and the limit law as
-    the library solves it, continued on the 2000-point grids; on the density
-    grid the density is the polynomial oracle's."""
+    """The three heights of measure_grids and the density command's grid,
+    every point started from the window's seed; on the density grid the
+    density is the polynomial oracle's."""
     model = SEEDED_CASES[name]
     window = model.window(model.edge())
     density_grid = default_grid(model)[1] + 1e-4j
     for zs in measure_grids(model) + [density_grid]:
-        assert_seeded_near_the_descent(model, zs, window)
         assert_near_the_descent(model, zs, window)
     got = sigma_density(model, density_grid.real, 1e-4, window)
     assert_matches_oracle(got, oracle_density(model, density_grid))
@@ -664,7 +690,7 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
     model = BENCHMARK_MODELS["two-atom"]
     window = model.window(model.edge())
     zs = default_grid(model)[1] + 1e-4j
-    seeded = seeded_stieltjes(model, zs, window)
+    seeded = limit_stieltjes(model, zs, window)
     real_seed = SupportWindow.seed
     wrong = np.arange(zs.size) % 2 == 0
     for flip in (np.ones(zs.size, dtype=bool), wrong):
@@ -682,56 +708,30 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
 # -- the former grid solver as the reference of the Newton kernel --------------------
 #
 # The grid solve before dyson._newton, verbatim but for the docstrings and the
-# names, which start with former_ in place of _: the dispatch of
-# _solve_on_grid, _continue, _newton_on_z, _damped_step, _polish, _descend,
-# _move_down and _descend_with. It kept full-size arrays and gathered and
-# scattered through index vectors of the live points. Its descent takes the
-# ladder of heights as an argument and, as dyson._descend, tries the decades
-# with the loose test before the half-decades with the tight test;
-# half_decade_descent is the whole descent that came before the decade
-# ladder, the loose half-decades before the tight ones. The kernel must give
-# its roots bit for bit, evaluate (G, G') on the same points in the same
-# calls, and raise the same SolverError. The tests below call the new solver
-# as dyson._solve_on_grid and dyson._descend_with.
-
-
-def former_solve_on_grid(h_pair, zs, seed):
-    zs = np.asarray(zs, dtype=complex)
-    if zs.size >= _GRID_MIN and np.all(zs.imag == zs.imag[0]):
-        return former_continue(h_pair, zs, seed)
-    return former_descend(h_pair, zs, seed)
+# names, which start with former_ in place of _: _newton_on_z, _damped_step,
+# _polish, _descend, _move_down and _descend_with. It kept full-size arrays
+# and gathered and scattered through index vectors of the live points. Its
+# descent takes the ladder of heights as an argument and, as dyson._descend,
+# tries the decades with the loose test before the half-decades with the tight
+# test; half_decade_descent is the whole descent that came before the decade
+# ladder, the loose half-decades before the tight ones. former_seeded is the
+# seeded solve of dyson._seeded built from those bodies: one level of Newton
+# steps on z from the start, then the descent of the points that fail. The
+# kernel must give their roots bit for bit, evaluate (G, G') on the same
+# points in the same calls, and raise the same SolverError. The tests below
+# call the new solver as dyson._seeded, dyson._descend and
+# dyson._descend_with.
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def former_continue(h_pair, zs, seed):
-    order = np.argsort(zs.real, kind="stable")
-    x = zs.real[order]
-    n = zs.size
-    solved = np.append(np.arange(0, n - 1, _GRID_STRIDE), n - 1)
-    w = np.empty(n, dtype=complex)
-    w[solved] = former_descend(h_pair, zs[order[solved]], seed)
-    slope = 1.0 / np.asarray(h_pair(w[solved])[1], dtype=complex)
-    between = np.ones(n, dtype=bool)
-    between[solved] = False
-    rest = np.flatnonzero(between)
-    # the solved points around each other point, by their places in solved
-    left = rest // _GRID_STRIDE
-    right = left + 1
-    w0, w1 = w[solved[left]], w[solved[right]]
-    x0 = x[solved[left]]
-    dx = x[solved[right]] - x0
-    t = (x[rest] - x0) / dx
-    u = 1.0 - t
-    seeds = (u * u * ((1.0 + 2.0 * t) * w0 + t * dx * slope[left])
-             + t * t * ((3.0 - 2.0 * t) * w1 - u * dx * slope[right]))
-    z = zs[order[rest]]
-    ok = former_newton_on_z(h_pair, z, seeds, np.sign(w0.imag))
+def former_seeded(h_pair, zs, seed, start):
+    zs = np.asarray(zs, dtype=complex)
+    w = np.asarray(start(zs), dtype=complex)
+    far = seed(zs + 1j * max(1.0, float(np.max(np.abs(zs)))))
+    ok = former_newton_on_z(h_pair, zs, w, np.sign(np.asarray(far, dtype=complex).imag))
     if not ok.all():
-        seeds[~ok] = former_descend(h_pair, z[~ok], seed)
-    w[rest] = seeds
-    out = np.empty(n, dtype=complex)
-    out[order] = w
-    return out
+        w[~ok] = former_descend(h_pair, zs[~ok], seed)
+    return w
 
 
 def former_newton_on_z(h_pair, z, w, side):
@@ -740,7 +740,7 @@ def former_newton_on_z(h_pair, z, w, side):
     live = np.flatnonzero(np.sign(w.imag) == side)
     hw[live], hp[live] = h_pair(w[live])
     tol = _TIGHT_TOL * np.maximum(1.0, np.abs(z))
-    for _ in range(_GRID_STEPS):
+    for _ in range(_SEEDED_STEPS):
         live = live[~(np.abs(hw[live] - z[live]) <= tol[live])]
         if not live.size:
             break
@@ -909,8 +909,6 @@ def benchmark_grids(model):
 # half_decade_descent, the reference below, tries first
 LADDERS = [(_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL), (_DESCENT, _TIGHT_TOL)]
 LADDER_IDS = ["decades", "loose", "tight"]
-SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
-                       if not (isinstance(m, CovarianceModel) and detect_degenerate(m)))
 # the table's tight descents take about 3 s
 DESCENT_MODELS = [pytest.param(n, marks=pytest.mark.slow) if n == "table-rho" else n
                   for n in SOLVED_MODELS]
@@ -918,11 +916,12 @@ DESCENT_MODELS = [pytest.param(n, marks=pytest.mark.slow) if n == "table-rho" el
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
 def test_grid_solve_equals_the_former_solve_bit_for_bit(name):
-    """Every non-degenerate benchmark model: the continued grids, whose
-    descents take the loose levels."""
+    """Every non-degenerate benchmark model: every point descended, by the
+    loose levels, and every point started from the window's seed."""
     model = BENCHMARK_MODELS[name]
+    window = model.window(model.edge())
     for zs in benchmark_grids(model):
-        assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
+        assert_solves_as_the_former(model, zs, window)
 
 
 @pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
@@ -945,13 +944,15 @@ def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
     model = CovarianceModel(rho, alpha)
     zs = default_grid(model)[1] + 1j * eta
     assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
-    assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
+    assert_solves_as_the_former(model, zs, solved_window(model))
 
 
 @pytest.mark.parametrize("half", [0, 1], ids=["g", "g-prime"])
 def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
-    """The grids of the NaN tests above, where every descent stalls."""
+    """The grids of the NaN tests above, where every seeded point fails
+    and every descent stalls."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
+    window = model.window(model.edge())
     real_pair = SpectralMeasure.stieltjes_pair
 
     def nan_half(self, z):
@@ -961,11 +962,11 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
 
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
     for n in (50, 200):
-        assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
+        assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j, window)
 
 
-def test_a_continuation_with_every_seed_off_its_half_plane_ends():
-    """No seed in the half-plane of its neighbours' roots leaves the kernel no
+def test_a_seeded_level_with_every_start_off_its_half_plane_ends():
+    """No start in the half-plane of the descent's seed leaves the kernel no
     point: it ends at once, with the empty evaluations of the former Newton
     steps on z."""
     model = BENCHMARK_MODELS["dw-two-atom"]
@@ -984,13 +985,21 @@ def test_a_continuation_with_every_seed_off_its_half_plane_ends():
 
     inside = np.sign(seeds.imag) == off
     got = dyson._newton(bounded, z[inside], np.zeros(1), np.full(1, _TIGHT_TOL), seeds[inside],
-                        *bounded(seeds[inside]), off[inside], _GRID_STEPS, strict=False)
+                        *bounded(seeds[inside]), off[inside], _SEEDED_STEPS, strict=False)
     assert got.size == 0
     assert sizes == former_sizes == [0, 0]
 
 
-def assert_grid_solves_as_the_former(model, zs):
-    assert_as_the_former(dyson._solve_on_grid, former_solve_on_grid, model, zs)
+def assert_solves_as_the_former(model, zs, window):
+    """_descend as former_descend, and the seeded solve from the window's
+    seed, where the window is solved, as former_seeded."""
+    assert_as_the_former(dyson._descend, former_descend, model, zs)
+    if window is not None:
+        assert_as_the_former(dyson._seeded, former_seeded, model, zs, window.seed)
+
+
+def assert_grid_solves_as_the_former(model, zs, window):
+    assert_solves_as_the_former(model, zs, window)
     for ladder, tol in LADDERS:
         assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
 
@@ -1001,14 +1010,14 @@ def test_random_covariance_grid_solves_equal_the_former_solve(rho, alpha, eta):
     assume(not detect_degenerate(model))
     mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
     xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
-    assert_grid_solves_as_the_former(model, xs + 1j * eta)
+    assert_grid_solves_as_the_former(model, xs + 1j * eta, solved_window(model))
 
 
 @given(mu=atomic_measures, eta=etas)
 def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
     model = DeformedWignerModel(mu)
-    assert_grid_solves_as_the_former(
-        model, covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta)
+    zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
+    assert_grid_solves_as_the_former(model, zs, solved_window(model))
 
 
 # -- the decade ladder against the half-decade descent -----------------------------

@@ -367,7 +367,7 @@ class TestDistanceStats:
     def test_continuous_population_law_end_to_end(self):
         # semicircle population spectrum: the sampled eigenvalue distribution
         # must match the solved limit, tying together quantile diagonals,
-        # the edge solver, and the density continuation
+        # the edge solver, and the limit-law solve
         from rmtldp.dyson import sigma_measure
         model = CovarianceModel(SpectralMeasure.semicircle(2.0, 1.0), 1.0)
         sigma = sigma_measure(model, 1500)
