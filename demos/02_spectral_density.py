@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from rmtldp.dyson import CovarianceModel, sigma_density, sigma_measure, support_window
+from rmtldp.dyson import CovarianceModel, sigma_density, sigma_measure
 from rmtldp.measures import SpectralMeasure
 
 model = CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0)
@@ -25,7 +25,7 @@ for x, v in zip(xs, vals):
 print()
 print("== discretized limiting measure ==")
 sigma = sigma_measure(model, 1500)
-print("support window:", support_window(model))
+print("support window:", model.window)
 print("raw mass defect of the grid:", sigma.raw_mass_defect)
 for x in (0.5, 1.0, 2.0, 3.0):
     print(f"CDF({x}) = {sigma.cdf(x):.6f}")

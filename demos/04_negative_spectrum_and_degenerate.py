@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from rmtldp.dyson import CovarianceModel, detect_degenerate, edge_solve, g_bar_sigma
+from rmtldp.dyson import CovarianceModel, detect_degenerate, g_bar_sigma
 from rmtldp.measures import SpectralMeasure
 from rmtldp.montecarlo import edge_stats
 from rmtldp.rate import rate, rate_degenerate
@@ -16,14 +16,14 @@ neg = SpectralMeasure.point_mass(-1.0)
 
 print("== alpha = 2: negative edge, finite rates on [r(sigma), 0) ==")
 model = CovarianceModel(neg, 2.0)
-edge = edge_solve(model)
+edge = model.edge
 print(f"r(sigma) = {edge.r_sigma:.10f}  "
       f"(closed form {-((1 - 1 / math.sqrt(2)) ** 2):.10f})")
 print(f"theta_c  = {edge.theta_c:.10f}  (closed form {2 * (1 + math.sqrt(2)):.10f})")
 for x in (-0.08, -0.05, -0.02, -0.005):
-    print(f"I({x}) = {rate(model, x, edge):.6f}   Gbar({x}) = {g_bar_sigma(edge, model, x):.4f}")
+    print(f"I({x}) = {rate(model, x):.6f}   Gbar({x}) = {g_bar_sigma(model, x):.4f}")
 print("the second branch blows up toward zero, so the rate diverges there;")
-print("I(0) =", rate(model, 0.0, edge))
+print("I(0) =", rate(model, 0.0))
 
 print()
 print("== alpha = 1/2: degenerate pair ==")

@@ -11,7 +11,6 @@ from rmtldp.measures import SpectralMeasure
 from rmtldp.wigner import (
     DeformedWignerModel,
     dw_branches,
-    dw_edge,
     dw_epsilon_cap,
     dw_h,
     dw_rate,
@@ -22,9 +21,9 @@ from rmtldp.wigner import (
 
 print("== trivial deformation: pure Wigner ==")
 pure = DeformedWignerModel(SpectralMeasure.point_mass(0.0))
-edge = dw_edge(pure)
+edge = pure.edge
 print(f"y_c={edge.y_c:.10f}  r_edge={edge.r_edge:.10f}  x_c={edge.x_c_dw}")
-g, gb = dw_branches(pure, 3.0, edge)
+g, gb = dw_branches(pure, 3.0)
 print(f"branches at x=3: {g:.10f}, {gb:.10f}  "
       f"(roots of y + 1/y = 3: {(3 - math.sqrt(5)) / 2:.10f}, {(3 + math.sqrt(5)) / 2:.10f})")
 
@@ -35,12 +34,12 @@ def wigner_closed_form(x):
 
 
 for x in (2.5, 3.0, 4.0):
-    print(f"I({x}) = {dw_rate(pure, x, edge):.10f}   closed form = {wigner_closed_form(x):.10f}")
+    print(f"I({x}) = {dw_rate(pure, x):.10f}   closed form = {wigner_closed_form(x):.10f}")
 
 print()
 print("== semicircle deformation ==")
 model = DeformedWignerModel(SpectralMeasure.semicircle(0.0, 1.0))
-edge = dw_edge(model)
+edge = model.edge
 print(f"K(1) = {k_transform(model.mu_d, 1.0):.10f} (R-transform y/4 gives 1.25)")
 print(f"free sum of semicircles has edge sqrt(5): r_edge = {edge.r_edge:.10f}")
 print(f"finite threshold x_c = {edge.x_c_dw:.10f}; beyond it H is affine:")
@@ -50,11 +49,10 @@ for y in (1.5, 2.0, 2.5, 3.0):
 print()
 print("== variational form agrees with the primal integral ==")
 two_atom = DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5]))
-e2 = dw_edge(two_atom)
 for x_off in (0.5, 1.5):
-    x = e2.r_edge + x_off
-    primal = dw_rate(two_atom, x, e2)
-    varia = dw_rate_variational(two_atom, x, e2)
+    x = two_atom.edge.r_edge + x_off
+    primal = dw_rate(two_atom, x)
+    varia = dw_rate_variational(two_atom, x)
     print(f"x={x:.4f}: primal={primal:.6f}  variational={varia:.6f}")
 
 print()
@@ -65,4 +63,4 @@ print("density of the pure semicircle on a grid:",
 capped = dw_epsilon_cap(model, 0.25)
 print("capping the deformation moves tail mass to an atom:",
       f"atom at 1 with weight {capped.mu_d.atom_mass(1.0):.6f}")
-print("capped threshold:", dw_edge(capped).x_c_dw)
+print("capped threshold:", capped.edge.x_c_dw)

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density, sigma_rule
+from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density
 from .measures import MeasureError, SpectralMeasure
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
 from .rate import _rates_both_ways, approx_sweep, csv_text, rate_table
@@ -162,20 +162,19 @@ _REPORT_KEYS = {"x_c_dw": "x_c", "g_edge_mu_d": "g_edge"}
 
 
 def _cmd_edge(args) -> None:
-    edge = _load_model(args).edge()
+    edge = _load_model(args).edge
     report = {_REPORT_KEYS.get(k, k): v for k, v in dataclasses.asdict(edge).items()}
     _emit(json.dumps(_json_ready(report), indent=2) + "\n", args.out)
 
 
 def _cmd_rate(args) -> None:
     model = _load_model(args)
-    edge = model.edge()
-    if edge.degenerate:
+    if model.edge.degenerate:
         raise DegenerateModelError(
             "model is degenerate; `edge` reports degenerate=true and the rate "
             "function is 0 at x=0 and infinite elsewhere"
         )
-    table = rate_table(model, args.xmax, args.points, edge)
+    table = rate_table(model, args.xmax, args.points)
     buf = io.StringIO()
     table.write_csv(buf)
     _emit(buf.getvalue(), args.out)
@@ -186,37 +185,34 @@ def _cmd_density(args) -> None:
     if model.degenerate:
         raise DegenerateModelError("degenerate model has no continuous density")
     xmin, xmax = args.xmin, args.xmax
-    window = None
     if xmin is None or xmax is None:
-        window = model.window(model.edge())
+        window = model.window
         margin = 0.05 * (window.right - window.left)
         xmin = window.left - margin if xmin is None else xmin
         xmax = window.right + margin if xmax is None else xmax
     xs = np.linspace(xmin, xmax, args.points)
-    _emit(csv_text("x,density", (xs, sigma_density(model, xs, args.eta, window))), args.out)
+    _emit(csv_text("x,density", (xs, sigma_density(model, xs, args.eta))), args.out)
 
 
 def _cmd_variational(args) -> None:
     model = _load_model(args)
-    edge = model.edge()
-    if edge.degenerate:
+    if model.edge.degenerate:
         raise DegenerateModelError("degenerate model: the variational form does not apply")
     xs = np.array(args.x)
     # both columns from one solve of both branches at all points, and one
     # evaluation of the variational objective on all their theta
-    primal, varia = _rates_both_ways(model, xs, edge, sigma_rule(model, edge))
+    primal, varia = _rates_both_ways(model, xs, model.sigma)
     _emit(csv_text("x,rate_primal,rate_variational,abs_diff",
                    (xs, primal, varia, np.abs(primal - varia))), args.out)
 
 
 def _cmd_approx(args) -> None:
     model = _load_model(args, ("covariance",))
-    edge = model.edge()
-    if edge.degenerate:
+    if model.edge.degenerate:
         raise DegenerateModelError("degenerate model has no approximation sweep")
-    xmin = args.xmin if args.xmin is not None else edge.r_sigma + 0.5
+    xmin = args.xmin if args.xmin is not None else model.edge.r_sigma + 0.5
     xs = np.linspace(xmin, args.xmax, args.points)
-    sweep = approx_sweep(model, args.eps, xs, edge)
+    sweep = approx_sweep(model, args.eps, xs)
     buf = io.StringIO()
     sweep.write_csv(buf)
     _emit(buf.getvalue(), args.out)

@@ -185,17 +185,27 @@ class CovarianceModel:
                 f"left edge is {self.rho.left_edge!r}"
             )
 
-    # The primitives below are what the two model kinds do differently;
-    # rate, rate_variational, sigma_density and sigma_measure are written
-    # once over them, for either kind (DeformedWignerModel has the same).
+    # The primitives below are what the two model kinds do differently; rate,
+    # rate_variational, sigma_density and sigma_measure are written once over
+    # them, for either kind (DeformedWignerModel has the same). edge, window
+    # and sigma are kept once solved; a solve that raises is not.
 
+    @functools.cached_property
     def edge(self) -> EdgeData:
         return edge_solve(self)
 
-    def branches(self, x, edge: EdgeData):
+    @functools.cached_property
+    def window(self) -> SupportWindow:
+        return support_window(self)
+
+    @functools.cached_property
+    def sigma(self) -> SpectralMeasure:
+        return sigma_rule(self)
+
+    def branches(self, x):
         """(G, Gbar): the two solutions of H(y) = x, elementwise over an array
         x; floats for a scalar x."""
-        return _branches(self, x, edge)
+        return _branches(self, x)
 
     @property
     def degenerate(self) -> bool:
@@ -216,12 +226,12 @@ class CovarianceModel:
         c = (1.0 - self.alpha) / self.alpha
         return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
 
-    def level(self, edge: EdgeData) -> Level:
+    def level(self) -> Level:
         """The curve with its edge. Since lam^2/(lam - t) = lam + t + t^2/(lam
         - t), x(lam) = lam/alpha + mean(rho) + integral of t^2/(lam - t), so
         x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam = alpha (x -
         mean(rho)) lies right of the right root."""
-        a = self.alpha
+        a, edge = self.alpha, self.edge
         curve = self.curve()
         mean = self.rho.integrate(lambda u: u)
         x_c = edge.x_c
@@ -276,22 +286,19 @@ class CovarianceModel:
         # edge rounding can leave it a few ulps below zero
         return 0.5 * self.beta * np.maximum(0.0, bracket)
 
-    def window(self, edge: EdgeData) -> SupportWindow:
-        return support_window(self, edge)
-
     def reflected(self) -> CovarianceModel:
         """The model of -Gamma, whose sigma is sigma reflected, with the
         Gaussian law: sigma does not depend on the entry law."""
         return CovarianceModel(self.rho.reflected(), self.alpha)
 
-    def variational(self, x, edge: EdgeData, sigma: SpectralMeasure):
+    def variational(self, x, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
         J(sigma, theta/2, x) - F(rho, theta), elementwise over an array x;
         the optimizer is Gbar_sigma(x), of all points from one branch solve
         (:meth:`_variational_from`)."""
-        return self._variational_from(x, g_bar_sigma(edge, self, x), edge, sigma)
+        return self._variational_from(x, g_bar_sigma(self, x), sigma)
 
-    def _variational_from(self, x, g_bar, edge: EdgeData, sigma: SpectralMeasure):
+    def _variational_from(self, x, g_bar, sigma: SpectralMeasure):
         """:meth:`variational` from the second branch g_bar = Gbar_sigma(x),
         solved by the caller: optimizers of x's shape, scan ends that
         broadcast to it, and the objective on an array of theta of shape
@@ -300,9 +307,9 @@ class CovarianceModel:
         attained; with x_c infinite the optimizer approaches the open end."""
         from .rate import f_fn, j_fn
         xs, theta_x = np.asarray(x, dtype=float), np.asarray(g_bar, dtype=float)
-        tmax = edge.theta_max
+        tmax = self.edge.theta_max
         if math.isfinite(tmax):
-            cap = tmax if math.isfinite(edge.x_c) else tmax * (1.0 - 1e-8)
+            cap = tmax if math.isfinite(self.edge.x_c) else tmax * (1.0 - 1e-8)
             theta_x = np.where(theta_x >= tmax * (1.0 - 1e-12), cap, theta_x)
             end = tmax * (1.0 - 1e-6)
         else:
@@ -454,22 +461,22 @@ def _edge_side(r: float, x):
     return np.where(x < r - 1e-12 * scale, -1, np.where(x <= r + 1e-13 * scale, 0, 1))
 
 
-def g_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
+def g_sigma(model: CovarianceModel, x: float) -> float:
     """Stieltjes transform of sigma at real x >= r(sigma) (first branch).
 
     Unique root of H(y) = x in (0, theta_c]; strictly decreasing in x.
     """
-    return _branches(model, x, edge, second=False)[0]
+    return _branches(model, x, second=False)[0]
 
 
-def g_bar_sigma(edge: EdgeData, model: CovarianceModel, x: float) -> float:
+def g_bar_sigma(model: CovarianceModel, x: float) -> float:
     """Second branch of the Stieltjes transform at real x.
 
     For x <= x_c this is the root of H(y) = x in [theta_c, theta_max); for
     x >= x_c (finite case) it is capped at theta_max. Nondecreasing in x,
     equal to theta_c at x = r(sigma).
     """
-    return _branches(model, x, edge, first=False)[1]
+    return _branches(model, x, first=False)[1]
 
 
 # -- the branch solve, shared by both model kinds -------------------------------
@@ -647,7 +654,7 @@ def _level_edge(slope, floor: float, scale: float, capped: bool) -> float:
     return brentq(slope, lo, hi, xtol=1e-16 * (hi - floor), **_BRENTQ_KW)
 
 
-def _branches(model, x, edge, first: bool = True, second: bool = True):
+def _branches(model, x, first: bool = True, second: bool = True):
     """(G, Gbar) of either model kind at x, elementwise over an array x;
     floats for a scalar x. A branch not asked for is NaN.
 
@@ -655,6 +662,7 @@ def _branches(model, x, edge, first: bool = True, second: bool = True):
     :class:`Level`: the right root gives the first branch, the left root the
     second, unless the second is capped there.
     """
+    edge = model.edge
     _require_nondegenerate(edge)
     xs = np.asarray(x, dtype=float)
     side = _edge_side(edge.r_sigma, xs)
@@ -665,7 +673,7 @@ def _branches(model, x, edge, first: bool = True, second: bool = True):
         outside = float(np.max(xs))
         raise ValueError(f"x={outside!r} outside the domain [r(sigma), {edge.x_end!r}) "
                          f"of the second branch")
-    level = model.level(edge)
+    level = model.level()
     g = np.full(xs.shape, level.at_edge if first else math.nan)
     g_bar = np.full(xs.shape, level.at_edge if second else math.nan)
     beyond = side > 0
@@ -876,7 +884,7 @@ class SupportWindow:
         return 0.5 * (self.lam_left + self.lam_right) + 0.5 * (self.lam_right - self.lam_left) * w
 
 
-def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> SupportWindow:
+def support_window(model: CovarianceModel) -> SupportWindow:
     """Support window [l(sigma'), r(sigma)] of the continuous part of sigma,
     plus the exact zero-atom mass max(0, 1 - alpha(1 - rho({0}))), and the
     points lam = alpha/theta_c of the level curves at the window's ends.
@@ -885,9 +893,9 @@ def support_window(model: CovarianceModel, edge: EdgeData | None = None) -> Supp
     is sigma reflected, and the left edge is minus r(sigma) of the reflected
     model (the rule of the deformed-Wigner window), at minus that model's
     lam_c. When it is degenerate, or within rounding of it, the continuous
-    part is bounded below by 0 (hard edge or zero atom), at lam = 0.
+    part is bounded below by 0 (a hard edge, or an atom at 0), at lam = 0.
     """
-    edge = edge or edge_solve(model)
+    edge = model.edge
     _require_nondegenerate(edge)
     rho, a = model.rho, model.alpha
     nonzero = a * (1.0 - rho.atom_mass(0.0))
@@ -1127,20 +1135,19 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
     return roots
 
 
-def limit_stieltjes(model, zs: np.ndarray, window=None) -> np.ndarray:
+def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
     """G_sigma(z) at every z of an array on or above the real axis, for
     either model kind: the root lam of x(lam) = z on the model's curve,
     solved by :func:`_seeded` on the curve's formula (damped Newton in
     :func:`_newton`, one ``stieltjes_pair`` per trial) and mapped to G_sigma
     by the curve's y.
 
-    Every point starts at its own height from the seed of the model's
-    support window (:meth:`SupportWindow.seed`), and only the points that
-    fail to converge from it descend from the curve's seed far above the
-    axis. ``window`` is the model's solved window where the caller holds
-    it; else it is solved here, and where that raises SolverError every
-    point descends. A degenerate covariance model is refused, and so is a
-    z that is not finite or lies below the real axis (ValueError)."""
+    Every point starts at its own height from the seed of ``model.window``
+    (:meth:`SupportWindow.seed`), and only the points that fail to converge from
+    it descend from the curve's seed far above the axis. Where the window raises
+    SolverError every point descends; such a window is not kept, so each call
+    tries it again. A degenerate covariance model is refused, and so is a z that
+    is not finite or lies below the real axis (ValueError)."""
     if model.degenerate:
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
     zs = np.asarray(zs, dtype=complex)
@@ -1154,7 +1161,7 @@ def limit_stieltjes(model, zs: np.ndarray, window=None) -> np.ndarray:
         return curve.point(v, *mu.stieltjes_pair(v))
 
     try:
-        window = window or model.window(model.edge())
+        window = model.window
     except SolverError:
         lam = _descend(h_pair, zs, curve.seed)
     else:
@@ -1162,17 +1169,15 @@ def limit_stieltjes(model, zs: np.ndarray, window=None) -> np.ndarray:
     return curve.y(lam, zs)
 
 
-def sigma_density(model, x, eta: float, window=None):
+def sigma_density(model, x, eta: float):
     """Density approximation -Im G_sigma(x + i eta) / pi at real x, for a
-    finite eta > 0 and either model kind (sigma is then the model's
-    limiting measure), by :func:`limit_stieltjes` at every z = x + i eta
-    at once; ``window`` is the model's solved support window, where the
-    caller holds it.
+    finite eta > 0 and either model kind (sigma is then the model's limiting
+    measure), by :func:`limit_stieltjes` at every z = x + i eta at once.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"eta must be finite and positive, got {eta!r}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    g = limit_stieltjes(model, xs + 1j * eta, window)
+    g = limit_stieltjes(model, xs + 1j * eta)
     out = np.maximum(-g.imag / math.pi, 0.0)
     return out[0] if np.asarray(x).ndim == 0 else out
 
@@ -1306,10 +1311,10 @@ def boundary_density_grid(lo: float, hi: float, n: int):
     return mid + half * np.cos(math.pi * (np.arange(int(n)) + 0.5) / int(n))
 
 
-def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
+def sigma_measure(model, grid_points: int = 2000) -> SpectralMeasure:
     """Grid discretization of the limiting measure sigma of either model
-    kind: boundary density on a Chebyshev-clustered grid over the model's
-    support window plus the exact zero atom when present.
+    kind: boundary density on a Chebyshev-clustered grid over
+    ``model.window`` plus the exact zero atom when present.
 
     The grid density is renormalized to total mass 1; the raw mass defect is
     recorded on the returned measure as a quality metric. ``grid_points``
@@ -1318,18 +1323,14 @@ def sigma_measure(model, grid_points: int = 2000, edge=None) -> SpectralMeasure:
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer of at least 3, got {grid_points!r}")
-    return _grid_sigma(model, model.window(edge or model.edge()), grid_points)
-
-
-def _grid_sigma(model, window: SupportWindow, grid_points: int) -> SpectralMeasure:
-    """The grid sigma of :func:`sigma_measure` over a solved window."""
+    window = model.window
     lo, hi = window.left, window.right
     span = hi - lo
     if span <= 0.0:
         raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
     xs = boundary_density_grid(lo, hi, grid_points)
     eta_floor = 1e-9 * max(1.0, span)
-    g = limit_stieltjes(model, xs + 1j * eta_floor, window)
+    g = limit_stieltjes(model, xs + 1j * eta_floor)
     if window.zero_atom > 0.0:
         # the zero atom is attached exactly below; strip its Cauchy bump from
         # the recovered transform so only the continuous part is gridded
@@ -1490,7 +1491,7 @@ def _measure_pieces(mu: SpectralMeasure, skip_zero: bool):
     return [tuple(p) for p in merged]
 
 
-def _sigma_bands(model, window: SupportWindow):
+def _sigma_bands(model):
     """The bands (a, b, q, p) of sigma's continuous part, with the exponents
     of the weight at a and b, or None where an edge cannot be classified.
 
@@ -1509,7 +1510,7 @@ def _sigma_bands(model, window: SupportWindow):
     reflected = model.reflected()
     pieces = _measure_pieces(curve.measure, reflected.degenerate)
     if reflected.degenerate:
-        if window.zero_atom == 0.0:
+        if model.window.zero_atom == 0.0:
             left, q = 0.0, -0.5
         else:
             least = pieces[0][0]
@@ -1521,23 +1522,23 @@ def _sigma_bands(model, window: SupportWindow):
         mirror = reflected.curve()
         # a left edge at 0 without a degenerate reflection lies in the slack
         # window of support_window
-        if window.left == 0.0 or mirror(mirror.floor)[1] > 0.0:
+        if model.window.left == 0.0 or mirror(mirror.floor)[1] > 0.0:
             return None
-        left, q = window.left, 0.5
+        left, q = model.window.left, 0.5
     gaps = _interior_gaps(curve, pieces)
     if gaps is None:
         return None
-    edges = [left, *chain.from_iterable(sorted(gaps)), window.right]
+    edges = [left, *chain.from_iterable(sorted(gaps)), model.window.right]
     if not all(a < b for a, b in zip(edges, edges[1:])):
         return None
     exps = [q] + [0.5] * (len(edges) - 1)
     return [(edges[i], edges[i + 1], exps[i], exps[i + 1]) for i in range(0, len(edges), 2)]
 
 
-def sigma_rule(model, edge=None) -> SpectralMeasure:
+def sigma_rule(model) -> SpectralMeasure:
     """The limiting measure sigma of either model kind as a Gauss-Jacobi
     rule of ``_BAND_NODES`` nodes on each band of its continuous part, plus
-    the exact zero atom when present: the sigma of the variational form.
+    the exact zero atom when present: ``model.sigma``, the variational form's.
 
     The bands come from the level curve (:func:`_sigma_bands`); a node t_k
     of a band [a, b] of half-width h carries the mass h w_k f(t_k) /
@@ -1551,17 +1552,16 @@ def sigma_rule(model, edge=None) -> SpectralMeasure:
     edge) or the rule's raw mass defect exceeds ``_RULE_DEFECT``, this is
     the 2000-point grid of :func:`sigma_measure` instead.
     """
-    edge = edge or model.edge()
-    window = model.window(edge)
-    bands = _sigma_bands(model, window)
+    window = model.window
+    bands = _sigma_bands(model)
     if bands is None:
-        return _grid_sigma(model, window, _GRID_FALLBACK)
+        return sigma_measure(model, _GRID_FALLBACK)
     rules = [_jacobi_rule(p, q) for _, _, q, p in bands]
     half = np.repeat([0.5 * (b - a) for a, b, _, _ in bands], _BAND_NODES)
     u = np.concatenate([nodes for nodes, _ in rules])
     ts = np.repeat([0.5 * (a + b) for a, b, _, _ in bands], _BAND_NODES) + half * u
     zs = ts + 1j * (_RULE_ETA * half)
-    g = limit_stieltjes(model, zs, window)
+    g = limit_stieltjes(model, zs)
     if window.zero_atom > 0.0:
         g = g - window.zero_atom / zs
     omega = np.concatenate([(1.0 - nodes) ** p * (1.0 + nodes) ** q
@@ -1570,7 +1570,7 @@ def sigma_rule(model, edge=None) -> SpectralMeasure:
     raw = window.zero_atom + float(masses.sum())
     defect = abs(1.0 - raw)
     if not defect <= _RULE_DEFECT:
-        return _grid_sigma(model, window, _GRID_FALLBACK)
+        return sigma_measure(model, _GRID_FALLBACK)
     masses *= (1.0 - window.zero_atom) / masses.sum()
     comps = [_make_component("table", a, b, None, ts[i * _BAND_NODES:(i + 1) * _BAND_NODES],
                              masses[i * _BAND_NODES:(i + 1) * _BAND_NODES], edge_finite_g=True)

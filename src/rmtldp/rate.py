@@ -16,14 +16,11 @@ from .dyson import (
     _NEWTON_XTOL,
     CovarianceModel,
     DegenerateModelError,
-    EdgeData,
     SolverError,
     _edge_side,
     _evaluable_floor,
     _monotone_newton,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches rate.brentq
-    edge_solve,
-    sigma_rule,
     theta_max,
 )
 from .measures import MeasureError, Semicircle, SpectralMeasure, _make_component
@@ -52,25 +49,24 @@ _SCAN_TOL = 2e-3
 _SCAN_FRACTIONS = np.linspace(0.0, 1.0, 50)
 
 
-def rate(model, x, edge=None):
+def rate(model, x):
     """Large-deviation rate of the largest eigenvalue at x, for either model
     kind, elementwise over an array x; a float for a scalar x.
 
     Equals (beta/2) times the integral of the branch gap Gbar - G from
     r(sigma) to x, in closed form from the two branch values at x alone (see
     the models' ``rate_from_branches``). The value is +inf below r(sigma) and
-    from ``edge.x_end`` on: for covariance models with nonpositive support,
-    on [0, inf). Adaptive quadrature of the gap survives only as the test
-    oracle.
+    from ``model.edge.x_end`` on: for covariance models with nonpositive
+    support, on [0, inf). Adaptive quadrature of the gap survives only as
+    the test oracle.
     """
-    edge = edge or model.edge()
-    if edge.degenerate:
+    if model.edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     xs = np.asarray(x, dtype=float)
-    out, inner = _off_branches(edge, xs)
+    out, inner = _off_branches(model.edge, xs)
     if inner.any():
         xi = xs[inner]
-        out[inner] = model.rate_from_branches(xi, *model.branches(xi, edge))
+        out[inner] = model.rate_from_branches(xi, *model.branches(xi))
     return float(out) if out.ndim == 0 else out
 
 
@@ -289,18 +285,16 @@ def f_fn(model: CovarianceModel, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
+def rate_variational(model, x, sigma: SpectralMeasure | None = None):
     """Rate at x through the variational form, for either model kind,
     elementwise over an array x; a float for a scalar x. It is the supremum
     over theta of the model's objective (see its ``variational``),
     J(sigma, theta/2, x) - F(rho, theta) for covariance models.
 
-    Without ``sigma``, sigma is :func:`rmtldp.dyson.sigma_rule`: a 64-node
-    Gauss-Jacobi rule on each band of sigma, which gives the rate to about
-    1e-14 max(1, I) from 0.05 max(1, |r(sigma)|) past the edge on. It falls
-    back to the 2000-point grid of ``sigma_measure`` where an edge of sigma
-    cannot be classified (a cusp, as where two bands meet) or the rule's
-    mass defect exceeds 1e-12. A ``sigma`` passed in is used as it is.
+    Without ``sigma``, sigma is ``model.sigma``, the rule of
+    :func:`rmtldp.dyson.sigma_rule` (or its grid fallback), which gives the
+    rate to about 1e-14 max(1, I) from 0.05 max(1, |r(sigma)|) past the edge
+    on. A ``sigma`` passed in is used as it is.
 
     The supremum is attained at the model's optimizer. The optimizers of all
     points come from one solve of the second branch, and the objective is
@@ -312,34 +306,32 @@ def rate_variational(model, x, edge=None, sigma: SpectralMeasure | None = None):
     optimizer's value is a rounding-sized negative. At r(sigma) and in its
     snap window the rate is 0 by :func:`rate`'s rule (:func:`_off_branches`)
     for any sigma: a grid sigma's own error would leave up to 2.8e-7 there.
-    A point below the window or from ``edge.x_end`` on raises ValueError.
+    A point below the window, or from ``model.edge.x_end`` on, raises ValueError.
     The result carries the beta factor.
     """
-    edge, sigma = _variational_setup(model, edge, sigma)
+    sigma = _variational_setup(model, sigma)
     xs = np.asarray(x, dtype=float)
-    out, inner = _off_branches(edge, xs)
+    out, inner = _off_branches(model.edge, xs)
     # every point but those at r(sigma) goes to the branch solve, which
     # refuses the points outside the domain
     solve = inner | (out != 0.0)
     xi = xs[solve]
-    out[solve] = _supremum(model, xi, *model.variational(xi, edge, sigma))
+    out[solve] = _supremum(model, xi, *model.variational(xi, sigma))
     return float(out) if out.ndim == 0 else out
 
 
-def _variational_setup(model, edge, sigma):
-    """The edge and sigma of a variational evaluation: the model's edge and
-    :func:`rmtldp.dyson.sigma_rule` where not given. A degenerate model and
+def _variational_setup(model, sigma):
+    """``sigma``, or ``model.sigma`` where it is None; a degenerate model and
     a grid sigma of mass defect above 1e-3 are refused."""
-    edge = edge or model.edge()
-    if edge.degenerate:
+    if model.edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     if sigma is None:
-        sigma = sigma_rule(model, edge)
+        sigma = model.sigma
     if sigma.raw_mass_defect is not None and sigma.raw_mass_defect > 1e-3:
         raise SolverError(
             f"sigma grid mass defect {sigma.raw_mass_defect!r} exceeds 1e-3; refine the grid"
         )
-    return edge, sigma
+    return sigma
 
 
 def _supremum(model, xs, theta_x, end, objective):
@@ -362,19 +354,19 @@ def _supremum(model, xs, theta_x, end, objective):
     return model.beta * np.maximum(value, 0.0)
 
 
-def _rates_both_ways(model, xs, edge, sigma):
+def _rates_both_ways(model, xs, sigma):
     """(primal, variational) rates at the points of the array xs, as
     :func:`rate` and :func:`rate_variational` give them, bit for bit, from
     one solve of both branches: the variational command's two columns. A
     point below r(sigma) or from ``edge.x_end`` on raises ValueError, as
     rate_variational does there."""
-    edge, sigma = _variational_setup(model, edge, sigma)
-    g, g_bar = model.branches(xs, edge)
-    primal, inner = _off_branches(edge, xs)
+    sigma = _variational_setup(model, sigma)
+    g, g_bar = model.branches(xs)
+    primal, inner = _off_branches(model.edge, xs)
     variational = primal.copy()
     xi, g_bar = xs[inner], g_bar[inner]
     primal[inner] = model.rate_from_branches(xi, g[inner], g_bar)
-    variational[inner] = _supremum(model, xi, *model._variational_from(xi, g_bar, edge, sigma))
+    variational[inner] = _supremum(model, xi, *model._variational_from(xi, g_bar, sigma))
     return primal, variational
 
 
@@ -474,35 +466,34 @@ class RateTable:
     gbar_values: np.ndarray
     i_values: np.ndarray
     beta: int
-    edge: EdgeData
 
     def write_csv(self, stream) -> None:
         stream.write(csv_text("x,G,Gbar,I",
                               (self.x_grid, self.g_values, self.gbar_values, self.i_values)))
 
 
-def _table_on_grid(model, edge, xs: np.ndarray) -> RateTable:
+def _table_on_grid(model, xs: np.ndarray) -> RateTable:
     """Branch values at grid points plus the rate at each of them, by the
     model's closed-form rate: the branches of all points come from one
     batched Newton solve, and the rate from one array evaluation."""
     xs = np.asarray(xs, dtype=float)
-    g, gb = model.branches(xs, edge)
-    return RateTable(xs, g, gb, model.rate_from_branches(xs, g, gb), model.beta, edge)
+    g, gb = model.branches(xs)
+    return RateTable(xs, g, gb, model.rate_from_branches(xs, g, gb), model.beta)
 
 
-def rate_table(model, x_max: float, points: int, edge=None) -> RateTable:
+def rate_table(model, x_max: float, points: int) -> RateTable:
     """RateTable on a uniform grid from r(sigma) to x_max, for a covariance
     or a deformed-Wigner model (sigma is then its free convolution). Both
     branches of every grid point come from one batched Newton solve (see
     :func:`rmtldp.dyson._level_roots`), and row i equals ``rate`` at x_i bit
     for bit."""
-    edge = edge or model.edge()
+    edge = model.edge
     if edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     if x_max <= edge.r_sigma:
         raise ValueError(f"x_max={x_max!r} must exceed r(sigma)={edge.r_sigma!r}")
     xs = np.linspace(edge.r_sigma, x_max, int(points))
-    return _table_on_grid(model, edge, xs)
+    return _table_on_grid(model, xs)
 
 
 @dataclass(frozen=True)
@@ -521,7 +512,7 @@ class ApproxSweep:
 
 
 def approx_sweep(model: CovarianceModel, eps_list, x_grid,
-                 edge: EdgeData | None = None, domination_tol: float = 1e-9) -> ApproxSweep:
+                 domination_tol: float = 1e-9) -> ApproxSweep:
     """Rates of the right-edge-truncated models against the base model.
 
     For each eps the truncated model is solved on ``x_grid`` and the sup of
@@ -529,11 +520,10 @@ def approx_sweep(model: CovarianceModel, eps_list, x_grid,
     rate by more than ``domination_tol`` anywhere, or when eps -> r(sigma_eps)
     fails to be nondecreasing.
     """
-    edge = edge or edge_solve(model)
-    if edge.degenerate:
+    if model.edge.degenerate:
         raise DegenerateModelError("degenerate model has no approximation sweep")
     xs = np.asarray(sorted(x_grid), dtype=float)
-    base = _table_on_grid(model, edge, xs)
+    base = _table_on_grid(model, xs)
     eps_arr = np.asarray(sorted(eps_list), dtype=float)
     r_eps = np.empty_like(eps_arr)
     sup_err = np.empty_like(eps_arr)
@@ -541,14 +531,13 @@ def approx_sweep(model: CovarianceModel, eps_list, x_grid,
     for i, eps in enumerate(eps_arr):
         rho_eps = epsilon_truncate(model.rho, float(eps))
         model_eps = CovarianceModel(rho_eps, model.alpha, model.beta, model.entry_law)
-        edge_eps = edge_solve(model_eps)
-        table = _table_on_grid(model_eps, edge_eps, xs)
+        table = _table_on_grid(model_eps, xs)
         excess = np.max(table.i_values - base.i_values)
         if excess > domination_tol:
             raise SolverError(
                 f"truncated rate at eps={eps!r} exceeds the base rate by {excess!r}"
             )
-        r_eps[i] = edge_eps.r_sigma
+        r_eps[i] = model_eps.edge.r_sigma
         sup_err[i] = float(np.max(np.abs(table.i_values - base.i_values)))
         tables.append(table)
     if np.any(np.diff(r_eps) < -1e-12):

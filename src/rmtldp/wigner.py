@@ -6,6 +6,7 @@ capping approximation."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .dyson import (
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches wigner.brentq
     sigma_density,
     sigma_measure,
+    sigma_rule,
 )
 from .measures import SpectralMeasure
 from .rate import _inverse_stieltjes, epsilon_truncate, j_fn, rate, rate_variational
@@ -57,13 +59,26 @@ class DeformedWignerModel:
         _check_entry_law(self.beta, self.entry_law)
 
     # The primitives of the shared rate, variational and limit-law functions,
-    # as CovarianceModel has them.
+    # and the solved state kept on the model, as CovarianceModel has them.
 
+    @functools.cached_property
     def edge(self) -> DWEdgeData:
         return dw_edge(self)
 
-    def branches(self, x, edge: DWEdgeData):
-        return _branches(self, x, edge)
+    @functools.cached_property
+    def window(self) -> SupportWindow:
+        """Support of the free convolution: r_edge, and minus r_edge of -D, at
+        lam_c = r_edge - y_c and at minus the lam_c of -D."""
+        edge, reflected = self.edge, dw_edge(self.reflected())
+        return SupportWindow(-reflected.r_edge, edge.r_edge, 0.0,
+                             reflected.y_c - reflected.r_edge, edge.r_edge - edge.y_c)
+
+    @functools.cached_property
+    def sigma(self) -> SpectralMeasure:
+        return sigma_rule(self)
+
+    def branches(self, x):
+        return _branches(self, x)
 
     def curve(self) -> Curve:
         """H(y) = x in the variable lam = K(y), which avoids nested transform
@@ -76,7 +91,7 @@ class DeformedWignerModel:
                      _evaluable_floor(mu, mu.right_edge), lambda z: z - 1.0 / z,
                      lambda lam, x: x - lam)
 
-    def level(self, edge: DWEdgeData) -> Level:
+    def level(self) -> Level:
         """The curve with its edge. x'' = 2 integral of (lam - t)^-3 > 0, and
         x(lam) > lam puts lam = x right of the right root.
 
@@ -84,7 +99,7 @@ class DeformedWignerModel:
         x - lam, since there |G_mu'| > 1 (it reaches 1e11 near a
         log-divergent edge), and G_mu(lam) would magnify the error of the
         root by as much."""
-        mu = self.mu_d
+        mu, edge = self.mu_d, self.edge
         curve = self.curve()
         r = mu.right_edge
         # lam_c = K(y_c), the minimizer of lam + G(lam)
@@ -113,26 +128,18 @@ class DeformedWignerModel:
         # edge rounding can leave it a few ulps below zero
         return 0.5 * self.beta * np.maximum(0.0, bracket)
 
-    def window(self, edge: DWEdgeData) -> SupportWindow:
-        """Support of the free convolution: its right edge, and the left edge
-        as minus the right edge for the reflected deformation, at the
-        level's lam_c = r_edge - y_c and at minus the reflected one's."""
-        reflected = dw_edge(self.reflected())
-        return SupportWindow(-reflected.r_edge, edge.r_edge, 0.0,
-                             reflected.y_c - reflected.r_edge, edge.r_edge - edge.y_c)
-
     def reflected(self) -> DeformedWignerModel:
         """The model of the deformation -D, whose sigma is sigma reflected."""
         return DeformedWignerModel(self.mu_d.reflected(), self.beta, self.entry_law)
 
-    def variational(self, x, edge: DWEdgeData, sigma: SpectralMeasure):
+    def variational(self, x, sigma: SpectralMeasure):
         """(optimizer, scan end, objective) of sup over theta of
         J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d)),
         elementwise over an array x; the optimizer is Gbar(x)/2, of all
         points from one branch solve (:meth:`_variational_from`)."""
-        return self._variational_from(x, _branches(self, x, edge, first=False)[1], edge, sigma)
+        return self._variational_from(x, _branches(self, x, first=False)[1], sigma)
 
-    def _variational_from(self, x, g_bar, edge: DWEdgeData, sigma: SpectralMeasure):
+    def _variational_from(self, x, g_bar, sigma: SpectralMeasure):
         """:meth:`variational` from the second branch g_bar = Gbar(x),
         solved by the caller: optimizers and scan ends of x's shape, and the
         objective on an array of theta of shape x.shape + (k,), row i at
@@ -215,43 +222,50 @@ def dw_edge(model: DeformedWignerModel) -> DWEdgeData:
                       g_edge_mu_d=g_edge)
 
 
-def dw_branches(model: DeformedWignerModel, x: float,
-                edge: DWEdgeData | None = None) -> tuple[float, float]:
+def dw_branches(model: DeformedWignerModel, x: float) -> tuple[float, float]:
     """Both solutions of H(w) = x for x >= r_edge: the Stieltjes transform of
     the free convolution (smaller) and the increasing second branch (larger).
     On the capped piece the second branch is exactly x - r(mu_d)."""
-    return _branches(model, x, edge or dw_edge(model))
+    return _branches(model, x)
 
 
-def dw_rate(model: DeformedWignerModel, x: float, edge: DWEdgeData | None = None) -> float:
+def _checked(model: DeformedWignerModel, edge) -> DeformedWignerModel:
+    """The model, where ``edge`` is None or ``model.edge``; else ValueError."""
+    if edge is not None and edge != model.edge:
+        raise ValueError(f"edge {edge!r} is not the model's edge {model.edge!r}")
+    return model
+
+
+def dw_rate(model: DeformedWignerModel, x: float, edge=None) -> float:
     """Rate of the largest eigenvalue, +inf below the spectral edge: the
-    shared :func:`rmtldp.rate.rate` on a deformed-Wigner model."""
-    return rate(model, x, edge)
+    shared :func:`rmtldp.rate.rate` on a deformed-Wigner model. ``edge`` is
+    kept only for perfbench/jobs.py, which passes the edge it solved."""
+    return rate(_checked(model, edge), x)
 
 
 def free_convolution_density(model: DeformedWignerModel, x, eta: float):
     """Density of the semicircle free convolution with mu_d at x + i eta
     (finite eta > 0): the shared :func:`rmtldp.dyson.sigma_density` on a
     deformed-Wigner model, every point started from the seed of the
-    model's support window, which it solves."""
+    model's support window ``model.window``."""
     return sigma_density(model, x, eta)
 
 
 def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000,
-                             edge: DWEdgeData | None = None) -> SpectralMeasure:
+                             edge=None) -> SpectralMeasure:
     """Grid measure of the semicircle free convolution with mu_d, over the
     support from minimizing H on both sides: the shared
-    :func:`rmtldp.dyson.sigma_measure` on a deformed-Wigner model."""
-    return sigma_measure(model, grid_points, edge)
+    :func:`rmtldp.dyson.sigma_measure` on a deformed-Wigner model; ``edge``
+    as in :func:`dw_rate`."""
+    return sigma_measure(_checked(model, edge), grid_points)
 
 
-def dw_rate_variational(model: DeformedWignerModel, x: float,
-                        edge: DWEdgeData | None = None,
-                        sigma: SpectralMeasure | None = None) -> float:
+def dw_rate_variational(model: DeformedWignerModel, x: float, edge=None, sigma=None) -> float:
     """Rate at x through sup over theta of
     J(sc boxplus mu_d, theta, x) - theta^2 - J(mu_d, theta, r(mu_d)): the
-    shared :func:`rmtldp.rate.rate_variational` on a deformed-Wigner model."""
-    return rate_variational(model, x, edge, sigma)
+    shared :func:`rmtldp.rate.rate_variational` on a deformed-Wigner model;
+    ``edge`` as in :func:`dw_rate`."""
+    return rate_variational(_checked(model, edge), x, sigma)
 
 
 def dw_epsilon_cap(model: DeformedWignerModel, eps: float) -> DeformedWignerModel:

@@ -83,12 +83,11 @@ def test_criterion_02_negative_wishart_edge():
 @criterion(3, "rate closed form and beta scaling", 5.0)
 def test_criterion_03_rate_closed_form():
     model = wishart(1.0)
-    edge = edge_solve(model)
     model2 = wishart(1.0, beta=2, law="complex_gaussian")
     for x in (4.5, 5.0, 6.0, 10.0):
-        value = rate(model, x, edge)
+        value = rate(model, x)
         assert value == pytest.approx(mp1_rate_oracle(x), abs=1e-6)
-        assert rate(model2, x, edge) == pytest.approx(2.0 * value, rel=1e-12)
+        assert rate(model2, x) == pytest.approx(2.0 * value, rel=1e-12)
 
 
 @criterion(4, "variational identity", 30.0)
@@ -97,11 +96,10 @@ def test_criterion_04_variational_identity():
         (wishart(1.0), np.linspace(4.2, 9.0, 10)),
         (wishart(2.0, sign=-1.0), np.linspace(-0.08, -0.008, 10)),
     ):
-        edge = edge_solve(model)
-        sigma = sigma_measure(model, 2000, edge)
+        sigma = sigma_measure(model, 2000)
         for x in x_points:
-            primal = rate(model, x, edge)
-            varia = rate_variational(model, x, edge, sigma)
+            primal = rate(model, x)
+            varia = rate_variational(model, x, sigma)
             assert abs(primal - varia) <= 2e-3, (model, x, primal, varia)
 
 
@@ -111,16 +109,15 @@ def test_criterion_05_finite_threshold():
     tmax, x_c = thresholds(model)
     assert tmax == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert x_c == pytest.approx(18.0, abs=1e-4)
-    edge = edge_solve(model)
     for x in (18.0, 20.0, 25.0, 100.0):
-        assert g_bar_sigma(edge, model, x) == tmax  # exact cap
-    table = rate_table(model, 25.0, 400, edge)
+        assert g_bar_sigma(model, x) == tmax  # exact cap
+    table = rate_table(model, 25.0, 400)
     assert table.x_grid[0] < 18.0 < table.x_grid[-1]
     assert np.min(np.diff(table.i_values, 2)) >= -1e-9
     # continuity of the branch gap across the threshold
     from rmtldp.dyson import g_sigma
-    below = g_bar_sigma(edge, model, 18.0 - 1e-7) - g_sigma(edge, model, 18.0 - 1e-7)
-    above = g_bar_sigma(edge, model, 18.0 + 1e-7) - g_sigma(edge, model, 18.0 + 1e-7)
+    below = g_bar_sigma(model, 18.0 - 1e-7) - g_sigma(model, 18.0 - 1e-7)
+    above = g_bar_sigma(model, 18.0 + 1e-7) - g_sigma(model, 18.0 + 1e-7)
     assert abs(below - above) < 1e-5
 
 
@@ -129,7 +126,7 @@ def test_criterion_06_truncation_sweep():
     model = semicircle_model()
     edge = edge_solve(model)
     xs = np.linspace(edge.r_sigma + 0.5, 25.0, 43)
-    sweep = approx_sweep(model, [0.4, 0.2, 0.1, 0.05], xs, edge, domination_tol=1e-9)
+    sweep = approx_sweep(model, [0.4, 0.2, 0.1, 0.05], xs, domination_tol=1e-9)
     # approx_sweep already asserts pointwise domination and monotone edges;
     # eps values are reported ascending
     assert np.all(np.diff(sweep.r_sigma_eps) >= 0.0)
@@ -145,7 +142,7 @@ def test_criterion_07_asymptotic_slope():
         model = wishart(alpha)
         edge = edge_solve(model)
         x = 200.0 * max(1.0, edge.r_sigma)
-        assert rate(model, x, edge) / x == pytest.approx(edge.theta_max / 2.0, rel=0.05)
+        assert rate(model, x) / x == pytest.approx(edge.theta_max / 2.0, rel=0.05)
 
 
 @criterion(8, "degenerate trapping", 60.0)

@@ -59,7 +59,7 @@ def load(name):
 def test_every_benchmark_model_has_a_rate_table_range():
     names = {p.stem for p in MODELS.glob("*.json")}
     assert names == set(XMAX) | {"degenerate"}
-    assert load("degenerate").edge().degenerate
+    assert load("degenerate").edge.degenerate
 
 
 # -- roots against 50-digit roots -------------------------------------------------
@@ -106,7 +106,7 @@ def solvable_edge(model):
     family; such an example is dropped by a test of the model alone, so the
     examples drawn do not move with the edge code."""
     assume(not in_snap_family(model))
-    return model.edge()
+    return model.edge
 
 
 @pytest.mark.parametrize("atoms,alpha,family", [
@@ -128,9 +128,9 @@ def test_the_snap_family_is_where_the_edge_solve_raises(atoms, alpha, family):
     assert in_snap_family(model) == family
     if family:
         with pytest.raises(SolverError):
-            model.edge()
+            model.edge
     else:
-        model.edge()
+        model.edge
 
 
 def check_roots_against_mpmath(model):
@@ -141,7 +141,7 @@ def check_roots_against_mpmath(model):
     is out of reach inside the snap window of the edge transforms, and
     raises instead."""
     edge = solvable_edge(model)
-    level = model.level(edge)
+    level = model.level()
     xs = edge.r_sigma + max(1.0, abs(edge.r_sigma)) * np.array([0.01, 0.3, 4.0])
     left = xs[xs < min(edge.x_end, level.x_cap)]
     curve = exact_curve(model)
@@ -291,7 +291,7 @@ def _former_edge_solves(model):
 @pytest.mark.parametrize("name", sorted(XMAX))
 def test_benchmark_edges_equal_the_former_solves_bit_for_bit(name):
     model = load(name)
-    assert model.edge().r_sigma == reference_edge(model)
+    assert model.edge.r_sigma == reference_edge(model)
 
 
 def _thin_tail(support_end):
@@ -315,16 +315,16 @@ def test_an_edge_at_the_cap(model):
     G' is -inf at r(rho), so x' is too, and with alpha = 1e-10 lam_c lies
     about 2e-18 above it, within one float: the bracket halves down to the
     floor and the next float, and the floor is the edge."""
-    edge = model.edge()
+    edge = model.edge
     assert edge.r_sigma == reference_edge(model)
     if isinstance(model, CovarianceModel):
         assert (edge.theta_c, edge.r_sigma) == (edge.theta_max, edge.x_c)
     else:
         assert (edge.y_c, edge.r_edge) == (edge.g_edge_mu_d, edge.x_c_dw)
-    level = model.level(edge)
+    level = model.level()
     xs = edge.r_sigma + np.array([0.5, 2.0])
     assert np.all(xs >= level.x_cap)
-    assert np.array_equal(model.branches(xs, edge)[1], level.cap(xs))
+    assert np.array_equal(model.branches(xs)[1], level.cap(xs))
 
 
 @settings(max_examples=300)
@@ -340,7 +340,7 @@ def test_random_atomic_edges_match_the_former_solves(mu, alpha):
         if isinstance(model, CovarianceModel) and detect_degenerate(model):
             continue
         try:
-            r = model.edge().r_sigma
+            r = model.edge.r_sigma
         except SolverError:
             with pytest.raises((RuntimeError, ValueError)):
                 reference_edge(model)
@@ -379,11 +379,11 @@ def test_edge_minimiser_next_to_a_zero_atom():
     model = CovarianceModel(mu, 2.25)
     if in_snap_family(model):
         pytest.fail("the model lies in the edge solve's failure family")
-    check_edge_minimiser(model, model.edge())
+    check_edge_minimiser(model, model.edge)
 
 
 def check_edge_minimiser(model, edge):
-    level = model.level(edge)
+    level = model.level()
     lam = level.lam_c
     with mpmath.workdps(50):
         start = mpmath.mpf(lam)
@@ -467,8 +467,8 @@ def check_against_reference(model, edge, x, g, g_bar, i):
 @pytest.mark.parametrize("name", sorted(XMAX))
 def test_benchmark_tables_match_the_former_solves(name):
     model = load(name)
-    edge = model.edge()
-    table = rate_table(model, XMAX[name], 20, edge)
+    edge = model.edge
+    table = rate_table(model, XMAX[name], 20)
     for row in zip(table.x_grid[1:], table.g_values[1:], table.gbar_values[1:],
                    table.i_values[1:]):
         check_against_reference(model, edge, *row)
@@ -488,14 +488,14 @@ def test_random_atomic_models_match_the_former_solves(mu, alpha):
         xs = edge.r_sigma + max(1.0, abs(edge.r_sigma)) * np.array([1e-6, 1e-2, 0.3, 4.0])
         for x in xs[xs < edge.x_end]:
             try:
-                g, g_bar = model.branches(x, edge)
+                g, g_bar = model.branches(x)
             except SolverError:
                 # brentq's non-convergence, or no probe that brackets
                 with pytest.raises((RuntimeError, StopIteration)):
                     reference_branches(model, edge, float(x))
                 continue
             try:
-                check_against_reference(model, edge, x, g, g_bar, rate(model, x, edge))
+                check_against_reference(model, edge, x, g, g_bar, rate(model, x))
             except StopIteration:
                 # the former probes stop 2^-40 short of theta_max, and so
                 # miss a left root closer to r(rho); the 50-digit roots
@@ -511,16 +511,15 @@ def test_one_point_calls_equal_the_table_rows_bit_for_bit(name):
     """A one-point call evaluates the transforms on floats, a table on
     arrays; the two paths give the same bits, and so do the solves."""
     model = load(name)
-    edge = model.edge()
-    table = rate_table(model, XMAX[name], 20, edge)
+    table = rate_table(model, XMAX[name], 20)
     for x, g, g_bar, i in zip(table.x_grid, table.g_values, table.gbar_values, table.i_values):
-        assert rate(model, x, edge) == i
-        assert model.branches(x, edge) == (g, g_bar)
+        assert rate(model, x) == i
+        assert model.branches(x) == (g, g_bar)
         if isinstance(model, CovarianceModel):
-            assert (g_sigma(edge, model, x), g_bar_sigma(edge, model, x)) == (g, g_bar)
+            assert (g_sigma(model, x), g_bar_sigma(model, x)) == (g, g_bar)
         else:
-            assert dw_branches(model, x, edge) == (g, g_bar)
-    assert np.array_equal(rate(model, table.x_grid, edge), table.i_values)
+            assert dw_branches(model, x) == (g, g_bar)
+    assert np.array_equal(rate(model, table.x_grid), table.i_values)
 
 
 @given(mu=atomic_measures, alpha=st.floats(0.3, 3.0))
@@ -536,12 +535,12 @@ def test_one_point_solves_equal_the_array_solve_on_random_atomic_models(mu, alph
         solved = []
         for x in xs:
             try:
-                solved.append((x, model.branches(x, edge)))
+                solved.append((x, model.branches(x)))
             except SolverError:
                 continue
         if len(solved) < 3:
             continue
-        g, g_bar = model.branches(np.array([x for x, _ in solved]), edge)
+        g, g_bar = model.branches(np.array([x for x, _ in solved]))
         assert [pair for _, pair in solved] == list(zip(g, g_bar))
 
 
@@ -560,20 +559,20 @@ def test_second_branch_capped_from_x_c_on(make):
     is x_c: it solves x(lam) = x, and Gbar rises to theta_max as x nears x_c
     (by 1e-9 of x_c, lam is within an ulp of r(rho))."""
     model = make()
-    edge = model.edge()
-    level = model.level(edge)
+    edge = model.edge
+    level = model.level()
     x_c, tmax = edge.x_c, edge.theta_max
     assert math.isfinite(x_c)
     capped = np.array([x_c - 1e-13 * max(1.0, x_c), x_c, x_c + 1.0, 2.0 * x_c])
-    g, g_bar = model.branches(capped, edge)
+    g, g_bar = model.branches(capped)
     assert np.all(g_bar == tmax) and np.all(g < tmax)
-    assert all(g_bar_sigma(edge, model, x) == tmax for x in capped)
+    assert all(g_bar_sigma(model, x) == tmax for x in capped)
     below = x_c - np.array([1e-1, 1e-2, 1e-3]) * max(1.0, x_c)
-    _, g_bar = model.branches(below, edge)
+    _, g_bar = model.branches(below)
     assert np.all(g_bar < tmax) and np.all(np.diff(g_bar) > 0.0)
     x_at, _ = level.curve(model.alpha / g_bar)
     assert np.all(np.abs(x_at - below) <= 1e-12 * below)
-    assert tmax - g_bar_sigma(edge, model, x_c - 1e-9 * max(1.0, x_c)) <= 1e-9 * tmax
+    assert tmax - g_bar_sigma(model, x_c - 1e-9 * max(1.0, x_c)) <= 1e-9 * tmax
 
 
 @pytest.mark.parametrize("model, x", [
@@ -583,12 +582,12 @@ def test_second_branch_capped_from_x_c_on(make):
 def test_a_root_beyond_every_probe_raises_naming_x(model, x):
     """G diverges only logarithmically at a uniform edge: the left root of
     a large x lies far inside the snap window, where no probe can go."""
-    edge = model.edge()
+    edge = model.edge
     message = re.escape(f"no probe brackets the left root of x(lam) = x at x={x!r}")
     with pytest.raises(SolverError, match=message):
-        model.branches(np.array([edge.r_sigma + 1.0, x]), edge)
+        model.branches(np.array([edge.r_sigma + 1.0, x]))
     with pytest.raises(SolverError, match=message):
-        rate(model, x, edge)
+        rate(model, x)
 
 
 def test_a_left_root_next_to_a_tiny_top_atom_raises_naming_x():
@@ -600,28 +599,26 @@ def test_a_left_root_next_to_a_tiny_top_atom_raises_naming_x():
     rho = SpectralMeasure.from_atoms([-2.00001, 8.517098578306765e-10],
                                      [0.6909838401195151, 0.3090161598804849])
     model = CovarianceModel(rho, 0.3)
-    edge = model.edge()
     message = re.escape("no probe brackets the left root of x(lam) = x at x=0.1")
     with pytest.raises(SolverError, match=message):
-        rate(model, 0.1, edge)
-    assert rate(model, 1e-8, edge) > 0.0
+        rate(model, 0.1)
+    assert rate(model, 1e-8) > 0.0
 
 
 def test_a_nan_x_raises():
     """A NaN lies on no side of the edge; it must not fall through every
     comparison into a rate of 0."""
     model = load("wishart1")
-    edge = model.edge()
     with pytest.raises(ValueError, match="NaN"):
-        rate(model, math.nan, edge)
+        rate(model, math.nan)
     with pytest.raises(ValueError, match="NaN"):
-        model.branches(np.array([5.0, math.nan]), edge)
+        model.branches(np.array([5.0, math.nan]))
 
 
 def test_a_start_left_of_the_right_root_falls_back_to_doubling_probes():
     model = load("two-atom")
-    edge = model.edge()
-    level = model.level(edge)
+    edge = model.edge
+    level = model.level()
     xs = edge.r_sigma + np.array([0.5, 3.0, 40.0])
     want = _level_roots(level, xs, xs[:2])
     bad_start = dataclasses.replace(level, start=lambda t: np.full(t.shape, level.lam_c))
@@ -631,8 +628,7 @@ def test_a_start_left_of_the_right_root_falls_back_to_doubling_probes():
 
 def test_a_nan_curve_raises_naming_x():
     model = load("wishart1")
-    edge = model.edge()
-    level = model.level(edge)
+    level = model.level()
     nan_curve = lambda lam: (np.full(lam.shape, np.nan), np.full(lam.shape, np.nan))
     with pytest.raises(SolverError, match=r"x=5\.0"):
         _level_roots(dataclasses.replace(level, curve=nan_curve), np.array([5.0]), np.array([]))
@@ -644,8 +640,8 @@ def test_a_benchmark_table_takes_few_curve_evaluations(name):
     steps on the benchmark tables; a solve that needs twice as many has
     lost its starts."""
     model = load(name)
-    edge = model.edge()
-    level = model.level(edge)
+    edge = model.edge
+    level = model.level()
     calls = []
 
     def counted(lam):

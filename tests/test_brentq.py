@@ -57,14 +57,14 @@ def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
     for path in sorted(MODELS.glob("*.json")):
         model_name = path.stem
         model = model_from_json(json.loads(path.read_text()))
-        edge = model.edge()
+        edge = model.edge
         if edge.degenerate:
             continue
-        model.window(edge)
+        model.window
         r = edge.r_sigma
         span = min(3.0, edge.x_end - r)
         for frac in (1e-9, 1e-3, 0.1, 0.5, 0.9):
-            model.branches(r + frac * span, edge)
+            model.branches(r + frac * span)
 
     callers = {caller for caller, *_ in seen}
     assert callers == {"_level_edge"}

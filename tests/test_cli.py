@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmtldp import cli, measures, montecarlo
+from rmtldp import cli, dyson, measures, montecarlo
 from rmtldp.cli import model_from_json, model_to_json, run
 from rmtldp.dyson import CovarianceModel
 from rmtldp.measures import SpectralMeasure
 from rmtldp.montecarlo import edge_stats
 from rmtldp.rate import epsilon_truncate
-from rmtldp.wigner import DeformedWignerModel, dw_edge, dw_rate, dw_rate_variational
+from rmtldp.wigner import DeformedWignerModel, dw_rate, dw_rate_variational
 
 
 @pytest.fixture
@@ -169,7 +169,7 @@ class TestFlagRanges:
         def refuse(*args, **kwargs):
             raise AssertionError("a bad --x must fail before sigma is solved")
 
-        monkeypatch.setattr(cli, "sigma_rule", refuse)
+        monkeypatch.setattr(dyson, "sigma_rule", refuse)
         out = tmp_path / "v.csv"
         assert run(["variational", "--model", wishart1, f"--x={points}",
                     "--out", str(out)]) == 2
@@ -260,9 +260,8 @@ class TestWignerCommands:
         rows = [[float(v) for v in line.split(",")]
                 for line in out.read_text().strip().splitlines()[1:]]
         assert len(rows) == 12 and rows[-1][0] > 3.0
-        edge = dw_edge(model)
         for x, _, _, i_val in rows:
-            assert i_val == dw_rate(model, x, edge)
+            assert i_val == dw_rate(model, x)
 
     def test_density(self, wigner_point, tmp_path):
         out = tmp_path / "wd.csv"
@@ -352,8 +351,8 @@ class TestOneHandlerPerKind:
         for module in (cli, wigner):
             monkeypatch.setattr(module, "free_convolution_measure", refuse, raising=False)
         # wigner-density runs the shared limit-law code of both model kinds
-        for module, name in ((cli, "sigma_rule"), (dyson, "sigma_rule"),
-                             (dyson, "sigma_measure"), (dyson, "_grid_sigma")):
+        for module, name in ((dyson, "sigma_rule"), (wigner, "sigma_rule"),
+                             (dyson, "sigma_measure")):
             monkeypatch.setattr(module, name, refuse)
         assert run(["wigner-density", "--model", wigner_two_atom, "--points", "21",
                     "--out", str(tmp_path / "wd.csv")]) == 0
@@ -374,8 +373,8 @@ class TestVariationalAndApprox:
         """One rule sigma per command, read at its 64 nodes: no table Gauss
         rule is built."""
         builds, rules = [], []
-        build, rule = cli.sigma_rule, measures._gauss_rule
-        monkeypatch.setattr(cli, "sigma_rule",
+        build, rule = dyson.sigma_rule, measures._gauss_rule
+        monkeypatch.setattr(dyson, "sigma_rule",
                             lambda *args: builds.append(args) or build(*args))
         monkeypatch.setattr(measures, "_gauss_rule",
                             lambda *args: rules.append(args[-1]) or rule(*args))

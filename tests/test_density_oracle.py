@@ -113,10 +113,9 @@ def wigner_oracle(atoms, weights, z):
 
 def default_grid(model):
     """The density command's default window: the support +- 5%, 400 points."""
-    edge = model.edge()
-    window = model.window(edge)
+    window = model.window
     margin = 0.05 * (window.right - window.left)
-    return edge, np.linspace(window.left - margin, window.right + margin, 400)
+    return np.linspace(window.left - margin, window.right + margin, 400)
 
 
 COVARIANCE = {
@@ -135,7 +134,7 @@ WIGNER = {
 def test_sigma_density_matches_polynomial_roots(name, eta):
     atoms, weights, alpha = COVARIANCE[name]
     model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha)
-    _, xs = default_grid(model)
+    xs = default_grid(model)
     got = sigma_density(model, xs, eta)
     want = np.array([covariance_oracle(atoms, weights, alpha, x + 1j * eta) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -146,7 +145,7 @@ def test_sigma_density_matches_polynomial_roots(name, eta):
 def test_free_convolution_density_matches_polynomial_roots(name, eta):
     atoms, weights = WIGNER[name]
     model = DeformedWignerModel(SpectralMeasure.from_atoms(atoms, weights))
-    _, xs = default_grid(model)
+    xs = default_grid(model)
     got = free_convolution_density(model, xs, eta)
     want = np.array([wigner_oracle(np.array(atoms), weights, x + 1j * eta) for x in xs])
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -159,7 +158,7 @@ def test_sigma_density_relative_error_where_the_density_is_small(eta):
     sits beside sigma's atom at 0 (alpha < 1)."""
     atoms, weights, alpha = [0.101], [1.0], 0.3
     model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha)
-    _, xs = default_grid(model)
+    xs = default_grid(model)
     xs = np.append(xs, -3e-4)
     got = sigma_density(model, xs, eta)
     want = np.array([covariance_oracle(atoms, weights, alpha, x + 1j * eta) for x in xs])
@@ -182,11 +181,12 @@ def test_an_empty_grid_gives_empty_arrays(model):
 def _raises_on_nan_half(monkeypatch, half):
     """sigma_density of a two-atom model with one half of the solver's
     (G, G') evaluation replaced by NaN raises SolverError naming the point,
-    the height it stalled at and the residual, given the window solved
-    before as with the window solved under NaN: every seeded point fails
-    and descends."""
-    model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
-    window = model.window(model.edge())
+    the height it stalled at and the residual, on a model whose window was
+    solved before as on one whose window is solved under NaN: every seeded
+    point fails and descends."""
+    rho = SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5])
+    solved, fresh = CovarianceModel(rho, 2.0), CovarianceModel(rho, 2.0)
+    assert solved.window.right > 0.0
     real_pair = SpectralMeasure.stieltjes_pair
 
     def nan_half(self, z):
@@ -195,9 +195,9 @@ def _raises_on_nan_half(monkeypatch, half):
         return tuple(pair)
 
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
-    for seed in (None, window):
+    for model in (solved, fresh):
         with pytest.raises(SolverError, match=r"z=.*height.*residual"):
-            sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4, seed)
+            sigma_density(model, np.linspace(0.0, 8.0, 50), 1e-4)
 
 
 def test_unsolvable_point_raises_instead_of_returning(monkeypatch):
@@ -226,7 +226,7 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     where the window cannot be solved, it is 14.46 and 12.48 (19.2 and 16.2
     when the descent went by half-decades alone), and the former covariance
     solve of H(w) = z in theta took about 23."""
-    window = model.window(model.edge())
+    window = model.window
     xs = boundary_density_grid(window.left, window.right, 2000)
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
     real_pair = SpectralMeasure.stieltjes_pair
@@ -242,7 +242,7 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", counted)
     monkeypatch.setattr(SpectralMeasure, "stieltjes", refused)
     monkeypatch.setattr(SpectralMeasure, "stieltjes_prime", refused)
-    g = limit_stieltjes(model, zs, window) if seeded else descent_stieltjes(model, zs)
+    g = limit_stieltjes(model, zs) if seeded else descent_stieltjes(model, zs)
     assert np.all(np.isfinite(g))
     assert sum(evaluations) <= budget * zs.size
 
@@ -313,7 +313,7 @@ def test_spectrum_on_the_scale_of_1e_3(alpha, eta):
     weights = [0.19692530787100634, 0.5510268725317563, 0.25204781959723727]
     rho = SpectralMeasure.from_atoms(atoms, weights)
     model = CovarianceModel(rho, alpha)
-    _, xs = default_grid(model)
+    xs = default_grid(model)
     got = sigma_density(model, xs, eta)
     want = [covariance_oracle(rho.atom_locations, rho.atom_weights, alpha, x + 1j * eta)
             for x in xs]
@@ -334,7 +334,7 @@ def test_edge_with_the_top_atom_near_zero(atoms, weights, alpha):
     cannot push the top of the spectrum above 0."""
     rho = SpectralMeasure.from_atoms(atoms, weights)
     model = CovarianceModel(rho, alpha)
-    edge = model.edge()
+    edge = model.edge
     assert edge.r_sigma < 0.0
     step = 1e-2 * abs(edge.r_sigma)
     inside, outside = [covariance_oracle(atoms, weights, alpha, x + 1e-12j)
@@ -383,7 +383,7 @@ def subordination_stieltjes(model, zs, window):
 def solved_window(model):
     """The model's support window, or None where its edges do not solve."""
     try:
-        return model.window(model.edge())
+        return model.window
     except SolverError:
         return None
 
@@ -399,7 +399,7 @@ SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
 def measure_grids(model):
     """sigma_measure's 2000-point grid over the support window at the
     heights 1e-2, 1e-6 and 1e-9 max(1, span), the last sigma_measure's."""
-    window = model.window(model.edge())
+    window = model.window
     xs = boundary_density_grid(window.left, window.right, 2000)
     span = max(1.0, window.right - window.left)
     return [xs + 1j * eta for eta in (1e-2, 1e-6, 1e-9 * span)]
@@ -439,14 +439,11 @@ def test_random_atomic_limit_law_matches_the_theta_space_solve(rho, alpha, eta):
 def test_deformed_wigner_limit_law_equals_the_subordination_solve_bit_for_bit(name):
     """The deformed-Wigner curve lam + G_mu(lam) is the subordination
     equation at lam = omega, with the same seeds and map to G: at z from
-    the support window, solved by limit_stieltjes or given to it, and far
-    above the axis."""
+    the model's support window, and far above the axis."""
     model = BENCHMARK_MODELS[name]
-    window = model.window(model.edge())
     for zs in measure_grids(model):
-        want = subordination_stieltjes(model, zs, window)
+        want = subordination_stieltjes(model, zs, model.window)
         assert np.array_equal(limit_stieltjes(model, zs), want)
-        assert np.array_equal(limit_stieltjes(model, zs, window), want)
 
 
 @given(mu=atomic_measures, eta=etas)
@@ -503,20 +500,19 @@ def oracle_density(model, zs):
 ZERO_ATOM = CovarianceModel(SpectralMeasure.point_mass(1.0), 0.5)
 
 
-@pytest.mark.parametrize("model, zs, given, descents", [
-    (BENCHMARK_MODELS["dw-two-atom"], np.linspace(-3.5, 3.5, 2000) + 1e-6j, False, [2]),
-    (ZERO_ATOM, np.linspace(-0.3, 6.1, 112) + 1e-6j, True, [1]),
+@pytest.mark.parametrize("model, zs, descents", [
+    (BENCHMARK_MODELS["dw-two-atom"], np.linspace(-3.5, 3.5, 2000) + 1e-6j, [2]),
+    (ZERO_ATOM, np.linspace(-0.3, 6.1, 112) + 1e-6j, [1]),
 ], ids=["cusp", "zero-atom"])
-def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, given, descents):
-    """With the window solved by limit_stieltjes: on 2000 points over the
-    two bands of dw-two-atom, the points x = -0.00175 and 0.00175 next to
-    the cusp at 0 do not converge from the window's seed within the steps,
-    and descend together. With the window given: on 112 points over sigma
-    of rho = delta_1, alpha = 1/2, the point x = 0.161, in the gap between
-    sigma's atom at 0 and its band from 3 - 2 sqrt(2) = 0.172 on, does not
-    converge from the window's seed within the steps, and descends."""
-    window = model.window(model.edge()) if given else None
-    got, descended = fallbacks(lambda: limit_stieltjes(model, zs, window))
+def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, descents):
+    """On 2000 points over the two bands of dw-two-atom, the points x =
+    -0.00175 and 0.00175 next to the cusp at 0 do not converge from the
+    window's seed within the steps, and descend together. On 112 points
+    over sigma of rho = delta_1, alpha = 1/2, the point x = 0.161, in the
+    gap between sigma's atom at 0 and its band from 3 - 2 sqrt(2) = 0.172
+    on, does not converge from the window's seed within the steps, and
+    descends."""
+    got, descended = fallbacks(lambda: limit_stieltjes(model, zs))
     assert descended == descents
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
@@ -535,16 +531,6 @@ def test_a_root_does_not_depend_on_the_rest_of_its_grid(name):
     assert np.all(np.abs(chunks - whole) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(whole)))
 
 
-@pytest.mark.parametrize("name", SOLVED_MODELS)
-def test_the_window_solved_here_is_the_window_given(name):
-    """limit_stieltjes solves the model's window where none is given: the
-    same roots, bit for bit, as with the window given."""
-    model = BENCHMARK_MODELS[name]
-    window = model.window(model.edge())
-    for zs in benchmark_grids(model):
-        assert limit_stieltjes(model, zs).tobytes() == limit_stieltjes(model, zs, window).tobytes()
-
-
 def test_every_point_descends_where_the_window_cannot_be_solved():
     """The model of tests/test_cli.py whose left edge does not solve (a tiny
     negative atom puts the reflected model's edge inside the snap window):
@@ -552,7 +538,7 @@ def test_every_point_descends_where_the_window_cannot_be_solved():
     rho = SpectralMeasure.from_atoms([-1.5067585918145452e-22, 1.0], [0.5, 0.5])
     model = CovarianceModel(rho, 1.0)
     with pytest.raises(SolverError, match="left edge of sigma"):
-        model.window(model.edge())
+        model.window
     xs = np.linspace(0.5, 4.0, 50)
     zs = xs + 1e-4j
     want = descent_stieltjes(model, zs)
@@ -607,11 +593,10 @@ def test_an_eta_that_is_not_finite_and_positive_is_refused(model, eta):
 # which holds one root; only the points that fail there descend.
 
 
-def assert_near_the_descent(model, zs, window=None):
-    """limit_stieltjes, given the window or solving it: within
-    CONTINUATION_TOL of the descent; returns the number of points that
-    descended."""
-    got, descended = fallbacks(lambda: limit_stieltjes(model, zs, window))
+def assert_near_the_descent(model, zs):
+    """limit_stieltjes within CONTINUATION_TOL of the descent; returns the
+    number of points that descended."""
+    got, descended = fallbacks(lambda: limit_stieltjes(model, zs))
     want = descent_stieltjes(model, zs)
     assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
     return sum(descended)
@@ -619,9 +604,7 @@ def assert_near_the_descent(model, zs, window=None):
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
 def test_seeded_roots_match_the_descent_on_the_benchmark_models(name):
-    """The three heights of measure_grids and the density command's grid,
-    the window solved by limit_stieltjes (the same roots as given, by
-    test_the_window_solved_here_is_the_window_given)."""
+    """The three heights of measure_grids and the density command's grid."""
     for zs in benchmark_grids(BENCHMARK_MODELS[name]):
         assert_near_the_descent(BENCHMARK_MODELS[name], zs)
 
@@ -675,11 +658,10 @@ def test_seeded_roots_match_the_descent_and_the_polynomial_roots(name):
     every point started from the window's seed; on the density grid the
     density is the polynomial oracle's."""
     model = SEEDED_CASES[name]
-    window = model.window(model.edge())
-    density_grid = default_grid(model)[1] + 1e-4j
+    density_grid = default_grid(model) + 1e-4j
     for zs in measure_grids(model) + [density_grid]:
-        assert_near_the_descent(model, zs, window)
-    got = sigma_density(model, density_grid.real, 1e-4, window)
+        assert_near_the_descent(model, zs)
+    got = sigma_density(model, density_grid.real, 1e-4)
     assert_matches_oracle(got, oracle_density(model, density_grid))
 
 
@@ -688,9 +670,8 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
     one, are not solved from: those points get the descent's roots bit for
     bit, the descent of them alone, and the others the seeded roots."""
     model = BENCHMARK_MODELS["two-atom"]
-    window = model.window(model.edge())
-    zs = default_grid(model)[1] + 1e-4j
-    seeded = limit_stieltjes(model, zs, window)
+    zs = default_grid(model) + 1e-4j
+    seeded = limit_stieltjes(model, zs)
     real_seed = SupportWindow.seed
     wrong = np.arange(zs.size) % 2 == 0
     for flip in (np.ones(zs.size, dtype=bool), wrong):
@@ -699,7 +680,7 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
             return np.where(flip, w.conj(), w)
 
         monkeypatch.setattr(SupportWindow, "seed", mirrored)
-        got, fell = fallbacks(lambda: limit_stieltjes(model, zs, window))
+        got, fell = fallbacks(lambda: limit_stieltjes(model, zs))
         assert sum(fell) == np.count_nonzero(flip)
         assert got[flip].tobytes() == descent_stieltjes(model, zs[flip]).tobytes()
         assert got[~flip].tobytes() == seeded[~flip].tobytes()
@@ -902,7 +883,7 @@ def assert_as_the_former(solve, former, model, zs, *args):
 def benchmark_grids(model):
     """measure_grids and the density command's default 400-point grid at its
     default eta."""
-    return measure_grids(model) + [default_grid(model)[1] + 1e-4j]
+    return measure_grids(model) + [default_grid(model) + 1e-4j]
 
 
 # the two descents of _descend, and the loose half-decade descent that
@@ -919,9 +900,8 @@ def test_grid_solve_equals_the_former_solve_bit_for_bit(name):
     """Every non-degenerate benchmark model: every point descended, by the
     loose levels, and every point started from the window's seed."""
     model = BENCHMARK_MODELS[name]
-    window = model.window(model.edge())
     for zs in benchmark_grids(model):
-        assert_solves_as_the_former(model, zs, window)
+        assert_solves_as_the_former(model, zs)
 
 
 @pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
@@ -942,9 +922,9 @@ def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
         [-0.00012475062110026442, 7.391027752904462e-121, 0.001],
         [0.19692530787100634, 0.5510268725317563, 0.25204781959723727])
     model = CovarianceModel(rho, alpha)
-    zs = default_grid(model)[1] + 1j * eta
+    zs = default_grid(model) + 1j * eta
     assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
-    assert_solves_as_the_former(model, zs, solved_window(model))
+    assert_solves_as_the_former(model, zs)
 
 
 @pytest.mark.parametrize("half", [0, 1], ids=["g", "g-prime"])
@@ -952,7 +932,7 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
     """The grids of the NaN tests above, where every seeded point fails
     and every descent stalls."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 3.0], [0.5, 0.5]), 2.0)
-    window = model.window(model.edge())
+    assert model.window.right > 0.0
     real_pair = SpectralMeasure.stieltjes_pair
 
     def nan_half(self, z):
@@ -962,7 +942,7 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
 
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
     for n in (50, 200):
-        assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j, window)
+        assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
 
 
 def test_a_seeded_level_with_every_start_off_its_half_plane_ends():
@@ -990,16 +970,17 @@ def test_a_seeded_level_with_every_start_off_its_half_plane_ends():
     assert sizes == former_sizes == [0, 0]
 
 
-def assert_solves_as_the_former(model, zs, window):
-    """_descend as former_descend, and the seeded solve from the window's
-    seed, where the window is solved, as former_seeded."""
+def assert_solves_as_the_former(model, zs):
+    """_descend as former_descend, and the seeded solve from the seed of the
+    model's window, where the window solves, as former_seeded."""
     assert_as_the_former(dyson._descend, former_descend, model, zs)
+    window = solved_window(model)
     if window is not None:
         assert_as_the_former(dyson._seeded, former_seeded, model, zs, window.seed)
 
 
-def assert_grid_solves_as_the_former(model, zs, window):
-    assert_solves_as_the_former(model, zs, window)
+def assert_grid_solves_as_the_former(model, zs):
+    assert_solves_as_the_former(model, zs)
     for ladder, tol in LADDERS:
         assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
 
@@ -1010,14 +991,14 @@ def test_random_covariance_grid_solves_equal_the_former_solve(rho, alpha, eta):
     assume(not detect_degenerate(model))
     mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
     xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
-    assert_grid_solves_as_the_former(model, xs + 1j * eta, solved_window(model))
+    assert_grid_solves_as_the_former(model, xs + 1j * eta)
 
 
 @given(mu=atomic_measures, eta=etas)
 def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
     model = DeformedWignerModel(mu)
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
-    assert_grid_solves_as_the_former(model, zs, solved_window(model))
+    assert_grid_solves_as_the_former(model, zs)
 
 
 # -- the decade ladder against the half-decade descent -----------------------------

@@ -1,9 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from rmtldp import dyson, wigner
 from rmtldp.dyson import (
     CovarianceModel,
     DegenerateModelError,
@@ -13,13 +15,19 @@ from rmtldp.dyson import (
     g_bar_sigma,
     g_sigma,
     h_rho,
+    limit_stieltjes,
     sigma_density,
     sigma_measure,
+    sigma_rule,
     support_window,
     theta_max,
     thresholds,
 )
 from rmtldp.measures import SpectralMeasure, remove_zero_atom
+from rmtldp.rate import rate, rate_table, rate_variational
+from rmtldp.wigner import DeformedWignerModel
+from test_sigma_rule import MODELS as MODEL_FILES
+from test_sigma_rule import load
 
 
 def wishart(alpha, sign=1.0, beta=1, law="gaussian"):
@@ -187,7 +195,7 @@ class TestEdgeSolve:
         """rho = (delta_-1 + delta_0)/2 is degenerate up to alpha = 2; just
         above it r(sigma) is a tiny nonpositive number."""
         rho = SpectralMeasure.from_atoms([-1.0, 0.0], [0.5, 0.5])
-        edge = CovarianceModel(rho, alpha).edge()
+        edge = CovarianceModel(rho, alpha).edge
         assert not edge.degenerate
         assert -1e-12 < edge.r_sigma <= 0.0
 
@@ -201,7 +209,7 @@ class TestEdgeSolve:
         other atom sets its scale; found by the random models of
         test_branch_solver.py."""
         rho = SpectralMeasure.from_atoms([1.5067585918145452e-22, -1.0], [0.5, 0.5])
-        edge = CovarianceModel(rho, 1.0).edge()
+        edge = CovarianceModel(rho, 1.0).edge
         assert edge.r_sigma > 0.0
 
     def test_degenerate_flagged(self):
@@ -213,42 +221,37 @@ class TestEdgeSolve:
 class TestBranches:
     def test_g_sigma_examples(self):
         model = wishart(1.0)
-        edge = edge_solve(model)
-        assert g_sigma(edge, model, 4.0) == pytest.approx(0.5, abs=1e-10)
-        assert g_sigma(edge, model, 5.0) == pytest.approx((5.0 - math.sqrt(5.0)) / 10.0, abs=1e-12)
-        assert g_sigma(edge, model, 100.0) == pytest.approx(0.01, rel=0.02)
+        assert g_sigma(model, 4.0) == pytest.approx(0.5, abs=1e-10)
+        assert g_sigma(model, 5.0) == pytest.approx((5.0 - math.sqrt(5.0)) / 10.0, abs=1e-12)
+        assert g_sigma(model, 100.0) == pytest.approx(0.01, rel=0.02)
 
     def test_g_bar_examples(self):
         model = wishart(1.0)
-        edge = edge_solve(model)
-        assert g_bar_sigma(edge, model, 5.0) == pytest.approx((5.0 + math.sqrt(5.0)) / 10.0, abs=1e-12)
+        assert g_bar_sigma(model, 5.0) == pytest.approx((5.0 + math.sqrt(5.0)) / 10.0, abs=1e-12)
 
     def test_g_bar_capped_beyond_x_c(self):
         model = semicircle_model()
         edge = edge_solve(model)
-        assert g_bar_sigma(edge, model, 25.0) == edge.theta_max == pytest.approx(1.0 / 3.0)
-        assert g_bar_sigma(edge, model, 18.0) == edge.theta_max
+        assert g_bar_sigma(model, 25.0) == edge.theta_max == pytest.approx(1.0 / 3.0)
+        assert g_bar_sigma(model, 18.0) == edge.theta_max
 
     def test_g_bar_negative_support_divergence(self):
         model = wishart(2.0, sign=-1.0)
-        edge = edge_solve(model)
-        assert g_bar_sigma(edge, model, -0.01) > g_bar_sigma(edge, model, -0.05)
+        assert g_bar_sigma(model, -0.01) > g_bar_sigma(model, -0.05)
         with pytest.raises(ValueError):
-            g_bar_sigma(edge, model, 0.0)
+            g_bar_sigma(model, 0.0)
 
     def test_below_edge_rejected(self):
         model = wishart(1.0)
-        edge = edge_solve(model)
         with pytest.raises(ValueError):
-            g_sigma(edge, model, 3.0)
+            g_sigma(model, 3.0)
         with pytest.raises(ValueError):
-            g_bar_sigma(edge, model, 3.0)
+            g_bar_sigma(model, 3.0)
 
     def test_degenerate_rejected(self):
         model = wishart(0.5, sign=-1.0)
-        edge = edge_solve(model)
         with pytest.raises(DegenerateModelError):
-            g_sigma(edge, model, 1.0)
+            g_sigma(model, 1.0)
 
 
 class TestBranchInvariants:
@@ -264,19 +267,19 @@ class TestBranchInvariants:
         if model.rho.right_edge <= 0.0:
             hi = min(hi, -1e-3)
         for x in np.linspace(edge.r_sigma + 1e-4, hi, 12):
-            assert h_rho(model, g_sigma(edge, model, x)) == pytest.approx(x, abs=1e-9)
-            assert h_rho(model, g_bar_sigma(edge, model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_rho(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_rho(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
 
     def test_branch_ordering_and_monotonicity(self):
         model = wishart(1.0)
         edge = edge_solve(model)
         xs = np.linspace(edge.r_sigma + 1e-6, edge.r_sigma + 8.0, 40)
-        g = np.array([g_sigma(edge, model, x) for x in xs])
-        gb = np.array([g_bar_sigma(edge, model, x) for x in xs])
+        g = np.array([g_sigma(model, x) for x in xs])
+        gb = np.array([g_bar_sigma(model, x) for x in xs])
         assert np.all(gb > g)
         assert np.all(np.diff(g) < 0)
         assert np.all(np.diff(gb) > 0)
-        assert abs(g_sigma(edge, model, edge.r_sigma) - g_bar_sigma(edge, model, edge.r_sigma)) < 1e-8
+        assert abs(g_sigma(model, edge.r_sigma) - g_bar_sigma(model, edge.r_sigma)) < 1e-8
 
     @pytest.mark.parametrize("make_model", [
         lambda: wishart(1.0),
@@ -410,8 +413,8 @@ class TestMixedSignSpectrum:
         assert edge.r_sigma < 0.0
         assert edge.case_tag == "pos_edge_infinite_xc"
         for x in (edge.r_sigma + 0.3, 0.0, 1.5):
-            assert h_rho(model, g_sigma(edge, model, x)) == pytest.approx(x, abs=1e-9)
-            assert h_rho(model, g_bar_sigma(edge, model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_rho(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_rho(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
 
     def test_wide_atoms_merge_into_one_band(self):
         # for alpha = 4 the free components overlap: the density bridges the
@@ -469,8 +472,8 @@ class TestRandomizedAtomicModels:
         if rho.right_edge <= 0.0:
             hi = min(hi, 0.5 * edge.r_sigma) if edge.r_sigma < 0 else -1e-6
         for x in np.linspace(edge.r_sigma + 1e-5, hi, 4):
-            g = g_sigma(edge, model, x)
-            gb = g_bar_sigma(edge, model, x)
+            g = g_sigma(model, x)
+            gb = g_bar_sigma(model, x)
             assert gb >= g
             assert h_rho(model, g) == pytest.approx(x, abs=1e-8)
             assert h_rho(model, gb) == pytest.approx(x, abs=1e-8)
@@ -493,8 +496,8 @@ class TestMixedAtomAndDensity:
         edge = edge_solve(model)
         assert edge.r_sigma > 2.8  # top edge beyond the population support
         for x in (edge.r_sigma + 0.2, edge.r_sigma + 1.0):
-            assert h_rho(model, g_sigma(edge, model, x)) == pytest.approx(x, abs=1e-9)
-            assert h_rho(model, g_bar_sigma(edge, model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_rho(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_rho(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
 
     def test_grid_measure_quality(self):
         sm = sigma_measure(self.make_model(), 1200)
@@ -555,3 +558,83 @@ class TestSigmaMeasure:
     def test_a_grid_of_3_points_gives_a_measure(self):
         sm = sigma_measure(wishart(1.0), 3)
         assert abs(sm.total_mass() - 1.0) < 1e-12
+
+
+# -- the solved state kept on the model ---------------------------------------------
+
+def sigma_bytes(sigma):
+    """Every number of a measure, as bytes."""
+    parts = [sigma.atom_locations, sigma.atom_weights]
+    for c in sigma.components:
+        parts += [np.array([c.a, c.b, c.mass]), c.nodes, c.weights]
+    return b"".join(np.asarray(p, dtype=float).tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in MODEL_FILES.glob("*.json")))
+def test_the_kept_state_equals_its_solves_bit_for_bit(name):
+    """model.edge, model.window and model.sigma are edge_solve (dw_edge),
+    support_window (the window of both edge solves) and sigma_rule of the
+    same model, and a second read returns the same objects."""
+    model = load(name)
+    edge = model.edge
+    if isinstance(model, DeformedWignerModel):
+        assert repr(edge) == repr(wigner.dw_edge(model))
+        mirror = wigner.dw_edge(model.reflected())
+        want = (-mirror.r_edge, edge.r_edge, 0.0, mirror.y_c - mirror.r_edge,
+                edge.r_edge - edge.y_c)
+        assert repr(astuple(model.window)) == repr(want)
+    else:
+        assert repr(edge) == repr(edge_solve(model))
+        if edge.degenerate:
+            return
+        assert repr(model.window) == repr(support_window(model))
+    assert sigma_bytes(model.sigma) == sigma_bytes(sigma_rule(model))
+    assert model.edge is edge and model.window is model.window and model.sigma is model.sigma
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: CovarianceModel(SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5]), 0.3),
+    lambda: DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])),
+], ids=["covariance", "deformed-wigner"])
+def test_each_model_solves_its_edge_window_and_sigma_once(make_model, monkeypatch):
+    """Repeated rate, rate_table, rate_variational, sigma_density and
+    limit_stieltjes calls solve the model's edge once, the edge of its
+    reflected model once (for the window) and sigma_rule once."""
+    model = make_model()
+    solved, rules = [], []
+    for module, name in ((dyson, "edge_solve"), (wigner, "dw_edge")):
+        monkeypatch.setattr(module, name, lambda m, solve=getattr(module, name):
+                            solved.append(m) or solve(m))
+    rule = dyson.sigma_rule
+    for module in (dyson, wigner):
+        monkeypatch.setattr(module, "sigma_rule", lambda m: rules.append(m) or rule(m))
+    for _ in range(3):
+        r = model.edge.r_sigma
+        xs = r + np.array([0.5, 1.0, 2.0])
+        rate(model, xs[0])
+        rate(model, xs)
+        rate_table(model, r + 3.0, 7)
+        rate_variational(model, xs[1])
+        rate_variational(model, xs)
+        sigma_density(model, r - 0.5, 1e-4)
+        sigma_density(model, xs, 1e-4)
+        limit_stieltjes(model, xs + 1e-3j)
+    assert len(solved) == 2
+    assert solved[0] is model and solved[1] == model.reflected()
+    assert len(rules) == 1 and rules[0] is model
+
+
+def test_a_window_that_raises_is_not_kept(monkeypatch):
+    """The model of tests/test_cli.py whose left edge does not solve: each
+    read of model.window solves the reflected model again and raises, while
+    the model's own edge is kept."""
+    rho = SpectralMeasure.from_atoms([-1.5067585918145452e-22, 1.0], [0.5, 0.5])
+    model = CovarianceModel(rho, 1.0)
+    solved = []
+    monkeypatch.setattr(dyson, "edge_solve", lambda m, solve=dyson.edge_solve:
+                        solved.append(m) or solve(m))
+    for _ in range(2):
+        with pytest.raises(SolverError, match="left edge of sigma"):
+            model.window
+    assert solved == [model, model.reflected(), model.reflected()]
+    assert "window" not in vars(model)

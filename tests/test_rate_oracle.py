@@ -68,10 +68,10 @@ def _gap_integral(gap, lo, x, x_c):
 def test_covariance_rate_matches_quadrature(name):
     model = COVARIANCE[name]()
     edge = edge_solve(model)
-    gap = lambda u: g_bar_sigma(edge, model, u) - g_sigma(edge, model, u)
+    gap = lambda u: g_bar_sigma(model, u) - g_sigma(model, u)
     for x in _points(edge.r_sigma, edge.x_c):
         oracle = 0.5 * model.beta * _gap_integral(gap, edge.r_sigma, x, edge.x_c)
-        assert rate(model, x, edge) == pytest.approx(oracle, abs=1e-9)
+        assert rate(model, x) == pytest.approx(oracle, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(WIGNER))
@@ -80,23 +80,23 @@ def test_wigner_rate_matches_quadrature(name):
     edge = dw_edge(model)
 
     def gap(u):
-        g, g_bar = dw_branches(model, u, edge)
+        g, g_bar = dw_branches(model, u)
         return g_bar - g
 
     for x in _points(edge.r_edge, edge.x_c_dw):
         oracle = 0.5 * model.beta * _gap_integral(gap, edge.r_edge, x, edge.x_c_dw)
-        assert dw_rate(model, x, edge) == pytest.approx(oracle, abs=1e-9)
+        assert dw_rate(model, x) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_capped_branches_are_reached():
     model = COVARIANCE["semicircle-1"]()
     edge = edge_solve(model)
-    assert g_bar_sigma(edge, model, edge.x_c + 2.0) == edge.theta_max
+    assert g_bar_sigma(model, edge.x_c + 2.0) == edge.theta_max
     model = WIGNER["dw-semicircle"]()
     edge = dw_edge(model)
     assert edge.x_c_dw == pytest.approx(3.0, abs=1e-10)
     x = edge.x_c_dw + 2.0
-    assert dw_branches(model, x, edge)[1] == x - model.mu_d.right_edge
+    assert dw_branches(model, x)[1] == x - model.mu_d.right_edge
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8])
@@ -104,7 +104,7 @@ def test_capped_branches_are_reached():
 def test_covariance_rate_nonnegative_near_edge(name, delta):
     model = COVARIANCE[name]()
     edge = edge_solve(model)
-    assert 0.0 <= rate(model, edge.r_sigma + delta, edge) < 1e-9
+    assert 0.0 <= rate(model, edge.r_sigma + delta) < 1e-9
 
 
 @pytest.mark.parametrize("delta", [1e-12, 1e-10, 1e-8])
@@ -112,4 +112,4 @@ def test_covariance_rate_nonnegative_near_edge(name, delta):
 def test_wigner_rate_nonnegative_near_edge(name, delta):
     model = WIGNER[name]()
     edge = dw_edge(model)
-    assert 0.0 <= dw_rate(model, edge.r_edge + delta, edge) < 1e-9
+    assert 0.0 <= dw_rate(model, edge.r_edge + delta) < 1e-9

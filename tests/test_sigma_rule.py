@@ -81,10 +81,9 @@ SINGLE_BAND = {"wishart1": True, "semicircle-rho": True, "neg-wishart": False,
 @pytest.mark.parametrize("name", sorted(SINGLE_BAND))
 def test_one_band_on_the_window_of_the_edge_solves(name):
     model = load(name)
-    edge = model.edge()
-    window = model.window(edge)
+    window = model.window
     q = -0.5 if SINGLE_BAND[name] else 0.5
-    assert dyson._sigma_bands(model, window) == [(window.left, edge.r_sigma, q, 0.5)]
+    assert dyson._sigma_bands(model) == [(window.left, model.edge.r_sigma, q, 0.5)]
 
 
 def exact_slope_roots(numerator):
@@ -101,14 +100,14 @@ def test_interior_gap_of_a_covariance_model_with_a_zero_atom():
     are x at the four real roots of 10 (lam-1)^2 (lam-4)^2 - (lam-4)^2/2 -
     8 (lam-1)^2."""
     model = CovarianceModel(SpectralMeasure.from_atoms([1.0, 4.0], [0.5, 0.5]), 0.1)
-    window = model.window(model.edge())
+    window = model.window
     p1, p4 = np.poly1d([1.0, -1.0]), np.poly1d([1.0, -4.0])
     numerator = 10.0 * p1**2 * p4**2 - 0.5 * p4**2 - 8.0 * p1**2
     lams = exact_slope_roots(numerator.coeffs.tolist())
     assert len(lams) == 4
     x = lambda lam: lam / 0.1 + 2.5 + 0.5 / (lam - 1.0) + 8.0 / (lam - 4.0)
     want = [x(lam) for lam in lams]
-    bands = dyson._sigma_bands(model, window)
+    bands = dyson._sigma_bands(model)
     got = [v for a, b, _, _ in bands for v in (a, b)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     assert [(q, p) for _, _, q, p in bands] == [(0.5, 0.5)] * 2
@@ -122,7 +121,7 @@ def test_soft_left_edge_of_marchenko_pastur_below_alpha_one():
     """rho = delta_1 at alpha = 0.5: zero atom 1/2 and the band
     [(1 - sqrt(alpha))^2, (1 + sqrt(alpha))^2] / alpha."""
     model = CovarianceModel(SpectralMeasure.point_mass(1.0), 0.5)
-    (a, b, q, p), = dyson._sigma_bands(model, model.window(model.edge()))
+    (a, b, q, p), = dyson._sigma_bands(model)
     s = math.sqrt(0.5)
     assert a == pytest.approx((1.0 - s) ** 2 / 0.5, rel=1e-14)
     assert b == pytest.approx((1.0 + s) ** 2 / 0.5, rel=1e-14)
@@ -134,7 +133,7 @@ def test_interior_gaps_of_a_deformed_wigner_model():
     sum w/(lam - u)^2 vanishes at the six real roots of a polynomial."""
     atoms, weights = [-4.0, 0.0, 4.0], [0.3, 0.3, 0.4]
     model = DeformedWignerModel(SpectralMeasure.from_atoms(atoms, weights))
-    window = model.window(model.edge())
+    window = model.window
     factors = [np.poly1d([1.0, -u]) ** 2 for u in atoms]
     numerator = factors[0] * factors[1] * factors[2]
     for i, w in enumerate(weights):
@@ -143,7 +142,7 @@ def test_interior_gaps_of_a_deformed_wigner_model():
     lams = exact_slope_roots(numerator.coeffs.tolist())
     assert len(lams) == 6
     want = [lam + sum(w / (lam - u) for u, w in zip(atoms, weights)) for lam in lams]
-    got = [v for a, b, _, _ in dyson._sigma_bands(model, window) for v in (a, b)]
+    got = [v for a, b, _, _ in dyson._sigma_bands(model) for v in (a, b)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
     assert (got[0], got[-1]) == (window.left, window.right)
 
@@ -152,9 +151,8 @@ def test_a_cusp_takes_the_grid():
     """dw-two-atom: x' = 1 - (1/2)/(lam+1)^2 - (1/2)/(lam-1)^2 has its
     maximum 0 at lam = 0 (x' = x'' = 0), where two bands meet in a cusp."""
     model = load("dw-two-atom")
-    edge = model.edge()
-    assert dyson._sigma_bands(model, model.window(edge)) is None
-    rule, grid = sigma_rule(model, edge), sigma_measure(model, 2000, edge)
+    assert dyson._sigma_bands(model) is None
+    rule, grid = sigma_rule(model), sigma_measure(model, 2000)
     assert np.array_equal(rule.components[0].weights, grid.components[0].weights)
 
 
@@ -166,19 +164,18 @@ def test_a_finite_edge_at_the_cap_takes_the_grid():
     thin = SpectralMeasure.from_density(lambda u: 5.0 / b * (1.0 - u / b) ** 4, (0.0, b), 64,
                                         edge_finite_g=True)
     model = CovarianceModel(thin, 0.5)
-    edge = model.edge()
+    edge = model.edge
     assert edge.r_sigma == edge.x_c
-    assert dyson._sigma_bands(model, model.window(edge)) is None
+    assert dyson._sigma_bands(model) is None
 
 
 def test_a_rule_with_a_large_mass_defect_takes_the_grid(monkeypatch):
     model = load("wishart1")
-    edge = model.edge()
-    assert len(sigma_rule(model, edge).components[0].nodes) == K
+    assert len(sigma_rule(model).components[0].nodes) == K
     monkeypatch.setattr(dyson, "_RULE_DEFECT", 0.0)
-    grid = sigma_rule(model, edge)
+    grid = sigma_rule(model)
     assert np.array_equal(grid.components[0].weights,
-                          sigma_measure(model, 2000, edge).components[0].weights)
+                          sigma_measure(model, 2000).components[0].weights)
 
 
 # -- the variational rate on the rule ----------------------------------------------------
@@ -195,14 +192,14 @@ def test_variational_rate_on_the_rule_matches_the_primal_to_1e_10(name):
     measured over these points was 1.9e-14 relative to max(1, I), on
     neg-wishart; the 2000-point grid gave up to 1.4e-6."""
     model = load(name)
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    edge = model.edge
+    sigma = sigma_rule(model)
     assert sigma.components[0].nodes.size == K
     r = edge.r_sigma
     for c in GUARD_OFFSETS[name]:
         x = r + c * max(1.0, abs(r))
-        primal = rate(model, x, edge)
-        assert abs(rate_variational(model, x, edge, sigma) - primal) <= 1e-10 * max(1.0, primal)
+        primal = rate(model, x)
+        assert abs(rate_variational(model, x, sigma) - primal) <= 1e-10 * max(1.0, primal)
 
 
 # |primal - variational| / max(1, I) measured at r + offset max(1, |r|) over
@@ -218,31 +215,30 @@ NEAR_EDGE_BOUND = {1e-2: 2e-9, 1e-3: 1e-5}
 @pytest.mark.parametrize("offset", sorted(NEAR_EDGE_BOUND))
 def test_variational_rate_on_the_rule_near_the_edge(name, offset):
     model = load(name)
-    edge = model.edge()
+    edge = model.edge
     x = edge.r_sigma + offset * max(1.0, abs(edge.r_sigma))
-    primal = rate(model, x, edge)
-    gap = abs(rate_variational(model, x, edge) - primal)
+    primal = rate(model, x)
+    gap = abs(rate_variational(model, x) - primal)
     assert gap <= NEAR_EDGE_BOUND[offset] * max(1.0, primal)
 
 
 def test_without_sigma_the_variational_rate_reads_the_rule():
     model = load("semicircle-rho")
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    sigma = sigma_rule(model)
     for x in (9.5, 17.0, 18.0, 24.0):
-        assert rate_variational(model, x, edge) == rate_variational(model, x, edge, sigma)
+        assert rate_variational(model, x) == rate_variational(model, x, sigma)
 
 
 def test_the_capped_branch_attains_the_supremum_at_theta_max():
     """semicircle-rho past x_c = 18: the optimizer is theta_max itself, where
     F is finite, so the variational rate keeps the rule's accuracy."""
     model = load("semicircle-rho")
-    edge = model.edge()
-    theta_x, _, _ = model.variational(20.0, edge, sigma_rule(model, edge))
+    edge = model.edge
+    theta_x, _, _ = model.variational(20.0, sigma_rule(model))
     assert theta_x == edge.theta_max
     for x in (18.5, 20.0, 25.0):
-        primal = rate(model, x, edge)
-        assert abs(rate_variational(model, x, edge) - primal) <= 1e-10 * primal
+        primal = rate(model, x)
+        assert abs(rate_variational(model, x) - primal) <= 1e-10 * primal
 
 
 # -- the grid sigma under refinement ---------------------------------------------------------
@@ -256,14 +252,14 @@ def test_the_grid_sigma_converges_under_refinement(name):
     6.5e-7 and 5.8e-6, 1.4e-6, 1.2e-7 on wishart1). With the gap mask at
     1e-5 of the largest density sample, the defect rose to 4.4e-4 at 8000."""
     model = load(name)
-    edge = model.edge()
+    edge = model.edge
     r = edge.r_sigma
     defects, gaps = [], []
     for n in (500, 2000, 8000):
-        sigma = sigma_measure(model, n, edge)
+        sigma = sigma_measure(model, n)
         defects.append(sigma.raw_mass_defect)
-        gaps.append(max(abs(rate_variational(model, x, edge, sigma) - rate(model, x, edge))
-                        / max(1.0, rate(model, x, edge)) for x in r + np.array([0.05, 0.5, 2.0])))
+        gaps.append(max(abs(rate_variational(model, x, sigma) - rate(model, x))
+                        / max(1.0, rate(model, x)) for x in r + np.array([0.05, 0.5, 2.0])))
     assert defects[0] > defects[1] > defects[2] and defects[2] <= 1e-6
     assert gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 2e-7
 
@@ -276,11 +272,10 @@ def test_an_integer_x_gives_the_bits_of_its_float(name, points):
     """An int lower end once made every Newton iterate of the inverse
     Stieltjes solve an int, which stalled it (SolverError at wishart1's 5)."""
     model = load(name)
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    sigma = sigma_rule(model)
     thetas = np.array([0.05, 0.3, 2.0])
     for x in points:
-        assert rate_variational(model, x, edge) == rate_variational(model, float(x), edge)
+        assert rate_variational(model, x) == rate_variational(model, float(x))
         assert np.array_equal(j_fn(sigma, thetas, x), j_fn(sigma, thetas, float(x)))
         assert np.array_equal(_inverse_stieltjes(sigma, thetas, x),
                               _inverse_stieltjes(sigma, thetas, float(x)))

@@ -56,3 +56,21 @@ def test_the_tracer_installs_on_the_package_and_uninstalls():
     calls, _, _ = tracer.span_totals()
     assert calls["dyson.edge_solve"] == 1
     assert tracer.counts["dyson.brentq.calls"] == 1
+
+
+def test_a_kept_edge_is_solved_in_one_traced_span():
+    """The model's edge property calls edge_solve through the name the
+    tracer rebinds: a fresh model's first read records one dyson.edge_solve
+    span, and a second read, which returns the kept edge, records none."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    model = rmtldp.CovarianceModel(SpectralMeasure.point_mass(1.0), 2.0)
+    try:
+        tracer.install(rmtldp)
+        first = model.edge
+        spans = tracer.span_totals()[0]["dyson.edge_solve"]
+        assert model.edge is first
+        again = tracer.span_totals()[0]["dyson.edge_solve"]
+    finally:
+        tracer.uninstall()
+    assert (spans, again) == (1, 1)

@@ -14,7 +14,6 @@ from rmtldp.cli import run
 from rmtldp.dyson import CovarianceModel, SolverError, sigma_density, sigma_measure, sigma_rule
 from rmtldp.rate import csv_text, rate, rate_variational
 from rmtldp.measures import SpectralMeasure
-from rmtldp.wigner import DeformedWignerModel
 from test_sigma_rule import MODELS as MODEL_FILES
 from test_sigma_rule import load
 from test_variational_scan import BENCHMARK_RANGES, MODELS
@@ -28,20 +27,19 @@ def points(lo, hi, n):
     return np.array([0.5 * (lo + hi)]) if n == 1 else np.linspace(lo, hi, n)
 
 
-def one_at_a_time(model, xs, edge, sigma):
-    return np.array([rate_variational(model, x, edge, sigma) for x in xs.tolist()])
+def one_at_a_time(model, xs, sigma):
+    return np.array([rate_variational(model, x, sigma) for x in xs.tolist()])
 
 
 @pytest.mark.parametrize("n", [1, 3, 50])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_the_batch_gives_the_one_point_rates_on_the_rule_sigma(name, n):
     model = MODELS[name][0]()
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    sigma = sigma_rule(model)
     xs = points(*BENCHMARK_RANGES[name], n)
-    batch = rate_variational(model, xs, edge, sigma)
+    batch = rate_variational(model, xs, sigma)
     assert batch.shape == xs.shape
-    assert batch.tobytes() == one_at_a_time(model, xs, edge, sigma).tobytes()
+    assert batch.tobytes() == one_at_a_time(model, xs, sigma).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 50])
@@ -51,8 +49,8 @@ def test_the_batch_gives_the_one_point_rates_on_the_grid_sigma(name, n, monkeypa
     nodes near the edge and through its Gauss rule farther out: the batch
     takes one J per reading."""
     model = MODELS[name][0]()
-    edge = model.edge()
-    sigma = sigma_measure(model, 2000, edge)
+    edge = model.edge
+    sigma = sigma_measure(model, 2000)
     r = edge.r_sigma
     xs = points(r + 0.02 * max(1.0, abs(r)), BENCHMARK_RANGES[name][1], n)
     readings = {sigma.read_from(x) is sigma for x in xs.tolist()}
@@ -61,11 +59,11 @@ def test_the_batch_gives_the_one_point_rates_on_the_grid_sigma(name, n, monkeypa
     shifts = []
     shift = rate_module._shift
     monkeypatch.setattr(rate_module, "_shift", lambda *args: shifts.append(1) or shift(*args))
-    batch = rate_variational(model, xs, edge, sigma)
+    batch = rate_variational(model, xs, sigma)
     # one shift solve per reading of sigma, and one for J(mu_d, theta, r(mu_d))
     assert len(shifts) == len(readings) + 1
     monkeypatch.undo()
-    assert batch.tobytes() == one_at_a_time(model, xs, edge, sigma).tobytes()
+    assert batch.tobytes() == one_at_a_time(model, xs, sigma).tobytes()
 
 
 def test_a_reading_past_the_reach_is_built_once():
@@ -73,8 +71,8 @@ def test_a_reading_past_the_reach_is_built_once():
     as the same measure, built on the first call and kept, and J from it has
     the bits of J on a measure of the same components built afresh."""
     model = MODELS["dw-point"][0]()
-    edge = model.edge()
-    sigma = sigma_measure(model, 2000, edge)
+    edge = model.edge
+    sigma = sigma_measure(model, 2000)
     read = sigma.read_from(3.2)
     assert read is not sigma
     assert sigma.read_from(3.2) is read and sigma.read_from(5.0) is read
@@ -91,19 +89,18 @@ def test_the_scan_names_the_point_where_a_theta_beats_its_optimizer(monkeypatch)
     """The optimizer misplaced to 0.3 Gbar(x) at the middle one of three
     points: SolverError names that x and the theta, as plain floats."""
     model = CovarianceModel(MODELS["wishart1"][0]().rho, 1.0)
-    edge = model.edge()
-    sigma = sigma_measure(model, 2000, edge)
+    sigma = sigma_measure(model, 2000)
     xs = np.array([4.5, 6.0, 8.5])
     real = CovarianceModel.variational
 
-    def misplaced(self, x, edge, sigma):
-        theta_x, end, objective = real(self, x, edge, sigma)
+    def misplaced(self, x, sigma):
+        theta_x, end, objective = real(self, x, sigma)
         return theta_x * np.where(x == 6.0, 0.3, 1.0), end, objective
 
-    assert (rate_variational(model, xs, edge, sigma) > 0.0).all()
+    assert (rate_variational(model, xs, sigma) > 0.0).all()
     monkeypatch.setattr(CovarianceModel, "variational", misplaced)
     with pytest.raises(SolverError, match=r"at x=6\.0 found theta=\d[^ ]* exceeding") as info:
-        rate_variational(model, xs, edge, sigma)
+        rate_variational(model, xs, sigma)
     assert "np.float64" not in str(info.value)
 
 
@@ -111,15 +108,15 @@ def test_x_at_and_just_below_the_edge_in_a_batch():
     """r(sigma) and a point of the snap window below it give 0 in a batch as
     alone; a point below the window raises ValueError."""
     model = MODELS["wishart1"][0]()
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    edge = model.edge
+    sigma = sigma_rule(model)
     r = edge.r_sigma
     xs = np.array([r - 1e-13 * max(1.0, abs(r)), r, 6.0])
-    batch = rate_variational(model, xs, edge, sigma)
-    assert batch.tobytes() == one_at_a_time(model, xs, edge, sigma).tobytes()
+    batch = rate_variational(model, xs, sigma)
+    assert batch.tobytes() == one_at_a_time(model, xs, sigma).tobytes()
     assert batch[0] == batch[1] == 0.0 and batch[2] > 0.0
     with pytest.raises(ValueError, match="below r"):
-        rate_variational(model, np.array([6.0, r - 1e-9]), edge, sigma)
+        rate_variational(model, np.array([6.0, r - 1e-9]), sigma)
 
 
 # -- the floor at theta = 0 ---------------------------------------------------------
@@ -134,12 +131,12 @@ def test_the_variational_rate_is_0_at_the_edge_and_not_negative_past_it(name):
     (-2.6e-5 to -4.9e-7), the rate is 0, as the primal rate is; just past r
     it is not negative."""
     model = load(name)
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    edge = model.edge
+    sigma = sigma_rule(model)
     r = edge.r_sigma
-    assert rate(model, r, edge) == 0.0
-    assert rate_variational(model, r, edge, sigma) == 0.0
-    assert rate_variational(model, r + 1e-9 * max(1.0, abs(r)), edge, sigma) >= 0.0
+    assert rate(model, r) == 0.0
+    assert rate_variational(model, r, sigma) == 0.0
+    assert rate_variational(model, r + 1e-9 * max(1.0, abs(r)), sigma) >= 0.0
 
 
 @pytest.mark.parametrize("name", FLOORED)
@@ -152,19 +149,19 @@ def test_the_variational_rate_is_0_at_the_edge_on_the_grid_sigma(name):
     solve; past the window each point keeps the bits of the floored
     supremum, alone and in a batch with the edge."""
     model = load(name)
-    edge = model.edge()
-    sigma = sigma_measure(model, 2000, edge)
+    edge = model.edge
+    sigma = sigma_measure(model, 2000)
     r = edge.r_sigma
     scale = max(1.0, abs(r))
-    assert rate_variational(model, r, edge, sigma) == 0.0
+    assert rate_variational(model, r, sigma) == 0.0
     past = np.array([r + 1e-9 * scale, r + 0.05 * scale])
     xs = np.concatenate(([r - 1e-13 * scale, r, r + 5e-14 * scale], past))
-    want = rate_module._supremum(model, past, *model.variational(past, edge, sigma))
+    want = rate_module._supremum(model, past, *model.variational(past, sigma))
     assert 0.0 <= want[0] <= 1e-6
-    batch = rate_variational(model, xs, edge, sigma)
+    batch = rate_variational(model, xs, sigma)
     assert batch[:3].tolist() == [0.0] * 3
-    assert batch[3:].tobytes() == want.tobytes() == one_at_a_time(model, past, edge, sigma).tobytes()
-    primal, varia = rate_module._rates_both_ways(model, xs, edge, sigma)
+    assert batch[3:].tobytes() == want.tobytes() == one_at_a_time(model, past, sigma).tobytes()
+    primal, varia = rate_module._rates_both_ways(model, xs, sigma)
     assert varia.tobytes() == batch.tobytes()
     assert primal[:3].tolist() == [0.0] * 3
 
@@ -172,9 +169,9 @@ def test_the_variational_rate_is_0_at_the_edge_on_the_grid_sigma(name):
 def test_the_floor_replaces_a_negative_optimizer_value():
     """The optimizer's own objective at r(sigma) of wishart1 is below 0."""
     model = load("wishart1")
-    edge = model.edge()
-    theta_x, _, objective = model.variational(np.array([edge.r_sigma]), edge,
-                                              sigma_rule(model, edge))
+    edge = model.edge
+    theta_x, _, objective = model.variational(np.array([edge.r_sigma]),
+                                              sigma_rule(model))
     assert objective(theta_x[:, None])[0, 0] < 0.0
 
 
@@ -216,14 +213,13 @@ def test_the_command_solves_the_branches_once_and_reads_sigma_once(name, tmp_pat
                      "f": 0 if wigner_model else 1, "shift": 2 if wigner_model else 1}
     monkeypatch.undo()
     model = load(name)
-    edge = model.edge()
-    sigma = sigma_rule(model, edge)
+    sigma = sigma_rule(model)
     rows = [[float(v) for v in line.split(",")]
             for line in out.read_text().strip().splitlines()[1:]]
     for x, (xv, primal, varia, _) in zip(xs, rows):
         assert xv == x
-        assert primal == rate(model, x, edge)
-        assert varia == rate_variational(model, x, edge, sigma)
+        assert primal == rate(model, x)
+        assert varia == rate_variational(model, x, sigma)
 
 
 def test_the_command_at_and_below_the_edge(tmp_path, capsys):
@@ -231,7 +227,7 @@ def test_the_command_at_and_below_the_edge(tmp_path, capsys):
     columns; a point below the window is a numeric failure naming it."""
     path = model_file("wishart1")
     out = tmp_path / "v.csv"
-    r = load("wishart1").edge().r_sigma
+    r = load("wishart1").edge.r_sigma
     snapped = r - 1e-13 * max(1.0, abs(r))
     assert run(["variational", "--model", path, f"--x={snapped!r},{r!r},6",
                 "--out", str(out)]) == 0
@@ -251,24 +247,24 @@ def test_the_command_at_and_below_the_edge(tmp_path, capsys):
                                           ("dw-point", ("-1.8", "1.8"))])
 def test_density_with_both_bounds_seeds_from_the_window(name, bounds, tmp_path, monkeypatch):
     """With both bounds given the command still solves the window, whose
-    seed starts every point: it prints sigma_density with the window. Where
-    the window does not solve (the edge solve patched to raise SolverError)
-    the points descend, and it prints sigma_density without it."""
+    seed starts every point: it prints sigma_density, which solves the
+    window too. Where the window does not solve (the edge solves patched to
+    raise SolverError) the points descend, in the command and in
+    sigma_density on a model whose window is not yet solved alike."""
     argv = ["density", "--model", model_file(name), "--xmin", bounds[0], "--xmax", bounds[1],
             "--points", "40"]
     seeded, descended = tmp_path / "seeded.csv", tmp_path / "descended.csv"
     assert run(argv + ["--out", str(seeded)]) == 0
-    model = load(name)
-    window = model.window(model.edge())
     xs = np.linspace(float(bounds[0]), float(bounds[1]), 40)
-    assert seeded.read_text() == csv_text("x,density", (xs, sigma_density(model, xs, 1e-4, window)))
+    assert seeded.read_text() == csv_text("x,density", (xs, sigma_density(load(name), xs, 1e-4)))
 
     def refuse(*args, **kwargs):
         raise SolverError("edge refused")
 
-    for kind in (CovarianceModel, DeformedWignerModel):
-        monkeypatch.setattr(kind, "edge", refuse)
+    monkeypatch.setattr(dyson, "edge_solve", refuse)
+    monkeypatch.setattr(wigner, "dw_edge", refuse)
     assert run(argv + ["--out", str(descended)]) == 0
+    model = load(name)
     assert descended.read_text() == csv_text("x,density", (xs, sigma_density(model, xs, 1e-4)))
 
 

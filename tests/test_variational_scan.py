@@ -93,10 +93,9 @@ MODELS = {
 def test_array_objective_matches_per_theta_scalar_loop(name):
     build, xs = MODELS[name]
     model = build()
-    edge = model.edge()
-    sigma = sigma_measure(model, 2000, edge)
+    sigma = sigma_measure(model, 2000)
     for x in xs:
-        theta_x, end, objective = model.variational(x, edge, sigma)
+        theta_x, end, objective = model.variational(x, sigma)
         thetas = np.append(theta_x, np.geomspace(max(theta_x * 1e-3, 1e-12), end, 50))
         got = objective(thetas)
         want = np.array([scalar_objective(model, sigma, x, t) for t in thetas])
@@ -118,14 +117,13 @@ def test_the_rule_keeps_variational_rates_within_1e_13_of_the_node_sums(monkeypa
     served = 0
     for name, (lo, hi) in BENCHMARK_RANGES.items():
         model = MODELS[name][0]()
-        edge = model.edge()
-        sigma = sigma_measure(model, 2000, edge)
+        sigma = sigma_measure(model, 2000)
         xs = np.linspace(lo, hi, 6)
-        ruled = [rate_variational(model, x, edge, sigma) for x in xs]
+        ruled = [rate_variational(model, x, sigma) for x in xs]
         served += sum(sigma.read_from(x) is not sigma for x in xs)
         with monkeypatch.context() as patch:
             patch.setattr(measures, "_RULE_REACH", math.inf)
-            summed = [rate_variational(model, x, edge, sigma) for x in xs]
+            summed = [rate_variational(model, x, sigma) for x in xs]
         np.testing.assert_allclose(ruled, summed, rtol=1e-13, atol=0.0)
     # of 42: neg-wishart's range and wishart1's 4.2 lie within the reach
     assert served == 35
@@ -135,18 +133,17 @@ def test_scan_raises_when_a_theta_beats_the_optimizer(monkeypatch):
     """An optimizer at 0.3 Gbar(x) leaves the supremum to the scan, which
     must refuse the value and name the theta as a plain float."""
     model = CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0)
-    edge = model.edge()
-    sigma = sigma_measure(model, 2000, edge)
+    sigma = sigma_measure(model, 2000)
     real = CovarianceModel.variational
 
-    def misplaced(self, x, edge, sigma):
-        theta_x, end, objective = real(self, x, edge, sigma)
+    def misplaced(self, x, sigma):
+        theta_x, end, objective = real(self, x, sigma)
         return 0.3 * theta_x, end, objective
 
-    assert rate_variational(model, 6.0, edge, sigma) > 0.0
+    assert rate_variational(model, 6.0, sigma) > 0.0
     monkeypatch.setattr(CovarianceModel, "variational", misplaced)
     with pytest.raises(SolverError, match=r"theta=\d[^ ]* exceeding") as info:
-        rate_variational(model, 6.0, edge, sigma)
+        rate_variational(model, 6.0, sigma)
     assert "np.float64" not in str(info.value)
 
 
@@ -358,7 +355,7 @@ def test_inverse_stieltjes_on_a_2000_node_grid_sigma(name):
     evaluation points of the variational scan."""
     build, xs = MODELS[name]
     model = build()
-    sigma = sigma_measure(model, 2000, model.edge())
+    sigma = sigma_measure(model, 2000)
     for lower in (-math.inf, *xs):
         check_against_oracle(sigma, targets_below(sigma, lower_end(sigma, lower)), lower)
 
@@ -412,11 +409,11 @@ def test_the_variational_rate_reads_x_in_the_snap_window_below_r_as_r(name):
     """Where rate snaps x just below r(sigma) to r and gives 0, the
     variational form gives its value at r."""
     model = MODELS[name][0]()
-    edge = model.edge()
+    edge = model.edge
     r = edge.r_sigma
     x = r - 1e-13 * max(1.0, abs(r))
-    assert rate(model, x, edge) == 0.0
-    assert rate_variational(model, x, edge) == rate_variational(model, r, edge)
+    assert rate(model, x) == 0.0
+    assert rate_variational(model, x) == rate_variational(model, r)
 
 
 # -- the shared Newton kernel against the former loop ----------------------------------
@@ -497,6 +494,6 @@ def test_the_kernel_matches_the_former_loop_on_random_atomic_measures(mu, shift)
 def test_the_kernel_matches_the_former_loop_on_a_2000_node_grid_sigma(name):
     build, xs = MODELS[name]
     model = build()
-    sigma = sigma_measure(model, 2000, model.edge())
+    sigma = sigma_measure(model, 2000)
     for lower in (-math.inf, *xs):
         check_against_former(sigma, lower)

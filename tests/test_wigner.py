@@ -127,7 +127,7 @@ class TestDwBranches:
         model = make()
         edge = dw_edge(model)
         for x in (edge.r_edge + 0.1, edge.r_edge + 1.0, edge.r_edge + 4.0):
-            g, gb = dw_branches(model, x, edge)
+            g, gb = dw_branches(model, x)
             assert gb > g
             assert dw_h(model, g) == pytest.approx(x, abs=1e-9)
             if not (math.isfinite(edge.x_c_dw) and x >= edge.x_c_dw):
@@ -135,8 +135,7 @@ class TestDwBranches:
 
     def test_capped_branch_is_affine(self):
         model = semicircle_deformation()
-        edge = dw_edge(model)
-        _, gb = dw_branches(model, 5.0, edge)  # beyond x_c = 3
+        _, gb = dw_branches(model, 5.0)  # beyond x_c = 3
         assert gb == pytest.approx(5.0 - 1.0, abs=1e-12)
 
     def test_below_edge_rejected(self):
@@ -212,7 +211,7 @@ class TestFreeConvolutionMeasure:
         DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)),
     ])
     def test_support_window_is_the_grid_measure_support(self, model):
-        window = model.window(dw_edge(model))
+        window = model.window
         assert (window.left, window.right) == free_convolution_measure(model, 400).edges()
 
 
@@ -232,18 +231,18 @@ class TestDwVariational:
     def test_point_mass_matches_primal(self, x_off):
         model = point_deformation()
         edge = dw_edge(model)
-        sigma = free_convolution_measure(model, 2000, edge)
+        sigma = free_convolution_measure(model, 2000)
         x = edge.r_edge + x_off
-        assert dw_rate_variational(model, x, edge, sigma) == pytest.approx(
-            dw_rate(model, x, edge), abs=2e-3)
+        assert dw_rate_variational(model, x, sigma=sigma) == pytest.approx(
+            dw_rate(model, x), abs=2e-3)
 
     def test_two_atom_matches_primal(self):
         model = two_atom_deformation()
         edge = dw_edge(model)
-        sigma = free_convolution_measure(model, 2000, edge)
+        sigma = free_convolution_measure(model, 2000)
         for x in (edge.r_edge + 0.4, edge.r_edge + 1.5):
-            assert dw_rate_variational(model, x, edge, sigma) == pytest.approx(
-                dw_rate(model, x, edge), abs=2e-3)
+            assert dw_rate_variational(model, x, sigma=sigma) == pytest.approx(
+                dw_rate(model, x), abs=2e-3)
 
 
 class TestSharedPath:
@@ -256,17 +255,17 @@ class TestSharedPath:
 
         model = two_atom_deformation()
         edge = dw_edge(model)
-        sigma = sigma_measure(model, 400, edge)
+        sigma = sigma_measure(model, 400)
         assert np.array_equal(sigma.components[0].weights,
-                              free_convolution_measure(model, 400, edge).components[0].weights)
+                              free_convolution_measure(model, 400).components[0].weights)
         xs = np.linspace(-3.0, 3.0, 31)
         assert np.array_equal(sigma_density(model, xs, 1e-4),
                               free_convolution_density(model, xs, 1e-4))
         for x in (edge.r_edge - 0.1, edge.r_edge, edge.r_edge + 0.7):
-            assert rate(model, x, edge) == dw_rate(model, x, edge)
+            assert rate(model, x) == dw_rate(model, x)
         x = edge.r_edge + 0.7
-        assert rate_variational(model, x, edge, sigma) == dw_rate_variational(
-            model, x, edge, sigma)
+        assert rate_variational(model, x, sigma) == dw_rate_variational(
+            model, x, sigma=sigma)
 
 
 class TestDwEpsilonCap:
@@ -281,9 +280,8 @@ class TestDwEpsilonCap:
         model = semicircle_deformation()
         edge = dw_edge(model)
         capped = dw_epsilon_cap(model, 0.25)
-        cap_edge = dw_edge(capped)
         for x in np.linspace(edge.r_edge + 0.3, edge.r_edge + 3.0, 6):
-            assert dw_rate(capped, x, cap_edge) <= dw_rate(model, x, edge) + 1e-9
+            assert dw_rate(capped, x) <= dw_rate(model, x) + 1e-9
 
     def test_cap_of_a_table_deformation(self):
         # a nodes-only table: the cap keeps mass 1, every capped rate is
@@ -301,7 +299,7 @@ class TestDwEpsilonCap:
             assert abs(capped.mu_d.total_mass() - 1.0) <= 1e-12
             cap_edge = dw_edge(capped)
             for x in xs:
-                assert dw_rate(capped, x, cap_edge) <= dw_rate(model, x, edge) + 1e-9
+                assert dw_rate(capped, x) <= dw_rate(model, x) + 1e-9
             r_values.append(cap_edge.r_edge)
         assert np.all(np.diff(r_values) >= -1e-12)
 
@@ -313,3 +311,28 @@ class TestDwEpsilonCap:
         assert all(a <= b for a, b in zip(r_values, r_values[1:]))
         assert all(r >= base - 1e-10 for r in r_values)
         assert r_values[0] == pytest.approx(base, abs=5e-3)
+
+
+class TestTheBenchmarksEdgeSlot:
+    """dw_rate, dw_rate_variational and free_convolution_measure keep a
+    positional edge for the benchmark's jobs: the model's own edge, or one
+    solved again, is taken, and another model's edge is refused."""
+
+    def calls(self, model, edge):
+        return (lambda: dw_rate(model, 3.0, edge),
+                lambda: dw_rate_variational(model, 3.0, edge),
+                lambda: free_convolution_measure(model, 400, edge))
+
+    def test_the_model_s_own_edge_is_taken(self):
+        model = two_atom_deformation()
+        want = [call() for call in self.calls(model, None)]
+        for edge in (model.edge, dw_edge(two_atom_deformation())):
+            got = [call() for call in self.calls(model, edge)]
+            assert got[:2] == want[:2]
+            assert got[2].components[0].weights.tobytes() == want[2].components[0].weights.tobytes()
+
+    def test_another_model_s_edge_is_refused(self):
+        model, other = two_atom_deformation(), point_deformation()
+        for call in self.calls(model, other.edge):
+            with pytest.raises(ValueError, match="is not the model's edge"):
+                call()
