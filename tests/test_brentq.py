@@ -60,7 +60,7 @@ def test_every_call_site_matches_scipy_bit_for_bit(monkeypatch):
         edge = model.edge
         if edge.degenerate:
             continue
-        model.window
+        model.window  # the window's edge solves
         r = edge.r_sigma
         span = min(3.0, edge.x_end - r)
         for frac in (1e-9, 1e-3, 0.1, 0.5, 0.9):
