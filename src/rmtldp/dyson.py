@@ -187,8 +187,8 @@ class CovarianceModel:
 
     # The primitives below are what the two model kinds do differently; rate,
     # rate_variational, sigma_density and sigma_measure are written once over
-    # them, for either kind (DeformedWignerModel has the same). edge, window
-    # and sigma are kept once solved; a solve that raises is not.
+    # them, for either kind (DeformedWignerModel has the same). edge, window,
+    # sigma and level are kept once solved; a solve that raises is not.
 
     @functools.cached_property
     def edge(self) -> EdgeData:
@@ -226,6 +226,7 @@ class CovarianceModel:
         c = (1.0 - self.alpha) / self.alpha
         return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
 
+    @functools.cached_property
     def level(self) -> Level:
         """The curve with its edge. Since lam^2/(lam - t) = lam + t + t^2/(lam
         - t), x(lam) = lam/alpha + mean(rho) + integral of t^2/(lam - t), so
@@ -239,7 +240,7 @@ class CovarianceModel:
         tmax = edge.theta_max
         return Level(curve, max(a / edge.theta_c, curve.floor), curve.floor,
                      lambda x: a * (x - mean), curve.y, curve.y, edge.theta_c, x_cap,
-                     lambda x: np.full(x.shape, tmax),
+                     lambda x: np.full(x.shape, tmax), _x_floor(curve),
                      None if self.rho.components else self._residual)
 
     def _residual(self, lam, x):
@@ -553,7 +554,8 @@ class Level:
     ``floor`` is the curve's floor, ``start(x)`` a point right of each right
     root. ``first(lam, x)`` is the first branch at a right root,
     ``second(lam, x)`` the second branch at a left root; from ``x_cap`` on,
-    the second branch is ``cap(x)`` instead. At r(sigma) both branches are
+    the second branch is ``cap(x)`` instead, and from ``x_floor`` on it is
+    taken at the floor (:func:`_x_floor`). At r(sigma) both branches are
     ``at_edge``. ``residual(lam, x)``, where given, is (x(lam) - x to about
     eps^2 of its terms, x'(lam)), and each root takes one Newton step on it
     after :func:`_monotone_newton`, the kernel that also inverts G_mu for J."""
@@ -567,7 +569,22 @@ class Level:
     at_edge: float
     x_cap: float
     cap: Callable
+    x_floor: float
     residual: Callable | None = None
+
+
+def _x_floor(curve: Curve) -> float:
+    """x at the floor, or inf where the floor lies more than 1e-14 |floor|
+    past the measure's right edge r (beside a tiny top atom). A left root of
+    x(lam) = x at or above it lies in (r, floor], inside the snap window of
+    the edge transforms, and the floor stands for it: off by less than floor
+    - r in lam, so in Gbar by less than floor - r (deformed Wigner, x - lam)
+    or (floor - r)/r relative (covariance, alpha/lam), and in the rate by
+    beta/2 (x - x(floor)) times that."""
+    if not curve.floor - curve.measure.right_edge <= 1e-14 * abs(curve.floor):
+        return math.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return curve(curve.floor)[0]
 
 
 # up to this many points, transforms are evaluated and roots solved one by
@@ -660,7 +677,9 @@ def _branches(model, x, first: bool = True, second: bool = True):
 
     The roots of all points come from one Newton solve on the model's
     :class:`Level`: the right root gives the first branch, the left root the
-    second, unless the second is capped there.
+    second, unless the second is capped there or its root lies inside the
+    snap window of the edge transforms, where the floor stands for it
+    (:func:`_x_floor`).
     """
     edge = model.edge
     _require_nondegenerate(edge)
@@ -673,14 +692,17 @@ def _branches(model, x, first: bool = True, second: bool = True):
         outside = float(np.max(xs))
         raise ValueError(f"x={outside!r} outside the domain [r(sigma), {edge.x_end!r}) "
                          f"of the second branch")
-    level = model.level()
+    level = model.level
     g = np.full(xs.shape, level.at_edge if first else math.nan)
     g_bar = np.full(xs.shape, level.at_edge if second else math.nan)
     beyond = side > 0
     capped = beyond & (xs >= level.x_cap) & second
     g_bar[capped] = level.cap(xs[capped])
+    floored = beyond & ~capped & (xs >= level.x_floor) & second
+    if floored.any():
+        g_bar[floored] = level.second(level.floor, xs[floored])
     right = beyond & first
-    left = beyond & ~capped & second
+    left = beyond & ~capped & ~floored & second
     t_right, t_left = xs[right], xs[left]
     if t_right.size or t_left.size:
         lam = _level_roots(level, t_right, t_left)
@@ -941,13 +963,13 @@ def _seeded(h_pair, zs, seed, start):
     h'(w)) on an array w, ``seed(z)`` approximates the root far above the
     real axis, and ``start(z)`` approximates it at z itself.
 
-    Each point takes one level at its own height in :func:`_newton` from
-    ``start(z)``, with at most ``_SEEDED_STEPS`` steps, the tight test, the
-    half-plane rule and the polish step. The half-plane is the descent's,
-    that of ``seed(z + i scale)``, which holds exactly one root, so a
-    converged point has the descent's root up to rounding. A point whose
-    start lies outside it, or that does not converge, is solved by
-    :func:`_descend`, with the other such points alone; only through the
+    Each point takes one non-strict call of :func:`_newton` at height 0 from
+    ``start(z)``, with at most ``_SEEDED_STEPS`` steps and the tight test,
+    and the converged points then take :func:`_polished`. The half-plane is
+    the descent's, that of ``seed(z + i scale)``, which holds exactly one
+    root, so a converged point has the descent's root up to rounding. A
+    point whose start lies outside it, or that does not converge, is solved
+    by :func:`_descend`, with the other such points alone; only through the
     scale of that descent does a root depend on the other points of ``zs``.
     """
     zs = np.asarray(zs, dtype=complex)
@@ -957,9 +979,10 @@ def _seeded(h_pair, zs, seed, start):
     far = seed(zs + 1j * max(1.0, float(np.max(np.abs(zs)))))
     side = np.sign(np.asarray(far, dtype=complex).imag)
     inside = np.sign(w.imag) == side
+    z, w, side = zs[inside], w[inside], side[inside]
+    solved = _newton(h_pair, z, 0.0, _TIGHT_TOL, w, *h_pair(w), side, _SEEDED_STEPS, strict=False)
     roots = np.full(zs.size, np.nan, dtype=complex)
-    roots[inside] = _newton(h_pair, zs[inside], np.zeros(1), np.full(1, _TIGHT_TOL), w[inside],
-                            *h_pair(w[inside]), side[inside], _SEEDED_STEPS, strict=False)
+    roots[inside] = _polished(h_pair, z, *solved, side)
     failed = np.isnan(roots)
     if failed.any():
         roots[failed] = _descend(h_pair, zs[failed], seed)
@@ -975,16 +998,14 @@ def _descend(h_pair, zs, seed):
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
     over z shrinks through ``scale * _DECADES`` (1, 1e-1, ..., 1e-12, 0), each
-    level seeded by the root of the level above. The points descend together
-    in :func:`_newton`, each on its own level with its own stopping test
-    ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3 above height 0,
-    where a root only seeds the next level, and 1e-12 at height 0. Iterates
-    never leave the open half-plane of their seed, which holds exactly one
-    root, so a coarser ladder cannot reach a wrong root; it can only stall.
-    That is about 14.5 ``h_pair`` evaluations per point for a covariance
-    model and 12.5 for a deformed-Wigner one, in 12-22 Newton rounds on the
-    benchmark models whatever the number of points (19 and 16 in 14-29
-    rounds by the half-decades alone).
+    level seeded by the root of the level above (:func:`_descend_with`), with
+    the stopping test ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3
+    above height 0, where a root only seeds the next level, and 1e-12 at
+    height 0. Iterates never leave the open half-plane of their seed, which
+    holds exactly one root, so a coarser ladder cannot reach a wrong root; it
+    can only stall. That is about 14.5 ``h_pair`` evaluations per point for a
+    covariance model and 12.5 for a deformed-Wigner one on the benchmark
+    models (19 and 16 by the half-decades alone).
 
     A grid on which some point fails descends again through the half-decades
     ``scale * _DESCENT`` with the tight test on every level, which only then
@@ -1002,97 +1023,70 @@ def _descend(h_pair, zs, seed):
 
 
 def _descend_with(h_pair, zs, seed, ladder, tol):
-    """One descent of :func:`_descend` through ``scale * ladder``, with the
-    stopping test ``tol * max(1, |target|)`` above height 0 and the tight
-    test at height 0."""
-    zs = np.asarray(zs, dtype=complex)
+    """One descent of :func:`_descend` through ``scale * ladder``: one strict
+    call of :func:`_newton` per level, with the stopping test ``tol *
+    max(1, |target|)`` above height 0 and the tight test at height 0, every
+    point of a level started from its root on the level above; the roots
+    then take :func:`_polished`."""
     heights = max(1.0, float(np.max(np.abs(zs)))) * ladder
-    level_tol = np.append(np.full(ladder.size - 1, tol), _TIGHT_TOL)
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
-    return _newton(h_pair, zs, heights, level_tol, w, *h_pair(w), np.sign(w.imag), _LEVEL_STEPS)
+    side, solved = np.sign(w.imag), (w, *h_pair(w))
+    for height, level_tol in zip(heights, [tol] * (ladder.size - 1) + [_TIGHT_TOL]):
+        solved = _newton(h_pair, zs, height, level_tol, *solved, side, _LEVEL_STEPS)
+    return _polished(h_pair, zs, *solved, side)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=True):
-    """Damped Newton on h(w) = z + i heights[k] at every point of ``zs``, down
-    the levels k from w, where (h(w), h'(w)) = (hw, hp): the kernel of the
-    descent and of the seeded solve (one level, at height 0). It may
-    overwrite w, hw and hp, and returns the roots, NaN where failed.
+def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
+    """Damped Newton on h(w) = z + i height at every point of ``zs`` from w,
+    where (h(w), h'(w)) = (hw, hp): one level of the descent, or the seeded
+    solve at height 0. It may overwrite w, hw and hp, and returns (w, h(w),
+    h'(w)) at the points that pass the stopping test ``|h(w) - target| <=
+    tol max(1, |target|)``, NaN where failed.
 
-    Each round, a point that passes its level's stopping test ``|h(w) -
-    target| <= level_tol[k] max(1, |target|)`` moves to the first lower level
-    whose test it fails, with its step count reset, and past the last one it
-    has converged. Every other point takes the Newton step, halved at most 40
+    Each round every other point takes the Newton step, halved at most 40
     times until the trial stays in the half-plane ``side`` of its point and
-    lowers the residual. A point out of steps (``max_steps`` on one level) or
-    of halvings has failed: with ``strict`` the first one raises SolverError
-    naming z, the height and the residual, else it is dropped. The stopping
-    test bounds the residual, not the error in w, so a converged point takes
-    one more full step on z, kept where it stays in the half-plane and does
-    not raise the residual.
-
-    The points in play live in compact arrays, beside their targets and
-    tolerances on every level, built once. A round tests every level in one
-    (points x levels) array, shrinks the arrays only where points converge
-    or fail, and takes the trials as the state when all are accepted: about
-    25 numpy calls besides ``h_pair``, which sees the same points, in the
-    same order, as a solve on full-size arrays."""
-    targets = zs[:, None] + 1j * heights
-    tols = level_tol * np.maximum(1.0, np.abs(targets))
-    roots, conv_hw, conv_hp = np.full((3, zs.size), np.nan, dtype=complex)
-    sides, ks = side, np.arange(heights.size)
-    ahead = ks >= ks[:, None]  # row l: the levels at or below level l
+    lowers the residual. A point out of steps (``max_steps``) or of halvings
+    has failed: with ``strict`` the first one raises SolverError naming z,
+    the height and the residual, else it is dropped. The points in play live
+    in compact arrays, shrunk only where points pass or fail."""
+    target = zs + 1j * height
+    tols = tol * np.maximum(1.0, np.abs(target))
+    out = np.full((3, zs.size), np.nan, dtype=complex)
     at = np.arange(zs.size)
-    base = at * ks.size  # each point's first place in a (points x levels) array
-    # each point's level, and the steps taken in all when it got there
-    level, entered = np.zeros((2, zs.size), dtype=np.intp)
     taken, failed = 0, None
 
     def stalled(i, why):
-        z, height = complex(zs[at[i]]), float(heights[level[i]])
-        return SolverError(f"Newton {why} at z={z!r}, height {height!r} above it; "
-                           f"residual {float(abs(hw[i] - z - 1j * height))!r}")
+        z = complex(zs[at[i]])
+        return SolverError(f"Newton {why} at z={z!r}, height {float(height)!r} above it; "
+                           f"residual {float(abs(hw[i] - z - 1j * float(height)))!r}")
 
     while at.size:
-        passes = np.abs(hw[:, None] - targets) <= tols
-        if ks.size > 1:
-            # to the first level at or below its own whose test it fails
-            fails = np.less(passes, ahead.take(level, axis=0))
-            new = fails.argmax(axis=1)
-            np.putmask(entered, new != level, taken)
-            level = new
-            here = base + level
-            stays = fails.take(here)
-        else:  # one level, so no point moves: argmax over rows of one is slow
-            here, stays = base, ~passes.ravel()
+        stays = ~(np.abs(hw - target) <= tols)
+        if not (taken or stays.any()):  # every point passes from its start
+            return w, hw, hp
         dropped = np.count_nonzero(stays) < at.size
         if dropped:
             gone = (~stays).nonzero()[0]
-            done = at.take(gone)
-            roots[done], conv_hw[done], conv_hp[done] = w.take(gone), hw.take(gone), hp.take(gone)
-        if taken >= max_steps:
-            over = (taken - entered >= max_steps) & stays
-            if over.any():
-                if strict:
-                    raise stalled(over.argmax(), "did not converge")
-                stays, dropped = stays & ~over, True
+            out[:, at.take(gone)] = w.take(gone), hw.take(gone), hp.take(gone)
+        if taken == max_steps and stays.any():
+            if strict:
+                raise stalled(stays.argmax(), "did not converge")
+            break
         if failed is not None:
             stays[failed] = False
             dropped, failed = True, None
         if dropped:
             keep = stays.nonzero()[0]
+            at, w, hw, hp, side, target, tols = (
+                a.take(keep) for a in (at, w, hw, hp, side, target, tols))
             if not keep.size:
                 break
-            at, w, hw, hp, side, level, entered, targets, tols = (
-                a.take(keep, axis=0) for a in (at, w, hw, hp, side, level, entered, targets, tols))
-            base = np.arange(keep.size) * ks.size
-            here = base + level
         taken += 1
-        target = targets.take(here)
         res = hw - target
         step, limit = res / hp, np.abs(res)
         # backtrack on the points without an accepted trial, by their places
-        todo, start, todo_side, lam = None, w, side, 1.0
+        todo, start, todo_target, todo_side, lam = None, w, target, side, 1.0
         for _ in range(40):
             trial = start - lam * step
             # a trial across the real axis is rejected like one that does not
@@ -1101,10 +1095,9 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
             if np.count_nonzero(inside) == inside.size:
                 h_trial, hp_trial = h_pair(trial)
             else:
-                h_trial = np.full(trial.size, np.nan, dtype=complex)
-                hp_trial = h_trial.copy()
+                h_trial, hp_trial = np.full((2, trial.size), np.nan, dtype=complex)
                 h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
-            better = np.abs(h_trial - target) < limit
+            better = np.abs(h_trial - todo_target) < limit
             accepted = np.count_nonzero(better) == better.size
             if todo is None:
                 if accepted:
@@ -1117,22 +1110,28 @@ def _newton(h_pair, zs, heights, level_tol, w, hw, hp, side, max_steps, strict=T
                 break
             rest = ~better
             todo, start, step = todo[rest], start[rest], step[rest]
-            target, limit, todo_side = target[rest], limit[rest], todo_side[rest]
+            todo_target, limit, todo_side = todo_target[rest], limit[rest], todo_side[rest]
             lam *= 0.5
         else:
             if strict:
                 raise stalled(todo[0], "stalled")
             # dropped in the next round, whose test they fail
             failed = todo
-    # a converged root is finite, since h(w) is
-    ok = ~np.isnan(roots)
-    trial = roots[ok] - (conv_hw[ok] - zs[ok]) / conv_hp[ok]
-    z = zs[ok]
-    keep = np.sign(trial.imag) == sides[ok]
+    return out
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _polished(h_pair, zs, w, hw, hp, side):
+    """The roots w of h(w) = z, where (h(w), h'(w)) = (hw, hp), each after
+    one more full Newton step on z where that stays in the half-plane
+    ``side`` and does not raise the residual: the stopping test bounds the
+    residual, not the error in w. The last step of every solve; a NaN root
+    stays NaN."""
+    trial = w - (hw - zs) / hp
+    keep = np.sign(trial.imag) == side
     h_trial = h_pair(trial[keep])[0]
-    keep[keep] = np.abs(h_trial - z[keep]) <= np.abs(conv_hw[ok][keep] - z[keep])
-    roots[np.flatnonzero(ok)[keep]] = trial[keep]
-    return roots
+    keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
+    return np.where(keep, trial, w)
 
 
 def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:

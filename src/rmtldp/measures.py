@@ -236,8 +236,10 @@ class DensityComponent:
         ``_RULE_MIN_TABLE`` distinct nodes of positive weight."""
         if self.kind != "table" or self.nodes.size < _RULE_MIN_TABLE or self.weights.min() < 0.0:
             return None
-        support = np.unique(self.nodes[self.weights > 0.0])
-        if support.size < _RULE_MIN_TABLE or support[0] < self.a or support[-1] > self.b:
+        # sorted and counted by np.diff: np.unique imports numpy.ma
+        support = np.sort(self.nodes[self.weights > 0.0])
+        distinct = support.size and 1 + np.count_nonzero(np.diff(support))
+        if distinct < _RULE_MIN_TABLE or support[0] < self.a or support[-1] > self.b:
             return None
         nodes, weights = _gauss_rule(self.nodes, self.weights, self.a, self.b, _RULE_NODES)
         return _make_component("table", self.a, self.b, None, nodes, weights,

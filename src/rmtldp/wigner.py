@@ -22,6 +22,7 @@ from .dyson import (
     _g_at_right_edge,
     _level_edge,
     _on_points,
+    _x_floor,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches wigner.brentq
     sigma_density,
     sigma_measure,
@@ -91,6 +92,7 @@ class DeformedWignerModel:
                      _evaluable_floor(mu, mu.right_edge), lambda z: z - 1.0 / z,
                      lambda lam, x: x - lam)
 
+    @functools.cached_property
     def level(self) -> Level:
         """The curve with its edge. x'' = 2 integral of (lam - t)^-3 > 0, and
         x(lam) > lam puts lam = x right of the right root.
@@ -105,7 +107,7 @@ class DeformedWignerModel:
         # lam_c = K(y_c), the minimizer of lam + G(lam)
         return Level(curve, max(edge.r_edge - edge.y_c, curve.floor), curve.floor, lambda x: x,
                      lambda lam, x: _on_points(mu.stieltjes, lam), curve.y,
-                     edge.y_c, edge.x_c_dw, lambda x: x - r)
+                     edge.y_c, edge.x_c_dw, lambda x: x - r, _x_floor(curve))
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G <= Gbar of H(y) = x,

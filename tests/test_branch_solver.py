@@ -141,7 +141,7 @@ def check_roots_against_mpmath(model):
     is out of reach inside the snap window of the edge transforms, and
     raises instead."""
     edge = solvable_edge(model)
-    level = model.level()
+    level = model.level
     xs = edge.r_sigma + max(1.0, abs(edge.r_sigma)) * np.array([0.01, 0.3, 4.0])
     left = xs[xs < min(edge.x_end, level.x_cap)]
     curve = exact_curve(model)
@@ -321,7 +321,7 @@ def test_an_edge_at_the_cap(model):
         assert (edge.theta_c, edge.r_sigma) == (edge.theta_max, edge.x_c)
     else:
         assert (edge.y_c, edge.r_edge) == (edge.g_edge_mu_d, edge.x_c_dw)
-    level = model.level()
+    level = model.level
     xs = edge.r_sigma + np.array([0.5, 2.0])
     assert np.all(xs >= level.x_cap)
     assert np.array_equal(model.branches(xs)[1], level.cap(xs))
@@ -383,7 +383,7 @@ def test_edge_minimiser_next_to_a_zero_atom():
 
 
 def check_edge_minimiser(model, edge):
-    level = model.level()
+    level = model.level
     lam = level.lam_c
     with mpmath.workdps(50):
         start = mpmath.mpf(lam)
@@ -449,7 +449,16 @@ def check_against_reference(model, edge, x, g, g_bar, i):
     within 1e-13 relative of the reference's, beyond the reference's own
     root tolerance (closer to the edge the roots are a near-double pair,
     fixed only to about eps/|x'|); a capped value is exact. The rate agrees
-    within 1e-12 max(1, I) at every point."""
+    within 1e-12 max(1, I) at every point. From x(floor) on the left root
+    lies inside the snap window, where the former solves cannot bracket it,
+    and the second branch is taken at the floor
+    (test_a_left_root_inside_the_snap_window_is_the_floor)."""
+    level = model.level
+    if level.x_floor <= x < level.x_cap:
+        assert g_bar == level.second(level.floor, x), x
+        with pytest.raises((RuntimeError, StopIteration)):
+            reference_branches(model, edge, float(x))
+        return
     ref = reference_branches(model, edge, float(x))
     ref_i = model.rate_from_branches(x, *ref)
     assert abs(i - ref_i) <= 1e-12 * max(1.0, abs(ref_i)), x
@@ -560,7 +569,7 @@ def test_second_branch_capped_from_x_c_on(make):
     (by 1e-9 of x_c, lam is within an ulp of r(rho))."""
     model = make()
     edge = model.edge
-    level = model.level()
+    level = model.level
     x_c, tmax = edge.x_c, edge.theta_max
     assert math.isfinite(x_c)
     capped = np.array([x_c - 1e-13 * max(1.0, x_c), x_c, x_c + 1.0, 2.0 * x_c])
@@ -575,19 +584,69 @@ def test_second_branch_capped_from_x_c_on(make):
     assert tmax - g_bar_sigma(model, x_c - 1e-9 * max(1.0, x_c)) <= 1e-9 * tmax
 
 
-@pytest.mark.parametrize("model, x", [
-    (DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0)), 101.0),
-    (CovarianceModel(SpectralMeasure.uniform(0.5, 1.5), 1.0), 200.0),
-], ids=["dw-uniform", "uniform-rho"])
-def test_a_root_beyond_every_probe_raises_naming_x(model, x):
-    """G diverges only logarithmically at a uniform edge: the left root of
-    a large x lies far inside the snap window, where no probe can go."""
-    edge = model.edge
-    message = re.escape(f"no probe brackets the left root of x(lam) = x at x={x!r}")
-    with pytest.raises(SolverError, match=message):
-        model.branches(np.array([edge.r_sigma + 1.0, x]))
-    with pytest.raises(SolverError, match=message):
-        rate(model, x)
+def exact_uniform_dw(x):
+    """(G, Gbar, rate) of mu_d uniform on [-1, 1] at x to 50 digits: x(lam)
+    = lam + arccoth(lam), L(lam) = ((lam + 1) log(lam + 1) - (lam - 1)
+    log(lam - 1))/2 - 1. The left root 1 + e^-s is solved in s."""
+    x = mpmath.mpf(x)
+    right = mpmath.findroot(lambda lam: lam + mpmath.acoth(lam) - x, x)
+    s = mpmath.findroot(lambda s: 1 + mpmath.exp(-s) + mpmath.log(2 + mpmath.exp(-s)) / 2
+                        + s / 2 - x, 2 * (x - 1) - mpmath.log(2))
+    d = mpmath.exp(-s)
+    g, g_bar = x - right, x - 1 - d
+    log_moment = lambda lam: ((lam + 1) * mpmath.log(lam + 1)
+                              - (lam - 1) * mpmath.log(lam - 1)) / 2 - 1
+    left_moment = ((2 + d) * mpmath.log(2 + d) + d * s) / 2 - 1
+    return g, g_bar, ((g_bar**2 - g**2) / 2 + left_moment - log_moment(right)) / 2
+
+
+def exact_uniform_rho(x):
+    """(G, Gbar, rate) of rho uniform on [1/2, 3/2], alpha = 1, at x to 50
+    digits: x(lam) = lam^2 log((lam - 1/2)/(lam - 3/2)), y = 1/lam, L(lam) =
+    (lam - 1/2) log(lam - 1/2) - (lam - 3/2) log(lam - 3/2) - 1. The left
+    root 3/2 + e^-s is solved in s."""
+    x, half = mpmath.mpf(x), mpmath.mpf(0.5)
+    right = mpmath.findroot(lambda lam: lam**2 * mpmath.log((lam - half) / (lam - 3 * half)) - x, x)
+    s = mpmath.findroot(lambda s: (3 * half + mpmath.exp(-s))**2
+                        * (mpmath.log(1 + mpmath.exp(-s)) + s) - x, x / 2.25)
+    d = mpmath.exp(-s)
+    g, g_bar = 1 / right, 1 / (3 * half + d)
+    log_moment = lambda lam: ((lam - half) * mpmath.log(lam - half)
+                              - (lam - 3 * half) * mpmath.log(lam - 3 * half) - 1)
+    left_moment = (1 + d) * mpmath.log(1 + d) + d * s - 1
+    return g, g_bar, (x * (g_bar - g) + left_moment - log_moment(right)) / 2
+
+
+@pytest.mark.parametrize("name, x, exact", [
+    ("dw-uniform", 19.0, exact_uniform_dw),
+    ("dw-uniform", 30.0, exact_uniform_dw),
+    ("dw-uniform", 100.0, exact_uniform_dw),
+    ("uniform-rho", 80.0, exact_uniform_rho),
+    ("uniform-rho", 200.0, exact_uniform_rho),
+])
+def test_a_left_root_inside_the_snap_window_is_the_floor(name, x, exact):
+    """G diverges only logarithmically at a uniform edge: past x(floor)
+    (18.56 and 76.72) the left root lies between the edge and the floor,
+    inside the snap window, where no probe goes. The floor stands for it,
+    on floats and arrays alike: Gbar is within floor - r(mu) of the
+    50-digit value (x - lam) or (floor - r)/r relative (alpha/lam), and
+    the rate within beta/2 (x - x(floor)) times that, besides the
+    rounding of G and of the rate's bracket."""
+    model = load(name)
+    level = model.level
+    assert x > level.x_floor
+    r = model.diagonal_law.right_edge
+    with mpmath.workdps(50):
+        g, g_bar, rate_x = (float(v) for v in exact(x))
+    bound = level.floor - r
+    if isinstance(model, CovarianceModel):
+        bound *= g_bar / r
+    got = model.branches(x)
+    g_array, g_bar_array = model.branches(np.array([x, x + 1.0]))
+    assert (g_array[0], g_bar_array[0]) == got
+    assert abs(got[0] - g) <= 4.0 * EPS * g
+    assert abs(got[1] - g_bar) <= bound + EPS * g_bar
+    assert abs(rate(model, x) - rate_x) <= (0.5 * (x - level.x_floor) * bound + 8.0 * EPS * rate_x)
 
 
 def test_a_left_root_next_to_a_tiny_top_atom_raises_naming_x():
@@ -618,7 +677,7 @@ def test_a_nan_x_raises():
 def test_a_start_left_of_the_right_root_falls_back_to_doubling_probes():
     model = load("two-atom")
     edge = model.edge
-    level = model.level()
+    level = model.level
     xs = edge.r_sigma + np.array([0.5, 3.0, 40.0])
     want = _level_roots(level, xs, xs[:2])
     bad_start = dataclasses.replace(level, start=lambda t: np.full(t.shape, level.lam_c))
@@ -628,7 +687,7 @@ def test_a_start_left_of_the_right_root_falls_back_to_doubling_probes():
 
 def test_a_nan_curve_raises_naming_x():
     model = load("wishart1")
-    level = model.level()
+    level = model.level
     nan_curve = lambda lam: (np.full(lam.shape, np.nan), np.full(lam.shape, np.nan))
     with pytest.raises(SolverError, match=r"x=5\.0"):
         _level_roots(dataclasses.replace(level, curve=nan_curve), np.array([5.0]), np.array([]))
@@ -641,7 +700,7 @@ def test_a_benchmark_table_takes_few_curve_evaluations(name):
     lost its starts."""
     model = load(name)
     edge = model.edge
-    level = model.level()
+    level = model.level
     calls = []
 
     def counted(lam):

@@ -263,6 +263,24 @@ class TestWignerCommands:
         for x, _, _, i_val in rows:
             assert i_val == dw_rate(model, x)
 
+    def test_rate_table_past_a_log_divergent_edge(self, tmp_path):
+        # uniform deformation: from x(floor) = 18.56 on, the left root lies
+        # inside the snap window of the edge, and the floor stands for it
+        model = DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0))
+        path = tmp_path / "dw-uniform.json"
+        path.write_text(json.dumps(model_to_json(model)))
+        out = tmp_path / "wr.csv"
+        assert run(["wigner-rate", "--model", str(path), "--xmax", "30",
+                    "--points", "12", "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 12 and rows[-1][0] == 30.0
+        level = model.level
+        for x, _, g_bar, i_val in rows:
+            assert i_val == dw_rate(model, x)
+            if x >= level.x_floor:
+                assert g_bar == x - level.floor
+
     def test_density(self, wigner_point, tmp_path):
         out = tmp_path / "wd.csv"
         assert run(["wigner-density", "--model", wigner_point, "--xmin", "-3",
@@ -622,6 +640,23 @@ class TestImportCost:
             from rmtldp.cli import run
             for argv in {commands!r}:
                 assert run(argv) == 0, argv
+            """, tmp_path)
+
+    def test_a_grid_sigma_rate_loads_no_scipy_mpmath_or_numpy_ma(self, tmp_path):
+        """The variational rate on the 2000-point grid sigma reads a table
+        through its Gauss rule; np.unique would load numpy.ma there, at
+        12-15 ms of import."""
+        self._run_without_scipy("""
+            import sys
+            import rmtldp
+            from rmtldp import SpectralMeasure
+            from rmtldp.wigner import (DeformedWignerModel, dw_rate_variational,
+                                       free_convolution_measure)
+            model = DeformedWignerModel(SpectralMeasure.uniform(-1.0, 1.0))
+            sigma = free_convolution_measure(model, 2000)
+            assert dw_rate_variational(model, 3.0, sigma=sigma) > 0.0
+            loaded = [m for m in ("mpmath", "numpy.ma") if m in sys.modules]
+            assert not loaded, loaded
             """, tmp_path)
 
     def test_callable_table_runs_without_scipy(self, tmp_path):

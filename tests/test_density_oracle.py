@@ -699,7 +699,7 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
 # seeded solve of dyson._seeded built from those bodies: one level of Newton
 # steps on z from the start, then the descent of the points that fail. The
 # kernel must give their roots bit for bit, evaluate (G, G') on the same
-# points in the same calls, and raise the same SolverError. The tests below
+# points, which it groups into other calls, and raise the same SolverError. The tests below
 # call the new solver as dyson._seeded, dyson._descend and
 # dyson._descend_with.
 
@@ -843,41 +843,49 @@ def former_descend_with(h_pair, zs, seed, ladder, tol):
 
 
 def counted_pair(model):
-    """h_pair of the model's curve, and the list of the sizes of its calls."""
+    """h_pair of the model's curve, and the list of the points of its calls,
+    each call's points copied."""
     curve = model.curve()
     mu = curve.measure
-    sizes = []
+    points = []
 
     def h_pair(v):
-        sizes.append(np.size(v))
+        points.append(np.array(v, dtype=complex).ravel())
         return curve.point(v, *mu.stieltjes_pair(v))
 
-    return h_pair, curve.seed, sizes
+    return h_pair, curve.seed, points
+
+
+def evaluated(points):
+    """The points of a list of (G, G') calls, sorted: the same multiset of
+    points whatever calls they were grouped into."""
+    return np.sort(np.concatenate(points + [np.empty(0, dtype=complex)]))
 
 
 def outcome(solve, model, zs, *args):
-    """The roots, or the message of the SolverError raised, and the sizes of
-    the (G, G') calls made on the way."""
-    h_pair, seed, sizes = counted_pair(model)
+    """The roots, or the message of the SolverError raised, and the points
+    of the (G, G') calls made on the way."""
+    h_pair, seed, points = counted_pair(model)
     try:
         got = solve(h_pair, zs, seed, *args)
     except SolverError as exc:
         got = str(exc)
-    return got, sizes
+    return got, points
 
 
 def assert_as_the_former(solve, former, model, zs, *args):
-    """The same roots bit for bit (or the same error), from the same points
-    in the same (G, G') calls, so the same total number of points."""
-    got, sizes = outcome(solve, model, zs, *args)
-    want, former_sizes = outcome(former, model, zs, *args)
+    """The same roots bit for bit, from the same points, so the same total
+    number of points; or the same error. The kernel groups the points into
+    other (G, G') calls than the former solver, and a descent that fails may
+    stop after other work."""
+    got, points = outcome(solve, model, zs, *args)
+    want, former_points = outcome(former, model, zs, *args)
     if isinstance(want, str):
         assert got == want
     else:
         assert not isinstance(got, str), got
         assert got.tobytes() == want.tobytes()
-    assert sizes == former_sizes
-    assert sum(sizes) == sum(former_sizes)
+        assert evaluated(points).tobytes() == evaluated(former_points).tobytes()
 
 
 def benchmark_grids(model):
@@ -947,27 +955,29 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
 
 def test_a_seeded_level_with_every_start_off_its_half_plane_ends():
     """No start in the half-plane of the descent's seed leaves the kernel no
-    point: it ends at once, with the empty evaluations of the former Newton
-    steps on z."""
+    point: it ends at once, with no evaluation, and the polish step makes the
+    empty evaluation of the former one."""
     model = BENCHMARK_MODELS["dw-two-atom"]
-    h_pair, seed, sizes = counted_pair(model)
+    h_pair, seed, points = counted_pair(model)
     z = np.linspace(-3.5, 3.5, 5) + 1e-6j
     seeds = dyson._descend(h_pair, z, seed)
     off = -np.sign(seeds.imag)
-    sizes.clear()
+    points.clear()
     assert not former_newton_on_z(h_pair, z, seeds.copy(), off).any()
-    former_sizes = sizes[:]
-    sizes.clear()
+    former_sizes = [p.size for p in points]
+    points.clear()
 
     def bounded(v):
-        assert len(sizes) < 2, "the kernel kept evaluating with no point in play"
+        assert len(points) < 2, "the kernel kept evaluating with no point in play"
         return h_pair(v)
 
     inside = np.sign(seeds.imag) == off
-    got = dyson._newton(bounded, z[inside], np.zeros(1), np.full(1, _TIGHT_TOL), seeds[inside],
-                        *bounded(seeds[inside]), off[inside], _SEEDED_STEPS, strict=False)
+    w, hw, hp = dyson._newton(bounded, z[inside], 0.0, _TIGHT_TOL, seeds[inside],
+                              *bounded(seeds[inside]), off[inside], _SEEDED_STEPS, strict=False)
+    assert len(points) == 1
+    got = dyson._polished(bounded, z[inside], w, hw, hp, off[inside])
     assert got.size == 0
-    assert sizes == former_sizes == [0, 0]
+    assert [p.size for p in points] == former_sizes == [0, 0]
 
 
 def assert_solves_as_the_former(model, zs):
@@ -1051,8 +1061,9 @@ def test_decade_descent_matches_the_half_decade_descent_on_random_deformed_wigne
 def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta):
     """Descending by factors of 100, both the loose and the tight descent
     stall at height 0.042 on this model; the descent then is the tight
-    half-decade descent, bit for bit, from the same (G, G') calls after those
-    of the failed attempt, within CONTINUATION_TOL of the former descent."""
+    half-decade descent, bit for bit, from the same (G, G') points after the
+    calls of the failed attempt, within CONTINUATION_TOL of the former
+    descent."""
     rho = SpectralMeasure.from_atoms([0.0, 1.0, 0.5], np.array([1.0, 0.25, 1.0]) / 2.25)
     model = CovarianceModel(rho, 1.0)
     zs = covering_grid(0.0, 4.0) + 1j * eta
@@ -1062,8 +1073,12 @@ def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta
               for tol in (_LOOSE_TOL, _TIGHT_TOL)}
     for message, _ in stalls.values():
         assert "stalled" in message and "height 0.042" in message
-    got, sizes = outcome(dyson._descend, model, zs)
-    want, want_sizes = outcome(former_descend_with, model, zs, _DESCENT, _TIGHT_TOL)
+    got, points = outcome(dyson._descend, model, zs)
+    want, want_points = outcome(former_descend_with, model, zs, _DESCENT, _TIGHT_TOL)
     assert got.tobytes() == want.tobytes()
-    assert sizes == stalls[_LOOSE_TOL][1] + want_sizes
+    # the failed attempt's calls, as it makes them alone, then the tight
+    # descent's points
+    failed = stalls[_LOOSE_TOL][1]
+    assert [p.tobytes() for p in points[:len(failed)]] == [p.tobytes() for p in failed]
+    assert evaluated(points[len(failed):]).tobytes() == evaluated(want_points).tobytes()
     assert_near_the_half_decade_descent(model, zs)
