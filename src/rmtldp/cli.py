@@ -269,10 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variational", help="compare primal and variational rates",
                        description="Primal and variational rates at each x. The variational "
-                                   "form reads sigma as a 64-node Gauss-Jacobi rule on each "
-                                   "band of its support, built once per command; where an "
-                                   "edge of sigma cannot be classified (a cusp) or the rule's "
-                                   "mass defect exceeds 1e-12, as the 2000-point grid.")
+                                   "form reads sigma as a 64-node Chebyshev rule on each "
+                                   "band of its support, built once per command; where the "
+                                   "rule's mass defect exceeds 1e-12, as 2000 nodes on the "
+                                   "bands, and where an edge of sigma cannot be classified "
+                                   "(a cusp), as 2000 nodes on its support window.")
     common(p)
     p.add_argument("--x", type=_float_list, required=True,
                    help="comma-separated evaluation points")

@@ -24,7 +24,7 @@ from itertools import chain, takewhile
 
 import numpy as np
 
-from .measures import MeasureError, SpectralMeasure, _golub_welsch, _make_component
+from .measures import MeasureError, SpectralMeasure, _make_component
 
 __all__ = [
     "REAL_ENTRY_LAWS",
@@ -45,7 +45,6 @@ __all__ = [
     "sigma_density",
     "sigma_measure",
     "sigma_rule",
-    "grid_measure_from_density",
     "boundary_density_grid",
 ]
 
@@ -1181,178 +1180,98 @@ def sigma_density(model, x, eta: float):
     return out[0] if np.asarray(x).ndim == 0 else out
 
 
-def _edge_cell_mass(s1, s2, rho1, rho2):
-    """Mass of the cell between a support edge and its nearest grid node,
-    from a local power-law fit rho(s) ~ C s^p of the two innermost samples."""
-    if rho1 <= 0.0:
-        return 0.0
-    if rho2 <= 0.0 or s2 <= s1:
-        p = 0.0
-    else:
-        p = math.log(rho1 / rho2) / math.log(s1 / s2)
-        p = min(max(p, -0.9), 4.0)
-    return rho1 * s1 / (p + 1.0)
-
-
-def _power_pair_mass(s_in, s_out, rho_in, rho_out):
-    """Mass between two nodes at edge distances s_in < s_out assuming a local
-    power law rho(s) = C s^p through both samples; exact for soft (sqrt) and
-    hard (inverse-sqrt) spectral edges, reduces to trapezoid when degenerate."""
-    if rho_in <= 0.0 or rho_out <= 0.0 or s_out <= s_in or s_in <= 0.0:
-        return 0.5 * (rho_in + rho_out) * (s_out - s_in)
-    p = math.log(rho_out / rho_in) / math.log(s_out / s_in)
-    if not -0.95 < p < 6.0 or abs(p + 1.0) < 1e-9:
-        return 0.5 * (rho_in + rho_out) * (s_out - s_in)
-    return (rho_out * s_out - rho_in * s_in) / (p + 1.0)
-
-
-def _positive_runs(mask):
-    """Maximal index ranges [i0, i1] where the mask is True."""
-    # a run starts and ends where the mask, padded with False, changes value
-    changes = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return list(zip(changes[::2].tolist(), (changes[1::2] - 1).tolist()))
-
-
-def _soft_edge_estimate(x1, x2, rho1, rho2, bound):
-    """Edge position from two samples assuming rho ~ C sqrt(|x - e|), with
-    x1 the sample nearer the edge; clamped between ``bound`` and x1."""
-    if rho2 > rho1 > 0.0:
-        e = x1 - rho1 * rho1 * (x2 - x1) / (rho2 * rho2 - rho1 * rho1)
-    else:
-        e = 0.5 * (bound + x1)
-    if bound < x1:
-        return min(max(e, bound), x1)
-    return max(min(e, bound), x1)
-
-
-def grid_measure_from_density(xs_desc, dens_desc, lo, hi, zero_atom=0.0) -> SpectralMeasure:
-    """Assemble a grid measure from boundary density samples on a descending
-    Chebyshev-type grid.
-
-    The grid is segmented into maximal runs of positive density (spectral
-    bands, possibly several). Each band gets trapezoid cells in its interior
-    and local power-law fits near its edges; outer band edges coincide with
-    the solved window boundaries, interior ones are estimated by a
-    square-root fit. The known atom at zero is attached, the density part is
-    renormalized, and the raw mass defect recorded."""
-    n = len(xs_desc)
-    xs_asc = np.asarray(xs_desc)[::-1].copy()
-    dens_asc = np.asarray(dens_desc)[::-1].copy()
-    weights = np.zeros(n)
-    dmax = float(dens_asc.max(initial=0.0))
-    if dmax <= 0.0:
-        raise SolverError("recovered density vanishes on the whole grid")
-    # the evaluation height leaks a tiny spurious density into spectral gaps;
-    # threshold it away and ignore zero runs too short to be a real gap. The
-    # threshold is 1e-5 of the continuous part's mean density over the
-    # window, not of the largest sample: at a hard edge that sample grows
-    # with the grid, and the mask then cut more of the soft edges' mass
-    mask = dens_asc > 1e-5 * (1.0 - zero_atom) / (hi - lo)
-    for g0, g1 in _positive_runs(~mask):
-        if g1 - g0 + 1 < 5 and g0 > 0 and g1 < n - 1:
-            mask[g0:g1 + 1] = True
-    for i0, i1 in _positive_runs(mask):
-        if i1 - i0 < 2:
-            continue  # an isolated positive node carries no resolvable mass
-        xs_run = xs_asc[i0:i1 + 1]
-        dens_run = dens_asc[i0:i1 + 1]
-        gaps = np.diff(xs_run)
-        w_run = np.zeros(len(xs_run))
-        w_run[:-1] += 0.5 * gaps * dens_run[:-1]
-        w_run[1:] += 0.5 * gaps * dens_run[1:]
-        if i0 == 0:
-            e_left = lo
-        else:
-            e_left = _soft_edge_estimate(xs_run[0], xs_run[1], dens_run[0], dens_run[1],
-                                         xs_asc[i0 - 1])
-        if i1 == n - 1:
-            e_right = hi
-        else:
-            e_right = _soft_edge_estimate(xs_run[-1], xs_run[-2], dens_run[-1], dens_run[-2],
-                                          xs_asc[i1 + 1])
-        # near the band edges the density behaves like a power of the edge
-        # distance; replace the trapezoid cell masses by local power-law fits
-        n_edge = min(30, len(xs_run) // 4)
-        for j in range(n_edge):
-            trap = 0.5 * (dens_run[j] + dens_run[j + 1]) * gaps[j]
-            fit = _power_pair_mass(xs_run[j] - e_left, xs_run[j + 1] - e_left,
-                                   dens_run[j], dens_run[j + 1])
-            half = 0.5 * (fit - trap)
-            w_run[j] += half
-            w_run[j + 1] += fit - trap - half
-            k = len(xs_run) - 2 - j
-            trap = 0.5 * (dens_run[k] + dens_run[k + 1]) * gaps[k]
-            fit = _power_pair_mass(e_right - xs_run[k + 1], e_right - xs_run[k],
-                                   dens_run[k + 1], dens_run[k])
-            half = 0.5 * (fit - trap)
-            w_run[k] += half
-            w_run[k + 1] += fit - trap - half
-        w_run[0] += _edge_cell_mass(xs_run[0] - e_left, xs_run[1] - e_left,
-                                    dens_run[0], dens_run[1])
-        w_run[-1] += _edge_cell_mass(e_right - xs_run[-1], e_right - xs_run[-2],
-                                     dens_run[-1], dens_run[-2])
-        weights[i0:i1 + 1] += w_run
-
-    raw = zero_atom + float(weights.sum())
-    defect = abs(1.0 - raw)
-    target = 1.0 - zero_atom
-    if weights.sum() > 0.0:
-        weights *= target / weights.sum()
-    keep = weights > 0.0
-    comp = _make_component("table", lo, hi, None, xs_asc[keep], weights[keep], edge_finite_g=True)
-    atoms = ([0.0], [zero_atom]) if zero_atom > 0.0 else ((), ())
-    return SpectralMeasure(atoms[0], atoms[1], [comp], raw_mass_defect=defect)
-
-
 def boundary_density_grid(lo: float, hi: float, n: int):
-    """Descending Chebyshev-clustered grid strictly inside (lo, hi)."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * np.cos(math.pi * (np.arange(int(n)) + 0.5) / int(n))
+    """Descending Chebyshev-clustered grid strictly inside (lo, hi): the
+    nodes of :func:`_chebyshev_rule`."""
+    return _chebyshev_rule(lo, hi, int(n))[0][::-1]
+
+
+def _chebyshev_rule(a: float, b: float, n: int):
+    """The n nodes t_k = c + h cos(theta_k), theta_k = pi (k + 1/2)/n, of
+    [a, b] (centre c, half-width h) in ascending order, and their weights h
+    (pi/n) sin(theta_k): the midpoint rule in theta of the integral of f
+    over [a, b], h times that of f(c + h cos(theta)) sin(theta) over [0,
+    pi]. It is Gauss-Chebyshev (Abramowitz & Stegun 25.4.38), exact where
+    f(t) sqrt(1 - u^2), u = (t - c)/h, is a polynomial in u of degree at
+    most 2n - 1."""
+    theta = math.pi * (np.arange(n)[::-1] + 0.5) / n
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    return c + h * np.cos(theta), h * (math.pi / n) * np.sin(theta)
+
+
+def _sigma_on(model, edges, counts) -> SpectralMeasure:
+    """sigma of either model kind on the intervals ``edges``, the Chebyshev
+    rule of ``counts[i]`` nodes on interval i (:func:`_chebyshev_rule`),
+    plus the exact zero atom when present.
+
+    A node's mass is its weight times the density f from one limit-law
+    solve of all nodes, at height ``_RULE_ETA`` h on an interval of
+    half-width h, the zero atom's Cauchy term removed. At sigma's
+    square-root and hard edges f(t) sin(theta) is smooth in theta, so the
+    rule needs no edge fits. The masses are renormalized to 1 minus the
+    zero atom and the raw mass defect is recorded; nodes of zero mass are
+    dropped, and each interval is one table component. An empty interval,
+    and a density that vanishes on every node, raise SolverError."""
+    for a, b in edges:
+        if not a < b:
+            raise SolverError(f"empty support window [{a!r}, {b!r}]")
+    rules = [_chebyshev_rule(a, b, n) for (a, b), n in zip(edges, counts)]
+    ts = np.concatenate([t for t, _ in rules])
+    zs = ts + 1j * np.repeat([_RULE_ETA * 0.5 * (b - a) for a, b in edges], counts)
+    g = limit_stieltjes(model, zs)
+    zero_atom = model.window.zero_atom
+    if zero_atom > 0.0:
+        g = g - zero_atom / zs
+    masses = np.concatenate([w for _, w in rules]) * np.maximum(-g.imag / math.pi, 0.0)
+    total = float(masses.sum())
+    if not total > 0.0:
+        raise SolverError("recovered density vanishes on every node")
+    masses *= (1.0 - zero_atom) / total
+    at = np.cumsum(counts)[:-1]
+    comps = [_make_component("table", a, b, None, t[m > 0.0], m[m > 0.0], edge_finite_g=True)
+             for (a, b), t, m in zip(edges, np.split(ts, at), np.split(masses, at))]
+    atoms = ([0.0], [zero_atom]) if zero_atom > 0.0 else ((), ())
+    return SpectralMeasure(atoms[0], atoms[1], comps,
+                           raw_mass_defect=abs(1.0 - (zero_atom + total)))
 
 
 def sigma_measure(model, grid_points: int = 2000) -> SpectralMeasure:
     """Grid discretization of the limiting measure sigma of either model
-    kind: boundary density on a Chebyshev-clustered grid over
-    ``model.window`` plus the exact zero atom when present.
+    kind: the Chebyshev rule of :func:`_sigma_on` on the bands of sigma's
+    continuous part (:func:`_sigma_bands`), or on ``model.window`` where
+    those cannot be found, plus the exact zero atom when present.
 
-    The grid density is renormalized to total mass 1; the raw mass defect is
-    recorded on the returned measure as a quality metric. ``grid_points``
-    must be an integer of at least 3: a band of fewer grid points carries
-    no mass.
+    ``grid_points`` must be an integer of at least 3; it is split evenly
+    over the bands, at least 3 per band. The masses are renormalized to
+    total mass 1; the raw mass defect is recorded on the returned measure
+    as a quality metric.
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 3:
         raise ValueError(f"grid_points must be an integer of at least 3, got {grid_points!r}")
-    window = model.window
-    lo, hi = window.left, window.right
-    span = hi - lo
-    if span <= 0.0:
-        raise SolverError(f"empty support window [{lo!r}, {hi!r}]")
-    xs = boundary_density_grid(lo, hi, grid_points)
-    eta_floor = 1e-9 * max(1.0, span)
-    g = limit_stieltjes(model, xs + 1j * eta_floor)
-    if window.zero_atom > 0.0:
-        # the zero atom is attached exactly below; strip its Cauchy bump from
-        # the recovered transform so only the continuous part is gridded
-        g = g - window.zero_atom / (xs + 1j * eta_floor)
-    dens = np.maximum(-g.imag / math.pi, 0.0)
-    return grid_measure_from_density(xs, dens, lo, hi, window.zero_atom)
+    return _sigma_grid(model, _sigma_bands(model), grid_points)
 
 
-# -- sigma as a Gauss-Jacobi rule per band ------------------------------------
+def _sigma_grid(model, bands, grid_points: int) -> SpectralMeasure:
+    """:func:`sigma_measure` on the bands found already, the window where
+    they are None."""
+    edges = bands or [(model.window.left, model.window.right)]
+    k = len(edges)
+    counts = [max(3, grid_points // k + (i < grid_points % k)) for i in range(k)]
+    return _sigma_on(model, edges, counts)
+
+
+# -- the bands of sigma ------------------------------------------------------------
 #
-# Each band [a, b] of sigma's continuous part maps to u in [-1, 1], where the
-# density f behaves like (1 - u)^p (1 + u)^q at the ends: p or q is 1/2 at a
-# soft (square-root) edge and -1/2 at the hard edge at 0 (alpha (1 - rho({0}))
-# = 1). The K-node Gauss-Jacobi rule of that weight gives the band's masses
-# h w_k f(t_k) / omega(u_k), f from the limit-law solve at height
-# _RULE_ETA h. On wishart1, semicircle-rho, neg-wishart, two-atom,
-# uniform-rho, table-rho, dw-point and dw-uniform at K = 64 the raw mass
-# defect was at most 3.2e-14 and the rule took 0.7-1.9 ms to build (3.8 on
-# the 400-node table-rho), against 3.3-5.5 ms (28) for the 2000-point grid
-# and its Gauss rule (2-core host, one BLAS thread). At K = 128 and 256 it
-# took 0.4-1.3 ms (3.4 and 6.0 on table-rho), but J sums K nodes at each of
+# sigma_rule takes _BAND_NODES Chebyshev nodes on each band, f from the
+# limit-law solve at height _RULE_ETA h. On wishart1, semicircle-rho,
+# neg-wishart, two-atom, uniform-rho, table-rho, dw-point and dw-uniform at
+# K = 64 the raw mass defect was at most 3.3e-14 and the rule took 0.3-0.8
+# ms to build (2.0 on the 400-node table-rho), against 0.8-4.8 ms (42) for
+# the 2000-point grid (2-core host, one BLAS thread). At K = 128 and 256 it
+# took 0.4-1.3 ms (3.5 and 6.8 on table-rho), but J sums K nodes at each of
 # its 51 theta. A rule whose raw mass defect exceeds _RULE_DEFECT, 30 times
-# the largest seen, gives way to the grid.
+# the largest seen, gives way to the grid of _GRID_FALLBACK points on the
+# same bands.
 _BAND_NODES = 64
 _RULE_ETA = 1e-14
 _RULE_DEFECT = 1e-12
@@ -1363,31 +1282,6 @@ _CUSP_SLOPE = 1e-9
 # 0.618^40 = 4e-9 of the gap, where x' errs by that squared times x''
 _GOLDEN_STEPS = 40
 _GRID_FALLBACK = 2000
-
-
-@functools.cache
-def _jacobi_rule(p: float, q: float):
-    """Nodes (ascending) and weights of the ``_BAND_NODES``-point Gauss rule
-    of the weight (1 - u)^p (1 + u)^q on [-1, 1], built on first use from
-    the Jacobi matrix of the monic Jacobi recurrence (:func:`_golub_welsch`).
-    The n = 0 and n = 1 coefficients are written with their removable zeros
-    cancelled, so that p + q = 0 and p = q = -1/2 need no special case."""
-    k = _BAND_NODES
-    s = p + q
-    n = np.arange(1.0, k)
-    m = 2.0 * n + s
-    diag = np.empty(k)
-    diag[0] = (q - p) / (s + 2.0)
-    diag[1:] = (q * q - p * p) / (m * (m + 2.0))
-    off = np.empty(k - 1)
-    off[0] = 4.0 * (1.0 + p) * (1.0 + q) / ((2.0 + s) ** 2 * (3.0 + s))
-    n, m = n[1:], m[1:]
-    off[1:] = 4.0 * n * (n + p) * (n + q) * (n + s) / (m * m * (m + 1.0) * (m - 1.0))
-    mass = 2.0 ** (s + 1.0) * math.gamma(p + 1.0) * math.gamma(q + 1.0) / math.gamma(s + 2.0)
-    values, weights = _golub_welsch(diag, np.sqrt(off), mass)
-    values.setflags(write=False)
-    weights.setflags(write=False)
-    return values, weights
 
 
 def _gap_curve(curve: Curve, lam):
@@ -1442,7 +1336,10 @@ def _interior_gaps(curve: Curve, pieces):
     largest x' of every gap comes from one golden-section search on arrays,
     which stops once each gap has a point of x' > 0 or a concave bound of
     x' below 0 (:func:`_concave_bound`). None where a gap holds a cusp or an
-    edge that is no root of x'."""
+    edge that is no root of x'. A cusp is known as soon as a gap's bound is
+    at most ``_CUSP_SLOPE`` and its largest x' so far at least minus that:
+    the largest x' found never falls and the bound caps the true maximum,
+    so the search would end within ``_CUSP_SLOPE`` of 0 there."""
     ends = np.array([(b0, a1) for (_, b0), (a1, _) in zip(pieces, pieces[1:])]).reshape(-1, 2)
     if not ends.size:
         return []
@@ -1452,8 +1349,10 @@ def _interior_gaps(curve: Curve, pieces):
     fc, fd = _gap_curve(curve, c)[1], _gap_curve(curve, d)[1]
     f_lo = f_hi = np.full(lo.size, np.nan)  # x' at lo and hi, once evaluated
     for _ in range(_GOLDEN_STEPS):
-        if np.all((np.maximum(fc, fd) > _CUSP_SLOPE) | (_concave_bound(
-                lo, c, d, hi, f_lo, fc, fd, f_hi) < -_CUSP_SLOPE)):
+        top_slope, bound = np.maximum(fc, fd), _concave_bound(lo, c, d, hi, f_lo, fc, fd, f_hi)
+        if np.any((bound <= _CUSP_SLOPE) & (top_slope >= -_CUSP_SLOPE)):
+            return None  # a cusp
+        if np.all((top_slope > _CUSP_SLOPE) | (bound < -_CUSP_SLOPE)):
             break  # each gap holds a point of x' > 0, or x' < 0 throughout
         left = fc > fd  # the maximum lies in [lo, d]
         hi, lo = np.where(left, d, hi), np.where(left, lo, c)
@@ -1491,8 +1390,8 @@ def _measure_pieces(mu: SpectralMeasure, skip_zero: bool):
 
 
 def _sigma_bands(model):
-    """The bands (a, b, q, p) of sigma's continuous part, with the exponents
-    of the weight at a and b, or None where an edge cannot be classified.
+    """The bands [(a, b), ...] of sigma's continuous part, or None where an
+    edge cannot be classified.
 
     The right edge r(sigma) is a square-root edge unless the level's minimum
     lies at the curve's floor (x' > 0 there: a finite x_c at its cap). The
@@ -1510,69 +1409,43 @@ def _sigma_bands(model):
     pieces = _measure_pieces(curve.measure, reflected.degenerate)
     if reflected.degenerate:
         if model.window.zero_atom == 0.0:
-            left, q = 0.0, -0.5
+            left = 0.0
         else:
             least = pieces[0][0]
             lam = _slope_root(_gap_slope(curve), least * 2.0**-60, least) if least > 0.0 else None
             if lam is None:
                 return None
-            left, q = float(_gap_curve(curve, lam)[0][0]), 0.5
+            left = float(_gap_curve(curve, lam)[0][0])
     else:
         mirror = reflected.curve()
         # a left edge at 0 without a degenerate reflection lies in the slack
         # window of support_window
         if model.window.left == 0.0 or mirror(mirror.floor)[1] > 0.0:
             return None
-        left, q = model.window.left, 0.5
+        left = model.window.left
     gaps = _interior_gaps(curve, pieces)
     if gaps is None:
         return None
     edges = [left, *chain.from_iterable(sorted(gaps)), model.window.right]
     if not all(a < b for a, b in zip(edges, edges[1:])):
         return None
-    exps = [q] + [0.5] * (len(edges) - 1)
-    return [(edges[i], edges[i + 1], exps[i], exps[i + 1]) for i in range(0, len(edges), 2)]
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def sigma_rule(model) -> SpectralMeasure:
-    """The limiting measure sigma of either model kind as a Gauss-Jacobi
-    rule of ``_BAND_NODES`` nodes on each band of its continuous part, plus
-    the exact zero atom when present: ``model.sigma``, the variational form's.
-
-    The bands come from the level curve (:func:`_sigma_bands`); a node t_k
-    of a band [a, b] of half-width h carries the mass h w_k f(t_k) /
-    omega(u_k), with (u_k, w_k) the rule of the band's weight omega
-    (:func:`_jacobi_rule`) and f the density from the limit-law solve at
-    height ``_RULE_ETA`` h, the zero atom's Cauchy term removed. Each band
-    is a table component. The masses are renormalized to 1 minus the zero
-    atom, and the raw mass defect is recorded as on the grid.
+    """The limiting measure sigma of either model kind as the Chebyshev rule
+    of ``_BAND_NODES`` nodes on each band of its continuous part
+    (:func:`_sigma_on` on :func:`_sigma_bands`), plus the exact zero atom
+    when present: ``model.sigma``, the variational form's.
 
     Where an edge cannot be classified (a cusp, an edge at the measure's own
     edge) or the rule's raw mass defect exceeds ``_RULE_DEFECT``, this is
-    the 2000-point grid of :func:`sigma_measure` instead.
+    the grid of :func:`sigma_measure` of ``_GRID_FALLBACK`` points instead,
+    on the same bands.
     """
-    window = model.window
     bands = _sigma_bands(model)
-    if bands is None:
-        return sigma_measure(model, _GRID_FALLBACK)
-    rules = [_jacobi_rule(p, q) for _, _, q, p in bands]
-    half = np.repeat([0.5 * (b - a) for a, b, _, _ in bands], _BAND_NODES)
-    u = np.concatenate([nodes for nodes, _ in rules])
-    ts = np.repeat([0.5 * (a + b) for a, b, _, _ in bands], _BAND_NODES) + half * u
-    zs = ts + 1j * (_RULE_ETA * half)
-    g = limit_stieltjes(model, zs)
-    if window.zero_atom > 0.0:
-        g = g - window.zero_atom / zs
-    omega = np.concatenate([(1.0 - nodes) ** p * (1.0 + nodes) ** q
-                            for (nodes, _), (_, _, q, p) in zip(rules, bands)])
-    masses = half * np.concatenate([w for _, w in rules]) * np.maximum(-g.imag / math.pi, 0.0) / omega
-    raw = window.zero_atom + float(masses.sum())
-    defect = abs(1.0 - raw)
-    if not defect <= _RULE_DEFECT:
-        return sigma_measure(model, _GRID_FALLBACK)
-    masses *= (1.0 - window.zero_atom) / masses.sum()
-    comps = [_make_component("table", a, b, None, ts[i * _BAND_NODES:(i + 1) * _BAND_NODES],
-                             masses[i * _BAND_NODES:(i + 1) * _BAND_NODES], edge_finite_g=True)
-             for i, (a, b, _, _) in enumerate(bands)]
-    atoms = ([0.0], [window.zero_atom]) if window.zero_atom > 0.0 else ((), ())
-    return SpectralMeasure(atoms[0], atoms[1], comps, raw_mass_defect=defect)
+    if bands is not None:
+        rule = _sigma_on(model, bands, [_BAND_NODES] * len(bands))
+        if rule.raw_mass_defect <= _RULE_DEFECT:
+            return rule
+    return _sigma_grid(model, bands, _GRID_FALLBACK)

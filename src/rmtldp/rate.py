@@ -294,7 +294,10 @@ def rate_variational(model, x, sigma: SpectralMeasure | None = None):
     Without ``sigma``, sigma is ``model.sigma``, the rule of
     :func:`rmtldp.dyson.sigma_rule` (or its grid fallback), which gives the
     rate to about 1e-14 max(1, I) from 0.05 max(1, |r(sigma)|) past the edge
-    on. A ``sigma`` passed in is used as it is.
+    on. A ``sigma`` passed in is used as it is; the grid of
+    :func:`rmtldp.dyson.sigma_measure` gives it to about 1e-14 max(1, I)
+    from 1e-3 max(1, |r(sigma)|) on, on the benchmark models whose bands
+    are found.
 
     The supremum is attained at the model's optimizer. The optimizers of all
     points come from one solve of the second branch, and the objective is
@@ -302,10 +305,12 @@ def rate_variational(model, x, sigma: SpectralMeasure | None = None):
     its scan end; no scanned theta may exceed its point's optimizer value by
     more than the primal-against-variational tolerance, or SolverError names
     the point and the theta. theta = 0 is admissible, with objective exactly
-    0, so the value is the larger of the optimizer's and 0: at r(sigma) the
-    optimizer's value is a rounding-sized negative. At r(sigma) and in its
-    snap window the rate is 0 by :func:`rate`'s rule (:func:`_off_branches`)
-    for any sigma: a grid sigma's own error would leave up to 2.8e-7 there.
+    0, so the value is the larger of the optimizer's and 0. At r(sigma) and
+    in its snap window the rate is 0 by :func:`rate`'s rule
+    (:func:`_off_branches`) for any sigma: the objective there is sigma's
+    own error, on the benchmark models up to 2.0e-5 on the rule and 6.6e-10
+    on the grid of :func:`rmtldp.dyson.sigma_measure` (2.4e-6 on both at a
+    cusp).
     A point below the window, or from ``model.edge.x_end`` on, raises ValueError.
     The result carries the beta factor.
     """

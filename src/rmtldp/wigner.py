@@ -255,10 +255,11 @@ def free_convolution_density(model: DeformedWignerModel, x, eta: float):
 
 def free_convolution_measure(model: DeformedWignerModel, grid_points: int = 2000,
                              edge=None) -> SpectralMeasure:
-    """Grid measure of the semicircle free convolution with mu_d, over the
-    support from minimizing H on both sides: the shared
-    :func:`rmtldp.dyson.sigma_measure` on a deformed-Wigner model; ``edge``
-    as in :func:`dw_rate`."""
+    """Grid measure of the semicircle free convolution with mu_d: the
+    shared :func:`rmtldp.dyson.sigma_measure` on a deformed-Wigner model,
+    ``grid_points`` Chebyshev nodes over the bands of its support (the
+    window from minimizing H on both sides, where a cusp leaves them
+    unclassified); ``edge`` as in :func:`dw_rate`."""
     return sigma_measure(_checked(model, edge), grid_points)
 
 

@@ -218,8 +218,8 @@ def test_nan_transform_raises_instead_of_returning(monkeypatch):
 ], ids=["wishart1", "dw-uniform", "wishart1-descended", "dw-uniform-descended"])
 def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     """Each Newton trial evaluates G and G' once, through stieltjes_pair, and
-    the x' of an accepted trial serves the next step. On sigma_measure's
-    2000-point grid, every point started from the window's seed, that is
+    the x' of an accepted trial serves the next step. On a 2000-point
+    Chebyshev grid over the window at 1e-9 max(1, span), every point started from the window's seed, that is
     2.0 evaluations per point for covariance (the start and the polish
     step: on a point-mass rho the seed is the root) and 6.19 for deformed
     Wigner, both solved on their level curves. Every point descended, as
@@ -397,8 +397,9 @@ SOLVED_MODELS = sorted(n for n, m in BENCHMARK_MODELS.items()
 
 
 def measure_grids(model):
-    """sigma_measure's 2000-point grid over the support window at the
-    heights 1e-2, 1e-6 and 1e-9 max(1, span), the last sigma_measure's."""
+    """A 2000-point Chebyshev grid over the support window at the heights
+    1e-2, 1e-6 and 1e-9 max(1, span); sigma_measure took the last on the
+    whole window before it followed sigma's bands at 1e-14 h."""
     window = model.window
     xs = boundary_density_grid(window.left, window.right, 2000)
     span = max(1.0, window.right - window.left)
@@ -521,9 +522,9 @@ def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, descents):
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
 def test_a_root_does_not_depend_on_the_rest_of_its_grid(name):
-    """sigma_measure's 2000-point grid solved whole and in chunks of 7
-    points: a point that descends takes the scale of its chunk's descent,
-    so the roots agree up to rounding, not bit for bit."""
+    """The 2000-point window grid at 1e-9 max(1, span) solved whole and in
+    chunks of 7 points: a point that descends takes the scale of its
+    chunk's descent, so the roots agree up to rounding, not bit for bit."""
     model = BENCHMARK_MODELS[name]
     zs = measure_grids(model)[-1]
     whole = limit_stieltjes(model, zs)
@@ -1018,7 +1019,7 @@ def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
 # former solver above keeps, is the reference. Both stay in the half-plane of the seed, which holds one root, so
 # their roots differ by rounding: within CONTINUATION_TOL max(1, |G|). On the
 # grids of the benchmark models they differed by at most 3.9e-13 max(1, |G|)
-# (neg-wishart at sigma_measure's height, near the soft edge, where x' is
+# (neg-wishart at 1e-9 max(1, span), near the soft edge, where x' is
 # small) and on the 600 random models of each kind below by at most 4.7e-14.
 
 

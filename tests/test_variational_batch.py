@@ -127,9 +127,9 @@ FLOORED = ("wishart1", "neg-wishart", "two-atom", "semicircle-rho", "dw-point", 
 @pytest.mark.parametrize("name", FLOORED)
 def test_the_variational_rate_is_0_at_the_edge_and_not_negative_past_it(name):
     """theta = 0 is admissible with objective 0: at r(sigma), where the
-    optimizer's objective on the rule sigma is a rounding-sized negative
-    (-2.6e-5 to -4.9e-7), the rate is 0, as the primal rate is; just past r
-    it is not negative."""
+    optimizer's objective on the rule sigma is the rule's own error (+3.8e-7
+    to +2.0e-5), the rate is 0, as the primal rate is; just past r it is not
+    negative."""
     model = load(name)
     edge = model.edge
     sigma = sigma_rule(model)
@@ -142,12 +142,11 @@ def test_the_variational_rate_is_0_at_the_edge_and_not_negative_past_it(name):
 @pytest.mark.parametrize("name", FLOORED)
 def test_the_variational_rate_is_0_at_the_edge_on_the_grid_sigma(name):
     """On the 2000-point grid sigma the optimizer's objective at r(sigma) is
-    -1.6e-6 to -1.7e-8 on wishart1, two-atom and semicircle-rho, and +2.4e-8
-    to +2.8e-7 on neg-wishart, dw-point and dw-uniform, the grid's own
-    error. The rate is 0 at r(sigma) and in its snap window on either side
-    all the same, by rate's rule, in rate_variational and in the command's
-    solve; past the window each point keeps the bits of the floored
-    supremum, alone and in a batch with the edge."""
+    +1.2e-11 to +6.6e-10, the grid's own error. The rate is 0 at r(sigma)
+    and in its snap window on either side all the same, by rate's rule, in
+    rate_variational and in the command's solve; past the window each
+    point keeps the bits of the floored supremum, alone and in a batch
+    with the edge."""
     model = load(name)
     edge = model.edge
     sigma = sigma_measure(model, 2000)
@@ -167,12 +166,15 @@ def test_the_variational_rate_is_0_at_the_edge_on_the_grid_sigma(name):
 
 
 def test_the_floor_replaces_a_negative_optimizer_value():
-    """The optimizer's own objective at r(sigma) of wishart1 is below 0."""
-    model = load("wishart1")
-    edge = model.edge
-    theta_x, _, objective = model.variational(np.array([edge.r_sigma]),
-                                              sigma_rule(model))
+    """The optimizer's own objective at r(sigma) of dw-two-atom, whose sigma
+    is the grid at a cusp, is below 0 (-2.4e-6), and the supremum is the
+    objective 0 of theta = 0. On the rule and the grid of the single-band
+    models it lies above 0."""
+    model = load("dw-two-atom")
+    x = np.array([model.edge.r_sigma])
+    theta_x, end, objective = model.variational(x, sigma_rule(model))
     assert objective(theta_x[:, None])[0, 0] < 0.0
+    assert rate_module._supremum(model, x, theta_x, end, objective).tolist() == [0.0]
 
 
 # -- the variational command -------------------------------------------------------------
