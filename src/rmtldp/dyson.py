@@ -45,7 +45,6 @@ __all__ = [
     "sigma_density",
     "sigma_measure",
     "sigma_rule",
-    "boundary_density_grid",
 ]
 
 REAL_ENTRY_LAWS = ("gaussian", "rademacher", "uniform_sqrt3")
@@ -325,12 +324,6 @@ class CovarianceModel:
     def rows(self, n: int) -> int:
         """Row count m of Z in an n x n sample."""
         return int(round(self.alpha * n))
-
-    def draw(self, rng, n: int, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One n x n sample (1/m) Z* diag(d) Z, d of length rows(n), written
-        into ``out`` when given."""
-        from .montecarlo import _covariance_matrix
-        return _covariance_matrix(self, n, rng, d, out)
 
 
 def _check_entry_law(beta: int, entry_law: str) -> None:
@@ -1062,7 +1055,7 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
 
     while at.size:
         stays = ~(np.abs(hw - target) <= tols)
-        if not (taken or stays.any()):  # every point passes from its start
+        if at.size == zs.size and not stays.any():  # all pass, none dropped before
             return w, hw, hp
         dropped = np.count_nonzero(stays) < at.size
         if dropped:
@@ -1178,12 +1171,6 @@ def sigma_density(model, x, eta: float):
     g = limit_stieltjes(model, xs + 1j * eta)
     out = np.maximum(-g.imag / math.pi, 0.0)
     return out[0] if np.asarray(x).ndim == 0 else out
-
-
-def boundary_density_grid(lo: float, hi: float, n: int):
-    """Descending Chebyshev-clustered grid strictly inside (lo, hi): the
-    nodes of :func:`_chebyshev_rule`."""
-    return _chebyshev_rule(lo, hi, int(n))[0][::-1]
 
 
 def _chebyshev_rule(a: float, b: float, n: int):

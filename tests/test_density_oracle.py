@@ -32,11 +32,11 @@ from rmtldp.dyson import (
     _LOOSE_TOL,
     _SEEDED_STEPS,
     _TIGHT_TOL,
+    _chebyshev_rule,
     CovarianceModel,
     DegenerateModelError,
     SolverError,
     SupportWindow,
-    boundary_density_grid,
     detect_degenerate,
     limit_stieltjes,
     sigma_density,
@@ -227,7 +227,7 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     when the descent went by half-decades alone), and the former covariance
     solve of H(w) = z in theta took about 23."""
     window = model.window
-    xs = boundary_density_grid(window.left, window.right, 2000)
+    xs = _chebyshev_rule(window.left, window.right, 2000)[0][::-1]
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
     real_pair = SpectralMeasure.stieltjes_pair
     evaluations = []
@@ -401,7 +401,7 @@ def measure_grids(model):
     1e-2, 1e-6 and 1e-9 max(1, span); sigma_measure took the last on the
     whole window before it followed sigma's bands at 1e-14 h."""
     window = model.window
-    xs = boundary_density_grid(window.left, window.right, 2000)
+    xs = _chebyshev_rule(window.left, window.right, 2000)[0][::-1]
     span = max(1.0, window.right - window.left)
     return [xs + 1j * eta for eta in (1e-2, 1e-6, 1e-9 * span)]
 

@@ -25,6 +25,17 @@ def wishart(alpha, sign=1.0, beta=1, law="gaussian"):
     return CovarianceModel(SpectralMeasure.point_mass(sign), alpha, beta, law)
 
 
+def _former_draw_complex(rng, law, shape):
+    """The former complex draw: two real arrays combined, then scaled."""
+    if law == "complex_gaussian":
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+    else:
+        re = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        im = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
 class TestBuildGamma:
     def test_point_mass(self):
         np.testing.assert_array_equal(build_gamma(SpectralMeasure.point_mass(1.0), 5),
@@ -94,14 +105,28 @@ class TestSampleSpectrum:
             model = wishart(1.0, beta=2, law=law)
             d = build_gamma(model.rho, model.rows(40))
             h = _covariance_matrix(model, 40, _rng_for(5, 0), d)
-            assert np.max(np.abs(h - h.conj().T)) <= 1e-10
+            assert np.array_equal(h, h.conj().T)
 
-    def test_complex_rademacher_moments(self):
-        from rmtldp.montecarlo import _draw_complex, _rng_for
-        z = _draw_complex(_rng_for(0, 0), "complex_rademacher", 200000)
-        assert np.var(z.real) == pytest.approx(0.5, abs=5e-3)
-        assert np.var(z.imag) == pytest.approx(0.5, abs=5e-3)
-        assert np.mean(z.real * z.imag) == pytest.approx(0.0, abs=5e-3)
+    @pytest.mark.parametrize("law,part", [("complex_gaussian", "gaussian"),
+                                          ("complex_rademacher", "rademacher")])
+    def test_complex_entries_are_uncorrelated_parts_in_stream_order(self, law, part):
+        # a complex Wigner matrix with D = 0 keeps its entries' parts: the
+        # stream holds the diagonal, then every real part of the upper
+        # triangle, then every imaginary part, each part of variance 1/2
+        n = 633
+        model = DeformedWignerModel(SpectralMeasure.point_mass(0.0), 2, law)
+        w = montecarlo._wigner_matrix(model, n, montecarlo._rng_for(0, 0), np.zeros(n))
+        iu = np.triu_indices(n, 1)
+        re, im = math.sqrt(n) * w.real[iu], math.sqrt(n) * w.imag[iu]
+        assert re.size > 200000
+        assert np.var(re) == pytest.approx(0.5, abs=5e-3)
+        assert np.var(im) == pytest.approx(0.5, abs=5e-3)
+        assert np.mean(re * im) == pytest.approx(0.0, abs=5e-3)
+        stream = montecarlo._draw_real(montecarlo._rng_for(0, 0), part, n + 2 * re.size)
+        np.testing.assert_allclose(math.sqrt(n) * w.real.diagonal(), stream[:n], rtol=1e-15)
+        np.testing.assert_allclose(math.sqrt(2.0) * re, stream[n:n + re.size], rtol=1e-15)
+        np.testing.assert_allclose(math.sqrt(2.0) * im, stream[n + re.size:], rtol=1e-15)
+        np.testing.assert_array_equal(w, w.conj().T)
 
     def test_entry_cap_refused(self):
         with pytest.raises(ValueError):
@@ -129,7 +154,7 @@ class TestSampleSpectrum:
             diag_law, draw_off = model.entry_law, montecarlo._draw_real
         else:
             diag_law = "gaussian" if model.entry_law == "complex_gaussian" else "rademacher"
-            draw_off = montecarlo._draw_complex
+            draw_off = _former_draw_complex
         diag = montecarlo._draw_real(rng, diag_law, n)
         off = draw_off(rng, model.entry_law, len(iu[0]))
         w = np.zeros((n, n), dtype=off.dtype)
@@ -148,7 +173,7 @@ class TestSampleSpectrum:
         for n in (2, 3, 17):
             d = build_gamma(model.diagonal_law, n)
             for rep in range(10):
-                got = model.draw(montecarlo._rng_for(5, rep), n, d)
+                got = montecarlo._wigner_matrix(model, n, montecarlo._rng_for(5, rep), d)
                 want = self._former_wigner_matrix(model, n, montecarlo._rng_for(5, rep), d)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
@@ -156,50 +181,13 @@ class TestSampleSpectrum:
 
 class TestCovarianceBuild:
     @staticmethod
-    def _former_draw_complex(rng, law, shape):
-        """The former complex draw: two real arrays combined, then scaled."""
-        if law == "complex_gaussian":
-            re = rng.standard_normal(shape)
-            im = rng.standard_normal(shape)
-        else:
-            re = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-            im = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        return (re + 1j * im) / math.sqrt(2.0)
-
-    @staticmethod
     def _former_covariance_matrix(model, n, rng, d):
         """The former build: one general product z* (d z) / m, symmetrised."""
         m = model.rows(n)
-        draw = montecarlo._draw_real if model.beta == 1 else montecarlo._draw_complex
+        draw = montecarlo._draw_real if model.beta == 1 else _former_draw_complex
         z = draw(rng, model.entry_law, (m, n))
         h = z.conj().T @ (d[:, None] * z) / m
         return 0.5 * (h + h.conj().T)
-
-    @pytest.mark.parametrize("law", ["complex_gaussian", "complex_rademacher"])
-    def test_complex_entries_equal_the_former_draw_bit_for_bit(self, law):
-        for shape in (1, 7, (30, 17), (200, 200)):
-            for rep in range(3):
-                got = montecarlo._draw_complex(montecarlo._rng_for(2, rep), law, shape)
-                want = self._former_draw_complex(montecarlo._rng_for(2, rep), law, shape)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("atoms,weights,alpha,law", [
-        ([1.0], [1.0], 1.0, "complex_gaussian"),
-        ([-1.0, 2.0], [0.5, 0.5], 0.5, "complex_gaussian"),
-        ([-1.0, 0.0, 1.0], [0.3, 0.2, 0.5], 2.0, "complex_gaussian"),
-        ([0.0, 1.0], [0.5, 0.5], 1.5, "complex_rademacher"),
-    ])
-    def test_complex_matrix_equals_the_former_build_bit_for_bit(self, atoms, weights,
-                                                                alpha, law):
-        model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha, 2, law)
-        for n in (2, 17, 120):
-            d = build_gamma(model.rho, model.rows(n))
-            for rep in range(3):
-                got = model.draw(montecarlo._rng_for(5, rep), n, d)
-                want = self._former_covariance_matrix(model, n, montecarlo._rng_for(5, rep), d)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("atoms,weights,alpha,law", [
         ([-1.0, 2.0], [0.5, 0.5], 1.0, "gaussian"),           # both signs
@@ -211,25 +199,33 @@ class TestCovarianceBuild:
         ([1.0], [1.0], 0.5, "rademacher"),
         ([1.0], [1.0], 2.0, "gaussian"),
         ([0.5, 3.0], [0.7, 0.3], 1.0, "uniform_sqrt3"),
+        ([1.0], [1.0], 1.0, "complex_gaussian"),
+        ([-1.0, 2.0], [0.5, 0.5], 0.5, "complex_gaussian"),
+        ([-1.0, 0.0, 1.0], [0.3, 0.2, 0.5], 2.0, "complex_gaussian"),
+        ([0.0, 1.0], [0.5, 0.5], 1.5, "complex_rademacher"),
+        ([-1.0], [1.0], 0.5, "complex_gaussian"),
     ])
     def test_rank_k_build_matches_the_former_build(self, atoms, weights, alpha, law):
         # the rank-k products round differently from the general product; the
         # spectra agree within the stated 1e-14 max|lambda|
-        model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha, 1, law)
+        beta = 2 if law.startswith("complex") else 1
+        model = CovarianceModel(SpectralMeasure.from_atoms(atoms, weights), alpha, beta, law)
         for n in (2, 17, 200):
             d = build_gamma(model.rho, model.rows(n))
             for rep in range(3):
-                h = model.draw(montecarlo._rng_for(5, rep), n, d)
-                assert np.array_equal(h, h.T)
+                h = montecarlo._covariance_matrix(model, n, montecarlo._rng_for(5, rep), d)
+                assert np.array_equal(h, h.conj().T)
                 got = np.linalg.eigvalsh(h)
                 want = np.linalg.eigvalsh(
                     self._former_covariance_matrix(model, n, montecarlo._rng_for(5, rep), d))
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_zero_diagonal_gives_the_zero_matrix(self):
-        model = CovarianceModel(SpectralMeasure.point_mass(0.0), 1.0)
-        out = np.full((6, 6), np.nan)
-        assert model.draw(montecarlo._rng_for(0, 0), 6, np.zeros(6), out=out) is out
+    @pytest.mark.parametrize("beta,law", [(1, "gaussian"), (2, "complex_gaussian")])
+    def test_zero_diagonal_gives_the_zero_matrix(self, beta, law):
+        model = CovarianceModel(SpectralMeasure.point_mass(0.0), 1.0, beta, law)
+        out = np.full((6, 6), np.nan, dtype=montecarlo._dtype(model))
+        assert montecarlo._covariance_matrix(model, 6, montecarlo._rng_for(0, 0), np.zeros(6),
+                                             out=out) is out
         np.testing.assert_array_equal(out, 0.0)
 
 

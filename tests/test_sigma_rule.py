@@ -45,7 +45,6 @@ def test_the_rule_integrates_square_root_edges_exactly(n):
     nodes, weights = dyson._chebyshev_rule(-1.0, 1.0, n)
     assert nodes.size == n and np.all(np.diff(nodes) > 0.0)
     assert nodes[0] > -1.0 and nodes[-1] < 1.0 and np.all(weights > 0.0)
-    np.testing.assert_array_equal(nodes, dyson.boundary_density_grid(-1.0, 1.0, n)[::-1])
     soft = np.sqrt((1.0 - nodes) * (1.0 + nodes))
     hard = np.sqrt((1.0 - nodes) / (1.0 + nodes))
     for j in range(2 * n - 1):
