@@ -5,14 +5,14 @@ infinite threshold while approximating the original rate from below."""
 
 import numpy as np
 
-from rmtldp.dyson import CovarianceModel, g_bar_sigma, thresholds
+from rmtldp.dyson import CovarianceModel, g_bar_sigma
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import approx_sweep, epsilon_truncate, rate_table
 
 model = CovarianceModel(SpectralMeasure.semicircle(2.0, 1.0), 1.0)
-tmax, x_c = thresholds(model)
 edge = model.edge
-print(f"theta_max = {tmax:.10f}, threshold x_c = {x_c:.10f}, r(sigma) = {edge.r_sigma:.10f}")
+print(f"theta_max = {edge.theta_max:.10f}, threshold x_c = {edge.x_c:.10f}, "
+      f"r(sigma) = {edge.r_sigma:.10f}")
 
 print()
 print("== the second branch saturates at theta_max beyond x_c ==")
@@ -36,4 +36,4 @@ for eps, r_eps, err in zip(sweep.eps, sweep.r_sigma_eps, sweep.sup_error):
     print(f"{eps:<10} {r_eps:.10f}   {err:.3e}")
 print("(truncated rates never exceed the original; the truncated threshold is infinite)")
 rho_trunc = epsilon_truncate(model.rho, 0.1)
-print("truncated model threshold:", thresholds(CovarianceModel(rho_trunc, 1.0))[1])
+print("truncated model threshold:", CovarianceModel(rho_trunc, 1.0).edge.x_c)

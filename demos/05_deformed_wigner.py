@@ -1,7 +1,8 @@
-"""Deformed Wigner ensembles: the convex function built from the inverse
-Stieltjes transform of the deformation, its two branches, the rate function
-(reducing to the pure Wigner closed form for a trivial deformation), the
-free-convolution density, and edge capping."""
+"""Deformed Wigner ensembles: the convex function H(y) = y + K(y) built from
+the inverse K of the deformation's Stieltjes transform, read on its level
+curve, its two branches, the rate function (reducing to the pure Wigner
+closed form for a trivial deformation), the free-convolution density, and
+edge capping."""
 
 import math
 
@@ -12,11 +13,9 @@ from rmtldp.wigner import (
     DeformedWignerModel,
     dw_branches,
     dw_epsilon_cap,
-    dw_h,
     dw_rate,
     dw_rate_variational,
     free_convolution_density,
-    k_transform,
 )
 
 print("== trivial deformation: pure Wigner ==")
@@ -40,11 +39,19 @@ print()
 print("== semicircle deformation ==")
 model = DeformedWignerModel(SpectralMeasure.semicircle(0.0, 1.0))
 edge = model.edge
-print(f"K(1) = {k_transform(model.mu_d, 1.0):.10f} (R-transform y/4 gives 1.25)")
+mu, curve = model.mu_d, model.curve()
+print("K and H at points of the level curve: y = G(lam), K(y) = lam, H(y) = lam + G(lam);")
+print("the semicircle's R-transform K(y) - 1/y is y/4:")
+for lam in (1.05, 1.25, 2.0, 4.0):
+    y, h = mu.stieltjes(lam), curve(lam)[0]
+    assert abs((lam - 1.0 / y) - y / 4.0) <= 1e-12, (lam, y)
+    print(f"  lam = {lam}: y = {y:.10f}  H(y) = {h:.10f}  "
+          f"lam - 1/y = {lam - 1.0 / y:.10f}  y/4 = {y / 4.0:.10f}")
 print(f"free sum of semicircles has edge sqrt(5): r_edge = {edge.r_edge:.10f}")
-print(f"finite threshold x_c = {edge.x_c_dw:.10f}; beyond it H is affine:")
-for y in (1.5, 2.0, 2.5, 3.0):
-    print(f"  H({y}) = {dw_h(model, y):.10f}")
+print(f"finite threshold x_c = {edge.x_c_dw:.10f}; past it H is affine, and the second "
+      f"branch is Gbar = x - r(mu_d):")
+for x in (3.0, 3.5, 4.0, 5.0):
+    print(f"  Gbar({x}) = {dw_branches(model, x)[1]:.10f}   x - r(mu_d) = {x - mu.right_edge:.10f}")
 
 print()
 print("== variational form agrees with the primal integral ==")

@@ -112,13 +112,15 @@ def _emit(text_or_bytes, out_path: str | None) -> None:
 
 
 def _resolve_threads(value) -> int | None:
-    if value is not None:
-        return int(value)
+    """The --threads bound, else RMTLDP_THREADS where set, held to the
+    flag's rule: an integer of at least 1, else a usage error."""
     env = os.environ.get("RMTLDP_THREADS")
+    if value is not None or not env:
+        return value
     try:
-        return int(env) if env else None
-    except ValueError as exc:
-        raise UsageError(f"RMTLDP_THREADS must be an integer, got {env!r}") from exc
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"RMTLDP_THREADS: {exc}") from exc
 
 
 def _float_list(text: str) -> list[float]:
@@ -293,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker bound (RMTLDP_THREADS as fallback); results unaffected")
     p.add_argument("--spectra", default=None, help="optional binary sidecar of full spectra")
     p.set_defaults(fn=_cmd_mc)

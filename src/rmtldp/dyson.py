@@ -33,9 +33,6 @@ __all__ = [
     "EdgeData",
     "SolverError",
     "DegenerateModelError",
-    "theta_max",
-    "h_rho",
-    "thresholds",
     "detect_degenerate",
     "edge_solve",
     "limit_stieltjes",
@@ -357,29 +354,6 @@ class EdgeData:
         return 0.0 if self.case_tag == "nonpos_edge" else math.inf
 
 
-def theta_max(model: CovarianceModel) -> float:
-    r = model.rho.right_edge
-    return model.alpha / r if r > 0.0 else math.inf
-
-
-def h_rho(model: CovarianceModel, theta: float) -> float:
-    """H(theta) = x(alpha/theta) on (0, theta_max]; theta_max itself only
-    when x_c is finite."""
-    tmax = theta_max(model)
-    if not 0.0 < theta <= tmax:
-        raise ValueError(f"theta={theta!r} outside (0, {tmax!r}]")
-    h = model.curve()(model.alpha / theta)[0]
-    if math.isinf(h):
-        raise ValueError(f"H diverges at theta={theta!r} (theta_max with infinite edge transform)")
-    return h
-
-
-def _h_direct(model: CovarianceModel, theta: float) -> float:
-    """H(theta) summed directly over atoms and quadrature nodes (cross-check path)."""
-    a = model.alpha
-    return 1.0 / theta + model.rho.integrate(lambda u: a * u / (a - theta * np.asarray(u)))
-
-
 def _g_at_right_edge(mu: SpectralMeasure) -> float:
     """G_mu at the right edge r(mu), +inf where it diverges; SolverError where
     its finiteness cannot be decided (an undeclared table at the edge)."""
@@ -388,25 +362,6 @@ def _g_at_right_edge(mu: SpectralMeasure) -> float:
         return mu.stieltjes(r)
     except MeasureError as exc:
         raise SolverError(f"cannot decide finiteness of G at the right edge {r!r}: {exc}") from exc
-
-
-def thresholds(model: CovarianceModel) -> tuple[float, float]:
-    """(theta_max, x_c): x_c = x(r(rho)) on the level curve, cross-checked
-    against H(theta_max) summed directly over atoms and nodes."""
-    tmax = theta_max(model)
-    r = model.rho.right_edge
-    if r <= 0.0:
-        return tmax, math.inf
-    g_edge = _g_at_right_edge(model.rho)
-    if math.isinf(g_edge):
-        return tmax, math.inf
-    x_c = model.curve()(r)[0]
-    x_c_direct = _h_direct(model, tmax)
-    if abs(x_c_direct - x_c) > 1e-4 * max(1.0, abs(x_c)):
-        raise SolverError(
-            f"threshold cross-check failed: formula {x_c!r} vs H(theta_max) {x_c_direct!r}"
-        )
-    return tmax, x_c
 
 
 def detect_degenerate(model: CovarianceModel) -> bool:
@@ -419,19 +374,23 @@ def detect_degenerate(model: CovarianceModel) -> bool:
 def edge_solve(model: CovarianceModel) -> EdgeData:
     """Locate theta_c and the right edge r(sigma) = H(theta_c): in lam =
     alpha/theta, theta_c = alpha/lam_c and r(sigma) = x(lam_c) at the
-    minimiser lam_c of the level's curve (:func:`_level_edge`). In the
-    finite-x_c boundary case, lam_c = r(rho): theta_c = theta_max and
-    r(sigma) = x_c."""
-    if detect_degenerate(model):
-        return EdgeData(theta_max=theta_max(model), x_c=math.inf, theta_c=None, r_sigma=None,
-                        degenerate=True, case_tag=None)
-    tmax, x_c = thresholds(model)
+    minimiser lam_c of the level's curve (:func:`_level_edge`), with
+    theta_max = alpha/r(rho) (inf for r(rho) <= 0) and x_c = x(r(rho)) where
+    G_rho is finite at r(rho) (else inf). In the finite-x_c boundary case,
+    lam_c = r(rho): theta_c = theta_max and r(sigma) = x_c."""
     rho = model.rho
-    if rho.right_edge > 0.0:
-        case = "pos_edge_finite_xc" if math.isfinite(x_c) else "pos_edge_infinite_xc"
-    else:
-        case = "nonpos_edge"
+    r = rho.right_edge
+    tmax = model.alpha / r if r > 0.0 else math.inf
+    if detect_degenerate(model):
+        return EdgeData(theta_max=tmax, x_c=math.inf, theta_c=None, r_sigma=None,
+                        degenerate=True, case_tag=None)
     curve = model.curve()
+    if r <= 0.0:
+        x_c, case = math.inf, "nonpos_edge"
+    elif math.isinf(_g_at_right_edge(rho)):
+        x_c, case = math.inf, "pos_edge_infinite_xc"
+    else:
+        x_c, case = curve(r)[0], "pos_edge_finite_xc"
     capped = math.isfinite(x_c)
     lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor,
                         max(abs(rho.left_edge), abs(rho.right_edge)), capped)

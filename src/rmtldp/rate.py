@@ -21,14 +21,12 @@ from .dyson import (
     _evaluable_floor,
     _monotone_newton,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches rate.brentq
-    theta_max,
 )
 from .measures import MeasureError, Semicircle, SpectralMeasure, _make_component
 
 __all__ = [
     "rate",
     "rate_degenerate",
-    "j_shift",
     "j_fn",
     "f_fn",
     "rate_variational",
@@ -190,7 +188,7 @@ def _readings(mu: SpectralMeasure, lams, at):
 
 
 def _shift(mu: SpectralMeasure, th, lams, at):
-    """The shift v of :func:`j_shift` at a 1-d array theta > 0, with
+    """The shift v of :func:`j_fn` at a 1-d array theta > 0, with
     ``lams`` the lambda >= r(mu), ``at`` each theta's index among them and
     mu already read from every lambda: G_mu at each lambda on floats, and
     every inverse in one solve from its lower end lambda."""
@@ -202,27 +200,6 @@ def _shift(mu: SpectralMeasure, th, lams, at):
     return k - 0.5 / th
 
 
-def j_shift(mu: SpectralMeasure, theta, lam):
-    """Optimal shift v in the J functional: lambda - 1/(2 theta) when
-    G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta).
-    Elementwise over an array theta, with lambda a scalar or an array that
-    broadcasts to theta's shape; a float for scalar theta.
-
-    Every point the solve visits lies at or beyond lambda, so mu is read
-    there as :meth:`SpectralMeasure.read_from` reads it from lambda on; the
-    inverses of all points that read mu alike come from one solve. A
-    lambda in the snap window just below r(mu) is read as r."""
-    th = np.asarray(theta, dtype=float)
-    if (th <= 0.0).any():
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    lams, at = _lambdas(mu, lam, th.shape)
-    ths = th.reshape(-1)
-    v = np.empty(ths.shape)
-    for reading, ends, sel, index in _readings(mu, lams, at.reshape(-1)):
-        v[sel] = _shift(reading, ths[sel], ends, index)
-    return float(v[0]) if th.ndim == 0 else v.reshape(th.shape)
-
-
 def j_fn(mu: SpectralMeasure, theta, lam):
     """Spherical-integral limit J(mu, theta, lambda) for theta >= 0,
     lambda >= r(mu), elementwise over an array theta, with lambda a scalar
@@ -230,11 +207,13 @@ def j_fn(mu: SpectralMeasure, theta, lam):
     variational batch); a float for scalar theta.
 
     J is theta*v minus half the logarithmic moment of 1 + 2 theta v
-    - 2 theta y, with v the shift from :func:`j_shift`. J visits no point
-    below lambda, so a table component of mu that lambda lies far enough
-    past is read through its Gauss rule (:meth:`SpectralMeasure.read_from`),
-    which gives its G, G' and log moment to rounding; nearer the support J
-    sums over the table's nodes. The points are grouped by that reading,
+    - 2 theta y, with v the optimal shift: lambda - 1/(2 theta) when
+    G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta). J
+    visits no point below lambda, so a table component of mu that lambda
+    lies far enough past is read through its Gauss rule
+    (:meth:`SpectralMeasure.read_from`), which gives its G, G' and log
+    moment to rounding; nearer the support J sums over the table's nodes.
+    The points are grouped by that reading,
     and each group takes one shift solve and one log moment: a sigma whose
     tables are too small to carry a rule (the 64-node bands of
     :func:`rmtldp.dyson.sigma_rule`) is read as itself at every lambda, in
@@ -274,7 +253,7 @@ def f_fn(model: CovarianceModel, theta):
     th = np.asarray(theta, dtype=float)
     if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
-    tmax = theta_max(model)
+    tmax = model.edge.theta_max
     if (th > tmax).any():
         raise ValueError(f"theta={theta!r} exceeds theta_max={tmax!r}")
     out = np.zeros(th.shape)

@@ -29,13 +29,11 @@ from .dyson import (
     sigma_rule,
 )
 from .measures import SpectralMeasure
-from .rate import _inverse_stieltjes, epsilon_truncate, j_fn, rate, rate_variational
+from .rate import epsilon_truncate, j_fn, rate, rate_variational
 
 __all__ = [
     "DeformedWignerModel",
     "DWEdgeData",
-    "k_transform",
-    "dw_h",
     "dw_edge",
     "dw_branches",
     "dw_rate",
@@ -179,25 +177,6 @@ class DWEdgeData:
     def r_sigma(self) -> float:
         """The spectral edge r_edge, under the name EdgeData gives it."""
         return self.r_edge
-
-
-def k_transform(mu: SpectralMeasure, y: float) -> float:
-    """Inverse K of the Stieltjes transform of mu on (0, G_mu(r(mu)))."""
-    g_edge = _g_at_right_edge(mu)
-    if not 0.0 < y < g_edge:
-        raise ValueError(f"y={y!r} outside the range (0, {g_edge!r}) of the transform")
-    return _inverse_stieltjes(mu, y)
-
-
-def dw_h(model: DeformedWignerModel, y: float) -> float:
-    """Convex two-piece function y + K(y), continued as y + r(mu_d) once y
-    passes the value of the Stieltjes transform at the deformation edge."""
-    if y <= 0.0:
-        raise ValueError(f"y must be positive, got {y!r}")
-    g_edge = _g_at_right_edge(model.mu_d)
-    if y >= g_edge:
-        return y + model.mu_d.right_edge
-    return y + _inverse_stieltjes(model.mu_d, y)
 
 
 def dw_edge(model: DeformedWignerModel) -> DWEdgeData:

@@ -15,7 +15,6 @@ from rmtldp.dyson import (
     g_bar_sigma,
     sigma_density,
     sigma_measure,
-    thresholds,
 )
 from rmtldp.measures import SpectralMeasure
 from rmtldp.montecarlo import distance_stats, edge_stats, sample_spectrum
@@ -106,7 +105,7 @@ def test_criterion_04_variational_identity():
 @criterion(5, "finite threshold model", 30.0)
 def test_criterion_05_finite_threshold():
     model = semicircle_model()
-    tmax, x_c = thresholds(model)
+    tmax, x_c = model.edge.theta_max, model.edge.x_c
     assert tmax == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert x_c == pytest.approx(18.0, abs=1e-4)
     for x in (18.0, 20.0, 25.0, 100.0):

@@ -32,7 +32,6 @@ from rmtldp.dyson import (
     detect_degenerate,
     g_bar_sigma,
     g_sigma,
-    thresholds,
 )
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import rate, rate_table
@@ -265,7 +264,9 @@ def _former_edge_solves(model):
             raise RuntimeError("bracketing failed on the flat side")
         lam_c = optimize.brentq(phi, lo, hi, **KW)
         return mu.stieltjes(lam_c) + lam_c
-    tmax, x_c = thresholds(model)
+    rho = model.rho
+    r = rho.right_edge
+    tmax = model.alpha / r if r > 0.0 else math.inf
     f = lambda t: _f_at(model, t)
     lo = min(1.0, tmax) * 1e-9
     flo = f(lo)
@@ -276,9 +277,9 @@ def _former_edge_solves(model):
         flo = f(lo)
     if math.isfinite(tmax):
         probes = _probes_toward(tmax)
-        if math.isfinite(x_c):
+        if math.isfinite(rho.stieltjes(r)):
             if f(probes[-1]) <= 0.0:
-                return x_c
+                return model.curve()(r)[0]  # x_c
         else:
             z_min = model.rho.past_right_snap()
             probes = [t for t in probes if model.alpha / t >= z_min]

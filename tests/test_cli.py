@@ -212,6 +212,22 @@ class TestMcCommand:
         assert "RMTLDP_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "mc.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, wishart1, tmp_path, monkeypatch, capsys,
+                                                value):
+        """From the flag or from the variable, named in the message; no file."""
+        out = tmp_path / "mc.csv"
+        argv = ["mc", "--model", wishart1, "--n", "20", "--replicas", "2", "--out", str(out)]
+        monkeypatch.delenv("RMTLDP_THREADS", raising=False)
+        assert run(argv + ["--threads", value]) == 2
+        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setenv("RMTLDP_THREADS", value)
+        assert run(argv) == 2
+        assert "RMTLDP_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+        # the flag takes precedence over the variable
+        assert run(argv + ["--threads", "1"]) == 0
+
     @pytest.mark.parametrize("replicas", ["0", "-1"])
     def test_empty_replica_range_fails(self, wishart1, tmp_path, capsys, replicas):
         out = tmp_path / "mc.csv"

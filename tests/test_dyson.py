@@ -3,9 +3,12 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from rmtldp import dyson, wigner
+from rmtldp._quad import sqrt_adapted_rule
 from rmtldp.dyson import (
     CovarianceModel,
     DegenerateModelError,
@@ -14,20 +17,18 @@ from rmtldp.dyson import (
     edge_solve,
     g_bar_sigma,
     g_sigma,
-    h_rho,
     limit_stieltjes,
     sigma_density,
     sigma_measure,
     sigma_rule,
     support_window,
-    theta_max,
-    thresholds,
 )
 from rmtldp.measures import SpectralMeasure, remove_zero_atom
 from rmtldp.rate import rate, rate_table, rate_variational
 from rmtldp.wigner import DeformedWignerModel
 from test_sigma_rule import MODELS as MODEL_FILES
 from test_sigma_rule import load
+from theta_space import h_curve, h_direct
 
 
 def wishart(alpha, sign=1.0, beta=1, law="gaussian"):
@@ -69,46 +70,93 @@ class TestModelValidation:
 
 
 class TestHRho:
+    """H(theta) = x(alpha/theta), read off the level curve."""
+
     def test_wishart_value(self):
-        assert h_rho(wishart(1.0), 0.5) == pytest.approx(4.0, rel=1e-14)
+        assert h_curve(wishart(1.0), 0.5) == pytest.approx(4.0, rel=1e-14)
 
     def test_negative_atom_value(self):
-        assert h_rho(wishart(2.0, sign=-1.0), 1.0) == pytest.approx(1.0 - 2.0 / 3.0, rel=1e-14)
+        assert h_curve(wishart(2.0, sign=-1.0), 1.0) == pytest.approx(1.0 - 2.0 / 3.0, rel=1e-14)
 
     def test_semicircle_at_theta_max(self):
         model = semicircle_model()
-        assert h_rho(model, 1.0 / 3.0) == pytest.approx(18.0, abs=1e-4)
-
-    def test_domain_rejection(self):
-        with pytest.raises(ValueError):
-            h_rho(wishart(1.0), 0.0)
-        with pytest.raises(ValueError):
-            h_rho(wishart(1.0), 1.0)  # theta_max with an atom at the edge
+        assert h_curve(model, 1.0 / 3.0) == pytest.approx(18.0, abs=1e-4)
 
     def test_matches_direct_quadrature(self):
         model = semicircle_model()
         for theta in (0.05, 0.2, 0.3):
-            a = model.alpha
-            direct = 1.0 / theta + model.rho.integrate(
-                lambda u: a * u / (a - theta * np.asarray(u))
-            )
-            assert h_rho(model, theta) == pytest.approx(direct, rel=1e-10)
+            assert h_curve(model, theta) == pytest.approx(h_direct(model, theta), rel=1e-10)
 
 
 class TestThresholds:
     def test_atom_at_positive_edge(self):
-        tmax, x_c = thresholds(wishart(2.0))
-        assert tmax == 2.0
-        assert x_c == math.inf
+        edge = wishart(2.0).edge
+        assert edge.theta_max == 2.0
+        assert edge.x_c == math.inf
 
     def test_negative_support(self):
-        tmax, x_c = thresholds(wishart(1.0, sign=-1.0))
-        assert tmax == math.inf and x_c == math.inf
+        edge = wishart(1.0, sign=-1.0).edge  # degenerate
+        assert edge.theta_max == math.inf and edge.x_c == math.inf
+        edge = wishart(2.0, sign=-1.0).edge
+        assert edge.theta_max == math.inf and edge.x_c == math.inf
 
     def test_semicircle(self):
-        tmax, x_c = thresholds(semicircle_model())
-        assert tmax == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert x_c == pytest.approx(18.0, abs=1e-4)
+        edge = semicircle_model().edge
+        assert edge.theta_max == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert edge.x_c == pytest.approx(18.0, abs=1e-4)
+
+
+@st.composite
+def finite_edge_models(draw):
+    """Covariance models whose G_rho is finite at r(rho) > 0: a top piece on
+    [c - R, c + R], a 256-node semicircle or a 256-node table of density
+    (b - u)^p (u - a)^q, p >= 1/2, declared finite at its end, with up to
+    three atoms below its right end, and alpha in [0.1, 5]."""
+    c, radius = draw(st.floats(-1.0, 3.0)), draw(st.floats(0.025, 1.5))
+    a, b = c - radius, c + radius
+    if b <= 0.0:
+        a, b, c = a - b + 0.1, 0.1, c - b + 0.1
+    shares = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4)))
+    w = shares / shares.sum()
+    atoms = [[b - draw(st.floats(1e-3, 4.0)), float(p)] for p in w[1:]]
+    mass = float(1.0 - w[1:].sum())
+    if draw(st.booleans()):
+        piece = {"kind": "semicircle", "support": [a, b], "nodes": 256,
+                 "params": {"center": c, "radius": radius, "mass": mass}}
+    else:
+        p, q = draw(st.floats(0.5, 3.0)), draw(st.floats(0.0, 3.0))
+        nodes, qw = sqrt_adapted_rule(a, b, 256)
+        dens = qw * (b - nodes) ** p * (nodes - a) ** q
+        piece = {"kind": "table", "support": [a, b],
+                 "params": {"x": nodes.tolist(), "w": (dens * (mass / dens.sum())).tolist(),
+                            "edge_finite_g": True}}
+    rho = SpectralMeasure.from_json({"atoms": atoms, "density": piece})
+    return CovarianceModel(rho, draw(st.floats(0.1, 5.0)))
+
+
+# bounds on |x_c - direct sum|/max(1, |x_c|), about 2.6 times the largest
+# gaps on the 100 draws of the test below: 3.7e-8 on the 44 with a semicircle
+# piece, 2.4e-10 on the 56 with a table. A table gives G_rho(r(rho)) by the
+# same node sum as the direct sum, but alpha - theta_max u cancels at nodes
+# next to r(rho) (the largest gap: a table 0.05 wide at alpha = 0.1). A
+# semicircle's G is its closed form, exact at its end c + R in reals, which
+# the float end r(rho) = fl(c + R) can miss by an ulp where G has a
+# square-root edge; where c + R is exact, the gap is the nodes' error, 1e-12
+# to 1e-10
+XC_GAP = {"semicircle": 1e-7, "table": 6e-10}
+
+
+@settings(max_examples=100)
+@given(model=finite_edge_models())
+def test_x_c_equals_the_direct_sum_at_theta_max(model):
+    """x_c = x(r(rho)) on the level curve, against H(theta_max) = 1/theta_max
+    + integral of alpha u/(alpha - theta_max u) d rho(u) summed over the
+    atoms and nodes of rho, to the bound of rho's top piece (XC_GAP)."""
+    edge = model.edge
+    assert edge.theta_max == model.alpha / model.rho.right_edge
+    assert edge.case_tag == "pos_edge_finite_xc"
+    gap = abs(edge.x_c - h_direct(model, edge.theta_max))
+    assert gap <= XC_GAP[model.rho.components[0].kind] * max(1.0, abs(edge.x_c))
 
 
 class TestDegenerate:
@@ -148,7 +196,7 @@ class TestEdgeSolve:
 
     def test_cross_check_by_direct_minimization(self):
         model = semicircle_model()
-        res = minimize_scalar(lambda t: h_rho(model, t), bounds=(1e-6, 1.0 / 3.0 - 1e-9),
+        res = minimize_scalar(lambda t: h_curve(model, t), bounds=(1e-6, 1.0 / 3.0 - 1e-9),
                               method="bounded", options={"xatol": 1e-12})
         edge = edge_solve(model)
         assert edge.r_sigma == pytest.approx(res.fun, abs=1e-8)
@@ -267,8 +315,8 @@ class TestBranchInvariants:
         if model.rho.right_edge <= 0.0:
             hi = min(hi, -1e-3)
         for x in np.linspace(edge.r_sigma + 1e-4, hi, 12):
-            assert h_rho(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
-            assert h_rho(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_curve(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_curve(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
 
     def test_branch_ordering_and_monotonicity(self):
         model = wishart(1.0)
@@ -290,7 +338,7 @@ class TestBranchInvariants:
         """f(theta) = theta^2 H'(theta) = -alpha x'(alpha/theta), read off the
         level curve, increases on (0, theta_max) from -1."""
         model = make_model()
-        tmax = theta_max(model)
+        tmax = model.edge.theta_max
         hi = 0.999 * tmax if math.isfinite(tmax) else 50.0
         thetas = np.linspace(1e-6, hi, 100)
         vals = -model.alpha * model.curve()(model.alpha / thetas)[1]
@@ -325,7 +373,7 @@ class TestRemoveZeroAtomIdentity:
         model = CovarianceModel(rho, 3.0)
         model_tau = CovarianceModel(tau, alpha_prime)
         for theta in (0.1, 0.5):
-            assert h_rho(model, theta) == pytest.approx(h_rho(model_tau, theta), abs=1e-12)
+            assert h_curve(model, theta) == pytest.approx(h_curve(model_tau, theta), abs=1e-12)
 
     def test_h_invariance_on_grid(self):
         rho = SpectralMeasure.from_atoms([0.0, -2.0, -0.5], [0.25, 0.5, 0.25])
@@ -333,7 +381,7 @@ class TestRemoveZeroAtomIdentity:
         model = CovarianceModel(rho, 4.0)
         model_tau = CovarianceModel(tau, alpha_prime)
         for theta in np.linspace(0.05, 3.0, 17):
-            assert h_rho(model, theta) == pytest.approx(h_rho(model_tau, theta), abs=1e-10)
+            assert h_curve(model, theta) == pytest.approx(h_curve(model_tau, theta), abs=1e-10)
 
 
 class TestSupportWindow:
@@ -413,8 +461,8 @@ class TestMixedSignSpectrum:
         assert edge.r_sigma < 0.0
         assert edge.case_tag == "pos_edge_infinite_xc"
         for x in (edge.r_sigma + 0.3, 0.0, 1.5):
-            assert h_rho(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
-            assert h_rho(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_curve(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_curve(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
 
     def test_wide_atoms_merge_into_one_band(self):
         # for alpha = 4 the free components overlap: the density bridges the
@@ -475,8 +523,8 @@ class TestRandomizedAtomicModels:
             g = g_sigma(model, x)
             gb = g_bar_sigma(model, x)
             assert gb >= g
-            assert h_rho(model, g) == pytest.approx(x, abs=1e-8)
-            assert h_rho(model, gb) == pytest.approx(x, abs=1e-8)
+            assert h_curve(model, g) == pytest.approx(x, abs=1e-8)
+            assert h_curve(model, gb) == pytest.approx(x, abs=1e-8)
 
 
 class TestMixedAtomAndDensity:
@@ -496,8 +544,8 @@ class TestMixedAtomAndDensity:
         edge = edge_solve(model)
         assert edge.r_sigma > 2.8  # top edge beyond the population support
         for x in (edge.r_sigma + 0.2, edge.r_sigma + 1.0):
-            assert h_rho(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
-            assert h_rho(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_curve(model, g_sigma(model, x)) == pytest.approx(x, abs=1e-9)
+            assert h_curve(model, g_bar_sigma(model, x)) == pytest.approx(x, abs=1e-9)
 
     def test_grid_measure_quality(self):
         sm = sigma_measure(self.make_model(), 1200)

@@ -10,7 +10,6 @@ from rmtldp.dyson import (
     DegenerateModelError,
     SolverError,
     edge_solve,
-    thresholds,
 )
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import (
@@ -18,7 +17,6 @@ from rmtldp.rate import (
     epsilon_truncate,
     f_fn,
     j_fn,
-    j_shift,
     rate,
     rate_degenerate,
     rate_table,
@@ -28,6 +26,7 @@ from rmtldp.wigner import DeformedWignerModel
 
 from test_branch_solver import solvable_edge
 from test_density_oracle import atomic_measures
+from theta_space import j_shift
 
 
 def wishart(alpha, sign=1.0, beta=1):
@@ -210,8 +209,7 @@ class TestEpsilonTruncate:
 
     def test_truncated_measure_has_infinite_x_c(self):
         rho = epsilon_truncate(SpectralMeasure.semicircle(2.0, 1.0), 0.2)
-        _, x_c = thresholds(CovarianceModel(rho, 1.0))
-        assert x_c == math.inf
+        assert CovarianceModel(rho, 1.0).edge.x_c == math.inf
 
     def test_atom_collision_nudges(self):
         rho = SpectralMeasure.from_atoms([0.0, 0.5, 1.0], [0.25, 0.25, 0.5])

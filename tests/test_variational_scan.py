@@ -22,11 +22,10 @@ from rmtldp.dyson import (
     SolverError,
     _evaluable_floor,
     sigma_measure,
-    theta_max,
 )
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import _inverse_stieltjes, f_fn, j_fn, rate, rate_variational
-from rmtldp.wigner import DeformedWignerModel, dw_h, k_transform
+from rmtldp.wigner import DeformedWignerModel
 from test_density_oracle import atomic_measures  # the random models of the density tests
 
 # -- the per-theta scalar oracle ------------------------------------------------
@@ -225,7 +224,7 @@ def test_f_fn_array_equals_scalar_calls(atoms):
     with pytest.raises(ValueError):
         f_fn(model, np.array([0.3, -0.1]))
     with pytest.raises(ValueError):
-        f_fn(model, np.array([0.3, theta_max(model)]))
+        f_fn(model, np.array([0.3, model.edge.theta_max]))
 
 
 # -- the inverse Stieltjes solve -----------------------------------------------------
@@ -260,7 +259,7 @@ def test_divergent_edge_rule(mu):
     assert math.isfinite(g_past)
     unreachable = np.array([g_past * 1.5, g_past + 10.0])
     assert np.array_equal(_inverse_stieltjes(mu, unreachable), [past, past])
-    assert k_transform(mu, float(unreachable[1])) == past
+    assert _inverse_stieltjes(mu, float(unreachable[1])) == past
     # a target G reaches lies beyond the point, where the bracket search of
     # the scalar oracle finds it too
     reachable = min(0.9 * g_past, 1e3)
@@ -272,7 +271,6 @@ def test_divergent_edge_rule(mu):
     assert j_fn(mu, theta, r) == pytest.approx(
         theta * (past - 0.5 / theta) - 0.5 * (math.log(2.0 * theta) + mu.log_moment(past)),
         abs=1e-12 * theta)
-    assert dw_h(DeformedWignerModel(mu), reachable) == pytest.approx(reachable + root, abs=1e-15)
 
 
 # -- the vectorized solve against a scalar brentq oracle -----------------------------

