@@ -908,43 +908,35 @@ _SEEDED_STEPS = 8
 # here and in the descent a NaN or infinite value of h or h' only yields a
 # trial that is rejected, or a step to one
 @np.errstate(divide="ignore", invalid="ignore")
-def _seeded(h_pair, zs, seed, start):
+def _seeded(h_pair, zs, start):
     """Solve h(w) = z at every point of the 1-D array ``zs`` (Im z >= 0) at
-    once: the solve of every limit-law point. ``h_pair(w)`` returns (h(w),
-    h'(w)) on an array w, ``seed(z)`` approximates the root far above the
-    real axis, and ``start(z)`` approximates it at z itself.
+    once from ``start(z)``, which approximates the root at z itself: the
+    first solve of every limit-law point. ``h_pair(w)`` returns (h(w),
+    h'(w)) on an array w.
 
-    Each point takes one non-strict call of :func:`_newton` at height 0 from
-    ``start(z)``, with at most ``_SEEDED_STEPS`` steps and the tight test,
-    and the converged points then take :func:`_polished`. The half-plane is
-    the descent's, that of ``seed(z + i scale)``, which holds exactly one
-    root, so a converged point has the descent's root up to rounding. A
-    point whose start lies outside it, or that does not converge, is solved
-    by :func:`_descend`, with the other such points alone; only through the
-    scale of that descent does a root depend on the other points of ``zs``.
+    Each point whose start lies in the upper half-plane takes one non-strict
+    call of :func:`_newton` at height 0, with at most ``_SEEDED_STEPS`` steps
+    and the tight test, and the converged points then take :func:`_polished`.
+    The upper half-plane holds exactly one root, so a converged point has the
+    descent's root up to rounding. A point whose start lies outside it, or
+    that does not converge, is NaN; :func:`limit_stieltjes` descends it.
     """
-    zs = np.asarray(zs, dtype=complex)
     if not zs.size:
         return zs.copy()
     w = np.asarray(start(zs), dtype=complex)
-    far = seed(zs + 1j * max(1.0, float(np.max(np.abs(zs)))))
-    side = np.sign(np.asarray(far, dtype=complex).imag)
-    inside = np.sign(w.imag) == side
-    z, w, side = zs[inside], w[inside], side[inside]
-    solved = _newton(h_pair, z, 0.0, _TIGHT_TOL, w, *h_pair(w), side, _SEEDED_STEPS, strict=False)
+    inside = w.imag > 0.0
+    z, w = zs[inside], w[inside]
+    solved = _newton(h_pair, z, 0.0, _TIGHT_TOL, w, *h_pair(w), _SEEDED_STEPS, strict=False)
     roots = np.full(zs.size, np.nan, dtype=complex)
-    roots[inside] = _polished(h_pair, z, *solved, side)
-    failed = np.isnan(roots)
-    if failed.any():
-        roots[failed] = _descend(h_pair, zs[failed], seed)
+    roots[inside] = _polished(h_pair, z, *solved)
     return roots
 
 
 def _descend(h_pair, zs, seed):
     """Solve h(w) = z at every point of ``zs`` by descending from high above
-    the real axis: the solve of the points whose seeded level fails
-    (:func:`_seeded`), and of every point where the model's support window
-    cannot be solved (:func:`limit_stieltjes`).
+    the real axis: the solve of the points that :func:`_seeded` leaves
+    unsolved, and of every point where the model's support window cannot be
+    solved (:func:`limit_stieltjes`).
 
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
     where the seed lies on the physical branch, and descends: the height
@@ -952,11 +944,11 @@ def _descend(h_pair, zs, seed):
     level seeded by the root of the level above (:func:`_descend_with`), with
     the stopping test ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3
     above height 0, where a root only seeds the next level, and 1e-12 at
-    height 0. Iterates never leave the open half-plane of their seed, which
-    holds exactly one root, so a coarser ladder cannot reach a wrong root; it
-    can only stall. That is about 14.5 ``h_pair`` evaluations per point for a
-    covariance model and 12.5 for a deformed-Wigner one on the benchmark
-    models (19 and 16 by the half-decades alone).
+    height 0. Iterates never leave the upper half-plane in lam, where the seed
+    lies and which holds exactly one root, so a coarser ladder cannot reach a
+    wrong root; it can only stall. That is about 14.5 ``h_pair`` evaluations
+    per point for a covariance model and 12.5 for a deformed-Wigner one on
+    the benchmark models (19 and 16 by the half-decades alone).
 
     A grid on which some point fails descends again through the half-decades
     ``scale * _DESCENT`` with the tight test on every level, which only then
@@ -964,9 +956,6 @@ def _descend(h_pair, zs, seed):
     100, the loose and the tight descent both stall at height 0.042 on ρ with
     atoms 0, 1/2 and 1 (weights 4:4:1), α = 1, which the half-decades solve.
     """
-    zs = np.asarray(zs, dtype=complex)
-    if not zs.size:
-        return zs.copy()
     try:
         return _descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
     except SolverError:
@@ -980,15 +969,15 @@ def _descend_with(h_pair, zs, seed, ladder, tol):
     point of a level started from its root on the level above; the roots
     then take :func:`_polished`."""
     heights = max(1.0, float(np.max(np.abs(zs)))) * ladder
-    w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
-    side, solved = np.sign(w.imag), (w, *h_pair(w))
+    w = seed(zs + 1j * heights[0])
+    solved = w, *h_pair(w)
     for height, level_tol in zip(heights, [tol] * (ladder.size - 1) + [_TIGHT_TOL]):
-        solved = _newton(h_pair, zs, height, level_tol, *solved, side, _LEVEL_STEPS)
-    return _polished(h_pair, zs, *solved, side)
+        solved = _newton(h_pair, zs, height, level_tol, *solved, _LEVEL_STEPS)
+    return _polished(h_pair, zs, *solved)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
+def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
     """Damped Newton on h(w) = z + i height at every point of ``zs`` from w,
     where (h(w), h'(w)) = (hw, hp): one level of the descent, or the seeded
     solve at height 0. It may overwrite w, hw and hp, and returns (w, h(w),
@@ -996,10 +985,10 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
     tol max(1, |target|)``, NaN where failed.
 
     Each round every other point takes the Newton step, halved at most 40
-    times until the trial stays in the half-plane ``side`` of its point and
-    lowers the residual. A point out of steps (``max_steps``) or of halvings
-    has failed: with ``strict`` the first one raises SolverError naming z,
-    the height and the residual, else it is dropped. The points in play live
+    times until the trial stays in the upper half-plane and lowers the
+    residual. A point out of steps (``max_steps``) or of halvings has
+    failed: with ``strict`` the first one raises SolverError naming z, the
+    height and the residual, else it is dropped. The points in play live
     in compact arrays, shrunk only where points pass or fail."""
     target = zs + 1j * height
     tols = tol * np.maximum(1.0, np.abs(target))
@@ -1029,20 +1018,20 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
             dropped, failed = True, None
         if dropped:
             keep = stays.nonzero()[0]
-            at, w, hw, hp, side, target, tols = (
-                a.take(keep) for a in (at, w, hw, hp, side, target, tols))
+            at, w, hw, hp, target, tols = (
+                a.take(keep) for a in (at, w, hw, hp, target, tols))
             if not keep.size:
                 break
         taken += 1
         res = hw - target
         step, limit = res / hp, np.abs(res)
         # backtrack on the points without an accepted trial, by their places
-        todo, start, todo_target, todo_side, lam = None, w, target, side, 1.0
+        todo, start, todo_target, lam = None, w, target, 1.0
         for _ in range(40):
             trial = start - lam * step
-            # a trial across the real axis is rejected like one that does not
-            # reduce the residual; so are NaNs
-            inside = np.sign(trial.imag) == todo_side
+            # a trial on or below the real axis is rejected like one that
+            # does not reduce the residual; so are NaNs
+            inside = trial.imag > 0.0
             if np.count_nonzero(inside) == inside.size:
                 h_trial, hp_trial = h_pair(trial)
             else:
@@ -1061,7 +1050,7 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
                 break
             rest = ~better
             todo, start, step = todo[rest], start[rest], step[rest]
-            todo_target, limit, todo_side = todo_target[rest], limit[rest], todo_side[rest]
+            todo_target, limit = todo_target[rest], limit[rest]
             lam *= 0.5
         else:
             if strict:
@@ -1072,14 +1061,14 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, side, max_steps, strict=True):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _polished(h_pair, zs, w, hw, hp, side):
+def _polished(h_pair, zs, w, hw, hp):
     """The roots w of h(w) = z, where (h(w), h'(w)) = (hw, hp), each after
-    one more full Newton step on z where that stays in the half-plane
-    ``side`` and does not raise the residual: the stopping test bounds the
+    one more full Newton step on z where that stays in the upper half-plane
+    and does not raise the residual: the stopping test bounds the
     residual, not the error in w. The last step of every solve; a NaN root
     stays NaN."""
     trial = w - (hw - zs) / hp
-    keep = np.sign(trial.imag) == side
+    keep = trial.imag > 0.0
     h_trial = h_pair(trial[keep])[0]
     keep[keep] = np.abs(h_trial - zs[keep]) <= np.abs(hw[keep] - zs[keep])
     return np.where(keep, trial, w)
@@ -1087,17 +1076,19 @@ def _polished(h_pair, zs, w, hw, hp, side):
 
 def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
     """G_sigma(z) at every z of an array on or above the real axis, for
-    either model kind: the root lam of x(lam) = z on the model's curve,
-    solved by :func:`_seeded` on the curve's formula (damped Newton in
-    :func:`_newton`, one ``stieltjes_pair`` per trial) and mapped to G_sigma
-    by the curve's y.
+    either model kind: the root lam of x(lam) = z in the upper half-plane in
+    lam on the model's curve, solved by :func:`_seeded` on the curve's
+    formula (damped Newton in :func:`_newton`, one ``stieltjes_pair`` per
+    trial) and mapped to G_sigma by the curve's y.
 
     Every point starts at its own height from the seed of ``model.window``
-    (:meth:`SupportWindow.seed`), and only the points that fail to converge from
-    it descend from the curve's seed far above the axis. Where the window raises
-    SolverError every point descends; such a window is not kept, so each call
-    tries it again. A degenerate covariance model is refused, and so is a z that
-    is not finite or lies below the real axis (ValueError)."""
+    (:meth:`SupportWindow.seed`), and only the points that fail to converge
+    from it descend together from the curve's seed far above the axis
+    (:func:`_descend`); only through the scale of that descent does a root
+    depend on the other points of ``zs``. Where the window raises SolverError
+    every point descends; such a window is not kept, so each call tries it again. A
+    degenerate covariance model is refused, and so is a z that is not finite
+    or lies below the real axis (ValueError)."""
     if model.degenerate:
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
     zs = np.asarray(zs, dtype=complex)
@@ -1111,11 +1102,14 @@ def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
         return curve.point(v, *mu.stieltjes_pair(v))
 
     try:
-        window = model.window
+        start = model.window.seed
     except SolverError:
-        lam = _descend(h_pair, zs, curve.seed)
+        lam = np.full(zs.shape, np.nan, dtype=complex)
     else:
-        lam = _seeded(h_pair, zs, curve.seed, window.seed)
+        lam = _seeded(h_pair, zs, start)
+    failed = np.isnan(lam)
+    if failed.any():
+        lam[failed] = _descend(h_pair, zs[failed], curve.seed)
     return curve.y(lam, zs)
 
 

@@ -93,16 +93,6 @@ class Uniform:
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
 
-def _branch_sqrt(w, radius):
-    """sqrt(w^2 - R^2) on the branch that keeps z -> G(z) Herglotz.
-
-    Computed as sqrt(w - R) * sqrt(w + R) with principal square roots; for
-    real w > R this is the positive root, for real w < -R the negative one.
-    """
-    w = np.asarray(w, dtype=complex)
-    return np.sqrt(w - radius) * np.sqrt(w + radius)
-
-
 def _item(values):
     """A Python scalar for a 0-d array, else the array."""
     return values.item() if values.ndim == 0 else values
@@ -201,15 +191,17 @@ class DensityComponent:
         if self.kind == "table":
             return _by_rows(z, self.nodes, self.weights, _table_pair, prime)
         if self.kind == "semicircle":
-            # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|
-            c, r = self.params["center"], self.params["radius"]
-            w = np.asarray(z, dtype=complex) - c
-            s = _branch_sqrt(w, r)
+            # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|; s =
+            # sqrt(w^2 - R^2) as sqrt(w - R) sqrt(w + R), with principal square
+            # roots, keeps z -> G(z) Herglotz
+            zc = np.asarray(z, dtype=complex)
+            w, right, left = self._semicircle_offsets(zc)
+            s = np.sqrt(right) * np.sqrt(left)
             d = w + s
             g = 2.0 * self.mass / d
             if prime:
                 gp = -2.0 * self.mass * (1.0 + w / s) / d ** 2
-                ends = real and np.abs(w.real) <= r
+                ends = real and (right.real <= 0.0) & (left.real >= 0.0)
         else:
             if prime or not real:
                 zc = np.asarray(z, dtype=complex)
@@ -264,21 +256,20 @@ class DensityComponent:
         With every imaginary part 0, numpy's complex division a / b reduces to
         a * (1 / b), so the closed forms below repeat the complex formulas'
         rounding step by step. Points where that reduction does not hold are
-        left to the complex formulas: a semicircle end, or |x - center| just
-        below the radius when the end is hit within rounding; w + s beyond the
-        double range, where the complex product gives a NaN imaginary part.
+        left to the complex formulas: a semicircle end, or an x past it whose
+        offset from it (:meth:`_semicircle_offsets`) rounds to 0; w + s beyond
+        the double range, where the complex product gives a NaN imaginary part.
         A division by zero (a uniform end, (w + s)^2 underflowing) raises
         ZeroDivisionError, which the caller handles the same way.
         """
         if self.kind == "semicircle":
-            c, r = self.params["center"], self.params["radius"]
-            w = x - c
-            if not abs(w) > r:
+            w, right, left = self._semicircle_offsets(x)
+            if not (right > 0.0 or left < 0.0):
                 return None
-            if w > 0.0:
-                s = math.sqrt(w - r) * math.sqrt(w + r)
+            if right > 0.0:
+                s = math.sqrt(right) * math.sqrt(left)
             else:
-                s = -(math.sqrt(r - w) * math.sqrt(-w - r))
+                s = -(math.sqrt(-right) * math.sqrt(-left))
             d = w + s
             if math.isinf(d):
                 return None
@@ -292,6 +283,23 @@ class DensityComponent:
             # hosts (numpy may use its own SIMD log1p)
             return self.mass * float(np.log1p((self.b - self.a) / (x - self.b))) / (self.b - self.a)
         return _real_pair_sum(x, self.nodes, self.weights, prime)
+
+    @cached_property
+    def _semicircle(self) -> tuple[float, float, bool, bool]:
+        """A semicircle's c and R, and whether its stored ends b and a are c +
+        R and c - R exactly (fl(c + R) = b is not enough)."""
+        c, r = self.params["center"], self.params["radius"]
+        return c, r, math.fsum((self.b, -c, -r)) == 0.0, math.fsum((self.a, -c, r)) == 0.0
+
+    def _semicircle_offsets(self, z):
+        """(w, z - b, z - a) of a semicircle at z, a float or an array, w = z -
+        c: the offsets from the ends as w - R and w + R where the ends are
+        exact. Where a stored end misses c +- R, w - R (or w + R) is not 0 at
+        z = b (a), and sqrt(w - R) of about sqrt(R ulp) would cost G at its
+        end half its digits; that offset is then z - b (z - a) itself."""
+        c, r, right_exact, left_exact = self._semicircle
+        w = z - c
+        return w, w - r if right_exact else z - self.b, w + r if left_exact else z - self.a
 
     def log_moment(self, z):
         """integral of log(z - t) against the component, real z >= b: a float

@@ -1,12 +1,14 @@
-"""The benchmark's jobs that build sigma on a grid, run on the package.
+"""Every benchmark job, run on the package through its own check.
 
 perfbench/jobs.py runs each job of perfbench/workloads.py through the
-library's public entry points and checks the bytes it emits. The limit-law
-``dw-variational:*`` jobs read ``free_convolution_measure`` and the Monte
-Carlo ``distance-stats:wishart1`` job reads ``sigma_measure``; a changed
-signature or a failed check there would otherwise show only in a full
-benchmark run. Here those jobs run through the benchmark's Runner on the
-package and their outputs pass its check_job. Both files are loaded as
+library's public entry points and checks the bytes it emits. A changed
+signature or a failed check would otherwise show only in a full benchmark
+run. Here every job of each workload's seed-1 pass runs through the
+benchmark's Runner on the package and its output passes its check_job.
+The jobs of a workload run in the workload's order and share one outputs
+dict, since some checks compare two jobs (``rate:wishart1-complex`` with
+``rate:wishart1``, ``edge-stats:wishart1-*`` with ``mc:wishart1``); a job
+run alone first runs the jobs before it. Both perfbench files are loaded as
 they are, and nothing in them is changed.
 """
 
@@ -34,6 +36,19 @@ def load(name, patch):
     return module
 
 
+def _job_ids():
+    """(workload, job id) of every job of every workload's seed-1 pass, in
+    workload order."""
+    with pytest.MonkeyPatch.context() as patch:
+        workloads = load("workloads", patch)
+        return [(w, job.id) for w in workloads.WORKLOADS for job in workloads.jobs_for(w, 1)]
+
+
+# the monte-carlo jobs sample 200 x 200 to 1000 x 1000 matrices: about 2 s a pass
+JOBS = [pytest.param(w, job_id, id=job_id, marks=[pytest.mark.slow] if w == "monte-carlo" else [])
+        for w, job_id in _job_ids()]
+
+
 @pytest.fixture(scope="module")
 def bench():
     """(workloads, jobs), with sys.modules as it was once they are loaded."""
@@ -41,21 +56,24 @@ def bench():
         return load("workloads", patch), load("jobs", patch)
 
 
-def benchmark_job(workloads, job_id):
-    workload = "limit-law" if job_id.startswith("dw-variational:") else "monte-carlo"
-    return next(job for job in workloads.jobs_for(workload, 1) if job.id == job_id)
+@pytest.fixture(scope="module")
+def outputs():
+    """The bytes of the jobs run so far, one dict per workload."""
+    return {}
 
 
-@pytest.mark.parametrize("job_id", [
-    "dw-variational:dw-point", "dw-variational:dw-two-atom", "dw-variational:dw-uniform",
-    # five 1000 x 1000 eigensolves
-    pytest.param("distance-stats:wishart1", marks=pytest.mark.slow),
-])
-def test_a_sigma_job_runs_and_passes_its_check(bench, tmp_path, job_id):
+@pytest.mark.parametrize("workload, job_id", JOBS)
+def test_a_benchmark_job_runs_and_passes_its_check(bench, outputs, tmp_path, workload, job_id):
     workloads, jobs = bench
-    job = benchmark_job(workloads, job_id)
-    path = PERFBENCH / "models" / f"{job.model}.json"
-    models = {job.model: rmtldp.cli.model_from_json(json.loads(path.read_text()))}
+    order = workloads.jobs_for(workload, 1)
+    models = {name: rmtldp.cli.model_from_json(json.loads((PERFBENCH / "models" / f"{name}.json")
+                                                          .read_text()))
+              for name in workloads.models_for(order)}
     runner = jobs.Runner(rmtldp.cli, rmtldp, models, str(PERFBENCH / "models"), str(tmp_path))
-    data = runner.run(job)
-    jobs.check_job(job, data, {}, runner)
+    done = outputs.setdefault(workload, {})
+    for job in order:
+        if job.id not in done:
+            done[job.id] = runner.run(job)
+        if job.id == job_id:
+            jobs.check_job(job, done[job.id], done, runner)
+            return

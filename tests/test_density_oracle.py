@@ -349,7 +349,9 @@ def theta_space_stieltjes(model, zs):
     """G_sigma(z) by the former covariance solve: the root of H(w) = z with
     Im w < 0, descended from far above the axis, seeded there by w ~ 1/z,
     with (H, H') in theta from one evaluation of G_rho and G_rho' at
-    alpha/w, in the expressions of that solve."""
+    alpha/w, in the expressions of that solve. The library's descent keeps
+    the upper half-plane, and this root lies below the axis, so it descends
+    by former_descend, which keeps the half-plane of its seed."""
     a = model.alpha
 
     def h_pair(w):
@@ -359,7 +361,21 @@ def theta_space_stieltjes(model, zs):
         f = -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
         return h, f / (w * w)
 
-    return dyson._descend(h_pair, zs, lambda z: 1.0 / z)
+    return former_descend(h_pair, zs, lambda z: 1.0 / z)
+
+
+def seeded_solve(h_pair, zs, seed, start):
+    """The route of limit_stieltjes on h_pair: dyson._seeded from ``start``,
+    then one dyson._descend from ``seed`` of the points it leaves unsolved;
+    every point descends where ``start`` is None."""
+    if start is None:
+        lam = np.full(zs.shape, np.nan, dtype=complex)
+    else:
+        lam = dyson._seeded(h_pair, zs, start)
+    failed = np.isnan(lam)
+    if failed.any():
+        lam[failed] = dyson._descend(h_pair, zs[failed], seed)
+    return lam
 
 
 def subordination_stieltjes(model, zs, window):
@@ -375,9 +391,7 @@ def subordination_stieltjes(model, zs, window):
     def far(z):
         return z - 1.0 / z
 
-    if window is None:
-        return zs - dyson._descend(pair, zs, far)
-    return zs - dyson._seeded(pair, zs, far, window.seed)
+    return zs - seeded_solve(pair, zs, far, None if window is None else window.seed)
 
 
 def solved_window(model):
@@ -590,8 +604,8 @@ def test_an_eta_that_is_not_finite_and_positive_is_refused(model, eta):
 # -- the window's seed against the descent ------------------------------------------
 #
 # Every point first takes one Newton level at its own height from the
-# window's inverse Joukowski map, in the half-plane of the descent's seed,
-# which holds one root; only the points that fail there descend.
+# window's inverse Joukowski map, in the upper half-plane in lam, which holds
+# one root; only the points that fail there descend.
 
 
 def assert_near_the_descent(model, zs):
@@ -687,6 +701,63 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
         assert got[~flip].tobytes() == seeded[~flip].tobytes()
 
 
+# -- the upper half-plane in lam --------------------------------------------------------
+#
+# For Im z > 0, x(lam) = z has exactly one root with Im lam > 0 on both
+# curves, and the solve keeps every trial and polish step there. That takes
+# the descent's start, seed(z + i scale) with scale = max(1, max |z|) over
+# its grid, to lie in the upper half-plane.
+
+finite_upper_points = st.builds(complex, st.floats(-1e300, 1e300), st.floats(0.0, 1e300))
+
+
+@given(zs=st.lists(finite_upper_points, min_size=1, max_size=5), alpha=st.floats(1e-3, 1e3))
+@example(zs=[0j], alpha=1e-3)
+@example(zs=[-1e300 + 0j, 1e-300j], alpha=1e3)
+def test_the_seeds_far_above_the_axis_lie_in_the_upper_half_plane(zs, alpha):
+    """Im(alpha w) = alpha Im w for covariance, and Im(w - 1/w) = Im w (1 +
+    1/|w|^2) for deformed Wigner, at w = z + i scale with Im w >= 1."""
+    zs = np.array(zs, dtype=complex)
+    far = zs + 1j * max(1.0, float(np.max(np.abs(zs))))
+    for model in (CovarianceModel(SpectralMeasure.point_mass(1.0), alpha),
+                  DeformedWignerModel(SpectralMeasure.point_mass(0.0))):
+        assert np.all(model.curve().seed(far).imag > 0.0)
+
+
+def assert_roots_in_the_upper_half_plane(model, zs):
+    """Every root of the descent, and every root the seeded level solves
+    where the window solves, has Im lam > 0."""
+    h_pair, seed, _ = counted_pair(model)
+    window = solved_window(model)
+    if window is not None:
+        seeded = dyson._seeded(h_pair, zs, window.seed)
+        assert np.all(seeded[~np.isnan(seeded)].imag > 0.0)
+    assert np.all(dyson._descend(h_pair, zs, seed).imag > 0.0)
+
+
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_every_root_lies_in_the_upper_half_plane_on_the_benchmark_models(name):
+    model = BENCHMARK_MODELS[name]
+    for zs in measure_grids(model):
+        assert_roots_in_the_upper_half_plane(model, zs)
+
+
+@given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
+def test_every_root_lies_in_the_upper_half_plane_on_random_covariance_models(rho, alpha, eta):
+    model = CovarianceModel(rho, alpha)
+    assume(not detect_degenerate(model))
+    mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
+    xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
+    assert_roots_in_the_upper_half_plane(model, xs + 1j * eta)
+
+
+@given(mu=atomic_measures, eta=etas)
+def test_every_root_lies_in_the_upper_half_plane_on_random_deformed_wigner_models(mu, eta):
+    model = DeformedWignerModel(mu)
+    zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
+    assert_roots_in_the_upper_half_plane(model, zs)
+
+
 # -- the former grid solver as the reference of the Newton kernel --------------------
 #
 # The grid solve before dyson._newton, verbatim but for the docstrings and the
@@ -697,12 +768,14 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
 # tries the decades with the loose test before the half-decades with the tight
 # test; half_decade_descent is the whole descent that came before the decade
 # ladder, the loose half-decades before the tight ones. former_seeded is the
-# seeded solve of dyson._seeded built from those bodies: one level of Newton
-# steps on z from the start, then the descent of the points that fail. The
-# kernel must give their roots bit for bit, evaluate (G, G') on the same
-# points, which it groups into other calls, and raise the same SolverError. The tests below
-# call the new solver as dyson._seeded, dyson._descend and
-# dyson._descend_with.
+# seeded solve built from those bodies: one level of Newton steps on z from
+# the start, then the descent of the points that fail. Each former body keeps
+# a per-point half-plane, that of the seed; the new solver keeps the upper
+# half-plane in lam, where every seed of both curves lies. The kernel must
+# give their roots bit for bit, evaluate (G, G') on the same points, which it
+# groups into other calls, and raise the same SolverError. The tests below
+# call the new solver as seeded_solve (dyson._seeded, then dyson._descend of
+# the points it leaves unsolved), dyson._descend and dyson._descend_with.
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -954,17 +1027,16 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
         assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
 
 
-def test_a_seeded_level_with_every_start_off_its_half_plane_ends():
-    """No start in the half-plane of the descent's seed leaves the kernel no
-    point: it ends at once, with no evaluation, and the polish step makes the
-    empty evaluation of the former one."""
+def test_a_seeded_level_with_every_start_below_the_axis_ends():
+    """No start in the upper half-plane leaves the kernel no point: it ends
+    at once, with no evaluation, every point is left unsolved, and the
+    polish step makes the empty evaluation of the former one."""
     model = BENCHMARK_MODELS["dw-two-atom"]
     h_pair, seed, points = counted_pair(model)
     z = np.linspace(-3.5, 3.5, 5) + 1e-6j
-    seeds = dyson._descend(h_pair, z, seed)
-    off = -np.sign(seeds.imag)
+    below = dyson._descend(h_pair, z, seed).conj()
     points.clear()
-    assert not former_newton_on_z(h_pair, z, seeds.copy(), off).any()
+    assert not former_newton_on_z(h_pair, z, below.copy(), np.ones(z.size)).any()
     former_sizes = [p.size for p in points]
     points.clear()
 
@@ -972,12 +1044,8 @@ def test_a_seeded_level_with_every_start_off_its_half_plane_ends():
         assert len(points) < 2, "the kernel kept evaluating with no point in play"
         return h_pair(v)
 
-    inside = np.sign(seeds.imag) == off
-    w, hw, hp = dyson._newton(bounded, z[inside], 0.0, _TIGHT_TOL, seeds[inside],
-                              *bounded(seeds[inside]), off[inside], _SEEDED_STEPS, strict=False)
-    assert len(points) == 1
-    got = dyson._polished(bounded, z[inside], w, hw, hp, off[inside])
-    assert got.size == 0
+    got = dyson._seeded(bounded, z, lambda _: below)
+    assert np.isnan(got).all()
     assert [p.size for p in points] == former_sizes == [0, 0]
 
 
@@ -987,7 +1055,7 @@ def assert_solves_as_the_former(model, zs):
     assert_as_the_former(dyson._descend, former_descend, model, zs)
     window = solved_window(model)
     if window is not None:
-        assert_as_the_former(dyson._seeded, former_seeded, model, zs, window.seed)
+        assert_as_the_former(seeded_solve, former_seeded, model, zs, window.seed)
 
 
 def assert_grid_solves_as_the_former(model, zs):

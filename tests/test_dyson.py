@@ -135,15 +135,16 @@ def finite_edge_models(draw):
 
 
 # bounds on |x_c - direct sum|/max(1, |x_c|), about 2.6 times the largest
-# gaps on the 100 draws of the test below: 3.7e-8 on the 44 with a semicircle
-# piece, 2.4e-10 on the 56 with a table. A table gives G_rho(r(rho)) by the
-# same node sum as the direct sum, but alpha - theta_max u cancels at nodes
-# next to r(rho) (the largest gap: a table 0.05 wide at alpha = 0.1). A
-# semicircle's G is its closed form, exact at its end c + R in reals, which
-# the float end r(rho) = fl(c + R) can miss by an ulp where G has a
-# square-root edge; where c + R is exact, the gap is the nodes' error, 1e-12
-# to 1e-10
-XC_GAP = {"semicircle": 1e-7, "table": 6e-10}
+# gaps on the 100 draws of the test below: 2.2e-10 on the 44 with a
+# semicircle piece, 2.4e-10 on the 56 with a table. A table gives
+# G_rho(r(rho)) by the same node sum as the direct sum, but alpha - theta_max
+# u cancels at nodes next to r(rho) (the largest gap: a table 0.05 wide at
+# alpha = 0.1). A semicircle's G is its closed form, so its gap is the
+# nodes' error. Its float end r(rho) can miss c + R, where G has a
+# square-root edge, and G there takes r(rho) - c as its distance to the
+# centre (DensityComponent._semicircle_offsets); with c + R - c, such draws
+# read gaps up to 3.7e-8
+XC_GAP = {"semicircle": 6e-10, "table": 6e-10}
 
 
 @settings(max_examples=100)
@@ -157,6 +158,29 @@ def test_x_c_equals_the_direct_sum_at_theta_max(model):
     assert edge.case_tag == "pos_edge_finite_xc"
     gap = abs(edge.x_c - h_direct(model, edge.theta_max))
     assert gap <= XC_GAP[model.rho.components[0].kind] * max(1.0, abs(edge.x_c))
+
+
+@settings(max_examples=200)
+@given(a=st.floats(-1.0, 3.0), width=st.floats(0.25, 3.0), alpha=st.floats(0.1, 5.0))
+def test_a_semicircle_keeps_its_digits_at_float_ends(a, width, alpha):
+    """A semicircle read from a file with center (a + b)/2 and radius (b -
+    a)/2 of floats a and b: its ends are often not c +- R exactly, even where
+    fl(c + R) = b. G at b is 2/R and G at a is -2/R to 1e-14, and x_c meets
+    the bound of test_x_c_equals_the_direct_sum_at_theta_max."""
+    b = a + width
+    c, radius = 0.5 * (a + b), 0.5 * (b - a)
+    rho = SpectralMeasure.from_json({"atoms": [], "density": {
+        "kind": "semicircle", "support": [a, b], "nodes": 256,
+        "params": {"center": c, "radius": radius, "mass": 1.0}}})
+    for end, want in ((b, 2.0 / radius), (a, -2.0 / radius)):
+        for got in (rho.stieltjes(end), rho.stieltjes(np.array([end]))[0]):
+            assert abs(got - want) <= 1e-14 * abs(want)
+    if b > 0.0:
+        model = CovarianceModel(rho, alpha)
+        edge = model.edge
+        assert edge.case_tag == "pos_edge_finite_xc"
+        gap = abs(edge.x_c - h_direct(model, edge.theta_max))
+        assert gap <= XC_GAP["semicircle"] * max(1.0, abs(edge.x_c))
 
 
 class TestDegenerate:

@@ -589,6 +589,26 @@ def test_real_scalar_path_on_a_tiny_semicircle(radius):
 # that ignores divisions by 0: a table's kernel no longer sets one.
 
 
+def _end_offsets(comp, z, w):
+    """(z - b, z - a) of a semicircle component at z, w = z - c: w - R and w +
+    R, as the former bodies took them, where the stored ends are c + R and c
+    - R exactly; else z - b (z - a) itself. That rule, which mends G at a
+    float end that misses c + R, changed those components' bits on purpose,
+    and the former bodies take it too."""
+    c, r = comp.params["center"], comp.params["radius"]
+    z = np.asarray(z, dtype=complex)
+    right = w - r if math.fsum((comp.b, -c, -r)) == 0.0 else z - comp.b
+    left = w + r if math.fsum((comp.a, -c, r)) == 0.0 else z - comp.a
+    return right, left
+
+
+def _branch_sqrt(comp, z, w):
+    """sqrt(w^2 - R^2) as sqrt(w - R) * sqrt(w + R), principal roots: the
+    former semicircle bodies' one square root, on :func:`_end_offsets`."""
+    right, left = _end_offsets(comp, z, w)
+    return np.sqrt(right) * np.sqrt(left)
+
+
 def _maybe_real(values, z):
     values = np.asarray(values)
     if not np.iscomplexobj(np.asarray(z)) and np.iscomplexobj(values):
@@ -603,7 +623,7 @@ def former_component_stieltjes(self, z):
         # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|
         c, r = self.params["center"], self.params["radius"]
         w = np.asarray(z, dtype=complex) - c
-        val = 2.0 * self.mass / (w + measures._branch_sqrt(w, r))
+        val = 2.0 * self.mass / (w + _branch_sqrt(self, z, w))
         return _maybe_real(val, z)
     if self.kind == "uniform":
         zr = np.asarray(z)
@@ -623,11 +643,12 @@ def former_component_stieltjes_prime(self, z):
     if self.kind == "semicircle":
         c, r = self.params["center"], self.params["radius"]
         w = np.asarray(z, dtype=complex) - c
-        s = measures._branch_sqrt(w, r)
+        s = _branch_sqrt(self, z, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = -2.0 * self.mass * (1.0 + w / s) / (w + s) ** 2
         if not np.iscomplexobj(z):
-            val = np.where(np.abs(w.real) <= r, -np.inf, val)
+            right, left = _end_offsets(self, z, w)
+            val = np.where((right.real <= 0.0) & (left.real >= 0.0), -np.inf, val)
         return _maybe_real(val, z)
     if self.kind == "uniform":
         zc = np.asarray(z, dtype=complex)
@@ -652,7 +673,7 @@ def former_component_stieltjes_pair(self, z):
     if self.kind == "semicircle":
         c, r = self.params["center"], self.params["radius"]
         w = z - c
-        s = measures._branch_sqrt(w, r)
+        s = _branch_sqrt(self, z, w)
         d = w + s
         with np.errstate(divide="ignore", invalid="ignore"):
             gp = -2.0 * self.mass * (1.0 + w / s) / d ** 2

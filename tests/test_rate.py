@@ -25,7 +25,7 @@ from rmtldp.rate import (
 from rmtldp.wigner import DeformedWignerModel
 
 from test_branch_solver import solvable_edge
-from test_density_oracle import atomic_measures
+from test_density_oracle import BENCHMARK_MODELS, SOLVED_MODELS, atomic_measures
 from theta_space import j_shift
 
 
@@ -332,30 +332,21 @@ def test_rate_invariants_on_random_atomic_models(mu, alpha, beta):
     - I is convex: its second differences are >= -1e-12 max(1, max I), the
       rounding of the O(1) terms the rate's bracket cancels (over 37000
       random models, on this grid or one of reach 3 max(1, |r|), the worst
-      was -5.7e-16 max I, apart from the case of the strict xfail below);
-    - from 0.05 of the reach on, the central difference of I at the step
-      h = 1e-4 reach is within 1e-5 |I'| of I' = (beta/2)(Gbar - G). Its
-      truncation error, h^2/6 times the third derivative of I, grows toward
-      the square-root edge; the largest seen over those models was
-      1.1e-6 |I'|.
-    A spectrum whose top lies within 1e-13 of 0 breaks convexity inside
-    the edge's snap window: the strict xfail below."""
+      was -5.7e-16 max I, apart from the case of the strict xfail below).
+    I' = (beta/2)(Gbar - G) on the same draws is
+    test_rate_slope_is_the_branch_gap_on_random_atomic_models. A spectrum
+    whose top lies within 1e-13 of 0 breaks convexity inside the edge's snap
+    window: the strict xfail below."""
     law = "gaussian" if beta == 1 else "complex_gaussian"
     for model in (CovarianceModel(mu, alpha, beta, law), DeformedWignerModel(mu, beta, law)):
         if model.degenerate:
             continue
         edge = solvable_edge(model)
-        xs, reach = solvable_grid(model, edge)
+        xs, _ = solvable_grid(model, edge)
         assert rate(model, edge.r_sigma) == 0.0
         i = rate(model, xs)
         assert np.all(i >= 0.0) and i[0] == 0.0
         assert np.all(np.diff(i, 2) >= -1e-12 * max(1.0, np.max(i)))
-        # each x + h lies below the next grid point, which solved
-        inner, h = xs[3:-1], 1e-4 * reach
-        g, g_bar = model.branches(inner)
-        slope = 0.5 * beta * (g_bar - g)
-        central = (rate(model, inner + h) - rate(model, inner - h)) / (2.0 * h)
-        assert np.all(np.abs(central - slope) <= 1e-5 * np.abs(slope))
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -380,3 +371,62 @@ def test_rate_inside_the_edge_snap_window_of_a_tiny_spectrum():
     r = tiny.edge.r_sigma
     second = np.diff(rate(tiny, r + 0.9 * abs(r) * np.linspace(0.0, 1.0, 61)), 2)
     assert rate(model, model.edge.r_sigma + 0.99e-13) > 0.4 and np.all(second >= -1e-12)
+
+
+# -- the rate's slope: I'(x) = (beta/2)(Gbar(x) - G(x)) ------------------------------
+#
+# By central differences of rate at the step h = 1e-4 min(x - r(sigma),
+# x_end - x): near the square-root edge I ~ (x - r)^(3/2), so the truncation
+# error h^2 I'''/(6 I') is about 1e-8 times a constant of order 1 at any
+# distance from the edge, where a step fixed to the scale of x is too coarse
+# on a domain as narrow as neg-wishart's (0.08 wide). A step whose interval
+# holds the second branch's kinks, level.x_cap and level.x_floor, is
+# skipped. The largest error seen was 5.9e-9 |I'| over 200 random atomic
+# models of each kind (neg-wishart-like tops next to x_end) and 4.6e-9 on
+# the benchmark models.
+
+SLOPE_STEP = 1e-4
+SLOPE_TOL = 1e-7
+
+
+def assert_slope_identity(model, xs):
+    """|central difference - (beta/2)(Gbar - G)| <= SLOPE_TOL |(beta/2)(Gbar
+    - G)| at the points of xs inside (r(sigma), x_end)."""
+    edge, level = model.edge, model.level
+    r = edge.r_sigma
+    xs = xs[(xs > r) & (xs < edge.x_end)]
+    h = SLOPE_STEP * np.minimum(xs - r, edge.x_end - xs)
+    for kink in (level.x_cap, level.x_floor):
+        keep = (xs + h < kink) | (xs - h > kink)
+        xs, h = xs[keep], h[keep]
+    assert xs.size
+    g, g_bar = model.branches(xs)
+    slope = 0.5 * model.beta * (g_bar - g)
+    central = (rate(model, xs + h) - rate(model, xs - h)) / (2.0 * h)
+    assert np.all(np.abs(central - slope) <= SLOPE_TOL * np.abs(slope))
+
+
+# the draws of test_rate_invariants_on_random_atomic_models
+@seed(0x2f19061855ee0add5f8b263fc606115bbc8006f10f1b00d3e0b02278495b361ce24e73f38cc58474f802ccd9f6299ee)
+@given(mu=atomic_measures, alpha=st.floats(0.3, 3.0), beta=st.sampled_from([1, 2]))
+def test_rate_slope_is_the_branch_gap_on_random_atomic_models(mu, alpha, beta):
+    """On the solvable grid of the invariants test, whose every x + h lies
+    below the next grid point, which solved."""
+    law = "gaussian" if beta == 1 else "complex_gaussian"
+    for model in (CovarianceModel(mu, alpha, beta, law), DeformedWignerModel(mu, beta, law)):
+        if model.degenerate:
+            continue
+        xs, _ = solvable_grid(model, solvable_edge(model))
+        assert_slope_identity(model, xs[1:-1])
+
+
+@pytest.mark.parametrize("name", SOLVED_MODELS)
+def test_rate_slope_is_the_branch_gap_on_the_benchmark_models(name):
+    """On the solvable grid, and past a finite x_c (semicircle-rho's 18),
+    where the second branch is capped, up to 2 x_c - r(sigma)."""
+    model = BENCHMARK_MODELS[name]
+    xs, _ = solvable_grid(model, model.edge)
+    x_c = model.level.x_cap
+    if math.isfinite(x_c) and x_c < model.edge.x_end:
+        xs = np.append(xs, x_c + (x_c - model.edge.r_sigma) * np.linspace(0.05, 1.0, 20))
+    assert_slope_identity(model, xs)
