@@ -49,11 +49,11 @@ def model_from_json(obj: dict):
     try:
         if kind == "covariance":
             rho = SpectralMeasure.from_json(obj["rho"])
-            return CovarianceModel(rho, float(obj["alpha"]), int(obj.get("beta", 1)),
+            return CovarianceModel(rho, float(obj["alpha"]), obj.get("beta", 1),
                                    obj.get("entry_law", "gaussian"))
         if kind == "deformed-wigner":
             mu_d = SpectralMeasure.from_json(obj["deformation"])
-            return DeformedWignerModel(mu_d, int(obj.get("beta", 1)),
+            return DeformedWignerModel(mu_d, obj.get("beta", 1),
                                        obj.get("entry_law", "gaussian"))
     except (KeyError, TypeError, MeasureError, ValueError) as exc:
         raise UsageError(f"invalid model data: {exc}") from exc

@@ -171,8 +171,8 @@ class CovarianceModel:
     entry_law: str = "gaussian"
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         _check_entry_law(self.beta, self.entry_law)
         if self.entry_law not in _GAUSSIAN_LAWS and self.rho.left_edge < 0.0:
             raise ValueError(
@@ -233,9 +233,8 @@ class CovarianceModel:
         x_c = edge.x_c
         x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
         tmax = edge.theta_max
-        return Level(curve, max(a / edge.theta_c, curve.floor), curve.floor,
-                     lambda x: a * (x - mean), curve.y, curve.y, edge.theta_c, x_cap,
-                     lambda x: np.full(x.shape, tmax), _x_floor(curve),
+        return Level(curve, max(a / edge.theta_c, curve.floor), lambda x: a * (x - mean),
+                     curve.y, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax),
                      None if self.rho.components else self._residual)
 
     def _residual(self, lam, x):
@@ -325,8 +324,8 @@ class CovarianceModel:
 
 def _check_entry_law(beta: int, entry_law: str) -> None:
     """Dyson index and entry law checks shared by both model kinds."""
-    if beta not in (1, 2):
-        raise ValueError(f"beta must be 1 or 2, got {beta!r}")
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Integral) or beta not in (1, 2):
+        raise ValueError(f"beta must be the integer 1 or 2, got {beta!r}")
     if entry_law not in REAL_ENTRY_LAWS + COMPLEX_ENTRY_LAWS:
         raise ValueError(f"unknown entry law {entry_law!r}")
     if (entry_law in COMPLEX_ENTRY_LAWS) != (beta == 2):
@@ -461,7 +460,7 @@ def _refined(level: Level, lam, t, d):
     r, slope = level.residual(lam, t)
     step = r / slope
     new = d * np.minimum(d * (lam - step), d * level.lam_c)
-    return np.where(np.isfinite(step), np.maximum(new, level.floor), lam)
+    return np.where(np.isfinite(step), np.maximum(new, level.curve.floor), lam)
 
 
 # Newton solves in the spectral variable stop once they have bracketed a root
@@ -500,28 +499,29 @@ class Curve:
 class Level:
     """A model's :class:`Curve` with its edge: the level-set equation x(lam)
     = x, whose two roots give the two branches. ``curve(lam)`` returns
-    (x(lam), x'(lam)) at a float or on an array; x is convex on (floor, inf)
-    with its minimum r(sigma) at ``lam_c``.
-    ``floor`` is the curve's floor, ``start(x)`` a point right of each right
-    root. ``first(lam, x)`` is the first branch at a right root,
-    ``second(lam, x)`` the second branch at a left root; from ``x_cap`` on,
-    the second branch is ``cap(x)`` instead, and from ``x_floor`` on it is
-    taken at the floor (:func:`_x_floor`). At r(sigma) both branches are
-    ``at_edge``. ``residual(lam, x)``, where given, is (x(lam) - x to about
-    eps^2 of its terms, x'(lam)), and each root takes one Newton step on it
-    after :func:`_monotone_newton`, the kernel that also inverts G_mu for J."""
+    (x(lam), x'(lam)) at a float or on an array; x is convex on (floor, inf),
+    the curve's floor, with its minimum r(sigma) at ``lam_c``. ``start(x)``
+    is a point right of each right root. ``first(lam, x)`` is the first
+    branch at a right root, and the curve's ``y(lam, x)`` the second branch
+    at a left root; from ``x_cap`` on, the second branch is ``cap(x)``
+    instead, and from ``x_floor`` on it is taken at the floor
+    (:func:`_x_floor`). At r(sigma) both branches are ``at_edge``.
+    ``residual(lam, x)``, where given, is (x(lam) - x to about eps^2 of its
+    terms, x'(lam)), and each root takes one Newton step on it after
+    :func:`_monotone_newton`, the kernel that also inverts G_mu for J."""
 
-    curve: Callable
+    curve: Curve
     lam_c: float
-    floor: float
     start: Callable
     first: Callable
-    second: Callable
     at_edge: float
     x_cap: float
     cap: Callable
-    x_floor: float
     residual: Callable | None = None
+
+    @functools.cached_property
+    def x_floor(self) -> float:
+        return _x_floor(self.curve)
 
 
 def _x_floor(curve: Curve) -> float:
@@ -651,7 +651,7 @@ def _branches(model, x, first: bool = True, second: bool = True):
     g_bar[capped] = level.cap(xs[capped])
     floored = beyond & ~capped & (xs >= level.x_floor) & second
     if floored.any():
-        g_bar[floored] = level.second(level.floor, xs[floored])
+        g_bar[floored] = level.curve.y(level.curve.floor, xs[floored])
     right = beyond & first
     left = beyond & ~capped & ~floored & second
     t_right, t_left = xs[right], xs[left]
@@ -660,7 +660,7 @@ def _branches(model, x, first: bool = True, second: bool = True):
         if t_right.size:
             g[right] = level.first(lam[:t_right.size], t_right)
         if t_left.size:
-            g_bar[left] = level.second(lam[t_right.size:], t_left)
+            g_bar[left] = level.curve.y(lam[t_right.size:], t_left)
     if xs.ndim == 0:
         return float(g), float(g_bar)
     return g, g_bar
@@ -699,7 +699,7 @@ def _level_root(level: Level, t: float, d: float) -> np.float64:
     floats: the same starts, probes, Newton points and stopping test, so the
     same bits. On one or two roots
     the numpy calls of the array solve cost several times the solve."""
-    curve, lam_c, floor = level.curve, level.lam_c, level.floor
+    curve, lam_c, floor = level.curve, level.lam_c, level.curve.floor
     t = np.float64(t)
     if d < 0:
         lam = np.float64(max(level.start(t), lam_c))
@@ -760,7 +760,7 @@ def _level_roots(level: Level, t_right: np.ndarray, t_left: np.ndarray) -> np.nd
     if t_right.size + t_left.size <= _FLOAT_POINTS:
         return np.array([_level_root(level, t, -1.0) for t in t_right.tolist()]
                         + [_level_root(level, t, 1.0) for t in t_left.tolist()])
-    curve, lam_c, floor = level.curve, level.lam_c, level.floor
+    curve, lam_c, floor = level.curve, level.lam_c, level.curve.floor
     n_right = t_right.size
     if n_right:
         lam = np.maximum(level.start(t_right), lam_c)
@@ -890,13 +890,11 @@ def support_window(model: CovarianceModel) -> SupportWindow:
     return SupportWindow(left, edge.r_sigma, zero_atom, lam_left, a / edge.theta_c)
 
 
-# the ladders of heights of a descent in units of max(1, largest |z|): by
-# decades, and by half-decades where that stalls; the Newton steps a point may
-# take on one level; and the stopping tests relative to max(1, |target|) above
-# height 0: loose, where a root only has to seed the next level inside its
-# basin, or tight. Every ladder is tight at height 0.
+# the heights of a descent, in units of max(1, largest |z|), by decades; the
+# Newton steps a point may take on one height; and the stopping tests
+# relative to max(1, |target|): loose above height 0, where a root only has
+# to seed the next height inside its basin, and tight at height 0.
 _DECADES = np.append(np.geomspace(1.0, 1e-12, 13), 0.0)
-_DESCENT = np.append(np.geomspace(1.0, 1e-12, 25), 0.0)
 _LEVEL_STEPS = 120
 _LOOSE_TOL = 1e-3
 _TIGHT_TOL = 1e-12
@@ -914,21 +912,19 @@ def _seeded(h_pair, zs, start):
     first solve of every limit-law point. ``h_pair(w)`` returns (h(w),
     h'(w)) on an array w.
 
-    Each point whose start lies in the upper half-plane takes one non-strict
-    call of :func:`_newton` at height 0, with at most ``_SEEDED_STEPS`` steps
-    and the tight test, and the converged points then take :func:`_polished`.
-    The upper half-plane holds exactly one root, so a converged point has the
-    descent's root up to rounding. A point whose start lies outside it, or
-    that does not converge, is NaN; :func:`limit_stieltjes` descends it.
+    Each point whose start lies in the upper half-plane walks the one
+    height 0 (:func:`_walk`), non-strict, with at most ``_SEEDED_STEPS``
+    steps. The upper half-plane holds exactly one root, so a converged
+    point has the descent's root up to rounding. A point whose start lies
+    outside it, or that does not converge, is NaN; :func:`limit_stieltjes`
+    descends it.
     """
     if not zs.size:
         return zs.copy()
     w = np.asarray(start(zs), dtype=complex)
     inside = w.imag > 0.0
-    z, w = zs[inside], w[inside]
-    solved = _newton(h_pair, z, 0.0, _TIGHT_TOL, w, *h_pair(w), _SEEDED_STEPS, strict=False)
     roots = np.full(zs.size, np.nan, dtype=complex)
-    roots[inside] = _polished(h_pair, z, *solved)
+    roots[inside] = _walk(h_pair, zs[inside], (0.0,), w[inside], _SEEDED_STEPS, strict=False)
     return roots
 
 
@@ -939,40 +935,30 @@ def _descend(h_pair, zs, seed):
     solved (:func:`limit_stieltjes`).
 
     Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
-    where the seed lies on the physical branch, and descends: the height
-    over z shrinks through ``scale * _DECADES`` (1, 1e-1, ..., 1e-12, 0), each
-    level seeded by the root of the level above (:func:`_descend_with`), with
-    the stopping test ``|h(w) - target| <= tol max(1, |target|)``: tol is 1e-3
-    above height 0, where a root only seeds the next level, and 1e-12 at
-    height 0. Iterates never leave the upper half-plane in lam, where the seed
-    lies and which holds exactly one root, so a coarser ladder cannot reach a
-    wrong root; it can only stall. That is about 14.5 ``h_pair`` evaluations
-    per point for a covariance model and 12.5 for a deformed-Wigner one on
-    the benchmark models (19 and 16 by the half-decades alone).
-
-    A grid on which some point fails descends again through the half-decades
-    ``scale * _DESCENT`` with the tight test on every level, which only then
-    raises: at most two descents. A coarser ladder does stall: by factors of
-    100, the loose and the tight descent both stall at height 0.042 on ρ with
-    atoms 0, 1/2 and 1 (weights 4:4:1), α = 1, which the half-decades solve.
+    where the seed lies on the physical branch, and walks the heights
+    ``scale * _DECADES`` (1, 1e-1, ..., 1e-12, 0) over z, strict, each
+    height started from the root of the one above (:func:`_walk`).
+    Iterates never leave the upper half-plane in lam, where the seed lies
+    and which holds exactly one root, so the ladder cannot reach a wrong
+    root; it can only stall, and then raises SolverError naming z, the
+    height and the residual. That is about 14.5 ``h_pair`` evaluations per
+    point for a covariance model and 12.5 for a deformed-Wigner one on the
+    benchmark models.
     """
-    try:
-        return _descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
-    except SolverError:
-        return _descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
+    heights = max(1.0, float(np.max(np.abs(zs)))) * _DECADES
+    return _walk(h_pair, zs, heights, seed(zs + 1j * heights[0]), _LEVEL_STEPS)
 
 
-def _descend_with(h_pair, zs, seed, ladder, tol):
-    """One descent of :func:`_descend` through ``scale * ladder``: one strict
-    call of :func:`_newton` per level, with the stopping test ``tol *
-    max(1, |target|)`` above height 0 and the tight test at height 0, every
-    point of a level started from its root on the level above; the roots
+def _walk(h_pair, zs, heights, w, max_steps, strict=True):
+    """The roots w of h(w) = z from the starts w, walked down ``heights``
+    over z: one call of :func:`_newton` per height, every point started
+    from its root on the height above, with the stopping test ``_LOOSE_TOL
+    * max(1, |target|)`` above height 0 and ``_TIGHT_TOL`` at 0; the roots
     then take :func:`_polished`."""
-    heights = max(1.0, float(np.max(np.abs(zs)))) * ladder
-    w = seed(zs + 1j * heights[0])
     solved = w, *h_pair(w)
-    for height, level_tol in zip(heights, [tol] * (ladder.size - 1) + [_TIGHT_TOL]):
-        solved = _newton(h_pair, zs, height, level_tol, *solved, _LEVEL_STEPS)
+    for height in heights:
+        tol = _LOOSE_TOL if height > 0.0 else _TIGHT_TOL
+        solved = _newton(h_pair, zs, height, tol, *solved, max_steps, strict)
     return _polished(h_pair, zs, *solved)
 
 
@@ -1083,9 +1069,10 @@ def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
 
     Every point starts at its own height from the seed of ``model.window``
     (:meth:`SupportWindow.seed`), and only the points that fail to converge
-    from it descend together from the curve's seed far above the axis
-    (:func:`_descend`); only through the scale of that descent does a root
-    depend on the other points of ``zs``. Where the window raises SolverError
+    from it descend together from the curve's seed far above the axis, by
+    the one ladder of decades (:func:`_descend`), which raises SolverError
+    where a point stalls; only through the scale of that descent does a
+    root depend on the other points of ``zs``. Where the window raises SolverError
     every point descends; such a window is not kept, so each call tries it again. A
     degenerate covariance model is refused, and so is a z that is not finite
     or lies below the real axis (ValueError)."""

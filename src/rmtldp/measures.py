@@ -411,14 +411,16 @@ class SpectralMeasure:
         wts = np.asarray(atom_weights, dtype=float).ravel()
         if locs.size != wts.size:
             raise MeasureError("atom locations and weights differ in length")
-        if locs.size and wts.min() <= 0.0:
+        if not np.isfinite(locs).all():
+            raise MeasureError("atom locations must be finite")
+        if locs.size and not wts.min() > 0.0:
             raise MeasureError("atom weights must be strictly positive")
         locs, wts = self._merge_atoms(locs, wts)
         components = tuple(components)
         total = wts.sum() + sum(c.mass for c in components)
         if total <= 0.0:
             raise MeasureError("measure has zero total mass")
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:
             raise MeasureError(f"total mass {total!r} is not 1 within {_MASS_TOL}")
         self.atom_locations = locs
         self.atom_weights = wts

@@ -22,7 +22,6 @@ from .dyson import (
     _g_at_right_edge,
     _level_edge,
     _on_points,
-    _x_floor,
     brentq,  # noqa: F401  unused here; perfbench/tracing.py patches wigner.brentq
     sigma_density,
     sigma_measure,
@@ -103,9 +102,9 @@ class DeformedWignerModel:
         curve = self.curve()
         r = mu.right_edge
         # lam_c = K(y_c), the minimizer of lam + G(lam)
-        return Level(curve, max(edge.r_edge - edge.y_c, curve.floor), curve.floor, lambda x: x,
-                     lambda lam, x: _on_points(mu.stieltjes, lam), curve.y,
-                     edge.y_c, edge.x_c_dw, lambda x: x - r, _x_floor(curve))
+        return Level(curve, max(edge.r_edge - edge.y_c, curve.floor), lambda x: x,
+                     lambda lam, x: _on_points(mu.stieltjes, lam), edge.y_c, edge.x_c_dw,
+                     lambda x: x - r)
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G <= Gbar of H(y) = x,

@@ -145,7 +145,7 @@ def check_roots_against_mpmath(model):
     left = xs[xs < min(edge.x_end, level.x_cap)]
     curve = exact_curve(model)
     with mpmath.workdps(50):
-        reachable = np.array([curve(mpmath.mpf(level.floor)) > x for x in left], dtype=bool)
+        reachable = np.array([curve(mpmath.mpf(level.curve.floor)) > x for x in left], dtype=bool)
         for x in left[~reachable]:
             with pytest.raises(SolverError, match=re.escape(f"x={float(x)!r}")):
                 _level_roots(level, xs[:0], np.array([x]))
@@ -391,7 +391,7 @@ def check_edge_minimiser(model, edge):
         exact = mpmath.findroot(exact_curve(model, slope=True),
                                 (start, start * (1 + mpmath.mpf(10) ** -20)))
         r_exact = float(exact_curve(model)(exact))
-    assert float(abs(exact - start)) <= 1e-13 * max(abs(lam), lam - level.floor), lam
+    assert float(abs(exact - start)) <= 1e-13 * max(abs(lam), lam - level.curve.floor), lam
     assert abs(edge.r_sigma - r_exact) <= 1e-15 * max(1.0, abs(r_exact)), edge.r_sigma
 
 
@@ -456,7 +456,7 @@ def check_against_reference(model, edge, x, g, g_bar, i):
     (test_a_left_root_inside_the_snap_window_is_the_floor)."""
     level = model.level
     if level.x_floor <= x < level.x_cap:
-        assert g_bar == level.second(level.floor, x), x
+        assert g_bar == level.curve.y(level.curve.floor, x), x
         with pytest.raises((RuntimeError, StopIteration)):
             reference_branches(model, edge, float(x))
         return
@@ -639,7 +639,7 @@ def test_a_left_root_inside_the_snap_window_is_the_floor(name, x, exact):
     r = model.diagonal_law.right_edge
     with mpmath.workdps(50):
         g, g_bar, rate_x = (float(v) for v in exact(x))
-    bound = level.floor - r
+    bound = level.curve.floor - r
     if isinstance(model, CovarianceModel):
         bound *= g_bar / r
     got = model.branches(x)
@@ -689,7 +689,8 @@ def test_a_start_left_of_the_right_root_falls_back_to_doubling_probes():
 def test_a_nan_curve_raises_naming_x():
     model = load("wishart1")
     level = model.level
-    nan_curve = lambda lam: (np.full(lam.shape, np.nan), np.full(lam.shape, np.nan))
+    nan_point = lambda lam, g, gp: (np.full(lam.shape, np.nan), np.full(lam.shape, np.nan))
+    nan_curve = dataclasses.replace(level.curve, point=nan_point)
     with pytest.raises(SolverError, match=r"x=5\.0"):
         _level_roots(dataclasses.replace(level, curve=nan_curve), np.array([5.0]), np.array([]))
 
@@ -704,11 +705,12 @@ def test_a_benchmark_table_takes_few_curve_evaluations(name):
     level = model.level
     calls = []
 
-    def counted(lam):
+    def counted(lam, g, gp):
         calls.append(lam.size)
-        return level.curve(lam)
+        return level.curve.point(lam, g, gp)
 
     xs = np.linspace(edge.r_sigma, XMAX[name], 20)[1:]
     left = xs[xs < level.x_cap]
-    _level_roots(dataclasses.replace(level, curve=counted), xs, left)
+    curve = dataclasses.replace(level.curve, point=counted)
+    _level_roots(dataclasses.replace(level, curve=curve), xs, left)
     assert len(calls) <= 10

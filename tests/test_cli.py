@@ -295,7 +295,7 @@ class TestWignerCommands:
         for x, _, g_bar, i_val in rows:
             assert i_val == dw_rate(model, x)
             if x >= level.x_floor:
-                assert g_bar == x - level.floor
+                assert g_bar == x - level.curve.floor
 
     def test_density(self, wigner_point, tmp_path):
         out = tmp_path / "wd.csv"
@@ -465,6 +465,32 @@ class TestErrorPaths:
 
     def test_missing_file(self, tmp_path):
         assert run(["edge", "--model", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("beta", 1.5, "beta"),
+        ("beta", True, "beta"),
+        ("alpha", math.nan, "alpha"),
+        ("alpha", math.inf, "alpha"),
+        ("rho", {"atoms": [[1.0, 0.5], [2.0, math.nan]]}, "atom weights"),
+        ("rho", {"atoms": [[1.0, 0.5], [math.inf, 0.5]]}, "atom locations"),
+        ("rho", {"atoms": [[1.0, 0.5], [-math.inf, 0.5]]}, "atom locations"),
+    ], ids=["beta-1.5", "beta-true", "alpha-nan", "alpha-inf", "weight-nan",
+            "location-inf", "location-minus-inf"])
+    def test_non_finite_or_truncated_model_data_is_refused(self, tmp_path, capsys,
+                                                           field, value, named):
+        """A value the model cannot take exits 2 naming its field, before
+        any solve: no beta is truncated to an integer, and no NaN or
+        infinity reaches the edge solve."""
+        obj = {"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
+               "rho": {"atoms": [[1.0, 1.0]]}}
+        obj[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "rate.csv"
+        assert run(["rate", "--model", str(path), "--xmax", "6", "--points", "5",
+                    "--out", str(out)]) == 2
+        assert f"invalid model data: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_tmp_leftovers(self, wishart1, tmp_path):
         out = tmp_path / "edge.json"

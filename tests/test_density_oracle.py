@@ -14,6 +14,8 @@ Newton steps on the equation only refine its digits.
 """
 
 import json
+import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from rmtldp import dyson
 from rmtldp.cli import model_from_json
 from rmtldp.dyson import (
     _DECADES,
-    _DESCENT,
     _LEVEL_STEPS,
     _LOOSE_TOL,
     _SEEDED_STEPS,
@@ -223,9 +224,8 @@ def test_grid_solve_evaluation_budget(monkeypatch, model, budget, seeded):
     2.0 evaluations per point for covariance (the start and the polish
     step: on a point-mass rho the seed is the root) and 6.19 for deformed
     Wigner, both solved on their level curves. Every point descended, as
-    where the window cannot be solved, it is 14.46 and 12.48 (19.2 and 16.2
-    when the descent went by half-decades alone), and the former covariance
-    solve of H(w) = z in theta took about 23."""
+    where the window cannot be solved, it is 14.46 and 12.48, and the former
+    covariance solve of H(w) = z in theta took about 23."""
     window = model.window
     xs = _chebyshev_rule(window.left, window.right, 2000)[0][::-1]
     zs = xs + 1j * 1e-9 * max(1.0, window.right - window.left)
@@ -307,8 +307,8 @@ def test_random_atomic_free_convolution_density_matches_polynomial_roots(mu, eta
 @pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
 def test_spectrum_on_the_scale_of_1e_3(alpha, eta):
     """Atoms of size 1e-3: a loose level's residual of 1e-3 is the size of
-    the whole spectrum. The loose descents, by decades and by half-decades,
-    converge on these grids all the same."""
+    the whole spectrum. The loose descent by decades converges on these
+    grids all the same."""
     atoms = [-0.00012475062110026442, 7.391027752904462e-121, 0.001]
     weights = [0.19692530787100634, 0.5510268725317563, 0.25204781959723727]
     rho = SpectralMeasure.from_atoms(atoms, weights)
@@ -764,10 +764,11 @@ def test_every_root_lies_in_the_upper_half_plane_on_random_deformed_wigner_model
 # names, which start with former_ in place of _: _newton_on_z, _damped_step,
 # _polish, _descend, _move_down and _descend_with. It kept full-size arrays
 # and gathered and scattered through index vectors of the live points. Its
-# descent takes the ladder of heights as an argument and, as dyson._descend,
-# tries the decades with the loose test before the half-decades with the tight
-# test; half_decade_descent is the whole descent that came before the decade
-# ladder, the loose half-decades before the tight ones. former_seeded is the
+# descent takes the ladder of heights as an argument; former_descend walks
+# the decades with the loose test, as dyson._descend does.
+# half_decade_descent is the descent that came before the decade ladder: the
+# half-decades _DESCENT with the loose test, then with the tight test on every
+# level where that stalls. former_seeded is the
 # seeded solve built from those bodies: one level of Newton steps on z from
 # the start, then the descent of the points that fail. Each former body keeps
 # a per-point half-plane, that of the seed; the new solver keeps the upper
@@ -775,7 +776,7 @@ def test_every_root_lies_in_the_upper_half_plane_on_random_deformed_wigner_model
 # give their roots bit for bit, evaluate (G, G') on the same points, which it
 # groups into other calls, and raise the same SolverError. The tests below
 # call the new solver as seeded_solve (dyson._seeded, then dyson._descend of
-# the points it leaves unsolved), dyson._descend and dyson._descend_with.
+# the points it leaves unsolved) and dyson._descend.
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -848,10 +849,11 @@ def former_polish(h_pair, w, hw, hp, zs, side):
 
 
 def former_descend(h_pair, zs, seed):
-    try:
-        return former_descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
-    except SolverError:
-        return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
+    return former_descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
+
+
+# the half-decade ladder of the descent before the decade ladder
+_DESCENT = np.append(np.geomspace(1.0, 1e-12, 25), 0.0)
 
 
 def half_decade_descent(h_pair, zs, seed):
@@ -968,13 +970,16 @@ def benchmark_grids(model):
     return measure_grids(model) + [default_grid(model) + 1e-4j]
 
 
-# the two descents of _descend, and the loose half-decade descent that
-# half_decade_descent, the reference below, tries first
-LADDERS = [(_DECADES, _LOOSE_TOL), (_DESCENT, _LOOSE_TOL), (_DESCENT, _TIGHT_TOL)]
-LADDER_IDS = ["decades", "loose", "tight"]
-# the table's tight descents take about 3 s
-DESCENT_MODELS = [pytest.param(n, marks=pytest.mark.slow) if n == "table-rho" else n
-                  for n in SOLVED_MODELS]
+# the one ladder of dyson._descend, with its loose test
+LADDERS = [(_DECADES, _LOOSE_TOL)]
+LADDER_IDS = ["decades"]
+
+
+def assert_descends_as_the_former(model, zs, ladder, tol):
+    """dyson._descend as the former descent by ``ladder`` with the loose
+    test ``tol``."""
+    former = partial(former_descend_with, ladder=ladder, tol=tol)
+    assert_as_the_former(dyson._descend, former, model, zs)
 
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
@@ -987,12 +992,12 @@ def test_grid_solve_equals_the_former_solve_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
-@pytest.mark.parametrize("name", DESCENT_MODELS)
+@pytest.mark.parametrize("name", SOLVED_MODELS)
 def test_descent_equals_the_former_descent_bit_for_bit(name, ladder, tol):
-    """Every point of each grid descends, by each ladder of _descend."""
+    """Every point of each grid descends, by the ladder of _descend."""
     model = BENCHMARK_MODELS[name]
     for zs in benchmark_grids(model):
-        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
+        assert_descends_as_the_former(model, zs, ladder, tol)
 
 
 @pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
@@ -1005,7 +1010,7 @@ def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
         [0.19692530787100634, 0.5510268725317563, 0.25204781959723727])
     model = CovarianceModel(rho, alpha)
     zs = default_grid(model) + 1j * eta
-    assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
+    assert_descends_as_the_former(model, zs, ladder, tol)
     assert_solves_as_the_former(model, zs)
 
 
@@ -1024,7 +1029,7 @@ def test_a_nan_transform_raises_as_the_former(monkeypatch, half):
 
     monkeypatch.setattr(SpectralMeasure, "stieltjes_pair", nan_half)
     for n in (50, 200):
-        assert_grid_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
+        assert_solves_as_the_former(model, np.linspace(0.0, 8.0, n) + 1e-4j)
 
 
 def test_a_seeded_level_with_every_start_below_the_axis_ends():
@@ -1058,37 +1063,31 @@ def assert_solves_as_the_former(model, zs):
         assert_as_the_former(seeded_solve, former_seeded, model, zs, window.seed)
 
 
-def assert_grid_solves_as_the_former(model, zs):
-    assert_solves_as_the_former(model, zs)
-    for ladder, tol in LADDERS:
-        assert_as_the_former(dyson._descend_with, former_descend_with, model, zs, ladder, tol)
-
-
 @given(rho=atomic_measures, alpha=st.floats(0.3, 3.0), eta=etas)
 def test_random_covariance_grid_solves_equal_the_former_solve(rho, alpha, eta):
     model = CovarianceModel(rho, alpha)
     assume(not detect_degenerate(model))
     mp_edge = (1.0 + 1.0 / np.sqrt(alpha)) ** 2
     xs = covering_grid(min(0.0, rho.left_edge) * mp_edge, max(0.0, rho.right_edge) * mp_edge)
-    assert_grid_solves_as_the_former(model, xs + 1j * eta)
+    assert_solves_as_the_former(model, xs + 1j * eta)
 
 
 @given(mu=atomic_measures, eta=etas)
 def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
     model = DeformedWignerModel(mu)
     zs = covering_grid(mu.left_edge - 2.0, mu.right_edge + 2.0) + 1j * eta
-    assert_grid_solves_as_the_former(model, zs)
+    assert_solves_as_the_former(model, zs)
 
 
 # -- the decade ladder against the half-decade descent -----------------------------
 #
-# dyson._descend descends by decades first and falls back to the tight
-# half-decade descent; the half-decade descent that came before it, which the
-# former solver above keeps, is the reference. Both stay in the half-plane of the seed, which holds one root, so
-# their roots differ by rounding: within CONTINUATION_TOL max(1, |G|). On the
-# grids of the benchmark models they differed by at most 3.9e-13 max(1, |G|)
-# (neg-wishart at 1e-9 max(1, span), near the soft edge, where x' is
-# small) and on the 600 random models of each kind below by at most 4.7e-14.
+# dyson._descend descends by decades alone; the half-decade descent that came
+# before it, which the former solver above keeps, is the reference. Both stay
+# in the upper half-plane in lam, which holds one root, so their roots differ
+# by rounding: within CONTINUATION_TOL max(1, |G|). On the grids of the
+# benchmark models they differed by at most 3.9e-13 max(1, |G|) (neg-wishart
+# at 1e-9 max(1, span), near the soft edge, where x' is small) and on the 600
+# random models of each kind below by at most 4.7e-14.
 
 
 def assert_near_the_half_decade_descent(model, zs):
@@ -1127,27 +1126,22 @@ def test_decade_descent_matches_the_half_decade_descent_on_random_deformed_wigne
 
 
 @pytest.mark.parametrize("eta", [1e-4, 1e-6])
-def test_a_stalled_ladder_falls_back_to_the_half_decade_descent(monkeypatch, eta):
-    """Descending by factors of 100, both the loose and the tight descent
-    stall at height 0.042 on this model; the descent then is the tight
-    half-decade descent, bit for bit, from the same (G, G') points after the
-    calls of the failed attempt, within CONTINUATION_TOL of the former
-    descent."""
+def test_a_stalled_ladder_raises_after_one_descent(monkeypatch, eta):
+    """Descending by factors of 100 stalls at height 0.042 on this model,
+    which the half-decades solve. _descend has no second ladder to fall
+    back to: it raises SolverError naming z, the height and the residual,
+    as the former descent by that ladder does, and it evaluated the far
+    seed's points once, so no second descent started."""
     rho = SpectralMeasure.from_atoms([0.0, 1.0, 0.5], np.array([1.0, 0.25, 1.0]) / 2.25)
     model = CovarianceModel(rho, 1.0)
     zs = covering_grid(0.0, 4.0) + 1j * eta
     hundreds = np.append(np.geomspace(1.0, 1e-12, 7), 0.0)
     monkeypatch.setattr(dyson, "_DECADES", hundreds)
-    stalls = {tol: outcome(dyson._descend_with, model, zs, hundreds, tol)
-              for tol in (_LOOSE_TOL, _TIGHT_TOL)}
-    for message, _ in stalls.values():
-        assert "stalled" in message and "height 0.042" in message
-    got, points = outcome(dyson._descend, model, zs)
-    want, want_points = outcome(former_descend_with, model, zs, _DESCENT, _TIGHT_TOL)
-    assert got.tobytes() == want.tobytes()
-    # the failed attempt's calls, as it makes them alone, then the tight
-    # descent's points
-    failed = stalls[_LOOSE_TOL][1]
-    assert [p.tobytes() for p in points[:len(failed)]] == [p.tobytes() for p in failed]
-    assert evaluated(points[len(failed):]).tobytes() == evaluated(want_points).tobytes()
-    assert_near_the_half_decade_descent(model, zs)
+    message, points = outcome(dyson._descend, model, zs)
+    assert isinstance(message, str), "the descent by hundreds did not stall"
+    assert re.fullmatch(r"Newton stalled at z=.*, height 0\.042\d* above it; residual .*",
+                        message)
+    assert message == outcome(former_descend_with, model, zs, hundreds, _LOOSE_TOL)[0]
+    seed_points = points[0].tobytes()
+    assert [p.tobytes() for p in points].count(seed_points) == 1
+    assert np.all(np.isfinite(descent_stieltjes(model, zs, half_decade_descent)))

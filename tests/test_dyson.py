@@ -57,6 +57,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             CovarianceModel(SpectralMeasure.point_mass(1.0), 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            CovarianceModel(SpectralMeasure.point_mass(1.0), alpha)
+
+    @pytest.mark.parametrize("beta", [True, 1.5, 2.0])
+    def test_beta_an_integer(self, beta):
+        """bool is an int in Python, and 1.5 once reached the model as int(1.5) = 1."""
+        with pytest.raises(ValueError, match="beta must be the integer 1 or 2"):
+            CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0, beta)
+        with pytest.raises(ValueError, match="beta must be the integer 1 or 2"):
+            DeformedWignerModel(SpectralMeasure.point_mass(1.0), beta)
+
     def test_non_gaussian_needs_nonnegative_support(self):
         with pytest.raises(ValueError):
             CovarianceModel(SpectralMeasure.point_mass(-1.0), 1.0, 1, "rademacher")

@@ -63,6 +63,16 @@ class TestFromAtoms:
         with pytest.raises(MeasureError):
             SpectralMeasure.from_atoms([0.0, 1.0], [0.3, 0.3])
 
+    @pytest.mark.parametrize("locations, weights", [
+        ([0.0, 1.0], [0.5, math.nan]),
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([-math.inf, 1.0], [0.5, 0.5]),
+    ], ids=["nan-weight", "nan-location", "inf-location", "minus-inf-location"])
+    def test_non_finite_atoms_rejected(self, locations, weights):
+        with pytest.raises(MeasureError, match="atom (weights|locations)"):
+            SpectralMeasure(locations, weights)
+
 
 class TestFromDensity:
     def test_semicircle_mass(self):
