@@ -776,7 +776,8 @@ def test_every_root_lies_in_the_upper_half_plane_on_random_deformed_wigner_model
 # give their roots bit for bit, evaluate (G, G') on the same points, which it
 # groups into other calls, and raise the same SolverError. The tests below
 # call the new solver as seeded_solve (dyson._seeded, then dyson._descend of
-# the points it leaves unsolved) and dyson._descend.
+# the points it leaves unsolved) and dyson._descend, which walks the decades
+# or, with _DECADES patched, the half-decades.
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -970,16 +971,19 @@ def benchmark_grids(model):
     return measure_grids(model) + [default_grid(model) + 1e-4j]
 
 
-# the one ladder of dyson._descend, with its loose test
-LADDERS = [(_DECADES, _LOOSE_TOL)]
-LADDER_IDS = ["decades"]
+# the ladder of dyson._descend, and the half-decades of the descent before it:
+# dyson._walk takes any ladder, and dyson._descend walks whatever _DECADES holds
+LADDERS = [_DECADES, _DESCENT]
+LADDER_IDS = ["decades", "half-decades"]
 
 
-def assert_descends_as_the_former(model, zs, ladder, tol):
-    """dyson._descend as the former descent by ``ladder`` with the loose
-    test ``tol``."""
-    former = partial(former_descend_with, ladder=ladder, tol=tol)
-    assert_as_the_former(dyson._descend, former, model, zs)
+def assert_descends_as_the_former(model, zs, ladder):
+    """dyson._descend, walking ``ladder`` in place of _DECADES, as the former
+    descent by ``ladder`` with the loose test."""
+    former = partial(former_descend_with, ladder=ladder, tol=_LOOSE_TOL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyson, "_DECADES", ladder)
+        assert_as_the_former(dyson._descend, former, model, zs)
 
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
@@ -991,18 +995,18 @@ def test_grid_solve_equals_the_former_solve_bit_for_bit(name):
         assert_solves_as_the_former(model, zs)
 
 
-@pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
+@pytest.mark.parametrize("ladder", LADDERS, ids=LADDER_IDS)
 @pytest.mark.parametrize("name", SOLVED_MODELS)
-def test_descent_equals_the_former_descent_bit_for_bit(name, ladder, tol):
-    """Every point of each grid descends, by the ladder of _descend."""
+def test_descent_equals_the_former_descent_bit_for_bit(name, ladder):
+    """Every point of each grid descends, by each ladder."""
     model = BENCHMARK_MODELS[name]
     for zs in benchmark_grids(model):
-        assert_descends_as_the_former(model, zs, ladder, tol)
+        assert_descends_as_the_former(model, zs, ladder)
 
 
-@pytest.mark.parametrize("ladder, tol", LADDERS, ids=LADDER_IDS)
+@pytest.mark.parametrize("ladder", LADDERS, ids=LADDER_IDS)
 @pytest.mark.parametrize("alpha, eta", [(0.3, 1e-4), (0.5577143454336282, 1e-6)])
-def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
+def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder):
     """The model of test_spectrum_on_the_scale_of_1e_3, whose spectrum spans
     1e-3, the loose test's residual."""
     rho = SpectralMeasure.from_atoms(
@@ -1010,7 +1014,7 @@ def test_a_stalled_descent_raises_as_the_former(alpha, eta, ladder, tol):
         [0.19692530787100634, 0.5510268725317563, 0.25204781959723727])
     model = CovarianceModel(rho, alpha)
     zs = default_grid(model) + 1j * eta
-    assert_descends_as_the_former(model, zs, ladder, tol)
+    assert_descends_as_the_former(model, zs, ladder)
     assert_solves_as_the_former(model, zs)
 
 
