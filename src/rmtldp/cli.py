@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density
-from .measures import MeasureError, SpectralMeasure
+from .measures import MeasureError, SpectralMeasure, _json_number
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
 from .rate import _rates_both_ways, approx_sweep, csv_text, rate_table
 from .wigner import DeformedWignerModel
@@ -49,7 +49,7 @@ def model_from_json(obj: dict):
     try:
         if kind == "covariance":
             rho = SpectralMeasure.from_json(obj["rho"])
-            return CovarianceModel(rho, float(obj["alpha"]), obj.get("beta", 1),
+            return CovarianceModel(rho, _json_number(obj["alpha"], "alpha"), obj.get("beta", 1),
                                    obj.get("entry_law", "gaussian"))
         if kind == "deformed-wigner":
             mu_d = SpectralMeasure.from_json(obj["deformation"])

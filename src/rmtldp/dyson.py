@@ -216,10 +216,12 @@ class CovarianceModel:
         return Curve(rho, self._point, _evaluable_floor(rho, max(rho.right_edge, 0.0)),
                      lambda z: a * z, lambda lam, x: a / lam)
 
-    def _point(self, lam, g, gp):
-        """(x, x') at lam from G = G_rho(lam) and G' = G_rho'(lam)."""
+    def _point(self, lam, g, gp, gpp=None):
+        """(x, x') at lam from G = G_rho(lam) and G' = G_rho'(lam), and x''
+        = 2G + 4 lam G' + lam^2 G'' after them from a G'' = G_rho''(lam)."""
         c = (1.0 - self.alpha) / self.alpha
-        return lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
+        pair = lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
+        return pair if gpp is None else (*pair, 2.0 * g + lam * (4.0 * gp + lam * gpp))
 
     @functools.cached_property
     def level(self) -> Level:
@@ -476,7 +478,8 @@ class Curve:
     """The level curve x(lam) of a model kind, on which H(y) = x reads x(lam)
     = x; it needs no edge. ``point(lam, g, gp)`` is the kind's one formula
     for (x(lam), x'(lam)) from G = G_mu(lam) and G' = G_mu'(lam), mu the
-    ``measure``, on floats, real arrays and complex arrays. ``floor`` is the
+    ``measure``, on floats, real arrays and complex arrays; ``point(lam, g,
+    gp, gpp)`` appends x''(lam) from G'' = G_mu''(lam). ``floor`` is the
     lowest real point where x is evaluated. ``y(lam, x)`` maps a root of
     x(lam) = x to its y; off the real axis that is G_sigma(z) for the root
     of x(lam) = z in the upper half-plane, which ``seed(z)`` approximates
@@ -1205,18 +1208,15 @@ _RULE_DEFECT = 1e-12
 # the largest x' on a gap of the curve's measure within this of 0 is a cusp
 # (x' = x'' = 0), whose density goes like |t - t0|^(1/3): no band edge
 _CUSP_SLOPE = 1e-9
-# golden-section steps for the largest x' on a gap: they bracket it within
-# 0.618^40 = 4e-9 of the gap, where x' errs by that squared times x''
-_GOLDEN_STEPS = 40
 _GRID_FALLBACK = 2000
 
 
 def _gap_curve(curve: Curve, lam):
-    """(x, x') of the curve at real points lam in a gap of its measure's
-    support, which the measure's own transforms refuse between its hull's
-    ends: its array body, on at least one point."""
+    """(x, x', x'') of the curve at real points lam in a gap of its
+    measure's support, which the measure's own transforms refuse between
+    its hull's ends: its array body, on at least one point."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return curve.point(lam, *curve.measure._transforms(lam))
+    return curve.point(lam, *curve.measure._transforms(lam, 2))
 
 
 def _gap_slope(curve: Curve):
@@ -1225,11 +1225,12 @@ def _gap_slope(curve: Curve):
 
 
 def _slope_root(slope, inner: float, end: float):
-    """The root of x' between ``inner``, where x' > 0, and ``end``, a pole
-    or an edge of the curve's measure, on whose side x' falls: brentq from
-    the first probe end + (inner - end) 2^-k, k <= 52, at which x' < 0. None
-    where x' stays nonnegative up to the end (an edge at the measure's own
-    edge, not a square-root edge)."""
+    """The root of ``slope``, x' or +-x'' on a gap, between ``inner``, where
+    it is > 0, and ``end``, a pole or an edge of the curve's measure, on
+    whose side it falls: brentq from the first probe end + (inner - end)
+    2^-k, k <= 52, at which it is < 0. None where it stays nonnegative up to
+    the end (for x', an edge at the measure's own edge, not a square-root
+    edge)."""
     prev = inner
     for k in range(1, 53):
         probe = end + (inner - end) * 2.0**-k
@@ -1239,62 +1240,39 @@ def _slope_root(slope, inner: float, end: float):
     return None
 
 
-def _concave_bound(lo, c, d, hi, f_lo, fc, fd, f_hi):
-    """An upper bound on a concave function over [lo, hi] from its values
-    at lo < c < d < hi (NaN where not known): a chord extended past its
-    ends lies above the function. On [lo, c] and [d, hi] the chord (c, d)
-    bounds it, on [c, d] the chords (lo, c) and (d, hi); with neither known
-    the bound is +inf."""
-    s_cd = (fd - fc) / (d - c)
-    with np.errstate(invalid="ignore"):
-        inner = np.fmin(fc + np.maximum(0.0, (fc - f_lo) / (c - lo)) * (d - c),
-                        fd + np.maximum(0.0, (fd - f_hi) / (hi - d)) * (d - c))
-    return np.maximum(np.maximum(fc + np.maximum(0.0, -s_cd) * (c - lo),
-                                 fd + np.maximum(0.0, s_cd) * (hi - d)),
-                      np.where(np.isnan(inner), np.inf, inner))
-
-
 def _interior_gaps(curve: Curve, pieces):
     """The gaps (x(lam1), x(lam2)) of sigma that lie over the gaps between
     ``pieces``, the sorted disjoint intervals of the curve's measure. On
     such a gap x' is concave (x' = 1/alpha or 1 minus a convex integral), so
     x' > 0 on one interval (lam1, lam2) or nowhere, and x rises from x(lam1)
-    to x(lam2) (Silverstein & Choi, J. Multivariate Anal. 54, 1995). The
-    largest x' of every gap comes from one golden-section search on arrays,
-    which stops once each gap has a point of x' > 0 or a concave bound of
-    x' below 0 (:func:`_concave_bound`). None where a gap holds a cusp or an
-    edge that is no root of x'. A cusp is known as soon as a gap's bound is
-    at most ``_CUSP_SLOPE`` and its largest x' so far at least minus that:
-    the largest x' found never falls and the bound caps the true maximum,
-    so the search would end within ``_CUSP_SLOPE`` of 0 there."""
-    ends = np.array([(b0, a1) for (_, b0), (a1, _) in zip(pieces, pieces[1:])]).reshape(-1, 2)
-    if not ends.size:
-        return []
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
-    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
-    fc, fd = _gap_curve(curve, c)[1], _gap_curve(curve, d)[1]
-    f_lo = f_hi = np.full(lo.size, np.nan)  # x' at lo and hi, once evaluated
-    for _ in range(_GOLDEN_STEPS):
-        top_slope, bound = np.maximum(fc, fd), _concave_bound(lo, c, d, hi, f_lo, fc, fd, f_hi)
-        if np.any((bound <= _CUSP_SLOPE) & (top_slope >= -_CUSP_SLOPE)):
-            return None  # a cusp
-        if np.all((top_slope > _CUSP_SLOPE) | (bound < -_CUSP_SLOPE)):
-            break  # each gap holds a point of x' > 0, or x' < 0 throughout
-        left = fc > fd  # the maximum lies in [lo, d]
-        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
-        f_hi, f_lo = np.where(left, fd, f_hi), np.where(left, f_lo, fc)
-        new = np.where(left, hi - inv * (hi - lo), lo + inv * (hi - lo))
-        f_new = _gap_curve(curve, new)[1]
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    top = np.where(fc > fd, c, d)
-    top_slope = np.maximum(fc, fd)
-    if np.any(np.abs(top_slope) <= _CUSP_SLOPE) or np.isnan(top_slope).any():
-        return None
+    to x(lam2) (Silverstein & Choi, J. Multivariate Anal. 54, 1995).
+
+    Each gap is searched on floats from its midpoint m, of half-width h.
+    The tangent at m bounds x' by x'(m) + |x''(m)| h; below
+    -``_CUSP_SLOPE`` the gap holds no band. Else the largest x' lies at the
+    root of the falling x'': m where x''(m) = 0, else :func:`_slope_root`
+    from m toward the end x''(m) points to, on -x'' toward the left end.
+    There x' within ``_CUSP_SLOPE`` of 0 is a cusp, and x' above it gives
+    the gap's two edges, the roots of x' on either side. Where x'' keeps
+    its sign up to the end, x' at the last probe decides: below
+    -``_CUSP_SLOPE`` no band. None where a gap holds a cusp or an edge that
+    is no root of x'."""
     gaps, slope = [], _gap_slope(curve)
-    for (g0, g1), lam_top in zip(ends[top_slope > 0.0].tolist(), top[top_slope > 0.0].tolist()):
-        roots = _slope_root(slope, lam_top, g0), _slope_root(slope, lam_top, g1)
+    for (_, g0), (g1, _) in zip(pieces, pieces[1:]):
+        m, h = 0.5 * (g0 + g1), 0.5 * (g1 - g0)
+        _, mid_slope, bend = (float(v[0]) for v in _gap_curve(curve, m))
+        if mid_slope + abs(bend) * h < -_CUSP_SLOPE:
+            continue
+        top = m
+        if bend != 0.0:
+            end, sign = (g1, 1.0) if bend > 0.0 else (g0, -1.0)
+            top = _slope_root(lambda lam: sign * _gap_curve(curve, lam)[2][0], m, end)
+        top_slope = slope(end + (m - end) * 2.0**-52 if top is None else top)
+        if top_slope < -_CUSP_SLOPE:
+            continue
+        if top is None or not top_slope > _CUSP_SLOPE:
+            return None  # a cusp, or x'' of one sign up to the end
+        roots = _slope_root(slope, top, g0), _slope_root(slope, top, g1)
         if None in roots:
             return None
         gaps.append(tuple(_gap_curve(curve, np.array(roots))[0].tolist()))
@@ -1328,7 +1306,8 @@ def _sigma_bands(model):
     rho({0})) <= 1), the left edge is the hard edge at 0 when sigma has no
     zero atom, and else the one root of x' between 0 and the least nonzero
     point of rho, left of which x' is nonincreasing. Interior gaps come from
-    :func:`_interior_gaps`."""
+    :func:`_interior_gaps`, one root of x'' per gap of the curve's measure
+    that the tangent at its midpoint does not close."""
     curve = model.curve()
     if curve(curve.floor)[1] > 0.0:
         return None

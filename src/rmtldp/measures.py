@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,6 +94,14 @@ class Uniform:
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
 
+def _json_number(value, field: str) -> float:
+    """A number read from a model file as a float; a bool, a string or any
+    other value raises MeasureError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise MeasureError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _item(values):
     """A Python scalar for a 0-d array, else the array."""
     return values.item() if values.ndim == 0 else values
@@ -100,21 +109,27 @@ def _item(values):
 
 def _table_pair(z, nodes, weights, prime=True):
     """(G, G') of the discrete measure of ``weights`` at ``nodes`` (a table,
-    or 8 or more atoms) at the points of z, or (G,) when ``prime`` is false:
-    its one kernel. The (points, nodes) array q = z - nodes is reused in
-    place, 1/q and then 1/q^2, and each point's sum is one dot of its row
-    with the weights, so a point gets the same bits alone, in any chunk and
-    on the float path (``np.vecdot`` dots row by row; a matrix-vector
-    product would not). A node hit exactly gives an infinite term."""
+    or 8 or more atoms) at the points of z; (G,) where ``prime`` is false
+    (0) and (G, G', G'') where it is 2: its one kernel. The (points, nodes)
+    array q = z - nodes is reused in place, 1/q, then 1/q^2 and, from a
+    copy of 1/q, 1/q^3, and each point's sum is one dot of its row with the
+    weights, so a point gets the same bits alone, in any chunk and on the
+    float path (``np.vecdot`` dots row by row; a matrix-vector product
+    would not). A node hit exactly gives an infinite term."""
     q = z[..., None] - nodes
     np.reciprocal(q, out=q)
     g = np.vecdot(weights, q)
     if not prime:
         return (g,)
+    inverse = q.copy() if prime > 1 else None
     # numpy squares a lone complex entry in place with other bits than
     # it squares it in a longer array; out of place the two agree
     q = np.square(q, out=q if q.size > 1 else None)
-    return g, -np.vecdot(weights, q)
+    gp = -np.vecdot(weights, q)
+    if inverse is None:
+        return g, gp
+    np.multiply(q, inverse, out=q)
+    return g, gp, 2.0 * np.vecdot(weights, q)
 
 
 def _table_log_moment(z, nodes, weights):
@@ -178,18 +193,21 @@ class DensityComponent:
     # -- transforms ---------------------------------------------------------
 
     def stieltjes_pair(self, z, prime=True):
-        """(G, G') of the component at z, a real or complex scalar or array,
-        or (G,) when ``prime`` is false: its one body of both transforms, from
-        one z - t array (a semicircle's w and s, a uniform's z - a and z - b,
-        a table's z - nodes). A real z gives real values: a uniform's G is
-        then its real ``log1p`` form, and G' of a closed form is its complex
-        formula's real part, at either end the one-sided limit -inf, where
+        """(G, G') of the component at z, a real or complex scalar or array;
+        (G,) where ``prime`` is false (0) and (G, G', G'') where it is 2: its
+        one body of the transforms, from one z - t array (a semicircle's w
+        and s, a uniform's z - a and z - b, a table's z - nodes). G'' is
+        2m/s^3 on a semicircle of mass m and m (za + zb)/(za zb)^2 on a
+        uniform. A real z gives real values: a uniform's G is then its real
+        ``log1p`` form, and G' and G'' of a closed form are their complex
+        formulas' real parts, G' at either end the one-sided limit -inf, where
         the formulas divide by 0 (a semicircle end within rounding counts as
         its end). Divisions by 0 are left to the caller's ``np.errstate``."""
         z = np.asarray(z)
         real = z.dtype.kind != "c"
         if self.kind == "table":
             return _by_rows(z, self.nodes, self.weights, _table_pair, prime)
+        gp = gpp = None
         if self.kind == "semicircle":
             # G = (2m/R^2)(w - s) = 2m/(w + s): stable at large |w|; s =
             # sqrt(w^2 - R^2) as sqrt(w - R) sqrt(w + R), with principal square
@@ -202,6 +220,8 @@ class DensityComponent:
             if prime:
                 gp = -2.0 * self.mass * (1.0 + w / s) / d ** 2
                 ends = real and (right.real <= 0.0) & (left.real >= 0.0)
+            if prime > 1:
+                gpp = 2.0 * self.mass / s ** 3
         else:
             if prime or not real:
                 zc = np.asarray(z, dtype=complex)
@@ -213,11 +233,15 @@ class DensityComponent:
             if prime:
                 gp = -self.mass / (za * zb)
                 ends = real and (z == self.a) | (z == self.b)
+            if prime > 1:
+                gpp = self.mass * (za + zb) / (za * zb) ** 2
         if real:
             g = g.real
             if prime:
                 gp = np.where(ends, -np.inf, gp.real)
-        return (g, gp) if prime else (g,)
+            if prime > 1:
+                gpp = gpp.real
+        return (g, gp, gpp)[:1 + prime]
 
     @cached_property
     def gauss_rule(self) -> "DensityComponent | None":
@@ -727,34 +751,32 @@ class SpectralMeasure:
     # the errstate as a decorator costs about half of a with-block
     @np.errstate(divide="ignore", invalid="ignore")
     def _transforms(self, z, prime=True):
-        """(G, G') at the points of a real or complex z, or (G,) when
-        ``prime`` is false: arrays of z's shape, the one array body of the
-        three transforms, under one ``np.errstate`` (a pole hit exactly
-        gives an infinite term). Fewer than 8 atoms are summed one after
-        another from 0.0, as the float path sums them; 8 or more by the
-        table kernel, by rows. The sums run on at least one dimension: on a
-        0-d z the terms would be numpy scalars, whose square takes other
+        """(G, G') at the points of a real or complex z; (G,) where ``prime``
+        is false (0) and (G, G', G'') where it is 2: arrays of z's shape, the
+        one array body of the transforms, under one ``np.errstate`` (a pole
+        hit exactly gives an infinite term). Fewer than 8 atoms are summed
+        one after another from 0.0, as the float path sums them; 8 or more by
+        the table kernel, by rows. The sums run on at least one dimension: on
+        a 0-d z the terms would be numpy scalars, whose square takes other
         bits than an array's."""
         z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         zs = z if z.ndim else z.reshape(1)
-        g = gp = 0.0
+        sums = (0.0,) * (1 + prime)
         if self._atom_pairs is None:
             sums = _by_rows(zs, self.atom_locations, self.atom_weights, _table_pair, prime)
-            g, gp = sums[0], sums[-1]
         elif self._atom_pairs:
+            g = gp = gpp = 0.0
             for w, loc in self._atom_pairs:
                 d = zs - loc
                 g = g + w / d
                 if prime:
                     gp = gp + w / d ** 2
-            gp = -gp
+                if prime > 1:
+                    gpp = gpp + w / d ** 3
+            sums = (g, -gp, 2.0 * gpp)[:1 + prime]
         for c in self.components:
-            parts = c.stieltjes_pair(zs, prime)
-            g = g + parts[0]
-            if prime:
-                gp = gp + parts[1]
-        out = (g, gp) if prime else (g,)
-        return out if z.ndim else tuple(v.reshape(()) for v in out)
+            sums = tuple(map(operator.add, sums, c.stieltjes_pair(zs, prime)))
+        return sums if z.ndim else tuple(v.reshape(()) for v in sums)
 
     def log_moment(self, z):
         """integral of log(z - t) for real z at or beyond the right edge,
@@ -858,9 +880,15 @@ class SpectralMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralMeasure":
+        """The measure of a :meth:`to_json` object; an atom that is no pair, a
+        number that is no JSON number and a node count that is no positive
+        integer raise MeasureError naming the field."""
         atoms = obj.get("atoms") or []
-        locs = [a[0] for a in atoms]
-        wts = [a[1] for a in atoms]
+        for a in atoms:
+            if not (isinstance(a, (list, tuple)) and len(a) == 2):
+                raise MeasureError(f"atoms must be [location, weight] pairs, got {a!r}")
+        locs = [_json_number(a[0], "atom locations") for a in atoms]
+        wts = [_json_number(a[1], "atom weights") for a in atoms]
         dens = obj.get("density")
         if dens is None:
             dens_list = []
@@ -871,12 +899,15 @@ class SpectralMeasure:
         comps = []
         for d in dens_list:
             kind = d["kind"]
-            a, b = d["support"]
-            n = int(d.get("nodes", 256))
+            a, b = (_json_number(v, "support") for v in d["support"])
+            n = d.get("nodes", 256)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise MeasureError(f"nodes must be a positive integer, got {n!r}")
             params = d.get("params") or {}
-            mass = float(params.get("mass", 1.0))
+            mass = _json_number(params.get("mass", 1.0), "mass")
             if kind == "semicircle":
-                law = Semicircle(float(params["center"]), float(params["radius"]))
+                law = Semicircle(_json_number(params["center"], "center"),
+                                 _json_number(params["radius"], "radius"))
                 nodes, qw = sqrt_adapted_rule(a, b, n)
                 weights = qw * law(nodes)
                 weights *= mass / weights.sum()

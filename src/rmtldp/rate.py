@@ -187,19 +187,6 @@ def _readings(mu: SpectralMeasure, lams, at):
     return out
 
 
-def _shift(mu: SpectralMeasure, th, lams, at):
-    """The shift v of :func:`j_fn` at a 1-d array theta > 0, with
-    ``lams`` the lambda >= r(mu), ``at`` each theta's index among them and
-    mu already read from every lambda: G_mu at each lambda on floats, and
-    every inverse in one solve from its lower end lambda."""
-    k = np.array(lams)[at]
-    solve = np.array([mu.stieltjes(v) for v in lams])[at] > 2.0 * th
-    if solve.any():
-        # G(lam) > 2 theta there: lam is a lower end of the root
-        k[solve] = _inverse_stieltjes(mu, 2.0 * th[solve], lams, at[solve])
-    return k - 0.5 / th
-
-
 def j_fn(mu: SpectralMeasure, theta, lam):
     """Spherical-integral limit J(mu, theta, lambda) for theta >= 0,
     lambda >= r(mu), elementwise over an array theta, with lambda a scalar
@@ -208,7 +195,8 @@ def j_fn(mu: SpectralMeasure, theta, lam):
 
     J is theta*v minus half the logarithmic moment of 1 + 2 theta v
     - 2 theta y, with v the optimal shift: lambda - 1/(2 theta) when
-    G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta). J
+    G_mu(lambda) <= 2 theta, else G_mu^{-1}(2 theta) - 1/(2 theta), both
+    from one :func:`_inverse_stieltjes` solve from the lower ends lambda. J
     visits no point below lambda, so a table component of mu that lambda
     lies far enough past is read through its Gauss rule
     (:meth:`SpectralMeasure.read_from`), which gives its G, G' and log
@@ -232,7 +220,7 @@ def j_fn(mu: SpectralMeasure, theta, lam):
         vals = np.empty(t.shape)
         for reading, ends, sel, index in _readings(mu, lams, at[pos]):
             ts = t[sel]
-            v = _shift(reading, ts, ends, index)
+            v = _inverse_stieltjes(reading, 2.0 * ts, ends, index) - 0.5 / ts
             k = v + 0.5 / ts
             # log(1 + 2 theta v - 2 theta y) = log(2 theta) + log(k - y)
             try:

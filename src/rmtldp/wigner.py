@@ -83,9 +83,9 @@ class DeformedWignerModel:
         inversions: x(lam) = lam + G_mu(lam) on lam > r(mu_d), and y =
         G_mu(lam) = x - lam. Off the real axis x(lam) = z is the
         subordination equation omega + G_mu(omega) = z, whose root is about
-        z - 1/z far above the axis."""
+        z - 1/z far above the axis; x'' = G_mu''."""
         mu = self.mu_d
-        return Curve(mu, lambda lam, g, gp: (lam + g, 1.0 + gp),
+        return Curve(mu, lambda lam, g, gp, *gpp: (lam + g, 1.0 + gp, *gpp),
                      _evaluable_floor(mu, mu.right_edge), lambda z: z - 1.0 / z,
                      lambda lam, x: x - lam)
 

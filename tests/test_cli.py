@@ -474,13 +474,27 @@ class TestErrorPaths:
         ("rho", {"atoms": [[1.0, 0.5], [2.0, math.nan]]}, "atom weights"),
         ("rho", {"atoms": [[1.0, 0.5], [math.inf, 0.5]]}, "atom locations"),
         ("rho", {"atoms": [[1.0, 0.5], [-math.inf, 0.5]]}, "atom locations"),
+        ("rho", {"atoms": [[1.0]]}, "atoms"),
+        ("rho", {"atoms": [[1.0, 0.5, 2.0]]}, "atoms"),
+        ("alpha", True, "alpha"),
+        ("alpha", "0.5", "alpha"),
+        ("rho", {"atoms": [["1.0", 1.0]]}, "atom locations"),
+        ("rho", {"atoms": [[1.0, "1.0"]]}, "atom weights"),
+        ("rho", {"density": {"kind": "uniform", "support": [0, 1], "nodes": 12.7}}, "nodes"),
+        ("rho", {"density": {"kind": "uniform", "support": [0, 1], "nodes": 0}}, "nodes"),
+        ("rho", {"density": {"kind": "uniform", "support": [0, 1], "nodes": True}}, "nodes"),
+        ("rho", {"density": {"kind": "uniform", "support": [0, 1],
+                             "params": {"mass": "1"}}}, "mass"),
     ], ids=["beta-1.5", "beta-true", "alpha-nan", "alpha-inf", "weight-nan",
-            "location-inf", "location-minus-inf"])
+            "location-inf", "location-minus-inf", "atom-of-one-entry", "atom-of-three-entries",
+            "alpha-true", "alpha-string", "location-string", "weight-string", "nodes-12.7",
+            "nodes-0", "nodes-true", "mass-string"])
     def test_non_finite_or_truncated_model_data_is_refused(self, tmp_path, capsys,
                                                            field, value, named):
         """A value the model cannot take exits 2 naming its field, before
-        any solve: no beta is truncated to an integer, and no NaN or
-        infinity reaches the edge solve."""
+        any solve: no beta or node count is truncated to an integer, no
+        bool or string is read as a number, no atom entry is cut short, and
+        no NaN or infinity reaches the edge solve."""
         obj = {"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
                "rho": {"atoms": [[1.0, 1.0]]}}
         obj[field] = value

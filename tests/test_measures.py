@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1114,6 +1115,110 @@ def test_a_one_node_table_gives_a_complex_point_alone_its_bits():
     for i in range(z.size):
         assert m.stieltjes_prime(complex(z[i])) == gp[i]
         assert m.stieltjes_pair(z[i:i + 1])[1][0] == gp[i]
+
+
+# -- G'' in the array body ----------------------------------------------------------
+
+
+def _g2_oracle(locations, weights, x):
+    """2 sum w/(x - t)^3 over the discrete measure in 50-digit arithmetic,
+    and the sum of its terms' magnitudes, at each float of x."""
+    with mpmath.workdps(50):
+        out = []
+        for v in x.tolist():
+            terms = [2 * mpmath.mpf(w) / (mpmath.mpf(v) - mpmath.mpf(t)) ** 3
+                     for t, w in zip(locations.tolist(), weights.tolist())]
+            out.append((float(mpmath.fsum(terms)), float(mpmath.fsum(abs(u) for u in terms))))
+    return np.array(out).T
+
+
+def _random_discrete(seed, n, table):
+    """n atoms, or a table of n nodes, at random in [-2, 2] with random
+    weights, and real points off its support: outside its hull and, for
+    atoms, between them, at offsets from 1e-6 to 3."""
+    rng = np.random.default_rng(seed)
+    nodes = np.sort(rng.uniform(-2.0, 2.0, n))
+    weights = rng.uniform(0.1, 1.0, n)
+    weights /= weights.sum()
+    if table:
+        m = SpectralMeasure(components=[measures._make_component(
+            "table", nodes[0], nodes[-1], None, nodes, weights, edge_finite_g=True)])
+    else:
+        m = SpectralMeasure(nodes, weights)
+    offsets = np.geomspace(1e-6, 3.0, 8)
+    x = [nodes[-1] + offsets, nodes[0] - offsets]
+    if not table:
+        x.append(nodes[:-1] + 0.5 * np.diff(nodes))
+        x.append(nodes[:-1] + 1e-3 * np.diff(nodes))
+    return m, nodes, weights, np.concatenate(x)
+
+
+@pytest.mark.parametrize("n, table", [(3, False), (7, False), (9, False), (40, False),
+                                      (12, True), (400, True)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_g2_of_atoms_and_tables_against_50_digit_sums(seed, n, table):
+    """Fewer than 8 atoms are summed one after another, 8 or more and
+    tables by the table kernel: within 24 eps of the sum of the terms'
+    magnitudes at real points off the support, in gaps between atoms too."""
+    m, nodes, weights, x = _random_discrete(seed, n, table)
+    want, size = _g2_oracle(nodes, weights, x)
+    got = m._transforms(x, 2)[2]
+    assert np.all(np.abs(got - want) <= 24 * np.finfo(float).eps * size)
+
+
+def _closed_form_g(kind, a, b):
+    """G of the semicircle or uniform law on [a, b] at an mpmath point."""
+    c, r = (a + b) / 2, (b - a) / 2
+    if kind == "semicircle":
+        return lambda z: 2 * (z - c - mpmath.sqrt(z - c - r) * mpmath.sqrt(z - c + r)) / r**2
+    return lambda z: (mpmath.log(z - a) - mpmath.log(z - b)) / (b - a)
+
+
+@pytest.mark.parametrize("kind, a, b", [("semicircle", -2.0, 2.0), ("semicircle", -0.5, 0.5),
+                                        ("uniform", -1.0, 2.0), ("uniform", 0.5, 1.5)])
+def test_g2_of_the_closed_forms(kind, a, b):
+    """G'' against the second derivative of the closed form of G, at 50
+    digits, at real points from 1e-9 to 50 off either end, where the
+    offsets from the ends are exact, and at complex points."""
+    m = (SpectralMeasure.semicircle((a + b) / 2, (b - a) / 2) if kind == "semicircle"
+         else SpectralMeasure.uniform(a, b))
+    (c,) = m.components
+    offsets = np.geomspace(1e-9, 50.0, 12)
+    x = np.concatenate([b + offsets, a - offsets])
+    z = np.concatenate([x, np.linspace(a - 1.0, b + 1.0, 7) + 1j * np.geomspace(1e-6, 1.0, 7)])
+    g = _closed_form_g(kind, a, b)
+    with mpmath.workdps(50):
+        want = [complex(mpmath.diff(g, mpmath.mpc(v), 2)) for v in z.tolist()]
+    got = c.stieltjes_pair(z, 2)[2]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    real = c.stieltjes_pair(x, 2)[2]
+    assert real.dtype == float
+    np.testing.assert_allclose(real, np.real(want[:x.size]), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_PAIR_MEASURES) + ["4000-atoms"])
+def test_asking_for_g2_keeps_the_bits_of_g_and_g1(name):
+    """(G, G') and (G,) of the measure and of each component have the same
+    bits whether or not G'' is asked for, at real points off the support
+    and at complex points, in row chunks on 4000 atoms."""
+    if name == "4000-atoms":
+        rng = np.random.default_rng(5)
+        m = SpectralMeasure.from_atoms(rng.uniform(0.0, 4.0, 4000), np.full(4000, 1.0 / 4000))
+    else:
+        m = REAL_PAIR_MEASURES[name]
+    left, right = m.edges()
+    x = np.concatenate([right + np.geomspace(1e-9, 50.0, 20), left - np.geomspace(1e-9, 50.0, 20)])
+    z = np.linspace(left - 1.0, right + 1.0, 31) + 1j * np.geomspace(1e-12, 30.0, 31)
+    for v in (x, z, x[:1], z[:1], x[0], z[0]):
+        with np.errstate(all="ignore"):
+            three = m._transforms(v, 2)
+            assert len(three) == 3 and all(_same_bits(got, want)
+                                           for got, want in zip(three, m._transforms(v)))
+            assert _same_bits(three[0], m._transforms(v, False)[0])
+            for c in m.components:
+                three = c.stieltjes_pair(np.asarray(v), 2)
+                assert all(_same_bits(np.asarray(got), np.asarray(want))
+                           for got, want in zip(three, c.stieltjes_pair(np.asarray(v))))
 
 
 # -- the Gauss rule of a table ---------------------------------------------------

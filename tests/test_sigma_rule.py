@@ -1,6 +1,7 @@
 """sigma as a Chebyshev rule per band: the rule itself against Beta
 moments, the band finder against the edge solves and against polynomial
-roots of x', the cusp fallback and the cusp's early exit, the variational
+roots of x', the cusp fallback and the cusp at the root of x'', x'' at the
+edge against closed forms, the variational
 rate on the rule and on the grid against the primal rate, the grid sigma
 under refinement, and integer evaluation points."""
 
@@ -128,45 +129,127 @@ def test_interior_gaps_of_a_deformed_wigner_model():
     assert (got[0], got[-1]) == (window.left, window.right)
 
 
-def test_a_cusp_takes_the_grid():
+def asymmetric_cusp(w):
+    """mu_D = w delta_-s + (1 - w) delta_s, with s chosen in 50-digit
+    arithmetic so that the largest x' = 1 - w/(lam + s)^2 - (1 - w)/(lam -
+    s)^2 on the gap is 0: a cusp at the root lam_0 of x'', s mu_0 with
+    ((1 - mu_0)/(1 + mu_0))^3 = (1 - w)/w, away from the midpoint 0 for w
+    != 1/2. The model and lam_0."""
+    with mpmath.workdps(50):
+        k = mpmath.cbrt((1 - mpmath.mpf(w)) / w)
+        mu0 = (1 - k) / (1 + k)
+        s = mpmath.sqrt(w / (mu0 + 1) ** 2 + (1 - w) / (mu0 - 1) ** 2)
+        mu_d = SpectralMeasure.from_atoms([-float(s), float(s)], [w, 1.0 - w])
+        return DeformedWignerModel(mu_d), float(s * mu0)
+
+
+CUSPS = {"dw-two-atom": lambda: (load("dw-two-atom"), 0.0),
+         "asymmetric-0.3": lambda: asymmetric_cusp(0.3),
+         "asymmetric-0.2": lambda: asymmetric_cusp(0.2)}
+
+
+@pytest.mark.parametrize("name", sorted(CUSPS))
+def test_a_cusp_takes_the_grid(name):
     """dw-two-atom: x' = 1 - (1/2)/(lam+1)^2 - (1/2)/(lam-1)^2 has its
-    maximum 0 at lam = 0 (x' = x'' = 0), where two bands meet in a cusp."""
-    model = load("dw-two-atom")
+    maximum 0 at lam = 0 (x' = x'' = 0), where two bands meet in a cusp;
+    the asymmetric cusps have theirs 0.14 and 0.23 half-widths from the
+    gap's midpoint, and the golden-section search that the root of x''
+    replaced found them too."""
+    model, _ = CUSPS[name]()
     assert dyson._sigma_bands(model) is None
     rule, grid = sigma_rule(model), sigma_measure(model, 2000)
     assert np.array_equal(rule.components[0].weights, grid.components[0].weights)
 
 
 def band_search(monkeypatch, model):
-    """The bands of the model, and the _gap_curve calls that found them."""
+    """The bands of the model, and the points of the _gap_curve calls that
+    found them."""
     calls = []
     real = dyson._gap_curve
     with monkeypatch.context() as m:
         m.setattr(dyson, "_gap_curve", lambda curve, lam: calls.append(lam) or real(curve, lam))
         bands = dyson._sigma_bands(model)
-    return bands, len(calls)
+    return bands, [float(np.asarray(lam).reshape(-1)[0]) for lam in calls]
 
 
 # _gap_curve calls of the band search on the benchmark models: the cusp of
-# dw-two-atom is known after 25 (42 before the search stopped there), and
-# the other models take the calls of the full search
-GAP_CURVE_CALLS = {**dict.fromkeys(SINGLE_BAND, 0), "two-atom": 3, "dw-two-atom": 25}
+# dw-two-atom is known after 2 (x''(0) = 0; 25 with the former
+# golden-section search), and two-atom's gap, which the tangent at its
+# midpoint does not close, takes the root of x'' and x' there (3 before)
+GAP_CURVE_CALLS = {**dict.fromkeys(SINGLE_BAND, 0), "two-atom": 12, "dw-two-atom": 2}
 
 
 @pytest.mark.parametrize("name", sorted(GAP_CURVE_CALLS))
 def test_the_gap_search_stops_once_it_knows_a_cusp(monkeypatch, name):
     bands, calls = band_search(monkeypatch, load(name))
-    assert calls == GAP_CURVE_CALLS[name]
+    assert len(calls) == GAP_CURVE_CALLS[name]
     assert (bands is None) == (name == "dw-two-atom")
 
 
-def test_the_full_gap_search_finds_the_same_cusp(monkeypatch):
-    """Without the concave bound neither early stop applies: the search
-    takes its two starts and all _GOLDEN_STEPS steps, and ends with the
-    largest x' within _CUSP_SLOPE of 0, the cusp the early exit knew."""
-    monkeypatch.setattr(dyson, "_concave_bound", lambda lo, *rest: np.full(lo.shape, np.inf))
-    bands, calls = band_search(monkeypatch, load("dw-two-atom"))
-    assert bands is None and calls == 2 + dyson._GOLDEN_STEPS
+@pytest.mark.parametrize("name", sorted(CUSPS))
+def test_the_gap_search_finds_the_cusp_at_the_root_of_x2(monkeypatch, name):
+    """The search's last point is the cusp itself, the root of x'' to a
+    few ulps, where x' lies within _CUSP_SLOPE of 0."""
+    model, lam0 = CUSPS[name]()
+    bands, calls = band_search(monkeypatch, model)
+    assert bands is None and abs(calls[-1] - lam0) <= 1e-15
+    _, slope, bend = dyson._gap_curve(model.curve(), calls[-1])
+    assert abs(slope[0]) <= dyson._CUSP_SLOPE and abs(bend[0]) <= 1e-14
+
+
+def thin_table_beside_an_atom(d):
+    """mu_D = 0.02 of the law with density 3465/128 sqrt(u) (1 - u)^4 on
+    [0, 1], as a 64-node table, plus 0.98 delta_(1 + d). G'' of the table
+    stays finite at 1, and on the gap (1, 1 + d) x'' < 0 up to it: the
+    largest x' lies at the table's edge."""
+    c = math.gamma(6.5) / (math.gamma(1.5) * math.gamma(5.0))
+    table = SpectralMeasure.from_density(lambda u: c * np.sqrt(u) * (1.0 - u) ** 4, (0.0, 1.0),
+                                         64, edge_finite_g=True)
+    return DeformedWignerModel(SpectralMeasure(
+        [1.0 + d], [0.98], [table.components[0].scaled(1.0, 0.02)]))
+
+
+@pytest.mark.parametrize("d, one_band", [(1.0, True), (1.2, False)])
+def test_x2_of_one_sign_up_to_a_table_edge(d, one_band):
+    """x' at the last probe decides, as the golden-section search did: at d
+    = 1 it is -0.021 there, and the gap holds no band; at d = 1.2 it is
+    +0.28, an edge at the table's own edge, which takes the grid."""
+    model = thin_table_beside_an_atom(d)
+    curve = model.curve()
+    _, slope, bend = dyson._gap_curve(curve, np.array([1.0 + 1e-9, 1.0 + 0.5 * d]))
+    assert np.all(bend < 0.0) and (slope[0] < 0.0) == one_band
+    bands = dyson._sigma_bands(model)
+    if one_band:
+        assert bands == [(model.window.left, model.window.right)]
+    else:
+        assert bands is None
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_x2_at_the_edge_of_marchenko_pastur(alpha):
+    """rho = delta_1: x = lam/alpha + 1 + 1/(lam - 1), so lam_c = 1 +
+    sqrt(alpha) and x''(lam_c) = 2/(lam_c - 1)^3 = 2 alpha^(-3/2)."""
+    model = CovarianceModel(SpectralMeasure.point_mass(1.0), alpha)
+    lam_c = model.level.lam_c
+    assert lam_c == pytest.approx(1.0 + math.sqrt(alpha), rel=1e-15)
+    _, slope, bend = dyson._gap_curve(model.curve(), lam_c)
+    assert abs(slope[0]) <= 1e-14
+    assert bend[0] == pytest.approx(2.0 * alpha**-1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, lam_c, want", [
+    ("point", 1.0, 2.0), ("semicircle", 3.0 / math.sqrt(2.0), 4.0 * math.sqrt(2.0))])
+def test_x2_at_the_edge_of_a_deformed_semicircle(name, lam_c, want):
+    """mu_D = delta_0: x = lam + 1/lam, lam_c = 1 and x'' = 2/lam^3. mu_D
+    the semicircle of radius 2: x = lam + (lam - s)/2, s = sqrt(lam^2 - 4),
+    lam_c = 3/sqrt(2) where lam/s = 3, and x'' = G'' = 2/s^3 = 4 sqrt(2)."""
+    mu_d = (SpectralMeasure.point_mass(0.0) if name == "point"
+            else SpectralMeasure.semicircle(0.0, 2.0))
+    model = DeformedWignerModel(mu_d)
+    assert model.level.lam_c == pytest.approx(lam_c, rel=1e-15)
+    _, slope, bend = dyson._gap_curve(model.curve(), model.level.lam_c)
+    assert abs(slope[0]) <= 1e-14
+    assert bend[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_a_finite_edge_at_the_cap_takes_the_grid():

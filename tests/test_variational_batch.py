@@ -57,8 +57,9 @@ def test_the_batch_gives_the_one_point_rates_on_the_grid_sigma(name, n, monkeypa
     if n == 50:
         assert readings == {True, False}
     shifts = []
-    shift = rate_module._shift
-    monkeypatch.setattr(rate_module, "_shift", lambda *args: shifts.append(1) or shift(*args))
+    shift = rate_module._inverse_stieltjes
+    monkeypatch.setattr(rate_module, "_inverse_stieltjes",
+                        lambda *args: shifts.append(1) or shift(*args))
     batch = rate_variational(model, xs, sigma)
     # one shift solve per reading of sigma, and one for J(mu_d, theta, r(mu_d))
     assert len(shifts) == len(readings) + 1
@@ -204,7 +205,7 @@ def test_the_command_solves_the_branches_once_and_reads_sigma_once(name, tmp_pat
         counted(module, "_branches", "branches")
     counted(rate_module, "j_fn", "j")
     counted(rate_module, "f_fn", "f")
-    counted(rate_module, "_shift", "shift")
+    counted(rate_module, "_inverse_stieltjes", "shift")
     counted(wigner, "j_fn", "j")
     out = tmp_path / "v.csv"
     xs = MODELS[name][1]
