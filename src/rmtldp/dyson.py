@@ -969,84 +969,52 @@ def _walk(h_pair, zs, heights, w, max_steps, strict=True):
 def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
     """Damped Newton on h(w) = z + i height at every point of ``zs`` from w,
     where (h(w), h'(w)) = (hw, hp): one level of the descent, or the seeded
-    solve at height 0. It may overwrite w, hw and hp, and returns (w, h(w),
-    h'(w)) at the points that pass the stopping test ``|h(w) - target| <=
-    tol max(1, |target|)``, NaN where failed.
+    solve at height 0, in place on w, hw and hp, which it returns.
 
-    Each round every other point takes the Newton step, halved at most 40
-    times until the trial stays in the upper half-plane and lowers the
-    residual. A point out of steps (``max_steps``) or of halvings has
-    failed: with ``strict`` the first one raises SolverError naming z, the
-    height and the residual, else it is dropped. The points in play live
-    in compact arrays, shrunk only where points pass or fail."""
+    Each round the points that fail the stopping test ``|h(w) - target| <=
+    tol max(1, |target|)``, held by their index, take the Newton step,
+    halved at most 40 times until the trial stays in the upper half-plane
+    and lowers the residual. A point out of steps (``max_steps``) or of
+    halvings has failed: with ``strict`` the first one raises SolverError
+    naming z, the height and the residual, else it is set to NaN."""
     target = zs + 1j * height
     tols = tol * np.maximum(1.0, np.abs(target))
-    out = np.full((3, zs.size), np.nan, dtype=complex)
-    at = np.arange(zs.size)
-    taken, failed = 0, None
 
-    def stalled(i, why):
-        z = complex(zs[at[i]])
-        return SolverError(f"Newton {why} at z={z!r}, height {float(height)!r} above it; "
-                           f"residual {float(abs(hw[i] - z - 1j * float(height)))!r}")
+    def fail(at, why):
+        if strict:
+            z = complex(zs[at[0]])
+            raise SolverError(f"Newton {why} at z={z!r}, height {float(height)!r} above it; "
+                              f"residual {float(abs(hw[at[0]] - z - 1j * float(height)))!r}")
+        w[at] = hw[at] = hp[at] = np.nan
 
-    while at.size:
-        stays = ~(np.abs(hw - target) <= tols)
-        if at.size == zs.size and not stays.any():  # all pass, none dropped before
-            return w, hw, hp
-        dropped = np.count_nonzero(stays) < at.size
-        if dropped:
-            gone = (~stays).nonzero()[0]
-            out[:, at.take(gone)] = w.take(gone), hw.take(gone), hp.take(gone)
-        if taken == max_steps and stays.any():
-            if strict:
-                raise stalled(stays.argmax(), "did not converge")
+    live = np.flatnonzero(~(np.abs(hw - target) <= tols))
+    for _ in range(max_steps):
+        if not live.size:
             break
-        if failed is not None:
-            stays[failed] = False
-            dropped, failed = True, None
-        if dropped:
-            keep = stays.nonzero()[0]
-            at, w, hw, hp, target, tols = (
-                a.take(keep) for a in (at, w, hw, hp, target, tols))
-            if not keep.size:
-                break
-        taken += 1
-        res = hw - target
-        step, limit = res / hp, np.abs(res)
-        # backtrack on the points without an accepted trial, by their places
-        todo, start, todo_target, lam = None, w, target, 1.0
+        res = hw[live] - target[live]
+        todo, step, limit, lam = live, res / hp[live], np.abs(res), 1.0
         for _ in range(40):
-            trial = start - lam * step
+            trial = w[todo] - lam * step
             # a trial on or below the real axis is rejected like one that
             # does not reduce the residual; so are NaNs
             inside = trial.imag > 0.0
-            if np.count_nonzero(inside) == inside.size:
-                h_trial, hp_trial = h_pair(trial)
-            else:
-                h_trial, hp_trial = np.full((2, trial.size), np.nan, dtype=complex)
-                h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
-            better = np.abs(h_trial - todo_target) < limit
-            accepted = np.count_nonzero(better) == better.size
-            if todo is None:
-                if accepted:
-                    w, hw, hp = trial, h_trial, hp_trial
-                    break
-                todo = np.arange(at.size)
+            h_trial, hp_trial = np.full((2, todo.size), np.nan, dtype=complex)
+            h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
+            better = np.abs(h_trial - target[todo]) < limit
             took = todo[better]
             w[took], hw[took], hp[took] = trial[better], h_trial[better], hp_trial[better]
-            if accepted:
-                break
             rest = ~better
-            todo, start, step = todo[rest], start[rest], step[rest]
-            todo_target, limit = todo_target[rest], limit[rest]
+            todo, step, limit = todo[rest], step[rest], limit[rest]
+            if not todo.size:
+                break
             lam *= 0.5
         else:
-            if strict:
-                raise stalled(todo[0], "stalled")
-            # dropped in the next round, whose test they fail
-            failed = todo
-    return out
+            fail(todo, "stalled")
+            live = np.setdiff1d(live, todo, assume_unique=True)
+        live = live[~(np.abs(hw[live] - target[live]) <= tols[live])]
+    if live.size:
+        fail(live, "did not converge")
+    return w, hw, hp
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -102,6 +102,34 @@ def _json_number(value, field: str) -> float:
     return float(value)
 
 
+def _json_table(params: dict, a: float, b: float):
+    """A table's nodes ``x``, weights ``w`` and ``edge_finite_g`` read from a
+    model file on the support [a, b]; a value the table cannot take raises
+    MeasureError naming the field."""
+    columns = []
+    for field in ("x", "w"):
+        values = params[field]
+        if not isinstance(values, list):
+            raise MeasureError(f"{field} must be a list of numbers, got {values!r}")
+        column = np.array([_json_number(v, field) for v in values], dtype=float)
+        if not np.isfinite(column).all():
+            raise MeasureError(f"{field} must be finite")
+        columns.append(column)
+    nodes, weights = columns
+    if nodes.size != weights.size:
+        raise MeasureError(f"x and w differ in length: {nodes.size} and {weights.size}")
+    if np.any(weights < 0.0):
+        raise MeasureError("w must be nonnegative")
+    if np.any((nodes < a) | (nodes > b)):
+        raise MeasureError(f"x must lie in the support [{a!r}, {b!r}]")
+    if np.any(np.diff(nodes) < 0.0):
+        raise MeasureError("x must ascend")
+    edge_finite_g = params.get("edge_finite_g")
+    if not (edge_finite_g is None or isinstance(edge_finite_g, bool)):
+        raise MeasureError(f"edge_finite_g must be true, false or null, got {edge_finite_g!r}")
+    return nodes, weights, edge_finite_g
+
+
 def _item(values):
     """A Python scalar for a 0-d array, else the array."""
     return values.item() if values.ndim == 0 else values
@@ -917,10 +945,9 @@ class SpectralMeasure:
                 nodes, qw = sqrt_adapted_rule(a, b, n)
                 comps.append(_make_component("uniform", a, b, mass, nodes, qw * mass / (b - a)))
             elif kind == "table":
-                nodes = np.asarray(params["x"], dtype=float)
-                weights = np.asarray(params["w"], dtype=float)
+                nodes, weights, edge_finite_g = _json_table(params, a, b)
                 comps.append(_make_component("table", a, b, None, nodes, weights,
-                                             edge_finite_g=params.get("edge_finite_g")))
+                                             edge_finite_g=edge_finite_g))
             else:
                 raise MeasureError(f"unknown density kind {kind!r}")
         return cls(locs, wts, comps)

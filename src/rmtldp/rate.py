@@ -483,13 +483,15 @@ class ApproxSweep:
                               (self.eps, self.r_sigma_eps, self.sup_error)))
 
 
-def approx_sweep(model: CovarianceModel, eps_list, x_grid,
-                 domination_tol: float = 1e-9) -> ApproxSweep:
+_DOMINATION_TOL = 1e-9
+
+
+def approx_sweep(model: CovarianceModel, eps_list, x_grid) -> ApproxSweep:
     """Rates of the right-edge-truncated models against the base model.
 
     For each eps the truncated model is solved on ``x_grid`` and the sup of
     |I_eps - I| recorded. Raises when the truncated rate exceeds the base
-    rate by more than ``domination_tol`` anywhere, or when eps -> r(sigma_eps)
+    rate by more than ``_DOMINATION_TOL`` anywhere, or when eps -> r(sigma_eps)
     fails to be nondecreasing.
     """
     if model.edge.degenerate:
@@ -505,7 +507,7 @@ def approx_sweep(model: CovarianceModel, eps_list, x_grid,
         model_eps = CovarianceModel(rho_eps, model.alpha, model.beta, model.entry_law)
         table = _table_on_grid(model_eps, xs)
         excess = np.max(table.i_values - base.i_values)
-        if excess > domination_tol:
+        if excess > _DOMINATION_TOL:
             raise SolverError(
                 f"truncated rate at eps={eps!r} exceeds the base rate by {excess!r}"
             )

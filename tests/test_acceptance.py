@@ -125,7 +125,7 @@ def test_criterion_06_truncation_sweep():
     model = semicircle_model()
     edge = edge_solve(model)
     xs = np.linspace(edge.r_sigma + 0.5, 25.0, 43)
-    sweep = approx_sweep(model, [0.4, 0.2, 0.1, 0.05], xs, domination_tol=1e-9)
+    sweep = approx_sweep(model, [0.4, 0.2, 0.1, 0.05], xs)
     # approx_sweep already asserts pointwise domination and monotone edges;
     # eps values are reported ascending
     assert np.all(np.diff(sweep.r_sigma_eps) >= 0.0)

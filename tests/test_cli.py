@@ -453,6 +453,13 @@ class TestVariationalAndApprox:
         assert np.all(np.diff(rows[:, 1]) >= -1e-12)
 
 
+def table_rho(**params):
+    """rho of one table on [0, 1] with nodes 0.25 and 0.75 of weight 1/2
+    each, but for the params given."""
+    params = {"x": [0.25, 0.75], "w": [0.5, 0.5], "edge_finite_g": False, **params}
+    return {"density": {"kind": "table", "support": [0, 1], "params": params}}
+
+
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -485,16 +492,32 @@ class TestErrorPaths:
         ("rho", {"density": {"kind": "uniform", "support": [0, 1], "nodes": True}}, "nodes"),
         ("rho", {"density": {"kind": "uniform", "support": [0, 1],
                              "params": {"mass": "1"}}}, "mass"),
+        ("rho", table_rho(x=["0.25", 0.75]), "x must be a number"),
+        ("rho", table_rho(w=[0.5, "0.5"]), "w must be a number"),
+        ("rho", table_rho(x=0.25), "x must be a list"),
+        ("rho", table_rho(w=[0.5, 0.25, 0.25]), "x and w differ in length"),
+        ("rho", table_rho(x=[0.25, math.nan]), "x must be finite"),
+        ("rho", table_rho(w=[math.inf, 0.5]), "w must be finite"),
+        ("rho", table_rho(w=[1.5, -0.5]), "w must be nonnegative"),
+        ("rho", table_rho(x=[0.25, 1.75]), "x must lie in the support"),
+        ("rho", table_rho(x=[0.75, 0.25]), "x must ascend"),
+        ("rho", table_rho(edge_finite_g="no"), "edge_finite_g"),
+        ("rho", table_rho(edge_finite_g=1), "edge_finite_g"),
     ], ids=["beta-1.5", "beta-true", "alpha-nan", "alpha-inf", "weight-nan",
             "location-inf", "location-minus-inf", "atom-of-one-entry", "atom-of-three-entries",
             "alpha-true", "alpha-string", "location-string", "weight-string", "nodes-12.7",
-            "nodes-0", "nodes-true", "mass-string"])
+            "nodes-0", "nodes-true", "mass-string", "table-x-string", "table-w-string",
+            "table-x-not-a-list", "table-lengths-differ", "table-x-nan", "table-w-inf",
+            "table-w-negative", "table-x-past-the-support", "table-x-unsorted",
+            "table-edge-finite-g-string", "table-edge-finite-g-1"])
     def test_non_finite_or_truncated_model_data_is_refused(self, tmp_path, capsys,
                                                            field, value, named):
         """A value the model cannot take exits 2 naming its field, before
         any solve: no beta or node count is truncated to an integer, no
-        bool or string is read as a number, no atom entry is cut short, and
-        no NaN or infinity reaches the edge solve."""
+        bool or string is read as a number, no atom entry is cut short, no
+        NaN or infinity reaches the edge solve, and a table's nodes and
+        weights are of one length, its weights nonnegative, its nodes
+        ascending inside its support and its edge_finite_g a bool or null."""
         obj = {"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
                "rho": {"atoms": [[1.0, 1.0]]}}
         obj[field] = value
