@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from .dyson import CovarianceModel, DegenerateModelError, SolverError, sigma_density
-from .measures import MeasureError, SpectralMeasure, _json_number
+from .measures import MeasureError, SpectralMeasure
 from .montecarlo import _sample, write_samples_csv, write_spectra_sidecar
 from .rate import _rates_both_ways, approx_sweep, csv_text, rate_table
 from .wigner import DeformedWignerModel
@@ -42,14 +42,15 @@ def _json_ready(v):
 
 def model_from_json(obj: dict):
     """Build a model from its JSON object; the kind tag defaults to
-    "covariance" and selects which measure field is read."""
+    "covariance" and selects which measure field is read. The fields go to
+    the constructors as read, and each refuses what breaks its rules."""
     if not isinstance(obj, dict):
         raise UsageError("model file must contain a JSON object")
     kind = obj.get("kind", "covariance")
     try:
         if kind == "covariance":
             rho = SpectralMeasure.from_json(obj["rho"])
-            return CovarianceModel(rho, _json_number(obj["alpha"], "alpha"), obj.get("beta", 1),
+            return CovarianceModel(rho, obj["alpha"], obj.get("beta", 1),
                                    obj.get("entry_law", "gaussian"))
         if kind == "deformed-wigner":
             mu_d = SpectralMeasure.from_json(obj["deformation"])

@@ -171,8 +171,11 @@ class CovarianceModel:
     entry_law: str = "gaussian"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 < a < math.inf:
+            raise ValueError(f"alpha must be positive and finite (a real number, not a bool), "
+                             f"got {a!r}")
+        object.__setattr__(self, "alpha", float(a))
         _check_entry_law(self.beta, self.entry_law)
         if self.entry_law not in _GAUSSIAN_LAWS and self.rho.left_edge < 0.0:
             raise ValueError(
@@ -1108,8 +1111,9 @@ def _sigma_on(model, edges, counts) -> SpectralMeasure:
     square-root and hard edges f(t) sin(theta) is smooth in theta, so the
     rule needs no edge fits. The masses are renormalized to 1 minus the
     zero atom and the raw mass defect is recorded; nodes of zero mass are
-    dropped, and each interval is one table component. An empty interval,
-    and a density that vanishes on every node, raise SolverError."""
+    dropped, and each interval that keeps a node is one table component (an
+    interval keeps none where the zero atom takes all the mass). An empty
+    interval, and a density that vanishes on every node, raise SolverError."""
     for a, b in edges:
         if not a < b:
             raise SolverError(f"empty support window [{a!r}, {b!r}]")
@@ -1127,7 +1131,7 @@ def _sigma_on(model, edges, counts) -> SpectralMeasure:
     masses *= (1.0 - zero_atom) / total
     at = np.cumsum(counts)[:-1]
     comps = [_make_component("table", a, b, None, t[m > 0.0], m[m > 0.0], edge_finite_g=True)
-             for (a, b), t, m in zip(edges, np.split(ts, at), np.split(masses, at))]
+             for (a, b), t, m in zip(edges, np.split(ts, at), np.split(masses, at)) if m.any()]
     atoms = ([0.0], [zero_atom]) if zero_atom > 0.0 else ((), ())
     return SpectralMeasure(atoms[0], atoms[1], comps,
                            raw_mass_defect=abs(1.0 - (zero_atom + total)))

@@ -102,32 +102,12 @@ def _json_number(value, field: str) -> float:
     return float(value)
 
 
-def _json_table(params: dict, a: float, b: float):
-    """A table's nodes ``x``, weights ``w`` and ``edge_finite_g`` read from a
-    model file on the support [a, b]; a value the table cannot take raises
-    MeasureError naming the field."""
-    columns = []
-    for field in ("x", "w"):
-        values = params[field]
-        if not isinstance(values, list):
-            raise MeasureError(f"{field} must be a list of numbers, got {values!r}")
-        column = np.array([_json_number(v, field) for v in values], dtype=float)
-        if not np.isfinite(column).all():
-            raise MeasureError(f"{field} must be finite")
-        columns.append(column)
-    nodes, weights = columns
-    if nodes.size != weights.size:
-        raise MeasureError(f"x and w differ in length: {nodes.size} and {weights.size}")
-    if np.any(weights < 0.0):
-        raise MeasureError("w must be nonnegative")
-    if np.any((nodes < a) | (nodes > b)):
-        raise MeasureError(f"x must lie in the support [{a!r}, {b!r}]")
-    if np.any(np.diff(nodes) < 0.0):
-        raise MeasureError("x must ascend")
-    edge_finite_g = params.get("edge_finite_g")
-    if not (edge_finite_g is None or isinstance(edge_finite_g, bool)):
-        raise MeasureError(f"edge_finite_g must be true, false or null, got {edge_finite_g!r}")
-    return nodes, weights, edge_finite_g
+def _json_column(values, field: str) -> np.ndarray:
+    """A table's nodes ``x`` or weights ``w`` read from a model file: a list
+    of JSON numbers, else MeasureError naming the field."""
+    if not isinstance(values, list):
+        raise MeasureError(f"{field} must be a list of numbers, got {values!r}")
+    return np.array([_json_number(v, field) for v in values], dtype=float)
 
 
 def _item(values):
@@ -197,6 +177,44 @@ def _log_moment_sc2(zeta):
     return zeta / (zeta + s) + np.log((zeta + s) / 2.0) - 0.5
 
 
+# whether G is finite at the ends, which a closed form's kind sets
+_CLOSED_FORM_EDGE_FINITE_G = {"semicircle": True, "uniform": False}
+# a semicircle's support is [c - R, c + R] within this times R, as stored or
+# as read back from a model file
+_SEMICIRCLE_END_REL = 1e-9
+
+
+def _semicircle_fits(a, b, center, radius) -> bool:
+    """Whether [a, b] is [center - radius, center + radius] within
+    ``_SEMICIRCLE_END_REL`` radius."""
+    tol = _SEMICIRCLE_END_REL * radius
+    return abs(a - (center - radius)) <= tol and abs(b - (center + radius)) <= tol
+
+
+def _check_support(a, b) -> None:
+    """The support rule: finite ends a < b. It runs before any node of
+    [a, b] is computed."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise MeasureError(f"support must be finite with a < b, got [{a!r}, {b!r}]")
+
+
+def _check_form(kind, a, b, params) -> None:
+    """The rules of a component's kind, support and semicircle params, which
+    hold before its nodes are computed (:class:`DensityComponent`)."""
+    if kind != "table" and kind not in _CLOSED_FORM_EDGE_FINITE_G:
+        raise MeasureError(f"unknown density kind {kind!r}")
+    _check_support(a, b)
+    if kind == "semicircle":
+        c, r = params["center"], params["radius"]
+        if not math.isfinite(c):
+            raise MeasureError(f"center must be finite, got {c!r}")
+        if not 0.0 < r < math.inf:
+            raise MeasureError(f"radius must be positive and finite, got {r!r}")
+        if not _semicircle_fits(a, b, c, r):
+            raise MeasureError(f"support [{a!r}, {b!r}] must be [center - radius, center + radius] "
+                               f"= [{c - r!r}, {c + r!r}] within {_SEMICIRCLE_END_REL} radius")
+
+
 @dataclass(frozen=True)
 class DensityComponent:
     """One absolutely continuous piece of a measure.
@@ -207,6 +225,21 @@ class DensityComponent:
     both endpoints of the component. The kind sets it for a closed form
     (finite for a semicircle, infinite for a uniform); for a table it is
     declared, and None means undeclared.
+
+    The component owns the rules of its fields, and construction refuses a
+    value that breaks one with MeasureError naming the field (a table's
+    nodes and weights by their model-file names ``x`` and ``w``):
+
+    - ``kind`` is ``semicircle``, ``uniform`` or ``table``;
+    - the support [a, b] is finite with a < b; a semicircle's params hold a
+      finite ``center`` c and a finite ``radius`` R > 0, and its support is
+      [c - R, c + R] within 1e-9 R;
+    - a closed form's ``mass`` is finite and > 0; a table's mass is the
+      total of its weights, which must be > 0;
+    - ``edge_finite_g`` is the kind's for a closed form, and True, False or
+      None for a table;
+    - nodes and weights are of one length and finite; the nodes ascend
+      inside [a, b] and the weights are nonnegative.
     """
 
     kind: str
@@ -217,6 +250,30 @@ class DensityComponent:
     weights: np.ndarray
     params: dict = field(default_factory=dict)
     edge_finite_g: bool | None = None
+
+    def __post_init__(self):
+        _check_form(self.kind, self.a, self.b, self.params)
+        allowed = ((True, False, None) if self.kind == "table"
+                   else (_CLOSED_FORM_EDGE_FINITE_G[self.kind],))
+        if not any(self.edge_finite_g is v for v in allowed):
+            raise MeasureError(f"edge_finite_g of a {self.kind} must be "
+                               f"{' or '.join(map(repr, allowed))}, got {self.edge_finite_g!r}")
+        if self.kind != "table" and not 0.0 < self.mass < math.inf:
+            raise MeasureError(f"mass must be positive and finite, got {self.mass!r}")
+        x, w = self.nodes, self.weights
+        if x.shape != w.shape:
+            raise MeasureError(f"x and w differ in length: {x.size} and {w.size}")
+        for values, name in ((x, "x"), (w, "w")):
+            if not np.isfinite(values).all():
+                raise MeasureError(f"{name} must be finite")
+        if not (w >= 0.0).all():
+            raise MeasureError("w must be nonnegative")
+        if not (x[1:] >= x[:-1]).all():
+            raise MeasureError("x must ascend")
+        if x.size and not self.a <= x[0] <= x[-1] <= self.b:
+            raise MeasureError(f"x must lie in the support [{self.a!r}, {self.b!r}]")
+        if self.kind == "table" and not w.sum() > 0.0:
+            raise MeasureError("w must have a positive total")
 
     # -- transforms ---------------------------------------------------------
 
@@ -276,14 +333,13 @@ class DensityComponent:
         """The table read through its ``_RULE_NODES``-point Gauss rule: a
         table of the same support, mass to rounding and ``edge_finite_g``,
         built on first use and kept. None for a closed form, and for a table
-        with a negative weight, a node outside [a, b] or fewer than
-        ``_RULE_MIN_TABLE`` distinct nodes of positive weight."""
-        if self.kind != "table" or self.nodes.size < _RULE_MIN_TABLE or self.weights.min() < 0.0:
+        with fewer than ``_RULE_MIN_TABLE`` distinct nodes of positive
+        weight."""
+        if self.kind != "table" or self.nodes.size < _RULE_MIN_TABLE:
             return None
-        # sorted and counted by np.diff: np.unique imports numpy.ma
-        support = np.sort(self.nodes[self.weights > 0.0])
-        distinct = support.size and 1 + np.count_nonzero(np.diff(support))
-        if distinct < _RULE_MIN_TABLE or support[0] < self.a or support[-1] > self.b:
+        # the nodes ascend, so np.diff counts the distinct ones (np.unique
+        # imports numpy.ma)
+        if 1 + np.count_nonzero(np.diff(self.nodes[self.weights > 0.0])) < _RULE_MIN_TABLE:
             return None
         nodes, weights = _gauss_rule(self.nodes, self.weights, self.a, self.b, _RULE_NODES)
         return _make_component("table", self.a, self.b, None, nodes, weights,
@@ -432,10 +488,8 @@ def _gauss_rule(nodes, weights, a, b, k):
             off[j + 1] = math.sqrt(r @ r)
             q_prev, q = q, r / off[j + 1]
     values, weights = _golub_welsch(diag, off[1:], mass)
-    return c + h * values, weights
-
-
-_CLOSED_FORM_EDGE_FINITE_G = {"semicircle": True, "uniform": False}
+    # an eigenvalue at +-1 can round to a node an ulp past a or b
+    return np.clip(c + h * values, a, b), weights
 
 
 def _make_component(kind, a, b, mass, nodes, weights, params=None, edge_finite_g=None):
@@ -519,12 +573,6 @@ class SpectralMeasure:
 
     @classmethod
     def from_atoms(cls, locations, weights) -> "SpectralMeasure":
-        locations = np.asarray(locations, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if locations.size == 0:
-            raise MeasureError("empty atom list")
-        if abs(weights.sum() - 1.0) > _MASS_TOL:
-            raise MeasureError(f"atom weights sum to {weights.sum()!r}, not 1")
         return cls(locations, weights)
 
     @classmethod
@@ -545,8 +593,7 @@ class SpectralMeasure:
         deviates from 1 by more than 1e-6.
         """
         a, b = float(support[0]), float(support[1])
-        if not b > a:
-            raise MeasureError(f"empty support interval {support!r}")
+        _check_support(a, b)
         n = int(nodes_per_interval)
         nodes, qw = sqrt_adapted_rule(a, b, n)
         vals = np.asarray(density(nodes), dtype=float)
@@ -562,10 +609,7 @@ class SpectralMeasure:
                 f"density mass {raw_mass:.9g} renormalized by factor {1.0 / raw_mass:.9g}",
                 stacklevel=2,
             )
-        if isinstance(density, Semicircle) and (
-            abs(a - (density.center - density.radius)) <= 1e-9 * density.radius
-            and abs(b - (density.center + density.radius)) <= 1e-9 * density.radius
-        ):
+        if isinstance(density, Semicircle) and _semicircle_fits(a, b, density.center, density.radius):
             comp = _make_component(
                 "semicircle", a, b, 1.0, nodes, weights / raw_mass,
                 params={"center": density.center, "radius": density.radius},
@@ -909,8 +953,10 @@ class SpectralMeasure:
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralMeasure":
         """The measure of a :meth:`to_json` object; an atom that is no pair, a
-        number that is no JSON number and a node count that is no positive
-        integer raise MeasureError naming the field."""
+        number that is no JSON number, a table column that is no list and a
+        node count that is no positive integer raise MeasureError naming the
+        field. Every other rule is the constructors' (:class:`DensityComponent`,
+        :class:`SpectralMeasure`)."""
         atoms = obj.get("atoms") or []
         for a in atoms:
             if not (isinstance(a, (list, tuple)) and len(a) == 2):
@@ -933,23 +979,22 @@ class SpectralMeasure:
                 raise MeasureError(f"nodes must be a positive integer, got {n!r}")
             params = d.get("params") or {}
             mass = _json_number(params.get("mass", 1.0), "mass")
-            if kind == "semicircle":
-                law = Semicircle(_json_number(params["center"], "center"),
-                                 _json_number(params["radius"], "radius"))
-                nodes, qw = sqrt_adapted_rule(a, b, n)
-                weights = qw * law(nodes)
-                weights *= mass / weights.sum()
-                comps.append(_make_component("semicircle", a, b, mass, nodes, weights,
-                                             params={"center": law.center, "radius": law.radius}))
-            elif kind == "uniform":
-                nodes, qw = sqrt_adapted_rule(a, b, n)
-                comps.append(_make_component("uniform", a, b, mass, nodes, qw * mass / (b - a)))
-            elif kind == "table":
-                nodes, weights, edge_finite_g = _json_table(params, a, b)
-                comps.append(_make_component("table", a, b, None, nodes, weights,
-                                             edge_finite_g=edge_finite_g))
+            shape = ({k: _json_number(params[k], k) for k in ("center", "radius")}
+                     if kind == "semicircle" else {})
+            # the rules that must hold before the nodes are computed
+            _check_form(kind, a, b, shape)
+            if kind == "table":
+                nodes, weights = _json_column(params["x"], "x"), _json_column(params["w"], "w")
+                shape = {}
             else:
-                raise MeasureError(f"unknown density kind {kind!r}")
+                nodes, qw = sqrt_adapted_rule(a, b, n)
+                if kind == "semicircle":
+                    weights = qw * Semicircle(**shape)(nodes)
+                    weights *= mass / weights.sum()
+                else:
+                    weights = qw * mass / (b - a)
+            comps.append(_make_component(kind, a, b, mass, nodes, weights, shape,
+                                         params.get("edge_finite_g")))
         return cls(locs, wts, comps)
 
     # -- misc ---------------------------------------------------------------------
