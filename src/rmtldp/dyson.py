@@ -998,11 +998,15 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
         todo, step, limit, lam = live, res / hp[live], np.abs(res), 1.0
         for _ in range(40):
             trial = w[todo] - lam * step
-            # a trial on or below the real axis is rejected like one that
-            # does not reduce the residual; so are NaNs
             inside = trial.imag > 0.0
-            h_trial, hp_trial = np.full((2, todo.size), np.nan, dtype=complex)
-            h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
+            if inside.all():
+                h_trial, hp_trial = h_pair(trial)
+            else:
+                # a trial on or below the real axis, or a NaN, is not
+                # evaluated, and is rejected like one that does not lower the
+                # residual
+                h_trial, hp_trial = np.full((2, todo.size), np.nan, dtype=complex)
+                h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
             better = np.abs(h_trial - target[todo]) < limit
             took = todo[better]
             w[took], hw[took], hp[took] = trial[better], h_trial[better], hp_trial[better]
@@ -1014,7 +1018,8 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
         else:
             fail(todo, "stalled")
             live = np.setdiff1d(live, todo, assume_unique=True)
-        live = live[~(np.abs(hw[live] - target[live]) <= tols[live])]
+        # every point left took a trial of finite residual this round
+        live = live[np.abs(hw[live] - target[live]) > tols[live]]
     if live.size:
         fail(live, "did not converge")
     return w, hw, hp
