@@ -173,8 +173,7 @@ class CovarianceModel:
     def __post_init__(self):
         a = self.alpha
         if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 < a < math.inf:
-            raise ValueError(f"alpha must be positive and finite (a real number, not a bool), "
-                             f"got {a!r}")
+            raise ValueError(f"alpha must be positive and finite (a number, not a bool), got {a!r}")
         object.__setattr__(self, "alpha", float(a))
         _check_entry_law(self.beta, self.entry_law)
         if self.entry_law not in _GAUSSIAN_LAWS and self.rho.left_edge < 0.0:
@@ -998,13 +997,12 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
         todo, step, limit, lam = live, res / hp[live], np.abs(res), 1.0
         for _ in range(40):
             trial = w[todo] - lam * step
+            # a trial on or below the real axis, or a NaN, is rejected
+            # unevaluated, like one that does not lower the residual
             inside = trial.imag > 0.0
             if inside.all():
                 h_trial, hp_trial = h_pair(trial)
             else:
-                # a trial on or below the real axis, or a NaN, is not
-                # evaluated, and is rejected like one that does not lower the
-                # residual
                 h_trial, hp_trial = np.full((2, todo.size), np.nan, dtype=complex)
                 h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
             better = np.abs(h_trial - target[todo]) < limit
@@ -1018,7 +1016,7 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
         else:
             fail(todo, "stalled")
             live = np.setdiff1d(live, todo, assume_unique=True)
-        # every point left took a trial of finite residual this round
+        # each point left took a trial this round, so its residual is no NaN
         live = live[np.abs(hw[live] - target[live]) > tols[live]]
     if live.size:
         fail(live, "did not converge")

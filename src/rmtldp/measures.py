@@ -177,31 +177,25 @@ def _log_moment_sc2(zeta):
     return zeta / (zeta + s) + np.log((zeta + s) / 2.0) - 0.5
 
 
-# whether G is finite at the ends, which a closed form's kind sets
-_CLOSED_FORM_EDGE_FINITE_G = {"semicircle": True, "uniform": False}
-# a semicircle's support is [c - R, c + R] within this times R, as stored or
-# as read back from a model file
+# the values edge_finite_g may take: a closed form's kind sets it
+_EDGE_FINITE_G = {"semicircle": (True,), "uniform": (False,), "table": (True, False, None)}
+# a semicircle's support is [c - R, c + R] within this times R
 _SEMICIRCLE_END_REL = 1e-9
 
 
 def _semicircle_fits(a, b, center, radius) -> bool:
-    """Whether [a, b] is [center - radius, center + radius] within
-    ``_SEMICIRCLE_END_REL`` radius."""
     tol = _SEMICIRCLE_END_REL * radius
     return abs(a - (center - radius)) <= tol and abs(b - (center + radius)) <= tol
 
 
 def _check_support(a, b) -> None:
-    """The support rule: finite ends a < b. It runs before any node of
-    [a, b] is computed."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise MeasureError(f"support must be finite with a < b, got [{a!r}, {b!r}]")
 
 
 def _check_form(kind, a, b, params) -> None:
-    """The rules of a component's kind, support and semicircle params, which
-    hold before its nodes are computed (:class:`DensityComponent`)."""
-    if kind != "table" and kind not in _CLOSED_FORM_EDGE_FINITE_G:
+    """:class:`DensityComponent`'s rules of kind, support and params."""
+    if kind not in _EDGE_FINITE_G:
         raise MeasureError(f"unknown density kind {kind!r}")
     _check_support(a, b)
     if kind == "semicircle":
@@ -222,24 +216,17 @@ class DensityComponent:
     ``nodes``/``weights`` integrate smooth functions against the component;
     closed-form kinds additionally bypass them for singular transforms.
     ``edge_finite_g`` declares whether the Stieltjes transform is finite at
-    both endpoints of the component. The kind sets it for a closed form
-    (finite for a semicircle, infinite for a uniform); for a table it is
-    declared, and None means undeclared.
-
-    The component owns the rules of its fields, and construction refuses a
-    value that breaks one with MeasureError naming the field (a table's
-    nodes and weights by their model-file names ``x`` and ``w``):
-
-    - ``kind`` is ``semicircle``, ``uniform`` or ``table``;
-    - the support [a, b] is finite with a < b; a semicircle's params hold a
-      finite ``center`` c and a finite ``radius`` R > 0, and its support is
-      [c - R, c + R] within 1e-9 R;
-    - a closed form's ``mass`` is finite and > 0; a table's mass is the
-      total of its weights, which must be > 0;
-    - ``edge_finite_g`` is the kind's for a closed form, and True, False or
-      None for a table;
-    - nodes and weights are of one length and finite; the nodes ascend
-      inside [a, b] and the weights are nonnegative.
+    both endpoints of the component: the kind's for a closed form (True for
+    a semicircle, False for a uniform), and True, False or None
+    (undeclared) for a table. Its other rules: ``kind`` is ``semicircle``,
+    ``uniform`` or ``table``; the support [a, b] is finite with a < b, and
+    a semicircle's is [c - R, c + R] within 1e-9 R, with c = ``center``
+    finite and R = ``radius`` finite and > 0; a closed form's ``mass`` is
+    finite and > 0; nodes and weights are finite and of one length, the
+    nodes ascend inside [a, b], and the weights are nonnegative with a
+    positive total (a table's mass). Construction refuses a value that
+    breaks a rule with MeasureError naming the field, a table's nodes and
+    weights by their model-file names ``x`` and ``w``.
     """
 
     kind: str
@@ -253,8 +240,7 @@ class DensityComponent:
 
     def __post_init__(self):
         _check_form(self.kind, self.a, self.b, self.params)
-        allowed = ((True, False, None) if self.kind == "table"
-                   else (_CLOSED_FORM_EDGE_FINITE_G[self.kind],))
+        allowed = _EDGE_FINITE_G[self.kind]
         if not any(self.edge_finite_g is v for v in allowed):
             raise MeasureError(f"edge_finite_g of a {self.kind} must be "
                                f"{' or '.join(map(repr, allowed))}, got {self.edge_finite_g!r}")
@@ -268,12 +254,12 @@ class DensityComponent:
                 raise MeasureError(f"{name} must be finite")
         if not (w >= 0.0).all():
             raise MeasureError("w must be nonnegative")
+        if not w.sum() > 0.0:
+            raise MeasureError("w must have a positive total")
         if not (x[1:] >= x[:-1]).all():
             raise MeasureError("x must ascend")
-        if x.size and not self.a <= x[0] <= x[-1] <= self.b:
+        if not self.a <= x[0] <= x[-1] <= self.b:
             raise MeasureError(f"x must lie in the support [{self.a!r}, {self.b!r}]")
-        if self.kind == "table" and not w.sum() > 0.0:
-            raise MeasureError("w must have a positive total")
 
     # -- transforms ---------------------------------------------------------
 
@@ -504,7 +490,7 @@ def _make_component(kind, a, b, mass, nodes, weights, params=None, edge_finite_g
         mass=float(weights.sum()) if kind == "table" else float(mass),
         nodes=np.ascontiguousarray(nodes, dtype=float), weights=weights,
         params=params or {},
-        edge_finite_g=_CLOSED_FORM_EDGE_FINITE_G.get(kind, edge_finite_g),
+        edge_finite_g=edge_finite_g if kind == "table" else _EDGE_FINITE_G[kind][0],
     )
 
 
@@ -524,8 +510,6 @@ class SpectralMeasure:
         locs, wts = self._merge_atoms(locs, wts)
         components = tuple(components)
         total = wts.sum() + sum(c.mass for c in components)
-        if total <= 0.0:
-            raise MeasureError("measure has zero total mass")
         if not abs(total - 1.0) <= _MASS_TOL:
             raise MeasureError(f"total mass {total!r} is not 1 within {_MASS_TOL}")
         self.atom_locations = locs
@@ -952,11 +936,10 @@ class SpectralMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralMeasure":
-        """The measure of a :meth:`to_json` object; an atom that is no pair, a
-        number that is no JSON number, a table column that is no list and a
-        node count that is no positive integer raise MeasureError naming the
-        field. Every other rule is the constructors' (:class:`DensityComponent`,
-        :class:`SpectralMeasure`)."""
+        """The measure of a :meth:`to_json` object, which only parses: an atom
+        that is no pair, a number that is no JSON number, a column that is no
+        list and a node count that is no positive integer raise MeasureError
+        naming the field. Every other rule is the constructors'."""
         atoms = obj.get("atoms") or []
         for a in atoms:
             if not (isinstance(a, (list, tuple)) and len(a) == 2):
@@ -979,21 +962,20 @@ class SpectralMeasure:
                 raise MeasureError(f"nodes must be a positive integer, got {n!r}")
             params = d.get("params") or {}
             mass = _json_number(params.get("mass", 1.0), "mass")
-            shape = ({k: _json_number(params[k], k) for k in ("center", "radius")}
-                     if kind == "semicircle" else {})
+            circle = ({k: _json_number(params[k], k) for k in ("center", "radius")}
+                      if kind == "semicircle" else {})
             # the rules that must hold before the nodes are computed
-            _check_form(kind, a, b, shape)
+            _check_form(kind, a, b, circle)
             if kind == "table":
                 nodes, weights = _json_column(params["x"], "x"), _json_column(params["w"], "w")
-                shape = {}
             else:
                 nodes, qw = sqrt_adapted_rule(a, b, n)
                 if kind == "semicircle":
-                    weights = qw * Semicircle(**shape)(nodes)
+                    weights = qw * Semicircle(**circle)(nodes)
                     weights *= mass / weights.sum()
                 else:
                     weights = qw * mass / (b - a)
-            comps.append(_make_component(kind, a, b, mass, nodes, weights, shape,
+            comps.append(_make_component(kind, a, b, mass, nodes, weights, circle,
                                          params.get("edge_finite_g")))
         return cls(locs, wts, comps)
 

@@ -460,6 +460,12 @@ def table_rho(**params):
     return {"density": {"kind": "table", "support": [0, 1], "params": params}}
 
 
+def semicircle_rho(support, center, radius):
+    """rho of one semicircle of the given support, center and radius."""
+    return {"density": {"kind": "semicircle", "support": support,
+                        "params": {"center": center, "radius": radius}}}
+
+
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -503,21 +509,34 @@ class TestErrorPaths:
         ("rho", table_rho(x=[0.75, 0.25]), "x must ascend"),
         ("rho", table_rho(edge_finite_g="no"), "edge_finite_g"),
         ("rho", table_rho(edge_finite_g=1), "edge_finite_g"),
+        ("rho", semicircle_rho([0.5, 1.5], 5.0, 1.0), "support"),
+        ("rho", semicircle_rho([4.0, 5.5], 5.0, 1.0), "support"),
+        ("rho", semicircle_rho([4.0, 6.0], 5.0, -1.0), "radius"),
+        ("rho", {"atoms": [[1.0, 1.5]], "density": {"kind": "uniform", "support": [0, 1],
+                                                    "params": {"mass": -0.5}}}, "mass"),
+        ("rho", {"atoms": [[1.0, 1.0]], "density": {"kind": "uniform", "support": [5, 6],
+                                                    "params": {"mass": 0}}}, "mass"),
+        ("rho", table_rho(x=[], w=[]), "w must have a positive total"),
+        ("rho", {"density": {"kind": "uniform", "support": [0, math.inf]}}, "support"),
     ], ids=["beta-1.5", "beta-true", "alpha-nan", "alpha-inf", "weight-nan",
             "location-inf", "location-minus-inf", "atom-of-one-entry", "atom-of-three-entries",
             "alpha-true", "alpha-string", "location-string", "weight-string", "nodes-12.7",
             "nodes-0", "nodes-true", "mass-string", "table-x-string", "table-w-string",
             "table-x-not-a-list", "table-lengths-differ", "table-x-nan", "table-w-inf",
             "table-w-negative", "table-x-past-the-support", "table-x-unsorted",
-            "table-edge-finite-g-string", "table-edge-finite-g-1"])
+            "table-edge-finite-g-string", "table-edge-finite-g-1", "semicircle-off-its-support",
+            "semicircle-half-its-support", "semicircle-radius-negative", "uniform-mass-negative",
+            "uniform-mass-zero", "table-of-no-nodes", "uniform-to-infinity"])
     def test_non_finite_or_truncated_model_data_is_refused(self, tmp_path, capsys,
                                                            field, value, named):
         """A value the model cannot take exits 2 naming its field, before
         any solve: no beta or node count is truncated to an integer, no
         bool or string is read as a number, no atom entry is cut short, no
         NaN or infinity reaches the edge solve, and a table's nodes and
-        weights are of one length, its weights nonnegative, its nodes
-        ascending inside its support and its edge_finite_g a bool or null."""
+        weights are of one length, its weights nonnegative of positive
+        total, its nodes ascending inside its support and its edge_finite_g
+        a bool or null; a support is finite, a closed form's mass positive,
+        and a semicircle's support [c - R, c + R] with R > 0."""
         obj = {"kind": "covariance", "alpha": 1.0, "beta": 1, "entry_law": "gaussian",
                "rho": {"atoms": [[1.0, 1.0]]}}
         obj[field] = value

@@ -62,6 +62,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             CovarianceModel(SpectralMeasure.point_mass(1.0), alpha)
 
+    @pytest.mark.parametrize("alpha", [True, "0.5", None])
+    def test_alpha_a_number_and_not_a_bool(self, alpha):
+        """bool is an int in Python: True once built alpha = 1."""
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            CovarianceModel(SpectralMeasure.point_mass(1.0), alpha)
+
     @pytest.mark.parametrize("beta", [True, 1.5, 2.0])
     def test_beta_an_integer(self, beta):
         """bool is an int in Python, and 1.5 once reached the model as int(1.5) = 1."""

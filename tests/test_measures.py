@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -1351,3 +1352,158 @@ def test_the_rule_gives_g_g_prime_and_the_log_moment_within_their_bounds(case):
             size = table.weights @ term(table.nodes)
             moved = rule.weights @ (slope(rule.nodes) * np.spacing(rule.nodes))
             assert abs(read(ruled, lam) - read(mu, lam)) <= bound + 2 * K * EPS * size + moved
+
+
+# -- the input rules: the constructors own them, the JSON reader only parses ----
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _json_round_trip(m):
+    return SpectralMeasure.from_json(json.loads(json.dumps(m.to_json())))
+
+
+@settings(max_examples=200)
+@given(m=real_axis_measures() | real_axis_measures(max_atoms=64, min_atoms=8))
+def test_what_the_constructors_accept_round_trips_through_json(m):
+    """Atoms, ends, mass, params and edge_finite_g come back with the same
+    bits, and so do a table's nodes and weights. A closed form keeps its
+    law and node count in the file, and its nodes and weights are rebuilt
+    from them (a scaled one's take other bits), so its transforms, which
+    read the law alone, keep their bits."""
+    back = _json_round_trip(m)
+    left, right = m.edges()
+    span = max(1.0, right - left)
+    xs = [right + 0.5 * span, right + 3.0 * span, left - span]
+    for x in xs:
+        assert back.stieltjes(x) == m.stieltjes(x)
+        assert back.stieltjes_prime(x) == m.stieltjes_prime(x)
+    assert _bits(back.atom_locations) == _bits(m.atom_locations)
+    assert _bits(back.atom_weights) == _bits(m.atom_weights)
+    assert len(back.components) == len(m.components)
+    for got, want in zip(back.components, m.components):
+        assert (got.kind, got.params, got.edge_finite_g) == (want.kind, want.params, want.edge_finite_g)
+        assert _bits([got.a, got.b, got.mass]) == _bits([want.a, want.b, want.mass])
+        assert got.nodes.size == want.nodes.size
+        if want.kind == "table":
+            assert _bits(got.nodes) == _bits(want.nodes)
+            assert _bits(got.weights) == _bits(want.weights)
+
+
+def _broken(c, how):
+    """The fields of component c with one rule broken, as ``how`` names it:
+    a dict of the fields that change."""
+    a, b, x, w = c.a, c.b, c.nodes, c.weights
+    if how == "infinite end":
+        return {"b": math.inf}
+    if how == "reversed support":
+        return {"a": b, "b": a}
+    if how == "descending":
+        return {"nodes": x[::-1].copy(), "weights": w[::-1].copy()}
+    if how == "node past the support":
+        return {"nodes": np.append(x[:-1], b + (b - a))}
+    if how == "negative weight":
+        return {"weights": np.append(-1.0, w[1:])}
+    if how == "nan node":
+        return {"nodes": np.append(math.nan, x[1:])}
+    if how == "zero total":
+        return {"weights": np.zeros(w.size)}
+    if how == "mass not positive":
+        return {"mass": -c.mass if x.size % 2 else 0.0}
+    params = dict(c.params)
+    if how == "mismatched semicircle":
+        params["center"] += 10.0 * params["radius"]
+    else:  # radius not positive
+        params["radius"] = -params["radius"] if x.size % 4 else 0.0
+    return {"params": params}
+
+
+_BREAKS = {
+    "table": ["infinite end", "reversed support", "descending", "node past the support",
+              "negative weight", "nan node", "zero total"],
+    "uniform": ["infinite end", "reversed support", "mass not positive"],
+    "semicircle": ["infinite end", "reversed support", "mass not positive",
+                   "mismatched semicircle", "radius not positive"],
+}
+
+
+def _json_with(obj, i, fields):
+    """The measure object ``obj`` of to_json with the fields of its i-th
+    component changed, under their model-file names."""
+    dens = obj["density"]
+    dens = [dict(d) for d in ([dens] if isinstance(dens, dict) else dens)]
+    d = dens[i]
+    d["params"] = params = dict(d["params"])
+    for name, value in fields.items():
+        if name in ("a", "b"):
+            d["support"] = [fields.get("a", d["support"][0]), fields.get("b", d["support"][1])]
+        elif name in ("nodes", "weights"):
+            params["x" if name == "nodes" else "w"] = [float(v) for v in value]
+        elif name == "params":
+            params.update(value)
+        else:
+            params[name] = value
+    return {**obj, "density": dens}
+
+
+@settings(max_examples=200)
+@given(m=real_axis_measures(max_atoms=3).filter(lambda m: m.components), data=st.data())
+def test_the_constructors_refuse_what_from_json_refuses(m, data):
+    """A component with one rule broken (an infinite or reversed support; a
+    descending table, a node past the support, a negative weight, a NaN node
+    or weights of total 0; a closed form's mass of 0 or below; a semicircle
+    off [c - R, c + R], or of R <= 0) is refused by from_json and by the
+    constructor alike, with one message."""
+    i = data.draw(st.integers(0, len(m.components) - 1))
+    c = m.components[i]
+    how = data.draw(st.sampled_from(_BREAKS[c.kind]))
+    if how == "descending" and c.nodes[0] == c.nodes[-1]:
+        how = "negative weight"
+    fields = _broken(c, how)
+    with pytest.raises(MeasureError) as read:
+        SpectralMeasure.from_json(_json_with(m.to_json(), i, fields))
+    with pytest.raises(MeasureError) as built:
+        dataclasses.replace(c, **fields)
+    assert str(read.value) == str(built.value)
+
+
+def test_the_gauss_rule_of_a_table_with_nodes_at_both_ends_keeps_the_component_rules():
+    """Nearly all the mass at both ends puts the rule's outer nodes within
+    rounding of a and b, where the eigenvalues of the Jacobi matrix can map
+    to a node an ulp past them (on [-1, 1] with these weights, at both
+    ends, with the LAPACK this was written on); the rule's nodes stay in
+    [a, b] and it is a component like any other."""
+    nodes = np.linspace(-1.0, 1.0, measures._RULE_MIN_TABLE + 16)
+    weights = np.full(nodes.size, 1e-16)
+    weights[0] = weights[-1] = 1.0
+    table = measures._make_component("table", -1.0, 1.0, None, nodes, weights, edge_finite_g=True)
+    rule = table.gauss_rule
+    assert rule.nodes.size == measures._RULE_NODES
+    assert -1.0 <= rule.nodes[0] and rule.nodes[-1] <= 1.0
+    assert dataclasses.replace(rule) == rule
+
+
+@pytest.mark.parametrize("support", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+                                     (1.0, 1.0), (1.0, 0.0)])
+def test_a_support_that_is_not_a_finite_interval_is_refused_before_any_node(support):
+    """The support rule runs before the quadrature nodes are computed, so
+    no numpy warning escapes (warnings are errors in this suite)."""
+    with pytest.raises(MeasureError, match="^support must be finite with a < b"):
+        SpectralMeasure.uniform(*support)
+    with pytest.raises(MeasureError, match="^support must be finite with a < b"):
+        SpectralMeasure.from_density(lambda u: np.ones_like(u), support)
+
+
+def test_a_descending_table_is_refused():
+    """Its cdf and quantile read the nodes as ascending: ten equal weights at
+    0.95, 0.85, ..., 0.05 once gave cdf(0.3) = 0 where the sorted table
+    gives 0.3."""
+    nodes = np.arange(0.05, 1.0, 0.1)
+    weights = np.full(10, 0.1)
+    ascending = SpectralMeasure(components=[DensityComponent(
+        "table", 0.0, 1.0, 1.0, nodes, weights, edge_finite_g=False)])
+    assert ascending.cdf(0.3) == pytest.approx(0.3, abs=1e-15)
+    with pytest.raises(MeasureError, match="x must ascend"):
+        DensityComponent("table", 0.0, 1.0, 1.0, nodes[::-1], weights, edge_finite_g=False)
