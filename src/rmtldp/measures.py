@@ -215,18 +215,16 @@ class DensityComponent:
 
     ``nodes``/``weights`` integrate smooth functions against the component;
     closed-form kinds additionally bypass them for singular transforms.
-    ``edge_finite_g`` declares whether the Stieltjes transform is finite at
-    both endpoints of the component: the kind's for a closed form (True for
-    a semicircle, False for a uniform), and True, False or None
-    (undeclared) for a table. Its other rules: ``kind`` is ``semicircle``,
-    ``uniform`` or ``table``; the support [a, b] is finite with a < b, and
-    a semicircle's is [c - R, c + R] within 1e-9 R, with c = ``center``
-    finite and R = ``radius`` finite and > 0; a closed form's ``mass`` is
-    finite and > 0; nodes and weights are finite and of one length, the
-    nodes ascend inside [a, b], and the weights are nonnegative with a
-    positive total (a table's mass). Construction refuses a value that
-    breaks a rule with MeasureError naming the field, a table's nodes and
-    weights by their model-file names ``x`` and ``w``.
+    ``edge_finite_g`` declares whether G is finite at both ends: the kind's
+    for a closed form (True for a semicircle, False for a uniform), True,
+    False or None (undeclared) for a table. Construction refuses, with
+    MeasureError naming the field (``x`` and ``w`` for nodes and weights):
+    a ``kind`` other than ``semicircle``, ``uniform`` and ``table``; a
+    support [a, b] not finite with a < b, or for a semicircle not [c - R,
+    c + R] within 1e-9 R, with c = ``center`` finite and R = ``radius``
+    finite and > 0; a closed form's ``mass`` not finite and > 0; nodes and
+    weights not finite and of one length, nodes not ascending inside [a,
+    b], and weights negative or of total 0 (a table's mass is the total).
     """
 
     kind: str
