@@ -997,8 +997,8 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
         todo, step, limit, lam = live, res / hp[live], np.abs(res), 1.0
         for _ in range(40):
             trial = w[todo] - lam * step
-            # a trial on or below the real axis, or a NaN, is rejected
-            # unevaluated, like one that does not lower the residual
+            # a trial on or below the real axis is rejected like one that
+            # does not reduce the residual; so are NaNs
             inside = trial.imag > 0.0
             if inside.all():
                 h_trial, hp_trial = h_pair(trial)
