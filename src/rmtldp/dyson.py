@@ -1000,11 +1000,8 @@ def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
             # a trial on or below the real axis is rejected like one that
             # does not reduce the residual; so are NaNs
             inside = trial.imag > 0.0
-            if inside.all():
-                h_trial, hp_trial = h_pair(trial)
-            else:
-                h_trial, hp_trial = np.full((2, todo.size), np.nan, dtype=complex)
-                h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
+            h_trial, hp_trial = np.full((2, todo.size), np.nan, dtype=complex)
+            h_trial[inside], hp_trial[inside] = h_pair(trial[inside])
             better = np.abs(h_trial - target[todo]) < limit
             took = todo[better]
             w[took], hw[took], hp[took] = trial[better], h_trial[better], hp_trial[better]

@@ -179,12 +179,14 @@ def _log_moment_sc2(zeta):
 
 # the values edge_finite_g may take: a closed form's kind sets it
 _EDGE_FINITE_G = {"semicircle": (True,), "uniform": (False,), "table": (True, False, None)}
-# a semicircle's support is [c - R, c + R] within this times R
-_SEMICIRCLE_END_REL = 1e-9
+# a semicircle's support is [c - R, c + R] within 1e-9 R plus 8 eps of the
+# largest of |a|, |b| and |c|: the rounding of a scaled semicircle's ends,
+# centre and radius, far above 1e-9 R where |c| > 1e7 R
+_SEMICIRCLE_END_REL, _SEMICIRCLE_END_EPS = 1e-9, 8.0 * np.finfo(float).eps
 
 
 def _semicircle_fits(a, b, center, radius) -> bool:
-    tol = _SEMICIRCLE_END_REL * radius
+    tol = _SEMICIRCLE_END_REL * radius + _SEMICIRCLE_END_EPS * max(abs(a), abs(b), abs(center))
     return abs(a - (center - radius)) <= tol and abs(b - (center + radius)) <= tol
 
 
@@ -199,14 +201,14 @@ def _check_form(kind, a, b, params) -> None:
         raise MeasureError(f"unknown density kind {kind!r}")
     _check_support(a, b)
     if kind == "semicircle":
-        c, r = params["center"], params["radius"]
-        if not math.isfinite(c):
+        c, r = params.get("center"), params.get("radius")
+        if c is None or not math.isfinite(c):
             raise MeasureError(f"center must be finite, got {c!r}")
-        if not 0.0 < r < math.inf:
+        if r is None or not 0.0 < r < math.inf:
             raise MeasureError(f"radius must be positive and finite, got {r!r}")
         if not _semicircle_fits(a, b, c, r):
             raise MeasureError(f"support [{a!r}, {b!r}] must be [center - radius, center + radius] "
-                               f"= [{c - r!r}, {c + r!r}] within {_SEMICIRCLE_END_REL} radius")
+                               f"= [{c - r!r}, {c + r!r}] within {_SEMICIRCLE_END_REL} radius and rounding")
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,8 @@ class DensityComponent:
     MeasureError naming the field (``x`` and ``w`` for nodes and weights):
     a ``kind`` other than ``semicircle``, ``uniform`` and ``table``; a
     support [a, b] not finite with a < b, or for a semicircle not [c - R,
-    c + R] within 1e-9 R, with c = ``center`` finite and R = ``radius``
-    finite and > 0; a closed form's ``mass`` not finite and > 0; nodes and
+    c + R] within 1e-9 R and rounding, with c = ``center`` given and finite
+    and R = ``radius`` given, finite and > 0; a closed form's ``mass`` not finite and > 0; nodes and
     weights not finite and of one length, nodes not ascending inside [a,
     b], and weights negative or of total 0 (a table's mass is the total).
     """
@@ -960,7 +962,7 @@ class SpectralMeasure:
                 raise MeasureError(f"nodes must be a positive integer, got {n!r}")
             params = d.get("params") or {}
             mass = _json_number(params.get("mass", 1.0), "mass")
-            circle = ({k: _json_number(params[k], k) for k in ("center", "radius")}
+            circle = ({k: _json_number(params[k], k) for k in ("center", "radius") if k in params}
                       if kind == "semicircle" else {})
             # the rules that must hold before the nodes are computed
             _check_form(kind, a, b, circle)

@@ -1405,6 +1405,8 @@ def _broken(c, how):
                                                      + 10.0 * c.params["radius"]}},
         "negative radius": lambda: {"params": {**c.params, "radius": -c.params["radius"]}},
         "zero radius": lambda: {"params": {**c.params, "radius": 0.0}},
+        "no center": lambda: {"params": {"radius": c.params["radius"]}},
+        "no radius": lambda: {"params": {"center": c.params["center"]}},
     }
     return changes[how]()
 
@@ -1414,7 +1416,8 @@ _BREAKS = {
               "negative weight", "nan node", "zero total"],
     "uniform": ["infinite end", "reversed support", "negative mass", "zero mass"],
     "semicircle": ["infinite end", "reversed support", "negative mass", "zero mass",
-                   "mismatched semicircle", "negative radius", "zero radius"],
+                   "mismatched semicircle", "negative radius", "zero radius", "no center",
+                   "no radius"],
 }
 
 
@@ -1431,7 +1434,7 @@ def _json_with(obj, i, fields):
         elif name in ("nodes", "weights"):
             d["params"]["x" if name == "nodes" else "w"] = [float(v) for v in value]
         elif name == "params":
-            d["params"].update(value)
+            d["params"] = {"mass": d["params"]["mass"], **value}
         else:
             d["params"][name] = value
     return {**obj, "density": dens}
@@ -1443,7 +1446,8 @@ def test_the_constructors_refuse_what_from_json_refuses(m):
     """A component with one rule broken (an infinite or reversed support; a
     descending table, a node past the support, a negative weight, a NaN node
     or weights of total 0; a closed form's mass of 0 or below; a semicircle
-    off [c - R, c + R], or of R <= 0) is refused by from_json and by the
+    off [c - R, c + R], of R <= 0, or with no c or no R) is refused by
+    from_json and by the
     constructor alike, with one message: each rule on each component."""
     for i, c in enumerate(m.components):
         for how in _BREAKS[c.kind]:
@@ -1471,6 +1475,23 @@ def test_the_gauss_rule_of_a_table_with_nodes_at_both_ends_keeps_the_component_r
     assert rule.nodes.size == measures._RULE_NODES
     assert -1.0 <= rule.nodes[0] and rule.nodes[-1] <= 1.0
     assert dataclasses.replace(rule) == rule
+
+
+@pytest.mark.parametrize("center", [1e7, -3e8, 1e12, 5e15])
+def test_a_scaled_semicircle_far_from_zero_keeps_the_component_rules(center):
+    """Where |c| >> R the rounding of a scaled semicircle's ends, centre and
+    radius is far above 1e-9 R; scaling by factors that are not powers of
+    two, reflecting, and removing an atom at 0 keep the semicircle rule."""
+    circle = measures._make_component("semicircle", center - 1.0, center + 1.0, 0.7,
+                                      np.array([center]), np.array([0.7]),
+                                      {"center": center, "radius": 1.0})
+    rho = SpectralMeasure([0.0], [0.3], [circle])
+    for factor in (0.7, 1.0 / 3.0, 2.9, 1e-3 / 7.0):
+        for m in (rho.scaled(factor), rho.scaled(factor).scaled(1.1).reflected()):
+            (c,) = m.components
+            assert dataclasses.replace(c) == c
+    tau, _ = remove_zero_atom(rho, 0.5)
+    assert tau.components[0].params == {"center": center * 0.7, "radius": 0.7}
 
 
 @pytest.mark.parametrize("support", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
