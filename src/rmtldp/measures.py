@@ -180,8 +180,7 @@ def _log_moment_sc2(zeta):
 # the values edge_finite_g may take: a closed form's kind sets it
 _EDGE_FINITE_G = {"semicircle": (True,), "uniform": (False,), "table": (True, False, None)}
 # a semicircle's support is [c - R, c + R] within 1e-9 R plus 8 eps of the
-# largest of |a|, |b| and |c|: the rounding of a scaled semicircle's ends,
-# centre and radius, far above 1e-9 R where |c| > 1e7 R
+# largest of |a|, |b| and |c|: a scaled one's rounding, > 1e-9 R at |c| > 1e7 R
 _SEMICIRCLE_END_REL, _SEMICIRCLE_END_EPS = 1e-9, 8.0 * np.finfo(float).eps
 
 
@@ -208,7 +207,7 @@ def _check_form(kind, a, b, params) -> None:
             raise MeasureError(f"radius must be positive and finite, got {r!r}")
         if not _semicircle_fits(a, b, c, r):
             raise MeasureError(f"support [{a!r}, {b!r}] must be [center - radius, center + radius] "
-                               f"= [{c - r!r}, {c + r!r}] within {_SEMICIRCLE_END_REL} radius and rounding")
+                               f"= [{c - r!r}, {c + r!r}] within {_SEMICIRCLE_END_REL} radius")
 
 
 @dataclass(frozen=True)
@@ -224,9 +223,10 @@ class DensityComponent:
     a ``kind`` other than ``semicircle``, ``uniform`` and ``table``; a
     support [a, b] not finite with a < b, or for a semicircle not [c - R,
     c + R] within 1e-9 R and rounding, with c = ``center`` given and finite
-    and R = ``radius`` given, finite and > 0; a closed form's ``mass`` not finite and > 0; nodes and
-    weights not finite and of one length, nodes not ascending inside [a,
-    b], and weights negative or of total 0 (a table's mass is the total).
+    and R = ``radius`` given, finite and > 0; a closed form's ``mass`` not
+    finite and > 0; nodes and weights not finite and of one length, nodes
+    not ascending inside [a, b], and weights negative or of total 0 (a
+    table's mass is the total).
     """
 
     kind: str
