@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import CovarianceModel, sigma_measure
+from .dyson import _GAUSSIAN_LAWS, CovarianceModel, sigma_measure
 from .measures import SpectralMeasure
 
 __all__ = [
@@ -205,10 +205,64 @@ def _wigner_matrix(model, n: int, rng, d: np.ndarray,
     return w
 
 
+def _laguerre_matrix(model, n: int, rng, d: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """c/(beta m) B^T B for d = c (1, ..., 1), written into ``out`` (a new
+    array if None): a real tridiagonal matrix with the law of
+    (c/m) Z* Z for Gaussian Z of either beta (Dumitriu and Edelman 2002).
+
+    With k = min(n, m) and K = max(n, m), the upper bidiagonal B has
+    B_ii^2 ~ chi^2 with beta (K - i + 1) degrees of freedom, i = 1..k, then
+    B_{i,i+1}^2 ~ chi^2 with beta (k - i), i = 1..k-1, drawn in that order.
+    B^T B has diagonal B_ii^2 + B_{i-1,i}^2 and off-diagonal B_ii B_{i,i+1},
+    written to both sides, so the sample is exactly symmetric. The last
+    n - k rows and columns are zero: the n - m zero eigenvalues of m < n.
+    """
+    m = model.rows(n)
+    k, big = min(n, m), max(n, m)
+    squares = rng.chisquare(model.beta * np.concatenate(
+        [np.arange(big, big - k, -1.0), np.arange(k - 1, 0, -1.0)]))
+    diag, sup = squares[:k], squares[k:]
+    scale = d[0] / (model.beta * m)
+    off = np.sqrt(diag[:-1] * sup) * scale
+    diag[1:] += sup
+    diag *= scale
+    if out is None:
+        out = np.zeros((n, n))
+    else:
+        out.fill(0.0)
+    i = np.arange(k)
+    out[i, i] = diag
+    out[i[:-1], i[1:]] = off
+    out[i[1:], i[:-1]] = off
+    return out
+
+
+def _builder(model, d: np.ndarray):
+    """The per-replica build of ``model`` on the diagonal ``d``, and the
+    dtype of its matrices. A covariance model with Gaussian entries and
+    Gamma = c I takes the tridiagonal build; every other model the dense
+    one of its kind."""
+    if not isinstance(model, CovarianceModel):
+        return _wigner_matrix, _dtype(model)
+    if model.entry_law in _GAUSSIAN_LAWS and d[0] == d[-1]:
+        return _laguerre_matrix, np.dtype(float)
+    return _covariance_matrix, _dtype(model)
+
+
 def _sample(model, n: int, seed: int, reps: range,
             threads: int | None = None) -> list[SpectrumSample]:
     """Full spectra of the replicas in ``reps``, in order: the one sampling
     path of every Monte Carlo function, for either model kind.
+
+    A covariance model with Gaussian entries and a constant diagonal
+    (Gamma = c I, for either beta) is sampled from its real tridiagonal
+    Laguerre model (``_laguerre_matrix``): its spectra equal the dense
+    build's in law, not bit for bit. Every other model keeps its dense
+    build. Non-Gaussian entries are the universality case, whose law the
+    tridiagonal model does not have at finite size; ``_wigner_matrix``
+    draws its diagonal with variance 1, not the 2/beta of the Hermite
+    model, so no tridiagonal model has a deformed-Wigner sample's law.
 
     The diagonal is built once per call. Each replica draws from its own
     counter-based stream and is written straight into its slot of a stacked
@@ -233,9 +287,8 @@ def _sample(model, n: int, seed: int, reps: range,
     if n * m > _MAX_ENTRIES:
         raise ValueError(f"sample of {n * m} entries exceeds the {_MAX_ENTRIES} cap")
     d = build_gamma(model.diagonal_law, m)
-    build = _covariance_matrix if isinstance(model, CovarianceModel) else _wigner_matrix
+    build, dtype = _builder(model, d)
     workers = threads if threads and threads > 1 else 1
-    dtype = _dtype(model)
     batch = max(1, min(_BATCH_BYTES // (n * n * dtype.itemsize), -(-len(reps) // workers)))
     starts = range(0, len(reps), batch)
     spectra = np.empty((len(reps), n))
@@ -266,7 +319,13 @@ def _sample(model, n: int, seed: int, reps: range,
 
 def sample_spectrum(model, n: int, seed: int = 0, replica_index: int = 0) -> SpectrumSample:
     """Eigenvalues of one finite-size draw, a deterministic function of
-    (seed, replica_index) through a counter-based generator."""
+    (seed, replica_index) through a counter-based generator.
+
+    A covariance model with Gaussian entries and Gamma = c I is drawn from
+    its real tridiagonal Laguerre model, equal to the dense build in law,
+    not bit for bit; non-Gaussian entries (the universality case) and
+    deformed-Wigner models, whose diagonal has variance 1 rather than the
+    Hermite model's 2/beta, keep the dense build (see ``_sample``)."""
     return _sample(model, n, seed, range(replica_index, replica_index + 1))[0]
 
 

@@ -630,6 +630,20 @@ class TestSigmaMeasure:
         assert sm.atom_mass(0.0) == pytest.approx(0.5, abs=1e-12)
         assert abs(sm.total_mass() - 1.0) < 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: atom_mass(0.0) merges an atom within 1e-14 of 0 into the "
+               "zero atom, while detect_degenerate reads r(rho) = u > 0 as nondegenerate, "
+               "so window.zero_atom is 1 and sigma is delta_0 with raw mass defect 0.304")
+    @pytest.mark.parametrize("u", [8.9e-16, 1e-14])
+    def test_a_tiny_scalar_gamma_keeps_its_marchenko_pastur_law(self, u):
+        """sigma of Gamma = u I is sigma of Gamma = I scaled by u: a zero atom
+        of 1 - alpha and one band up to u r(sigma(delta_1))."""
+        ref = CovarianceModel(SpectralMeasure.point_mass(1.0), 0.3).sigma
+        sigma = CovarianceModel(SpectralMeasure.point_mass(u), 0.3).sigma
+        assert sigma.atom_mass(0.0) == pytest.approx(0.7, abs=1e-12)
+        assert sigma.right_edge == pytest.approx(u * ref.right_edge, rel=1e-9)
+
     def test_negative_model_support(self):
         sm = sigma_measure(wishart(2.0, sign=-1.0), 600)
         lo, hi = sm.edges()

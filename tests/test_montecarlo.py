@@ -229,14 +229,105 @@ class TestCovarianceBuild:
         np.testing.assert_array_equal(out, 0.0)
 
 
+def _spectra(build, model, n, seed, replicas):
+    """The spectra of ``build``'s sample of each replica, one eigvalsh each:
+    the oracle of ``_sample``."""
+    d = build_gamma(model.diagonal_law, model.rows(n))
+    return np.linalg.eigvalsh(np.stack([build(model, n, montecarlo._rng_for(seed, rep), d)
+                                        for rep in range(replicas)]))
+
+
+class TestLaguerreBuild:
+    # two samples of 1000 replicas each: the asymptotic two-sample
+    # Kolmogorov-Smirnov critical value at level 0.001 is
+    # sqrt(-log(0.0005) / 2) * sqrt(2 / 1000) = 0.0872
+    REPLICAS = 1000
+    KS_CRITICAL = math.sqrt(-math.log(0.0005) / 2.0) * math.sqrt(2.0 / REPLICAS)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("beta,law", [(1, "gaussian"), (2, "complex_gaussian")])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])  # m = 15 < n, m = n, m = 60 > n
+    def test_equals_the_dense_build_in_law(self, alpha, beta, law, sign):
+        from scipy.stats import ks_2samp
+        model, n = wishart(alpha, sign, beta, law), 30
+        m = model.rows(n)
+        tri = montecarlo._sample(model, n, 1, range(self.REPLICAS))
+        tri = np.array([s.eigenvalues for s in tri])
+        dense = _spectra(montecarlo._covariance_matrix, model, n, 2, self.REPLICAS)
+        samples = {"lambda_min": (tri[:, 0], dense[:, 0]),
+                   "lambda_max": (tri[:, -1], dense[:, -1]),
+                   "median": (np.median(tri, axis=1), np.median(dense, axis=1))}
+        if m < n:
+            # an end held by the n - m zero eigenvalues: exact zeros in the
+            # tridiagonal build, rounding in the dense one
+            got, want = samples.pop("lambda_max" if sign < 0 else "lambda_min")
+            assert np.all(got == 0.0) and np.max(np.abs(want)) <= 1e-12
+        for name, (got, want) in samples.items():
+            assert ks_2samp(got, want).statistic <= self.KS_CRITICAL, name
+        # E tr H = c n; tr H = (c/m) sum |z_ij|^2 has variance 2n/(beta m)
+        traces = tri.sum(axis=1)
+        sd = math.sqrt(2.0 * n / (beta * m) / self.REPLICAS)
+        assert abs(traces.mean() - sign * n) <= 4.0 * sd
+
+    @pytest.mark.parametrize("n,alpha", [(2, 0.5), (5, 1.0), (6, 2.0), (7, 0.3)])
+    def test_the_matrix_is_symmetric_tridiagonal_with_zero_trailing_rows(self, n, alpha):
+        model = wishart(alpha, -1.0, 2, "complex_gaussian")
+        m, d = model.rows(n), build_gamma(model.rho, model.rows(n))
+        out = np.full((n, n), np.nan)
+        h = montecarlo._laguerre_matrix(model, n, montecarlo._rng_for(3, 0), d, out)
+        assert h is out and h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert np.array_equal(h, np.triu(np.tril(h, 1), -1))
+        k = min(n, m)
+        assert np.all(h[k:] == 0.0) and np.all(h[:, k:] == 0.0)
+        assert np.all(np.diag(h)[:k] < 0.0)
+
+
+_DENSE_MODELS = {
+    "rademacher": wishart(1.0, law="rademacher"),
+    "uniform": wishart(0.5, law="uniform_sqrt3"),
+    "complex-rademacher": wishart(2.0, beta=2, law="complex_rademacher"),
+    "two-atom": CovarianceModel(SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5]), 1.0),
+    "deformed-wigner": DeformedWignerModel(SpectralMeasure.point_mass(0.0)),
+}
+
+
+class TestBuilderSelection:
+    @pytest.mark.parametrize("name", list(_DENSE_MODELS))
+    def test_other_models_keep_the_dense_build_bit_for_bit(self, name):
+        model = _DENSE_MODELS[name]
+        build = (montecarlo._wigner_matrix if isinstance(model, DeformedWignerModel)
+                 else montecarlo._covariance_matrix)
+        stats = edge_stats(model, 20, 12, seed=4, threads=2)
+        assert stats.values.tobytes() == _spectra(build, model, 20, 4, 12)[:, -1].tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+    @pytest.mark.parametrize("beta,law", [(1, "gaussian"), (2, "complex_gaussian")])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_a_gaussian_scalar_gamma_takes_the_tridiagonal_build(self, alpha, beta, law, sign):
+        model = wishart(alpha, sign, beta, law)
+        stats = edge_stats(model, 20, 12, seed=4, threads=2)
+        want = _spectra(montecarlo._laguerre_matrix, model, 20, 4, 12)[:, -1]
+        assert stats.values.tobytes() == want.tobytes()
+
+
+def _itemsize(model, n):
+    """Bytes per entry of the batch that ``_sample`` fills for ``model``."""
+    d = build_gamma(model.diagonal_law, model.rows(n))
+    return montecarlo._builder(model, d)[1].itemsize
+
+
 _BATCH_MODELS = {
-    "real": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0),
-    "complex": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0, 2, "complex_gaussian"),
+    "laguerre": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0),
+    "laguerre-complex": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0, 2,
+                                        "complex_gaussian"),
+    "complex": CovarianceModel(SpectralMeasure.point_mass(1.0), 1.0, 2, "complex_rademacher"),
     "mixed-sign": CovarianceModel(SpectralMeasure.from_atoms([-1.0, 2.0], [0.5, 0.5]), 1.0),
     "deformed-wigner": DeformedWignerModel(SpectralMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])),
 }
 
-_TRACED_SIZES = [("real", 300), ("complex", 200), ("mixed-sign", 200), ("deformed-wigner", 200)]
+_TRACED_SIZES = [("laguerre", 300), ("complex", 200), ("mixed-sign", 200),
+                 ("deformed-wigner", 200)]
 
 
 class TestBatches:
@@ -245,8 +336,7 @@ class TestBatches:
     def test_one_matrix_budget_gives_the_same_bits(self, monkeypatch, name, threads):
         model, n = _BATCH_MODELS[name], 40
         default = edge_stats(model, n, 30, seed=6, threads=threads)
-        itemsize = montecarlo._dtype(model).itemsize
-        monkeypatch.setattr(montecarlo, "_BATCH_BYTES", n * n * itemsize)
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTES", n * n * _itemsize(model, n))
         single = edge_stats(model, n, 30, seed=6, threads=threads)
         assert single.values.tobytes() == default.values.tobytes()
 
@@ -260,7 +350,7 @@ class TestBatches:
         # beyond the budget (peaks measured 0.70 to 0.95 of this bound; the
         # former build held 19 to 38 matrices beyond it)
         model = _BATCH_MODELS[name]
-        itemsize = montecarlo._dtype(model).itemsize
+        itemsize = _itemsize(model, n)
         workers = threads or 1
         tracemalloc.start()
         try:
@@ -269,6 +359,20 @@ class TestBatches:
         finally:
             tracemalloc.stop()
         assert peak <= workers * (montecarlo._BATCH_BYTES + 3 * n * n * itemsize)
+
+    @pytest.mark.parametrize("name,dtype", [("laguerre-complex", np.float64),
+                                            ("complex", np.complex128)])
+    def test_the_batch_dtype_follows_the_build(self, monkeypatch, name, dtype):
+        # a complex Gaussian model with Gamma = I fills real slots: the byte
+        # budget holds twice the matrices of a complex dense build
+        model, n = _BATCH_MODELS[name], 40
+        monkeypatch.setattr(montecarlo, "_BATCH_BYTES", 4 * n * n * 8)
+        received = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: received.append(a) or eigvalsh(a))
+        edge_stats(model, n, 10, seed=6)
+        assert {a.dtype for a in received} == {np.dtype(dtype)}
+        assert len(received[0]) == 4 * 8 // np.dtype(dtype).itemsize
 
     @pytest.mark.parametrize("threads", [None, 4])
     def test_batches_reuse_the_callers_buffers(self, monkeypatch, threads):
