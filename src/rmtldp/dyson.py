@@ -8,9 +8,9 @@ In the spectral variable lam = alpha/y, H(y) = x(lam) on the level curve
     x'(lam) = c + lam (2 G_rho(lam) + lam G_rho'(lam)),
 
 so y^2 H'(y) = -alpha x'(alpha/y). The edge, the two branches and the limit
-law are all solved on this curve, from Stieltjes-transform evaluations of rho,
-so tagged measures with closed-form transforms give machine-precision edge
-quantities.
+law are all solved on this curve, of the reduced pair remove_zero_atom(rho,
+alpha) (the same H, without the pole of rho's atom at 0), from its Stieltjes
+transforms, so closed-form measures give machine-precision edge quantities.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import chain, takewhile
 
 import numpy as np
 
-from .measures import MeasureError, SpectralMeasure, _make_component
+from .measures import MeasureError, SpectralMeasure, _make_component, remove_zero_atom
 
 __all__ = [
     "REAL_ENTRY_LAWS",
@@ -188,6 +188,14 @@ class CovarianceModel:
     # sigma and level are kept once solved; a solve that raises is not.
 
     @functools.cached_property
+    def reduced(self) -> tuple[SpectralMeasure, float]:
+        """(tau, alpha') = remove_zero_atom(rho, alpha), which every solve
+        reads; of rho = delta_0 nothing is left: (rho, 0.0), degenerate."""
+        if self.rho.edges() == (0.0, 0.0):
+            return self.rho, 0.0
+        return remove_zero_atom(self.rho, self.alpha)
+
+    @functools.cached_property
     def edge(self) -> EdgeData:
         return edge_solve(self)
 
@@ -210,46 +218,47 @@ class CovarianceModel:
         return detect_degenerate(self)
 
     def curve(self) -> Curve:
-        """H(y) = x in the variable lam = alpha/y: x(lam) = (1 - alpha) lam/alpha
-        + lam^2 G_rho(lam) on lam > max(r(rho), 0), and y = alpha/lam. Far
-        from the real axis x(lam) ~ lam/alpha, so the root of x(lam) = z is
-        about alpha z there."""
-        rho, a = self.rho, self.alpha
-        return Curve(rho, self._point, _evaluable_floor(rho, max(rho.right_edge, 0.0)),
+        """H(y) = x in the variable lam = alpha'/y of the reduced pair (tau,
+        alpha'): x(lam) = (1 - alpha') lam/alpha' + lam^2 G_tau(lam) on lam >
+        max(r(tau), 0), and y = alpha'/lam. Far from the real axis x(lam) ~
+        lam/alpha', so the root of x(lam) = z is about alpha' z there."""
+        tau, a = self.reduced
+        return Curve(tau, self._point, _evaluable_floor(tau, max(tau.right_edge, 0.0)),
                      lambda z: a * z, lambda lam, x: a / lam)
 
     def _point(self, lam, g, gp, gpp=None):
-        """(x, x') at lam from G = G_rho(lam) and G' = G_rho'(lam), and x''
-        = 2G + 4 lam G' + lam^2 G'' after them from a G'' = G_rho''(lam)."""
-        c = (1.0 - self.alpha) / self.alpha
+        """(x, x') at lam from G = G_tau(lam) and G' = G_tau'(lam), and x''
+        = 2G + 4 lam G' + lam^2 G'' after them from a G'' = G_tau''(lam)."""
+        a = self.reduced[1]
+        c = (1.0 - a) / a
         pair = lam * (c + lam * g), c + lam * (2.0 * g + lam * gp)
         return pair if gpp is None else (*pair, 2.0 * g + lam * (4.0 * gp + lam * gpp))
 
     @functools.cached_property
     def level(self) -> Level:
         """The curve with its edge. Since lam^2/(lam - t) = lam + t + t^2/(lam
-        - t), x(lam) = lam/alpha + mean(rho) + integral of t^2/(lam - t), so
-        x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam = alpha (x -
-        mean(rho)) lies right of the right root."""
-        a, edge = self.alpha, self.edge
+        - t), x(lam) = lam/alpha' + mean(tau) + integral of t^2/(lam - t), so
+        x'' = 2 integral of t^2/(lam - t)^3 > 0, and lam = alpha' (x -
+        mean(tau)) lies right of the right root."""
+        (tau, a), edge = self.reduced, self.edge
         curve = self.curve()
-        mean = self.rho.integrate(lambda u: u)
+        mean = tau.integrate(lambda u: u)
         x_c = edge.x_c
         x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
         tmax = edge.theta_max
         return Level(curve, max(a / edge.theta_c, curve.floor), lambda x: a * (x - mean),
                      curve.y, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax),
-                     None if self.rho.components else self._residual)
+                     None if tau.components else self._residual)
 
     def _residual(self, lam, x):
-        """(x(lam) - x, x'(lam)) of an atomic rho, the first as lam/alpha -
-        lam + lam^2 G_rho(lam) - x in double-double arithmetic, on a float
+        """(x(lam) - x, x'(lam)) of an atomic tau, the first as lam/alpha' -
+        lam + lam^2 G_tau(lam) - x in double-double arithmetic, on a float
         or elementwise on an array. The curve rounds x to a few ulps, and
         where x' is small (next to the edge) that moves its roots by more
         than their tolerance."""
-        a = self.alpha
+        tau, a = self.reduced
         gh = gl = gp = 0.0
-        for u, p in zip(self.rho.atom_locations.tolist(), self.rho.atom_weights.tolist()):
+        for u, p in zip(tau.atom_locations.tolist(), tau.atom_weights.tolist()):
             dh, dl = _two_sum(lam, -u)
             q = p / dh
             m, ml = _two_prod(q, dh)
@@ -272,14 +281,14 @@ class CovarianceModel:
 
         Integrating Gbar - G by parts with H(G) = H(Gbar) = x gives
         I(x) = (beta/2) [x (Gbar - G) - (Phi(Gbar) - Phi(G))] for any primitive Phi
-        of H; Phi(t) = log t + 2 F(rho, t) = (1 - alpha) log t - alpha L(alpha/t)
-        up to a constant, L the logarithmic moment of rho. On the capped branch
-        Gbar = theta_max and alpha/Gbar = r(rho); the clamp below only absorbs
-        rounding there.
+        of H; Phi(t) = (1 - alpha') log t - alpha' L(alpha'/t) up to a
+        constant, L the logarithmic moment of tau, of the reduced pair (tau,
+        alpha'). On the capped branch Gbar = theta_max and alpha'/Gbar =
+        r(tau); the clamp below only absorbs rounding there.
         """
-        a = self.alpha
-        r = self.rho.right_edge
-        lm = lambda t: self.rho.log_moment(np.maximum(a / t, r))
+        tau, a = self.reduced
+        r = tau.right_edge
+        lm = lambda t: tau.log_moment(np.maximum(a / t, r))
         bracket = x * (g_bar - g) - (1.0 - a) * np.log(g_bar / g) + a * (lm(g_bar) - lm(g))
         # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
         # edge rounding can leave it a few ulps below zero
@@ -368,37 +377,37 @@ def _g_at_right_edge(mu: SpectralMeasure) -> float:
 
 
 def detect_degenerate(model: CovarianceModel) -> bool:
-    """True iff r(rho) <= 0 and alpha * (1 - rho({0})) <= 1."""
-    if model.rho.right_edge > 0.0:
-        return False
-    return model.alpha * (1.0 - model.rho.atom_mass(0.0)) <= 1.0
+    """True iff r(tau) <= 0 and alpha' <= 1, (tau, alpha') the reduced pair:
+    r(rho) <= 0 and alpha (1 - rho({0})) <= 1, rho({0}) the atom at exactly 0."""
+    tau, a = model.reduced
+    return tau.right_edge <= 0.0 and a <= 1.0
 
 
 def edge_solve(model: CovarianceModel) -> EdgeData:
     """Locate theta_c and the right edge r(sigma) = H(theta_c): in lam =
-    alpha/theta, theta_c = alpha/lam_c and r(sigma) = x(lam_c) at the
-    minimiser lam_c of the level's curve (:func:`_level_edge`), with
-    theta_max = alpha/r(rho) (inf for r(rho) <= 0) and x_c = x(r(rho)) where
-    G_rho is finite at r(rho) (else inf). In the finite-x_c boundary case,
-    lam_c = r(rho): theta_c = theta_max and r(sigma) = x_c."""
-    rho = model.rho
-    r = rho.right_edge
-    tmax = model.alpha / r if r > 0.0 else math.inf
+    alpha'/theta, (tau, alpha') the reduced pair, theta_c = alpha'/lam_c and
+    r(sigma) = x(lam_c) at the minimiser lam_c of the level's curve
+    (:func:`_level_edge`), with theta_max = alpha'/r(tau) (inf for r(tau) <=
+    0) and x_c = x(r(tau)) where G_tau is finite at r(tau) (else inf). In the
+    finite-x_c boundary case, lam_c = r(tau): theta_c = theta_max, r(sigma) = x_c."""
+    tau, a = model.reduced
+    r = tau.right_edge
+    tmax = a / r if r > 0.0 else math.inf
     if detect_degenerate(model):
         return EdgeData(theta_max=tmax, x_c=math.inf, theta_c=None, r_sigma=None,
                         degenerate=True, case_tag=None)
     curve = model.curve()
     if r <= 0.0:
         x_c, case = math.inf, "nonpos_edge"
-    elif math.isinf(_g_at_right_edge(rho)):
+    elif math.isinf(_g_at_right_edge(tau)):
         x_c, case = math.inf, "pos_edge_infinite_xc"
     else:
         x_c, case = curve(r)[0], "pos_edge_finite_xc"
     capped = math.isfinite(x_c)
     lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor,
-                        max(abs(rho.left_edge), abs(rho.right_edge)), capped)
+                        max(abs(tau.left_edge), abs(tau.right_edge)), capped)
     r_sigma = x_c if capped and lam_c == curve.floor else curve(lam_c)[0]
-    return EdgeData(tmax, x_c, model.alpha / lam_c, r_sigma, False, case)
+    return EdgeData(tmax, x_c, a / lam_c, r_sigma, False, case)
 
 
 def _require_nondegenerate(edge: EdgeData):
@@ -835,9 +844,9 @@ class SupportWindow:
     the mass of sigma's atom at 0, and the points lam_left < lam_right of
     the level curve at the window's ends: lam_right is the level's lam_c,
     where x(lam) = right, and lam_left is minus the reflected model's lam_c
-    (0 where that model is degenerate). Both come from the edge solves that
-    give the window. Its :meth:`seed` starts every point of the limit-law
-    solve (:func:`limit_stieltjes`)."""
+    (0 where that model is degenerate), in the curve's variable (alpha'/y of
+    the reduced pair for covariance), from the edge solves that give the
+    window. Its :meth:`seed` starts every limit-law point (:func:`limit_stieltjes`)."""
 
     left: float
     right: float
@@ -864,29 +873,30 @@ class SupportWindow:
 
 def support_window(model: CovarianceModel) -> SupportWindow:
     """Support window [l(sigma'), r(sigma)] of the continuous part of sigma,
-    plus the exact zero-atom mass max(0, 1 - alpha(1 - rho({0}))), and the
-    points lam = alpha/theta_c of the level curves at the window's ends.
+    plus the exact zero-atom mass max(0, 1 - alpha'), and the points lam =
+    alpha'/theta_c of the level curves at the window's ends, alpha' of the
+    reduced pair.
 
     Replacing Gamma by -Gamma turns H into -H, so sigma of the reflected rho
     is sigma reflected, and the left edge is minus r(sigma) of the reflected
     model (the rule of the deformed-Wigner window), at minus that model's
-    lam_c. When it is degenerate, or within rounding of it, the continuous
+    lam_c. When it is degenerate (l(tau) >= 0, alpha' <= 1), the continuous
     part is bounded below by 0 (a hard edge, or an atom at 0), at lam = 0.
     """
     edge = model.edge
     _require_nondegenerate(edge)
-    rho, a = model.rho, model.alpha
-    nonzero = a * (1.0 - rho.atom_mass(0.0))
-    zero_atom = max(0.0, 1.0 - nonzero)
-    if rho.left_edge >= 0.0 and nonzero <= 1.0 + 1e-13:
+    a = model.reduced[1]
+    zero_atom = max(0.0, 1.0 - a)
+    mirror = model.reflected()
+    if mirror.degenerate:
         left = lam_left = 0.0
     else:
         try:
-            reflected = edge_solve(model.reflected())
+            reflected = edge_solve(mirror)
         except SolverError as exc:
             # the reflected model's message speaks of its own right edge
             raise SolverError(
-                f"left edge of sigma, at l(rho) = {rho.left_edge!r}: solving the reflected "
+                f"left edge of sigma, at l(rho) = {model.rho.left_edge!r}: solving the reflected "
                 f"model, whose right edge is -l(rho), failed: {exc}"
             ) from exc
         left, lam_left = -reflected.r_sigma, -a / reflected.theta_c
@@ -1111,9 +1121,8 @@ def _sigma_on(model, edges, counts) -> SpectralMeasure:
     square-root and hard edges f(t) sin(theta) is smooth in theta, so the
     rule needs no edge fits. The masses are renormalized to 1 minus the
     zero atom and the raw mass defect is recorded; nodes of zero mass are
-    dropped, and each interval that keeps a node is one table component (an
-    interval keeps none where the zero atom takes all the mass). An empty
-    interval, and a density that vanishes on every node, raise SolverError."""
+    dropped, and each interval that keeps a node is one table component. An
+    empty interval, and a density that vanishes on every node, raise SolverError."""
     for a, b in edges:
         if not a < b:
             raise SolverError(f"empty support window [{a!r}, {b!r}]")
@@ -1251,11 +1260,10 @@ def _interior_gaps(curve: Curve, pieces):
     return gaps
 
 
-def _measure_pieces(mu: SpectralMeasure, skip_zero: bool):
+def _measure_pieces(mu: SpectralMeasure):
     """The sorted disjoint intervals covering mu's support: atoms as points,
-    components as their intervals, overlapping ones merged; the atom at 0
-    left out with ``skip_zero``."""
-    pieces = sorted([(u, u) for u in mu.atom_locations.tolist() if not (skip_zero and u == 0.0)]
+    components as their intervals, overlapping ones merged."""
+    pieces = sorted([(u, u) for u in mu.atom_locations.tolist()]
                     + [(c.a, c.b) for c in mu.components])
     merged = [list(pieces[0])] if pieces else []
     for a, b in pieces[1:]:
@@ -1274,17 +1282,17 @@ def _sigma_bands(model):
     lies at the curve's floor (x' > 0 there: a finite x_c at its cap). The
     left edge is the window's, minus the right edge of the reflected model,
     classified on that model's curve the same way. Where the reflected
-    model is degenerate (a covariance model with rho >= 0 and alpha (1 -
-    rho({0})) <= 1), the left edge is the hard edge at 0 when sigma has no
-    zero atom, and else the one root of x' between 0 and the least nonzero
-    point of rho, left of which x' is nonincreasing. Interior gaps come from
-    :func:`_interior_gaps`, one root of x'' per gap of the curve's measure
-    that the tangent at its midpoint does not close."""
+    model is degenerate (a covariance model whose reduced pair has tau >= 0
+    and alpha' <= 1), the left edge is the hard edge at 0 when sigma has no
+    zero atom, and else the one root of x' between 0 and the least point of
+    tau, the curve's measure, left of which x' is nonincreasing. Interior
+    gaps come from :func:`_interior_gaps`, one root of x'' per gap of the
+    curve's measure that the tangent at its midpoint does not close."""
     curve = model.curve()
     if curve(curve.floor)[1] > 0.0:
         return None
     reflected = model.reflected()
-    pieces = _measure_pieces(curve.measure, reflected.degenerate)
+    pieces = _measure_pieces(curve.measure)
     if reflected.degenerate:
         if model.window.zero_atom == 0.0:
             left = 0.0
@@ -1296,9 +1304,7 @@ def _sigma_bands(model):
             left = float(_gap_curve(curve, lam)[0][0])
     else:
         mirror = reflected.curve()
-        # a left edge at 0 without a degenerate reflection lies in the slack
-        # window of support_window
-        if model.window.left == 0.0 or mirror(mirror.floor)[1] > 0.0:
+        if mirror(mirror.floor)[1] > 0.0:
             return None
         left = model.window.left
     gaps = _interior_gaps(curve, pieces)

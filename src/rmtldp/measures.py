@@ -507,8 +507,12 @@ class SpectralMeasure:
             raise MeasureError("atom locations must be finite")
         if locs.size and not wts.min() > 0.0:
             raise MeasureError("atom weights must be strictly positive")
-        locs, wts = self._merge_atoms(locs, wts)
         components = tuple(components)
+        # the magnitude of the support's coordinates (1 for a point mass at 0), the unit
+        # of the atom merge and the snap window: a floor of 1 would swallow a tiny support
+        ends = [abs(e) for c in components for e in (c.a, c.b)]
+        self._scale = max(float(np.abs(locs).max(initial=0.0)), *ends, 0.0) or 1.0
+        locs, wts = self._merge_atoms(locs, wts, _MERGE_REL * self._scale)
         total = wts.sum() + sum(c.mass for c in components)
         if not abs(total - 1.0) <= _MASS_TOL:
             raise MeasureError(f"total mass {total!r} is not 1 within {_MASS_TOL}")
@@ -519,10 +523,6 @@ class SpectralMeasure:
         edges = list(locs) + [e for c in components for e in (c.a, c.b)]
         self._left = float(min(edges))
         self._right = float(max(edges))
-        # the magnitude of the support's coordinates, the unit for a point
-        # mass at 0: a floor of 1 would let the snap window below swallow a
-        # support lying within 1e-15 of 0
-        self._scale = max(abs(self._left), abs(self._right)) or 1.0
         # snap window of a few ulps around each edge for the edge values of
         # stieltjes: exact edge queries hit it, approach sequences from root
         # finders must stay evaluable
@@ -538,12 +538,11 @@ class SpectralMeasure:
         self.atom_weights.setflags(write=False)
 
     @staticmethod
-    def _merge_atoms(locs, wts):
+    def _merge_atoms(locs, wts, tol):
         if locs.size == 0:
             return locs, wts
         order = np.argsort(locs)
         locs, wts = locs[order], wts[order]
-        tol = _MERGE_REL * max(1.0, float(np.abs(locs).max()))
         out_l, out_w = [locs[0]], [wts[0]]
         for loc, w in zip(locs[1:], wts[1:]):
             if loc - out_l[-1] <= tol:
@@ -628,10 +627,8 @@ class SpectralMeasure:
         return self._right
 
     def atom_mass(self, x: float) -> float:
-        if self.atom_locations.size == 0:
-            return 0.0
-        tol = _MERGE_REL * max(1.0, float(np.abs(self.atom_locations).max()), abs(x))
-        hit = np.abs(self.atom_locations - x) <= tol
+        """The weight of the atoms within 1e-14 of the measure's scale of x."""
+        hit = np.abs(self.atom_locations - x) <= _MERGE_REL * self._scale
         return float(self.atom_weights[hit].sum())
 
     def total_mass(self) -> float:
@@ -981,18 +978,12 @@ class SpectralMeasure:
 
     # -- misc ---------------------------------------------------------------------
 
-    def scaled(self, factor: float, mass_factor: float = 1.0,
-               drop_zero_atom: bool = False) -> "SpectralMeasure":
+    def scaled(self, factor: float, mass_factor: float = 1.0) -> "SpectralMeasure":
         """Pushforward by multiplication with ``factor`` plus mass rescaling."""
         if factor <= 0.0:
             raise MeasureError("scaling factor must be positive")
-        locs = self.atom_locations * factor
-        wts = self.atom_weights * mass_factor
-        if drop_zero_atom and self.atom_locations.size:
-            keep = np.abs(self.atom_locations) > _MERGE_REL * max(1.0, float(np.abs(self.atom_locations).max()))
-            locs, wts = locs[keep], wts[keep]
         comps = [c.scaled(factor, mass_factor) for c in self.components]
-        return SpectralMeasure(locs, wts, comps)
+        return SpectralMeasure(self.atom_locations * factor, self.atom_weights * mass_factor, comps)
 
     def reflected(self) -> "SpectralMeasure":
         """Pushforward by t -> -t."""
@@ -1037,17 +1028,19 @@ def remove_zero_atom(rho: SpectralMeasure, alpha: float) -> tuple[SpectralMeasur
     """Delete the atom at zero, rescale locations and the aspect ratio.
 
     Returns (tau, alpha') with tau the zero-atom-free measure whose locations
-    are the original ones multiplied by (1 - w0), w0 the zero-atom mass, and
-    alpha' = alpha * (1 - w0). The covariance-model transform built from
-    (tau, alpha') coincides with the one built from (rho, alpha).
+    are the original ones multiplied by (1 - w0), w0 the mass of rho's atom at
+    exactly 0.0, and alpha' = alpha * (1 - w0); (rho, alpha) where w0 = 0. H
+    built from (tau, alpha') coincides with the one built from (rho, alpha).
     """
     if alpha <= 0.0:
         raise MeasureError("alpha must be positive")
-    w0 = rho.atom_mass(0.0)
+    rest = rho.atom_locations != 0.0
+    w0 = float(rho.atom_weights[~rest].sum())
     if w0 == 0.0:
         return rho, alpha
     if w0 >= 1.0 - 1e-15:
         raise MeasureError("measure is the point mass at zero; model is fully degenerate")
     keep = 1.0 - w0
-    tau = rho.scaled(keep, mass_factor=1.0 / keep, drop_zero_atom=True)
+    comps = [c.scaled(keep, 1.0 / keep) for c in rho.components]
+    tau = SpectralMeasure(rho.atom_locations[rest] * keep, rho.atom_weights[rest] / keep, comps)
     return tau, alpha * keep

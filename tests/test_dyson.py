@@ -265,21 +265,13 @@ class TestEdgeSolve:
         r_u = edge_solve(CovarianceModel(SpectralMeasure.point_mass(u), alpha)).r_sigma
         assert abs(r_u - u * r_one) <= 1e-12 * u * r_one
 
-    _SNAPPED = pytest.mark.xfail(
-        strict=True, raises=SolverError,
-        reason="lam_c is about (alpha - 2)/4, at most 7.5e-16, below the floor of the level, "
-               "the first point past the 1e-15 snap window of the atom at r(rho) = 0: "
-               "x' > 0 down to the floor, which is no cap (x_c is infinite), so the "
-               "edge solve raises")
-
-    @pytest.mark.parametrize("alpha", [
-        pytest.param(2.0 + 1e-15, marks=_SNAPPED),
-        pytest.param(2.0 + 3e-15, marks=_SNAPPED),
-        2.0 + 1e-14,
-    ])
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-15, 2.0 + 3e-15, 2.0 + 1e-14])
     def test_zero_atom_just_above_the_degenerate_threshold(self, alpha):
         """rho = (delta_-1 + delta_0)/2 is degenerate up to alpha = 2; just
-        above it r(sigma) is a tiny nonpositive number."""
+        above it r(sigma) is a tiny nonpositive number. The curve of the
+        reduced pair has no pole at lam = 0, so lam_c, about (alpha - 2)/4,
+        is solved however close to 0 it lies; on rho's own curve it lay in
+        the snap window of the atom at 0, and the edge solve raised."""
         rho = SpectralMeasure.from_atoms([-1.0, 0.0], [0.5, 0.5])
         edge = CovarianceModel(rho, alpha).edge
         assert not edge.degenerate
@@ -472,11 +464,18 @@ class TestSupportWindow:
         assert left == pytest.approx(-6.066601576895905, abs=1e-12)
 
     def test_left_edge_within_rounding_of_a_degenerate_mirror(self):
-        """For l(rho) >= 0 the reflected model is degenerate when
-        alpha (1 - rho({0})) <= 1; within 1e-13 of that the hard edge 0 is
-        kept, where edge_solve of the reflected model fails (TestEdgeSolve)."""
+        """For l(rho) >= 0 the reflected model is degenerate when alpha' =
+        alpha (1 - rho({0})) <= 1. Just above it the reflected model's edge
+        solves on the curve of its reduced pair, and the left edge is the
+        Marchenko-Pastur one of tau = delta_1/2 at alpha', (1 -
+        alpha'^(-1/2))^2 / 2, about 2.5e-32."""
         rho = SpectralMeasure.from_atoms([0.0, 1.0], [0.5, 0.5])
-        assert support_window(CovarianceModel(rho, 2.0 + 1e-15)).left == 0.0
+        model = CovarianceModel(rho, 2.0 + 1e-15)
+        alpha_prime = model.reduced[1]
+        assert alpha_prime == 0.5 * (2.0 + 1e-15)
+        # 1 - alpha'^(-1/2) without cancellation
+        exact = 0.5 * math.expm1(-0.5 * math.log1p(alpha_prime - 1.0)) ** 2
+        assert support_window(model).left == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestMixedSignSpectrum:
@@ -630,11 +629,6 @@ class TestSigmaMeasure:
         assert sm.atom_mass(0.0) == pytest.approx(0.5, abs=1e-12)
         assert abs(sm.total_mass() - 1.0) < 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: atom_mass(0.0) merges an atom within 1e-14 of 0 into the "
-               "zero atom, while detect_degenerate reads r(rho) = u > 0 as nondegenerate, "
-               "so window.zero_atom is 1 and sigma is delta_0 with raw mass defect 0.304")
     @pytest.mark.parametrize("u", [8.9e-16, 1e-14])
     def test_a_tiny_scalar_gamma_keeps_its_marchenko_pastur_law(self, u):
         """sigma of Gamma = u I is sigma of Gamma = I scaled by u: a zero atom

@@ -55,6 +55,21 @@ class TestFromAtoms:
         assert m.atom_locations.size == 2
         assert m.atom_mass(1.0) == pytest.approx(0.5, abs=1e-15)
 
+    def test_tiny_atoms_keep_apart(self):
+        """The merge tolerance is 1e-14 of the measure's own scale: atoms at
+        1e-14 and 2e-14 are two, where a floor of 1 on the scale merged
+        them into one atom at 1e-14 of weight 1."""
+        m = SpectralMeasure.from_atoms([1e-14, 2e-14], [0.5, 0.5])
+        assert m.atom_locations.tolist() == [1e-14, 2e-14]
+        assert m.atom_weights.tolist() == [0.5, 0.5]
+
+    def test_tiny_atom_is_no_atom_at_zero(self):
+        """atom_mass reads 1e-14 of the measure's scale: a point mass at
+        1e-14 has no mass at 0, where a floor of 1 gave it all."""
+        m = SpectralMeasure.point_mass(1e-14)
+        assert m.atom_mass(0.0) == 0.0
+        assert m.atom_mass(1e-14) == 1.0
+
     def test_empty_rejected(self):
         with pytest.raises(MeasureError):
             SpectralMeasure.from_atoms([], [])
@@ -326,6 +341,13 @@ class TestRemoveZeroAtom:
     def test_pure_zero_atom_rejected(self):
         with pytest.raises(MeasureError):
             remove_zero_atom(SpectralMeasure.point_mass(0.0), 1.0)
+
+    def test_only_the_atom_at_exactly_zero_is_removed(self):
+        """An atom 1.5e-22 from 0 lies within the merge tolerance of a
+        measure of scale 1, yet it is no atom at 0: rho and alpha come back."""
+        rho = SpectralMeasure.from_atoms([-1.5067585918145452e-22, 1.0], [0.5, 0.5])
+        tau, alpha_prime = remove_zero_atom(rho, 2.0)
+        assert tau is rho and alpha_prime == 2.0
 
 
 class TestMassConservation:

@@ -12,8 +12,9 @@ from rmtldp.rate import _inverse_stieltjes
 
 
 def h_curve(model, theta):
-    """H(theta) = x(alpha/theta) on the level curve of a covariance model."""
-    return model.curve()(model.alpha / theta)[0]
+    """H(theta) = x(alpha'/theta) on the level curve of a covariance model,
+    alpha' of its reduced pair."""
+    return model.curve()(model.reduced[1] / theta)[0]
 
 
 def h_direct(model, theta):
