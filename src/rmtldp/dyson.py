@@ -196,6 +196,12 @@ class CovarianceModel:
         return remove_zero_atom(self.rho, self.alpha)
 
     @functools.cached_property
+    def unit(self) -> float:
+        """tau's scale, of the reduced pair (tau, alpha'): the unit of the edge
+        solve's ladder and of the snap windows of the edge and the cap."""
+        return self.reduced[0]._scale
+
+    @functools.cached_property
     def edge(self) -> EdgeData:
         return edge_solve(self)
 
@@ -244,7 +250,7 @@ class CovarianceModel:
         curve = self.curve()
         mean = tau.integrate(lambda u: u)
         x_c = edge.x_c
-        x_cap = x_c - 1e-12 * max(1.0, abs(x_c)) if math.isfinite(x_c) else math.inf
+        x_cap = x_c - 1e-12 * max(self.unit, abs(x_c)) if math.isfinite(x_c) else math.inf
         tmax = edge.theta_max
         return Level(curve, max(a / edge.theta_c, curve.floor), lambda x: a * (x - mean),
                      curve.y, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax),
@@ -284,11 +290,10 @@ class CovarianceModel:
         of H; Phi(t) = (1 - alpha') log t - alpha' L(alpha'/t) up to a
         constant, L the logarithmic moment of tau, of the reduced pair (tau,
         alpha'). On the capped branch Gbar = theta_max and alpha'/Gbar =
-        r(tau); the clamp below only absorbs rounding there.
+        r(tau) up to rounding, which the log moment reads as r(tau).
         """
         tau, a = self.reduced
-        r = tau.right_edge
-        lm = lambda t: tau.log_moment(np.maximum(a / t, r))
+        lm = lambda t: tau.log_moment(a / t)
         bracket = x * (g_bar - g) - (1.0 - a) * np.log(g_bar / g) + a * (lm(g_bar) - lm(g))
         # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
         # edge rounding can leave it a few ulps below zero
@@ -404,8 +409,7 @@ def edge_solve(model: CovarianceModel) -> EdgeData:
     else:
         x_c, case = curve(r)[0], "pos_edge_finite_xc"
     capped = math.isfinite(x_c)
-    lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor,
-                        max(abs(tau.left_edge), abs(tau.right_edge)), capped)
+    lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor, model.unit, capped)
     r_sigma = x_c if capped and lam_c == curve.floor else curve(lam_c)[0]
     return EdgeData(tmax, x_c, a / lam_c, r_sigma, False, case)
 
@@ -415,13 +419,15 @@ def _require_nondegenerate(edge: EdgeData):
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
 
 
-def _edge_side(r: float, x):
-    """-1 below the spectral edge r, 0 at it, 1 beyond: the snap rule of the
-    branches and the rate, which treat x within rounding of r as r itself.
-    Elementwise over an array x; a NaN, on no side, raises ValueError."""
+def _edge_side(model, x):
+    """-1 below the edge r = r(sigma) of either model kind, 0 at it, 1
+    beyond: the snap rule of the branches and the rate, which treat x within
+    1e-12 below and 1e-13 above r of max(unit, |r|) as r itself. Elementwise
+    over an array x; a NaN, on no side, raises ValueError."""
     if np.isnan(x).any():
         raise ValueError(f"x={x!r} holds a NaN")
-    scale = max(1.0, abs(r))
+    r = model.edge.r_sigma
+    scale = max(model.unit, abs(r))
     return np.where(x < r - 1e-12 * scale, -1, np.where(x <= r + 1e-13 * scale, 0, 1))
 
 
@@ -649,7 +655,7 @@ def _branches(model, x, first: bool = True, second: bool = True):
     edge = model.edge
     _require_nondegenerate(edge)
     xs = np.asarray(x, dtype=float)
-    side = _edge_side(edge.r_sigma, xs)
+    side = _edge_side(model, xs)
     if (side < 0).any():
         below = float(np.min(xs[side < 0]))
         raise ValueError(f"x={below!r} below r(sigma)={edge.r_sigma!r}: H(y) = x has no solution")

@@ -635,17 +635,13 @@ class SpectralMeasure:
         return float(self.atom_weights.sum() + sum(c.mass for c in self.components))
 
     def edge_stieltjes_finite(self) -> bool | None:
-        """Whether the Stieltjes transform stays finite at the right edge.
-
-        None means it cannot be decided (undeclared table component at the
-        edge); callers that need the answer must treat None as an error.
-        """
-        if self.atom_mass(self._right) > 0.0:
-            return False
-        for c in self.components:
-            if c.b >= self._right - 1e-12 * max(1.0, abs(self._right)):
-                return c.edge_finite_g
-        return False  # isolated atom handled above; unreachable in practice
+        """Whether the Stieltjes transform stays finite at the right edge,
+        by the rule of its edge value (:meth:`_edge_value`); None where that
+        cannot be decided (an undeclared table component at the edge)."""
+        try:
+            return self._edge_value(self._right) is None
+        except MeasureError:
+            return None
 
     # -- transforms ------------------------------------------------------------
 
@@ -740,19 +736,17 @@ class SpectralMeasure:
         return z
 
     def _edge_value(self, z: float):
-        """Divergent one-sided edge values of G, or None when regular."""
-        scale = self._scale
+        """Divergent one-sided edge values of G, or None when regular: an atom
+        at the edge, or a component touching it within 1e-13 of the
+        measure's scale whose G diverges there, gives an infinite value."""
         at_right = abs(z - self._right) <= self._snap
-        at_left = abs(z - self._left) <= self._snap
-        if not (at_right or at_left):
+        if not (at_right or abs(z - self._left) <= self._snap):
             return None
-        edge = self._right if at_right else self._left
-        sign = 1.0 if at_right else -1.0
+        edge, sign = (self._right, 1.0) if at_right else (self._left, -1.0)
         if self.atom_mass(edge) > 0.0:
             return sign * math.inf
         for c in self.components:
-            touches = (abs(c.b - edge) <= 1e-13 * scale) if at_right else (abs(c.a - edge) <= 1e-13 * scale)
-            if touches:
+            if abs((c.b if at_right else c.a) - edge) <= 1e-13 * self._scale:
                 finite = c.edge_finite_g
                 if finite is None:
                     raise MeasureError(
@@ -831,6 +825,17 @@ class SpectralMeasure:
             sums = tuple(map(operator.add, sums, c.stieltjes_pair(zs, prime)))
         return sums if z.ndim else tuple(v.reshape(()) for v in sums)
 
+    def _from_right_edge(self, z):
+        """z, a float or an array of floats, by the rule "at or past the right
+        edge r": a point less than 1e-12 of the measure's scale below r is
+        read as r, one further below raises MeasureError."""
+        r = self._right
+        z = float(z) if isinstance(z, numbers.Real) else np.asarray(z, dtype=float)
+        low = z if isinstance(z, float) else z.min(initial=math.inf)
+        if low < r - 1e-12 * self._scale:
+            raise MeasureError(f"z={float(low)!r} below the right edge {r!r}")
+        return max(z, r) if isinstance(z, float) else np.where(z < r, r, z)
+
     def log_moment(self, z):
         """integral of log(z - t) for real z at or beyond the right edge,
         elementwise over an array z; a float for scalar z.
@@ -838,13 +843,8 @@ class SpectralMeasure:
         A scalar z stays a Python float through the closed forms, which keeps
         a scalar call about as cheap as its few ufunc calls.
         """
-        if isinstance(z, numbers.Real):
-            zs = low = float(z)
-        else:
-            zs = np.asarray(z, dtype=float)
-            low = zs.min(initial=math.inf)
-        if low < self._right - 1e-12 * max(1.0, abs(self._right)):
-            raise MeasureError(f"log moment needs z >= right edge, got {z!r}")
+        zs = self._from_right_edge(z)
+        low = zs if isinstance(zs, float) else zs.min(initial=math.inf)
         total = 0.0
         if self.atom_locations.size:
             # the locations are sorted
@@ -898,13 +898,13 @@ class SpectralMeasure:
             up = self.cdf(mid) >= flat_q[live]
             hi[live[up]] = mid[up]
             lo[live[~up]] = mid[~up]
-            live = live[hi[live] - lo[live] > 1e-15 * np.maximum(1.0, np.abs(hi[live]))]
+            live = live[hi[live] - lo[live] > 1e-15 * self._scale]
             if not live.size:
                 break
         x = hi
         if self.atom_locations.size:
             near = self.atom_locations[np.argmin(np.abs(self.atom_locations - x[:, None]), axis=1)]
-            x = np.where(np.abs(near - x) <= 1e-9 * np.maximum(1.0, np.abs(x)), near, x)
+            x = np.where(np.abs(near - x) <= 1e-9 * self._scale, near, x)
         return x.reshape(qs.shape)[()]
 
     # -- serialization ----------------------------------------------------------

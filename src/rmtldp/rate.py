@@ -61,21 +61,20 @@ def rate(model, x):
     if model.edge.degenerate:
         raise DegenerateModelError("degenerate model: use rate_degenerate")
     xs = np.asarray(x, dtype=float)
-    out, inner = _off_branches(model.edge, xs)
+    out, inner = _off_branches(model, xs)
     if inner.any():
         xi = xs[inner]
         out[inner] = model.rate_from_branches(xi, *model.branches(xi))
     return float(out) if out.ndim == 0 else out
 
 
-def _off_branches(edge, xs):
+def _off_branches(model, xs):
     """The rate's rule at the edges of its domain, for the points of the
     array xs: the rate where the branches do not give it, +inf below
-    r(sigma) and from ``edge.x_end`` on and 0 at r(sigma) and in its snap
-    window (0 elsewhere), and the points where they do."""
-    side = _edge_side(edge.r_sigma, xs)
-    return (np.where((side < 0) | (xs >= edge.x_end), math.inf, 0.0),
-            (side > 0) & (xs < edge.x_end))
+    r(sigma) and from the edge's ``x_end`` on and 0 at r(sigma) and in the
+    model's snap window (0 elsewhere), and the points where they do."""
+    side, x_end = _edge_side(model, xs), model.edge.x_end
+    return np.where((side < 0) | (xs >= x_end), math.inf, 0.0), (side > 0) & (xs < x_end)
 
 
 def rate_degenerate(x: float) -> float:
@@ -149,22 +148,6 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf, at=0):
     return float(roots[0]) if t.ndim == 0 else roots.reshape(t.shape)
 
 
-def _lambdas(mu: SpectralMeasure, lam, shape):
-    """The entries of lam as floats, and each theta's index among them, an
-    array of ``shape``, theta's shape, that lam broadcasts to. A lam below
-    r - 1e-12 max(1, |r|), with r the right edge of mu, raises ValueError,
-    and a lam the guard admits below r is read as r, where rate snaps
-    too."""
-    r = mu.right_edge
-    lam = np.asarray(lam, dtype=float)
-    if (lam < r - 1e-12 * max(1.0, abs(r))).any():
-        raise ValueError(f"lambda={float(lam.min())!r} below the right edge {r!r}")
-    lam = np.maximum(lam, r)
-    at = np.empty(shape, dtype=np.intp)
-    at[...] = np.arange(lam.size).reshape(lam.shape)
-    return lam.reshape(-1).tolist(), at
-
-
 def _readings(mu: SpectralMeasure, lams, at):
     """Split the points by how mu reads from their lambda
     (:meth:`SpectralMeasure.read_from`): a table component reads through
@@ -191,7 +174,8 @@ def j_fn(mu: SpectralMeasure, theta, lam):
     """Spherical-integral limit J(mu, theta, lambda) for theta >= 0,
     lambda >= r(mu), elementwise over an array theta, with lambda a scalar
     or an array that broadcasts to theta's shape (one lambda per point of a
-    variational batch); a float for scalar theta.
+    variational batch); a float for scalar theta. A lambda less than 1e-12
+    of mu's scale below r(mu) is read as r(mu), one further below raises.
 
     J is theta*v minus half the logarithmic moment of 1 + 2 theta v
     - 2 theta y, with v the optimal shift: lambda - 1/(2 theta) when
@@ -212,7 +196,11 @@ def j_fn(mu: SpectralMeasure, theta, lam):
     th = np.asarray(theta, dtype=float)
     if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
-    lams, at = _lambdas(mu, lam, th.shape)
+    # the entries of lambda as floats, and each theta's index among them
+    lam = mu._from_right_edge(np.asarray(lam, dtype=float))
+    at = np.empty(th.shape, dtype=np.intp)
+    at[...] = np.arange(lam.size).reshape(lam.shape)
+    lams = lam.reshape(-1).tolist()
     out = np.zeros(th.shape)
     pos = th > 0.0
     if pos.any():
@@ -283,7 +271,7 @@ def rate_variational(model, x, sigma: SpectralMeasure | None = None):
     """
     sigma = _variational_setup(model, sigma)
     xs = np.asarray(x, dtype=float)
-    out, inner = _off_branches(model.edge, xs)
+    out, inner = _off_branches(model, xs)
     # every point but those at r(sigma) goes to the branch solve, which
     # refuses the points outside the domain
     solve = inner | (out != 0.0)
@@ -334,7 +322,7 @@ def _rates_both_ways(model, xs, sigma):
     rate_variational does there."""
     sigma = _variational_setup(model, sigma)
     g, g_bar = model.branches(xs)
-    primal, inner = _off_branches(model.edge, xs)
+    primal, inner = _off_branches(model, xs)
     variational = primal.copy()
     xi, g_bar = xs[inner], g_bar[inner]
     primal[inner] = model.rate_from_branches(xi, g[inner], g_bar)
@@ -345,8 +333,9 @@ def _rates_both_ways(model, xs, sigma):
 def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
     """Collapse all mass within eps of the right edge onto an atom there.
 
-    If the cut position r - eps lands on an atom (within 1e-12 relative),
-    eps is nudged up by 1e-9 times the support width so the cut avoids it.
+    If the cut position r - eps lands on an atom (within 1e-12 of rho's
+    scale), eps is nudged up by 1e-9 times the support width so the cut
+    avoids it.
     A no-op truncation returns the input measure unchanged.
     """
     lo, hi = rho.edges()
@@ -357,7 +346,7 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
     if eps >= hi - lo:
         raise MeasureError(f"eps={eps!r} outside (0, {hi - lo!r})")
     cutoff = hi - eps
-    scale = max(1.0, abs(hi), abs(lo))
+    scale = rho._scale
     if rho.atom_locations.size and np.min(np.abs(rho.atom_locations - cutoff)) <= 1e-12 * scale:
         eps += 1e-9 * (hi - lo)
         cutoff = hi - eps

@@ -60,6 +60,12 @@ class DeformedWignerModel:
     # and the solved state kept on the model, as CovarianceModel has them.
 
     @functools.cached_property
+    def unit(self) -> float:
+        """The larger of mu_d's scale and 1, which the semicircle fixes: the
+        unit of the edge solve's ladder and of the edge's snap window."""
+        return max(1.0, self.mu_d._scale)
+
+    @functools.cached_property
     def edge(self) -> DWEdgeData:
         return dw_edge(self)
 
@@ -117,11 +123,10 @@ class DeformedWignerModel:
 
             (beta/2) [(Gbar^2 - G^2)/2 + L(x - Gbar) - L(x - G)].
 
-        On the capped piece x - Gbar = r(mu_d); the clamp below only absorbs
-        rounding there.
+        On the capped piece x - Gbar = r(mu_d) up to rounding, which the log
+        moment reads as r(mu_d).
         """
-        mu = self.mu_d
-        lm = lambda y: mu.log_moment(np.maximum(x - y, mu.right_edge))
+        lm = lambda y: self.mu_d.log_moment(x - y)
         bracket = 0.5 * (g_bar - g) * (g_bar + g) + lm(g_bar) - lm(g)
         # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
         # edge rounding can leave it a few ulps below zero
@@ -183,14 +188,13 @@ def dw_edge(model: DeformedWignerModel) -> DWEdgeData:
     r_edge = H(y_c), and the analyticity threshold r(mu_d) + G(r(mu_d)):
     y_c = G(lam_c) and r_edge = lam_c + y_c at the minimiser lam_c of the
     level's curve lam + G(lam) (:func:`rmtldp.dyson._level_edge`), which is
-    r(mu_d) where H has its minimum at the kink. The ladder's unit is at
-    least 1, since x' = 1 + G' > 0 past r(mu_d) + 1."""
+    r(mu_d) where H has its minimum at the kink. The ladder's unit, the
+    model's, is at least 1, since x' = 1 + G' > 0 past r(mu_d) + 1."""
     mu = model.mu_d
     r = mu.right_edge
     g_edge = _g_at_right_edge(mu)
-    scale = max(1.0, abs(mu.left_edge), abs(r))
     curve = model.curve()
-    lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor, scale, math.isfinite(g_edge))
+    lam_c = _level_edge(lambda lam: curve(lam)[1], curve.floor, model.unit, math.isfinite(g_edge))
     y_c = mu.stieltjes(lam_c)
     return DWEdgeData(y_c=float(y_c), r_edge=float(curve(lam_c)[0]), x_c_dw=r + g_edge,
                       g_edge_mu_d=g_edge)

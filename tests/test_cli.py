@@ -345,7 +345,7 @@ class TestOneHandlerPerKind:
                     "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,rate_primal,rate_variational,abs_diff"
-        model = model_from_json(json.loads(open(wigner_two_atom).read()))
+        model = model_from_json(json.loads(Path(wigner_two_atom).read_text()))
         for line in lines[1:]:
             x, primal, varia, _ = (float(v) for v in line.split(","))
             assert primal == dw_rate(model, x)
@@ -363,7 +363,7 @@ class TestOneHandlerPerKind:
                     "--threads", "2", "--out", str(out)]) == 0
         column = [float(line.split(",")[3])
                   for line in out.read_text().strip().splitlines()[1:]]
-        model = model_from_json(json.loads(open(path).read()))
+        model = model_from_json(json.loads(Path(path).read_text()))
         np.testing.assert_array_equal(column, edge_stats(model, 24, 6, 11).values)
 
     def test_mc_builds_gamma_once(self, wishart1, tmp_path, monkeypatch):

@@ -192,6 +192,19 @@ class TestEdgesAndAtoms:
         assert m.edges() == (1.0, 3.0)
         assert m.atom_mass(2.0) == 0.0
 
+    @pytest.mark.parametrize("s", [1.0, 1e-14])
+    def test_edge_finiteness_is_that_of_the_component_at_the_edge(self, s):
+        """A uniform on [0, s], whose G diverges at s, below a table on [2s,
+        3s] declared finite at its end: G at the right edge is finite, and
+        so says edge_stieltjes_finite. With a window of 1e-12 max(1, |r|) it
+        once took the uniform's answer at s = 1e-14."""
+        table = SpectralMeasure.from_density(lambda t: np.full(t.shape, 1.0 / s), (2 * s, 3 * s),
+                                             32, edge_finite_g=True).components[0]
+        uniform = SpectralMeasure.uniform(0.0, s).components[0]
+        m = SpectralMeasure([], [], [uniform.scaled(1.0, 0.5), table.scaled(1.0, 0.5)])
+        assert m.edge_stieltjes_finite() is True
+        assert math.isfinite(m.stieltjes(m.right_edge))
+
 
 class TestLogMoment:
     def test_point_mass(self):
@@ -216,6 +229,24 @@ class TestLogMoment:
         with pytest.raises(MeasureError):
             m.log_moment(1.0)
 
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_a_point_in_the_edge_window_is_the_edge(self, k):
+        """z less than 1e-12 of the scale below the right edge is read as
+        the edge; it once reached the closed form, whose log of z - b < 0
+        gave NaN."""
+        m, r = SpectralMeasure.uniform(0.0, 2.0**k), 2.0**k
+        assert m.log_moment(r * (1.0 - 1e-13)) == m.log_moment(r) == k * math.log(2.0) - 1.0
+        np.testing.assert_array_equal(m.log_moment(np.array([r * (1.0 - 1e-13), r])),
+                                      m.log_moment(r))
+
+    def test_a_point_inside_a_tiny_support_raises(self):
+        """The window is 1e-12 of the measure's scale; a floor of 1 once
+        admitted all of [0, 1e-14] and returned NaN there."""
+        m = SpectralMeasure.uniform(0.0, 1e-14)
+        for z in (5e-15, np.array([5e-15, 2e-14])):
+            with pytest.raises(MeasureError, match="below the right edge"):
+                m.log_moment(z)
+
 
 class TestQuantiles:
     def test_atomic_measure(self):
@@ -231,6 +262,23 @@ class TestQuantiles:
     def test_semicircle_median(self):
         m = SpectralMeasure.semicircle(2.0, 1.0)
         assert m.quantile(0.5) == pytest.approx(2.0, abs=1e-9)
+
+    def test_a_tiny_uniform(self):
+        """The bisection stops at 1e-15 of the measure's scale; a floor of 1
+        once stopped it at 0.125, 0.375 and 0.9375 of this support."""
+        m = SpectralMeasure.uniform(0.0, 1e-14)
+        np.testing.assert_allclose(m.quantile([0.1, 0.333, 0.9]), [1e-15, 3.33e-15, 9e-15],
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("make", [lambda: SpectralMeasure.semicircle(2.0, 1.0),
+                                      lambda: SpectralMeasure.uniform(-1.0, 3.0), lambda: _mixture()],
+                             ids=["semicircle", "uniform", "atoms-and-semicircle"])
+    def test_scaling_scales_the_quantiles_exactly(self, make):
+        """Bisection and atom snap read the measure's scale, so the quantiles
+        of rho scaled by 2^k are 2^k times rho's, bit for bit."""
+        m, qs = make(), (np.arange(50) + 0.5) / 50
+        for k in (-60, 0, 60):
+            np.testing.assert_array_equal(m.scaled(2.0**k).quantile(qs), 2.0**k * m.quantile(qs))
 
 
 def scalar_component_cdf(c, x):
@@ -274,11 +322,11 @@ def scalar_quantile(m, q):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+        if hi - lo <= 1e-15 * m._scale:
             break
     if m.atom_locations.size:
         j = int(np.argmin(np.abs(m.atom_locations - hi)))
-        if abs(m.atom_locations[j] - hi) <= 1e-9 * max(1.0, abs(hi)):
+        if abs(m.atom_locations[j] - hi) <= 1e-9 * m._scale:
             return float(m.atom_locations[j])
     return hi
 

@@ -350,9 +350,10 @@ def test_rate_invariants_on_random_atomic_models(mu, alpha, beta):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "dyson._edge_side treats x within 1e-13 max(1, |r|) of r(sigma) as the edge, a window of "
-    "absolute width 1e-13 when |r| < 1; these spectra's tops lie 1.3e-13 and 1.8e-13 below 0, "
-    "and inside that window the rate (0.47 at the first) is returned as 0"))
+    "dyson._edge_side treats x within 1e-13 max(unit, |r|) of r(sigma) as the edge, the "
+    "unit being tau's scale: 2.3e-13 and 1e-13 here, where the spectra's tops lie 1.3e-13 "
+    "and 1.8e-13 below 0, and inside that window the rate (0.47 at the first) is returned "
+    "as 0"))
 def test_rate_inside_the_edge_snap_window_of_a_tiny_spectrum():
     """73% of rho's mass at -1e-12, the rest near -2, alpha = 1.93: r(sigma)
     = -1.27e-13, and the rate is +inf from x_end = 0 on. The random-model

@@ -394,7 +394,7 @@ def test_a_nan_transform_raises_instead_of_returning(broken):
 
 
 def test_j_reads_a_lambda_in_the_snap_window_below_the_edge_as_the_edge():
-    """j_fn admits lambda down to r - 1e-12 max(1, |r|) and reads it as r;
+    """j_fn admits lambda down to r - 1e-12 of mu's scale and reads it as r;
     below that it refuses lambda."""
     mu = SpectralMeasure.uniform(0.0, 1.0)
     assert j_fn(mu, 0.5, 1.0 - 1e-13) == j_fn(mu, 0.5, 1.0)
