@@ -826,15 +826,16 @@ class SpectralMeasure:
         return sums if z.ndim else tuple(v.reshape(()) for v in sums)
 
     def _from_right_edge(self, z):
-        """z, a float or an array of floats, by the rule "at or past the right
-        edge r": a point less than 1e-12 of the measure's scale below r is
-        read as r, one further below raises MeasureError."""
+        """(z, its least entry), z a float or an array of floats, by the rule
+        "at or past the right edge r": a point less than 1e-12 of the
+        measure's scale below r is read as r, one further below raises
+        MeasureError."""
         r = self._right
         z = float(z) if isinstance(z, numbers.Real) else np.asarray(z, dtype=float)
         low = z if isinstance(z, float) else z.min(initial=math.inf)
         if low < r - 1e-12 * self._scale:
             raise MeasureError(f"z={float(low)!r} below the right edge {r!r}")
-        return max(z, r) if isinstance(z, float) else np.where(z < r, r, z)
+        return (max(z, r) if isinstance(z, float) else np.where(z < r, r, z)), max(low, r)
 
     def log_moment(self, z):
         """integral of log(z - t) for real z at or beyond the right edge,
@@ -843,8 +844,7 @@ class SpectralMeasure:
         A scalar z stays a Python float through the closed forms, which keeps
         a scalar call about as cheap as its few ufunc calls.
         """
-        zs = self._from_right_edge(z)
-        low = zs if isinstance(zs, float) else zs.min(initial=math.inf)
+        zs, low = self._from_right_edge(z)
         total = 0.0
         if self.atom_locations.size:
             # the locations are sorted

@@ -197,7 +197,7 @@ def j_fn(mu: SpectralMeasure, theta, lam):
     if (th < 0.0).any():
         raise ValueError(f"theta must be nonnegative, got {theta!r}")
     # the entries of lambda as floats, and each theta's index among them
-    lam = mu._from_right_edge(np.asarray(lam, dtype=float))
+    lam = mu._from_right_edge(np.asarray(lam, dtype=float))[0]
     at = np.empty(th.shape, dtype=np.intp)
     at[...] = np.arange(lam.size).reshape(lam.shape)
     lams = lam.reshape(-1).tolist()

@@ -123,10 +123,11 @@ class DeformedWignerModel:
 
             (beta/2) [(Gbar^2 - G^2)/2 + L(x - Gbar) - L(x - G)].
 
-        On the capped piece x - Gbar = r(mu_d) up to rounding, which the log
-        moment reads as r(mu_d).
+        On the capped piece x - Gbar = r(mu_d) up to the rounding of x - Gbar,
+        which is of x's size, not mu_d's; the clamp below reads it as r(mu_d).
         """
-        lm = lambda y: self.mu_d.log_moment(x - y)
+        mu = self.mu_d
+        lm = lambda y: mu.log_moment(np.maximum(x - y, mu.right_edge))
         bracket = 0.5 * (g_bar - g) * (g_bar + g) + lm(g_bar) - lm(g)
         # I >= 0 is a theorem; the bracket cancels O(1) terms, so just above the
         # edge rounding can leave it a few ulps below zero

@@ -168,6 +168,16 @@ class TestDwRate:
     def test_infinite_below_edge(self):
         assert dw_rate(point_deformation(), 1.0) == math.inf
 
+    def test_capped_piece_of_a_small_deformation(self):
+        # past x_c = 200.0137, x - Gbar = r(mu_d) = 0.0137 up to the rounding
+        # of x - Gbar, about 1e-14 x, which is wider than the log moment's
+        # window of 1e-12 of mu_d's scale; the rate reads it as r(mu_d)
+        model = DeformedWignerModel(SpectralMeasure.semicircle(0.0037, 0.01))
+        xs = np.linspace(250.0, 300.0, 50)
+        primal = dw_rate(model, xs)
+        assert np.isfinite(primal).all()
+        np.testing.assert_allclose(primal, dw_rate_variational(model, xs), rtol=1e-13)
+
 
 class TestFreeConvolutionDensity:
     def test_semicircle_center(self):
