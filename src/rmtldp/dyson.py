@@ -483,8 +483,8 @@ def _refined(level: Level, lam, t, d):
 
 
 # Newton solves in the spectral variable stop once they have bracketed a root
-# within 4 eps |lam|, plus 1e-14 for the inverse Stieltjes solve (the
-# tolerances of the brentq solves), or raise after _NEWTON_STEPS steps
+# within 4 eps |lam|, plus 1e-14 of the measure's scale for the inverse
+# Stieltjes solve, or raise after _NEWTON_STEPS steps
 _NEWTON_XTOL = 1e-14
 _NEWTON_RTOL = 4.0 * np.finfo(float).eps
 _NEWTON_STEPS = 100
@@ -911,10 +911,11 @@ def support_window(model: CovarianceModel) -> SupportWindow:
     return SupportWindow(left, edge.r_sigma, zero_atom, lam_left, a / edge.theta_c)
 
 
-# the heights of a descent, in units of max(1, largest |z|), by decades; the
-# Newton steps a point may take on one height; and the stopping tests
-# relative to max(1, |target|): loose above height 0, where a root only has
-# to seed the next height inside its basin, and tight at height 0.
+# the heights of a descent, in units of max(unit, largest |z|) with the
+# model's unit, by decades; the Newton steps a point may take on one height;
+# and the stopping tests relative to max(unit, |target|): loose above height
+# 0, where a root only has to seed the next height inside its basin, and
+# tight at height 0.
 _DECADES = np.append(np.geomspace(1.0, 1e-12, 13), 0.0)
 _LEVEL_STEPS = 120
 _LOOSE_TOL = 1e-3
@@ -927,11 +928,11 @@ _SEEDED_STEPS = 8
 # here and in the descent a NaN or infinite value of h or h' only yields a
 # trial that is rejected, or a step to one
 @np.errstate(divide="ignore", invalid="ignore")
-def _seeded(h_pair, zs, start):
+def _seeded(h_pair, zs, start, unit):
     """Solve h(w) = z at every point of the 1-D array ``zs`` (Im z >= 0) at
     once from ``start(z)``, which approximates the root at z itself: the
     first solve of every limit-law point. ``h_pair(w)`` returns (h(w),
-    h'(w)) on an array w.
+    h'(w)) on an array w; ``unit`` is the model's (:func:`_newton`).
 
     Each point whose start lies in the upper half-plane walks the one
     height 0 (:func:`_walk`), non-strict, with at most ``_SEEDED_STEPS``
@@ -945,17 +946,18 @@ def _seeded(h_pair, zs, start):
     w = np.asarray(start(zs), dtype=complex)
     inside = w.imag > 0.0
     roots = np.full(zs.size, np.nan, dtype=complex)
-    roots[inside] = _walk(h_pair, zs[inside], (0.0,), w[inside], _SEEDED_STEPS, strict=False)
+    roots[inside] = _walk(h_pair, zs[inside], (0.0,), unit, w[inside], _SEEDED_STEPS,
+                          strict=False)
     return roots
 
 
-def _descend(h_pair, zs, seed):
+def _descend(h_pair, zs, seed, unit):
     """Solve h(w) = z at every point of ``zs`` by descending from high above
     the real axis: the solve of the points that :func:`_seeded` leaves
     unsolved, and of every point where the model's support window cannot be
     solved (:func:`limit_stieltjes`).
 
-    Each point starts from ``seed(z + i scale)``, scale = max(1, max |z|),
+    Each point starts from ``seed(z + i scale)``, scale = max(unit, max |z|),
     where the seed lies on the physical branch, and walks the heights
     ``scale * _DECADES`` (1, 1e-1, ..., 1e-12, 0) over z, strict, each
     height started from the root of the one above (:func:`_walk`).
@@ -966,37 +968,37 @@ def _descend(h_pair, zs, seed):
     point for a covariance model and 12.5 for a deformed-Wigner one on the
     benchmark models.
     """
-    heights = max(1.0, float(np.max(np.abs(zs)))) * _DECADES
-    return _walk(h_pair, zs, heights, seed(zs + 1j * heights[0]), _LEVEL_STEPS)
+    heights = max(unit, float(np.max(np.abs(zs)))) * _DECADES
+    return _walk(h_pair, zs, heights, unit, seed(zs + 1j * heights[0]), _LEVEL_STEPS)
 
 
-def _walk(h_pair, zs, heights, w, max_steps, strict=True):
+def _walk(h_pair, zs, heights, unit, w, max_steps, strict=True):
     """The roots w of h(w) = z from the starts w, walked down ``heights``
     over z: one call of :func:`_newton` per height, every point started
     from its root on the height above, with the stopping test ``_LOOSE_TOL
-    * max(1, |target|)`` above height 0 and ``_TIGHT_TOL`` at 0; the roots
+    * max(unit, |target|)`` above height 0 and ``_TIGHT_TOL`` at 0; the roots
     then take :func:`_polished`."""
     solved = w, *h_pair(w)
     for height in heights:
         tol = _LOOSE_TOL if height > 0.0 else _TIGHT_TOL
-        solved = _newton(h_pair, zs, height, tol, *solved, max_steps, strict)
+        solved = _newton(h_pair, zs, height, tol, unit, *solved, max_steps, strict)
     return _polished(h_pair, zs, *solved)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _newton(h_pair, zs, height, tol, w, hw, hp, max_steps, strict=True):
+def _newton(h_pair, zs, height, tol, unit, w, hw, hp, max_steps, strict=True):
     """Damped Newton on h(w) = z + i height at every point of ``zs`` from w,
     where (h(w), h'(w)) = (hw, hp): one level of the descent, or the seeded
     solve at height 0, in place on w, hw and hp, which it returns.
 
     Each round the points that fail the stopping test ``|h(w) - target| <=
-    tol max(1, |target|)``, held by their index, take the Newton step,
+    tol max(unit, |target|)``, held by their index, take the Newton step,
     halved at most 40 times until the trial stays in the upper half-plane
     and lowers the residual. A point out of steps (``max_steps``) or of
     halvings has failed: with ``strict`` the first one raises SolverError
     naming z, the height and the residual, else it is set to NaN."""
     target = zs + 1j * height
-    tols = tol * np.maximum(1.0, np.abs(target))
+    tols = tol * np.maximum(unit, np.abs(target))
 
     def fail(at, why):
         if strict:
@@ -1062,10 +1064,12 @@ def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
     from it descend together from the curve's seed far above the axis, by
     the one ladder of decades (:func:`_descend`), which raises SolverError
     where a point stalls; only through the scale of that descent does a
-    root depend on the other points of ``zs``. Where the window raises SolverError
-    every point descends; such a window is not kept, so each call tries it again. A
-    degenerate covariance model is refused, and so is a z that is not finite
-    or lies below the real axis (ValueError)."""
+    root depend on the other points of ``zs``. Both read ``model.unit`` as
+    their floor, so G_sigma of a covariance model scales with Gamma by 2^k
+    exactly. Where the window raises SolverError every point descends; such
+    a window is not kept, so each call tries it again. A degenerate
+    covariance model is refused, and so is a z that is not finite or lies
+    below the real axis (ValueError)."""
     if model.degenerate:
         raise DegenerateModelError("model is degenerate; use the degenerate rate function")
     zs = np.asarray(zs, dtype=complex)
@@ -1083,10 +1087,10 @@ def limit_stieltjes(model, zs: np.ndarray) -> np.ndarray:
     except SolverError:
         lam = np.full(zs.shape, np.nan, dtype=complex)
     else:
-        lam = _seeded(h_pair, zs, start)
+        lam = _seeded(h_pair, zs, start, model.unit)
     failed = np.isnan(lam)
     if failed.any():
-        lam[failed] = _descend(h_pair, zs[failed], curve.seed)
+        lam[failed] = _descend(h_pair, zs[failed], curve.seed, model.unit)
     return curve.y(lam, zs)
 
 

@@ -403,10 +403,11 @@ class DensityComponent:
             zeta = 2.0 * (z - c) / r
             return self.mass * (np.log(r / 2.0) + _log_moment_sc2(zeta))
         if self.kind == "uniform":
-            za, zb = z - self.a, z - self.b
-            # zb log zb, which is 0 at the edge zb = 0
-            term_b = zb * np.log(zb + (zb == 0.0))
-            return self.mass * ((za * np.log(za) - term_b) / (self.b - self.a) - 1.0)
+            # log(z - a) + (zb/w) log1p(w/zb) - 1, w = b - a, zb = z - b: the
+            # scale sits in log(z - a) alone, and the middle term is 0 at zb = 0
+            zb, w = z - self.b, self.b - self.a
+            tail = zb / w * np.log1p(w / (zb + (zb == 0.0)))
+            return self.mass * (np.log(z - self.a) + tail - 1.0)
         return _by_rows(np.asarray(z), self.nodes, self.weights, _table_log_moment)[0]
 
     def cdf(self, x):

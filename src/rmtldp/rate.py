@@ -90,7 +90,7 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf, at=0):
 
     The roots are the left roots of x(lam) = -1/t on the curve x = -1/G_mu,
     x' = G'/G^2, all solved by one call of
-    :func:`rmtldp.dyson._monotone_newton` to 1e-14 + 4 eps |lam|. Past r,
+    :func:`rmtldp.dyson._monotone_newton` to 1e-14 of mu's scale + 4 eps |lam|. Past r,
     1/G(z) = z - m - v G_nu(z), with m, v the mean and variance of mu and nu
     a probability measure on the hull of its support, so x is decreasing
     and convex. G_mu(lam) <= 1/(lam - r) bounds each root by r + 2/t, and
@@ -142,8 +142,8 @@ def _inverse_stieltjes(mu: SpectralMeasure, target, lower=-math.inf, at=0):
             g_lo = g_lows[i]
             x_lo[i], xp_lo[i] = -1.0 / g_lo, mu.stieltjes_prime(lows[i]) / (g_lo * g_lo)
         roots[solve] = _monotone_newton(
-            curve, -1.0 / ts, np.ones(ts.shape), r + 2.0 / ts, _NEWTON_XTOL, roots[solve],
-            np.array(x_lo)[at], np.array(xp_lo)[at],
+            curve, -1.0 / ts, np.ones(ts.shape), r + 2.0 / ts, _NEWTON_XTOL * mu._scale,
+            roots[solve], np.array(x_lo)[at], np.array(xp_lo)[at],
             lambda i: f"inverse Stieltjes transform at the G target {float(ts[i])!r}")
     return float(roots[0]) if t.ndim == 0 else roots.reshape(t.shape)
 

@@ -32,12 +32,13 @@ from rmtldp.dyson import (
     detect_degenerate,
     g_bar_sigma,
     g_sigma,
+    limit_stieltjes,
 )
 from rmtldp.measures import SpectralMeasure
 from rmtldp.rate import rate, rate_table
 from rmtldp.wigner import DeformedWignerModel, dw_branches
 
-from test_density_oracle import atomic_measures  # the random models of the density tests
+from test_density_oracle import atomic_measures, covering_grid  # the density tests' models
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 EPS = np.finfo(float).eps
@@ -634,12 +635,13 @@ def test_scaling_gamma_scales_the_edge_and_the_branches_exactly(rho, alpha, k):
     theta_c and both branches at 2^k x are 2^-k times those of rho, bit for
     bit, at x = r(sigma) and past it by 1e-6, 1%, 30% and 400% of the unit.
     The rate there, whose log moments each gain k log 2, agrees within
-    1e-13 max(1, I), times 1 + |k| unit/(b - a) with a uniform piece on [a,
-    b]: its closed form ((z - a) log(z - a) - (z - b) log(z - b))/(b - a)
-    rounds the k log 2 of each log at (z - a)/(b - a) times its ulp (over
-    3000 draws the largest gap was 0.15 of the bound). k is even where rho
-    has a semicircle piece: its G takes sqrt(w - R) sqrt(w + R), and at an
-    odd k each factor gains the irrational 2^(k/2) and its own rounding."""
+    1e-13 max(1, I); a uniform piece's log moment carries k log 2 in one log
+    (over 3000 draws the largest gap was 0.22 of the bound, on a semicircle
+    piece, and 0.12 on a uniform one, where the former closed form
+    ((z - a) log(z - a) - (z - b) log(z - b))/(b - a) reached 10 times it).
+    k is even where rho has a semicircle piece: its G takes sqrt(w - R)
+    sqrt(w + R), and at an odd k each factor gains the irrational 2^(k/2)
+    and its own rounding."""
     if any(c.kind == "semicircle" for c in rho.components):
         k -= k % 2
     model, scaled = CovarianceModel(rho, alpha), CovarianceModel(rho.scaled(2.0**k), alpha)
@@ -667,11 +669,49 @@ def test_scaling_gamma_scales_the_edge_and_the_branches_exactly(rho, alpha, k):
         return
     sg, sg_bar = scaled.branches(2.0**k * xs)
     assert np.array_equal(sg, 2.0**-k * g) and np.array_equal(sg_bar, 2.0**-k * g_bar)
-    spread = max((abs(k) * unit / (c.b - c.a) for c in rho.components if c.kind == "uniform"),
-                 default=0.0)
     rates = rate(model, xs)
-    assert np.all(np.abs(rate(scaled, 2.0**k * xs) - rates)
-                  <= 1e-13 * (1.0 + spread) * np.maximum(1.0, rates))
+    assert np.all(np.abs(rate(scaled, 2.0**k * xs) - rates) <= 1e-13 * np.maximum(1.0, rates))
+
+
+@settings(max_examples=100)
+@given(rho=signed_measures(), alpha=st.floats(0.3, 3.0), k=st.integers(-60, 60),
+       eta=st.sampled_from([1e-1, 1e-4, 1e-8]))
+# semicircle-rho at 2^-50, where Newton's floor of 1 stopped far from the roots
+@example(rho=SpectralMeasure.semicircle(2.0, 1.0), alpha=1.0, k=-50, eta=1e-4)
+def test_scaling_gamma_scales_the_limit_law(rho, alpha, k, eta):
+    """G_sigma of 2^k Gamma at 2^k z is 2^-k G_sigma(z): the limit law's
+    Newton test and descent read the model's unit, tau's scale, so on the
+    density oracle's covering grid at the height eta unit the roots are
+    2^-k times, bit for bit, where rho has atoms and a table piece at most.
+    Otherwise they agree within 1e-13 (1 + spread) relative, spread = |k|
+    unit/(b - a) with a uniform piece on [a, b] and 0 otherwise. A
+    semicircle piece rounds its square roots at odd k (over 3000 draws
+    within 1.1e-14). A uniform piece's complex G, (log(z - a) - log(z -
+    b))/(b - a), rounds the k log 2 of each log at |z - b|/(b - a) times its
+    ulp (CHANGES.md): over 3000 draws within 3.1e-15 (1 + spread), up to
+    8.9e-13 relative."""
+    model, scaled = CovarianceModel(rho, alpha), CovarianceModel(rho.scaled(2.0**k), alpha)
+    if model.degenerate:
+        assert scaled.degenerate
+        return
+    unit = model.unit
+    mp_edge = (1.0 + 1.0 / math.sqrt(alpha)) ** 2
+    zs = covering_grid(min(0.0, rho.left_edge) * mp_edge,
+                       max(0.0, rho.right_edge) * mp_edge) + 1j * eta * unit
+    try:
+        g = limit_stieltjes(model, zs)
+    except SolverError:
+        with pytest.raises(SolverError):
+            limit_stieltjes(scaled, 2.0**k * zs)
+        return
+    got = 2.0**k * limit_stieltjes(scaled, 2.0**k * zs)
+    kinds = {c.kind for c in rho.components}
+    if kinds <= {"table"}:
+        assert got.tobytes() == g.tobytes()
+    else:
+        spread = max((abs(k) * unit / (c.b - c.a) for c in rho.components if c.kind == "uniform"),
+                     default=0.0)
+        assert np.all(np.abs(got - g) <= 1e-13 * (1.0 + spread) * np.abs(g))
 
 
 # -- one-point calls, caps and failures ----------------------------------------------

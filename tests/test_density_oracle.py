@@ -361,20 +361,21 @@ def theta_space_stieltjes(model, zs):
         f = -1.0 + a * (z * z * (-gp) - 2.0 * z * g + 1.0)
         return h, f / (w * w)
 
-    return former_descend(h_pair, zs, lambda z: 1.0 / z)
+    return former_descend(h_pair, zs, lambda z: 1.0 / z, model.unit)
 
 
-def seeded_solve(h_pair, zs, seed, start):
-    """The route of limit_stieltjes on h_pair: dyson._seeded from ``start``,
-    then one dyson._descend from ``seed`` of the points it leaves unsolved;
-    every point descends where ``start`` is None."""
+def seeded_solve(h_pair, zs, seed, unit, start):
+    """The route of limit_stieltjes on h_pair in the model's ``unit``:
+    dyson._seeded from ``start``, then one dyson._descend from ``seed`` of
+    the points it leaves unsolved; every point descends where ``start`` is
+    None."""
     if start is None:
         lam = np.full(zs.shape, np.nan, dtype=complex)
     else:
-        lam = dyson._seeded(h_pair, zs, start)
+        lam = dyson._seeded(h_pair, zs, start, unit)
     failed = np.isnan(lam)
     if failed.any():
-        lam[failed] = dyson._descend(h_pair, zs[failed], seed)
+        lam[failed] = dyson._descend(h_pair, zs[failed], seed, unit)
     return lam
 
 
@@ -391,7 +392,7 @@ def subordination_stieltjes(model, zs, window):
     def far(z):
         return z - 1.0 / z
 
-    return zs - seeded_solve(pair, zs, far, None if window is None else window.seed)
+    return zs - seeded_solve(pair, zs, far, model.unit, None if window is None else window.seed)
 
 
 def solved_window(model):
@@ -478,13 +479,24 @@ def test_random_atomic_deformed_wigner_limit_law_equals_the_subordination_solve(
 CONTINUATION_TOL = 5e-13
 
 
+def assert_within_continuation_tol(model, got, want):
+    """|got - want| <= CONTINUATION_TOL max(1, unit) max(1, |G|). Both
+    solves stop at a residual of 1e-12 max(unit, |z|), unit the model's,
+    so where the unit exceeds 1 they stop that much looser near z = 0: at
+    the hard edge at 0 of semicircle-rho and table-rho (unit 3) the descent
+    and the seeded solve differ by up to 1.05 CONTINUATION_TOL max(1, |G|),
+    where a floor of 1 in place of the unit kept them within 0.13."""
+    bound = CONTINUATION_TOL * max(1.0, model.unit) * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
+
+
 def descent_stieltjes(model, zs, descend=None):
     """limit_stieltjes with every point solved by the plain descent, or by
     ``descend``."""
     curve = model.curve()
     mu = curve.measure
     descend = descend or dyson._descend
-    lam = descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed)
+    lam = descend(lambda v: curve.point(v, *mu.stieltjes_pair(v)), zs, curve.seed, model.unit)
     return curve.y(lam, zs)
 
 
@@ -493,9 +505,9 @@ def fallbacks(solve):
     descended = []
     plain = dyson._descend
 
-    def counted(h_pair, zs, seed):
+    def counted(h_pair, zs, seed, unit):
         descended.append(np.size(zs))
-        return plain(h_pair, zs, seed)
+        return plain(h_pair, zs, seed, unit)
 
     dyson._descend = counted
     try:
@@ -530,7 +542,7 @@ def test_a_seed_that_fails_is_solved_by_the_descent(model, zs, descents):
     got, descended = fallbacks(lambda: limit_stieltjes(model, zs))
     assert descended == descents
     want = descent_stieltjes(model, zs)
-    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+    assert_within_continuation_tol(model, got, want)
     assert_matches_oracle(-got.imag / np.pi, oracle_density(model, zs))
 
 
@@ -543,7 +555,7 @@ def test_a_root_does_not_depend_on_the_rest_of_its_grid(name):
     zs = measure_grids(model)[-1]
     whole = limit_stieltjes(model, zs)
     chunks = np.concatenate([limit_stieltjes(model, zs[i:i + 7]) for i in range(0, zs.size, 7)])
-    assert np.all(np.abs(chunks - whole) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(whole)))
+    assert_within_continuation_tol(model, chunks, whole)
 
 
 def test_every_point_descends_where_the_window_cannot_be_solved():
@@ -609,11 +621,12 @@ def test_an_eta_that_is_not_finite_and_positive_is_refused(model, eta):
 
 
 def assert_near_the_descent(model, zs):
-    """limit_stieltjes within CONTINUATION_TOL of the descent; returns the
-    number of points that descended."""
+    """limit_stieltjes within the continuation bound of the descent
+    (:func:`assert_within_continuation_tol`); returns the number of points
+    that descended."""
     got, descended = fallbacks(lambda: limit_stieltjes(model, zs))
     want = descent_stieltjes(model, zs)
-    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+    assert_within_continuation_tol(model, got, want)
     return sum(descended)
 
 
@@ -705,7 +718,7 @@ def test_a_start_in_the_wrong_half_plane_descends(monkeypatch):
 #
 # For Im z > 0, x(lam) = z has exactly one root with Im lam > 0 on both
 # curves, and the solve keeps every trial and polish step there. That takes
-# the descent's start, seed(z + i scale) with scale = max(1, max |z|) over
+# the descent's start, seed(z + i scale) with scale = max(unit, max |z|) over
 # its grid, to lie in the upper half-plane.
 
 finite_upper_points = st.builds(complex, st.floats(-1e300, 1e300), st.floats(0.0, 1e300))
@@ -730,9 +743,9 @@ def assert_roots_in_the_upper_half_plane(model, zs):
     h_pair, seed, _ = counted_pair(model)
     window = solved_window(model)
     if window is not None:
-        seeded = dyson._seeded(h_pair, zs, window.seed)
+        seeded = dyson._seeded(h_pair, zs, window.seed, model.unit)
         assert np.all(seeded[~np.isnan(seeded)].imag > 0.0)
-    assert np.all(dyson._descend(h_pair, zs, seed).imag > 0.0)
+    assert np.all(dyson._descend(h_pair, zs, seed, model.unit).imag > 0.0)
 
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)
@@ -760,9 +773,11 @@ def test_every_root_lies_in_the_upper_half_plane_on_random_deformed_wigner_model
 
 # -- the former grid solver as the reference of the Newton kernel --------------------
 #
-# The grid solve before dyson._newton, verbatim but for the docstrings and the
+# The grid solve before dyson._newton, verbatim but for the docstrings, the
 # names, which start with former_ in place of _: _newton_on_z, _damped_step,
-# _polish, _descend, _move_down and _descend_with. It kept full-size arrays
+# _polish, _descend, _move_down and _descend_with, and the model's unit in
+# place of the floor of 1 in its heights and tests, as in dyson._newton and
+# dyson._descend, so that both solve in the same scale. It kept full-size arrays
 # and gathered and scattered through index vectors of the live points. Its
 # descent takes the ladder of heights as an argument; former_descend walks
 # the decades with the loose test, as dyson._descend does.
@@ -781,22 +796,22 @@ def test_every_root_lies_in_the_upper_half_plane_on_random_deformed_wigner_model
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def former_seeded(h_pair, zs, seed, start):
+def former_seeded(h_pair, zs, seed, unit, start):
     zs = np.asarray(zs, dtype=complex)
     w = np.asarray(start(zs), dtype=complex)
-    far = seed(zs + 1j * max(1.0, float(np.max(np.abs(zs)))))
-    ok = former_newton_on_z(h_pair, zs, w, np.sign(np.asarray(far, dtype=complex).imag))
+    far = seed(zs + 1j * max(unit, float(np.max(np.abs(zs)))))
+    ok = former_newton_on_z(h_pair, zs, w, np.sign(np.asarray(far, dtype=complex).imag), unit)
     if not ok.all():
-        w[~ok] = former_descend(h_pair, zs[~ok], seed)
+        w[~ok] = former_descend(h_pair, zs[~ok], seed, unit)
     return w
 
 
-def former_newton_on_z(h_pair, z, w, side):
+def former_newton_on_z(h_pair, z, w, side, unit):
     hw = np.full(w.size, np.nan, dtype=complex)
     hp = hw.copy()
     live = np.flatnonzero(np.sign(w.imag) == side)
     hw[live], hp[live] = h_pair(w[live])
-    tol = _TIGHT_TOL * np.maximum(1.0, np.abs(z))
+    tol = _TIGHT_TOL * np.maximum(unit, np.abs(z))
     for _ in range(_SEEDED_STEPS):
         live = live[~(np.abs(hw[live] - z[live]) <= tol[live])]
         if not live.size:
@@ -849,27 +864,27 @@ def former_polish(h_pair, w, hw, hp, zs, side):
     return w
 
 
-def former_descend(h_pair, zs, seed):
-    return former_descend_with(h_pair, zs, seed, _DECADES, _LOOSE_TOL)
+def former_descend(h_pair, zs, seed, unit):
+    return former_descend_with(h_pair, zs, seed, unit, _DECADES, _LOOSE_TOL)
 
 
 # the half-decade ladder of the descent before the decade ladder
 _DESCENT = np.append(np.geomspace(1.0, 1e-12, 25), 0.0)
 
 
-def half_decade_descent(h_pair, zs, seed):
+def half_decade_descent(h_pair, zs, seed, unit):
     try:
-        return former_descend_with(h_pair, zs, seed, _DESCENT, _LOOSE_TOL)
+        return former_descend_with(h_pair, zs, seed, unit, _DESCENT, _LOOSE_TOL)
     except SolverError:
-        return former_descend_with(h_pair, zs, seed, _DESCENT, _TIGHT_TOL)
+        return former_descend_with(h_pair, zs, seed, unit, _DESCENT, _TIGHT_TOL)
 
 
-def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
+def former_move_down(test, zs, heights, unit, level_tol, hw, level, steps, done):
     last = len(heights) - 1
     for _ in range(2):
         target = zs[test] + 1j * heights[level[test]]
         test = test[np.abs(hw[test] - target)
-                    <= level_tol[level[test]] * np.maximum(1.0, np.abs(target))]
+                    <= level_tol[level[test]] * np.maximum(unit, np.abs(target))]
         at_last = level[test] == last
         done[test[at_last]] = True
         test = test[~at_last]
@@ -879,7 +894,7 @@ def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
             return
     ks = np.arange(level[test].min(), last + 1)
     target = zs[test, None] + 1j * heights[ks]
-    passes = np.abs(hw[test, None] - target) <= level_tol[ks] * np.maximum(1.0, np.abs(target))
+    passes = np.abs(hw[test, None] - target) <= level_tol[ks] * np.maximum(unit, np.abs(target))
     fails = ~passes & (ks >= level[test, None])
     through = ~fails.any(axis=1)
     done[test[through]] = True
@@ -888,9 +903,9 @@ def former_move_down(test, zs, heights, level_tol, hw, level, steps, done):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def former_descend_with(h_pair, zs, seed, ladder, tol):
+def former_descend_with(h_pair, zs, seed, unit, ladder, tol):
     zs = np.asarray(zs, dtype=complex)
-    heights = max(1.0, float(np.max(np.abs(zs)))) * ladder
+    heights = max(unit, float(np.max(np.abs(zs)))) * ladder
     level_tol = np.append(np.full(ladder.size - 1, tol), _TIGHT_TOL)
     w = np.asarray(seed(zs + 1j * heights[0]), dtype=complex)
     side = np.sign(w.imag)
@@ -906,7 +921,7 @@ def former_descend_with(h_pair, zs, seed, ladder, tol):
                            f"residual {float(abs(hw[i] - z - 1j * height))!r}")
 
     while True:
-        former_move_down(live, zs, heights, level_tol, hw, level, steps, done)
+        former_move_down(live, zs, heights, unit, level_tol, hw, level, steps, done)
         live = live[~done[live]]
         if not live.size:
             return former_polish(h_pair, w, hw, hp, zs, side)
@@ -944,7 +959,7 @@ def outcome(solve, model, zs, *args):
     of the (G, G') calls made on the way."""
     h_pair, seed, points = counted_pair(model)
     try:
-        got = solve(h_pair, zs, seed, *args)
+        got = solve(h_pair, zs, seed, model.unit, *args)
     except SolverError as exc:
         got = str(exc)
     return got, points
@@ -1045,9 +1060,9 @@ def test_a_seeded_level_with_every_start_below_the_axis_ends():
     model = BENCHMARK_MODELS["dw-two-atom"]
     h_pair, seed, points = counted_pair(model)
     z = np.linspace(-3.5, 3.5, 5) + 1e-6j
-    below = dyson._descend(h_pair, z, seed).conj()
+    below = dyson._descend(h_pair, z, seed, model.unit).conj()
     points.clear()
-    assert not former_newton_on_z(h_pair, z, below.copy(), np.ones(z.size)).any()
+    assert not former_newton_on_z(h_pair, z, below.copy(), np.ones(z.size), model.unit).any()
     former_sizes = [p.size for p in points]
     points.clear()
 
@@ -1055,7 +1070,7 @@ def test_a_seeded_level_with_every_start_below_the_axis_ends():
         assert len(points) < 2, "the kernel kept evaluating with no point in play"
         return h_pair(v)
 
-    got = dyson._seeded(bounded, z, lambda _: below)
+    got = dyson._seeded(bounded, z, lambda _: below, model.unit)
     assert np.isnan(got).all()
     assert [p.size for p in points] == former_sizes == [0, 0]
 
@@ -1090,16 +1105,17 @@ def test_random_deformed_wigner_grid_solves_equal_the_former_solve(mu, eta):
 # dyson._descend descends by decades alone; the half-decade descent that came
 # before it, which the former solver above keeps, is the reference. Both stay
 # in the upper half-plane in lam, which holds one root, so their roots differ
-# by rounding: within CONTINUATION_TOL max(1, |G|). On the grids of the
-# benchmark models they differed by at most 3.9e-13 max(1, |G|) (neg-wishart
-# at 1e-9 max(1, span), near the soft edge, where x' is small) and on the 600
-# random models of each kind below by at most 4.7e-14.
+# by rounding: within CONTINUATION_TOL max(1, unit) max(1, |G|). On the grids
+# of the benchmark models they differed by at most 3.9e-13 max(1, |G|)
+# (neg-wishart, unit 1, at 1e-9 max(1, span), near the soft edge, where x' is
+# small; 5.2e-13 max(1, |G|) on semicircle-rho, unit 3, next to its hard edge
+# at 0) and on the 600 random models of each kind below by at most 4.7e-14.
 
 
 def assert_near_the_half_decade_descent(model, zs):
     got = descent_stieltjes(model, zs)
     want = descent_stieltjes(model, zs, half_decade_descent)
-    assert np.all(np.abs(got - want) <= CONTINUATION_TOL * np.maximum(1.0, np.abs(want)))
+    assert_within_continuation_tol(model, got, want)
 
 
 @pytest.mark.parametrize("name", SOLVED_MODELS)

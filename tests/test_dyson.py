@@ -638,15 +638,12 @@ class TestSigmaMeasure:
         assert sigma.atom_mass(0.0) == pytest.approx(0.7, abs=1e-12)
         assert sigma.right_edge == pytest.approx(u * ref.right_edge, rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the limit law's complex Newton stops at tol max(1, |target|), a floor of 1 that "
-        "a target of the scale of u = 1e-13 lies far below, so the rule loses 4.3e-3 of "
-        "sigma's mass; reading the model's unit there is a change of its own, which moves "
-        "the seeded bits of the density oracle and two benchmark outputs (ROADMAP item 1)"))
-    def test_a_small_scalar_gamma_keeps_the_mass_of_its_limit_law(self):
+    @pytest.mark.parametrize("u", [1.5e-14, 1e-13, 1e-12, 1e-10, 1.0])
+    def test_a_small_scalar_gamma_keeps_the_mass_of_its_limit_law(self, u):
         """sigma of Gamma = u I is sigma of Gamma = I scaled by u, whose rule
-        loses 5.6e-15 of its mass."""
-        sigma = CovarianceModel(SpectralMeasure.point_mass(1e-13), 0.3).sigma
+        loses 5.6e-15 of its mass: the limit law's Newton test and descent
+        read the model's unit, u, where a floor of 1 lost 4.3e-3 at 1e-13."""
+        sigma = CovarianceModel(SpectralMeasure.point_mass(u), 0.3).sigma
         assert sigma.raw_mass_defect <= 1e-12
 
     def test_negative_model_support(self):

@@ -239,6 +239,21 @@ class TestLogMoment:
         np.testing.assert_array_equal(m.log_moment(np.array([r * (1.0 - 1e-13), r])),
                                       m.log_moment(r))
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, 2.0), (-1.0, 3.0), (2.0, 2.05),
+                                      (1e-14, 3e-14)])
+    def test_uniform_against_50_digit_values(self, a, b):
+        """log(z - a) + ((z - b)/w) log1p(w/(z - b)) - 1, w = b - a, at the
+        edge, next to it and far from it. The former ((z - a) log(z - a) -
+        (z - b) log(z - b))/w - 1 cancelled far from the support: 7.6e-11
+        off at z = 1e6 on [0, 1], and -1.0 for 13.8 on [1e-14, 3e-14]."""
+        m, w = SpectralMeasure.uniform(a, b), b - a
+        with mpmath.workdps(50):
+            lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+            for z in (b, b + 1e-12 * w, b + 0.1 * w, b + 10.0 * w, 1e6):
+                za, zb = mpmath.mpf(z) - lo, mpmath.mpf(z) - hi
+                want = (za * mpmath.log(za) - (zb * mpmath.log(zb) if zb else 0)) / (hi - lo) - 1
+                assert abs(m.log_moment(z) - want) <= 4 * EPS * max(1, abs(want)), z
+
     def test_a_point_inside_a_tiny_support_raises(self):
         """The window is 1e-12 of the measure's scale; a floor of 1 once
         admitted all of [0, 1e-14] and returned NaN there."""

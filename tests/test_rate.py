@@ -183,6 +183,17 @@ class TestRateVariational:
             assert rate_variational(model, x, sigma) == pytest.approx(
                 rate(model, x), abs=2e-3)
 
+    @pytest.mark.parametrize("u", [2.0**-40, 1e-13, 1e-15])
+    def test_a_tiny_two_atom_gamma_matches_primal(self, u):
+        """rho = (delta_u + delta_3u)/2, alpha = 2, at 1.2, 1.5 and 2 r(sigma):
+        sigma's rule and J's inverse solve read the scale u, so the forms
+        agree as at u = 1; floors of 1 left a gap of 4.0e-5 at every such u."""
+        model = CovarianceModel(SpectralMeasure.from_atoms([u, 3.0 * u], [0.5, 0.5]), 2.0)
+        xs = model.edge.r_sigma * np.array([1.2, 1.5, 2.0])
+        primal = rate(model, xs)
+        assert np.all(np.abs(rate_variational(model, xs) - primal)
+                      <= 1e-13 * np.maximum(1.0, primal))
+
     def test_beta_two_doubles(self):
         from rmtldp.dyson import sigma_measure
         m1 = wishart(1.0)

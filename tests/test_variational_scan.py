@@ -209,6 +209,21 @@ def test_j_fn_array_equals_scalar_calls(name):
         j_fn(mu, np.array([0.1, -0.1]), lam)
 
 
+@pytest.mark.parametrize("k", [-20, -45, -60])
+@pytest.mark.parametrize("name", sorted(J_CASES))
+def test_j_is_invariant_under_scaling(name, k):
+    """J(c mu, theta/c, c lambda) = J(mu, theta, lambda), c = 2^k: the
+    inverse Stieltjes solve stops at 1e-14 of mu's scale, and the log moment
+    and log(2 theta) carry log c once each. An absolute 1e-14 stopped the
+    solve far from the root of a small mu: 1.5e-2 off at c = 2^-60."""
+    mu, lam = J_CASES[name]
+    c = 2.0**k
+    thetas = np.array([1e-3, 0.2, 1.0, 4.0, 40.0])
+    want = j_fn(mu, thetas, lam)
+    got = j_fn(mu.scaled(c), thetas / c, c * lam)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("atoms", [([1.0], [1.0]), ([-1.0, 2.0], [0.4, 0.6])])
 def test_f_fn_array_equals_scalar_calls(atoms):
     model = CovarianceModel(SpectralMeasure.from_atoms(*atoms), 2.0)
@@ -444,7 +459,7 @@ def former_inverse_stieltjes(mu, target, lower=-math.inf):
             x, tl, gl = lam[live], ts[live], g[live]
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = np.minimum(x + gl / gp[live] * (1.0 - gl / tl), hi[live])
-            trial = np.maximum(newton, x + _NEWTON_XTOL + _NEWTON_RTOL * np.abs(x))
+            trial = np.maximum(newton, x + _NEWTON_XTOL * mu._scale + _NEWTON_RTOL * np.abs(x))
             g_trial, gp_trial = mu.stieltjes_pair(trial)
             if np.isnan(g_trial).any():
                 i = int(np.argmax(np.isnan(g_trial)))
@@ -468,14 +483,15 @@ def former_inverse_stieltjes(mu, target, lower=-math.inf):
 
 def check_against_former(mu, lower=-math.inf):
     """At 1, 2, 20 and 2000 targets below G at the lower end, every root
-    lies within the solve's tolerance 1e-14 + 4 eps |lam| of the former
-    loop's root."""
+    lies within the solve's tolerance, 1e-14 of mu's scale + 4 eps |lam|,
+    of the former loop's root; both take the tolerance in mu's scale."""
     lo = lower_end(mu, lower)
     for count in (1, 2, 20, 2000):
         targets = targets_below(mu, lo, count)
         got = _inverse_stieltjes(mu, targets, lower)
         want = former_inverse_stieltjes(mu, targets, lower)
-        assert np.all(np.abs(got - want) <= _NEWTON_XTOL + _NEWTON_RTOL * np.abs(want)), count
+        xtol = _NEWTON_XTOL * mu._scale
+        assert np.all(np.abs(got - want) <= xtol + _NEWTON_RTOL * np.abs(want)), count
 
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
