@@ -198,7 +198,7 @@ class CovarianceModel:
     @functools.cached_property
     def unit(self) -> float:
         """tau's scale, of the reduced pair (tau, alpha'): the unit of the edge
-        solve's ladder and of the snap windows of the edge and the cap."""
+        solve's ladder and of the edge's snap window."""
         return self.reduced[0]._scale
 
     @functools.cached_property
@@ -248,13 +248,9 @@ class CovarianceModel:
         mean(tau)) lies right of the right root."""
         (tau, a), edge = self.reduced, self.edge
         curve = self.curve()
-        mean = tau.integrate(lambda u: u)
-        x_c = edge.x_c
-        x_cap = x_c - 1e-12 * max(self.unit, abs(x_c)) if math.isfinite(x_c) else math.inf
-        tmax = edge.theta_max
+        mean = tau.mean()
         return Level(curve, max(a / edge.theta_c, curve.floor), lambda x: a * (x - mean),
-                     curve.y, edge.theta_c, x_cap, lambda x: np.full(x.shape, tmax),
-                     None if tau.components else self._residual)
+                     curve.y, edge.theta_c, None if tau.components else self._residual)
 
     def _residual(self, lam, x):
         """(x(lam) - x, x'(lam)) of an atomic tau, the first as lam/alpha' -
@@ -523,9 +519,11 @@ class Level:
     the curve's floor, with its minimum r(sigma) at ``lam_c``. ``start(x)``
     is a point right of each right root. ``first(lam, x)`` is the first
     branch at a right root, and the curve's ``y(lam, x)`` the second branch
-    at a left root; from ``x_cap`` on, the second branch is ``cap(x)``
-    instead, and from ``x_floor`` on it is taken at the floor
-    (:func:`_x_floor`). At r(sigma) both branches are ``at_edge``.
+    at a left root, or from ``x_floor`` on at the floor (:func:`_x_floor`).
+    Where G_mu is finite at the right edge r(mu) the floor is r(mu) and
+    x_floor is the threshold x_c, and y at the floor is the capped second
+    branch: theta_max = alpha'/r(tau) (covariance) or x - r(mu_d)
+    (deformed Wigner). At r(sigma) both branches are ``at_edge``.
     ``residual(lam, x)``, where given, is (x(lam) - x to about eps^2 of its
     terms, x'(lam)), and each root takes one Newton step on it after
     :func:`_monotone_newton`, the kernel that also inverts G_mu for J."""
@@ -535,8 +533,6 @@ class Level:
     start: Callable
     first: Callable
     at_edge: float
-    x_cap: float
-    cap: Callable
     residual: Callable | None = None
 
     @functools.cached_property
@@ -648,9 +644,9 @@ def _branches(model, x, first: bool = True, second: bool = True):
 
     The roots of all points come from one Newton solve on the model's
     :class:`Level`: the right root gives the first branch, the left root the
-    second, unless the second is capped there or its root lies inside the
-    snap window of the edge transforms, where the floor stands for it
-    (:func:`_x_floor`).
+    second, unless x is at or past the level's ``x_floor``, where the
+    second is taken at the floor (:func:`_x_floor`): the capped branch past
+    a finite x_c, or a root inside the snap window of the edge transforms.
     """
     edge = model.edge
     _require_nondegenerate(edge)
@@ -667,13 +663,11 @@ def _branches(model, x, first: bool = True, second: bool = True):
     g = np.full(xs.shape, level.at_edge if first else math.nan)
     g_bar = np.full(xs.shape, level.at_edge if second else math.nan)
     beyond = side > 0
-    capped = beyond & (xs >= level.x_cap) & second
-    g_bar[capped] = level.cap(xs[capped])
-    floored = beyond & ~capped & (xs >= level.x_floor) & second
+    floored = beyond & (xs >= level.x_floor) & second
     if floored.any():
         g_bar[floored] = level.curve.y(level.curve.floor, xs[floored])
     right = beyond & first
-    left = beyond & ~capped & ~floored & second
+    left = beyond & ~floored & second
     t_right, t_left = xs[right], xs[left]
     if t_right.size or t_left.size:
         lam = _level_roots(level, t_right, t_left)

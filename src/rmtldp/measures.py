@@ -2,11 +2,11 @@
 
 A measure is a finite list of atoms plus an optional absolutely continuous
 part held as one or more density components. Components are tagged by kind:
-``semicircle`` and ``uniform`` evaluate their Stieltjes transform, its
-derivative, the logarithmic moment and the cdf in closed form, which keeps
-edge evaluations exact; a ``table`` component is exactly its quadrature nodes
-and weights, and every quantity of it, the cdf included, is computed from
-them alone. All measures are immutable after construction.
+``semicircle`` and ``uniform`` are their formulas alone: the Stieltjes
+transform, its derivatives, the log moment, the cdf and the mean in closed
+form, which keeps edge evaluations exact; a ``table`` component is exactly
+its quadrature nodes and weights, and every quantity of it, the cdf
+included, is computed from them alone. All measures are immutable.
 """
 
 from __future__ import annotations
@@ -210,21 +210,22 @@ def _check_form(kind, a, b, params) -> None:
                                f"= [{c - r!r}, {c + r!r}] within {_SEMICIRCLE_END_REL} radius")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityComponent:
     """One absolutely continuous piece of a measure.
 
-    ``nodes``/``weights`` integrate smooth functions against the component;
-    closed-form kinds additionally bypass them for singular transforms.
-    ``edge_finite_g`` declares whether G is finite at both ends: the kind's
-    for a closed form (True for a semicircle, False for a uniform), True,
-    False or None (undeclared) for a table. Construction refuses, with
-    MeasureError naming the field (``x`` and ``w`` for nodes and weights):
-    a ``kind`` other than ``semicircle``, ``uniform`` and ``table``; a
-    support [a, b] not finite with a < b, or for a semicircle not [c - R,
-    c + R] within 1e-9 R and rounding, with c = ``center`` given and finite
-    and R = ``radius`` given, finite and > 0; a closed form's ``mass`` not
-    finite and > 0; nodes and weights not finite and of one length, nodes
+    A closed form (``semicircle``, ``uniform``) is its kind, support, mass
+    and params, and holds no ``nodes`` or ``weights`` (None); a ``table`` is
+    its nodes and weights. ``edge_finite_g`` declares whether G is finite at
+    both ends: the kind's for a closed form (True for a semicircle, False
+    for a uniform), True, False or None (undeclared) for a table.
+    Construction refuses, with MeasureError naming the field (``x`` and
+    ``w`` for nodes and weights): a ``kind`` other than ``semicircle``,
+    ``uniform`` and ``table``; a support [a, b] not finite with a < b, or
+    for a semicircle not [c - R, c + R] within 1e-9 R and rounding, with c
+    = ``center`` given and finite and R = ``radius`` given, finite and > 0;
+    a closed form's ``mass`` not finite and > 0, or its nodes or weights
+    given; a table's nodes and weights not finite and of one length, nodes
     not ascending inside [a, b], and weights negative or of total 0 (a
     table's mass is the total).
     """
@@ -233,8 +234,8 @@ class DensityComponent:
     a: float
     b: float
     mass: float
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: np.ndarray | None = None
+    weights: np.ndarray | None = None
     params: dict = field(default_factory=dict)
     edge_finite_g: bool | None = None
 
@@ -244,8 +245,12 @@ class DensityComponent:
         if not any(self.edge_finite_g is v for v in allowed):
             raise MeasureError(f"edge_finite_g of a {self.kind} must be "
                                f"{' or '.join(map(repr, allowed))}, got {self.edge_finite_g!r}")
-        if self.kind != "table" and not 0.0 < self.mass < math.inf:
-            raise MeasureError(f"mass must be positive and finite, got {self.mass!r}")
+        if self.kind != "table":
+            if not 0.0 < self.mass < math.inf:
+                raise MeasureError(f"mass must be positive and finite, got {self.mass!r}")
+            if self.nodes is not None or self.weights is not None:
+                raise MeasureError(f"a {self.kind} holds no x or w")
+            return
         x, w = self.nodes, self.weights
         if x.shape != w.shape:
             raise MeasureError(f"x and w differ in length: {x.size} and {w.size}")
@@ -294,14 +299,12 @@ class DensityComponent:
             if prime > 1:
                 gpp = 2.0 * self.mass / s ** 3
         else:
-            if prime or not real:
+            # m log((z - a)/(z - b))/(b - a) in one log1p on real and complex
+            # z alike: a ratio of offsets, so G scales with z by 2^k bit for bit
+            g = self.mass * np.log1p((self.b - self.a) / (z - self.b)) / (self.b - self.a)
+            if prime:
                 zc = np.asarray(z, dtype=complex)
                 za, zb = zc - self.a, zc - self.b
-            if real:
-                g = self.mass * np.log1p((self.b - self.a) / (z - self.b)) / (self.b - self.a)
-            else:
-                g = self.mass * (np.log(za) - np.log(zb)) / (self.b - self.a)
-            if prime:
                 gp = -self.mass / (za * zb)
                 ends = real and (z == self.a) | (z == self.b)
             if prime > 1:
@@ -435,15 +438,28 @@ class DensityComponent:
             val = np.where(i >= 0, np.minimum(left + frac * gap_mass, self.mass), 0.0)
         return np.where(x <= self.a, 0.0, np.where(x >= self.b, self.mass, val))[()]
 
+    def __eq__(self, other) -> bool:
+        """Every field equal, exactly: a table's nodes and weights too."""
+        if not isinstance(other, DensityComponent):
+            return NotImplemented
+        fields = lambda c: (c.kind, c.a, c.b, c.mass, c.params, c.edge_finite_g)
+        return (fields(self) == fields(other) and np.array_equal(self.nodes, other.nodes)
+                and np.array_equal(self.weights, other.weights))
+
     def scaled(self, factor: float, mass_factor: float) -> "DensityComponent":
-        """Pushforward by multiplication with ``factor`` (> 0), mass rescaled."""
+        """Pushforward by multiplication with ``factor`` (nonzero; -1
+        reflects), mass rescaled."""
         lo, hi = sorted((self.a * factor, self.b * factor))
+        if self.kind == "table":
+            step = 1 if factor > 0.0 else -1
+            return _make_component("table", lo, hi, None, self.nodes[::step] * factor,
+                                   self.weights[::step] * mass_factor,
+                                   edge_finite_g=self.edge_finite_g)
         params = dict(self.params)
         if self.kind == "semicircle":
             params["center"] *= factor
-            params["radius"] *= factor
-        return _make_component(self.kind, lo, hi, self.mass * mass_factor, self.nodes * factor,
-                               self.weights * mass_factor, params, self.edge_finite_g)
+            params["radius"] *= abs(factor)
+        return _make_component(self.kind, lo, hi, self.mass * mass_factor, params=params)
 
 
 def _golub_welsch(diag, off, mass):
@@ -479,19 +495,20 @@ def _gauss_rule(nodes, weights, a, b, k):
     return np.clip(c + h * values, a, b), weights
 
 
-def _make_component(kind, a, b, mass, nodes, weights, params=None, edge_finite_g=None):
+def _make_component(kind, a, b, mass, nodes=None, weights=None, params=None, edge_finite_g=None):
     """A component. ``mass`` is read for a closed form only: a table is its
     nodes and weights, so its mass is the sum of its weights. Likewise
     ``edge_finite_g`` is read for a table only: a closed form's kind sets it.
-    Nodes and weights are stored contiguous: a table's dot products take
+    A table's nodes and weights are stored contiguous: its dot products take
     other bits on a strided or reversed view."""
+    if kind != "table":
+        return DensityComponent(kind=kind, a=float(a), b=float(b), mass=float(mass),
+                                params=params or {}, edge_finite_g=_EDGE_FINITE_G[kind][0])
     weights = np.ascontiguousarray(weights, dtype=float)
     return DensityComponent(
-        kind=kind, a=float(a), b=float(b),
-        mass=float(weights.sum()) if kind == "table" else float(mass),
+        kind=kind, a=float(a), b=float(b), mass=float(weights.sum()),
         nodes=np.ascontiguousarray(nodes, dtype=float), weights=weights,
-        params=params or {},
-        edge_finite_g=edge_finite_g if kind == "table" else _EDGE_FINITE_G[kind][0],
+        edge_finite_g=edge_finite_g,
     )
 
 
@@ -568,51 +585,48 @@ class SpectralMeasure:
                      edge_finite_g: bool | None = None) -> "SpectralMeasure":
         """Discretize a density on one support interval into a measure.
 
-        ``density`` may be a :class:`Semicircle` or :class:`Uniform` instance
-        (recognized kinds keep closed-form transforms) or any callable. A
-        callable is sampled once, at fixed quadrature nodes, and not kept: the
-        result is a ``table`` component of those nodes and weights, equal to
-        what its JSON form loads back as. The result is renormalized to mass 1;
-        a renormalization warning is issued when the raw quadrature mass
-        deviates from 1 by more than 1e-6.
+        A :class:`Semicircle` on its whole support, or a :class:`Uniform` on a
+        part of its own (within 1e-12), is kept as its closed form, of exact
+        mass there. Any other callable is sampled once at ``nodes_per_interval``
+        square-root-adapted nodes, and not kept: the result is a ``table`` of
+        those nodes and weights, equal to what its JSON form loads back as.
+        The result is renormalized to mass 1, with a warning where the raw
+        mass deviates from 1 by more than 1e-6.
         """
         a, b = float(support[0]), float(support[1])
         _check_support(a, b)
-        n = int(nodes_per_interval)
-        nodes, qw = sqrt_adapted_rule(a, b, n)
-        vals = np.asarray(density(nodes), dtype=float)
-        if vals.min() < -1e-12 * max(1.0, abs(vals.max())):
-            raise MeasureError(f"negative density sample {vals.min()!r} on support")
-        vals = np.maximum(vals, 0.0)
-        weights = qw * vals
-        raw_mass = float(weights.sum())
-        if raw_mass <= 0.0:
-            raise MeasureError("density has zero total mass on the support")
+        if isinstance(density, Semicircle) and _semicircle_fits(a, b, density.center, density.radius):
+            raw_mass = 1.0
+            comp = _make_component("semicircle", a, b, 1.0,
+                                   params={"center": density.center, "radius": density.radius})
+        elif isinstance(density, Uniform) and a >= density.a - 1e-12 and b <= density.b + 1e-12:
+            raw_mass = (min(b, density.b) - max(a, density.a)) / (density.b - density.a)
+            comp = _make_component("uniform", a, b, 1.0)
+        else:
+            nodes, qw = sqrt_adapted_rule(a, b, int(nodes_per_interval))
+            vals = np.asarray(density(nodes), dtype=float)
+            if vals.min() < -1e-12 * max(1.0, abs(vals.max())):
+                raise MeasureError(f"negative density sample {vals.min()!r} on support")
+            weights = qw * np.maximum(vals, 0.0)
+            raw_mass = float(weights.sum())
+            if raw_mass <= 0.0:
+                raise MeasureError("density has zero total mass on the support")
+            comp = _make_component("table", a, b, None, nodes, weights / raw_mass,
+                                   edge_finite_g=edge_finite_g)
         if abs(raw_mass - 1.0) > 1e-6:
             warnings.warn(
                 f"density mass {raw_mass:.9g} renormalized by factor {1.0 / raw_mass:.9g}",
                 stacklevel=2,
             )
-        if isinstance(density, Semicircle) and _semicircle_fits(a, b, density.center, density.radius):
-            comp = _make_component(
-                "semicircle", a, b, 1.0, nodes, weights / raw_mass,
-                params={"center": density.center, "radius": density.radius},
-            )
-        elif isinstance(density, Uniform) and a >= density.a - 1e-12 and b <= density.b + 1e-12:
-            comp = _make_component("uniform", a, b, 1.0, nodes, weights / raw_mass)
-        else:
-            comp = _make_component("table", a, b, None, nodes, weights / raw_mass,
-                                   edge_finite_g=edge_finite_g)
         return cls(components=[comp], raw_mass_defect=abs(raw_mass - 1.0))
 
     @classmethod
-    def semicircle(cls, center: float, radius: float, nodes: int = 256) -> "SpectralMeasure":
-        law = Semicircle(center, radius)
-        return cls.from_density(law, (center - radius, center + radius), nodes)
+    def semicircle(cls, center: float, radius: float) -> "SpectralMeasure":
+        return cls.from_density(Semicircle(center, radius), (center - radius, center + radius))
 
     @classmethod
-    def uniform(cls, a: float, b: float, nodes: int = 256) -> "SpectralMeasure":
-        return cls.from_density(Uniform(a, b), (a, b), nodes)
+    def uniform(cls, a: float, b: float) -> "SpectralMeasure":
+        return cls.from_density(Uniform(a, b), (a, b))
 
     # -- basic queries --------------------------------------------------------
 
@@ -859,13 +873,19 @@ class SpectralMeasure:
             total = total + c.log_moment(zs)
         return float(total) if isinstance(zs, float) else total
 
-    def integrate(self, f) -> float:
-        """integral of f against the measure via atoms plus quadrature nodes."""
+    def mean(self) -> float:
+        """The mean of the measure: the sums of its atoms and tables, m c for
+        a semicircle of mass m and centre c, m (a + b)/2 for a uniform."""
         total = 0.0
         if self.atom_locations.size:
-            total += float(np.sum(self.atom_weights * np.asarray(f(self.atom_locations))))
+            total += float(np.sum(self.atom_weights * self.atom_locations))
         for c in self.components:
-            total += float(np.sum(c.weights * np.asarray(f(c.nodes))))
+            if c.kind == "table":
+                total += float(np.sum(c.weights * c.nodes))
+            elif c.kind == "semicircle":
+                total += c.mass * c.params["center"]
+            else:
+                total += c.mass * (c.a + c.b) / 2.0
         return total
 
     # -- cdf / quantiles --------------------------------------------------------
@@ -930,14 +950,15 @@ class SpectralMeasure:
                 "w": [float(v) for v in c.weights],
                 "edge_finite_g": c.edge_finite_g,
             }
-        return {"kind": c.kind, "params": params, "support": [c.a, c.b], "nodes": int(len(c.nodes))}
+        return {"kind": c.kind, "params": params, "support": [c.a, c.b]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SpectralMeasure":
         """The measure of a :meth:`to_json` object, which only parses: an atom
         that is no pair, a number that is no JSON number, a column that is no
-        list and a node count that is no positive integer raise MeasureError
-        naming the field. Every other rule is the constructors'."""
+        list and a node count ``"nodes"`` that is no positive integer raise
+        MeasureError naming the field; the count builds nothing. Every other
+        rule is the constructors'."""
         atoms = obj.get("atoms") or []
         for a in atoms:
             if not (isinstance(a, (list, tuple)) and len(a) == 2):
@@ -955,26 +976,21 @@ class SpectralMeasure:
         for d in dens_list:
             kind = d["kind"]
             a, b = (_json_number(v, "support") for v in d["support"])
-            n = d.get("nodes", 256)
+            n = d.get("nodes", 1)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise MeasureError(f"nodes must be a positive integer, got {n!r}")
             params = d.get("params") or {}
             mass = _json_number(params.get("mass", 1.0), "mass")
             circle = ({k: _json_number(params[k], k) for k in ("center", "radius") if k in params}
                       if kind == "semicircle" else {})
-            # the rules that must hold before the nodes are computed
+            # the rules that must hold before a table's columns are read
             _check_form(kind, a, b, circle)
             if kind == "table":
-                nodes, weights = _json_column(params["x"], "x"), _json_column(params["w"], "w")
+                comps.append(_make_component(
+                    kind, a, b, None, _json_column(params["x"], "x"),
+                    _json_column(params["w"], "w"), edge_finite_g=params.get("edge_finite_g")))
             else:
-                nodes, qw = sqrt_adapted_rule(a, b, n)
-                if kind == "semicircle":
-                    weights = qw * Semicircle(**circle)(nodes)
-                    weights *= mass / weights.sum()
-                else:
-                    weights = qw * mass / (b - a)
-            comps.append(_make_component(kind, a, b, mass, nodes, weights, circle,
-                                         params.get("edge_finite_g")))
+                comps.append(_make_component(kind, a, b, mass, params=circle))
         return cls(locs, wts, comps)
 
     # -- misc ---------------------------------------------------------------------
@@ -990,31 +1006,16 @@ class SpectralMeasure:
         """Pushforward by t -> -t."""
         locs = -self.atom_locations[::-1]
         wts = self.atom_weights[::-1]
-        comps = []
-        for c in self.components:
-            params = dict(c.params)
-            if c.kind == "semicircle":
-                params["center"] = -params["center"]
-            comps.append(_make_component(c.kind, -c.b, -c.a, c.mass,
-                                         c.nodes[::-1] * -1.0, c.weights[::-1],
-                                         params=params, edge_finite_g=c.edge_finite_g))
-        return SpectralMeasure(locs, wts, comps)
+        return SpectralMeasure(locs, wts, [c.scaled(-1.0, 1.0) for c in self.components])
 
     def __eq__(self, other) -> bool:
+        """Equal atoms and components, every field exactly: a model file
+        loads back equal to the measure that wrote it."""
         if not isinstance(other, SpectralMeasure):
             return NotImplemented
-        if not (
-            np.array_equal(self.atom_locations, other.atom_locations)
-            and np.allclose(self.atom_weights, other.atom_weights, rtol=0, atol=1e-15)
-            and len(self.components) == len(other.components)
-        ):
-            return False
-        for c, d in zip(self.components, other.components):
-            if c.kind != d.kind or abs(c.a - d.a) > 1e-12 or abs(c.b - d.b) > 1e-12:
-                return False
-            if abs(c.mass - d.mass) > 1e-12:
-                return False
-        return True
+        return (np.array_equal(self.atom_locations, other.atom_locations)
+                and np.array_equal(self.atom_weights, other.atom_weights)
+                and self.components == other.components)
 
     def __repr__(self) -> str:
         parts = []

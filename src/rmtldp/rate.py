@@ -298,7 +298,7 @@ def _supremum(model, xs, theta_x, end, objective):
     """beta times the variational rate at the points of the array xs from
     the model's (optimizer, scan end, objective) there; see
     :func:`rate_variational`."""
-    start = np.maximum(theta_x * 1e-3, 1e-12)[..., None]
+    start = (theta_x * 1e-3)[..., None]
     scan = start * (np.asarray(end)[..., None] / start) ** _SCAN_FRACTIONS
     # each point's optimizer and its scan in one call of the objective
     values = objective(np.concatenate((theta_x[..., None], scan), axis=-1))
@@ -365,28 +365,28 @@ def epsilon_truncate(rho: SpectralMeasure, eps: float) -> SpectralMeasure:
         elif c.a >= cutoff:
             moved += c.mass
         else:
-            sel = c.nodes <= cutoff
             # a table keeps exactly its selected weights; a closed form keeps
             # its exact mass below the cut
-            kept_mass = float(c.weights[sel].sum()) if c.kind == "table" else c.cdf(cutoff)
+            if c.kind == "table":
+                sel = c.nodes <= cutoff
+                kept_mass = float(c.weights[sel].sum())
+            else:
+                kept_mass = c.cdf(cutoff)
             moved += c.mass - kept_mass
             if kept_mass <= 0.0:
                 continue
             if c.kind == "uniform":
-                nodes, qw = sqrt_adapted_rule(c.a, cutoff, max(len(c.nodes), 64))
-                comps.append(_make_component(
-                    "uniform", c.a, cutoff, kept_mass, nodes, qw * kept_mass / (cutoff - c.a),
-                ))
+                comps.append(_make_component("uniform", c.a, cutoff, kept_mass))
             elif c.kind == "table":
                 comps.append(_make_component(
                     "table", c.a, cutoff, None, c.nodes[sel], c.weights[sel],
                     edge_finite_g=c.edge_finite_g,
                 ))
             else:
-                # a semicircle, re-discretized on [a, cutoff] from its center
-                # and radius
+                # a semicircle, discretized on [a, cutoff] from its center and
+                # radius onto a table of 256 square-root-adapted nodes
                 law = Semicircle(c.params["center"], c.params["radius"])
-                nodes, qw = sqrt_adapted_rule(c.a, cutoff, max(len(c.nodes), 256))
+                nodes, qw = sqrt_adapted_rule(c.a, cutoff, 256)
                 weights = qw * (c.mass * law(nodes))
                 weights *= kept_mass / weights.sum()
                 comps.append(_make_component(

@@ -106,11 +106,9 @@ class DeformedWignerModel:
         root by as much."""
         mu, edge = self.mu_d, self.edge
         curve = self.curve()
-        r = mu.right_edge
         # lam_c = K(y_c), the minimizer of lam + G(lam)
         return Level(curve, max(edge.r_edge - edge.y_c, curve.floor), lambda x: x,
-                     lambda lam, x: _on_points(mu.stieltjes, lam), edge.y_c, edge.x_c_dw,
-                     lambda x: x - r)
+                     lambda lam, x: _on_points(mu.stieltjes, lam), edge.y_c)
 
     def rate_from_branches(self, x, g, g_bar):
         """Rate at x from the two branch values G <= Gbar of H(y) = x,

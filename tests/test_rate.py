@@ -24,7 +24,7 @@ from rmtldp.rate import (
 )
 from rmtldp.wigner import DeformedWignerModel
 
-from test_branch_solver import solvable_edge
+from test_branch_solver import solvable_edge, threshold
 from test_density_oracle import BENCHMARK_MODELS, SOLVED_MODELS, atomic_measures
 from theta_space import j_shift
 
@@ -183,13 +183,17 @@ class TestRateVariational:
             assert rate_variational(model, x, sigma) == pytest.approx(
                 rate(model, x), abs=2e-3)
 
-    @pytest.mark.parametrize("u", [2.0**-40, 1e-13, 1e-15])
-    def test_a_tiny_two_atom_gamma_matches_primal(self, u):
-        """rho = (delta_u + delta_3u)/2, alpha = 2, at 1.2, 1.5 and 2 r(sigma):
-        sigma's rule and J's inverse solve read the scale u, so the forms
-        agree as at u = 1; floors of 1 left a gap of 4.0e-5 at every such u."""
+    @pytest.mark.parametrize("u", [2.0**-40, 1e-13, 1e-15, 2.0**-200,
+                                   2.0**40, 2.0**44, 2.0**50, 2.0**200])
+    def test_a_scaled_two_atom_gamma_matches_primal(self, u):
+        """rho = (delta_u + delta_3u)/2, alpha = 2, at 1.2, 1.3, 1.5 and 2
+        r(sigma): sigma's rule and J's inverse solve read the scale u, and
+        the scan starts at 1e-3 of the optimizer, so the forms agree as at u
+        = 1. Floors of 1 left a gap of 4.0e-5 at every tiny u; an absolute
+        scan start of 1e-12 lay past theta_max from u = 2^40 on, where F
+        raised ValueError."""
         model = CovarianceModel(SpectralMeasure.from_atoms([u, 3.0 * u], [0.5, 0.5]), 2.0)
-        xs = model.edge.r_sigma * np.array([1.2, 1.5, 2.0])
+        xs = model.edge.r_sigma * np.array([1.2, 1.3, 1.5, 2.0])
         primal = rate(model, xs)
         assert np.all(np.abs(rate_variational(model, xs) - primal)
                       <= 1e-13 * np.maximum(1.0, primal))
@@ -392,7 +396,7 @@ def test_rate_inside_the_edge_snap_window_of_a_tiny_spectrum():
 # error h^2 I'''/(6 I') is about 1e-8 times a constant of order 1 at any
 # distance from the edge, where a step fixed to the scale of x is too coarse
 # on a domain as narrow as neg-wishart's (0.08 wide). A step whose interval
-# holds the second branch's kinks, level.x_cap and level.x_floor, is
+# holds the second branch's kink, level.x_floor (x_c where it is finite), is
 # skipped. The largest error seen was 5.9e-9 |I'| over 200 random atomic
 # models of each kind (neg-wishart-like tops next to x_end) and 4.6e-9 on
 # the benchmark models.
@@ -408,9 +412,8 @@ def assert_slope_identity(model, xs):
     r = edge.r_sigma
     xs = xs[(xs > r) & (xs < edge.x_end)]
     h = SLOPE_STEP * np.minimum(xs - r, edge.x_end - xs)
-    for kink in (level.x_cap, level.x_floor):
-        keep = (xs + h < kink) | (xs - h > kink)
-        xs, h = xs[keep], h[keep]
+    keep = (xs + h < level.x_floor) | (xs - h > level.x_floor)
+    xs, h = xs[keep], h[keep]
     assert xs.size
     g, g_bar = model.branches(xs)
     slope = 0.5 * model.beta * (g_bar - g)
@@ -438,7 +441,7 @@ def test_rate_slope_is_the_branch_gap_on_the_benchmark_models(name):
     where the second branch is capped, up to 2 x_c - r(sigma)."""
     model = BENCHMARK_MODELS[name]
     xs, _ = solvable_grid(model, model.edge)
-    x_c = model.level.x_cap
+    x_c = threshold(model)
     if math.isfinite(x_c) and x_c < model.edge.x_end:
         xs = np.append(xs, x_c + (x_c - model.edge.r_sigma) * np.linspace(0.05, 1.0, 20))
     assert_slope_identity(model, xs)

@@ -7,7 +7,9 @@ curve x(lam) (``model.curve()``) and keeps theta_max and x_c on
 
 import numpy as np
 
+from rmtldp._quad import sqrt_adapted_rule
 from rmtldp.dyson import _g_at_right_edge
+from rmtldp.measures import Semicircle, Uniform
 from rmtldp.rate import _inverse_stieltjes
 
 
@@ -19,9 +21,23 @@ def h_curve(model, theta):
 
 def h_direct(model, theta):
     """H(theta) = 1/theta + integral of alpha u/(alpha - theta u) d rho(u),
-    summed over the atoms and quadrature nodes of rho."""
-    a = model.alpha
-    return 1.0 / theta + model.rho.integrate(lambda u: a * u / (a - theta * np.asarray(u)))
+    summed over the atoms of rho, the nodes of a table and, for a closed
+    form, which holds no nodes, over 256 square-root-adapted nodes of its
+    law."""
+    a, rho = model.alpha, model.rho
+    f = lambda u: a * u / (a - theta * u)
+    total = float(np.sum(rho.atom_weights * f(rho.atom_locations)))
+    for c in rho.components:
+        if c.kind == "table":
+            nodes, weights = c.nodes, c.weights
+        else:
+            nodes, qw = sqrt_adapted_rule(c.a, c.b, 256)
+            law = (Semicircle(c.params["center"], c.params["radius"]) if c.kind == "semicircle"
+                   else Uniform(c.a, c.b))
+            weights = qw * law(nodes)
+            weights *= c.mass / weights.sum()
+        total += float(np.sum(weights * f(nodes)))
+    return 1.0 / theta + total
 
 
 def dw_h(model, y):
